@@ -19,7 +19,7 @@ import csv
 import json
 import sys
 import traceback
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,7 @@ from .neighbors import (
 )
 from .witness import (
     DEFAULT_WITNESS_CONFIG,
+    WitnessConfig,
     WitnessNotFoundError,
     witness_point,
 )
@@ -205,11 +206,10 @@ def _neighbor_cfg(cfg: dict) -> NeighborConfig:
     return NeighborConfig(eps_inside_rel=float(cfg["eps_inside"]))
 
 
-def _witness_cfg(cfg: dict):
-    wcfg = replace(DEFAULT_WITNESS_CONFIG, seed=int(cfg["seed"]))
-    if cfg.get("eps_witness") is not None:
-        wcfg = replace(wcfg, eps_witness_rel=float(cfg["eps_witness"]))
-    return wcfg
+def _witness_cfg(cfg: dict) -> WitnessConfig:
+    if cfg.get("eps_witness") is None:
+        return DEFAULT_WITNESS_CONFIG
+    return WitnessConfig(eps_witness_rel=float(cfg["eps_witness"]))
 
 
 # ---------------------------------------------------------------------------
@@ -531,18 +531,17 @@ def cmd_witness(cfg: dict) -> tuple[int, dict]:
             "tolerances": {"eps_witness_rel": wcfg.eps_witness_rel},
             "map": json.loads(map_to_json(spec)),
             "elements": list(cover.names)}
-    try:
-        rep = witness_point(domain, cover, images, wcfg)
-    except WitnessNotFoundError as exc:
-        report = {**base, "result": exc.report.to_json(), "ok": False}
-        print(f"FAIL: residual {exc.report.residual:.3e} above gate")
-        return EXIT_VIOLATION, report
-    report = {**base, "result": rep.to_json(), "ok": True}
+    rep = witness_point(domain, cover, images, wcfg)
+    ok = rep.status == "ok"
+    report = {**base, "result": rep.to_json(), "ok": ok}
     point = np.array2string(np.asarray(rep.point), precision=6,
                             separator=", ")
     print(f"witness point {point}  radius {rep.radius:.6g}  "
           f"residual {rep.residual:.3e}")
     print(f"contacts {list(rep.chosen)} across {len(cover.names)} elements")
+    if not ok:
+        print(f"FAIL: residual {rep.residual:.3e} above gate")
+        return EXIT_VIOLATION, report
     return EXIT_OK, report
 
 

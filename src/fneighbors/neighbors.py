@@ -370,26 +370,34 @@ def _line_pairs(values: np.ndarray):
     return pairs
 
 
+def _delaunay_circumcenters(pts: np.ndarray):
+    """Qhull Delaunay triangulation of pts (dimension >= 2) with the
+    circumcenter of every simplex.  Returns (simplices, centers, ok): ok
+    marks the non-singular simplices, and the centers of singular (sliver)
+    simplices are NaN."""
+    d = pts.shape[1]
+    simplices = Delaunay(pts).simplices
+    verts = pts[simplices]  # (S, d+1, d)
+    u = verts[:, 1:, :] - verts[:, :1, :]
+    rhs = 0.5 * ((verts[:, 1:, :] ** 2).sum(axis=2) - (verts[:, :1, :] ** 2).sum(axis=2))
+    centers = np.full((len(simplices), d), np.nan)
+    # batched solve over the simplices that are not slivers
+    det = np.abs(np.linalg.det(u))
+    scale = np.abs(u).max(axis=(1, 2)) ** d + 1e-300
+    ok = det > 1e-12 * scale
+    if ok.any():
+        centers[ok] = np.linalg.solve(u[ok], rhs[ok][..., None])[..., 0]
+    return simplices, centers, ok
+
+
 def _delaunay_edge_certs(pts: np.ndarray, eps_inside: float):
     """Certified edges from a Delaunay triangulation: each edge gets the
     best (largest-slack) incident-simplex circumball.  Returns
     dict edge -> (center, radius, slack) in the current coordinates, plus
     the list of edges that failed the tolerance and need LP fallback."""
     npts, d = pts.shape
-    tri = Delaunay(pts)
-    simplices = tri.simplices
-    verts = pts[simplices]  # (S, d+1, d)
-    u = verts[:, 1:, :] - verts[:, :1, :]
-    rhs = 0.5 * ((verts[:, 1:, :] ** 2).sum(axis=2) - (verts[:, :1, :] ** 2).sum(axis=2))
-    centers = np.full((len(simplices), d), np.nan)
-    ok = np.zeros(len(simplices), dtype=bool)
-    # batched solve; singular (sliver) simplices are dropped
-    det = np.abs(np.linalg.det(u))
-    scale = np.abs(u).max(axis=(1, 2)) ** d + 1e-300
-    good = det > 1e-12 * scale
-    if good.any():
-        centers[good] = np.linalg.solve(u[good], rhs[good][..., None])[..., 0]
-        ok[good] = True
+    simplices, centers, ok = _delaunay_circumcenters(pts)
+    verts = pts[simplices]
     radii = np.linalg.norm(verts[:, 0, :] - centers, axis=1)
 
     # per-simplex clearance: the nearest non-vertex point to a circumcenter

@@ -6,12 +6,16 @@ element's image equals its distance to the whole image set: the ball
 B_R(w) with R = d(w, f(X)) then touches each f(C_j) without containing
 any image, so the touching samples form a certified f-neighbor tuple.
 
-The search minimizes slack(x) = max_j d(x, f(C_j)) - d(x, f(X)), which is
-nonnegative everywhere and zero exactly at witness points.  Nelder-Mead
-from several structured starts gets close; a recentering polish step
-(circumcenter of the per-element nearest images) then drives the residual
-to solver precision whenever the sampled configuration admits an exact
-witness.
+The witness slack slack(x) = max_j d(x, f(C_j)) - d(x, f(X)) is
+nonnegative everywhere and zero exactly at witness points.  On samples an
+exact witness is the center of an empty ball with an image of every
+element on its sphere, so the search scans the circumcenters of the
+Delaunay simplices of the images (the empty-sphere property): a simplex
+whose vertices touch every element has slack 0.  Coincident images add
+their common point, the radius-0 witness of a coincident tuple.  When no
+simplex is rainbow, which is the rule when the cover has more elements
+than a simplex has vertices, the best circumcenter is only an approximate
+witness and the relative residual gate decides.
 """
 
 from __future__ import annotations
@@ -19,11 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
 from .domains import CoverAssignment, SampledDomain, cube_max_faces
-from .geometry import Sphere, circumsphere, fit_sphere
+from .neighbors import (
+    DEFAULT_CONFIG,
+    _affine_reduce,
+    _coincidence_clusters,
+    _delaunay_circumcenters,
+    _line_pairs,
+)
 
 __all__ = [
     "WitnessConfig",
@@ -38,14 +47,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WitnessConfig:
-    """Search budget and acceptance tolerance for witness_point."""
+    """Acceptance tolerance for witness_point, relative to the image
+    diameter."""
 
-    budget: int = 2000
-    n_probes: int = 32
-    n_random_starts: int = 4
-    polish_rounds: int = 8
     eps_witness_rel: float = 1e-3
-    seed: int = 0
 
 
 DEFAULT_WITNESS_CONFIG = WitnessConfig()
@@ -111,17 +116,35 @@ def _nearest_members(dists: np.ndarray, cover: CoverAssignment,
     return tuple(out)
 
 
+def _candidate_centers(images: np.ndarray, spread: float) -> np.ndarray:
+    """Circumcenters of the Delaunay simplices of the coincidence-cluster
+    representatives (midpoints of consecutive values when their affine hull
+    is a line), followed by the cluster images themselves."""
+    clusters = _coincidence_clusters(images,
+                                     DEFAULT_CONFIG.eps_coincide_rel * spread)
+    reps = images[[int(cl[0]) for cl in clusters]]
+    reduced, embed = _affine_reduce(reps)
+    if reduced.shape[1] == 1:
+        centers = np.vstack([c for _, _, c, _ in _line_pairs(reduced[:, 0])])
+    else:
+        _, centers, ok = _delaunay_circumcenters(reduced)
+        centers = centers[ok]
+    return np.vstack([embed(centers), reps])
+
+
 def witness_point(domain: SampledDomain, cover: CoverAssignment,
                   images: np.ndarray,
                   cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG) -> WitnessReport:
-    """Minimize the witness slack by multi-start Nelder-Mead plus
-    recentering polish.
+    """The candidate center of least witness slack.
 
-    Starts: the image centroid, the circumcenter of one representative
-    image per element (the member nearest its element's image centroid),
-    and the best of cfg.n_probes seeded random probes in the image
-    bounding box.  All-coincident images short-circuit to the radius-0
-    witness.  The residual gate is relative to the image diameter.
+    Candidates are the Delaunay circumcenters and cluster images of
+    _candidate_centers; the slack is evaluated at all of them at once and
+    the first minimizer wins.  A rainbow simplex (one whose vertices touch
+    every element) gives slack 0 up to rounding.  With none, which is the
+    rule when the cover has more elements than a simplex has vertices
+    (image dimension plus one), the minimizer is only an approximate
+    witness.  All-coincident images short-circuit to the radius-0 witness.
+    The residual gate is relative to the image diameter.
     """
     images = np.asarray(images, dtype=float)
     if len(images) != len(domain):
@@ -134,74 +157,23 @@ def witness_point(domain: SampledDomain, cover: CoverAssignment,
         return WitnessReport(status="ok", point=images[0].copy(), radius=0.0,
                              residual=0.0, chosen=chosen, element_names=names)
 
-    member_idx = [np.flatnonzero(cover.membership[:, j])
-                  for j in range(cover.element_count)]
-    trees = [cKDTree(images[idx]) for idx in member_idx]
-    tree_all = cKDTree(images)
+    candidates = _candidate_centers(images, spread)
+    worst = np.zeros(len(candidates))
+    for j in range(cover.element_count):
+        members = images[cover.membership[:, j]]
+        worst = np.maximum(worst, cKDTree(members).query(candidates)[0])
+    nearest = cKDTree(images).query(candidates)[0]
+    slack = worst - nearest
+    best = int(np.argmin(slack))
+    best_x = candidates[best]
 
-    def slack(x: np.ndarray) -> float:
-        worst = max(float(t.query(x)[0]) for t in trees)
-        return worst - float(tree_all.query(x)[0])
-
-    def polish(x: np.ndarray) -> np.ndarray:
-        best = x
-        best_val = slack(x)
-        for _ in range(cfg.polish_rounds):
-            contacts = np.array([int(idx[t.query(best)[1]])
-                                 for t, idx in zip(trees, member_idx)])
-            pts = images[contacts]
-            if len(pts) <= pts.shape[1] + 1:
-                sph = circumsphere(pts)
-            else:
-                sph, _ = fit_sphere(pts)
-            if sph is None:
-                break
-            val = slack(sph.center)
-            if val < best_val:
-                best, best_val = sph.center, val
-            else:
-                break
-        return best
-
-    starts = [images.mean(axis=0)]
-    reps = []
-    for idx in member_idx:
-        centroid = images[idx].mean(axis=0)
-        reps.append(int(idx[np.argmin(np.linalg.norm(images[idx] - centroid,
-                                                     axis=1))]))
-    rep_pts = images[reps]
-    if len(rep_pts) <= rep_pts.shape[1] + 1:
-        sph = circumsphere(rep_pts)
-    else:
-        sph, _ = fit_sphere(rep_pts)
-    if sph is not None:
-        starts.append(sph.center)
-    rng = np.random.default_rng([cfg.seed, 101])
-    lo, hi = images.min(axis=0), images.max(axis=0)
-    probes = rng.uniform(lo - 0.25 * spread, hi + 0.25 * spread,
-                         size=(cfg.n_probes, images.shape[1]))
-    probe_vals = [slack(p) for p in probes]
-    for k in np.argsort(probe_vals, kind="stable")[: cfg.n_random_starts]:
-        starts.append(probes[k])
-
-    best_x = starts[0]
-    best_val = np.inf
-    for x0 in starts:
-        res = minimize(slack, x0, method="Nelder-Mead",
-                       options={"maxfev": cfg.budget, "xatol": 1e-12,
-                                "fatol": 1e-14})
-        cand = polish(res.x)
-        val = slack(cand)
-        if val < best_val:
-            best_x, best_val = cand, val
-
-    radius = float(tree_all.query(best_x)[0])
+    radius = float(nearest[best])
     dists = np.linalg.norm(images - best_x, axis=1)
     chosen = _nearest_members(dists, cover, radius)
-    status = "ok" if best_val <= cfg.eps_witness_rel * spread else "no-witness-found"
-    return WitnessReport(status=status, point=np.asarray(best_x, dtype=float),
-                         radius=radius, residual=float(best_val),
-                         chosen=chosen, element_names=names)
+    residual = float(slack[best])
+    status = "ok" if residual <= cfg.eps_witness_rel * spread else "no-witness-found"
+    return WitnessReport(status=status, point=best_x.copy(), radius=radius,
+                         residual=residual, chosen=chosen, element_names=names)
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,19 @@ def test_witness_identity_sphere(tmp_path):
     assert max(abs(v) for v in doc["result"]["point"]) < 1e-6
 
 
+def test_witness_not_found_exits_1(tmp_path, capsys):
+    # four cover elements with 2-D images: this seed's best circumcenter
+    # is far above the default gate
+    out = tmp_path / "w.json"
+    code = run("witness", "--domain", "sphere", "--n", "2", "--m-out", "2",
+               "--samples", "512", "--seed", "2", "--out", str(out))
+    assert code == 1
+    assert "FAIL" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["ok"] is False
+    assert doc["result"]["status"] == "no-witness-found"
+
+
 def test_degree_circle(tmp_path, capsys):
     out = tmp_path / "d.json"
     assert run("degree", "--samples", "512", "--out", str(out)) == 0

@@ -70,6 +70,36 @@ def test_fourier_arc_cover_triple_is_pairwise_neighbors():
         assert verdict == "yes"
 
 
+def test_sphere_harmonic_exact_witness_regression():
+    # an exact witness exists here (a Delaunay cell whose vertices touch
+    # all four elements), so the search must find it, not a near miss
+    domain = sample_sphere(2, 2048, seed=0, scheme="quasi_uniform")
+    cover = regular_triangulation_cover(domain)
+    spec = random_map("sphere_harmonic", 3, seed=[7, 1], d_in=3)
+    images = evaluate(spec, domain)
+    report = witness_point(domain, cover, images)
+    assert report.status == "ok"
+    diam = float(np.linalg.norm(images.max(0) - images.min(0)))
+    assert witness_slack(report.point, images, cover) <= 1e-12 * diam
+    dists = np.linalg.norm(images[list(report.chosen)] - report.point, axis=1)
+    assert dists == pytest.approx(report.radius, abs=1e-12 * diam)
+    assert all(cover.membership[i, j] for j, i in enumerate(report.chosen))
+
+
+def test_line_images_approximate_witness_passes_gate():
+    # three arcs mapped into R^1: a sphere in R^1 is two points, and for
+    # this map no sample shared by two arcs lies on one, so the best
+    # midpoint is only an approximate witness
+    domain = sample_sphere(1, 512, seed=0, scheme="quasi_uniform")
+    cover = regular_triangulation_cover(domain)
+    spec = random_map("circle_fourier", m_out=1, seed=[0, 11])
+    images = evaluate(spec, domain)
+    report = witness_point(domain, cover, images)
+    diam = float(np.linalg.norm(images.max(0) - images.min(0)))
+    assert report.status == "ok"
+    assert 0.0 < report.residual <= 1e-3 * diam
+
+
 def test_residual_weakly_improves_with_refinement():
     spec = random_map("circle_fourier", m_out=2, seed=12)
     residuals = []
@@ -111,13 +141,15 @@ def test_disjoint_faces_projection_finds_equal_images():
 
 
 def test_disjoint_faces_propagates_search_failure():
-    domain, cover = cube_boundary_cover(2, 256, seed=2)
-    spec = random_map("poly_quadratic", m_out=2, seed=5, d_in=2)
+    # four cover elements and 2-D images: no Delaunay triangle of this map
+    # is rainbow (residual 7.4e-4 x diam), so a strict gate must refuse
+    domain, cover = cube_boundary_cover(3, 1024, seed=0)
+    spec = random_map("poly_quadratic", m_out=2, seed=[2, 2000], d_in=3)
     images = evaluate(spec, domain)
-    crippled = WitnessConfig(budget=1, n_probes=1, n_random_starts=0,
-                             polish_rounds=0, eps_witness_rel=1e-18)
-    with pytest.raises(WitnessNotFoundError):
-        disjoint_faces_check(domain, cover, images, crippled)
+    strict = WitnessConfig(eps_witness_rel=1e-6)
+    with pytest.raises(WitnessNotFoundError) as info:
+        disjoint_faces_check(domain, cover, images, strict)
+    assert info.value.report.status == "no-witness-found"
 
 
 def test_disjoint_faces_rejects_wrong_domain():
