@@ -44,6 +44,7 @@ from .maps import (
 from .neighbors import (
     NeighborCertificate,
     NeighborConfig,
+    NeighborGraph,
     check_certificate,
     compute_df,
     extremal_pair,

@@ -370,15 +370,8 @@ def cmd_neighbors(cfg: dict) -> tuple[int, dict]:
     spec = _build_map(cfg, domain)
     ncfg = _neighbor_cfg(cfg)
     images = evaluate(spec, domain)
-    certs = neighbor_graph(images, domain, ncfg)
-    pair, df = extremal_pair(certs, domain)
-
-    extremal_cert = None
-    if pair is not None:
-        for cert in certs:
-            if pair[0] in cert.indices and pair[1] in cert.indices:
-                extremal_cert = cert
-                break
+    graph = neighbor_graph(images, domain, ncfg)
+    pair, df, extremal_cert = extremal_pair(graph, domain)
 
     report = {
         "command": "neighbors",
@@ -386,26 +379,25 @@ def cmd_neighbors(cfg: dict) -> tuple[int, dict]:
         "tolerances": asdict(ncfg),
         "map": json.loads(map_to_json(spec)),
         "n_samples": len(domain),
-        "n_certificates": len(certs),
+        "n_certificates": len(graph),
         "df": float(df),
         "extremal_pair": list(pair) if pair is not None else None,
         "extremal_certificate": (extremal_cert.to_json()
                                  if extremal_cert is not None else None),
     }
     if cfg.get("dump_certs"):
-        report["certificates"] = [c.to_json() for c in certs]
+        report["certificates"] = [c.to_json() for c in graph]
 
     if cfg.get("svg"):
         if not (domain.kind == "sphere" and domain.dim == 1 and spec.m_out == 2):
             raise UsageError("--svg needs the circle domain and m_out=2")
-        sphere = None
-        if extremal_cert is not None and not isinstance(extremal_cert.witness, str):
-            sphere = extremal_cert.witness
+        witness = getattr(extremal_cert, "witness", None)
+        sphere = None if isinstance(witness, str) else witness
         Path(cfg["svg"]).write_text(
             _neighbors_svg(domain, images, sphere, pair, df))
 
     print(f"D_f = {df:.9g}  extremal pair = {report['extremal_pair']}  "
-          f"certificates = {len(certs)}")
+          f"certificates = {len(graph)}")
     return EXIT_OK, report
 
 

@@ -61,10 +61,33 @@ class SampledDomain:
     def rho(self, i: int, j: int) -> float:
         """Intrinsic distance between two sample indices (chord metric for
         spheres, ambient Euclidean for polytope boundaries)."""
-        return float(np.linalg.norm(self.samples[i] - self.samples[j]))
+        return float(self.rho_pairs(i, j))
 
     def rho_pairs(self, idx_a, idx_b) -> np.ndarray:
-        return np.linalg.norm(self.samples[idx_a] - self.samples[idx_b], axis=-1)
+        """Intrinsic distances between broadcast index arrays; a dot product
+        per pair, so every batch agrees bit for bit with the scalar rho."""
+        d = self.samples[idx_a] - self.samples[idx_b]
+        return np.sqrt(np.vecdot(d, d))
+
+    def rho_blocks(self, rows: np.ndarray, cols: np.ndarray):
+        """The rows x cols distances in chunks of about 2e6 entries: yields
+        (start, block) with block[a, b] == rho(rows[start + a], cols[b])."""
+        chunk = max(1, int(2e6 // max(len(cols), 1)))
+        for start in range(0, len(rows), chunk):
+            yield start, self.rho_pairs(rows[start:start + chunk, None],
+                                        cols[None, :])
+
+    def farthest_pair(self, rows: np.ndarray, cols: np.ndarray
+                      ) -> tuple[float, tuple[int, int] | None]:
+        """The largest distance between two index sets and a pair
+        (row, col) realizing it; (0.0, None) for empty sets.  Ties go to
+        the first maximum of the last chunk that holds one."""
+        best, pair = 0.0, None
+        for start, block in self.rho_blocks(rows, cols):
+            a, b = np.unravel_index(int(block.argmax()), block.shape)
+            if block[a, b] >= best:
+                best, pair = float(block[a, b]), (int(rows[start + a]), int(cols[b]))
+        return best, pair
 
     def mesh_size(self) -> float:
         """Max nearest-neighbor intrinsic distance over the sample set."""
@@ -74,15 +97,9 @@ class SampledDomain:
 
     def max_pairwise_rho(self, indices=None) -> float:
         """Largest intrinsic distance among the given sample indices
-        (all samples when indices is None); chunked brute force."""
-        pts = self.samples if indices is None else self.samples[np.asarray(indices)]
-        best = 0.0
-        step = 512
-        for i in range(0, len(pts), step):
-            block = pts[i:i + step]
-            d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-            best = max(best, float(d2.max()))
-        return math.sqrt(best)
+        (all samples when indices is None)."""
+        idx = np.arange(len(self)) if indices is None else np.asarray(indices)
+        return self.farthest_pair(idx, idx)[0]
 
 
 @dataclass(frozen=True)

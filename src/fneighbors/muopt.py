@@ -245,8 +245,8 @@ def verify_sphere_bound(n: int, m_out: int, trials: int, n_samples: int,
         spec = random_map(family, m_out=m_out, seed=[seed, 1000 + t],
                           d_in=n + 1)
         images = evaluate(spec, domain)
-        certs = neighbor_graph(images, domain, neighbor_cfg)
-        pair, df = extremal_pair(certs, domain)
+        graph = neighbor_graph(images, domain, neighbor_cfg)
+        pair, df, _ = extremal_pair(graph, domain)
         allowance = discretization_allowance(images, domain)
         if df < bound - allowance:
             raise BoundViolationError(
@@ -258,7 +258,7 @@ def verify_sphere_bound(n: int, m_out: int, trials: int, n_samples: int,
         return {"trial": t, "map": map_to_json(spec), "df": float(df),
                 "allowance": float(allowance), "margin": float(df - bound),
                 "extremal_pair": list(pair) if pair else None,
-                "n_certificates": len(certs)}
+                "n_certificates": len(graph)}
 
     rows = _run_trials(one, trials, threads)
     return {"n": n, "m_out": m_out, "bound": float(bound),
@@ -362,38 +362,24 @@ def delta_sweep(domain: SampledDomain, spec: MapSpec, bins: int = 40,
     in memory bounds.
     """
     images = evaluate(spec, domain)
-    certs = neighbor_graph(images, domain, neighbor_cfg)
+    graph = neighbor_graph(images, domain, neighbor_cfg)
     edges = np.linspace(0.0, 2.0 + 1e-9, bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
-    d_min, d_max = math.inf, 0.0
-    n_pairs = 0
-    pair_d = [domain.rho(*c.indices) for c in certs if len(c.indices) == 2]
-    if pair_d:
-        h, _ = np.histogram(pair_d, bins=edges)
-        counts += h
-        d_min = min(d_min, min(pair_d))
-        d_max = max(d_max, max(pair_d))
-        n_pairs += len(pair_d)
-    for cert in certs:
-        if len(cert.indices) == 2:
-            continue
-        idx = np.asarray(cert.indices)
-        pts = domain.samples[idx]
-        chunk = max(1, int(2e6 // max(len(idx), 1)))
-        for start in range(0, len(idx), chunk):
-            block = pts[start:start + chunk]
-            d = np.sqrt(((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-            # keep only pairs (global_row < col) to count each pair once
-            rows_g = np.arange(start, start + d.shape[0])[:, None]
-            cols_g = np.arange(d.shape[1])[None, :]
-            mask = rows_g < cols_g
-            vals = d[mask]
-            h, _ = np.histogram(vals, bins=edges)
-            counts += h
-            if vals.size:
-                d_min = min(d_min, float(vals.min()))
-                d_max = max(d_max, float(vals.max()))
-                n_pairs += int(vals.size)
+    d_min, d_max, n_pairs = math.inf, 0.0, 0
+
+    def distances():
+        yield graph.rho
+        for cert in graph.tuples:
+            idx = np.asarray(cert.indices)
+            for start, d in domain.rho_blocks(idx, idx):
+                # keep only pairs (global_row < col) to count each pair once
+                yield d[np.arange(start, start + len(d))[:, None] < np.arange(len(idx))]
+
+    for vals in distances():
+        counts += np.histogram(vals, bins=edges)[0]
+        n_pairs += vals.size
+        if vals.size:
+            d_min, d_max = min(d_min, float(vals.min())), max(d_max, float(vals.max()))
     if not math.isfinite(d_min):
         d_min = 0.0
     return DeltaHistogram(bin_edges=tuple(float(v) for v in edges),

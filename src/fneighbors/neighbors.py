@@ -11,16 +11,22 @@ routes stay independent.
 
 Large instances use a Delaunay triangulation as a candidate generator:
 every Delaunay edge is certified by its best incident-simplex circumball.
+The graph comes back as one NeighborGraph: columns over the certified
+pairs (indices, witness centers and radii, slack, intrinsic distance) plus
+a few tuple certificates, so D_f is an argmax over one distance column.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .domains import SampledDomain
@@ -29,6 +35,7 @@ from .geometry import Sphere, circumsphere, fit_sphere
 __all__ = [
     "NeighborConfig",
     "NeighborCertificate",
+    "NeighborGraph",
     "pair_is_neighbor_oracle",
     "pair_is_neighbor_fast",
     "neighbor_graph",
@@ -49,19 +56,16 @@ class NeighborConfig:
     Relative tolerances scale with the image-set diameter: eps_inside is the
     depth to which a non-member image may dip inside a witness ball before
     the certificate is rejected, eps_coincide is the radius-0 coincidence
-    threshold, eps_witness accepts a witness-point residual, tau_on bounds
-    the on-sphere residual of certificate members.
+    threshold, tau_on bounds the on-sphere residual of certificate members.
     """
 
     eps_inside_rel: float = 1e-6
     eps_coincide_rel: float = 1e-9
-    eps_witness_rel: float = 1e-3
     tau_on_rel: float = 1e-6
     lp_box: float = 1e6
     exhaustive_max: int = 24
     lp_fallback_cap: int = 200
     cross_pair_cap: int = 64
-    seed: int = 0
 
 
 DEFAULT_CONFIG = NeighborConfig()
@@ -87,6 +91,42 @@ class NeighborCertificate:
         w = self.witness if isinstance(self.witness, str) else self.witness.to_json()
         return {"indices": list(self.indices), "witness": w,
                 "slack": float(self.slack), "pair_distance": float(self.pair_distance)}
+
+
+@dataclass(frozen=True, eq=False)
+class NeighborGraph:
+    """All certified f-neighbor tuples of one sampled map.
+
+    Pair certificates are columns sorted by pair: row k certifies pairs[k]
+    = (i, j), i < j, by the sphere (centers[k], radii[k]) (a NaN center is
+    a radius-0 coincidence) with clearance slack[k] and intrinsic distance
+    rho[k].  tuples holds the coincidence clusters and the all-sample
+    cosphere tuple, sorted by indices.  len() counts all certificates;
+    iterating yields them as NeighborCertificate rows in indices order.
+    """
+
+    pairs: np.ndarray
+    centers: np.ndarray
+    radii: np.ndarray
+    slack: np.ndarray
+    rho: np.ndarray
+    tuples: tuple[NeighborCertificate, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.pairs) + len(self.tuples)
+
+    def __iter__(self):
+        return heapq.merge(map(self.row, range(len(self.pairs))), self.tuples,
+                           key=lambda c: c.indices)
+
+    def row(self, k: int) -> NeighborCertificate:
+        center = self.centers[k]
+        witness = ("coincidence" if np.isnan(center[0])
+                   else Sphere(center=center, radius=float(self.radii[k])))
+        i, j = self.pairs[k]
+        return NeighborCertificate(indices=(int(i), int(j)), witness=witness,
+                                   slack=float(self.slack[k]),
+                                   pair_distance=float(self.rho[k]))
 
 
 def image_diameter(images: np.ndarray) -> float:
@@ -286,18 +326,12 @@ def pair_is_neighbor_fast(i: int, j: int, images: np.ndarray,
     images = np.asarray(images, dtype=float)
     npts, m = images.shape
     diam = image_diameter(images)
-    if diam <= 0.0:
-        rho = domain.rho(i, j) if domain is not None else 0.0
-        cert = NeighborCertificate(indices=(min(i, j), max(i, j)),
-                                   witness="coincidence", slack=0.0,
-                                   pair_distance=rho)
-        return "yes", cert
     eps_coincide = cfg.eps_coincide_rel * diam
     eps_inside = cfg.eps_inside_rel * diam
 
     a, b = images[i], images[j]
     gap = float(np.linalg.norm(a - b))
-    if gap <= eps_coincide:
+    if gap <= eps_coincide:  # also every pair of a zero-diameter image set
         rho = domain.rho(i, j) if domain is not None else 0.0
         cert = NeighborCertificate(indices=(min(i, j), max(i, j)),
                                    witness="coincidence", slack=gap,
@@ -332,42 +366,33 @@ def pair_is_neighbor_fast(i: int, j: int, images: np.ndarray,
     return "no", None
 
 
-def _coincidence_clusters(images: np.ndarray, eps: float) -> list[np.ndarray]:
-    """Group samples whose images coincide within eps; returns index arrays
-    sorted by lowest member."""
+def _coincidence_labels(images: np.ndarray, eps: float) -> np.ndarray:
+    """Cluster label per sample: samples whose images coincide within eps
+    (transitively) share one.  Labels count up in the order of each
+    cluster's lowest member, as connected_components visits the nodes in
+    index order."""
     n = len(images)
-    parent = np.arange(n)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    if eps > 0:
-        tree = cKDTree(images)
-        for p, q in sorted(tree.query_pairs(eps)):
-            rp, rq = find(p), find(q)
-            if rp != rq:
-                parent[max(rp, rq)] = min(rp, rq)
-    groups: dict[int, list[int]] = {}
-    for k in range(n):
-        groups.setdefault(find(k), []).append(k)
-    return [np.asarray(v) for _, v in sorted(groups.items())]
+    links = cKDTree(images).query_pairs(eps, output_type="ndarray")
+    adjacency = coo_matrix((np.ones(len(links)), (links[:, 0], links[:, 1])),
+                           shape=(n, n))
+    return connected_components(adjacency, directed=False)[1]
 
 
 def _line_pairs(values: np.ndarray):
     """Neighbor pairs for 1-d images: consecutive distinct values (the
     unique sphere through two reals is the pair {lo, hi}, its inside the
-    open interval)."""
+    open interval).  Returns columns (lo, hi, centers, radii, slack); the
+    nearest other value to a pair is the next one out on either side."""
     order = np.argsort(values, kind="stable")
-    pairs = []
-    for k in range(len(order) - 1):
-        i, j = order[k], order[k + 1]
-        lo, hi = values[i], values[j]
-        c = np.array([0.5 * (lo + hi)])
-        pairs.append((int(i), int(j), c, 0.5 * (hi - lo)))
-    return pairs
+    v = values[order]
+    centers = 0.5 * (v[:-1] + v[1:])
+    radii = 0.5 * (v[1:] - v[:-1])
+    outer = np.r_[-np.inf, v, np.inf]  # pair k's neighbors: outer[k], outer[k + 3]
+    slack = (np.minimum(np.abs(outer[:-3] - centers), np.abs(outer[3:] - centers))
+             - radii) if len(v) > 2 else np.zeros(len(centers))
+    i, j = order[:-1], order[1:]
+    return (np.minimum(i, j), np.maximum(i, j), centers[:, None], radii,
+            slack)
 
 
 def _delaunay_circumcenters(pts: np.ndarray):
@@ -392,9 +417,10 @@ def _delaunay_circumcenters(pts: np.ndarray):
 
 def _delaunay_edge_certs(pts: np.ndarray, eps_inside: float):
     """Certified edges from a Delaunay triangulation: each edge gets the
-    best (largest-slack) incident-simplex circumball.  Returns
-    dict edge -> (center, radius, slack) in the current coordinates, plus
-    the list of edges that failed the tolerance and need LP fallback."""
+    best (largest-slack) incident-simplex circumball.  Returns the
+    certified edges as columns (lo, hi, centers, radii, slack) in the
+    current coordinates, plus the list of edges that failed the tolerance
+    and need LP fallback."""
     npts, d = pts.shape
     simplices, centers, ok = _delaunay_circumcenters(pts)
     verts = pts[simplices]
@@ -417,21 +443,16 @@ def _delaunay_edge_certs(pts: np.ndarray, eps_inside: float):
     vert_margin = np.linalg.norm(verts - centers[:, None, :], axis=2) - radii[:, None]
 
     # edge slacks per simplex, vectorized over the C(d+1, 2) local pairs
-    local_pairs = list(itertools.combinations(range(d + 1), 2))
-    sidx = np.flatnonzero(ok)
     edge_rows = []
-    for p, q in local_pairs:
+    for p, q in itertools.combinations(range(d + 1), 2):
         others = [v for v in range(d + 1) if v not in (p, q)]
-        slack = slack_splx[sidx]
+        slack = slack_splx[live]
         if others:
-            slack = np.minimum(slack, vert_margin[np.ix_(sidx, others)].min(axis=1))
-        lo = np.minimum(simplices[sidx, p], simplices[sidx, q])
-        hi = np.maximum(simplices[sidx, p], simplices[sidx, q])
-        edge_rows.append((lo, hi, slack, sidx))
-    lo = np.concatenate([r[0] for r in edge_rows])
-    hi = np.concatenate([r[1] for r in edge_rows])
-    slacks = np.concatenate([r[2] for r in edge_rows])
-    owner = np.concatenate([r[3] for r in edge_rows])
+            slack = np.minimum(slack, vert_margin[np.ix_(live, others)].min(axis=1))
+        lo = np.minimum(simplices[live, p], simplices[live, q])
+        hi = np.maximum(simplices[live, p], simplices[live, q])
+        edge_rows.append((lo, hi, slack, live))
+    lo, hi, slacks, owner = (np.concatenate(col) for col in zip(*edge_rows))
 
     key = lo.astype(np.int64) * npts + hi
     order = np.lexsort((slacks, key))
@@ -439,24 +460,20 @@ def _delaunay_edge_certs(pts: np.ndarray, eps_inside: float):
     last = np.r_[k_sorted[1:] != k_sorted[:-1], np.ones(1, dtype=bool)]
     chosen = order[last]
 
-    certified = {}
-    failed = []
-    for t in chosen:
-        edge = (int(lo[t]), int(hi[t]))
-        if slacks[t] >= -eps_inside:
-            certified[edge] = (centers[owner[t]], float(radii[owner[t]]),
-                               float(slacks[t]))
-        else:
-            failed.append(edge)
-    return certified, failed
+    good = slacks[chosen] >= -eps_inside
+    t = chosen[good]
+    failed = chosen[~good]
+    return ((lo[t], hi[t], centers[owner[t]], radii[owner[t]], slacks[t]),
+            list(zip(lo[failed].tolist(), hi[failed].tolist())))
 
 
 def _gabriel_pairs(pts: np.ndarray, eps_inside: float):
     """Vectorized Gabriel test over all pairs (fallback candidate source in
     dimension > 3): pair (i,j) passes when no point is deeper than
-    eps_inside inside the diametral ball."""
+    eps_inside inside the diametral ball.  Returns columns like
+    _delaunay_edge_certs, and no failed edges."""
     npts = len(pts)
-    out = {}
+    rows = []
     for i in range(npts - 1):
         mids = 0.5 * (pts[i + 1:] + pts[i])
         radii = 0.5 * np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
@@ -466,187 +483,170 @@ def _gabriel_pairs(pts: np.ndarray, eps_inside: float):
             margins[[i, j]] = np.inf
             slack = float(margins.min())
             if slack >= -eps_inside:
-                out[(i, j)] = (c, float(r), slack)
-    return out, []
+                rows.append((i, j, c, float(r), slack))
+    return _stack_rows(rows, pts.shape[1]), []
+
+
+def _lp_pairs(candidates, reduced: np.ndarray, cfg: NeighborConfig):
+    """Columns of the candidate pairs that pair_is_neighbor_fast certifies;
+    a coincidence verdict gets a NaN center and radius 0."""
+    rows = []
+    for i, j in candidates:
+        verdict, cert = pair_is_neighbor_fast(i, j, reduced, cfg)
+        if verdict == "yes":
+            w = cert.witness
+            c, r = ((w.center, w.radius) if isinstance(w, Sphere)
+                    else (np.full(reduced.shape[1], np.nan), 0.0))
+            rows.append((i, j, c, r, cert.slack))
+    return _stack_rows(rows, reduced.shape[1])
+
+
+def _stack_rows(rows, dim: int):
+    """(i, j, center, radius, slack) rows as candidate columns."""
+    lo, hi, centers, radii, slack = zip(*rows) if rows else ((),) * 5
+    return (np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp),
+            np.reshape(centers, (-1, dim)), np.asarray(radii, dtype=float),
+            np.asarray(slack, dtype=float))
+
+
+def _graph(domain: SampledDomain, lo: np.ndarray, hi: np.ndarray,
+           centers: np.ndarray, radii: np.ndarray, slack: np.ndarray,
+           tuples=()) -> NeighborGraph:
+    """The graph of pair columns (lo < hi, any order) and tuples."""
+    order = np.lexsort((hi, lo))
+    pairs = np.column_stack([lo[order], hi[order]])
+    return NeighborGraph(pairs=pairs, centers=centers[order],
+                         radii=radii[order], slack=slack[order],
+                         rho=domain.rho_pairs(pairs[:, 0], pairs[:, 1]),
+                         tuples=tuple(sorted(tuples, key=lambda c: c.indices)))
 
 
 def neighbor_graph(images: np.ndarray, domain: SampledDomain,
-                   cfg: NeighborConfig = DEFAULT_CONFIG) -> list[NeighborCertificate]:
-    """All certified f-neighbor tuples of the sampled map.
+                   cfg: NeighborConfig = DEFAULT_CONFIG) -> NeighborGraph:
+    """All certified f-neighbor tuples of the sampled map, as one
+    NeighborGraph.
 
-    Coinciding images form tuple certificates (the radius-0 branch); pairs
-    of distinct images are certified with explicit witness spheres.  Small
-    instances (at most cfg.exhaustive_max distinct images) are decided
-    exactly pair by pair; large instances use Delaunay candidates, which is
-    sound but may omit pairs in degenerate cospherical configurations.  The
-    fully cospherical case is detected and emitted as one all-sample tuple
-    at scale (all pairs at desk scale).
+    Coinciding images form coincidence-cluster tuples (the radius-0
+    branch); the clusters' lowest members stand in for them.  Pairs of
+    distinct images are certified with explicit witness spheres: exactly
+    pair by pair for at most cfg.exhaustive_max representatives, otherwise
+    from Delaunay candidates, which is sound but may omit pairs in
+    degenerate cospherical configurations.  Every certified pair of
+    representatives then expands to all member pairs of its two clusters
+    (only the farthest one past cfg.cross_pair_cap).  The fully
+    cospherical case is one all-sample tuple at scale (all pairs at desk
+    scale).
     """
     images = np.asarray(images, dtype=float)
     npts, m = images.shape
     if npts != len(domain):
         raise ValueError("images must align with domain samples")
+    no_pairs = _stack_rows([], m)
     if npts < 2:
-        return []
+        return _graph(domain, *no_pairs)
     diam = image_diameter(images)
-    certs: list[NeighborCertificate] = []
-    if diam <= 0.0:
-        idx = tuple(range(npts))
-        return [NeighborCertificate(indices=idx, witness="coincidence", slack=0.0,
-                                    pair_distance=domain.max_pairwise_rho())]
-    eps_coincide = cfg.eps_coincide_rel * diam
     eps_inside = cfg.eps_inside_rel * diam
-    tau_on = cfg.tau_on_rel * diam
+    # at zero diameter all samples form one cluster
+    label = (_coincidence_labels(images, cfg.eps_coincide_rel * diam)
+             if diam > 0.0 else np.zeros(npts, dtype=np.intp))
+    members = np.argsort(label, kind="stable")  # cluster by cluster
+    sizes = np.bincount(label)
+    start = np.cumsum(sizes) - sizes
+    tuples, big = [], sizes >= 2
+    for s, z in zip(start[big], sizes[big]):
+        cl = members[s:s + z]
+        tuples.append(NeighborCertificate(
+            indices=tuple(cl.tolist()), witness="coincidence",
+            slack=image_diameter(images[cl]),
+            pair_distance=domain.max_pairwise_rho(cl)))
+    if len(sizes) < 2:
+        return _graph(domain, *no_pairs, tuples)
+    reduced, embed = _affine_reduce(images[members[start]])
 
-    clusters = _coincidence_clusters(images, eps_coincide)
-    for cl in clusters:
-        if len(cl) >= 2:
-            spread = image_diameter(images[cl]) if len(cl) > 1 else 0.0
-            certs.append(NeighborCertificate(
-                indices=tuple(int(v) for v in cl), witness="coincidence",
-                slack=float(spread),
-                pair_distance=float(domain.max_pairwise_rho(cl))))
+    dim = reduced.shape[1]
+    sph, resid = fit_sphere(reduced) if dim > 1 else (None, math.inf)
+    if sph is not None and resid <= max(cfg.tau_on_rel * diam, 1e-12):
+        center = embed(sph.center)
+        if npts > cfg.exhaustive_max:
+            tuples.append(NeighborCertificate(
+                indices=tuple(range(npts)),
+                witness=Sphere(center=center, radius=sph.radius),
+                slack=-resid, pair_distance=domain.max_pairwise_rho()))
+            return _graph(domain, *no_pairs, tuples)
+        i, j = np.triu_indices(npts, 1)
+        cross = label[i] != label[j]
+        count = int(cross.sum())
+        return _graph(domain, i[cross], j[cross], np.tile(center, (count, 1)),
+                      np.full(count, float(sph.radius)),
+                      np.full(count, -resid), tuples)
 
-    reps = np.asarray([int(cl[0]) for cl in clusters])
-    if len(reps) >= 2:
-        rep_imgs = images[reps]
-        reduced, embed = _affine_reduce(rep_imgs)
-        dim = reduced.shape[1]
-
-        pair_info: dict[tuple[int, int], tuple[np.ndarray | None, float, float]] = {}
-        cosphere: Sphere | None = None
-        cosphere_resid = 0.0
-        if dim == 1:
-            for i, j, c, r in _line_pairs(reduced[:, 0]):
-                margins = np.abs(reduced[:, 0] - c[0]) - r
-                margins[[i, j]] = np.inf
-                slack = float(margins.min()) if len(reduced) > 2 else 0.0
-                pair_info[(min(i, j), max(i, j))] = (c, float(r), slack)
+    if dim == 1:
+        cand = _line_pairs(reduced[:, 0])
+    elif len(reduced) <= cfg.exhaustive_max:
+        cand = _lp_pairs(itertools.combinations(range(len(reduced)), 2),
+                         reduced, cfg)
+    else:
+        if dim in (2, 3):
+            try:
+                certified, failed = _delaunay_edge_certs(reduced, eps_inside)
+            except QhullError:
+                certified, failed = _gabriel_pairs(reduced, eps_inside)
         else:
-            sph, resid = fit_sphere(reduced)
-            if sph is not None and resid <= max(tau_on, 1e-12):
-                cosphere = Sphere(center=embed(sph.center), radius=sph.radius)
-                cosphere_resid = resid
-            elif len(reps) <= cfg.exhaustive_max:
-                for i, j in itertools.combinations(range(len(reps)), 2):
-                    verdict, cert = pair_is_neighbor_fast(i, j, reduced, cfg)
-                    if verdict == "yes" and cert is not None:
-                        if isinstance(cert.witness, Sphere):
-                            pair_info[(i, j)] = (cert.witness.center,
-                                                 cert.witness.radius, cert.slack)
-                        else:
-                            pair_info[(i, j)] = (None, 0.0, cert.slack)
-            else:
-                if dim in (2, 3):
-                    try:
-                        certified, failed = _delaunay_edge_certs(reduced, eps_inside)
-                    except QhullError:
-                        certified, failed = _gabriel_pairs(reduced, eps_inside)
-                else:
-                    certified, failed = _gabriel_pairs(reduced, eps_inside)
-                for key, (c, r, slack) in certified.items():
-                    pair_info[key] = (c, r, slack)
-                for key in failed[: cfg.lp_fallback_cap]:
-                    verdict, cert = pair_is_neighbor_fast(key[0], key[1], reduced, cfg)
-                    if verdict == "yes" and cert is not None and isinstance(cert.witness, Sphere):
-                        pair_info[key] = (cert.witness.center, cert.witness.radius,
-                                          cert.slack)
+            certified, failed = _gabriel_pairs(reduced, eps_inside)
+        rescued = _lp_pairs(failed[: cfg.lp_fallback_cap], reduced, cfg)
+        cand = tuple(np.concatenate(c) for c in zip(certified, rescued))
 
-        if cosphere is not None:
-            if npts <= cfg.exhaustive_max:
-                for ri, rj in itertools.combinations(range(len(reps)), 2):
-                    for gi in clusters[ri]:
-                        for gj in clusters[rj]:
-                            i, j = int(min(gi, gj)), int(max(gi, gj))
-                            certs.append(NeighborCertificate(
-                                indices=(i, j), witness=cosphere,
-                                slack=-cosphere_resid,
-                                pair_distance=domain.rho(i, j)))
-            else:
-                certs.append(NeighborCertificate(
-                    indices=tuple(range(npts)), witness=cosphere,
-                    slack=-cosphere_resid,
-                    pair_distance=float(domain.max_pairwise_rho())))
-        else:
-            items = sorted(pair_info.items())
-            # batch-embed the witness centers, then expand cluster pairs
-            centers_red = [v[0] for _, v in items if v[0] is not None]
-            embedded = embed(np.vstack(centers_red)) if centers_red else None
-            witnesses: list[Sphere | str] = []
-            pos = 0
-            for _, (c, r, _slack) in items:
-                if c is None:
-                    witnesses.append("coincidence")
-                else:
-                    witnesses.append(Sphere(center=embedded[pos],
-                                            radius=float(r)))
-                    pos += 1
-            gi_list: list[int] = []
-            gj_list: list[int] = []
-            ref: list[int] = []
-            for t, ((ri, rj), _info) in enumerate(items):
-                ca, cb = clusters[ri], clusters[rj]
-                if len(ca) == 1 and len(cb) == 1:
-                    a, b = int(ca[0]), int(cb[0])
-                    combos = [(min(a, b), max(a, b))]
-                elif len(ca) * len(cb) <= cfg.cross_pair_cap:
-                    combos = sorted((int(min(gi, gj)), int(max(gi, gj)))
-                                    for gi in ca for gj in cb)
-                else:
-                    d2 = ((domain.samples[ca][:, None, :] -
-                           domain.samples[cb][None, :, :]) ** 2).sum(axis=2)
-                    gi, gj = np.unravel_index(int(d2.argmax()), d2.shape)
-                    combos = [(int(min(ca[gi], cb[gj])), int(max(ca[gi], cb[gj])))]
-                for a, b in combos:
-                    gi_list.append(a)
-                    gj_list.append(b)
-                    ref.append(t)
-            if gi_list:
-                ii = np.asarray(gi_list)
-                jj = np.asarray(gj_list)
-                rho_vec = np.linalg.norm(domain.samples[ii] - domain.samples[jj],
-                                         axis=1)
-                for a, b, t, rho in zip(gi_list, gj_list, ref, rho_vec):
-                    certs.append(NeighborCertificate(
-                        indices=(a, b), witness=witnesses[t],
-                        slack=float(items[t][1][2]), pair_distance=float(rho)))
+    # embed the witness centers in one call, in representative-pair order
+    order = np.lexsort((cand[1], cand[0]))
+    lo, hi, c_red, radii, slack = (col[order] for col in cand)
+    sphere = ~np.isnan(c_red[:, 0])
+    centers = np.full((len(lo), m), np.nan)
+    if sphere.any():
+        centers[sphere] = embed(c_red[sphere])
 
-    certs.sort(key=lambda c: c.indices)
-    return certs
+    # expand each representative pair to the member pairs of its clusters
+    nb = sizes[hi]
+    count = sizes[lo] * nb
+    far = count > cfg.cross_pair_cap
+    count[far] = 1
+    ref = np.repeat(np.arange(len(lo)), count)
+    k = np.arange(len(ref)) - np.repeat(np.cumsum(count) - count, count)
+    gi = members[start[lo][ref] + k // nb[ref]]
+    gj = members[start[hi][ref] + k % nb[ref]]
+    for t in np.flatnonzero(far):
+        row = int(np.searchsorted(ref, t))
+        ca, cb = (members[start[c]:start[c] + sizes[c]] for c in (lo[t], hi[t]))
+        _, (gi[row], gj[row]) = domain.farthest_pair(ca, cb)
+    return _graph(domain, np.minimum(gi, gj), np.maximum(gi, gj),
+                  centers[ref], radii[ref], slack[ref], tuples)
 
 
-def compute_df(certs: list[NeighborCertificate], domain: SampledDomain) -> float:
-    """Largest intrinsic distance realized by any certified tuple
-    (recomputed from the domain; 0.0 for an empty certificate list)."""
-    return extremal_pair(certs, domain)[1]
+def compute_df(graph: NeighborGraph, domain: SampledDomain) -> float:
+    """Largest intrinsic distance realized by any certified tuple (0.0 for
+    an empty graph)."""
+    return extremal_pair(graph, domain)[1]
 
 
-def extremal_pair(certs: list[NeighborCertificate],
-                  domain: SampledDomain) -> tuple[tuple[int, int] | None, float]:
-    """The certified member pair at maximum intrinsic distance, with that
-    distance; (None, 0.0) when no certificates are given.  Tuple
-    certificates are scanned pairwise in chunks."""
-    best_pair: tuple[int, int] | None = None
-    best = 0.0
-    for cert in certs:
+def extremal_pair(graph: NeighborGraph, domain: SampledDomain
+                  ) -> tuple[tuple[int, int] | None, float,
+                             NeighborCertificate | None]:
+    """The certified member pair at maximum intrinsic distance, that
+    distance, and the certificate it belongs to; (None, 0.0, None) for an
+    empty graph.  Pair rows are one argmax over graph.rho; tuples are
+    scanned pairwise.  Ties go to the last maximal certificate in sorted
+    indices order."""
+    best = (0.0, (), None, None)  # distance, sort key, pair, certificate
+    if len(graph.pairs):
+        k = len(graph.rho) - 1 - int(np.argmax(graph.rho[::-1]))
+        cert = graph.row(k)
+        best = (float(graph.rho[k]), cert.indices, cert.indices, cert)
+    for cert in graph.tuples:
         idx = np.asarray(cert.indices)
-        if len(idx) == 2:
-            d = domain.rho(int(idx[0]), int(idx[1]))
-            if d >= best:
-                best, best_pair = d, (int(idx[0]), int(idx[1]))
-            continue
-        pts = domain.samples[idx]
-        chunk = max(1, int(2e6 // max(len(idx), 1)))
-        for start in range(0, len(idx), chunk):
-            block = pts[start:start + chunk]
-            d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-            k = int(d2.argmax())
-            a, b = np.unravel_index(k, d2.shape)
-            d = math.sqrt(float(d2[a, b]))
-            if d >= best:
-                i, j = int(idx[start + a]), int(idx[b])
-                best, best_pair = d, (min(i, j), max(i, j))
-    return best_pair, best
+        d, (i, j) = domain.farthest_pair(idx, idx)
+        best = max(best, (d, cert.indices, (min(i, j), max(i, j)), cert),
+                   key=lambda b: b[:2])
+    d, _, pair, cert = best
+    return pair, d, cert
 
 
 def check_certificate(cert: NeighborCertificate, images: np.ndarray,

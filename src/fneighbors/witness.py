@@ -29,7 +29,7 @@ from .domains import CoverAssignment, SampledDomain, cube_max_faces
 from .neighbors import (
     DEFAULT_CONFIG,
     _affine_reduce,
-    _coincidence_clusters,
+    _coincidence_labels,
     _delaunay_circumcenters,
     _line_pairs,
 )
@@ -120,12 +120,11 @@ def _candidate_centers(images: np.ndarray, spread: float) -> np.ndarray:
     """Circumcenters of the Delaunay simplices of the coincidence-cluster
     representatives (midpoints of consecutive values when their affine hull
     is a line), followed by the cluster images themselves."""
-    clusters = _coincidence_clusters(images,
-                                     DEFAULT_CONFIG.eps_coincide_rel * spread)
-    reps = images[[int(cl[0]) for cl in clusters]]
+    label = _coincidence_labels(images, DEFAULT_CONFIG.eps_coincide_rel * spread)
+    reps = images[np.unique(label, return_index=True)[1]]
     reduced, embed = _affine_reduce(reps)
     if reduced.shape[1] == 1:
-        centers = np.vstack([c for _, _, c, _ in _line_pairs(reduced[:, 0])])
+        centers = _line_pairs(reduced[:, 0])[2]
     else:
         _, centers, ok = _delaunay_circumcenters(reduced)
         centers = centers[ok]

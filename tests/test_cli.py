@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from fneighbors.cli import main
+from fneighbors.domains import sample_sphere
+from fneighbors.maps import map_to_json, random_map
 
 IDENTITY_MAP = json.dumps({"family": "circle_fourier", "m_out": 2,
                            "params": [0.0, 1.0, 0.0, 0.0, 0.0, 1.0]})
@@ -31,6 +33,22 @@ def test_neighbors_identity_circle(tmp_path, capsys):
     assert doc["tolerances"]["eps_inside_rel"] == 1e-6
     text = svg.read_text()
     assert text.startswith("<svg") and "polyline" in text
+
+
+def test_neighbors_extremal_certificate_distance_is_df(tmp_path):
+    # a circle map whose extremal pair distance rounds differently under a
+    # second distance formula; the dumped certificate must carry D_f itself
+    spec = random_map("circle_fourier", 2, seed=[9, 1000], d_in=2)
+    out = tmp_path / "report.json"
+    assert run("neighbors", "--samples", "512", "--seed", "1",
+               "--map", map_to_json(spec), "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["extremal_certificate"]["pair_distance"] == doc["df"]
+    domain = sample_sphere(1, 512, seed=1, scheme="quasi_uniform")
+    assert domain.rho(*doc["extremal_pair"]) == doc["df"]
+    assert set(doc["extremal_pair"]) <= set(doc["extremal_certificate"]["indices"])
+    assert "seed" not in doc["tolerances"]
+    assert "eps_witness_rel" not in doc["tolerances"]
 
 
 def test_repeat_invocation_byte_identical(tmp_path):

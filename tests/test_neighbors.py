@@ -15,8 +15,10 @@ from fneighbors.geometry import Sphere
 from fneighbors.maps import MapSpec, evaluate
 from fneighbors.neighbors import (
     DEFAULT_CONFIG,
+    NeighborGraph,
     check_certificate,
     compute_df,
+    extremal_pair,
     image_diameter,
     neighbor_graph,
     pair_is_neighbor_fast,
@@ -149,6 +151,28 @@ def test_fast_identity_circle_pair_is_cocircular_yes():
 
 # --- graph ---
 
+def _check_rows_and_extremal(graph, domain):
+    """Rows iterate in sorted indices order with the tuples interleaved,
+    len() counts them, and extremal_pair agrees with a scan of the rows
+    that keeps the last pair at maximal domain.rho."""
+    rows = list(graph)
+    assert len(graph) == len(rows)
+    keys = [c.indices for c in rows]
+    assert keys == sorted(keys)
+    assert sorted(keys) == sorted([tuple(p) for p in graph.pairs.tolist()]
+                                  + [c.indices for c in graph.tuples])
+    best, best_pair, best_cert = 0.0, None, None
+    for cert in rows:
+        for i, j in itertools.combinations(cert.indices, 2):
+            d = domain.rho(i, j)
+            if d >= best:
+                best, best_pair, best_cert = d, (i, j), cert
+    pair, df, cert = extremal_pair(graph, domain)
+    assert (pair, df) == (best_pair, best)
+    assert cert.to_json() == best_cert.to_json()
+    assert cert.pair_distance == df
+
+
 def test_graph_matches_oracle_on_small_instance():
     domain = sample_sphere(1, 6, seed=3, scheme="uniform_random")
     rng = np.random.default_rng(23)
@@ -186,7 +210,7 @@ def test_graph_identity_circle_reports_everything_at_scale():
     domain = sample_sphere(1, 64, seed=0, scheme="quasi_uniform")
     certs = neighbor_graph(domain.samples.copy(), domain)
     assert len(certs) == 1
-    cert = certs[0]
+    (cert,) = certs
     assert cert.indices == tuple(range(64))
     assert isinstance(cert.witness, Sphere)
     assert cert.witness.radius == pytest.approx(1.0, abs=1e-9)
@@ -199,6 +223,7 @@ def test_graph_identity_small_circle_all_pairs():
     got = {c.indices for c in certs}
     assert got == set(itertools.combinations(range(8), 2))
     assert compute_df(certs, domain) == pytest.approx(2.0, abs=1e-12)
+    _check_rows_and_extremal(certs, domain)
 
 
 def test_graph_projection_to_line_finds_antipodal_coincidences():
@@ -210,6 +235,30 @@ def test_graph_projection_to_line_finds_antipodal_coincidences():
     coincident = [c for c in certs if c.witness == "coincidence"]
     assert len(coincident) == 7  # k and 16-k for k = 1..7
     assert compute_df(certs, domain) == pytest.approx(2.0, abs=1e-12)
+    _check_rows_and_extremal(certs, domain)
+
+
+def test_graph_large_clusters_keep_their_farthest_pair():
+    # a 3-level step map: three clusters of about 21 samples, so each
+    # cluster pair exceeds cross_pair_cap and keeps one farthest pair
+    domain = sample_sphere(1, 64, seed=0, scheme="quasi_uniform")
+    angle = np.arctan2(domain.samples[:, 1], domain.samples[:, 0]) % (2 * np.pi)
+    images = np.floor(angle * 3 / (2 * np.pi))[:, None]
+    graph = neighbor_graph(images, domain)
+    clusters = [np.flatnonzero(images[:, 0] == v) for v in (0.0, 1.0, 2.0)]
+    assert min(len(c) for c in clusters) ** 2 > DEFAULT_CONFIG.cross_pair_cap
+    assert [c.indices for c in graph.tuples] == sorted(
+        tuple(c.tolist()) for c in clusters)
+    assert len(graph.pairs) == 2  # the levels 0-1 and 1-2 are adjacent
+    for cert in graph:
+        assert check_certificate(cert, images, domain)
+        if cert.witness == "coincidence":
+            continue
+        i, j = cert.indices
+        ca, cb = (c for c in clusters if i in c or j in c)
+        farthest = max(domain.rho(a, b) for a in ca for b in cb)
+        assert cert.pair_distance == domain.rho(i, j) == farthest
+    _check_rows_and_extremal(graph, domain)
 
 
 def test_graph_constant_map_single_tuple():
@@ -217,8 +266,9 @@ def test_graph_constant_map_single_tuple():
     images = np.tile([3.0, -1.0], (len(domain), 1))
     certs = neighbor_graph(images, domain)
     assert len(certs) == 1
-    assert certs[0].indices == tuple(range(len(domain)))
-    assert certs[0].witness == "coincidence"
+    (cert,) = certs
+    assert cert.indices == tuple(range(len(domain)))
+    assert cert.witness == "coincidence"
     assert compute_df(certs, domain) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -237,7 +287,11 @@ def test_graph_fourier_map_certificates_verify():
 
 def test_compute_df_empty():
     domain = sample_sphere(1, 4, seed=0, scheme="quasi_uniform")
-    assert compute_df([], domain) == 0.0
+    empty = NeighborGraph(pairs=np.zeros((0, 2), dtype=int),
+                          centers=np.zeros((0, 2)), radii=np.zeros(0),
+                          slack=np.zeros(0), rho=np.zeros(0))
+    assert compute_df(empty, domain) == 0.0
+    assert extremal_pair(empty, domain) == (None, 0.0, None)
 
 
 def test_image_diameter():
