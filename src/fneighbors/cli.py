@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import json
 import sys
@@ -47,6 +48,7 @@ from .muopt import (
 from .neighbors import (
     DEFAULT_CONFIG,
     NeighborConfig,
+    NeighborGraph,
     extremal_pair,
     neighbor_graph,
 )
@@ -215,8 +217,56 @@ def _witness_cfg(cfg: dict) -> WitnessConfig:
 # ---------------------------------------------------------------------------
 # output
 
+# One dumped pair certificate as json.dumps(cert.to_json(), sort_keys=True,
+# indent=2) writes it as an item of the report's certificates list.
+_PAIR_HEAD = ('    {\n      "indices": [\n        %d,\n        %d\n      ],\n'
+              '      "pair_distance": %s,\n      "slack": %s,\n')
+_SPHERE_ROW = _PAIR_HEAD + ('      "witness": {\n        "center": [\n          %s\n'
+                            '        ],\n        "radius": %s\n      }\n    }')
+_COINCIDENCE_ROW = _PAIR_HEAD + '      "witness": "coincidence"\n    }'
+
+
+def _floats(values: np.ndarray) -> list[str]:
+    """json's spelling of each float: repr, or NaN/Infinity/-Infinity."""
+    if np.isfinite(values).all():
+        return list(map(float.__repr__, values.tolist()))
+    return list(map(json.dumps, values.tolist()))
+
+
+def _certificates_json(graph: NeighborGraph) -> str:
+    """The report's certificates list, byte for byte as json.dumps writes
+    [c.to_json() for c in graph] at the report's nesting, rendered from the
+    graph's columns."""
+    i, j = graph.pairs.T.tolist()
+    rho, slack = _floats(graph.rho), _floats(graph.slack)
+    coincidence = np.isnan(graph.centers[:, 0])
+    centers = np.where(coincidence[:, None], 0.0, graph.centers)  # not printed
+    center_text = map(",\n          ".join, zip(*map(_floats, centers.T)))
+    rows = [_SPHERE_ROW % row for row in zip(i, j, rho, slack, center_text,
+                                             _floats(graph.radii))]
+    for k in np.flatnonzero(coincidence).tolist():
+        rows[k] = _COINCIDENCE_ROW % (i[k], j[k], rho[k], slack[k])
+    # merge the tuples in as NeighborGraph.__iter__ does: on equal keys the
+    # pair row comes first
+    keys, merged, done = graph.pairs.tolist(), [], 0
+    for cert in graph.tuples:
+        at = bisect.bisect_right(keys, list(cert.indices))
+        text = json.dumps(cert.to_json(), sort_keys=True, indent=2)
+        merged += [*rows[done:at], "    " + text.replace("\n", "\n    ")]
+        done = at
+    merged += rows[done:]
+    return "[\n" + ",\n".join(merged) + "\n  ]" if merged else "[]"
+
+
 def _render(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as json.dumps(report, sort_keys=True, indent=2) writes it;
+    a NeighborGraph under "certificates" renders as its certificate list."""
+    graph = report.get("certificates")
+    if not isinstance(graph, NeighborGraph):
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps({**report, "certificates": None}, sort_keys=True, indent=2)
+    head, tail = text.split('\n  "certificates": null', 1)
+    return f'{head}\n  "certificates": {_certificates_json(graph)}{tail}\n'
 
 
 def _write_report(report: dict, out: str | None) -> None:
@@ -386,7 +436,7 @@ def cmd_neighbors(cfg: dict) -> tuple[int, dict]:
                                  if extremal_cert is not None else None),
     }
     if cfg.get("dump_certs"):
-        report["certificates"] = [c.to_json() for c in graph]
+        report["certificates"] = graph  # rendered from its columns
 
     if cfg.get("svg"):
         if not (domain.kind == "sphere" and domain.dim == 1 and spec.m_out == 2):
@@ -609,6 +659,12 @@ def _add_map(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale", type=float, help="random parameter amplitude")
 
 
+_THREADS_HELP = ("trials run on this many Python threads (default 1); the "
+                 "GIL serializes their Python code, so only the NumPy and "
+                 "Qhull work runs in parallel and small trials gain nothing; "
+                 "reports are byte-identical for any value")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fneighbors",
@@ -640,8 +696,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", help="map family override")
     p.add_argument("--degree", type=int, help="family truncation order")
     p.add_argument("--eps-inside", type=float)
-    p.add_argument("--threads", type=int, help="worker cap; results do not "
-                                               "depend on it")
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.add_argument("--csv", help="write one CSV row per trial")
     _add_common(p)
 
@@ -652,7 +707,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int)
     p.add_argument("--eps-inside", type=float)
     p.add_argument("--eps-witness", type=float)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.add_argument("--csv", help="write one CSV row per trial")
     _add_common(p)
 

@@ -359,11 +359,13 @@ def delta_sweep(domain: SampledDomain, spec: MapSpec, bins: int = 40,
 
     Tuple certificates contribute every internal pair, accumulated in
     chunks so the all-samples tuple (constant or cospherical maps) stays
-    in memory bounds.
+    in memory bounds.  The bins span [0, 2 + 1e-9], widened to the largest
+    certified distance on domains whose diameter exceeds 2.
     """
     images = evaluate(spec, domain)
     graph = neighbor_graph(images, domain, neighbor_cfg)
-    edges = np.linspace(0.0, 2.0 + 1e-9, bins + 1)
+    edges = np.linspace(0.0, max(2.0 + 1e-9, compute_df(graph, domain)),
+                        bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
     d_min, d_max, n_pairs = math.inf, 0.0, 0
 

@@ -101,8 +101,10 @@ class NeighborGraph:
     = (i, j), i < j, by the sphere (centers[k], radii[k]) (a NaN center is
     a radius-0 coincidence) with clearance slack[k] and intrinsic distance
     rho[k].  tuples holds the coincidence clusters and the all-sample
-    cosphere tuple, sorted by indices.  len() counts all certificates;
-    iterating yields them as NeighborCertificate rows in indices order.
+    cosphere tuple, sorted by indices, and tuple_pairs[t] = (i, j), i < j,
+    the member pair of tuples[t] at its pair_distance.  len() counts all
+    certificates; iterating yields them as NeighborCertificate rows in
+    indices order.
     """
 
     pairs: np.ndarray
@@ -111,6 +113,7 @@ class NeighborGraph:
     slack: np.ndarray
     rho: np.ndarray
     tuples: tuple[NeighborCertificate, ...] = ()
+    tuple_pairs: tuple[tuple[int, int], ...] = ()
 
     def __len__(self) -> int:
         return len(self.pairs) + len(self.tuples)
@@ -509,16 +512,28 @@ def _stack_rows(rows, dim: int):
             np.asarray(slack, dtype=float))
 
 
+def _tuple_cert(domain: SampledDomain, idx: np.ndarray, witness, slack: float):
+    """A tuple certificate over the sample indices idx, with the member pair
+    at its pair_distance: one farthest-pair scan serves both."""
+    d, (i, j) = domain.farthest_pair(idx, idx)
+    cert = NeighborCertificate(indices=tuple(idx.tolist()), witness=witness,
+                               slack=slack, pair_distance=d)
+    return cert, (min(i, j), max(i, j))
+
+
 def _graph(domain: SampledDomain, lo: np.ndarray, hi: np.ndarray,
            centers: np.ndarray, radii: np.ndarray, slack: np.ndarray,
            tuples=()) -> NeighborGraph:
-    """The graph of pair columns (lo < hi, any order) and tuples."""
+    """The graph of pair columns (lo < hi, any order) and (certificate,
+    farthest pair) tuples."""
     order = np.lexsort((hi, lo))
     pairs = np.column_stack([lo[order], hi[order]])
+    tuples = sorted(tuples, key=lambda t: t[0].indices)
     return NeighborGraph(pairs=pairs, centers=centers[order],
                          radii=radii[order], slack=slack[order],
                          rho=domain.rho_pairs(pairs[:, 0], pairs[:, 1]),
-                         tuples=tuple(sorted(tuples, key=lambda c: c.indices)))
+                         tuples=tuple(c for c, _ in tuples),
+                         tuple_pairs=tuple(p for _, p in tuples))
 
 
 def neighbor_graph(images: np.ndarray, domain: SampledDomain,
@@ -555,10 +570,8 @@ def neighbor_graph(images: np.ndarray, domain: SampledDomain,
     tuples, big = [], sizes >= 2
     for s, z in zip(start[big], sizes[big]):
         cl = members[s:s + z]
-        tuples.append(NeighborCertificate(
-            indices=tuple(cl.tolist()), witness="coincidence",
-            slack=image_diameter(images[cl]),
-            pair_distance=domain.max_pairwise_rho(cl)))
+        tuples.append(_tuple_cert(domain, cl, "coincidence",
+                                  image_diameter(images[cl])))
     if len(sizes) < 2:
         return _graph(domain, *no_pairs, tuples)
     reduced, embed = _affine_reduce(images[members[start]])
@@ -568,10 +581,9 @@ def neighbor_graph(images: np.ndarray, domain: SampledDomain,
     if sph is not None and resid <= max(cfg.tau_on_rel * diam, 1e-12):
         center = embed(sph.center)
         if npts > cfg.exhaustive_max:
-            tuples.append(NeighborCertificate(
-                indices=tuple(range(npts)),
-                witness=Sphere(center=center, radius=sph.radius),
-                slack=-resid, pair_distance=domain.max_pairwise_rho()))
+            tuples.append(_tuple_cert(
+                domain, np.arange(npts),
+                Sphere(center=center, radius=sph.radius), -resid))
             return _graph(domain, *no_pairs, tuples)
         i, j = np.triu_indices(npts, 1)
         cross = label[i] != label[j]
@@ -632,18 +644,16 @@ def extremal_pair(graph: NeighborGraph, domain: SampledDomain
                              NeighborCertificate | None]:
     """The certified member pair at maximum intrinsic distance, that
     distance, and the certificate it belongs to; (None, 0.0, None) for an
-    empty graph.  Pair rows are one argmax over graph.rho; tuples are
-    scanned pairwise.  Ties go to the last maximal certificate in sorted
-    indices order."""
+    empty graph.  Pair rows are one argmax over graph.rho; tuples bring
+    their farthest pair from graph.tuple_pairs.  Ties go to the last
+    maximal certificate in sorted indices order."""
     best = (0.0, (), None, None)  # distance, sort key, pair, certificate
     if len(graph.pairs):
         k = len(graph.rho) - 1 - int(np.argmax(graph.rho[::-1]))
         cert = graph.row(k)
         best = (float(graph.rho[k]), cert.indices, cert.indices, cert)
-    for cert in graph.tuples:
-        idx = np.asarray(cert.indices)
-        d, (i, j) = domain.farthest_pair(idx, idx)
-        best = max(best, (d, cert.indices, (min(i, j), max(i, j)), cert),
+    for cert, pair in zip(graph.tuples, graph.tuple_pairs, strict=True):
+        best = max(best, (cert.pair_distance, cert.indices, pair, cert),
                    key=lambda b: b[:2])
     d, _, pair, cert = best
     return pair, d, cert

@@ -4,11 +4,16 @@ import json
 import subprocess
 import sys
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from fneighbors.cli import main
+from fneighbors.cli import _render, main
 from fneighbors.domains import sample_sphere
-from fneighbors.maps import map_to_json, random_map
+from fneighbors.geometry import Sphere
+from fneighbors.maps import evaluate, map_to_json, random_map
+from fneighbors.neighbors import NeighborCertificate, NeighborGraph, neighbor_graph
 
 IDENTITY_MAP = json.dumps({"family": "circle_fourier", "m_out": 2,
                            "params": [0.0, 1.0, 0.0, 0.0, 0.0, 1.0]})
@@ -200,3 +205,77 @@ def test_console_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "D_f = 2" in proc.stdout
+
+
+# --- --dump-certs rendering: byte-identical to json.dumps of the rows ---
+
+def _assert_renders_like_json(graph):
+    report = {"command": "neighbors", "certificates": graph, "df": 2.0,
+              "tolerances": {"eps_inside_rel": 1e-6}}
+    rows = [c.to_json() for c in graph]
+    expected = json.dumps({**report, "certificates": rows}, sort_keys=True,
+                          indent=2) + "\n"
+    assert _render(report) == expected
+
+
+def test_dump_renders_delaunay_sphere_graph():
+    domain = sample_sphere(2, 512, seed=1, scheme="quasi_uniform")
+    spec = random_map("sphere_harmonic", 3, seed=[1, 1000], d_in=3)
+    graph = neighbor_graph(evaluate(spec, domain), domain)
+    assert len(graph.pairs) > 1000 and not graph.tuples
+    _assert_renders_like_json(graph)
+
+
+def test_dump_renders_line_graph():
+    domain = sample_sphere(1, 128, seed=0, scheme="quasi_uniform")
+    spec = random_map("circle_fourier", 1, seed=[0, 11], d_in=2)
+    graph = neighbor_graph(evaluate(spec, domain), domain)
+    assert graph.centers.shape[1] == 1
+    _assert_renders_like_json(graph)
+
+
+def test_dump_renders_coincidence_rows_and_tuples():
+    # rounded images coincide in clusters (coincidence tuples); NaN centers
+    # on every fifth pair row make radius-0 coincidence rows
+    domain = sample_sphere(1, 512, seed=0, scheme="quasi_uniform")
+    spec = random_map("circle_fourier", 2, seed=[0, 5], d_in=2)
+    graph = neighbor_graph(np.round(evaluate(spec, domain), 2), domain)
+    assert graph.tuples
+    centers = graph.centers.copy()
+    centers[::5] = np.nan
+    graph = dataclasses.replace(graph, centers=centers)
+    assert sum(c.witness == "coincidence" for c in graph) > len(graph.tuples)
+    _assert_renders_like_json(graph)
+
+
+def test_dump_renders_all_sample_cosphere_tuple():
+    domain = sample_sphere(1, 64, seed=0, scheme="quasi_uniform")
+    graph = neighbor_graph(domain.samples.copy(), domain)
+    assert len(graph.pairs) == 0 and len(graph.tuples) == 1
+    _assert_renders_like_json(graph)
+
+
+def test_dump_renders_empty_graph():
+    empty = NeighborGraph(pairs=np.zeros((0, 2), dtype=int),
+                          centers=np.zeros((0, 3)), radii=np.zeros(0),
+                          slack=np.zeros(0), rho=np.zeros(0))
+    _assert_renders_like_json(empty)
+
+
+def test_dump_renders_non_finite_floats_and_tuple_ties():
+    # json spells these NaN, Infinity and -Infinity; a tuple sorts after
+    # the pair rows it shares a key prefix with, and after an equal pair
+    pairs = np.array([[0, 1], [0, 2], [1, 3], [2, 3]])
+    graph = NeighborGraph(
+        pairs=pairs, centers=np.array([[0.5, -0.0], [np.nan, np.nan],
+                                       [1e-300, 2.5e17], [0.1, 0.2]]),
+        radii=np.array([0.5, 0.0, 1.0, 1 / 3]),
+        slack=np.array([np.inf, np.nan, -np.inf, -1e-12]),
+        rho=np.array([0.25, 2.0, 1.0, 0.1 + 0.2]),
+        tuples=(NeighborCertificate((0, 1, 2), "coincidence", 0.0, 2.0),
+                NeighborCertificate((1, 3), Sphere(np.array([3.0, 4.0]), 5.0),
+                                    float("nan"), 1.5)),
+        tuple_pairs=((0, 2), (1, 3)))
+    assert [c.indices for c in graph] == [(0, 1), (0, 1, 2), (0, 2), (1, 3),
+                                          (1, 3), (2, 3)]
+    _assert_renders_like_json(graph)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fneighbors.domains import sample_sphere
+from fneighbors.domains import cube_boundary_cover, sample_sphere
 from fneighbors.geometry import separation_bound
 from fneighbors.maps import MapSpec, identity_fourier_params
 from fneighbors.muopt import (
@@ -99,6 +99,18 @@ def test_delta_sweep_constant_map():
     hist = delta_sweep(domain, spec, bins=8)
     assert hist.n_pairs == 128 * 127 // 2
     assert hist.d_max == pytest.approx(2.0, abs=1e-12)
+
+
+def test_delta_sweep_counts_distances_above_two():
+    # the 5-cube boundary has diameter sqrt(5); every pair of the constant
+    # map's one coincidence tuple lands in a bin
+    domain, _ = cube_boundary_cover(5, 512, seed=0)
+    spec = MapSpec(family="constant", m_out=2, params=(0.0, 0.0))
+    hist = delta_sweep(domain, spec, bins=40)
+    assert hist.n_pairs == 512 * 511 // 2
+    assert hist.d_max > 2.0
+    assert sum(hist.counts) == hist.n_pairs
+    assert hist.bin_edges[-1] == hist.d_max
 
 
 def test_bound_violation_carries_reproducer():
