@@ -49,6 +49,7 @@ from .neighbors import (
     compute_df,
     extremal_pair,
     neighbor_graph,
+    neighbor_span,
     pair_is_neighbor_fast,
     pair_is_neighbor_oracle,
 )

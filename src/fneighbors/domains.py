@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -89,11 +90,20 @@ class SampledDomain:
                 best, pair = float(block[a, b]), (int(rows[start + a]), int(cols[b]))
         return best, pair
 
+    @cached_property
+    def nearest_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(distance, index) columns of every sample's nearest other
+        sample: one KD-tree query on first use, shared read-only by every
+        later reader, as the samples never change."""
+        d, i = cKDTree(self.samples).query(self.samples, k=2)
+        cols = d[:, 1], i[:, 1]
+        for col in cols:
+            col.flags.writeable = False
+        return cols
+
     def mesh_size(self) -> float:
         """Max nearest-neighbor intrinsic distance over the sample set."""
-        tree = cKDTree(self.samples)
-        d, _ = tree.query(self.samples, k=2)
-        return float(d[:, 1].max())
+        return float(self.nearest_neighbors[0].max())
 
     def max_pairwise_rho(self, indices=None) -> float:
         """Largest intrinsic distance among the given sample indices

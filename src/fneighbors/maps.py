@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .domains import SampledDomain
 
@@ -179,10 +178,7 @@ def random_map(family: str, m_out: int, seed, scale: float = 1.0,
 def continuity_modulus(images: np.ndarray, domain: SampledDomain) -> float:
     """Finite-difference modulus max |f(x)-f(y)| / rho(x,y) over
     nearest-neighbor sample pairs; 0 for constant maps."""
-    tree = cKDTree(domain.samples)
-    dist, idx = tree.query(domain.samples, k=2)
-    nn_dist = dist[:, 1]
-    nn_idx = idx[:, 1]
+    nn_dist, nn_idx = domain.nearest_neighbors
     img_dist = np.linalg.norm(images - images[nn_idx], axis=1)
     good = nn_dist > 1e-15
     if not good.any():

@@ -35,6 +35,7 @@ from .neighbors import (
     compute_df,
     extremal_pair,
     neighbor_graph,
+    neighbor_span,
     pair_is_neighbor_fast,
 )
 from .witness import DEFAULT_WITNESS_CONFIG, WitnessConfig, disjoint_faces_check
@@ -126,6 +127,10 @@ def df_objective(domain: SampledDomain, family: str, m_out: int,
                  check_bound: bool = True):
     """Returns params -> certified D_f on the given sampled domain.
 
+    Each evaluation reads only D_f, so it goes through neighbor_span, which
+    certifies just the longest Delaunay edge when it can and builds the
+    full neighbor graph otherwise; the value is the same either way.
+
     When check_bound is set and the map leaves the Borsuk-Ulam regime
     (m_out > domain dimension), every evaluation is tested against the
     separation bound minus the per-map sampling allowance; a violation
@@ -137,7 +142,7 @@ def df_objective(domain: SampledDomain, family: str, m_out: int,
         spec = MapSpec(family=family, m_out=m_out,
                        params=tuple(float(p) for p in params))
         images = evaluate(spec, domain)
-        df = compute_df(neighbor_graph(images, domain, neighbor_cfg), domain)
+        df = neighbor_span(images, domain, neighbor_cfg)
         if check_bound and bound is not None:
             allowance = discretization_allowance(images, domain)
             if df < bound - allowance:
@@ -165,6 +170,9 @@ def estimate_mu(domain: SampledDomain, family: str, m_out: int,
     carries every improvement of the running minimum.  The incumbent is
     re-certified on a domain of twice the sampling density before being
     returned (same seed and scheme), keeping reported values conservative.
+    Both the search and the re-certification read D_f through
+    neighbor_span, never a full neighbor graph unless its early exit
+    falls back.
     """
     n_params = param_count(family, m_out, d_in=domain.samples.shape[1],
                            degree=cfg.degree)
@@ -211,8 +219,7 @@ def estimate_mu(domain: SampledDomain, family: str, m_out: int,
     dense = sample_sphere(domain.dim, 2 * len(domain), seed=domain.seed,
                           scheme=domain.scheme)
     dense_images = evaluate(best_map, dense)
-    final_df = compute_df(neighbor_graph(dense_images, dense, neighbor_cfg),
-                          dense)
+    final_df = neighbor_span(dense_images, dense, neighbor_cfg)
     settings = asdict(cfg)
     settings.update({"family": family, "m_out": m_out,
                      "n_samples": len(domain), "evals": evals})

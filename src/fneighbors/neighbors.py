@@ -22,6 +22,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -39,6 +40,7 @@ __all__ = [
     "pair_is_neighbor_oracle",
     "pair_is_neighbor_fast",
     "neighbor_graph",
+    "neighbor_span",
     "compute_df",
     "extremal_pair",
     "check_certificate",
@@ -376,6 +378,8 @@ def _coincidence_labels(images: np.ndarray, eps: float) -> np.ndarray:
     index order."""
     n = len(images)
     links = cKDTree(images).query_pairs(eps, output_type="ndarray")
+    if not len(links):  # all singletons, the usual case
+        return np.arange(n)
     adjacency = coo_matrix((np.ones(len(links)), (links[:, 0], links[:, 1])),
                            shape=(n, n))
     return connected_components(adjacency, directed=False)[1]
@@ -398,13 +402,11 @@ def _line_pairs(values: np.ndarray):
             slack)
 
 
-def _delaunay_circumcenters(pts: np.ndarray):
-    """Qhull Delaunay triangulation of pts (dimension >= 2) with the
-    circumcenter of every simplex.  Returns (simplices, centers, ok): ok
-    marks the non-singular simplices, and the centers of singular (sliver)
-    simplices are NaN."""
+def _circumcenters(pts: np.ndarray, simplices: np.ndarray):
+    """Circumcenter of every given simplex of pts (dimension >= 2).
+    Returns (centers, ok): ok marks the non-singular simplices, and the
+    centers of singular (sliver) simplices are NaN."""
     d = pts.shape[1]
-    simplices = Delaunay(pts).simplices
     verts = pts[simplices]  # (S, d+1, d)
     u = verts[:, 1:, :] - verts[:, :1, :]
     rhs = 0.5 * ((verts[:, 1:, :] ** 2).sum(axis=2) - (verts[:, :1, :] ** 2).sum(axis=2))
@@ -415,7 +417,50 @@ def _delaunay_circumcenters(pts: np.ndarray):
     ok = det > 1e-12 * scale
     if ok.any():
         centers[ok] = np.linalg.solve(u[ok], rhs[ok][..., None])[..., 0]
-    return simplices, centers, ok
+    return centers, ok
+
+
+def _delaunay_circumcenters(pts: np.ndarray):
+    """Qhull Delaunay triangulation of pts (dimension >= 2) with the
+    circumcenter of every simplex: (simplices, centers, ok) as in
+    _circumcenters."""
+    simplices = Delaunay(pts).simplices
+    return (simplices, *_circumcenters(pts, simplices))
+
+
+def _circumballs(pts: np.ndarray, simplices: np.ndarray, tree: cKDTree):
+    """Circumballs of the non-sliver simplices among the given simplices
+    of pts, with their clearances.  Returns (live, centers, radii, clear,
+    margin) over simplices[live]: clear is the distance from a center to
+    the nearest point that is not a vertex of its simplex, minus the
+    radius, and margin[s, v] the signed distance of vertex v from the
+    sphere (rounding error only)."""
+    npts, d = pts.shape
+    centers, ok = _circumcenters(pts, simplices)
+    live = np.flatnonzero(ok)
+    splx, centers = simplices[live], centers[live]
+    verts = pts[splx]
+    radii = np.linalg.norm(verts[:, 0, :] - centers, axis=1)
+    clear = np.full(len(live), -np.inf)
+    if len(live):
+        # the nearest non-vertex point to a circumcenter is among its d+2
+        # nearest points (at most d+1 of those are vertices)
+        dists, nbrs = tree.query(centers, k=min(d + 2, npts))
+        dists = np.atleast_2d(dists)
+        nbrs = np.atleast_2d(nbrs)
+        is_vertex = (nbrs[:, :, None] == splx[:, None, :]).any(axis=2)
+        clear = np.where(is_vertex, np.inf, dists).min(axis=1) - radii
+    margin = np.linalg.norm(verts - centers[:, None, :], axis=2) - radii[:, None]
+    return live, centers, radii, clear, margin
+
+
+def _edge_slack(splx: np.ndarray, clear: np.ndarray, margin: np.ndarray,
+                a, b) -> np.ndarray:
+    """Slack of the edge (a, b) (per-simplex arrays or one edge for all)
+    in the circumball of each simplex splx[s] that holds it: the
+    clearance, lowered by the margins of the simplex's other vertices."""
+    other = (splx != np.reshape(a, (-1, 1))) & (splx != np.reshape(b, (-1, 1)))
+    return np.minimum(clear, np.where(other, margin, np.inf).min(axis=1))
 
 
 def _delaunay_edge_certs(pts: np.ndarray, eps_inside: float):
@@ -425,36 +470,18 @@ def _delaunay_edge_certs(pts: np.ndarray, eps_inside: float):
     current coordinates, plus the list of edges that failed the tolerance
     and need LP fallback."""
     npts, d = pts.shape
-    simplices, centers, ok = _delaunay_circumcenters(pts)
-    verts = pts[simplices]
-    radii = np.linalg.norm(verts[:, 0, :] - centers, axis=1)
-
-    # per-simplex clearance: the nearest non-vertex point to a circumcenter
-    # is among its d+2 nearest points (at most d+1 of those are vertices)
-    slack_splx = np.full(len(simplices), -np.inf)
-    live = np.flatnonzero(ok)
-    if len(live):
-        tree = cKDTree(pts)
-        k = min(d + 2, npts)
-        dists, nbrs = tree.query(centers[live], k=k)
-        dists = np.atleast_2d(dists)
-        nbrs = np.atleast_2d(nbrs)
-        is_vertex = (nbrs[:, :, None] == simplices[live][:, None, :]).any(axis=2)
-        dists = np.where(is_vertex, np.inf, dists)
-        slack_splx[live] = dists.min(axis=1) - radii[live]
-
-    vert_margin = np.linalg.norm(verts - centers[:, None, :], axis=2) - radii[:, None]
+    simplices = Delaunay(pts).simplices
+    live, centers, radii, clear, margin = _circumballs(pts, simplices,
+                                                       cKDTree(pts))
+    splx = simplices[live]
 
     # edge slacks per simplex, vectorized over the C(d+1, 2) local pairs
     edge_rows = []
     for p, q in itertools.combinations(range(d + 1), 2):
-        others = [v for v in range(d + 1) if v not in (p, q)]
-        slack = slack_splx[live]
-        if others:
-            slack = np.minimum(slack, vert_margin[np.ix_(live, others)].min(axis=1))
-        lo = np.minimum(simplices[live, p], simplices[live, q])
-        hi = np.maximum(simplices[live, p], simplices[live, q])
-        edge_rows.append((lo, hi, slack, live))
+        a, b = splx[:, p], splx[:, q]
+        edge_rows.append((np.minimum(a, b), np.maximum(a, b),
+                          _edge_slack(splx, clear, margin, a, b),
+                          np.arange(len(splx))))
     lo, hi, slacks, owner = (np.concatenate(col) for col in zip(*edge_rows))
 
     key = lo.astype(np.int64) * npts + hi
@@ -468,6 +495,29 @@ def _delaunay_edge_certs(pts: np.ndarray, eps_inside: float):
     failed = chosen[~good]
     return ((lo[t], hi[t], centers[owner[t]], radii[owner[t]], slacks[t]),
             list(zip(lo[failed].tolist(), hi[failed].tolist())))
+
+
+def _top_edge_span(pts: np.ndarray, domain: SampledDomain,
+                   eps_inside: float) -> float | None:
+    """The largest intrinsic distance over the Delaunay edges of pts
+    (sample i at row i) when one of that edge's incident circumballs
+    certifies it, else None.  Ties go to the last such edge in (i, j)
+    order, the rule of extremal_pair."""
+    npts, d = pts.shape
+    simplices = Delaunay(pts).simplices
+    p, q = np.triu_indices(d + 1, 1)
+    a, b = simplices[:, p].ravel(), simplices[:, q].ravel()
+    key = np.unique(np.minimum(a, b).astype(np.int64) * npts + np.maximum(a, b))
+    lo, hi = np.divmod(key, npts)
+    rho = domain.rho_pairs(lo, hi)
+    k = len(rho) - 1 - int(np.argmax(rho[::-1]))
+    incident = simplices[(simplices == lo[k]).any(axis=1)
+                         & (simplices == hi[k]).any(axis=1)]
+    live, _, _, clear, margin = _circumballs(pts, incident, cKDTree(pts))
+    slack = _edge_slack(incident[live], clear, margin, lo[k], hi[k])
+    if len(slack) and slack.max() >= -eps_inside:
+        return float(rho[k])
+    return None
 
 
 def _gabriel_pairs(pts: np.ndarray, eps_inside: float):
@@ -536,6 +586,49 @@ def _graph(domain: SampledDomain, lo: np.ndarray, hi: np.ndarray,
                          tuple_pairs=tuple(p for _, p in tuples))
 
 
+class _Clusters(NamedTuple):
+    """What neighbor_graph and neighbor_span both start from.  Samples are
+    grouped into coincidence clusters (label per sample; members lists
+    them cluster by cluster, sizes and start delimit each cluster), and
+    each cluster's lowest member stands in for it.  reduced holds the
+    representatives' images in their affine hull (None for a single
+    cluster), embed maps reduced points back, and sphere is the sphere
+    through all representatives when they are cospherical within tau_on
+    (else None), with its worst residual."""
+
+    diam: float
+    label: np.ndarray
+    members: np.ndarray
+    sizes: np.ndarray
+    start: np.ndarray
+    reduced: np.ndarray | None
+    embed: object
+    sphere: Sphere | None
+    resid: float
+
+
+def _clusters(images: np.ndarray, cfg: NeighborConfig) -> _Clusters:
+    """The shared prelude: coincidence clusters, affine reduction of their
+    representatives and the cosphere test (see _Clusters)."""
+    diam = image_diameter(images)
+    # at zero diameter all samples form one cluster
+    label = (_coincidence_labels(images, cfg.eps_coincide_rel * diam)
+             if diam > 0.0 else np.zeros(len(images), dtype=np.intp))
+    members = np.argsort(label, kind="stable")  # cluster by cluster
+    sizes = np.bincount(label)
+    start = np.cumsum(sizes) - sizes
+    reduced = embed = sph = None
+    resid = math.inf
+    if len(sizes) >= 2:
+        reduced, embed = _affine_reduce(images[members[start]])
+        if reduced.shape[1] > 1:
+            sph, resid = fit_sphere(reduced)
+            if sph is not None and resid > max(cfg.tau_on_rel * diam, 1e-12):
+                sph = None
+    return _Clusters(diam, label, members, sizes, start, reduced, embed,
+                     sph, resid)
+
+
 def neighbor_graph(images: np.ndarray, domain: SampledDomain,
                    cfg: NeighborConfig = DEFAULT_CONFIG) -> NeighborGraph:
     """All certified f-neighbor tuples of the sampled map, as one
@@ -559,26 +652,18 @@ def neighbor_graph(images: np.ndarray, domain: SampledDomain,
     no_pairs = _stack_rows([], m)
     if npts < 2:
         return _graph(domain, *no_pairs)
-    diam = image_diameter(images)
+    (diam, label, members, sizes, start, reduced, embed, sph,
+     resid) = _clusters(images, cfg)
     eps_inside = cfg.eps_inside_rel * diam
-    # at zero diameter all samples form one cluster
-    label = (_coincidence_labels(images, cfg.eps_coincide_rel * diam)
-             if diam > 0.0 else np.zeros(npts, dtype=np.intp))
-    members = np.argsort(label, kind="stable")  # cluster by cluster
-    sizes = np.bincount(label)
-    start = np.cumsum(sizes) - sizes
     tuples, big = [], sizes >= 2
     for s, z in zip(start[big], sizes[big]):
         cl = members[s:s + z]
         tuples.append(_tuple_cert(domain, cl, "coincidence",
                                   image_diameter(images[cl])))
-    if len(sizes) < 2:
+    if reduced is None:
         return _graph(domain, *no_pairs, tuples)
-    reduced, embed = _affine_reduce(images[members[start]])
 
-    dim = reduced.shape[1]
-    sph, resid = fit_sphere(reduced) if dim > 1 else (None, math.inf)
-    if sph is not None and resid <= max(cfg.tau_on_rel * diam, 1e-12):
+    if sph is not None:
         center = embed(sph.center)
         if npts > cfg.exhaustive_max:
             tuples.append(_tuple_cert(
@@ -592,6 +677,7 @@ def neighbor_graph(images: np.ndarray, domain: SampledDomain,
                       np.full(count, float(sph.radius)),
                       np.full(count, -resid), tuples)
 
+    dim = reduced.shape[1]
     if dim == 1:
         cand = _line_pairs(reduced[:, 0])
     elif len(reduced) <= cfg.exhaustive_max:
@@ -631,6 +717,37 @@ def neighbor_graph(images: np.ndarray, domain: SampledDomain,
         _, (gi[row], gj[row]) = domain.farthest_pair(ca, cb)
     return _graph(domain, np.minimum(gi, gj), np.maximum(gi, gj),
                   centers[ref], radii[ref], slack[ref], tuples)
+
+
+def neighbor_span(images: np.ndarray, domain: SampledDomain,
+                  cfg: NeighborConfig = DEFAULT_CONFIG) -> float:
+    """D_f of the sampled map: compute_df(neighbor_graph(...)) bit for bit,
+    for callers that read nothing else.
+
+    Every candidate pair of the Delaunay path is a Delaunay edge, so when
+    that path applies (no coincidence clusters, more than
+    cfg.exhaustive_max samples, images not cospherical, reduced dimension
+    2 or 3) the Delaunay edge at the largest intrinsic distance bounds D_f,
+    and D_f equals its distance as soon as one of its incident circumballs
+    certifies it.  Only that edge is certified then, with the same
+    eps_inside.  Everything else (another path, a Qhull failure, or a top
+    edge that fails its circumballs) builds the full graph.
+    """
+    images = np.asarray(images, dtype=float)
+    npts = len(images)
+    if npts == len(domain) and npts > max(cfg.exhaustive_max, 1):
+        cl = _clusters(images, cfg)
+        if (len(cl.sizes) == npts and cl.sphere is None
+                and cl.reduced.shape[1] in (2, 3)):
+            # no clusters: reduced row i is the image of sample i
+            try:
+                span = _top_edge_span(cl.reduced, domain,
+                                      cfg.eps_inside_rel * cl.diam)
+            except QhullError:
+                span = None
+            if span is not None:
+                return span
+    return compute_df(neighbor_graph(images, domain, cfg), domain)
 
 
 def compute_df(graph: NeighborGraph, domain: SampledDomain) -> float:

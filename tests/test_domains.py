@@ -67,6 +67,17 @@ def test_mesh_size_scales():
     large = sample_sphere(1, 256, scheme="quasi_uniform")
     assert large.mesh_size() < small.mesh_size()
     assert small.mesh_size() == pytest.approx(2 * math.sin(math.pi / 64), abs=1e-12)
+    # the cached nearest-neighbor columns equal a fresh KD-tree query
+    for d in (small, sample_sphere(2, 300, seed=1),
+              cube_boundary_cover(3, 400, seed=2)[0],
+              simplex_boundary_cover(3, 200, seed=3)[0]):
+        dist, idx = cKDTree(d.samples).query(d.samples, k=2)
+        nn_dist, nn_idx = d.nearest_neighbors
+        assert np.array_equal(nn_dist, dist[:, 1])
+        assert np.array_equal(nn_idx, idx[:, 1])
+        assert d.mesh_size() == float(dist[:, 1].max())
+        assert d.nearest_neighbors is d.nearest_neighbors
+        assert not nn_dist.flags.writeable
 
 
 def test_regular_triangulation_cover_n1():

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from fneighbors.domains import cube_boundary_cover, sample_sphere
+from fneighbors.domains import (
+    cube_boundary_cover,
+    sample_sphere,
+    simplex_boundary_cover,
+)
 from fneighbors.maps import (
     MapSpec,
     continuity_modulus,
@@ -117,6 +122,17 @@ def test_continuity_modulus_identity():
     const = evaluate(MapSpec("constant", 2, (1.0, 1.0)), d)
     assert continuity_modulus(const, d) == 0.0
     assert discretization_allowance(img, d) == pytest.approx(2 * d.mesh_size(), rel=1e-9)
+    # the same values as from a fresh KD-tree query, on every domain kind
+    cases = [(sample_sphere(2, 300, seed=1), "sphere_harmonic", 3),
+             (cube_boundary_cover(3, 400, seed=2)[0], "poly_quadratic", 3),
+             (simplex_boundary_cover(3, 200, seed=3)[0], "poly_quadratic", 2)]
+    for d, family, m_out in cases:
+        img = evaluate(random_map(family, m_out, seed=5, d_in=3), d)
+        dist, idx = cKDTree(d.samples).query(d.samples, k=2)
+        ratio = np.linalg.norm(img - img[idx[:, 1]], axis=1) / dist[:, 1]
+        assert continuity_modulus(img, d) == float(ratio.max())
+        assert discretization_allowance(img, d) == (
+            2.0 * float(ratio.max()) * float(dist[:, 1].max()))
 
 
 def test_map_json_roundtrip():

@@ -10,9 +10,10 @@ import itertools
 import numpy as np
 import pytest
 
+from fneighbors import neighbors
 from fneighbors.domains import sample_sphere
 from fneighbors.geometry import Sphere
-from fneighbors.maps import MapSpec, evaluate
+from fneighbors.maps import MapSpec, evaluate, random_map
 from fneighbors.neighbors import (
     DEFAULT_CONFIG,
     NeighborGraph,
@@ -21,6 +22,7 @@ from fneighbors.neighbors import (
     extremal_pair,
     image_diameter,
     neighbor_graph,
+    neighbor_span,
     pair_is_neighbor_fast,
     pair_is_neighbor_oracle,
 )
@@ -292,6 +294,93 @@ def test_compute_df_empty():
                           slack=np.zeros(0), rho=np.zeros(0))
     assert compute_df(empty, domain) == 0.0
     assert extremal_pair(empty, domain) == (None, 0.0, None)
+
+
+# --- neighbor_span: D_f without the full graph ---
+
+def _span_path(monkeypatch, images, domain):
+    """neighbor_span's value, whether it built the full graph, and the
+    results of the top-edge check (empty when it did not run)."""
+    built, top = [], []
+    full, top_edge = neighbors.neighbor_graph, neighbors._top_edge_span
+    monkeypatch.setattr(neighbors, "neighbor_graph",
+                        lambda *a: built.append(1) or full(*a))
+    monkeypatch.setattr(neighbors, "_top_edge_span",
+                        lambda *a: top.append(top_edge(*a)) or top[-1])
+    span = neighbor_span(images, domain)
+    monkeypatch.undo()
+    return span, bool(built), top
+
+
+def _no_graph(*args):
+    raise AssertionError("the early exit built the full graph")
+
+
+def _assert_early_exit(monkeypatch, images, domain):
+    monkeypatch.setattr(neighbors, "neighbor_graph", _no_graph)
+    span = neighbor_span(images, domain)
+    monkeypatch.undo()
+    assert span == compute_df(neighbor_graph(images, domain), domain)
+
+
+def test_span_early_exit_circle_maps(monkeypatch):
+    domain = sample_sphere(1, 512, seed=0, scheme="quasi_uniform")
+    for k in range(40):
+        spec = random_map("circle_fourier", 2, seed=[k, 1000])
+        _assert_early_exit(monkeypatch, evaluate(spec, domain), domain)
+
+
+def test_span_early_exit_sphere_maps(monkeypatch):
+    domain = sample_sphere(2, 1024, seed=0, scheme="quasi_uniform")
+    for k in range(3):
+        spec = random_map("sphere_harmonic", 3, seed=[k, 1000], d_in=3)
+        _assert_early_exit(monkeypatch, evaluate(spec, domain), domain)
+
+
+def _circle_map(n, m_out, seed=1):
+    domain = sample_sphere(1, n, seed=0, scheme="quasi_uniform")
+    return evaluate(random_map("circle_fourier", m_out, seed=seed), domain), domain
+
+
+@pytest.mark.parametrize("case", ["clusters", "cosphere", "line", "exhaustive",
+                                  "gabriel", "constant"])
+def test_span_fallbacks_equal_full_graph(monkeypatch, case):
+    if case == "clusters":
+        images, domain = _circle_map(512, 2)
+        images = np.round(images, 2)
+        assert len(np.unique(images, axis=0)) < len(domain)
+    elif case == "cosphere":
+        domain = sample_sphere(1, 64, seed=0, scheme="quasi_uniform")
+        images = domain.samples.copy()
+    elif case == "line":
+        images, domain = _circle_map(512, 1)
+    elif case == "exhaustive":
+        images, domain = _circle_map(DEFAULT_CONFIG.exhaustive_max - 8, 2)
+    elif case == "gabriel":
+        images, domain = _circle_map(64, 4)
+    else:
+        domain = sample_sphere(1, 64, seed=0, scheme="quasi_uniform")
+        images = np.tile([3.0, -1.0], (len(domain), 1))
+    span, built, top = _span_path(monkeypatch, images, domain)
+    assert built and not top
+    assert span == compute_df(neighbor_graph(images, domain), domain)
+
+
+def test_span_falls_back_when_the_longest_edge_fails(monkeypatch):
+    # the domain's farthest pair maps to the ends of a hull edge whose only
+    # Delaunay triangle is flattened by a third image 1e-14 above it: that
+    # sliver has no circumball, so the edge cannot be certified cheaply
+    domain = sample_sphere(1, 64, seed=0, scheme="quasi_uniform")
+    i, j = np.triu_indices(len(domain), 1)
+    rho = domain.rho_pairs(i, j)
+    k = len(rho) - 1 - int(np.argmax(rho[::-1]))
+    images = np.random.default_rng(0).uniform([0, 0.25], [1, 1],
+                                              size=(len(domain), 2))
+    images[i[k]], images[j[k]] = (0.0, 0.0), (1.0, 0.0)
+    images[(j[k] + 1) % len(domain)] = (0.5, 1e-14)
+    span, built, top = _span_path(monkeypatch, images, domain)
+    assert built and top == [None]
+    assert span == compute_df(neighbor_graph(images, domain), domain)
 
 
 def test_image_diameter():
