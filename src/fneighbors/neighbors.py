@@ -463,28 +463,30 @@ def _edge_slack(splx: np.ndarray, clear: np.ndarray, margin: np.ndarray,
     return np.minimum(clear, np.where(other, margin, np.inf).min(axis=1))
 
 
-def _delaunay_edge_certs(pts: np.ndarray, eps_inside: float):
-    """Certified edges from a Delaunay triangulation: each edge gets the
-    best (largest-slack) incident-simplex circumball.  Returns the
+def _simplex_edges(simplices: np.ndarray, npts: int):
+    """Every edge of every given simplex, local pair (p, q) by local pair
+    and simplex by simplex within one: (lo, hi, key, owner) with lo < hi,
+    key = lo * npts + hi and owner the row of the simplex."""
+    p, q = np.triu_indices(simplices.shape[1], 1)
+    a, b = simplices[:, p].T.ravel(), simplices[:, q].T.ravel()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    owner = np.tile(np.arange(len(simplices)), len(p))
+    return lo, hi, lo.astype(np.int64) * npts + hi, owner
+
+
+def _delaunay_edge_certs(pts: np.ndarray, simplices: np.ndarray,
+                         eps_inside: float):
+    """Certified edges from the Delaunay simplices of pts: each edge gets
+    the best (largest-slack) incident-simplex circumball.  Returns the
     certified edges as columns (lo, hi, centers, radii, slack) in the
     current coordinates, plus the list of edges that failed the tolerance
     and need LP fallback."""
-    npts, d = pts.shape
-    simplices = Delaunay(pts).simplices
     live, centers, radii, clear, margin = _circumballs(pts, simplices,
                                                        cKDTree(pts))
     splx = simplices[live]
+    lo, hi, key, owner = _simplex_edges(splx, len(pts))
+    slacks = _edge_slack(splx[owner], clear[owner], margin[owner], lo, hi)
 
-    # edge slacks per simplex, vectorized over the C(d+1, 2) local pairs
-    edge_rows = []
-    for p, q in itertools.combinations(range(d + 1), 2):
-        a, b = splx[:, p], splx[:, q]
-        edge_rows.append((np.minimum(a, b), np.maximum(a, b),
-                          _edge_slack(splx, clear, margin, a, b),
-                          np.arange(len(splx))))
-    lo, hi, slacks, owner = (np.concatenate(col) for col in zip(*edge_rows))
-
-    key = lo.astype(np.int64) * npts + hi
     order = np.lexsort((slacks, key))
     k_sorted = key[order]
     last = np.r_[k_sorted[1:] != k_sorted[:-1], np.ones(1, dtype=bool)]
@@ -497,18 +499,14 @@ def _delaunay_edge_certs(pts: np.ndarray, eps_inside: float):
             list(zip(lo[failed].tolist(), hi[failed].tolist())))
 
 
-def _top_edge_span(pts: np.ndarray, domain: SampledDomain,
-                   eps_inside: float) -> float | None:
-    """The largest intrinsic distance over the Delaunay edges of pts
-    (sample i at row i) when one of that edge's incident circumballs
-    certifies it, else None.  Ties go to the last such edge in (i, j)
-    order, the rule of extremal_pair."""
-    npts, d = pts.shape
-    simplices = Delaunay(pts).simplices
-    p, q = np.triu_indices(d + 1, 1)
-    a, b = simplices[:, p].ravel(), simplices[:, q].ravel()
-    key = np.unique(np.minimum(a, b).astype(np.int64) * npts + np.maximum(a, b))
-    lo, hi = np.divmod(key, npts)
+def _top_edge_span(pts: np.ndarray, simplices: np.ndarray,
+                   domain: SampledDomain, eps_inside: float) -> float | None:
+    """The largest intrinsic distance over the edges of the Delaunay
+    simplices of pts (sample i at row i) when one of that edge's incident
+    circumballs certifies it, else None.  Ties go to the last such edge in
+    (i, j) order, the rule of extremal_pair."""
+    lo, hi = np.divmod(np.unique(_simplex_edges(simplices, len(pts))[2]),
+                       len(pts))
     rho = domain.rho_pairs(lo, hi)
     k = len(rho) - 1 - int(np.argmax(rho[::-1]))
     incident = simplices[(simplices == lo[k]).any(axis=1)
@@ -629,6 +627,15 @@ def _clusters(images: np.ndarray, cfg: NeighborConfig) -> _Clusters:
                      sph, resid)
 
 
+def _takes_delaunay(cl: _Clusters, cfg: NeighborConfig) -> bool:
+    """Whether the representatives are certified from a Delaunay
+    triangulation: more than cfg.exhaustive_max of them, not cospherical,
+    in reduced dimension 2 or 3."""
+    return (cl.reduced is not None and cl.sphere is None
+            and len(cl.reduced) > cfg.exhaustive_max
+            and cl.reduced.shape[1] in (2, 3))
+
+
 def neighbor_graph(images: np.ndarray, domain: SampledDomain,
                    cfg: NeighborConfig = DEFAULT_CONFIG) -> NeighborGraph:
     """All certified f-neighbor tuples of the sampled map, as one
@@ -646,14 +653,22 @@ def neighbor_graph(images: np.ndarray, domain: SampledDomain,
     scale).
     """
     images = np.asarray(images, dtype=float)
-    npts, m = images.shape
-    if npts != len(domain):
+    if len(images) != len(domain):
         raise ValueError("images must align with domain samples")
-    no_pairs = _stack_rows([], m)
-    if npts < 2:
-        return _graph(domain, *no_pairs)
+    if len(images) < 2:
+        return _graph(domain, *_stack_rows([], images.shape[1]))
+    return _full_graph(images, domain, cfg, _clusters(images, cfg))
+
+
+def _full_graph(images: np.ndarray, domain: SampledDomain,
+                cfg: NeighborConfig, prelude: _Clusters,
+                simplices: np.ndarray | None = None) -> NeighborGraph:
+    """neighbor_graph of at least two images from their prelude; the
+    Delaunay path triangulates prelude.reduced unless simplices are given."""
+    npts, m = images.shape
     (diam, label, members, sizes, start, reduced, embed, sph,
-     resid) = _clusters(images, cfg)
+     resid) = prelude
+    no_pairs = _stack_rows([], m)
     eps_inside = cfg.eps_inside_rel * diam
     tuples, big = [], sizes >= 2
     for s, z in zip(start[big], sizes[big]):
@@ -677,19 +692,22 @@ def neighbor_graph(images: np.ndarray, domain: SampledDomain,
                       np.full(count, float(sph.radius)),
                       np.full(count, -resid), tuples)
 
-    dim = reduced.shape[1]
-    if dim == 1:
+    if reduced.shape[1] == 1:
         cand = _line_pairs(reduced[:, 0])
     elif len(reduced) <= cfg.exhaustive_max:
         cand = _lp_pairs(itertools.combinations(range(len(reduced)), 2),
                          reduced, cfg)
     else:
-        if dim in (2, 3):
+        certified = None
+        if _takes_delaunay(prelude, cfg):
             try:
-                certified, failed = _delaunay_edge_certs(reduced, eps_inside)
+                if simplices is None:
+                    simplices = Delaunay(reduced).simplices
+                certified, failed = _delaunay_edge_certs(reduced, simplices,
+                                                         eps_inside)
             except QhullError:
-                certified, failed = _gabriel_pairs(reduced, eps_inside)
-        else:
+                pass
+        if certified is None:
             certified, failed = _gabriel_pairs(reduced, eps_inside)
         rescued = _lp_pairs(failed[: cfg.lp_fallback_cap], reduced, cfg)
         cand = tuple(np.concatenate(c) for c in zip(certified, rescued))
@@ -725,29 +743,32 @@ def neighbor_span(images: np.ndarray, domain: SampledDomain,
     for callers that read nothing else.
 
     Every candidate pair of the Delaunay path is a Delaunay edge, so when
-    that path applies (no coincidence clusters, more than
+    there are no coincidence clusters and that path applies (more than
     cfg.exhaustive_max samples, images not cospherical, reduced dimension
     2 or 3) the Delaunay edge at the largest intrinsic distance bounds D_f,
     and D_f equals its distance as soon as one of its incident circumballs
     certifies it.  Only that edge is certified then, with the same
     eps_inside.  Everything else (another path, a Qhull failure, or a top
-    edge that fails its circumballs) builds the full graph.
+    edge that fails its circumballs) builds the full graph, reusing the
+    prelude and the triangulation already computed.
     """
     images = np.asarray(images, dtype=float)
-    npts = len(images)
-    if npts == len(domain) and npts > max(cfg.exhaustive_max, 1):
-        cl = _clusters(images, cfg)
-        if (len(cl.sizes) == npts and cl.sphere is None
-                and cl.reduced.shape[1] in (2, 3)):
-            # no clusters: reduced row i is the image of sample i
-            try:
-                span = _top_edge_span(cl.reduced, domain,
-                                      cfg.eps_inside_rel * cl.diam)
-            except QhullError:
-                span = None
+    if len(images) != len(domain) or len(images) < 2:
+        return compute_df(neighbor_graph(images, domain, cfg), domain)
+    cl = _clusters(images, cfg)
+    simplices = None
+    if len(cl.sizes) == len(images) and _takes_delaunay(cl, cfg):
+        # no clusters: reduced row i is the image of sample i
+        try:
+            simplices = Delaunay(cl.reduced).simplices
+        except QhullError:
+            pass
+        else:
+            span = _top_edge_span(cl.reduced, simplices, domain,
+                                  cfg.eps_inside_rel * cl.diam)
             if span is not None:
                 return span
-    return compute_df(neighbor_graph(images, domain, cfg), domain)
+    return compute_df(_full_graph(images, domain, cfg, cl, simplices), domain)
 
 
 def compute_df(graph: NeighborGraph, domain: SampledDomain) -> float:

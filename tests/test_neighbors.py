@@ -299,17 +299,21 @@ def test_compute_df_empty():
 # --- neighbor_span: D_f without the full graph ---
 
 def _span_path(monkeypatch, images, domain):
-    """neighbor_span's value, whether it built the full graph, and the
-    results of the top-edge check (empty when it did not run)."""
-    built, top = [], []
-    full, top_edge = neighbors.neighbor_graph, neighbors._top_edge_span
-    monkeypatch.setattr(neighbors, "neighbor_graph",
+    """neighbor_span's value, whether it built the full graph, the results
+    of the top-edge check (empty when it did not run) and the number of
+    Delaunay triangulations."""
+    built, top, qhull = [], [], []
+    full, top_edge = neighbors._full_graph, neighbors._top_edge_span
+    delaunay = neighbors.Delaunay
+    monkeypatch.setattr(neighbors, "_full_graph",
                         lambda *a: built.append(1) or full(*a))
     monkeypatch.setattr(neighbors, "_top_edge_span",
                         lambda *a: top.append(top_edge(*a)) or top[-1])
+    monkeypatch.setattr(neighbors, "Delaunay",
+                        lambda *a: qhull.append(1) or delaunay(*a))
     span = neighbor_span(images, domain)
     monkeypatch.undo()
-    return span, bool(built), top
+    return span, bool(built), top, len(qhull)
 
 
 def _no_graph(*args):
@@ -317,7 +321,7 @@ def _no_graph(*args):
 
 
 def _assert_early_exit(monkeypatch, images, domain):
-    monkeypatch.setattr(neighbors, "neighbor_graph", _no_graph)
+    monkeypatch.setattr(neighbors, "_full_graph", _no_graph)
     span = neighbor_span(images, domain)
     monkeypatch.undo()
     assert span == compute_df(neighbor_graph(images, domain), domain)
@@ -361,7 +365,7 @@ def test_span_fallbacks_equal_full_graph(monkeypatch, case):
     else:
         domain = sample_sphere(1, 64, seed=0, scheme="quasi_uniform")
         images = np.tile([3.0, -1.0], (len(domain), 1))
-    span, built, top = _span_path(monkeypatch, images, domain)
+    span, built, top, _ = _span_path(monkeypatch, images, domain)
     assert built and not top
     assert span == compute_df(neighbor_graph(images, domain), domain)
 
@@ -378,8 +382,9 @@ def test_span_falls_back_when_the_longest_edge_fails(monkeypatch):
                                               size=(len(domain), 2))
     images[i[k]], images[j[k]] = (0.0, 0.0), (1.0, 0.0)
     images[(j[k] + 1) % len(domain)] = (0.5, 1e-14)
-    span, built, top = _span_path(monkeypatch, images, domain)
-    assert built and top == [None]
+    span, built, top, qhull = _span_path(monkeypatch, images, domain)
+    # the full graph reuses the prelude's triangulation
+    assert built and top == [None] and qhull == 1
     assert span == compute_df(neighbor_graph(images, domain), domain)
 
 

@@ -3,26 +3,30 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_pairs.py --ref HEAD --workload mu-circle --pairs 10 \
-        --first-seed 1 --out BENCH_6.json
+        --out BENCH_6.json
 
 The ref is extracted with `git archive <ref> | tar -x` into a temporary
-directory.  Pair p runs `python3 perfbench/run.py --workload W --seed S
---trace 0` with S = first seed + p once on the ref and once on the working
-tree, and alternates which side runs first (the ref on even pairs).  Each
+directory.  Pair p (p = 1, 2, ...) runs `python3 perfbench/run.py
+--workload W --seed p --seconds S --trace 0` once on the ref and once on
+the working tree, and alternates which side runs first (the ref on odd
+pairs).  S is BENCHMARK.json's run_seconds, the same on both sides.  Each
 side runs its own checkout's perfbench, so both use the benchmark as it is
 committed there.
 
-The JSON written to --out holds every pair's end-to-end metrics, digest and
-correctness per side, and per metric each side's median and quartiles and
-the number of pairs the working tree won (ties count for neither side).  An
-existing --out file keeps its other workloads, so one file can collect
-several invocations.  Nothing under perfbench/ is read or written except
-by running it.
+Each invocation appends one series per workload to --out: its labels (ref,
+ref commit, the working tree's commit and whether its tracked files
+differed from it, with a hash of that diff, run length and machine), every
+pair's end-to-end metrics, digest and correctness per side, and per metric
+each side's median and quartiles and the number of pairs the working tree
+won (ties count for neither side).  Series already in the file are kept
+as they are, so the record holds every run made.  Nothing under perfbench/
+is read or written except by running it.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -42,8 +46,6 @@ def parse_args(argv):
     p.add_argument("--workload", required=True, action="append",
                    help="perfbench workload (repeat for several)")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--seconds", type=int, default=15)
     p.add_argument("--out", required=True, help="JSON file to write or extend")
     args = p.parse_args(argv)
     if args.pairs < 1:
@@ -65,6 +67,15 @@ def extract(ref: str, dest: Path) -> None:
     archive.stdout.close()
     if archive.wait() != 0:
         raise SystemExit(f"error: git archive {ref} failed")
+
+
+def working_tree() -> dict:
+    """The working tree's commit, and the sha256 of its diff against it
+    over tracked files (None when they match the commit)."""
+    diff = subprocess.run(["git", "diff", "--binary", "HEAD"], cwd=ROOT,
+                          check=True, capture_output=True).stdout
+    return {"commit": git("rev-parse", "HEAD"),
+            "diff_sha256": hashlib.sha256(diff).hexdigest() if diff else None}
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -113,35 +124,36 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     out_path = Path(args.out)
-    doc = json.loads(out_path.read_text()) if out_path.exists() else {}
-    doc.update({"ref": args.ref, "ref_commit": git("rev-parse", args.ref),
-                "change": f"working tree on {git('rev-parse', 'HEAD')}",
-                "seconds": args.seconds,
-                "machine": {"python": platform.python_version(),
-                            "machine": platform.machine(),
-                            "cpus_usable": len(os.sched_getaffinity(0))}})
-    workloads = doc.setdefault("workloads", {})
+    doc = (json.loads(out_path.read_text()) if out_path.exists()
+           else {"workloads": {}})
+    if set(doc) != {"workloads"}:
+        raise SystemExit(f"error: {out_path} is not a record of this tool")
+    labels = {"ref": args.ref, "ref_commit": git("rev-parse", args.ref),
+              "change": working_tree(), "seconds": seconds,
+              "machine": {"python": platform.python_version(),
+                          "machine": platform.machine(),
+                          "cpus_usable": len(os.sched_getaffinity(0))}}
     with tempfile.TemporaryDirectory(prefix="bench-ref-") as tmp:
         ref_dir = Path(tmp)
         extract(args.ref, ref_dir)
         for workload in args.workload:
             pairs = []
-            for p in range(args.pairs):
-                seed = args.first_seed + p
-                order = ["ref", "change"] if p % 2 == 0 else ["change", "ref"]
+            for seed in range(1, args.pairs + 1):
+                order = ["ref", "change"] if seed % 2 else ["change", "ref"]
                 row = {"seed": seed, "first": order[0]}
                 for side in order:
                     start = time.perf_counter()
                     row[side] = run_bench(ref_dir if side == "ref" else ROOT,
-                                          workload, seed, args.seconds)
+                                          workload, seed, seconds)
                     row[side]["wall_s"] = time.perf_counter() - start
                 pairs.append(row)
                 print(f"{workload} seed {seed}: run_s "
                       f"{row['ref']['metrics']['run_s']:.3f} -> "
                       f"{row['change']['metrics']['run_s']:.3f}", flush=True)
-            workloads[workload] = {"pairs": pairs,
-                                   "summary": summarize(pairs, better)}
+            doc["workloads"].setdefault(workload, []).append(
+                {**labels, "pairs": pairs, "summary": summarize(pairs, better)})
             out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
