@@ -485,7 +485,10 @@ def _delaunay_edge_certs(pts: np.ndarray, simplices: np.ndarray,
                                                        cKDTree(pts))
     splx = simplices[live]
     lo, hi, key, owner = _simplex_edges(splx, len(pts))
-    slacks = _edge_slack(splx[owner], clear[owner], margin[owner], lo, hi)
+    # one local pair at a time, to keep the temporaries at one per simplex
+    slacks = np.concatenate([
+        _edge_slack(splx, clear, margin, a, b)
+        for a, b in zip(lo.reshape(-1, len(splx)), hi.reshape(-1, len(splx)))])
 
     order = np.lexsort((slacks, key))
     k_sorted = key[order]
