@@ -227,10 +227,15 @@ _COINCIDENCE_ROW = _PAIR_HEAD + '      "witness": "coincidence"\n    }'
 
 
 def _floats(values: np.ndarray) -> list[str]:
-    """json's spelling of each float: repr, or NaN/Infinity/-Infinity."""
-    if np.isfinite(values).all():
-        return list(map(float.__repr__, values.tolist()))
-    return list(map(json.dumps, values.tolist()))
+    """json's spelling of each float: repr, or NaN/Infinity/-Infinity.
+    Each distinct bit pattern is spelled once (0.0 and -0.0 apart), as
+    the columns repeat many values."""
+    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    distinct = bits.view(np.float64)
+    spell = float.__repr__ if np.isfinite(distinct).all() else json.dumps
+    text = list(map(spell, distinct.tolist()))
+    return list(map(text.__getitem__, inverse.tolist()))
 
 
 def _certificates_json(graph: NeighborGraph) -> str:

@@ -428,33 +428,44 @@ def _delaunay_circumcenters(pts: np.ndarray):
     return (simplices, *_circumcenters(pts, simplices))
 
 
-def _circumballs(pts: np.ndarray, simplices: np.ndarray, tree: cKDTree):
+# Leaf size of the KD-tree behind _clearance.  On 6 S^2 -> R^3 maps with
+# 4096 samples, querying the circumcenters of all live simplices took
+# 0.65-0.68 s at 32, against 0.82-0.88 s at scipy's default of 16 and
+# 0.70-0.78 s at 64 (2-vCPU VM).  The clearances do not depend on it (see
+# _clearance).
+CLEARANCE_LEAFSIZE = 32
+
+
+def _circumballs(pts: np.ndarray, simplices: np.ndarray):
     """Circumballs of the non-sliver simplices among the given simplices
-    of pts, with their clearances.  Returns (live, centers, radii, clear,
-    margin) over simplices[live]: clear is the distance from a center to
-    the nearest point that is not a vertex of its simplex, minus the
-    radius, and margin[s, v] the signed distance of vertex v from the
-    sphere (rounding error only)."""
-    npts, d = pts.shape
+    of pts.  Returns (splx, centers, radii, margin): splx lists those
+    simplices, and margin[s, v] is the signed distance of vertex splx[s, v]
+    from the sphere s (rounding error only).  Their clearances come from
+    _clearance."""
     centers, ok = _circumcenters(pts, simplices)
-    live = np.flatnonzero(ok)
-    splx, centers = simplices[live], centers[live]
+    splx, centers = simplices[ok], centers[ok]
     verts = pts[splx]
     radii = np.linalg.norm(verts[:, 0, :] - centers, axis=1)
-    clear = np.full(len(live), -np.inf)
-    if len(live):
-        # the nearest non-vertex point to a circumcenter is among its d+2
-        # nearest points (at most d+1 of those are vertices)
-        dists, nbrs = tree.query(centers, k=min(d + 2, npts))
-        dists = np.atleast_2d(dists)
-        nbrs = np.atleast_2d(nbrs)
-        is_vertex = (nbrs[:, :, None] == splx[:, None, :]).any(axis=2)
-        clear = np.where(is_vertex, np.inf, dists).min(axis=1) - radii
     margin = np.linalg.norm(verts - centers[:, None, :], axis=2) - radii[:, None]
-    return live, centers, radii, clear, margin
+    return splx, centers, radii, margin
 
 
-def _edge_slack(splx: np.ndarray, clear: np.ndarray, margin: np.ndarray,
+def _clearance(tree: cKDTree, centers: np.ndarray, radii: np.ndarray,
+               splx: np.ndarray) -> np.ndarray:
+    """Clearance of each ball (centers[s], radii[s]) through the vertices
+    splx[s] of a simplex of the tree's points: the distance from its
+    center to the nearest point that is not one of those vertices, minus
+    its radius.  That point is among the center's d+2 nearest (at most
+    d+1 of them are vertices), and the smallest non-vertex distance among
+    them is the same whichever of several equidistant points the tree
+    returns, so the value does not depend on the tree's leaf size."""
+    npts, d = tree.data.shape
+    dists, nbrs = tree.query(centers, k=min(d + 2, npts))
+    is_vertex = (nbrs[:, :, None] == splx[:, None, :]).any(axis=2)
+    return np.where(is_vertex, np.inf, dists).min(axis=1) - radii
+
+
+def _edge_slack(splx: np.ndarray, clear, margin: np.ndarray,
                 a, b) -> np.ndarray:
     """Slack of the edge (a, b) (per-simplex arrays or one edge for all)
     in the circumball of each simplex splx[s] that holds it: the
@@ -463,43 +474,76 @@ def _edge_slack(splx: np.ndarray, clear: np.ndarray, margin: np.ndarray,
     return np.minimum(clear, np.where(other, margin, np.inf).min(axis=1))
 
 
-def _simplex_edges(simplices: np.ndarray, npts: int):
-    """Every edge of every given simplex, local pair (p, q) by local pair
-    and simplex by simplex within one: (lo, hi, key, owner) with lo < hi,
-    key = lo * npts + hi and owner the row of the simplex."""
+def _edge_keys(simplices: np.ndarray, npts: int) -> np.ndarray:
+    """The key lo * npts + hi (lo < hi) of every edge of every given
+    simplex, local pair (p, q) by local pair and simplex by simplex within
+    one: instance t is an edge of simplices[t % len(simplices)]."""
     p, q = np.triu_indices(simplices.shape[1], 1)
     a, b = simplices[:, p].T.ravel(), simplices[:, q].T.ravel()
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    owner = np.tile(np.arange(len(simplices)), len(p))
-    return lo, hi, lo.astype(np.int64) * npts + hi, owner
+    return np.minimum(a, b).astype(np.int64) * npts + np.maximum(a, b)
+
+
+def _last_max(order: np.ndarray, starts: np.ndarray, values: np.ndarray):
+    """Per group of the instances order[starts[g]:starts[g + 1]] (each in
+    instance order), the instance of the largest value, the last one on
+    ties, with NaN above every number: the pick of the last row per group
+    of np.lexsort((values, group))."""
+    v = values[order]
+    best = np.repeat(np.maximum.reduceat(v, starts),
+                     np.diff(starts, append=len(v)))
+    tied = np.where(np.isnan(best), np.isnan(v), v == best)
+    del v, best
+    return order[np.maximum.reduceat(np.where(tied, np.arange(len(order)), -1),
+                                     starts)]
 
 
 def _delaunay_edge_certs(pts: np.ndarray, simplices: np.ndarray,
                          eps_inside: float):
-    """Certified edges from the Delaunay simplices of pts: each edge gets
-    the best (largest-slack) incident-simplex circumball.  Returns the
-    certified edges as columns (lo, hi, centers, radii, slack) in the
-    current coordinates, plus the list of edges that failed the tolerance
-    and need LP fallback."""
-    live, centers, radii, clear, margin = _circumballs(pts, simplices,
-                                                       cKDTree(pts))
-    splx = simplices[live]
-    lo, hi, key, owner = _simplex_edges(splx, len(pts))
+    """Certified edges from the Delaunay simplices of pts: each edge keeps
+    the best (largest-slack, the last of its instances on ties) incident
+    circumball.  Returns the certified edges as columns (lo, hi, centers,
+    radii, slack) in the current coordinates, plus the list of edges that
+    failed the tolerance and need LP fallback.
+
+    The slack of an edge in a circumball is min(clearance, u), u being
+    the smallest margin of the simplex's other vertices.  Edges first
+    pick their ball by u alone, and only the picked simplices get the
+    KD-tree clearance query.  When each picked ball's clearance is at
+    least its u, the slacks are those u and no other ball of the edge can
+    match them later in instance order, so the picks stand; otherwise the
+    other simplices are queried too and the edges pick again by slack."""
+    splx, centers, radii, margin = _circumballs(pts, simplices)
+    nsplx = len(splx)
+    key = _edge_keys(splx, len(pts))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
+    lo, hi = np.divmod(key[starts], len(pts))
+    del key
     # one local pair at a time, to keep the temporaries at one per simplex
-    slacks = np.concatenate([
-        _edge_slack(splx, clear, margin, a, b)
-        for a, b in zip(lo.reshape(-1, len(splx)), hi.reshape(-1, len(splx)))])
+    p, q = np.triu_indices(splx.shape[1], 1)
+    u = np.concatenate([_edge_slack(splx, np.inf, margin, splx[:, a], splx[:, b])
+                        for a, b in zip(p, q)])
+    del margin
+    chosen = _last_max(order, starts, u)
+    owner = chosen % nsplx
+    tree = cKDTree(pts, leafsize=CLEARANCE_LEAFSIZE)
+    clear = np.full(nsplx, np.nan)
+    kept = np.unique(owner)
+    clear[kept] = _clearance(tree, centers[kept], radii[kept], splx[kept])
+    slack = u[chosen]
+    if not (clear[owner] >= slack).all():
+        rest = np.isnan(clear)
+        clear[rest] = _clearance(tree, centers[rest], radii[rest], splx[rest])
+        u = np.minimum(np.tile(clear, len(p)), u)
+        chosen = _last_max(order, starts, u)
+        owner = chosen % nsplx
+        slack = u[chosen]
 
-    order = np.lexsort((slacks, key))
-    k_sorted = key[order]
-    last = np.r_[k_sorted[1:] != k_sorted[:-1], np.ones(1, dtype=bool)]
-    chosen = order[last]
-
-    good = slacks[chosen] >= -eps_inside
-    t = chosen[good]
-    failed = chosen[~good]
-    return ((lo[t], hi[t], centers[owner[t]], radii[owner[t]], slacks[t]),
-            list(zip(lo[failed].tolist(), hi[failed].tolist())))
+    good = slack >= -eps_inside
+    t = owner[good]
+    return ((lo[good], hi[good], centers[t], radii[t], slack[good]),
+            list(zip(lo[~good].tolist(), hi[~good].tolist())))
 
 
 def _top_edge_span(pts: np.ndarray, simplices: np.ndarray,
@@ -508,14 +552,15 @@ def _top_edge_span(pts: np.ndarray, simplices: np.ndarray,
     simplices of pts (sample i at row i) when one of that edge's incident
     circumballs certifies it, else None.  Ties go to the last such edge in
     (i, j) order, the rule of extremal_pair."""
-    lo, hi = np.divmod(np.unique(_simplex_edges(simplices, len(pts))[2]),
-                       len(pts))
+    lo, hi = np.divmod(np.unique(_edge_keys(simplices, len(pts))), len(pts))
     rho = domain.rho_pairs(lo, hi)
     k = len(rho) - 1 - int(np.argmax(rho[::-1]))
     incident = simplices[(simplices == lo[k]).any(axis=1)
                          & (simplices == hi[k]).any(axis=1)]
-    live, _, _, clear, margin = _circumballs(pts, incident, cKDTree(pts))
-    slack = _edge_slack(incident[live], clear, margin, lo[k], hi[k])
+    splx, centers, radii, margin = _circumballs(pts, incident)
+    clear = _clearance(cKDTree(pts, leafsize=CLEARANCE_LEAFSIZE), centers,
+                       radii, splx)
+    slack = _edge_slack(splx, clear, margin, lo[k], hi[k])
     if len(slack) and slack.max() >= -eps_inside:
         return float(rho[k])
     return None

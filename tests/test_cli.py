@@ -264,18 +264,21 @@ def test_dump_renders_empty_graph():
 
 def test_dump_renders_non_finite_floats_and_tuple_ties():
     # json spells these NaN, Infinity and -Infinity; a tuple sorts after
-    # the pair rows it shares a key prefix with, and after an equal pair
-    pairs = np.array([[0, 1], [0, 2], [1, 3], [2, 3]])
+    # the pair rows it shares a key prefix with, and after an equal pair.
+    # The second center column prints both -0.0 and 0.0, and the radii,
+    # rho and slack columns repeat values
+    pairs = np.array([[0, 1], [0, 2], [1, 3], [2, 3], [3, 4]])
     graph = NeighborGraph(
         pairs=pairs, centers=np.array([[0.5, -0.0], [np.nan, np.nan],
-                                       [1e-300, 2.5e17], [0.1, 0.2]]),
-        radii=np.array([0.5, 0.0, 1.0, 1 / 3]),
-        slack=np.array([np.inf, np.nan, -np.inf, -1e-12]),
-        rho=np.array([0.25, 2.0, 1.0, 0.1 + 0.2]),
+                                       [1e-300, 2.5e17], [0.1, 0.2],
+                                       [-0.0, 0.0]]),
+        radii=np.array([0.5, 0.0, 1.0, 1 / 3, 0.5]),
+        slack=np.array([np.inf, np.nan, -np.inf, -1e-12, -np.inf]),
+        rho=np.array([0.25, 2.0, 1.0, 0.1 + 0.2, 0.25]),
         tuples=(NeighborCertificate((0, 1, 2), "coincidence", 0.0, 2.0),
                 NeighborCertificate((1, 3), Sphere(np.array([3.0, 4.0]), 5.0),
                                     float("nan"), 1.5)),
         tuple_pairs=((0, 2), (1, 3)))
     assert [c.indices for c in graph] == [(0, 1), (0, 1, 2), (0, 2), (1, 3),
-                                          (1, 3), (2, 3)]
+                                          (1, 3), (2, 3), (3, 4)]
     _assert_renders_like_json(graph)

@@ -9,9 +9,10 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay, cKDTree
 
 from fneighbors import neighbors
-from fneighbors.domains import sample_sphere
+from fneighbors.domains import cube_boundary_cover, sample_sphere
 from fneighbors.geometry import Sphere
 from fneighbors.maps import MapSpec, evaluate, random_map
 from fneighbors.neighbors import (
@@ -191,21 +192,22 @@ def test_graph_matches_oracle_on_small_instance():
 
 
 def test_graph_delaunay_path_matches_pairwise_lp():
-    # 30 distinct images force the triangulation path; compare against the
-    # exhaustive LP verdicts
-    domain = sample_sphere(1, 15, seed=9, scheme="uniform_random")
-    rng = np.random.default_rng(77)
-    images = rng.normal(size=(len(domain), 2))
-    certs = neighbor_graph(images, domain)
-    got = {c.indices for c in certs}
-    expected = set()
-    for i, j in itertools.combinations(range(len(domain)), 2):
-        verdict, _ = pair_is_neighbor_fast(i, j, images)
-        if verdict == "yes":
-            expected.add((i, j))
-    assert got == expected
-    for cert in certs:
-        assert check_certificate(cert, images, domain)
+    # 30 distinct images force the triangulation path, in the plane and in
+    # space; compare against the exhaustive LP verdicts
+    for n, m in ((1, 2), (2, 3)):
+        domain = sample_sphere(n, 15, seed=9, scheme="uniform_random")
+        rng = np.random.default_rng(77)
+        images = rng.normal(size=(len(domain), m))
+        certs = neighbor_graph(images, domain)
+        got = {c.indices for c in certs}
+        expected = set()
+        for i, j in itertools.combinations(range(len(domain)), 2):
+            verdict, _ = pair_is_neighbor_fast(i, j, images)
+            if verdict == "yes":
+                expected.add((i, j))
+        assert got == expected
+        for cert in certs:
+            assert check_certificate(cert, images, domain)
 
 
 def test_graph_identity_circle_reports_everything_at_scale():
@@ -294,6 +296,105 @@ def test_compute_df_empty():
                           slack=np.zeros(0), rho=np.zeros(0))
     assert compute_df(empty, domain) == 0.0
     assert extremal_pair(empty, domain) == (None, 0.0, None)
+
+
+# --- Delaunay edge certification against the all-simplex routine ---
+
+def _all_simplex_edge_certs(pts, simplices, eps_inside):
+    """The reference: every live simplex gets its KD-tree clearance, and
+    each edge keeps the incident circumball of largest slack, the last of
+    its instances on ties."""
+    centers, ok = neighbors._circumcenters(pts, simplices)
+    live = np.flatnonzero(ok)
+    splx, centers = simplices[live], centers[live]
+    verts = pts[splx]
+    radii = np.linalg.norm(verts[:, 0, :] - centers, axis=1)
+    dists, nbrs = cKDTree(pts).query(centers, k=pts.shape[1] + 2)
+    is_vertex = (nbrs[:, :, None] == splx[:, None, :]).any(axis=2)
+    clear = np.where(is_vertex, np.inf, dists).min(axis=1) - radii
+    margin = np.linalg.norm(verts - centers[:, None, :], axis=2) - radii[:, None]
+    p, q = np.triu_indices(splx.shape[1], 1)
+    a, b = splx[:, p].T.ravel(), splx[:, q].T.ravel()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    owner = np.tile(np.arange(len(splx)), len(p))
+    slacks = []
+    for x, y in zip(a.reshape(len(p), -1), b.reshape(len(p), -1)):
+        other = (splx != x[:, None]) & (splx != y[:, None])
+        slacks.append(np.minimum(clear, np.where(other, margin, np.inf).min(axis=1)))
+    slacks = np.concatenate(slacks)
+    key = lo.astype(np.int64) * len(pts) + hi
+    order = np.lexsort((slacks, key))
+    chosen = order[np.r_[key[order][1:] != key[order][:-1], True]]
+    good = slacks[chosen] >= -eps_inside
+    t, f = chosen[good], chosen[~good]
+    return ((lo[t], hi[t], centers[owner[t]], radii[owner[t]], slacks[t]),
+            list(zip(lo[f].tolist(), hi[f].tolist())))
+
+
+def _edge_certs_and_clearance_calls(monkeypatch, images):
+    """_delaunay_edge_certs on the images' Delaunay simplices, checked
+    against the reference column by column, with the number of centers
+    each _clearance call received and the number of live simplices."""
+    calls = []
+    clearance = neighbors._clearance
+    monkeypatch.setattr(neighbors, "_clearance",
+                        lambda tree, c, *a: calls.append(len(c))
+                        or clearance(tree, c, *a))
+    simplices = Delaunay(images).simplices
+    eps_inside = DEFAULT_CONFIG.eps_inside_rel * image_diameter(images)
+    got = neighbors._delaunay_edge_certs(images, simplices, eps_inside)
+    monkeypatch.undo()
+    expected = _all_simplex_edge_certs(images, simplices, eps_inside)
+    for column, ref in zip(got[0], expected[0]):
+        assert np.array_equal(column, ref)
+    assert got[1] == expected[1]
+    live = int(neighbors._circumcenters(images, simplices)[1].sum())
+    return calls, live
+
+
+def _square_boundary_map(k):
+    domain, _ = cube_boundary_cover(2, 512, seed=1)
+    spec = random_map("poly_quadratic", 2, seed=[k, 7], d_in=2)
+    return evaluate(spec, domain)
+
+
+@pytest.mark.parametrize("case", ["sphere", "circle", "square"])
+def test_edge_certs_equal_all_simplex_reference(monkeypatch, case):
+    if case == "sphere":
+        domain = sample_sphere(2, 1024, seed=0, scheme="quasi_uniform")
+        maps = [evaluate(random_map("sphere_harmonic", 3, seed=[k, 1000],
+                                    d_in=3), domain) for k in range(3)]
+    elif case == "circle":
+        domain = sample_sphere(1, 512, seed=0, scheme="quasi_uniform")
+        maps = [evaluate(random_map("circle_fourier", 2, seed=[k, 1000]),
+                         domain) for k in range(6)]
+    else:
+        maps = [_square_boundary_map(k) for k in range(3)]
+    for images in maps:
+        calls, live = _edge_certs_and_clearance_calls(monkeypatch, images)
+        # generic maps: only the kept simplices are queried
+        assert len(calls) == 1 and calls[0] < live
+
+
+def _two_spheres(n, count, radius=0.5, shift=3.0):
+    """count samples of S^n, the first half left on the unit sphere and
+    the rest moved to a smaller sphere beside it: many Delaunay
+    circumballs are empty only up to rounding."""
+    domain = sample_sphere(n, count, seed=0, scheme="quasi_uniform")
+    points = domain.samples.copy()
+    half = len(points) // 2
+    points[half:] = radius * points[half:]
+    points[half:, 0] += shift
+    return points
+
+
+@pytest.mark.parametrize("n, count", [(1, 128), (2, 300)])
+def test_edge_certs_fallback_queries_the_other_simplices(monkeypatch, n, count):
+    images = _two_spheres(n, count)
+    calls, live = _edge_certs_and_clearance_calls(monkeypatch, images)
+    # a kept ball's clearance fell below its vertex margins, so the other
+    # live simplices were queried too
+    assert len(calls) == 2 and sum(calls) == live
 
 
 # --- neighbor_span: D_f without the full graph ---
