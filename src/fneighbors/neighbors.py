@@ -510,8 +510,9 @@ def _delaunay_edge_certs(pts: np.ndarray, simplices: np.ndarray,
     pick their ball by u alone, and only the picked simplices get the
     KD-tree clearance query.  When each picked ball's clearance is at
     least its u, the slacks are those u and no other ball of the edge can
-    match them later in instance order, so the picks stand; otherwise the
-    other simplices are queried too and the edges pick again by slack."""
+    match them later in instance order, so the picks stand.  An edge whose
+    picked ball has less clearance than that picks again by slack, after
+    the simplices holding it are queried too."""
     splx, centers, radii, margin = _circumballs(pts, simplices)
     nsplx = len(splx)
     key = _edge_keys(splx, len(pts))
@@ -532,13 +533,20 @@ def _delaunay_edge_certs(pts: np.ndarray, simplices: np.ndarray,
     kept = np.unique(owner)
     clear[kept] = _clearance(tree, centers[kept], radii[kept], splx[kept])
     slack = u[chosen]
-    if not (clear[owner] >= slack).all():
-        rest = np.isnan(clear)
+    redo = ~(clear[owner] >= slack)
+    if redo.any():
+        # the edges whose picked ball failed pick again among all their
+        # instances, after the simplices holding them get their clearance
+        sizes = np.diff(starts, append=len(order))
+        inst = order[np.repeat(redo, sizes)]
+        holder = inst % nsplx
+        rest = np.unique(holder[np.isnan(clear[holder])])
         clear[rest] = _clearance(tree, centers[rest], radii[rest], splx[rest])
-        u = np.minimum(np.tile(clear, len(p)), u)
-        chosen = _last_max(order, starts, u)
-        owner = chosen % nsplx
-        slack = u[chosen]
+        inst_slack = np.minimum(clear[holder], u[inst])
+        sizes = sizes[redo]
+        pick = _last_max(np.arange(len(inst)), np.cumsum(sizes) - sizes,
+                         inst_slack)
+        owner[redo], slack[redo] = holder[pick], inst_slack[pick]
 
     good = slack >= -eps_inside
     t = owner[good]

@@ -16,6 +16,12 @@ their common point, the radius-0 witness of a coincident tuple.  When no
 simplex is rainbow, which is the rule when the cover has more elements
 than a simplex has vertices, the best circumcenter is only an approximate
 witness and the relative residual gate decides.
+
+The slack at every candidate comes from one query for its d+2 nearest
+images (d the image dimension): it is exact where every element has a
+member among them and bounded below elsewhere.  Only candidates whose
+bound does not exceed the least exact slack get per-element KD-tree
+queries, so the search picks the same candidate as the full evaluation.
 """
 
 from __future__ import annotations
@@ -96,8 +102,8 @@ class WitnessNotFoundError(RuntimeError):
 def witness_slack(x: np.ndarray, images: np.ndarray,
                   cover: CoverAssignment) -> float:
     """max_j d(x, images of C_j) - d(x, all images); zero exactly at
-    witness points.  Convenience form for tests; the search itself uses
-    prebuilt KD-trees."""
+    witness points.  The direct form, for one point; witness_point
+    evaluates the slack at all its candidates with _candidate_slack."""
     x = np.asarray(x, dtype=float)
     d = np.linalg.norm(images - x, axis=1)
     worst = max(float(d[cover.membership[:, j]].min())
@@ -131,19 +137,64 @@ def _candidate_centers(images: np.ndarray, spread: float) -> np.ndarray:
     return np.vstack([embed(centers), reps])
 
 
+def _worst_distance(points: np.ndarray, images: np.ndarray,
+                    cover: CoverAssignment) -> np.ndarray:
+    """max_j d(x, images of C_j) at every point x, one KD-tree per
+    element."""
+    worst = np.zeros(len(points))
+    for j in range(cover.element_count):
+        members = images[cover.membership[:, j]]
+        worst = np.maximum(worst, cKDTree(members).query(points)[0])
+    return worst
+
+
+def _candidate_slack(candidates: np.ndarray, images: np.ndarray,
+                     cover: CoverAssignment) -> tuple[np.ndarray, np.ndarray]:
+    """(slack, nearest): the nearest-image distance at every candidate and
+    a slack array whose first minimizer is that of the exact slack.
+
+    One query for the d+2 nearest images (d the image dimension) gives the
+    nearest distance and, for each element with a member among them, its
+    exact distance: its nearest member is then among them or tied with
+    one.  An element with no member there is at least the last of those
+    distances away, so the slack is bounded below, and exact where every
+    element was seen.  A candidate whose bound is above the least exact
+    slack cannot be the first minimizer and keeps its bound; the others get
+    the per-element queries of _worst_distance."""
+    dists, nbrs = cKDTree(images).query(
+        candidates, k=min(images.shape[1] + 2, len(images)))
+    nearest, last = dists[:, 0], dists[:, -1]
+    worst = np.zeros(len(candidates))
+    exact = np.ones(len(candidates), dtype=bool)
+    # one element at a time, to keep the temporaries at one per neighbor
+    for j in range(cover.element_count):
+        seen = np.where(cover.membership[:, j][nbrs], dists, np.inf).min(axis=1)
+        exact &= np.isfinite(seen)
+        worst = np.maximum(worst, np.minimum(seen, last))
+    slack = worst - nearest
+    refine = ~exact & (slack <= slack[exact].min(initial=np.inf))
+    if refine.any():
+        slack[refine] = (_worst_distance(candidates[refine], images, cover)
+                         - nearest[refine])
+    return slack, nearest
+
+
 def witness_point(domain: SampledDomain, cover: CoverAssignment,
                   images: np.ndarray,
                   cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG) -> WitnessReport:
     """The candidate center of least witness slack.
 
     Candidates are the Delaunay circumcenters and cluster images of
-    _candidate_centers; the slack is evaluated at all of them at once and
-    the first minimizer wins.  A rainbow simplex (one whose vertices touch
-    every element) gives slack 0 up to rounding.  With none, which is the
-    rule when the cover has more elements than a simplex has vertices
-    (image dimension plus one), the minimizer is only an approximate
-    witness.  All-coincident images short-circuit to the radius-0 witness.
-    The residual gate is relative to the image diameter.
+    _candidate_centers, and the first minimizer of the slack wins.  One
+    k-nearest query over all images bounds the slack at every candidate,
+    and only the candidates that bound cannot rule out get per-element
+    queries (_candidate_slack), with the pick the exact slack would make.
+    A rainbow simplex (one whose vertices touch every element) gives slack
+    0 up to rounding.  With none, which is the rule when the cover has
+    more elements than a simplex has vertices (image dimension plus one),
+    the minimizer is only an approximate witness.  All-coincident images
+    short-circuit to the radius-0 witness.  The residual gate is relative
+    to the image diameter.
     """
     images = np.asarray(images, dtype=float)
     if len(images) != len(domain):
@@ -157,12 +208,7 @@ def witness_point(domain: SampledDomain, cover: CoverAssignment,
                              residual=0.0, chosen=chosen, element_names=names)
 
     candidates = _candidate_centers(images, spread)
-    worst = np.zeros(len(candidates))
-    for j in range(cover.element_count):
-        members = images[cover.membership[:, j]]
-        worst = np.maximum(worst, cKDTree(members).query(candidates)[0])
-    nearest = cKDTree(images).query(candidates)[0]
-    slack = worst - nearest
+    slack, nearest = _candidate_slack(candidates, images, cover)
     best = int(np.argmin(slack))
     best_x = candidates[best]
 

@@ -1,0 +1,71 @@
+"""Verdicts of tools/bench_pairs.py's summary on hand-made pairs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+RUN_S = {"name": "run_s", "better": "lower", "bound": 0.25}
+RATE = {"name": "items_per_s", "better": "higher", "bound": 0.25}
+
+
+def _pairs(metric, ref, change, digests=None, correct=True):
+    """One pair per (ref, change) value of the metric."""
+    digests = digests or ["d"] * len(ref)
+    return [{"seed": k + 1,
+             "ref": {"metrics": {metric: r}, "digest": "d", "correct": True},
+             "change": {"metrics": {metric: c}, "digest": dg,
+                        "correct": correct}}
+            for k, (r, c, dg) in enumerate(zip(ref, change, digests))]
+
+
+def _verdict(metric, ref, change):
+    summary = bench_pairs.summarize(_pairs(metric["name"], ref, change), [metric])
+    row = summary[metric["name"]]
+    return row["change_wins"], row["gain"], row["within_bound"]
+
+
+REF = [3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 3.6, 3.7, 3.8, 3.9]  # q3 - q1 = 0.45
+
+
+def test_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_spread():
+    faster = [r - 1.0 for r in REF]
+    assert _verdict(RUN_S, REF, faster) == (10, True, True)
+    # one lost pair still leaves nine tenths
+    assert _verdict(RUN_S, REF, faster[:9] + [4.0]) == (9, True, True)
+    # two lost pairs do not
+    assert _verdict(RUN_S, REF, faster[:8] + [4.0, 4.0]) == (8, False, True)
+    # every pair won, but by less than the ref's interquartile spread
+    assert _verdict(RUN_S, REF, [r - 0.4 for r in REF]) == (10, False, True)
+
+
+def test_ties_count_for_neither_side():
+    assert _verdict(RUN_S, REF, REF) == (0, False, True)
+
+
+def test_within_bound_is_relative_to_the_ref_median():
+    # ref median 3.45: the bound 0.25 allows up to 4.3125
+    assert _verdict(RUN_S, REF, [r + 0.8 for r in REF])[1:] == (False, True)
+    assert _verdict(RUN_S, REF, [r + 0.9 for r in REF])[1:] == (False, False)
+
+
+def test_higher_is_better_metrics_flip_the_direction():
+    rates = [100.0 + k for k in range(10)]  # median 104.5, q3 - q1 = 4.5
+    assert _verdict(RATE, rates, [r + 10.0 for r in rates]) == (10, True, True)
+    assert _verdict(RATE, rates, [r * 0.8 for r in rates]) == (0, False, True)
+    assert _verdict(RATE, rates, [r * 0.7 for r in rates]) == (0, False, False)
+
+
+@pytest.mark.parametrize("digests, correct, expected",
+                         [(None, True, (True, True)),
+                          (["d"] * 9 + ["e"], True, (False, True)),
+                          (None, False, (True, False))])
+def test_digests_and_correctness_over_all_pairs(digests, correct, expected):
+    pairs = _pairs("run_s", REF, REF, digests, correct)
+    summary = bench_pairs.summarize(pairs, [RUN_S])
+    assert (summary["digests_equal"], summary["all_correct"]) == expected

@@ -393,8 +393,32 @@ def test_edge_certs_fallback_queries_the_other_simplices(monkeypatch, n, count):
     images = _two_spheres(n, count)
     calls, live = _edge_certs_and_clearance_calls(monkeypatch, images)
     # a kept ball's clearance fell below its vertex margins, so the other
-    # live simplices were queried too
-    assert len(calls) == 2 and sum(calls) == live
+    # simplices holding the failed edges were queried too
+    assert len(calls) == 2 and 0 < calls[1] <= live - calls[0]
+
+
+@pytest.mark.parametrize("case", ["circle", "sphere"])
+def test_edge_certs_grid_rounded_fallback_queries_failed_edges_only(
+        monkeypatch, case):
+    # images rounded to a 0.01 grid: many circumballs are empty only up to
+    # rounding, so some picks fail; only the simplices holding the failed
+    # edges get the second clearance query
+    if case == "circle":
+        domain = sample_sphere(1, 512, seed=0, scheme="quasi_uniform")
+        specs = [random_map("circle_fourier", 2, seed=[k, 1000]) for k in range(6)]
+    else:
+        domain = sample_sphere(2, 1024, seed=0, scheme="quasi_uniform")
+        specs = [random_map("sphere_harmonic", 3, seed=[k, 1000], d_in=3)
+                 for k in range(3)]
+    second = 0
+    for spec in specs:
+        images = np.round(evaluate(spec, domain), 2)
+        calls, live = _edge_certs_and_clearance_calls(monkeypatch, images)
+        assert len(calls) <= 2
+        if len(calls) == 2:
+            second += 1
+            assert calls[1] < live - calls[0]
+    assert second >= 2
 
 
 # --- neighbor_span: D_f without the full graph ---

@@ -1,17 +1,21 @@
 """Witness-point search tests: exact cases with known witnesses, the
-refinement property, and the cube face extraction."""
+refinement property, the cube face extraction, and the one-query slack
+against the all-element reference."""
 
 import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from fneighbors.domains import (
+    CoverAssignment,
     cube_boundary_cover,
     regular_triangulation_cover,
     sample_sphere,
 )
 from fneighbors.maps import MapSpec, evaluate, random_map
+from fneighbors import witness
 from fneighbors.neighbors import pair_is_neighbor_fast
 from fneighbors.witness import (
     DisjointFacesResult,
@@ -157,3 +161,102 @@ def test_disjoint_faces_rejects_wrong_domain():
     cover = regular_triangulation_cover(domain)
     with pytest.raises(ValueError):
         disjoint_faces_check(domain, cover, domain.samples.copy())
+
+
+# --- the one-query slack against the all-element reference ---
+
+def _all_element_slack(candidates, images, cover):
+    """The reference: one KD-tree and one full query per cover element,
+    and one more over all images."""
+    worst = np.zeros(len(candidates))
+    for j in range(cover.element_count):
+        members = images[cover.membership[:, j]]
+        worst = np.maximum(worst, cKDTree(members).query(candidates)[0])
+    nearest = cKDTree(images).query(candidates)[0]
+    return worst - nearest, nearest
+
+
+def _refined_counts(monkeypatch, domain, cover, images):
+    """witness_point checked field by field against the search with the
+    reference slack; returns the number of candidates each per-element
+    refinement received."""
+    refined = []
+    worst = witness._worst_distance
+    monkeypatch.setattr(witness, "_worst_distance",
+                        lambda points, *a: refined.append(len(points))
+                        or worst(points, *a))
+    got = witness_point(domain, cover, images)
+    monkeypatch.setattr(witness, "_candidate_slack", _all_element_slack)
+    expected = witness_point(domain, cover, images)
+    monkeypatch.undo()
+    assert got.status == expected.status
+    assert np.array_equal(got.point, expected.point)
+    assert got.radius == expected.radius
+    assert got.residual == expected.residual
+    assert got.chosen == expected.chosen
+    return refined
+
+
+def test_slack_equals_reference_sphere_into_r3(monkeypatch):
+    # four elements and tetrahedra: the d+2 nearest images always show a
+    # zero-slack candidate, so no candidate needs the per-element queries
+    domain = sample_sphere(2, 2048, seed=0, scheme="quasi_uniform")
+    cover = regular_triangulation_cover(domain)
+    for k in range(6):
+        images = evaluate(random_map("sphere_harmonic", 3, seed=[7, k], d_in=3),
+                          domain)
+        assert _refined_counts(monkeypatch, domain, cover, images) == []
+
+
+def test_slack_equals_reference_sphere_into_r2(monkeypatch):
+    # four elements and triangles: no exact witness, so the bound cannot
+    # settle the search and some candidates are refined
+    domain = sample_sphere(2, 1024, seed=0, scheme="quasi_uniform")
+    cover = regular_triangulation_cover(domain)
+    for k in range(5):
+        images = evaluate(random_map("sphere_harmonic", 2, seed=[3, k], d_in=3),
+                          domain)
+        refined = _refined_counts(monkeypatch, domain, cover, images)
+        assert len(refined) == 1 and refined[0] > 0
+
+
+def test_slack_equals_reference_cube_boundaries(monkeypatch):
+    # square boundary: corner samples carry two labels
+    domain, cover = cube_boundary_cover(2, 2048, seed=1)
+    for t in range(6):
+        spec = random_map("poly_quadratic", 2, seed=[1, 2000 + t], d_in=2)
+        _refined_counts(monkeypatch, domain, cover, evaluate(spec, domain))
+    domain, cover = cube_boundary_cover(3, 1024, seed=0)
+    spec = random_map("poly_quadratic", 2, seed=[2, 2000], d_in=3)
+    _refined_counts(monkeypatch, domain, cover, evaluate(spec, domain))
+
+
+def test_slack_equals_reference_with_fewer_images_than_the_query_asks(
+        monkeypatch):
+    # 4 images in R^3: the query asks for d+2 = 5 neighbors, clamped to 4,
+    # so every element is seen and every slack is exact
+    domain = sample_sphere(1, 4, seed=0, scheme="quasi_uniform")
+    cover = regular_triangulation_cover(domain)
+    images = np.c_[domain.samples, [0.0, 0.3, 0.1, 0.7]]
+    assert _refined_counts(monkeypatch, domain, cover, images) == []
+    candidates = witness._candidate_centers(images, 1.0)
+    got = witness._candidate_slack(candidates, images, cover)
+    for column, ref in zip(got, _all_element_slack(candidates, images, cover)):
+        assert np.array_equal(column, ref)
+
+
+def test_candidate_whose_bound_ties_the_least_exact_slack_is_refined():
+    # the first candidate's 4 nearest images (unit circle) hold elements 0
+    # and 1 only, so its bound is 0, tied with the exact slack 0 of the
+    # second candidate (an image in all three elements); only refining it
+    # shows its slack is 4 and keeps the first minimizer right
+    images = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
+                       [5.0, 0.0]])
+    membership = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0],
+                           [1, 1, 1]], dtype=bool)
+    cover = CoverAssignment(membership=membership, names=("a", "b", "c"))
+    candidates = np.array([[0.0, 0.0], [5.0, 0.0]])
+    slack, nearest = witness._candidate_slack(candidates, images, cover)
+    ref_slack, ref_nearest = _all_element_slack(candidates, images, cover)
+    assert np.array_equal(slack, ref_slack) and slack.tolist() == [4.0, 0.0]
+    assert np.array_equal(nearest, ref_nearest)

@@ -17,9 +17,18 @@ Each invocation appends one series per workload to --out: its labels (ref,
 ref commit, the working tree's commit and whether its tracked files
 differed from it, with a hash of that diff, run length and machine), every
 pair's end-to-end metrics, digest and correctness per side, and per metric
-each side's median and quartiles and the number of pairs the working tree
-won (ties count for neither side).  Series already in the file are kept
-as they are, so the record holds every run made.  Nothing under perfbench/
+each side's median and quartiles, the number of pairs the working tree
+won (ties count for neither side) and two verdicts:
+
+- gain: the working tree won at least nine tenths of the pairs, and its
+  median beats the ref's by more than the ref's interquartile spread
+  (q3 - q1);
+- within_bound: the working tree's median is worse than the ref's by at
+  most BENCHMARK.json's bound for the metric, taken relative to the ref's
+  median.
+
+Series already in the file are kept as they are, so the record holds
+every run made.  Nothing under perfbench/
 is read or written except by running it.
 """
 
@@ -102,17 +111,25 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per end-to-end metric (BENCHMARK.json entries: name, better, bound),
+    each side's spread, the pairs the change won and the two verdicts;
+    plus whether every pair had equal digests and correct runs."""
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name, direction = metric["name"], metric["better"]
         ref = [p["ref"]["metrics"][name] for p in pairs]
         new = [p["change"]["metrics"][name] for p in pairs]
         sign = 1.0 if direction == "lower" else -1.0
-        out[name] = {"ref": spread(ref), "change": spread(new),
-                     "better": direction,
-                     "change_wins": sum(sign * (r - c) > 0
-                                        for r, c in zip(ref, new)),
-                     "pairs": len(pairs)}
+        wins = sum(sign * (r - c) > 0 for r, c in zip(ref, new))
+        ref_s, new_s = spread(ref), spread(new)
+        drop = sign * (ref_s["median"] - new_s["median"])
+        out[name] = {"ref": ref_s, "change": new_s, "better": direction,
+                     "change_wins": wins, "pairs": len(pairs),
+                     "gain": wins >= 0.9 * len(pairs)
+                     and drop > ref_s["q3"] - ref_s["q1"],
+                     "within_bound":
+                     -drop <= metric["bound"] * abs(ref_s["median"])}
     out["digests_equal"] = all(p["ref"]["digest"] == p["change"]["digest"]
                                for p in pairs)
     out["all_correct"] = all(p[side]["correct"] for p in pairs
@@ -123,7 +140,6 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     out_path = Path(args.out)
     doc = (json.loads(out_path.read_text()) if out_path.exists()
@@ -152,8 +168,9 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: run_s "
                       f"{row['ref']['metrics']['run_s']:.3f} -> "
                       f"{row['change']['metrics']['run_s']:.3f}", flush=True)
+            summary = summarize(pairs, spec["end_to_end"])
             doc["workloads"].setdefault(workload, []).append(
-                {**labels, "pairs": pairs, "summary": summarize(pairs, better)})
+                {**labels, "pairs": pairs, "summary": summary})
             out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
