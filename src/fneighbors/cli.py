@@ -33,7 +33,6 @@ from .domains import (
     sample_sphere,
     simplex_boundary_cover,
 )
-from .geometry import separation_bound
 from .homotopy import certify_cover
 from .maps import MapSpec, evaluate, map_from_json, map_to_json, random_map
 from .muopt import (

@@ -2,6 +2,12 @@
 regular-simplex edge lengths, the separation lower bound, and smallest
 enclosing angular balls.
 
+The smallest enclosing cap is exact: by minimax duality its center is the
+direction of the least-distance point of {u : <p_i, u> >= 1}, which one
+NNLS solve gives (Lawson and Hanson 1974, ch. 23).  Sets that fit only in a
+closed hemisphere recurse on the orthogonal complement of the NNLS support
+(circ_a = pi/2); sets that fit in none raise NotInHemisphereError.
+
 Conventions: points are rows of float64 arrays; spheres in R^m are
 (center, radius) with radius >= 0; angular quantities are radians on the
 unit sphere S^n embedded in R^{n+1}.
@@ -9,12 +15,11 @@ unit sphere S^n embedded in R^{n+1}.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import nnls
 
 __all__ = [
     "Sphere",
@@ -185,50 +190,61 @@ def regular_simplex_vertices(n: int) -> np.ndarray:
     return np.vstack([top[None, :], rest])
 
 
-def _equal_dot_directions(subset: np.ndarray, tau_rank: float) -> list[np.ndarray]:
-    """Unit directions u with all <u, p> equal over the rows p of subset.
-
-    Solves the Gram system; for singular subsets (linearly dependent points,
-    e.g. a great-circle triangle) the nullspace directions of the point
-    matrix are returned instead, since those satisfy <u, p> = 0 for all p.
-    """
-    g = subset @ subset.T
-    ones = np.ones(subset.shape[0])
-    sv = np.linalg.svd(g, compute_uv=False)
-    out = []
-    if sv[-1] > tau_rank * max(sv[0], 1e-300):
-        alpha = np.linalg.solve(g, ones)
-        u = alpha @ subset
-        nu = np.linalg.norm(u)
-        if nu > 1e-14:
-            out.append(u / nu)
-    # nullspace of the row space: directions orthogonal to every point
-    _, s_full, vt = np.linalg.svd(subset, full_matrices=True)
-    rank = int(np.sum(s_full > tau_rank * max(s_full[0], 1e-300))) if s_full.size else 0
-    for row in vt[rank:]:
-        out.append(row)
-        out.append(-row)
-    return out
-
-
-def _max_angle(u: np.ndarray, pts: np.ndarray) -> float:
-    dots = np.clip(pts @ u, -1.0, 1.0)
-    return float(np.arccos(dots.min()))
+def _hemisphere_center(pts: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Center of the smallest cap around the unit rows of pts, and whether
+    the cap lies in an open hemisphere (see min_enclosing_ball_angular)."""
+    npts, d = pts.shape
+    e = np.vstack([pts.T, np.ones(npts)])
+    f = np.zeros(d + 1)
+    f[d] = 1.0
+    v, rnorm = nnls(e, f)
+    support = pts[v > 0.0]
+    # rnorm = c / sqrt(1 + c^2) with c = cos(circ_a), and the support's
+    # smallest singular value is at most c sqrt(d): below 1e-12 an open set
+    # also fails the rank test at TAU_RANK and gets circ_a = pi/2 - O(c).
+    if rnorm > 1e-12:
+        # The center is the direction of the least-distance point
+        # -r[:d] / r[d], r = e v - f.  r[d] = sum(v) - 1 is about -c^2 and
+        # may round to 0, so take r[:d] = pts^T v.  NNLS optimality makes it
+        # orthogonal to the support's affine hull; projecting its rounding
+        # error off that hull keeps circ_a exact when c is small.
+        x = pts.T @ v
+        diffs = (support[1:] - support[0]).T
+        x -= diffs @ np.linalg.lstsq(diffs, x, rcond=None)[0]
+        return x / np.linalg.norm(x), True
+    _, sv, vt = np.linalg.svd(support)
+    basis = vt[int(np.sum(sv > TAU_RANK * sv[0])):]
+    if basis.shape[0] == 0:
+        raise NotInHemisphereError("point set does not fit in a closed hemisphere")
+    proj = pts @ basis.T
+    norms = np.linalg.norm(proj, axis=1)
+    keep = norms > TAU_RANK
+    if not keep.any():
+        return basis[0], False
+    center, _ = _hemisphere_center(proj[keep] / norms[keep, None])
+    return center @ basis, False
 
 
 def min_enclosing_ball_angular(
     points: np.ndarray,
     tau_unit: float = TAU_UNIT,
-    tau_rank: float = TAU_RANK,
 ) -> tuple[np.ndarray, float]:
     """Smallest angular ball enclosing unit vectors on S^n.
 
     Returns (center, circ_a) with center a unit vector and circ_a the
-    angular radius.  The optimum direction maximizes the minimum dot
-    product; candidates are enumerated over support subsets of size
-    <= n+1 (their equal-dot directions) and the best one is polished by a
-    direct simplex search.  Raises NotInHemisphereError when the points do
-    not fit in a closed hemisphere (best min-dot strictly negative).
+    angular radius.  By minimax duality, max_{|u|<=1} min_i <u, p_i> equals
+    the distance from 0 to conv(P), and the optimal center is the direction
+    of the least-distance point of {u : <p_i, u> >= 1}.  One NNLS solve
+    (Lawson and Hanson, ch. 23) gives that point exactly; circ_a is then
+    the largest angle from the center.
+
+    When the points fit only in a closed hemisphere (0 in conv(P)), the
+    NNLS residual is zero and the support of its solution sums to 0 with
+    positive weights, so every center is orthogonal to that support.  The
+    points are projected onto the orthogonal complement, those that
+    project to 0 are dropped, and the search recurses on the rest; the
+    result has circ_a = pi/2.  Raises NotInHemisphereError when the
+    complement is {0}, i.e. no closed hemisphere contains the points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -236,50 +252,12 @@ def min_enclosing_ball_angular(
     norms = np.linalg.norm(pts, axis=1)
     if np.any(np.abs(norms - 1.0) > 10 * tau_unit * np.maximum(norms, 1.0)):
         raise ValueError("points must be unit vectors")
-    npts, d = pts.shape
-    if npts == 1:
+    if pts.shape[0] == 1:
         return pts[0].copy(), 0.0
-
-    candidates: list[np.ndarray] = [p for p in pts]
-    max_size = min(d, npts)
-    n_subsets = sum(math.comb(npts, s) for s in range(2, max_size + 1))
-    if npts <= 40 and n_subsets <= 20000:
-        for size in range(2, max_size + 1):
-            for idx in itertools.combinations(range(npts), size):
-                candidates.extend(_equal_dot_directions(pts[list(idx)], tau_rank))
-    else:
-        # large instance: subgradient walk toward the farthest point
-        u = pts.mean(axis=0)
-        nu = np.linalg.norm(u)
-        u = pts[0] if nu < 1e-12 else u / nu
-        for it in range(300):
-            far = pts[np.argmin(pts @ u)]
-            step = 1.0 / (it + 2.0)
-            u = u + step * (far - (far @ u) * u)
-            u /= np.linalg.norm(u)
-        candidates.append(u)
-
-    best_u, best_r = None, math.inf
-    for u in candidates:
-        r = _max_angle(u, pts)
-        if r < best_r - 1e-15:
-            best_u, best_r = u, r
-
-    # local polish: minimize the max angle over the sphere of directions
-    def objective(v: np.ndarray) -> float:
-        nv = np.linalg.norm(v)
-        if nv < 1e-12:
-            return math.pi
-        return _max_angle(v / nv, pts)
-
-    res = minimize(objective, best_u, method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxfev": 5000})
-    if res.fun < best_r:
-        best_u, best_r = res.x / np.linalg.norm(res.x), float(res.fun)
-
-    if math.cos(best_r) < -1e-9:
-        raise NotInHemisphereError("point set does not fit in a closed hemisphere")
-    return best_u, best_r
+    center, is_open = _hemisphere_center(pts)
+    if not is_open:
+        return center, 0.5 * math.pi
+    return center, float(np.arccos(np.clip(pts @ center, -1.0, 1.0).min()))
 
 
 def angular_diameter(points: np.ndarray) -> float:

@@ -10,7 +10,6 @@ parameter count so that specs serialize as plain JSON.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -22,7 +22,6 @@ from .domains import SampledDomain, cube_boundary_cover, sample_sphere
 from .geometry import separation_bound
 from .maps import (
     MapSpec,
-    continuity_modulus,
     discretization_allowance,
     evaluate,
     map_to_json,

@@ -38,6 +38,7 @@ from .neighbors import (
     _coincidence_labels,
     _delaunay_circumcenters,
     _line_pairs,
+    image_diameter,
 )
 
 __all__ = [
@@ -200,7 +201,7 @@ def witness_point(domain: SampledDomain, cover: CoverAssignment,
     if len(images) != len(domain):
         raise ValueError("images must align with domain samples")
     names = tuple(cover.names)
-    spread = float(np.linalg.norm(images.max(axis=0) - images.min(axis=0)))
+    spread = image_diameter(images)
     if spread <= 1e-12 * (1.0 + float(np.abs(images).max(initial=0.0))):
         chosen = tuple(int(np.flatnonzero(cover.membership[:, j])[0])
                        for j in range(cover.element_count))

@@ -14,14 +14,18 @@ RUN_S = {"name": "run_s", "better": "lower", "bound": 0.25}
 RATE = {"name": "items_per_s", "better": "higher", "bound": 0.25}
 
 
-def _pairs(metric, ref, change, digests=None, correct=True):
-    """One pair per (ref, change) value of the metric."""
+def _pairs(metric, ref, change, digests=None, correct=True, failed=None):
+    """One pair per (ref, change) value of the metric; failed holds the
+    (ref, change) failed counts of each pair, out of 10 items a run."""
     digests = digests or ["d"] * len(ref)
+    failed = failed or [(0, 0)] * len(ref)
     return [{"seed": k + 1,
-             "ref": {"metrics": {metric: r}, "digest": "d", "correct": True},
+             "ref": {"metrics": {metric: r}, "digest": "d", "correct": True,
+                     "failed": fr, "attempted": 10},
              "change": {"metrics": {metric: c}, "digest": dg,
-                        "correct": correct}}
-            for k, (r, c, dg) in enumerate(zip(ref, change, digests))]
+                        "correct": correct, "failed": fc, "attempted": 10}}
+            for k, (r, c, dg, (fr, fc))
+            in enumerate(zip(ref, change, digests, failed))]
 
 
 def _verdict(metric, ref, change):
@@ -69,3 +73,17 @@ def test_digests_and_correctness_over_all_pairs(digests, correct, expected):
     pairs = _pairs("run_s", REF, REF, digests, correct)
     summary = bench_pairs.summarize(pairs, [RUN_S])
     assert (summary["digests_equal"], summary["all_correct"]) == expected
+
+
+@pytest.mark.parametrize("failed, shares, not_worse",
+                         [(None, (0.0, 0.0), True),
+                          ([(1, 1)] + [(0, 0)] * 9, (0.01, 0.01), True),
+                          ([(2, 0)] + [(0, 1)] * 9, (0.02, 0.09), False),
+                          ([(0, 0)] * 9 + [(3, 2)], (0.03, 0.02), True)])
+def test_failed_share_is_summed_over_the_runs_of_each_side(failed, shares,
+                                                           not_worse):
+    summary = bench_pairs.summarize(_pairs("run_s", REF, REF, failed=failed),
+                                    [RUN_S])
+    share = summary["failed_share"]
+    assert (share["ref"], share["change"]) == pytest.approx(shares)
+    assert summary["failed_share_not_worse"] is not_worse

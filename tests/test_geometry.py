@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import minimize, nnls
 
 from fneighbors.geometry import (
     NotInHemisphereError,
@@ -188,21 +188,80 @@ def test_min_enclosing_ball_simple_cases():
     assert r == pytest.approx(theta / 2.0, abs=1e-9)
 
 
-def test_min_enclosing_ball_great_circle_triangle():
-    # equilateral triangle on the equator: fits only in a closed hemisphere,
-    # circ_a = pi/2 with the pole as center
-    ang = 2.0 * math.pi / 3.0
-    pts = np.array([[math.cos(k * ang), math.sin(k * ang), 0.0] for k in range(3)])
+E1, E2, E3 = np.eye(3)
+EQUATOR = np.array([[math.cos(k * 2.0 * math.pi / 3.0),
+                     math.sin(k * 2.0 * math.pi / 3.0), 0.0] for k in range(3)])
+
+
+def _tilted_hexagon():
+    """Regular hexagon on a great circle of S^3 in a seeded random plane:
+    its NNLS residual is rounding noise, not an exact zero."""
+    basis, _ = np.linalg.qr(np.random.default_rng(8).normal(size=(4, 2)))
+    ang = np.arange(6) * math.pi / 3.0 + 0.3
+    return np.column_stack([np.cos(ang), np.sin(ang)]) @ basis.T
+
+
+@pytest.mark.parametrize("pts", [
+    EQUATOR,                              # spans a plane, pole as center
+    np.array([E1, -E1, E2, E3]),          # full rank, closed but not open
+    np.array([E1, -E1, E2, -E2, E3]),
+    _tilted_hexagon(),
+], ids=["equator", "pm_e1_e2_e3", "pm_e1_pm_e2_e3", "tilted_hexagon"])
+def test_min_enclosing_ball_great_circle_triangle(pts):
+    # fits only in a closed hemisphere: circ_a = pi/2
     c, r = min_enclosing_ball_angular(pts)
     assert r == pytest.approx(math.pi / 2.0, abs=1e-9)
-    assert abs(abs(c[2]) - 1.0) < 1e-9
+    assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-12)
+    assert (pts @ c).min() >= -1e-12
 
 
-def test_min_enclosing_ball_rejects_spread_sets():
-    # regular tetrahedron: best min-dot is -1/3, no closed hemisphere contains it
-    pts = regular_simplex_vertices(2)
+@pytest.mark.parametrize("pts", [
+    regular_simplex_vertices(2),          # best min-dot -1/3
+    np.vstack([np.eye(3), -np.eye(3)]),
+    regular_simplex_vertices(3),          # on S^3
+], ids=["tetrahedron", "octahedron", "simplex_s3"])
+def test_min_enclosing_ball_rejects_spread_sets(pts):
+    # no closed hemisphere contains the set
     with pytest.raises(NotInHemisphereError):
         min_enclosing_ball_angular(pts)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-11])
+def test_min_enclosing_ball_near_a_great_sphere(eps):
+    # circ_a = pi/2 - eps exactly; the least-distance point is only about
+    # eps long, so rounding must not tilt the center
+    ang = 0.3 + np.arange(3) * 2.0 * math.pi / 3.0
+    triangle = np.column_stack([math.cos(eps) * np.cos(ang),
+                                math.cos(eps) * np.sin(ang),
+                                np.full(3, math.sin(eps))])
+    rot, _ = np.linalg.qr(np.random.default_rng(9).normal(size=(4, 4)))
+    pair = np.array([[math.cos(eps), math.sin(eps), 0.0, 0.0],
+                     [-math.cos(eps), math.sin(eps), 0.0, 0.0],
+                     [0.0, 0.6, 0.8, 0.0]]) @ rot.T
+    for pts in (triangle, pair):
+        _, r = min_enclosing_ball_angular(pts)
+        assert r == pytest.approx(0.5 * math.pi - eps, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_min_enclosing_ball_optimality_on_higher_spheres(n):
+    # optimality condition: the center lies in the cone of the farthest
+    # points, so NNLS writes it from them with zero residual
+    rng = np.random.default_rng([4400, n])
+    for _ in range(10):
+        pole = rng.normal(size=n + 1)
+        pole /= np.linalg.norm(pole)
+        tang = rng.normal(size=(12, n + 1))
+        tang -= np.outer(tang @ pole, pole)
+        tang /= np.linalg.norm(tang, axis=1, keepdims=True)
+        tilt = rng.uniform(0.0, 1.2, size=(12, 1))
+        pts = np.cos(tilt) * pole + np.sin(tilt) * tang
+        c, r = min_enclosing_ball_angular(pts)
+        angles = np.arccos(np.clip(pts @ c, -1.0, 1.0))
+        assert angles.max() <= r + 1e-12
+        active = pts[angles >= r - 1e-9]
+        _, resid = nnls(active.T, c)
+        assert resid <= 1e-10
 
 
 def test_min_enclosing_ball_large_instance_path():

@@ -27,6 +27,10 @@ won (ties count for neither side) and two verdicts:
   most BENCHMARK.json's bound for the metric, taken relative to the ref's
   median.
 
+Each series also gives each side's failed share (failed items over
+attempted items, summed over its runs) and a failed_share_not_worse
+verdict: the working tree's share is at most the ref's.
+
 Series already in the file are kept as they are, so the record holds
 every run made.  Nothing under perfbench/
 is read or written except by running it.
@@ -114,7 +118,8 @@ def spread(values: list[float]) -> dict:
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric (BENCHMARK.json entries: name, better, bound),
     each side's spread, the pairs the change won and the two verdicts;
-    plus whether every pair had equal digests and correct runs."""
+    plus whether every pair had equal digests and correct runs, and each
+    side's failed share with whether the change's is no larger."""
     out = {}
     for metric in metrics:
         name, direction = metric["name"], metric["better"]
@@ -134,6 +139,13 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
                                for p in pairs)
     out["all_correct"] = all(p[side]["correct"] for p in pairs
                              for side in ("ref", "change"))
+    share = {}
+    for side in ("ref", "change"):
+        attempted = sum(p[side]["attempted"] for p in pairs)
+        share[side] = (sum(p[side]["failed"] for p in pairs) / attempted
+                       if attempted else 0.0)
+    out["failed_share"] = share
+    out["failed_share_not_worse"] = share["change"] <= share["ref"]
     return out
 
 
