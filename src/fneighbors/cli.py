@@ -15,8 +15,8 @@ failure.
 from __future__ import annotations
 
 import argparse
-import bisect
 import csv
+import functools
 import json
 import sys
 import traceback
@@ -216,69 +216,121 @@ def _witness_cfg(cfg: dict) -> WitnessConfig:
 # ---------------------------------------------------------------------------
 # output
 
+# Pair rows per piece of a dumped certificate list: bounds the report text
+# held in memory at once, whatever the size of the graph.
+CHUNK_ROWS = 4096
+
 # One dumped pair certificate as json.dumps(cert.to_json(), sort_keys=True,
-# indent=2) writes it as an item of the report's certificates list.
-_PAIR_HEAD = ('    {\n      "indices": [\n        %d,\n        %d\n      ],\n'
-              '      "pair_distance": %s,\n      "slack": %s,\n')
-_SPHERE_ROW = _PAIR_HEAD + ('      "witness": {\n        "center": [\n          %s\n'
-                            '        ],\n        "radius": %s\n      }\n    }')
-_COINCIDENCE_ROW = _PAIR_HEAD + '      "witness": "coincidence"\n    }'
+# indent=2) writes it as an item of the report's certificates list; the
+# last field is its witness text.
+_PAIR_ROW = ('    {\n      "indices": [\n        %d,\n        %d\n      ],\n'
+             '      "pair_distance": %s,\n      "slack": %s,\n%s')
+_BALL_WITNESS = ('      "witness": {\n        "center": [\n          %s\n'
+                 '        ],\n        "radius": %s\n      }\n    }')
+_COINCIDENCE_WITNESS = '      "witness": "coincidence"\n    }'
+
+
+def _spell(values: np.ndarray) -> list[str]:
+    """json's spelling of each float: repr, or NaN/Infinity/-Infinity."""
+    values = np.asarray(values, dtype=np.float64)
+    spell = float.__repr__ if np.isfinite(values).all() else json.dumps
+    return list(map(spell, values.tolist()))
 
 
 def _floats(values: np.ndarray) -> list[str]:
-    """json's spelling of each float: repr, or NaN/Infinity/-Infinity.
-    Each distinct bit pattern is spelled once (0.0 and -0.0 apart), as
-    the columns repeat many values."""
+    """_spell, with each distinct bit pattern spelled once (0.0 and -0.0
+    apart), for columns that repeat many values."""
     bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
                               return_inverse=True)
-    distinct = bits.view(np.float64)
-    spell = float.__repr__ if np.isfinite(distinct).all() else json.dumps
-    text = list(map(spell, distinct.tolist()))
+    text = _spell(bits.view(np.float64))
     return list(map(text.__getitem__, inverse.tolist()))
 
 
-def _certificates_json(graph: NeighborGraph) -> str:
+def _witness_texts(graph: NeighborGraph) -> tuple[list[str], np.ndarray]:
+    """The witness text of each distinct ball, spelled once, then the
+    coincidence text; and for each pair row the index of its text.  Balls
+    are told apart by the bit patterns of center and radius, so 0.0 and
+    -0.0 keep their own spellings."""
+    coincidence = np.isnan(graph.centers[:, 0])
+    balls = np.column_stack([graph.centers, graph.radii]).astype(np.float64)
+    bits, inverse = np.unique(balls[~coincidence].view(np.int64), axis=0,
+                              return_inverse=True)
+    values, width = _spell(bits.view(np.float64).ravel()), balls.shape[1]
+    texts = [_BALL_WITNESS % (",\n          ".join(values[k:k + width - 1]),
+                              values[k + width - 1])
+             for k in range(0, len(values), width)]
+    which = np.full(len(graph.pairs), len(texts))
+    which[~coincidence] = inverse.reshape(-1)
+    return [*texts, _COINCIDENCE_WITNESS], which
+
+
+def _tuple_positions(graph: NeighborGraph) -> list[int]:
+    """The number of pair rows before each tuple, merged as
+    NeighborGraph.__iter__ merges them: the rows whose pair sorts at or
+    before the tuple's first two indices (on equal keys the pair row comes
+    first; every tuple has at least two members)."""
+    heads = np.array([c.indices[:2] for c in graph.tuples],
+                     dtype=np.int64).reshape(-1, 2)
+    base = 1 + int(max(graph.pairs.max(initial=0), heads.max(initial=0)))
+    keys = graph.pairs[:, 0].astype(np.int64) * base + graph.pairs[:, 1]
+    return np.searchsorted(keys, heads[:, 0] * base + heads[:, 1],
+                           side="right").tolist()
+
+
+def _certificate_pieces(graph: NeighborGraph):
     """The report's certificates list, byte for byte as json.dumps writes
     [c.to_json() for c in graph] at the report's nesting, rendered from the
-    graph's columns."""
-    i, j = graph.pairs.T.tolist()
-    rho, slack = _floats(graph.rho), _floats(graph.slack)
-    coincidence = np.isnan(graph.centers[:, 0])
-    centers = np.where(coincidence[:, None], 0.0, graph.centers)  # not printed
-    center_text = map(",\n          ".join, zip(*map(_floats, centers.T)))
-    rows = [_SPHERE_ROW % row for row in zip(i, j, rho, slack, center_text,
-                                             _floats(graph.radii))]
-    for k in np.flatnonzero(coincidence).tolist():
-        rows[k] = _COINCIDENCE_ROW % (i[k], j[k], rho[k], slack[k])
-    # merge the tuples in as NeighborGraph.__iter__ does: on equal keys the
-    # pair row comes first
-    keys, merged, done = graph.pairs.tolist(), [], 0
-    for cert in graph.tuples:
-        at = bisect.bisect_right(keys, list(cert.indices))
-        text = json.dumps(cert.to_json(), sort_keys=True, indent=2)
-        merged += [*rows[done:at], "    " + text.replace("\n", "\n    ")]
-        done = at
-    merged += rows[done:]
-    return "[\n" + ",\n".join(merged) + "\n  ]" if merged else "[]"
+    graph's columns in pieces of at most CHUNK_ROWS pair rows, with the
+    tuples merged in."""
+    if len(graph) == 0:
+        yield "[]"
+        return
+    witness, which = _witness_texts(graph)
+    slack = _floats(graph.slack)
+    tuples = [(at, "    " + json.dumps(cert.to_json(), sort_keys=True,
+                                       indent=2).replace("\n", "\n    "))
+              for at, cert in zip(_tuple_positions(graph), graph.tuples)]
+    n, t = len(graph.pairs), 0
+    for start in range(0, max(n, 1), CHUNK_ROWS):  # one piece if tuples only
+        stop = min(start + CHUNK_ROWS, n)
+        i, j = graph.pairs[start:stop].T.tolist()
+        rows = [_PAIR_ROW % (a, b, rho, s, witness[w]) for a, b, rho, s, w
+                in zip(i, j, _spell(graph.rho[start:stop]), slack[start:stop],
+                       which[start:stop].tolist())]
+        items, done = [], start
+        # a tuple placed at stop follows this piece's last row
+        while t < len(tuples) and tuples[t][0] <= stop:
+            at, text = tuples[t]
+            items += [*rows[done - start:at - start], text]
+            done, t = at, t + 1
+        items += rows[done - start:]
+        yield ("[\n" if start == 0 else ",\n") + ",\n".join(items)
+    yield "\n  ]"
 
 
-def _render(report: dict) -> str:
-    """The report as json.dumps(report, sort_keys=True, indent=2) writes it;
-    a NeighborGraph under "certificates" renders as its certificate list."""
+def _report_pieces(report: dict):
+    """The report as json.dumps(report, sort_keys=True, indent=2) writes
+    it, plus a newline, in pieces.  A NeighborGraph under "certificates"
+    renders as its certificate list: the head, the list in pieces of at
+    most CHUNK_ROWS rows, the tail.  Any other report is one piece."""
     graph = report.get("certificates")
     if not isinstance(graph, NeighborGraph):
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        yield json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return
     text = json.dumps({**report, "certificates": None}, sort_keys=True, indent=2)
     head, tail = text.split('\n  "certificates": null', 1)
-    return f'{head}\n  "certificates": {_certificates_json(graph)}{tail}\n'
+    yield head + '\n  "certificates": '
+    yield from _certificate_pieces(graph)
+    yield tail + "\n"
 
 
 def _write_report(report: dict, out: str | None) -> None:
-    text = _render(report)
+    """Write the report to out (stdout when None) piece by piece."""
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.writelines(_report_pieces(report))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_report_pieces(report))
 
 
 def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
@@ -669,6 +721,9 @@ _THREADS_HELP = ("trials run on this many Python threads (default 1); the "
                  "reports are byte-identical for any value")
 
 
+# cached: one process may call main many times (a benchmark loop, the
+# tests), and each build makes about 100 add_argument calls
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fneighbors",

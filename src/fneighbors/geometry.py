@@ -4,7 +4,9 @@ enclosing angular balls.
 
 The smallest enclosing cap is exact: by minimax duality its center is the
 direction of the least-distance point of {u : <p_i, u> >= 1}, which one
-NNLS solve gives (Lawson and Hanson 1974, ch. 23).  Sets that fit only in a
+NNLS solve gives (Lawson and Hanson 1974, ch. 23).  For a set in an open
+hemisphere, Welzl's recursion seeded with that center's order fixes the
+support, so caps of any size keep their digits.  Sets that fit only in a
 closed hemisphere recurse on the orthogonal complement of the NNLS support
 (circ_a = pi/2); sets that fit in none raise NotInHemisphereError.
 
@@ -190,6 +192,49 @@ def regular_simplex_vertices(n: int) -> np.ndarray:
     return np.vstack([top[None, :], rest])
 
 
+def _cap_through(edge: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Center of the smallest cap with the direction of every point of edge
+    on its boundary: the first direction projected off the span of the
+    differences to the others.  Each difference q/|q| - p/|p| is taken as
+    (q - p)/|q| plus the norms' gap from <q - p, q + p>, so it keeps its
+    digits when the points are close."""
+    p, norm_p = edge[0], np.linalg.norm(edge[0])
+    x = p / norm_p
+    if len(edge) > 1:
+        q = np.array(edge[1:])
+        norm_q = np.linalg.norm(q, axis=1)
+        gap = np.einsum("ij,ij->i", q - p, q + p)  # |q|^2 - |p|^2
+        diffs = ((q - p) / norm_q[:, None]
+                 - np.outer(gap / (norm_q * (norm_q + norm_p)), x)).T
+        # one pass leaves O(eps) along the differences, which tilts a
+        # short x (circ_a near pi/2) by O(eps / |x|); a second removes it
+        for _ in range(2):
+            x = x - diffs @ np.linalg.lstsq(diffs, x, rcond=None)[0]
+    return x / np.linalg.norm(x)
+
+
+def _smallest_cap(pts: np.ndarray, edge: tuple = ()) -> np.ndarray:
+    """Welzl's recursion for caps in an open hemisphere: the center of the
+    smallest cap holding the directions of the rows of pts with those of
+    edge on its boundary.  A cap's boundary is fixed by d points, d =
+    pts.shape[1]."""
+    first = edge[0] if edge else pts[0]
+    center = _cap_through(edge or (first,))
+    if len(edge) == pts.shape[1]:
+        return center
+    reach = np.linalg.norm(first - center)
+    k = 0
+    while True:
+        chords = np.linalg.norm(pts[k:] - center, axis=1)
+        out = np.flatnonzero(chords > reach * (1.0 + 1e-12))
+        if not out.size:
+            return center
+        k += int(out[0])
+        center = _smallest_cap(pts[:k], (*edge, pts[k]))
+        reach = np.linalg.norm(pts[k] - center)
+        k += 1
+
+
 def _hemisphere_center(pts: np.ndarray) -> tuple[np.ndarray, bool]:
     """Center of the smallest cap around the unit rows of pts, and whether
     the cap lies in an open hemisphere (see min_enclosing_ball_angular)."""
@@ -203,15 +248,14 @@ def _hemisphere_center(pts: np.ndarray) -> tuple[np.ndarray, bool]:
     # smallest singular value is at most c sqrt(d): below 1e-12 an open set
     # also fails the rank test at TAU_RANK and gets circ_a = pi/2 - O(c).
     if rnorm > 1e-12:
-        # The center is the direction of the least-distance point
-        # -r[:d] / r[d], r = e v - f.  r[d] = sum(v) - 1 is about -c^2 and
-        # may round to 0, so take r[:d] = pts^T v.  NNLS optimality makes it
-        # orthogonal to the support's affine hull; projecting its rounding
-        # error off that hull keeps circ_a exact when c is small.
+        # The NNLS center is the direction of the least-distance point, but
+        # near a tiny cap its support is below rounding: the norms it
+        # compares differ by O(circ_a^2).  Its order, farthest first, seeds
+        # the exact support search.
         x = pts.T @ v
-        diffs = (support[1:] - support[0]).T
-        x -= diffs @ np.linalg.lstsq(diffs, x, rcond=None)[0]
-        return x / np.linalg.norm(x), True
+        far = np.argsort(-np.linalg.norm(pts - x / np.linalg.norm(x), axis=1),
+                         kind="stable")
+        return _smallest_cap(pts[far]), True
     _, sv, vt = np.linalg.svd(support)
     basis = vt[int(np.sum(sv > TAU_RANK * sv[0])):]
     if basis.shape[0] == 0:
@@ -235,8 +279,13 @@ def min_enclosing_ball_angular(
     angular radius.  By minimax duality, max_{|u|<=1} min_i <u, p_i> equals
     the distance from 0 to conv(P), and the optimal center is the direction
     of the least-distance point of {u : <p_i, u> >= 1}.  One NNLS solve
-    (Lawson and Hanson, ch. 23) gives that point exactly; circ_a is then
-    the largest angle from the center.
+    (Lawson and Hanson, ch. 23) gives that point and tells which
+    hemisphere case holds.  On a cap of angle t the norms it compares
+    differ by O(t^2), so its support is lost to rounding below t ~ 1e-8;
+    for an open cap, Welzl's recursion over the points, farthest from the
+    NNLS center first, finds the exact support from differences of
+    directions.  circ_a = 2 asin(max_i |c - p_i| / 2), the chord form
+    (no arccos of a dot near 1), and is 0.0 when all points are equal.
 
     When the points fit only in a closed hemisphere (0 in conv(P)), the
     NNLS residual is zero and the support of its solution sums to 0 with
@@ -252,12 +301,14 @@ def min_enclosing_ball_angular(
     norms = np.linalg.norm(pts, axis=1)
     if np.any(np.abs(norms - 1.0) > 10 * tau_unit * np.maximum(norms, 1.0)):
         raise ValueError("points must be unit vectors")
-    if pts.shape[0] == 1:
+    if (pts == pts[0]).all():
         return pts[0].copy(), 0.0
     center, is_open = _hemisphere_center(pts)
     if not is_open:
         return center, 0.5 * math.pi
-    return center, float(np.arccos(np.clip(pts @ center, -1.0, 1.0).min()))
+    # the chord form: arccos of a dot near 1 loses half the digits
+    chord = np.linalg.norm(pts - center, axis=1).max()
+    return center, float(2.0 * np.arcsin(0.5 * chord))
 
 
 def angular_diameter(points: np.ndarray) -> float:

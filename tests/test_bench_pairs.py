@@ -1,6 +1,8 @@
-"""Verdicts of tools/bench_pairs.py's summary on hand-made pairs."""
+"""Verdicts of tools/bench_pairs.py's summary on hand-made pairs, and its
+copy of the working tree."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -87,3 +89,49 @@ def test_failed_share_is_summed_over_the_runs_of_each_side(failed, shares,
     share = summary["failed_share"]
     assert (share["ref"], share["change"]) == pytest.approx(shares)
     assert summary["failed_share_not_worse"] is not_worse
+
+
+def _git(repo, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                           *args], cwd=repo, check=True, capture_output=True,
+                          text=True).stdout
+
+
+def test_snapshot_copies_the_working_tree_and_leaves_the_index(tmp_path,
+                                                              monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "kept.txt").write_text("committed\n")
+    (repo / "edited.txt").write_text("committed\n")
+    (repo / "gone.txt").write_text("committed\n")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+    (repo / "edited.txt").write_text("edited, not staged\n")
+    (repo / "staged.txt").write_text("new, staged\n")
+    _git(repo, "add", "staged.txt")
+    (repo / "new.txt").write_text("new, untracked\n")
+    (repo / "noise.log").write_text("ignored\n")
+    (repo / "gone.txt").unlink()
+    status = _git(repo, "status", "--porcelain")
+    index = (repo / ".git" / "index").read_bytes()
+
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    change, ref = tmp_path / "change", tmp_path / "ref"
+    change.mkdir()
+    ref.mkdir()
+    bench_pairs.snapshot(change)
+    bench_pairs.extract("HEAD", ref)
+
+    def files(root):
+        return {p.name: p.read_text() for p in root.iterdir()}
+
+    assert files(change) == {".gitignore": "*.log\n", "kept.txt": "committed\n",
+                             "edited.txt": "edited, not staged\n",
+                             "staged.txt": "new, staged\n",
+                             "new.txt": "new, untracked\n"}
+    assert files(ref) == {".gitignore": "*.log\n", "kept.txt": "committed\n",
+                          "edited.txt": "committed\n", "gone.txt": "committed\n"}
+    assert (repo / ".git" / "index").read_bytes() == index
+    assert _git(repo, "status", "--porcelain") == status

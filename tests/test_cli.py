@@ -9,7 +9,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fneighbors.cli import _render, main
+from fneighbors import cli
+from fneighbors.cli import _report_pieces, main
 from fneighbors.domains import sample_sphere
 from fneighbors.geometry import Sphere
 from fneighbors.maps import evaluate, map_to_json, random_map
@@ -215,7 +216,7 @@ def _assert_renders_like_json(graph):
     rows = [c.to_json() for c in graph]
     expected = json.dumps({**report, "certificates": rows}, sort_keys=True,
                           indent=2) + "\n"
-    assert _render(report) == expected
+    assert "".join(_report_pieces(report)) == expected
 
 
 def test_dump_renders_delaunay_sphere_graph():
@@ -282,3 +283,106 @@ def test_dump_renders_non_finite_floats_and_tuple_ties():
     assert [c.indices for c in graph] == [(0, 1), (0, 1, 2), (0, 2), (1, 3),
                                           (1, 3), (2, 3), (3, 4)]
     _assert_renders_like_json(graph)
+
+
+# --- the chunked writer: pieces of at most CHUNK_ROWS pair rows ---
+
+def _row_pieces(report):
+    """The certificate pieces of a dumped report, each parsed as a list."""
+    pieces = list(_report_pieces(report))
+    assert pieces[0].endswith('"certificates": ') and pieces[-2] == "\n  ]"
+    return [json.loads("[" + p[2:] + "]") for p in pieces[1:-2]]
+
+
+def _ladder_graph(n_pairs, tuples=()):
+    """Pairs (k, k + 2), k = 1..n_pairs, whose balls repeat every third
+    row, so that rows share spellings."""
+    rng = np.random.default_rng(n_pairs)
+    balls = rng.normal(size=(3, 4))[np.arange(n_pairs) % 3]
+    return NeighborGraph(
+        pairs=np.column_stack([np.arange(1, n_pairs + 1),
+                               np.arange(3, n_pairs + 3)]),
+        centers=balls[:, :3], radii=np.abs(balls[:, 3]),
+        slack=np.round(rng.uniform(size=n_pairs), 1),
+        rho=rng.uniform(size=n_pairs), tuples=tuples,
+        tuple_pairs=tuple(c.indices[:2] for c in tuples))
+
+
+def test_dump_pieces_exact_multiple_with_tuples_on_the_boundaries(monkeypatch):
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 4)
+    # 12 pairs (1, 3) .. (12, 14); the tuples sort before row 0, exactly at
+    # rows 4 and 8 (the piece boundaries), and after the last row
+    tuples = tuple(NeighborCertificate(ix, "coincidence", 0.0, 1.0)
+                   for ix in [(0, 1, 2), (4, 7, 8), (8, 11, 12), (13, 14, 15)])
+    graph = _ladder_graph(12, tuples)
+    assert cli._tuple_positions(graph) == [0, 4, 8, 12]
+    _assert_renders_like_json(graph)
+    pieces = _row_pieces({"certificates": graph})
+    assert [sum(len(c["indices"]) == 2 for c in p) for p in pieces] == [4, 4, 4]
+    # a tuple on a boundary ends the piece before it
+    assert [len(p) for p in pieces] == [6, 5, 5]
+    assert [c for p in pieces for c in p] == [c.to_json() for c in graph]
+
+
+@pytest.mark.parametrize("n_pairs", [1, 3, 4, 5, 9])
+def test_dump_pieces_hold_at_most_chunk_rows(monkeypatch, n_pairs):
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 4)
+    graph = _ladder_graph(n_pairs)
+    _assert_renders_like_json(graph)
+    sizes = [len(p) for p in _row_pieces({"certificates": graph})]
+    assert sizes == [4] * (n_pairs // 4) + [n_pairs % 4] * (n_pairs % 4 > 0)
+
+
+def test_dump_pieces_tuples_only(monkeypatch):
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 1)
+    tuples = (NeighborCertificate((0, 1, 2), "coincidence", 0.0, 1.0),
+              NeighborCertificate((3, 4), Sphere(np.array([1.0, -0.0]), 2.0),
+                                  0.5, 1.5),
+              NeighborCertificate((5, 6, 7), "coincidence", 0.25, 0.5))
+    graph = _ladder_graph(0, tuples)
+    _assert_renders_like_json(graph)
+    assert [len(p) for p in _row_pieces({"certificates": graph})] == [3]
+
+
+def test_dump_balls_apart_only_by_the_sign_of_zero_keep_both_spellings():
+    pairs = np.array([[0, 1], [0, 2], [1, 2], [2, 3]])
+    graph = NeighborGraph(
+        pairs=pairs, centers=np.array([[0.0, 1.5], [-0.0, 1.5], [0.0, 1.5],
+                                       [0.25, -0.0]]),
+        radii=np.array([2.0, 2.0, 2.0, -0.0]), slack=np.zeros(4),
+        rho=np.array([0.5, 0.5, 0.0, -0.0]))
+    _assert_renders_like_json(graph)
+    rows = _row_pieces({"certificates": graph})[0]
+    centers = [json.dumps(c["witness"]["center"]) for c in rows]
+    assert centers[:3] == ["[0.0, 1.5]", "[-0.0, 1.5]", "[0.0, 1.5]"]
+
+
+def test_dump_certs_to_stdout_matches_out_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 400)
+    args = ["neighbors", "--domain", "sphere", "--n", "2", "--samples", "512",
+            "--seed", "3", "--dump-certs"]
+    out = tmp_path / "r.json"
+    assert run(*args, "--out", str(out)) == 0
+    summary = capsys.readouterr().out
+    assert run(*args) == 0
+    assert capsys.readouterr().out == summary + out.read_text()
+    assert len(json.loads(out.read_text())["certificates"]) > 3 * cli.CHUNK_ROWS
+
+
+def test_parser_is_built_once_and_reused_across_subcommands(tmp_path):
+    # in one process: neighbors, then degree, then neighbors again; each
+    # report must match a fresh process's
+    calls = [("a.json", ["neighbors", "--samples", "128", "--seed", "5",
+                         "--dump-certs"]),
+             ("b.json", ["degree", "--samples", "256"]),
+             ("c.json", ["neighbors", "--samples", "64", "--map", IDENTITY_MAP])]
+    for name, args in calls:
+        assert run(*args, "--out", str(tmp_path / name)) == 0
+    assert cli._build_parser() is cli._build_parser()
+    for name, args in calls:
+        fresh = tmp_path / f"fresh-{name}"
+        proc = subprocess.run([sys.executable, "-m", "fneighbors", *args,
+                               "--out", str(fresh)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert fresh.read_bytes() == (tmp_path / name).read_bytes()

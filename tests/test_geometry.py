@@ -188,6 +188,38 @@ def test_min_enclosing_ball_simple_cases():
     assert r == pytest.approx(theta / 2.0, abs=1e-9)
 
 
+def test_min_enclosing_ball_of_copies_is_exactly_zero():
+    # arccos of the rounded dot of a point with itself gave 1.5e-8 on
+    # seeds 2 and 4
+    for seed in range(6):
+        p = np.random.default_rng(seed).normal(size=3)
+        p /= np.linalg.norm(p)
+        for copies in (2, 3):
+            c, r = min_enclosing_ball_angular(np.tile(p, (copies, 1)))
+            assert r == 0.0 and np.array_equal(c, p)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_min_enclosing_ball_tiny_cap(seed):
+    # a 1e-9 rad cap in a random frame: three boundary points 120 degrees
+    # apart around the center, plus points inside; the NNLS support alone
+    # is lost to rounding here
+    t = 1e-9
+    rng = np.random.default_rng([1900, seed])
+    frame, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    phi = rng.uniform(0.0, 2.0 * math.pi) + np.arange(3) * 2.0 * math.pi / 3.0
+    tilt = np.concatenate([np.full(3, t), rng.uniform(0.0, 0.9 * t, size=4)])
+    phi = np.concatenate([phi, rng.uniform(0.0, 2.0 * math.pi, size=4)])
+    pts = np.column_stack([np.sin(tilt) * np.cos(phi),
+                           np.sin(tilt) * np.sin(phi), np.cos(tilt)]) @ frame.T
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    _, r = min_enclosing_ball_angular(pts)
+    assert r == pytest.approx(t, rel=1e-6)
+    # two boundary points: the cap is half their angle, sqrt(3) t / 2
+    _, r = min_enclosing_ball_angular(pts[:2])
+    assert r == pytest.approx(math.sqrt(3.0) / 2.0 * t, rel=1e-6)
+
+
 E1, E2, E3 = np.eye(3)
 EQUATOR = np.array([[math.cos(k * 2.0 * math.pi / 3.0),
                      math.sin(k * 2.0 * math.pi / 3.0), 0.0] for k in range(3)])

@@ -5,13 +5,17 @@ Usage, from the root of a checkout:
     python3 tools/bench_pairs.py --ref HEAD --workload mu-circle --pairs 10 \
         --out BENCH_6.json
 
-The ref is extracted with `git archive <ref> | tar -x` into a temporary
-directory.  Pair p (p = 1, 2, ...) runs `python3 perfbench/run.py
---workload W --seed p --seconds S --trace 0` once on the ref and once on
-the working tree, and alternates which side runs first (the ref on odd
-pairs).  S is BENCHMARK.json's run_seconds, the same on both sides.  Each
-side runs its own checkout's perfbench, so both use the benchmark as it is
-committed there.
+Both sides run from copies made the same way, `git archive <tree> | tar
+-x`, into two sibling temporary directories: the ref's tree, and a tree
+of the working tree's files written from a throwaway index
+(GIT_INDEX_FILE, `git add -A`, `git write-tree`), so that modified and
+new files are included, ignored ones are not, and the real index is left
+untouched.  Pair p (p = 1, 2, ...) runs `python3 perfbench/run.py
+--workload W --seed p --seconds S --trace 0` once on each side, and
+alternates which side runs first (the ref on odd pairs).  S is
+BENCHMARK.json's run_seconds, the same on both sides.  Each side runs the
+perfbench of its own copy, so both use the benchmark as it is in that
+tree.
 
 Each invocation appends one series per workload to --out: its labels (ref,
 ref commit, the working tree's commit and whether its tracked files
@@ -72,7 +76,7 @@ def git(*args: str) -> str:
 
 
 def extract(ref: str, dest: Path) -> None:
-    """The ref's committed files, unpacked into dest."""
+    """The files of a commit or tree, unpacked into dest."""
     archive = subprocess.Popen(["git", "archive", ref], cwd=ROOT,
                                stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout,
@@ -80,6 +84,18 @@ def extract(ref: str, dest: Path) -> None:
     archive.stdout.close()
     if archive.wait() != 0:
         raise SystemExit(f"error: git archive {ref} failed")
+
+
+def snapshot(dest: Path) -> None:
+    """The working tree's files, as `git add -A` sees them, unpacked into
+    dest; the tree is written from a throwaway index."""
+    with tempfile.TemporaryDirectory(prefix="bench-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        subprocess.run(["git", "add", "-A"], cwd=ROOT, env=env, check=True)
+        tree = subprocess.run(["git", "write-tree"], cwd=ROOT, env=env,
+                              check=True, capture_output=True,
+                              text=True).stdout.strip()
+    extract(tree, dest)
 
 
 def working_tree() -> dict:
@@ -163,9 +179,12 @@ def main(argv=None) -> int:
               "machine": {"python": platform.python_version(),
                           "machine": platform.machine(),
                           "cpus_usable": len(os.sched_getaffinity(0))}}
-    with tempfile.TemporaryDirectory(prefix="bench-ref-") as tmp:
-        ref_dir = Path(tmp)
-        extract(args.ref, ref_dir)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        dirs = {"ref": Path(tmp) / "ref", "change": Path(tmp) / "change"}
+        for path in dirs.values():
+            path.mkdir()
+        extract(args.ref, dirs["ref"])
+        snapshot(dirs["change"])
         for workload in args.workload:
             pairs = []
             for seed in range(1, args.pairs + 1):
@@ -173,8 +192,7 @@ def main(argv=None) -> int:
                 row = {"seed": seed, "first": order[0]}
                 for side in order:
                     start = time.perf_counter()
-                    row[side] = run_bench(ref_dir if side == "ref" else ROOT,
-                                          workload, seed, seconds)
+                    row[side] = run_bench(dirs[side], workload, seed, seconds)
                     row[side]["wall_s"] = time.perf_counter() - start
                 pairs.append(row)
                 print(f"{workload} seed {seed}: run_s "
