@@ -34,6 +34,10 @@ __all__ = [
 # label tolerance for "lies on this facet" decisions on unit-scale polytopes
 FACET_TOL = 1e-9
 
+# distances per block of SampledDomain.rho_blocks, which sets the row
+# chunks whose order decides SampledDomain.farthest_pair's ties
+RHO_BLOCK_ENTRIES = 2e6
+
 
 @dataclass(frozen=True)
 class SampledDomain:
@@ -73,7 +77,7 @@ class SampledDomain:
     def rho_blocks(self, rows: np.ndarray, cols: np.ndarray):
         """The rows x cols distances in chunks of about 2e6 entries: yields
         (start, block) with block[a, b] == rho(rows[start + a], cols[b])."""
-        chunk = max(1, int(2e6 // max(len(cols), 1)))
+        chunk = _row_chunk(len(cols))
         for start in range(0, len(rows), chunk):
             yield start, self.rho_pairs(rows[start:start + chunk, None],
                                         cols[None, :])
@@ -82,13 +86,47 @@ class SampledDomain:
                       ) -> tuple[float, tuple[int, int] | None]:
         """The largest distance between two index sets and a pair
         (row, col) realizing it; (0.0, None) for empty sets.  Ties go to
-        the first maximum of the last chunk that holds one."""
+        the first maximum of the last chunk that holds one.  Over all
+        samples of a sphere, only the antipodal pairs are scanned when
+        they provably hold the maximum (see _antipodal_farthest)."""
+        if self.antipode is not None and _is_range(rows, len(self)) \
+                and _is_range(cols, len(self)):
+            found = self._antipodal_farthest()
+            if found is not None:
+                return found
         best, pair = 0.0, None
         for start, block in self.rho_blocks(rows, cols):
             a, b = np.unravel_index(int(block.argmax()), block.shape)
             if block[a, b] >= best:
                 best, pair = float(block[a, b]), (int(rows[start + a]), int(cols[b]))
         return best, pair
+
+    def _antipodal_farthest(self) -> tuple[float, tuple[int, int]] | None:
+        """farthest_pair over all samples from the N antipodal pairs
+        (i, antipode[i]) alone, or None when they are not shown to hold
+        the maximum.
+
+        For samples x and y with y != -x, the parallelogram law gives
+        |x - y|^2 = 2|x|^2 + 2|y|^2 - |y - (-x)|^2, and -x is a sample, so
+        |y - (-x)| is at least nn, the smallest nearest-neighbor distance.
+        Every other pair is thus at most sqrt(4 max|x|^2 - nn^2) apart.
+        When that, with a rounding margin, stays below the largest
+        antipodal distance, only antipodal entries of the full scan reach
+        the maximum, one per row, and the scan's pick is the first maximal
+        row of the last row chunk that holds one."""
+        n = len(self)
+        if not np.array_equal(self.samples[self.antipode], -self.samples):
+            return None
+        anti = self.rho_pairs(np.arange(n), self.antipode)
+        best = anti.max()
+        nn = self.nearest_neighbors[0].min()
+        if not ((4.0 + 1e-12) * np.vecdot(self.samples, self.samples).max()
+                - nn * nn < best * best):
+            return None
+        rows = np.flatnonzero(anti == best)
+        chunk = _row_chunk(n)
+        i = int(rows[rows // chunk == rows[-1] // chunk][0])
+        return float(best), (i, int(self.antipode[i]))
 
     @cached_property
     def nearest_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -110,6 +148,16 @@ class SampledDomain:
         (all samples when indices is None)."""
         idx = np.arange(len(self)) if indices is None else np.asarray(indices)
         return self.farthest_pair(idx, idx)[0]
+
+
+def _row_chunk(ncols: int) -> int:
+    """Rows per block of SampledDomain.rho_blocks against ncols columns."""
+    return max(1, int(RHO_BLOCK_ENTRIES // max(ncols, 1)))
+
+
+def _is_range(idx: np.ndarray, n: int) -> bool:
+    """Whether idx is 0, 1, ..., n - 1."""
+    return len(idx) == n and bool((np.asarray(idx) == np.arange(n)).all())
 
 
 @dataclass(frozen=True)

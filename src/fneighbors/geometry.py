@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
+from scipy.spatial.distance import pdist
 
 __all__ = [
     "Sphere",
@@ -312,7 +313,8 @@ def min_enclosing_ball_angular(
 
 
 def angular_diameter(points: np.ndarray) -> float:
-    """Largest pairwise angle among unit vectors (brute force)."""
-    pts = np.asarray(points, dtype=float)
-    dots = np.clip(pts @ pts.T, -1.0, 1.0)
-    return float(np.arccos(dots.min()))
+    """Largest pairwise angle among unit vectors (brute force), in the
+    chord form 2 asin(max |p_i - p_j| / 2), which keeps the digits of
+    small angles that the arccos of a dot near 1 loses."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return angle_from_chord(float(pdist(pts).max(initial=0.0)))

@@ -11,6 +11,10 @@ routes stay independent.
 
 Large instances use a Delaunay triangulation as a candidate generator:
 every Delaunay edge is certified by its best incident-simplex circumball.
+When every sample is a vertex, no simplex is a sliver and each interior
+facet's apex clears the ball across it by a margin, Delaunay's lemma
+proves all circumballs empty from the simplices' neighbors alone;
+otherwise a KD-tree query from each kept ball's center does it.
 The graph comes back as one NeighborGraph: columns over the certified
 pairs (indices, witness centers and radii, slack, intrinsic distance) plus
 a few tuple certificates, so D_f is an argmax over one distance column.
@@ -81,7 +85,13 @@ class NeighborCertificate:
     string "coincidence" for the radius-0 branch.  slack is the smallest
     signed clearance |y - center| - radius over non-member images (for
     coincidence certificates: the largest image spread inside the tuple).
-    pair_distance is the largest intrinsic domain distance among members.
+    When Delaunay's lemma proves a triangulation's circumballs empty, a
+    Delaunay edge's slack is taken over the other vertices of its simplex
+    and the apexes of the simplex's neighbors; every other image is
+    proven outside the ball, and the value differs from the global one
+    only if such an image lies outside it by less than the other
+    vertices' rounding.  pair_distance is the largest intrinsic domain
+    distance among members.
     """
 
     indices: tuple[int, ...]
@@ -428,12 +438,19 @@ def _delaunay_circumcenters(pts: np.ndarray):
     return (simplices, *_circumcenters(pts, simplices))
 
 
-# Leaf size of the KD-tree behind _clearance.  On 6 S^2 -> R^3 maps with
-# 4096 samples, querying the circumcenters of all live simplices took
-# 0.65-0.68 s at 32, against 0.82-0.88 s at scipy's default of 16 and
-# 0.70-0.78 s at 64 (2-vCPU VM).  The clearances do not depend on it (see
-# _clearance).
+# Leaf size of the KD-tree behind _clearance, which proves the kept
+# circumballs empty when Delaunay's lemma does not apply (see
+# _local_clearance) and checks the top edge of neighbor_span.  On 6 S^2 ->
+# R^3 maps with 4096 samples, querying the circumcenters of all live
+# simplices took 0.65-0.68 s at 32, against 0.82-0.88 s at scipy's default
+# of 16 and 0.70-0.78 s at 64 (2-vCPU VM).  The clearances do not depend
+# on it (see _clearance).
 CLEARANCE_LEAFSIZE = 32
+
+# Smallest margin, relative to the point set's diameter, by which the apex
+# across every interior facet must clear a circumball for Delaunay's lemma
+# to prove all of them empty (see _local_clearance).
+LOCAL_DELAUNAY_TAU = 1e-11
 
 
 def _circumballs(pts: np.ndarray, simplices: np.ndarray):
@@ -463,6 +480,76 @@ def _clearance(tree: cKDTree, centers: np.ndarray, radii: np.ndarray,
     dists, nbrs = tree.query(centers, k=min(d + 2, npts))
     is_vertex = (nbrs[:, :, None] == splx[:, None, :]).any(axis=2)
     return np.where(is_vertex, np.inf, dists).min(axis=1) - radii
+
+
+def _local_clearance(pts: np.ndarray, tri, centers: np.ndarray,
+                     radii: np.ndarray) -> np.ndarray | None:
+    """Clearance of every circumball of the triangulation tri of pts,
+    proven from the simplices' neighbors alone by Delaunay's lemma, or
+    None when the lemma's hypotheses fail.
+
+    tri carries simplices, neighbors (neighbors[s, k] is the simplex
+    across the facet of s opposite its vertex k, -1 on the hull) and
+    coplanar (the points Qhull left out of the triangulation), as scipy's
+    Delaunay does; centers and radii are the circumballs of _circumballs,
+    one per simplex.  The apex of the neighbor t across facet k of s is
+    simplices[t].sum() - simplices[s].sum() + simplices[s, k], and its
+    margin |q - c_s| - r_s is computed as the vertex margins are.  The
+    lemma applies when every point is a vertex (coplanar is empty), no
+    simplex is a sliver, and every apex margin, from both sides of every
+    interior facet, is at least LOCAL_DELAUNAY_TAU times the diameter.
+    Each ball's clearance is then its smallest apex margin (inf with no
+    interior facet).
+
+    Why each ball is then empty (Delaunay 1934; Edelsbrunner, Geometry and
+    Topology for Mesh Generation, 2001).  Let pi_s(x) = |x - c_s|^2 -
+    r_s^2, the power of x with respect to ball s.  For simplices s and t
+    across a facet F, pi_s - pi_t is affine and vanishes at the vertices
+    of F, so on its hyperplane H; at the apex q of t it equals pi_s(q) >
+    0, so pi_s > pi_t on q's side of H.
+
+    - No folds.  Both balls pass through the vertices of F, so on either
+      side of H one of them holds the other's part.  Were s and t on one
+      side of H, the apex of one would lie in the other's ball, at a
+      margin <= 0; the two-sided test rules that out.  So every interior
+      facet has its two simplices on opposite sides, and as Qhull's
+      simplices cover the hull of pts, they form a triangulation of it.
+    - The walk.  For a point p that is not a vertex of s, walk the
+      segment from a generic point of s to p.  It crosses the simplices
+      s = s_0, s_1, ..., s_m, the last having p as a vertex (every point
+      is a vertex), each step through a facet with p on the far side.  So
+      pi_s(p) > pi_s_1(p) > ... > pi_s_m(p) = 0: p lies outside ball s.
+    - Rounding.  The margins carry the error of the computed centers.
+      Against circumcenters in 80-bit extended precision, on the 150 S^2
+      -> R^3 maps [s, 1000..1014], s = 1..10, with 4096 samples, the
+      margins below 1e-7 of the diameter erred by at most 1.5e-13 of it,
+      and the larger ones by at most 1e-5 of themselves.  So a margin
+      computed at tau or more, 68 times that floor, is truly positive;
+      the smallest margin on those maps was 1.6e-10 of the diameter.
+      tau also lies five orders of magnitude below eps_inside_rel, the
+      depth to which certificates are held.
+
+    The apex margins bound a ball's clearance from above only (a point
+    beside a vertex may come closer than every apex).  That does not
+    change the slacks: an edge's slack is min(clearance, u), u being the
+    smallest margin of its simplex's other vertices, which is rounding
+    (at most 1.1e-10 of the diameter on the maps above, each time below
+    the ball's smallest apex margin).  The KD-tree path gives the same
+    slack unless a point outside the ball lies within u > 0 of it."""
+    simplices, nbr = tri.simplices, tri.neighbors
+    if len(tri.coplanar) or len(centers) < len(simplices):
+        return None
+    sums = simplices.sum(axis=1)
+    clear = np.full(len(simplices), np.inf)
+    # one facet at a time, to keep the temporaries at one per simplex
+    for k in range(simplices.shape[1]):
+        s = np.flatnonzero(nbr[:, k] >= 0)
+        apex = sums[nbr[s, k]] - sums[s] + simplices[s, k]
+        margin = np.linalg.norm(pts[apex] - centers[s], axis=1) - radii[s]
+        clear[s] = np.minimum(clear[s], margin)
+    if not clear.min() >= LOCAL_DELAUNAY_TAU * image_diameter(pts):
+        return None
+    return clear
 
 
 def _edge_slack(splx: np.ndarray, clear, margin: np.ndarray,
@@ -497,23 +584,27 @@ def _last_max(order: np.ndarray, starts: np.ndarray, values: np.ndarray):
                                      starts)]
 
 
-def _delaunay_edge_certs(pts: np.ndarray, simplices: np.ndarray,
-                         eps_inside: float):
-    """Certified edges from the Delaunay simplices of pts: each edge keeps
-    the best (largest-slack, the last of its instances on ties) incident
+def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float):
+    """Certified edges from the Delaunay triangulation tri of pts (its
+    simplices, neighbors and coplanar points): each edge keeps the best
+    (largest-slack, the last of its instances on ties) incident
     circumball.  Returns the certified edges as columns (lo, hi, centers,
     radii, slack) in the current coordinates, plus the list of edges that
     failed the tolerance and need LP fallback.
 
     The slack of an edge in a circumball is min(clearance, u), u being
     the smallest margin of the simplex's other vertices.  Edges first
-    pick their ball by u alone, and only the picked simplices get the
+    pick their ball by u alone.  When Delaunay's lemma proves every ball
+    empty from the simplices' neighbors (see _local_clearance), each
+    ball's clearance is its smallest apex margin, at least
+    LOCAL_DELAUNAY_TAU times the diameter, and no point is queried.
+    Otherwise only the picked simplices get the
     KD-tree clearance query.  When each picked ball's clearance is at
     least its u, the slacks are those u and no other ball of the edge can
     match them later in instance order, so the picks stand.  An edge whose
     picked ball has less clearance than that picks again by slack, after
     the simplices holding it are queried too."""
-    splx, centers, radii, margin = _circumballs(pts, simplices)
+    splx, centers, radii, margin = _circumballs(pts, tri.simplices)
     nsplx = len(splx)
     key = _edge_keys(splx, len(pts))
     order = np.argsort(key, kind="stable")
@@ -528,10 +619,12 @@ def _delaunay_edge_certs(pts: np.ndarray, simplices: np.ndarray,
     del margin
     chosen = _last_max(order, starts, u)
     owner = chosen % nsplx
-    tree = cKDTree(pts, leafsize=CLEARANCE_LEAFSIZE)
-    clear = np.full(nsplx, np.nan)
-    kept = np.unique(owner)
-    clear[kept] = _clearance(tree, centers[kept], radii[kept], splx[kept])
+    clear = _local_clearance(pts, tri, centers, radii)
+    if clear is None:
+        tree = cKDTree(pts, leafsize=CLEARANCE_LEAFSIZE)
+        clear = np.full(nsplx, np.nan)
+        kept = np.unique(owner)
+        clear[kept] = _clearance(tree, centers[kept], radii[kept], splx[kept])
     slack = u[chosen]
     redo = ~(clear[owner] >= slack)
     if redo.any():
@@ -541,7 +634,8 @@ def _delaunay_edge_certs(pts: np.ndarray, simplices: np.ndarray,
         inst = order[np.repeat(redo, sizes)]
         holder = inst % nsplx
         rest = np.unique(holder[np.isnan(clear[holder])])
-        clear[rest] = _clearance(tree, centers[rest], radii[rest], splx[rest])
+        if len(rest):  # never on the lemma path, which clears every ball
+            clear[rest] = _clearance(tree, centers[rest], radii[rest], splx[rest])
         inst_slack = np.minimum(clear[holder], u[inst])
         sizes = sizes[redo]
         pick = _last_max(np.arange(len(inst)), np.cumsum(sizes) - sizes,
@@ -718,9 +812,10 @@ def neighbor_graph(images: np.ndarray, domain: SampledDomain,
 
 def _full_graph(images: np.ndarray, domain: SampledDomain,
                 cfg: NeighborConfig, prelude: _Clusters,
-                simplices: np.ndarray | None = None) -> NeighborGraph:
+                tri: Delaunay | None = None) -> NeighborGraph:
     """neighbor_graph of at least two images from their prelude; the
-    Delaunay path triangulates prelude.reduced unless simplices are given."""
+    Delaunay path triangulates prelude.reduced unless tri, its Delaunay
+    triangulation, is given."""
     npts, m = images.shape
     (diam, label, members, sizes, start, reduced, embed, sph,
      resid) = prelude
@@ -757,9 +852,9 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
         certified = None
         if _takes_delaunay(prelude, cfg):
             try:
-                if simplices is None:
-                    simplices = Delaunay(reduced).simplices
-                certified, failed = _delaunay_edge_certs(reduced, simplices,
+                if tri is None:
+                    tri = Delaunay(reduced)
+                certified, failed = _delaunay_edge_certs(reduced, tri,
                                                          eps_inside)
             except QhullError:
                 pass
@@ -812,19 +907,19 @@ def neighbor_span(images: np.ndarray, domain: SampledDomain,
     if len(images) != len(domain) or len(images) < 2:
         return compute_df(neighbor_graph(images, domain, cfg), domain)
     cl = _clusters(images, cfg)
-    simplices = None
+    tri = None
     if len(cl.sizes) == len(images) and _takes_delaunay(cl, cfg):
         # no clusters: reduced row i is the image of sample i
         try:
-            simplices = Delaunay(cl.reduced).simplices
+            tri = Delaunay(cl.reduced)
         except QhullError:
             pass
         else:
-            span = _top_edge_span(cl.reduced, simplices, domain,
+            span = _top_edge_span(cl.reduced, tri.simplices, domain,
                                   cfg.eps_inside_rel * cl.diam)
             if span is not None:
                 return span
-    return compute_df(_full_graph(images, domain, cfg, cl, simplices), domain)
+    return compute_df(_full_graph(images, domain, cfg, cl, tri), domain)
 
 
 def compute_df(graph: NeighborGraph, domain: SampledDomain) -> float:

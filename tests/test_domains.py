@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from fneighbors import domains
 from fneighbors.domains import (
     CoverAssignment,
+    SampledDomain,
     cube_boundary_cover,
     cube_max_faces,
     domain_from_json,
@@ -78,6 +81,52 @@ def test_mesh_size_scales():
         assert d.mesh_size() == float(dist[:, 1].max())
         assert d.nearest_neighbors is d.nearest_neighbors
         assert not nn_dist.flags.writeable
+
+
+def _full_scan(domain):
+    """farthest_pair over all samples without the antipodal shortcut."""
+    idx = np.arange(len(domain))
+    return dataclasses.replace(domain, antipode=None).farthest_pair(idx, idx)
+
+
+@pytest.mark.parametrize("block", [2e6, 3000.0])
+def test_farthest_pair_antipodal_scan_equals_full_scan(monkeypatch, block):
+    # small blocks split the rows into many chunks; a maximal row and its
+    # antipode always lie in different halves, so the ties span chunks
+    monkeypatch.setattr(domains, "RHO_BLOCK_ENTRIES", block)
+    spanning = 0
+    for n, count, scheme, seed in [(1, 256, "quasi_uniform", 0),
+                                   (1, 1000, "quasi_uniform", 0),
+                                   (1, 700, "uniform_random", 2),
+                                   (2, 300, "quasi_uniform", 0),
+                                   (2, 1024, "quasi_uniform", 0),
+                                   (2, 400, "uniform_random", 1),
+                                   (2, 1500, "uniform_random", 4)]:
+        domain = sample_sphere(n, count, seed=seed, scheme=scheme)
+        idx = np.arange(len(domain))
+        assert domain._antipodal_farthest() is not None
+        got = domain.farthest_pair(idx, idx)
+        assert got == _full_scan(domain)
+        assert domain.max_pairwise_rho() == got[0]
+        anti = domain.rho_pairs(idx, domain.antipode)
+        chunks = np.unique(np.flatnonzero(anti == got[0])
+                           // domains._row_chunk(len(domain)))
+        spanning += len(chunks) > 1
+    assert spanning >= 5 if block < 1e6 else spanning >= 1
+
+
+def test_farthest_pair_keeps_the_full_scan_when_not_proven():
+    # a repeated sample pair makes the nearest-neighbor distance 0, so the
+    # antipodal pairs are not shown to be the farthest
+    half = sample_sphere(2, 200, seed=3).samples[:200]
+    half = np.vstack([half, half[:1]])
+    samples = np.vstack([half, -half])
+    antipode = np.r_[np.arange(len(half)) + len(half), np.arange(len(half))]
+    domain = SampledDomain(kind="sphere", dim=2, samples=samples,
+                           antipode=antipode)
+    assert domain._antipodal_farthest() is None
+    idx = np.arange(len(domain))
+    assert domain.farthest_pair(idx, idx) == _full_scan(domain)
 
 
 def test_regular_triangulation_cover_n1():

@@ -218,6 +218,21 @@ def test_min_enclosing_ball_tiny_cap(seed):
     # two boundary points: the cap is half their angle, sqrt(3) t / 2
     _, r = min_enclosing_ball_angular(pts[:2])
     assert r == pytest.approx(math.sqrt(3.0) / 2.0 * t, rel=1e-6)
+    # their angle, sqrt(3) t, keeps its digits in the chord form
+    assert angular_diameter(pts[:2]) == pytest.approx(math.sqrt(3.0) * t,
+                                                      rel=1e-6)
+
+
+def test_angular_diameter_equals_arccos_form_on_wide_sets():
+    rng = np.random.default_rng(11)
+    for count in (1, 2, 5, 12):
+        pts = rng.normal(size=(count, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        dots = np.clip(pts @ pts.T, -1.0, 1.0)
+        assert angular_diameter(pts) == pytest.approx(
+            float(np.arccos(dots.min())), abs=1e-7)
+    assert angular_diameter(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])) == \
+        pytest.approx(math.pi)
 
 
 E1, E2, E3 = np.eye(3)

@@ -6,6 +6,7 @@ other) on seeded random instances, alongside hand-checked fixed cases.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -331,24 +332,34 @@ def _all_simplex_edge_certs(pts, simplices, eps_inside):
             list(zip(lo[f].tolist(), hi[f].tolist())))
 
 
-def _edge_certs_and_clearance_calls(monkeypatch, images):
-    """_delaunay_edge_certs on the images' Delaunay simplices, checked
-    against the reference column by column, with the number of centers
-    each _clearance call received and the number of live simplices."""
+def _counting_clearance(monkeypatch):
+    """Replace neighbors._clearance by a wrapper that records the number
+    of centers of each call in the returned list."""
     calls = []
     clearance = neighbors._clearance
     monkeypatch.setattr(neighbors, "_clearance",
                         lambda tree, c, *a: calls.append(len(c))
                         or clearance(tree, c, *a))
-    simplices = Delaunay(images).simplices
+    return calls
+
+
+def _edge_certs_and_clearance_calls(monkeypatch, images, kd=False):
+    """_delaunay_edge_certs on the images' Delaunay triangulation, checked
+    against the reference column by column, with the number of centers
+    each _clearance call received and the number of live simplices.  kd
+    takes the KD-tree path whether or not Delaunay's lemma applies."""
+    calls = _counting_clearance(monkeypatch)
+    if kd:
+        monkeypatch.setattr(neighbors, "LOCAL_DELAUNAY_TAU", np.inf)
+    tri = Delaunay(images)
     eps_inside = DEFAULT_CONFIG.eps_inside_rel * image_diameter(images)
-    got = neighbors._delaunay_edge_certs(images, simplices, eps_inside)
+    got = neighbors._delaunay_edge_certs(images, tri, eps_inside)
     monkeypatch.undo()
-    expected = _all_simplex_edge_certs(images, simplices, eps_inside)
+    expected = _all_simplex_edge_certs(images, tri.simplices, eps_inside)
     for column, ref in zip(got[0], expected[0]):
         assert np.array_equal(column, ref)
     assert got[1] == expected[1]
-    live = int(neighbors._circumcenters(images, simplices)[1].sum())
+    live = int(neighbors._circumcenters(images, tri.simplices)[1].sum())
     return calls, live
 
 
@@ -371,8 +382,12 @@ def test_edge_certs_equal_all_simplex_reference(monkeypatch, case):
     else:
         maps = [_square_boundary_map(k) for k in range(3)]
     for images in maps:
-        calls, live = _edge_certs_and_clearance_calls(monkeypatch, images)
-        # generic maps: only the kept simplices are queried
+        # generic maps: Delaunay's lemma proves every ball empty, and on the
+        # KD-tree path only the kept simplices are queried
+        calls, _ = _edge_certs_and_clearance_calls(monkeypatch, images)
+        assert calls == []
+        calls, live = _edge_certs_and_clearance_calls(monkeypatch, images,
+                                                      kd=True)
         assert len(calls) == 1 and calls[0] < live
 
 
@@ -419,6 +434,143 @@ def test_edge_certs_grid_rounded_fallback_queries_failed_edges_only(
             second += 1
             assert calls[1] < live - calls[0]
     assert second >= 2
+
+
+# --- Delaunay's lemma against the KD-tree path ---
+
+def _facet_neighbors(simplices):
+    """neighbors[s, k]: the simplex across the facet of s opposite its
+    vertex k, -1 on the hull (scipy's Delaunay.neighbors)."""
+    nbr = np.full(simplices.shape, -1)
+    open_facets = {}
+    for s, simplex in enumerate(simplices.tolist()):
+        for k in range(len(simplex)):
+            facet = tuple(sorted(simplex[:k] + simplex[k + 1:]))
+            if facet in open_facets:
+                t, j = open_facets.pop(facet)
+                nbr[s, k], nbr[t, j] = t, s
+            else:
+                open_facets[facet] = (s, k)
+    return nbr
+
+
+def _orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _flipped(pts):
+    """The Delaunay triangulation of 2-D pts with its first interior edge
+    whose quadrilateral is convex flipped to the other diagonal, and that
+    new edge."""
+    tri = Delaunay(pts)
+    simplices = tri.simplices.copy()
+    for s, k in zip(*np.nonzero(tri.neighbors >= 0)):
+        t = tri.neighbors[s, k]
+        a, b = np.delete(simplices[s], k)
+        c = simplices[s, k]
+        d = simplices[t].sum() - simplices[s].sum() + c
+        if _orient(pts[c], pts[d], pts[a]) * _orient(pts[c], pts[d], pts[b]) < 0:
+            simplices[s], simplices[t] = (c, d, a), (c, d, b)
+            return (SimpleNamespace(simplices=simplices,
+                                    neighbors=_facet_neighbors(simplices),
+                                    coplanar=tri.coplanar),
+                    (min(c, d), max(c, d)))
+    raise AssertionError("no flippable edge")
+
+
+def _sphere_images(seed, t, samples=4096, grid=None):
+    domain = sample_sphere(2, samples, seed=seed, scheme="quasi_uniform")
+    images = evaluate(random_map("sphere_harmonic", 3, seed=[seed, t],
+                                 d_in=3), domain)
+    if grid is not None:
+        images = np.round(images, grid)
+    return neighbors._clusters(images, DEFAULT_CONFIG).reduced
+
+
+def _lemma_case(case):
+    """(points, triangulation, whether Delaunay's lemma must apply)."""
+    if case.startswith("s2-"):  # "s2-seed-map"
+        _, seed, t = case.split("-")
+        pts = _sphere_images(int(seed), int(t))
+        return pts, Delaunay(pts), True
+    if case == "grid-rounded":
+        pts = _sphere_images(1, 1000, grid=2)
+        return pts, Delaunay(pts), False
+    if case == "circle":
+        domain = sample_sphere(1, 512, seed=0, scheme="quasi_uniform")
+        pts = evaluate(random_map("circle_fourier", 2, seed=[3, 1000]), domain)
+        return pts, Delaunay(pts), True
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(size=(60, 2))
+    if case == "flipped":
+        return pts, _flipped(pts)[0], False
+    if case == "sliver":
+        # a triangle on the hull flattened to 1e-14: no circumball
+        pts[:3] = (0.0, -0.5), (1.0, -0.5), (0.5, -0.5 + 1e-14)
+        return pts, Delaunay(pts), False
+    # case == "coplanar": a repeated point is left out of the triangulation
+    pts = np.vstack([pts, pts[7]])
+    tri = Delaunay(pts)
+    assert len(tri.coplanar)
+    return pts, tri, False
+
+
+def _bytes(column):
+    column = np.asarray(column)
+    return column.dtype, column.shape, column.tobytes()
+
+
+@pytest.mark.parametrize("case", [
+    "s2-1-1000", "s2-1-1001", "s2-1-1002", "s2-1-1003",
+    "s2-2-1014", "s2-10-1013",  # near-cospherical: margins near 2e-10
+    "grid-rounded", "circle", "flipped", "sliver", "coplanar"])
+def test_lemma_path_equals_kd_oracle(monkeypatch, case):
+    pts, tri, lemma = _lemma_case(case)
+    eps_inside = DEFAULT_CONFIG.eps_inside_rel * image_diameter(pts)
+    calls = _counting_clearance(monkeypatch)
+    got = neighbors._delaunay_edge_certs(pts, tri, eps_inside)
+    assert (calls == []) == lemma
+    # the oracle: every ball through the KD-tree clearance query
+    monkeypatch.setattr(neighbors, "LOCAL_DELAUNAY_TAU", np.inf)
+    oracle = neighbors._delaunay_edge_certs(pts, tri, eps_inside)
+    monkeypatch.undo()
+    assert [_bytes(c) for c in got[0]] == [_bytes(c) for c in oracle[0]]
+    assert got[1] == oracle[1]
+
+
+def test_lemma_path_rejects_each_broken_hypothesis():
+    pts = np.random.default_rng(5).uniform(size=(60, 2))
+    tri = Delaunay(pts)
+    splx, centers, radii, _ = neighbors._circumballs(pts, tri.simplices)
+    assert neighbors._local_clearance(pts, tri, centers, radii) is not None
+    left_out = SimpleNamespace(simplices=tri.simplices, neighbors=tri.neighbors,
+                               coplanar=np.array([[0, 0, 0]]))
+    assert neighbors._local_clearance(pts, left_out, centers, radii) is None
+    # a sliver has no circumball: one fewer ball than simplices
+    assert neighbors._local_clearance(pts, tri, centers[1:], radii[1:]) is None
+    flipped, edge = _flipped(pts)
+    splx, centers, radii, _ = neighbors._circumballs(pts, flipped.simplices)
+    assert neighbors._local_clearance(pts, flipped, centers, radii) is None
+    # the flipped edge's balls each hold the other apex: it fails
+    eps_inside = DEFAULT_CONFIG.eps_inside_rel * image_diameter(pts)
+    assert edge in neighbors._delaunay_edge_certs(pts, flipped, eps_inside)[1]
+
+
+def _no_clearance(*args):
+    raise AssertionError("a KD-tree clearance query ran")
+
+
+def test_generic_sphere_graph_makes_no_clearance_query(monkeypatch):
+    domain = sample_sphere(2, 4096, seed=1, scheme="quasi_uniform")
+    images = evaluate(random_map("sphere_harmonic", 3, seed=[1, 1004],
+                                 d_in=3), domain)
+    monkeypatch.setattr(neighbors, "_clearance", _no_clearance)
+    graph = neighbor_graph(images, domain)
+    monkeypatch.undo()
+    monkeypatch.setattr(neighbors, "LOCAL_DELAUNAY_TAU", np.inf)
+    oracle = neighbor_graph(images, domain)
+    for name in ("pairs", "centers", "radii", "slack", "rho"):
+        assert _bytes(getattr(graph, name)) == _bytes(getattr(oracle, name))
 
 
 # --- neighbor_span: D_f without the full graph ---
