@@ -103,30 +103,43 @@ class SampledDomain:
 
     def _antipodal_farthest(self) -> tuple[float, tuple[int, int]] | None:
         """farthest_pair over all samples from the N antipodal pairs
-        (i, antipode[i]) alone, or None when they are not shown to hold
-        the maximum.
+        (i, antipode[i]) and the rows that a bound cannot settle, or None
+        when the samples are not symmetric.
 
         For samples x and y with y != -x, the parallelogram law gives
         |x - y|^2 = 2|x|^2 + 2|y|^2 - |y - (-x)|^2, and -x is a sample, so
-        |y - (-x)| is at least nn, the smallest nearest-neighbor distance.
-        Every other pair is thus at most sqrt(4 max|x|^2 - nn^2) apart.
-        When that, with a rounding margin, stays below the largest
-        antipodal distance, only antipodal entries of the full scan reach
-        the maximum, one per row, and the scan's pick is the first maximal
-        row of the last row chunk that holds one."""
+        |y - (-x)| is at least the nearest-neighbor distance of that
+        sample.  Row i's other entries are thus at most
+        sqrt(4 max|x|^2 - nn[antipode[i]]^2).  Rows where that, with a
+        rounding margin, stays below the largest antipodal distance reach
+        the maximum only at their antipode; the other rows are scanned
+        whole, with the distances of the full scan.  The pick is the full
+        scan's: the first maximum of the last row chunk that holds one."""
         n = len(self)
         if not np.array_equal(self.samples[self.antipode], -self.samples):
             return None
-        anti = self.rho_pairs(np.arange(n), self.antipode)
+        cols = np.arange(n)
+        anti = self.rho_pairs(cols, self.antipode)
         best = anti.max()
-        nn = self.nearest_neighbors[0].min()
-        if not ((4.0 + 1e-12) * np.vecdot(self.samples, self.samples).max()
-                - nn * nn < best * best):
-            return None
-        rows = np.flatnonzero(anti == best)
+        nn = self.nearest_neighbors[0][self.antipode]
+        reach = ((4.0 + 1e-12) * np.vecdot(self.samples, self.samples).max()
+                 - nn * nn)
+        scan = np.flatnonzero(~(reach < best * best))
+        # per scanned row, its largest entry and the first column holding it
+        top, at = np.empty(len(scan)), np.empty(len(scan), dtype=np.intp)
+        for start, block in self.rho_blocks(scan, cols):
+            rows = slice(start, start + len(block))
+            top[rows], at[rows] = block.max(axis=1), block.argmax(axis=1)
+        best = max(best, top.max(initial=best))
+        # the first maximal column of every row that holds the maximum
+        col = self.antipode.copy()
+        col[scan] = at
+        hit = anti == best
+        hit[scan] = top == best
+        rows = np.flatnonzero(hit)
         chunk = _row_chunk(n)
         i = int(rows[rows // chunk == rows[-1] // chunk][0])
-        return float(best), (i, int(self.antipode[i]))
+        return float(best), (i, int(col[i]))
 
     @cached_property
     def nearest_neighbors(self) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,10 @@ When every sample is a vertex, no simplex is a sliver and each interior
 facet's apex clears the ball across it by a margin, Delaunay's lemma
 proves all circumballs empty from the simplices' neighbors alone;
 otherwise a KD-tree query from each kept ball's center does it.
+neighbor_span, which reads D_f only, certifies just the longest Delaunay
+edge, with direct distances from its few incident balls' centers, and
+clusters coincident images by a sort unless two lie close along every
+axis: on generic images it builds no KD-tree and no hash table.
 The graph comes back as one NeighborGraph: columns over the certified
 pairs (indices, witness centers and radii, slack, intrinsic distance) plus
 a few tuple certificates, so D_f is an argmax over one distance column.
@@ -22,6 +26,7 @@ a few tuple certificates, so D_f is an argmax over one distance column.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -385,10 +390,21 @@ def _coincidence_labels(images: np.ndarray, eps: float) -> np.ndarray:
     """Cluster label per sample: samples whose images coincide within eps
     (transitively) share one.  Labels count up in the order of each
     cluster's lowest member, as connected_components visits the nodes in
-    index order."""
+    index order.
+
+    Two images within eps are within eps along every axis, so when the
+    images sorted along their widest bounding-box axis are all more than
+    2 eps apart, every sample is its own cluster and no tree is built (the
+    factor 2 keeps the rounding of squared distances from mattering).
+    Otherwise a KD-tree lists the pairs within eps."""
     n = len(images)
+    if n < 2:
+        return np.arange(n)
+    axis = int(np.argmax(images.max(axis=0) - images.min(axis=0)))
+    if (np.diff(np.sort(images[:, axis])) > 2.0 * eps).all():
+        return np.arange(n)
     links = cKDTree(images).query_pairs(eps, output_type="ndarray")
-    if not len(links):  # all singletons, the usual case
+    if not len(links):  # close along the axis, but no pair within eps
         return np.arange(n)
     adjacency = coo_matrix((np.ones(len(links)), (links[:, 0], links[:, 1])),
                            shape=(n, n))
@@ -439,8 +455,8 @@ def _delaunay_circumcenters(pts: np.ndarray):
 
 
 # Leaf size of the KD-tree behind _clearance, which proves the kept
-# circumballs empty when Delaunay's lemma does not apply (see
-# _local_clearance) and checks the top edge of neighbor_span.  On 6 S^2 ->
+# circumballs empty on the full graph's fallback path, when Delaunay's
+# lemma does not apply (see _local_clearance).  On 6 S^2 ->
 # R^3 maps with 4096 samples, querying the circumcenters of all live
 # simplices took 0.65-0.68 s at 32, against 0.82-0.88 s at scipy's default
 # of 16 and 0.70-0.78 s at 64 (2-vCPU VM).  The clearances do not depend
@@ -552,20 +568,32 @@ def _local_clearance(pts: np.ndarray, tri, centers: np.ndarray,
     return clear
 
 
-def _edge_slack(splx: np.ndarray, clear, margin: np.ndarray,
-                a, b) -> np.ndarray:
-    """Slack of the edge (a, b) (per-simplex arrays or one edge for all)
-    in the circumball of each simplex splx[s] that holds it: the
-    clearance, lowered by the margins of the simplex's other vertices."""
-    other = (splx != np.reshape(a, (-1, 1))) & (splx != np.reshape(b, (-1, 1)))
+def _edge_slack(splx: np.ndarray, clear: np.ndarray, margin: np.ndarray,
+                a: int, b: int) -> np.ndarray:
+    """Slack of the edge (a, b) in the circumball of each simplex splx[s]
+    that holds it: the clearance, lowered by the margins of the simplex's
+    other vertices."""
+    other = (splx != a) & (splx != b)
     return np.minimum(clear, np.where(other, margin, np.inf).min(axis=1))
+
+
+@functools.cache
+def _local_pairs(nverts: int):
+    """The local pairs (p[k], q[k]), p < q, of a simplex with nverts
+    vertices in np.triu_indices order, and rest[k], the other local
+    columns of pair k, ascending."""
+    p, q = np.triu_indices(nverts, 1)
+    rest = np.array([[v for v in range(nverts) if v != a and v != b]
+                     for a, b in zip(p, q)], dtype=np.intp)
+    return p, q, rest.reshape(len(p), nverts - 2)
 
 
 def _edge_keys(simplices: np.ndarray, npts: int) -> np.ndarray:
     """The key lo * npts + hi (lo < hi) of every edge of every given
     simplex, local pair (p, q) by local pair and simplex by simplex within
-    one: instance t is an edge of simplices[t % len(simplices)]."""
-    p, q = np.triu_indices(simplices.shape[1], 1)
+    one: instance t is an edge of simplices[t % len(simplices)], at its
+    local pair t // len(simplices) of _local_pairs."""
+    p, q, _ = _local_pairs(simplices.shape[1])
     a, b = simplices[:, p].T.ravel(), simplices[:, q].T.ravel()
     return np.minimum(a, b).astype(np.int64) * npts + np.maximum(a, b)
 
@@ -612,10 +640,9 @@ def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float):
     starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
     lo, hi = np.divmod(key[starts], len(pts))
     del key
-    # one local pair at a time, to keep the temporaries at one per simplex
-    p, q = np.triu_indices(splx.shape[1], 1)
-    u = np.concatenate([_edge_slack(splx, np.inf, margin, splx[:, a], splx[:, b])
-                        for a, b in zip(p, q)])
+    # the other vertices of local pair k are its rest columns
+    u = np.concatenate([margin[:, r].min(axis=1)
+                        for r in _local_pairs(splx.shape[1])[2]])
     del margin
     chosen = _last_max(order, starts, u)
     owner = chosen % nsplx
@@ -648,20 +675,42 @@ def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float):
             list(zip(lo[~good].tolist(), hi[~good].tolist())))
 
 
+def _direct_clearance(pts: np.ndarray, centers: np.ndarray,
+                      radii: np.ndarray, splx: np.ndarray) -> np.ndarray:
+    """_clearance without a tree, for a few balls: each ball's distance
+    to every point, its vertices masked.  The distances are spelled
+    sqrt(sum of squared differences), as cKDTree computes them, so the
+    values are _clearance's bit for bit (np.vecdot rounds differently)."""
+    clear = np.empty(len(centers))
+    for s, center in enumerate(centers):  # one ball at a time: O(N) memory
+        diff = pts - center
+        dist = np.sqrt((diff * diff).sum(axis=1))
+        dist[splx[s]] = np.inf
+        clear[s] = dist.min()
+    return clear - radii
+
+
 def _top_edge_span(pts: np.ndarray, simplices: np.ndarray,
                    domain: SampledDomain, eps_inside: float) -> float | None:
     """The largest intrinsic distance over the edges of the Delaunay
     simplices of pts (sample i at row i) when one of that edge's incident
     circumballs certifies it, else None.  Ties go to the last such edge in
-    (i, j) order, the rule of extremal_pair."""
-    lo, hi = np.divmod(np.unique(_edge_keys(simplices, len(pts))), len(pts))
+    (i, j) order, the rule of extremal_pair.
+
+    The distinct edges come from one sort of the edge keys, the top
+    edge's simplices from the instances of its key, and the clearances of
+    their few circumballs from direct distances (_direct_clearance): no
+    hash table and no KD-tree is built."""
+    keys = _edge_keys(simplices, len(pts))
+    edges = np.sort(keys)
+    edges = edges[np.r_[True, edges[1:] != edges[:-1]]]
+    lo, hi = np.divmod(edges, len(pts))
     rho = domain.rho_pairs(lo, hi)
     k = len(rho) - 1 - int(np.argmax(rho[::-1]))
-    incident = simplices[(simplices == lo[k]).any(axis=1)
-                         & (simplices == hi[k]).any(axis=1)]
+    incident = simplices[np.sort(np.flatnonzero(keys == edges[k])
+                                 % len(simplices))]
     splx, centers, radii, margin = _circumballs(pts, incident)
-    clear = _clearance(cKDTree(pts, leafsize=CLEARANCE_LEAFSIZE), centers,
-                       radii, splx)
+    clear = _direct_clearance(pts, centers, radii, splx)
     slack = _edge_slack(splx, clear, margin, lo[k], hi[k])
     if len(slack) and slack.max() >= -eps_inside:
         return float(rho[k])
@@ -762,13 +811,20 @@ def _clusters(images: np.ndarray, cfg: NeighborConfig) -> _Clusters:
     # at zero diameter all samples form one cluster
     label = (_coincidence_labels(images, cfg.eps_coincide_rel * diam)
              if diam > 0.0 else np.zeros(len(images), dtype=np.intp))
-    members = np.argsort(label, kind="stable")  # cluster by cluster
-    sizes = np.bincount(label)
-    start = np.cumsum(sizes) - sizes
+    if label[-1] == len(images) - 1:  # all singletons, the usual case
+        members = start = np.arange(len(images))
+        sizes = np.ones(len(images), dtype=np.intp)
+        # C order, like the copy below: the reduction sums in memory order
+        reps = np.ascontiguousarray(images)
+    else:
+        members = np.argsort(label, kind="stable")  # cluster by cluster
+        sizes = np.bincount(label)
+        start = np.cumsum(sizes) - sizes
+        reps = images[members[start]]
     reduced = embed = sph = None
     resid = math.inf
     if len(sizes) >= 2:
-        reduced, embed = _affine_reduce(images[members[start]])
+        reduced, embed = _affine_reduce(reps)
         if reduced.shape[1] > 1:
             sph, resid = fit_sphere(reduced)
             if sph is not None and resid > max(cfg.tau_on_rel * diam, 1e-12):

@@ -11,11 +11,15 @@ nonnegative everywhere and zero exactly at witness points.  On samples an
 exact witness is the center of an empty ball with an image of every
 element on its sphere, so the search scans the circumcenters of the
 Delaunay simplices of the images (the empty-sphere property): a simplex
-whose vertices touch every element has slack 0.  Coincident images add
-their common point, the radius-0 witness of a coincident tuple.  When no
-simplex is rainbow, which is the rule when the cover has more elements
-than a simplex has vertices, the best circumcenter is only an approximate
-witness and the relative residual gate decides.
+whose vertices touch every element has slack 0.  The images are first
+clustered, reduced and tested for a common sphere by the prelude that
+neighbor_graph uses (neighbors._clusters); when they are cospherical, the
+sphere's center is the one circumcenter and nothing is triangulated.
+Coincident images add their common point, the radius-0 witness of a
+coincident tuple.  When no simplex is rainbow, which is the rule when the
+cover has more elements than a simplex has vertices, the best
+circumcenter is only an approximate witness and the relative residual
+gate decides.
 
 The slack at every candidate comes from one query for its d+2 nearest
 images (d the image dimension): it is exact where every element has a
@@ -34,8 +38,7 @@ from scipy.spatial import cKDTree
 from .domains import CoverAssignment, SampledDomain, cube_max_faces
 from .neighbors import (
     DEFAULT_CONFIG,
-    _affine_reduce,
-    _coincidence_labels,
+    _clusters,
     _delaunay_circumcenters,
     _line_pairs,
     image_diameter,
@@ -123,19 +126,25 @@ def _nearest_members(dists: np.ndarray, cover: CoverAssignment,
     return tuple(out)
 
 
-def _candidate_centers(images: np.ndarray, spread: float) -> np.ndarray:
-    """Circumcenters of the Delaunay simplices of the coincidence-cluster
-    representatives (midpoints of consecutive values when their affine hull
-    is a line), followed by the cluster images themselves."""
-    label = _coincidence_labels(images, DEFAULT_CONFIG.eps_coincide_rel * spread)
-    reps = images[np.unique(label, return_index=True)[1]]
-    reduced, embed = _affine_reduce(reps)
-    if reduced.shape[1] == 1:
-        centers = _line_pairs(reduced[:, 0])[2]
+def _candidate_centers(images: np.ndarray) -> np.ndarray:
+    """The candidate centers for the coincidence-cluster representatives
+    of neighbors._clusters (each cluster's lowest member): the
+    circumcenters of their Delaunay simplices (midpoints of consecutive
+    values when their affine hull is a line, the center of their sphere
+    when they are cospherical), followed by the cluster images
+    themselves."""
+    cl = _clusters(images, DEFAULT_CONFIG)
+    reps = images[cl.members[cl.start]]
+    if cl.reduced is None:  # a single cluster
+        return reps
+    if cl.sphere is not None:
+        centers = cl.sphere.center[None, :]
+    elif cl.reduced.shape[1] == 1:
+        centers = _line_pairs(cl.reduced[:, 0])[2]
     else:
-        _, centers, ok = _delaunay_circumcenters(reduced)
+        _, centers, ok = _delaunay_circumcenters(cl.reduced)
         centers = centers[ok]
-    return np.vstack([embed(centers), reps])
+    return np.vstack([cl.embed(centers), reps])
 
 
 def _worst_distance(points: np.ndarray, images: np.ndarray,
@@ -185,11 +194,12 @@ def witness_point(domain: SampledDomain, cover: CoverAssignment,
                   cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG) -> WitnessReport:
     """The candidate center of least witness slack.
 
-    Candidates are the Delaunay circumcenters and cluster images of
-    _candidate_centers, and the first minimizer of the slack wins.  One
-    k-nearest query over all images bounds the slack at every candidate,
-    and only the candidates that bound cannot rule out get per-element
-    queries (_candidate_slack), with the pick the exact slack would make.
+    Candidates are the Delaunay circumcenters (the sphere's center on
+    cospherical images) and cluster images of _candidate_centers, and the
+    first minimizer of the slack wins.  One k-nearest query over all
+    images bounds the slack at every candidate, and only the candidates
+    that bound cannot rule out get per-element queries (_candidate_slack),
+    with the pick the exact slack would make.
     A rainbow simplex (one whose vertices touch every element) gives slack
     0 up to rounding.  With none, which is the rule when the cover has
     more elements than a simplex has vertices (image dimension plus one),
@@ -208,7 +218,7 @@ def witness_point(domain: SampledDomain, cover: CoverAssignment,
         return WitnessReport(status="ok", point=images[0].copy(), radius=0.0,
                              residual=0.0, chosen=chosen, element_names=names)
 
-    candidates = _candidate_centers(images, spread)
+    candidates = _candidate_centers(images)
     slack, nearest = _candidate_slack(candidates, images, cover)
     best = int(np.argmin(slack))
     best_x = candidates[best]

@@ -115,18 +115,73 @@ def test_farthest_pair_antipodal_scan_equals_full_scan(monkeypatch, block):
     assert spanning >= 5 if block < 1e6 else spanning >= 1
 
 
-def test_farthest_pair_keeps_the_full_scan_when_not_proven():
-    # a repeated sample pair makes the nearest-neighbor distance 0, so the
-    # antipodal pairs are not shown to be the farthest
+def test_farthest_pair_keeps_the_full_scan_when_not_proven(monkeypatch):
+    # a repeated sample pair makes the nearest-neighbor distance of both
+    # copies (and of their antipodes) 0, so the rows whose antipode is one
+    # of them are not settled by the bound and are scanned whole
     half = sample_sphere(2, 200, seed=3).samples[:200]
     half = np.vstack([half, half[:1]])
     samples = np.vstack([half, -half])
     antipode = np.r_[np.arange(len(half)) + len(half), np.arange(len(half))]
     domain = SampledDomain(kind="sphere", dim=2, samples=samples,
                            antipode=antipode)
-    assert domain._antipodal_farthest() is None
+    scanned = _scanned_rows(monkeypatch)
     idx = np.arange(len(domain))
+    assert domain._antipodal_farthest() == _full_scan(domain)
+    assert scanned[0].tolist() == [0, 200, 201, 401]
     assert domain.farthest_pair(idx, idx) == _full_scan(domain)
+    # samples without the symmetry keep the full scan
+    broken = dataclasses.replace(domain, antipode=np.roll(antipode, 1))
+    assert broken._antipodal_farthest() is None
+
+
+def _scanned_rows(monkeypatch):
+    """Record the rows of every rho_blocks call, in a list returned."""
+    calls, blocks = [], SampledDomain.rho_blocks
+
+    def recording(self, rows, cols):
+        calls.append(np.asarray(rows))
+        return blocks(self, rows, cols)
+
+    monkeypatch.setattr(SampledDomain, "rho_blocks", recording)
+    return calls
+
+
+def _tied_circle(count: int, rng) -> SampledDomain:
+    """count antipodal pairs on circles of radius 0.999, except for a
+    few exact unit vectors (antipodal distance exactly 2.0, the maximum)
+    placed in both halves of the rows, so the maximal rows tie across row
+    chunks."""
+    angles = np.sort(rng.uniform(0.0, np.pi, count))
+    half = 0.999 * np.c_[np.cos(angles), np.sin(angles)]
+    for k in rng.choice(count, 4, replace=False):
+        half[k] = [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [0.8, 0.6]][k % 4]
+    samples = np.vstack([half, -half])
+    antipode = np.r_[np.arange(count) + count, np.arange(count)]
+    return SampledDomain(kind="sphere", dim=1, samples=samples,
+                         antipode=antipode)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_antipodal_rows_bound_equals_full_scan(monkeypatch, seed):
+    # 3000 random circle pairs have a few rows whose antipode has a close
+    # neighbor: only those are scanned, and the pick is the full scan's
+    monkeypatch.setattr(domains, "RHO_BLOCK_ENTRIES", 2e5)
+    domain = sample_sphere(1, 3000, seed=seed + 5, scheme="uniform_random")
+    scanned = _scanned_rows(monkeypatch)
+    got = domain._antipodal_farthest()
+    assert 0 < len(scanned[0]) < len(domain) // 10
+    assert got == _full_scan(domain)
+    for n, count in [(1, 700), (2, 600)]:
+        domain = sample_sphere(n, count, seed=seed, scheme="uniform_random")
+        assert domain._antipodal_farthest() == _full_scan(domain)
+    domain = _tied_circle(1500, np.random.default_rng(seed))
+    idx = np.arange(len(domain))
+    anti = domain.rho_pairs(idx, domain.antipode)
+    best = domain._antipodal_farthest()
+    assert best == _full_scan(domain) and best[0] == 2.0
+    assert len(np.unique(np.flatnonzero(anti == 2.0)
+                         // domains._row_chunk(len(domain)))) > 1
 
 
 def test_regular_triangulation_cover_n1():

@@ -10,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, cKDTree
 
 from fneighbors import neighbors
@@ -663,6 +665,99 @@ def test_span_falls_back_when_the_longest_edge_fails(monkeypatch):
     # the full graph reuses the prelude's triangulation
     assert built and top == [None] and qhull == 1
     assert span == compute_df(neighbor_graph(images, domain), domain)
+
+
+# --- the mu prelude and top-edge check without search structures ---
+
+def _kd_labels(images, eps):
+    """Coincidence labels from the KD-tree pairs within eps, the
+    reference for the gap test."""
+    links = cKDTree(images).query_pairs(eps, output_type="ndarray")
+    n = len(images)
+    adjacency = coo_matrix((np.ones(len(links)), (links[:, 0], links[:, 1])),
+                           shape=(n, n))
+    return connected_components(adjacency, directed=False)[1]
+
+
+def _no_tree(*args, **kwargs):
+    raise AssertionError("a KD-tree was built")
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.0, 2.0 * (1 - 1e-9),
+                                    2.0 * (1 + 1e-9), 3.0])
+def test_gap_labels_equal_kd_labels(monkeypatch, factor):
+    # images 0.01 apart along x, except a dozen gaps of factor * eps; the
+    # y spread is smaller than the x spread, so x is the sorted axis, and
+    # y offsets of eps / 2 put some close-in-x pairs beyond eps
+    rng = np.random.default_rng(int(factor * 1e3))
+    eps = 1e-3
+    gaps = np.full(199, 0.01)
+    gaps[rng.choice(199, 12, replace=False)] = factor * eps
+    x = np.cumsum(np.r_[0.0, gaps])
+    y = rng.choice([0.0, 0.5 * eps], size=200)
+    images = np.c_[x, y][rng.permutation(200)]
+    got = neighbors._coincidence_labels(images, eps)
+    assert np.array_equal(got, _kd_labels(images, eps))
+    if factor > 2.0:
+        monkeypatch.setattr(neighbors, "cKDTree", _no_tree)
+        assert np.array_equal(neighbors._coincidence_labels(images, eps),
+                              np.arange(200))
+
+
+def test_gap_labels_equal_kd_labels_on_grid_rounded_maps():
+    domain = sample_sphere(2, 2048, seed=0, scheme="quasi_uniform")
+    clustered = 0
+    for k, digits in itertools.product(range(3), (1, 2, 3)):
+        spec = random_map("sphere_harmonic", 3, seed=[k, 1000], d_in=3)
+        images = np.round(evaluate(spec, domain), digits)
+        eps = DEFAULT_CONFIG.eps_coincide_rel * image_diameter(images)
+        got = neighbors._coincidence_labels(images, eps)
+        assert np.array_equal(got, _kd_labels(images, eps))
+        clustered += got[-1] < len(domain) - 1
+    assert clustered >= 6
+
+
+def _top_edge_balls(images, domain):
+    """The reduced images and the circumballs of the simplices around the
+    top Delaunay edge of a generic map (the edge _top_edge_span checks),
+    plus those of up to 300 other simplices."""
+    reduced = neighbors._clusters(images, DEFAULT_CONFIG).reduced
+    simplices = Delaunay(reduced).simplices
+    keys = neighbors._edge_keys(simplices, len(reduced))
+    rho = domain.rho_pairs(*np.divmod(keys, len(reduced)))
+    top = keys[rho == rho.max()].max()
+    incident = np.flatnonzero(keys == top) % len(simplices)
+    some = np.random.default_rng(0).choice(len(simplices),
+                                           min(300, len(simplices)),
+                                           replace=False)
+    return reduced, neighbors._circumballs(reduced,
+                                           simplices[np.r_[incident, some]])
+
+
+@pytest.mark.parametrize("n, count, family, m_out, seeds", [
+    (1, 512, "circle_fourier", 2, range(6)),
+    (2, 512, "sphere_harmonic", 3, range(3)),
+    (2, 4096, "sphere_harmonic", 3, range(2))])
+def test_direct_clearance_equals_kd_clearance(n, count, family, m_out, seeds):
+    domain = sample_sphere(n, count, seed=1, scheme="quasi_uniform")
+    for k in seeds:
+        spec = random_map(family, m_out, seed=[k, 1000], d_in=n + 1)
+        pts, (splx, centers, radii, _) = _top_edge_balls(
+            evaluate(spec, domain), domain)
+        tree = cKDTree(pts, leafsize=neighbors.CLEARANCE_LEAFSIZE)
+        want = neighbors._clearance(tree, centers, radii, splx)
+        got = neighbors._direct_clearance(pts, centers, radii, splx)
+        assert _bytes(got) == _bytes(want)
+
+
+def test_generic_mu_evaluation_builds_no_kdtree(monkeypatch):
+    domain = sample_sphere(1, 512, seed=1, scheme="quasi_uniform")
+    for k in range(5):
+        images = evaluate(random_map("circle_fourier", 2, seed=[k, 3]), domain)
+        want = compute_df(neighbor_graph(images, domain), domain)
+        monkeypatch.setattr(neighbors, "cKDTree", _no_tree)
+        assert neighbor_span(images, domain) == want
+        monkeypatch.undo()
 
 
 def test_image_diameter():

@@ -15,7 +15,7 @@ from fneighbors.domains import (
     sample_sphere,
 )
 from fneighbors.maps import MapSpec, evaluate, random_map
-from fneighbors import witness
+from fneighbors import neighbors, witness
 from fneighbors.neighbors import pair_is_neighbor_fast
 from fneighbors.witness import (
     DisjointFacesResult,
@@ -239,7 +239,7 @@ def test_slack_equals_reference_with_fewer_images_than_the_query_asks(
     cover = regular_triangulation_cover(domain)
     images = np.c_[domain.samples, [0.0, 0.3, 0.1, 0.7]]
     assert _refined_counts(monkeypatch, domain, cover, images) == []
-    candidates = witness._candidate_centers(images, 1.0)
+    candidates = witness._candidate_centers(images)
     got = witness._candidate_slack(candidates, images, cover)
     for column, ref in zip(got, _all_element_slack(candidates, images, cover)):
         assert np.array_equal(column, ref)
@@ -260,3 +260,64 @@ def test_candidate_whose_bound_ties_the_least_exact_slack_is_refined():
     ref_slack, ref_nearest = _all_element_slack(candidates, images, cover)
     assert np.array_equal(slack, ref_slack) and slack.tolist() == [4.0, 0.0]
     assert np.array_equal(nearest, ref_nearest)
+
+
+# --- candidate centers from the shared neighbor prelude ---
+
+def _reference_candidates(images):
+    """The candidate centers as computed before the shared prelude: one
+    coincidence labeling, the lowest member per label, and the Delaunay
+    circumcenters (or line midpoints) of those representatives."""
+    spread = float(np.linalg.norm(images.max(0) - images.min(0)))
+    label = neighbors._coincidence_labels(
+        images, neighbors.DEFAULT_CONFIG.eps_coincide_rel * spread)
+    reps = images[np.unique(label, return_index=True)[1]]
+    reduced, embed = neighbors._affine_reduce(reps)
+    if reduced.shape[1] == 1:
+        centers = neighbors._line_pairs(reduced[:, 0])[2]
+    else:
+        _, centers, ok = neighbors._delaunay_circumcenters(reduced)
+        centers = centers[ok]
+    return np.vstack([embed(centers), reps])
+
+
+def test_candidates_and_reports_unchanged_on_generic_maps(monkeypatch):
+    sphere = sample_sphere(2, 1024, seed=0, scheme="quasi_uniform")
+    cases = [(sphere, regular_triangulation_cover(sphere),
+              random_map("sphere_harmonic", 3, seed=[7, k], d_in=3))
+             for k in range(3)]
+    circle = sample_sphere(1, 1024, seed=0, scheme="quasi_uniform")
+    cases.append((circle, regular_triangulation_cover(circle),
+                  random_map("circle_fourier", 2, seed=[9600, 0])))
+    for m in (2, 3):
+        cube, cover = cube_boundary_cover(m, 1024, seed=1)
+        cases.append((cube, cover, random_map("poly_quadratic", 2,
+                                              seed=[1, 2000 + m], d_in=m)))
+    for domain, cover, spec in cases:
+        images = evaluate(spec, domain)
+        want = _reference_candidates(images)
+        assert np.array_equal(witness._candidate_centers(images), want)
+        report = witness_point(domain, cover, images).to_json()
+        monkeypatch.setattr(witness, "_candidate_centers",
+                            _reference_candidates)
+        assert report == witness_point(domain, cover, images).to_json()
+        monkeypatch.undo()
+
+
+def _no_delaunay(*args):
+    raise AssertionError("the witness search triangulated")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_identity_sphere_witness_makes_no_delaunay_call(monkeypatch, n):
+    domain = sample_sphere(n, 2048, seed=0, scheme="quasi_uniform")
+    cover = regular_triangulation_cover(domain)
+    monkeypatch.setattr(witness, "_delaunay_circumcenters", _no_delaunay)
+    monkeypatch.setattr(neighbors, "Delaunay", _no_delaunay)
+    report = witness_point(domain, cover, domain.samples.copy())
+    assert report.status == "ok"
+    assert np.linalg.norm(report.point) <= 1e-12
+    assert report.radius == pytest.approx(1.0, abs=1e-12)
+    assert report.residual <= 1e-12
+    labels = [cover.membership[i, j] for j, i in enumerate(report.chosen)]
+    assert len(labels) == n + 2 and all(labels)
