@@ -253,21 +253,14 @@ def _witness_texts(graph: NeighborGraph) -> tuple[list[str], np.ndarray]:
     -0.0 keep their own spellings."""
     coincidence = np.isnan(graph.centers[:, 0])
     balls = np.column_stack([graph.centers, graph.radii]).astype(np.float64)
-    bits = balls[~coincidence].view(np.int64)
-    # rows sorted by their columns, the first column first; equal rows group
-    order = np.lexsort(bits.T[::-1])
-    bits = bits[order]
-    new = np.ones(len(bits), dtype=bool)
-    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    inverse = np.empty(len(bits), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    bits = bits[new]
+    bits, inverse = np.unique(balls[~coincidence].view(np.int64), axis=0,
+                              return_inverse=True)
     values, width = _spell(bits.view(np.float64).ravel()), balls.shape[1]
     texts = [_BALL_WITNESS % (",\n          ".join(values[k:k + width - 1]),
                               values[k + width - 1])
              for k in range(0, len(values), width)]
     which = np.full(len(graph.pairs), len(texts))
-    which[~coincidence] = inverse
+    which[~coincidence] = inverse.reshape(-1)
     return [*texts, _COINCIDENCE_WITNESS], which
 
 

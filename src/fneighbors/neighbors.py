@@ -680,14 +680,17 @@ def _direct_clearance(pts: np.ndarray, centers: np.ndarray,
     """_clearance without a tree, for a few balls: each ball's distance
     to every point, its vertices masked.  The distances are spelled
     sqrt(sum of squared differences), as cKDTree computes them, so the
-    values are _clearance's bit for bit (np.vecdot rounds differently)."""
-    clear = np.empty(len(centers))
-    for s, center in enumerate(centers):  # one ball at a time: O(N) memory
-        diff = pts - center
-        dist = np.sqrt((diff * diff).sum(axis=1))
-        dist[splx[s]] = np.inf
-        clear[s] = dist.min()
-    return clear - radii
+    values are _clearance's bit for bit (np.vecdot rounds differently).
+
+    It costs O(balls * points), so it serves only the top edge of
+    neighbor_span: there, for the two balls around an edge of 512 circle
+    images, it took 61 us against 117 us for a tree's build and query,
+    while on the full graph's fallback (about 16k balls, 4096 grid-rounded
+    S^2 images) the tree took 0.07 s and this 2.6 s (2-vCPU VM)."""
+    diff = pts - centers[:, None, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist[np.arange(len(splx))[:, None], splx] = np.inf
+    return dist.min(axis=1) - radii
 
 
 def _top_edge_span(pts: np.ndarray, simplices: np.ndarray,
@@ -811,20 +814,13 @@ def _clusters(images: np.ndarray, cfg: NeighborConfig) -> _Clusters:
     # at zero diameter all samples form one cluster
     label = (_coincidence_labels(images, cfg.eps_coincide_rel * diam)
              if diam > 0.0 else np.zeros(len(images), dtype=np.intp))
-    if label[-1] == len(images) - 1:  # all singletons, the usual case
-        members = start = np.arange(len(images))
-        sizes = np.ones(len(images), dtype=np.intp)
-        # C order, like the copy below: the reduction sums in memory order
-        reps = np.ascontiguousarray(images)
-    else:
-        members = np.argsort(label, kind="stable")  # cluster by cluster
-        sizes = np.bincount(label)
-        start = np.cumsum(sizes) - sizes
-        reps = images[members[start]]
+    members = np.argsort(label, kind="stable")  # cluster by cluster
+    sizes = np.bincount(label)
+    start = np.cumsum(sizes) - sizes
     reduced = embed = sph = None
     resid = math.inf
     if len(sizes) >= 2:
-        reduced, embed = _affine_reduce(reps)
+        reduced, embed = _affine_reduce(images[members[start]])
         if reduced.shape[1] > 1:
             sph, resid = fit_sphere(reduced)
             if sph is not None and resid > max(cfg.tau_on_rel * diam, 1e-12):

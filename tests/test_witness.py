@@ -321,3 +321,26 @@ def test_identity_sphere_witness_makes_no_delaunay_call(monkeypatch, n):
     assert report.residual <= 1e-12
     labels = [cover.membership[i, j] for j, i in enumerate(report.chosen)]
     assert len(labels) == n + 2 and all(labels)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_nearly_cospherical_witness_takes_the_fitted_center(monkeypatch, n):
+    # images within tau_on of a sphere, but not on it: the fitted center
+    # stands in for the Delaunay circumcenters, whose residual is rounding
+    domain = sample_sphere(n, 2048, seed=0, scheme="quasi_uniform")
+    cover = regular_triangulation_cover(domain)
+    wobble = np.random.default_rng(0).standard_normal(len(domain))
+    images = domain.samples * (1.0 + 1e-8 * wobble)[:, None]
+    cl = neighbors._clusters(images, neighbors.DEFAULT_CONFIG)
+    assert cl.sphere is not None
+    assert 1e-9 < cl.resid <= neighbors.DEFAULT_CONFIG.tau_on_rel * cl.diam
+    monkeypatch.setattr(witness, "_candidate_centers", _reference_candidates)
+    assert witness_point(domain, cover, images).residual <= 1e-15
+    monkeypatch.undo()
+    monkeypatch.setattr(witness, "_delaunay_circumcenters", _no_delaunay)
+    monkeypatch.setattr(neighbors, "Delaunay", _no_delaunay)
+    report = witness_point(domain, cover, images)
+    # the residual rises from rounding to a fraction of the fit residual,
+    # far inside the acceptance gate
+    assert report.status == "ok"
+    assert 1e-9 < report.residual <= cl.resid
