@@ -34,7 +34,14 @@ from .domains import (
     simplex_boundary_cover,
 )
 from .homotopy import certify_cover
-from .maps import MapSpec, evaluate, map_from_json, map_to_json, random_map
+from .maps import (
+    MapSpec,
+    default_family,
+    evaluate,
+    map_from_json,
+    map_to_json,
+    random_map,
+)
 from .muopt import (
     BoundViolationError,
     OptimizerConfig,
@@ -170,14 +177,6 @@ def _domain_cover(cfg: dict) -> tuple[SampledDomain, CoverAssignment]:
     return domain, cover
 
 
-def _default_family(domain: SampledDomain) -> str:
-    if domain.kind == "sphere" and domain.dim == 1:
-        return "circle_fourier"
-    if domain.kind == "sphere" and domain.dim == 2:
-        return "sphere_harmonic"
-    return "poly_quadratic"
-
-
 def _build_map(cfg: dict, domain: SampledDomain) -> MapSpec:
     if cfg.get("map"):
         text = str(cfg["map"])
@@ -190,7 +189,7 @@ def _build_map(cfg: dict, domain: SampledDomain) -> MapSpec:
             return map_from_json(text)
         except (ValueError, KeyError, json.JSONDecodeError) as exc:
             raise UsageError(f"bad map JSON: {exc}")
-    family = cfg.get("family") or _default_family(domain)
+    family = cfg.get("family") or default_family(domain)
     try:
         return random_map(family, m_out=int(cfg["m_out"]),
                           seed=[int(cfg["seed"]), 11],
@@ -589,8 +588,6 @@ def cmd_verify_cube(cfg: dict) -> tuple[int, dict]:
 def cmd_mu(cfg: dict) -> tuple[int, dict]:
     n = int(cfg["n"])
     m_out = int(cfg["m_out"]) if cfg.get("m_out") is not None else n + 1
-    family = cfg.get("family") or ("circle_fourier" if n == 1
-                                   else "sphere_harmonic")
     ncfg = _neighbor_cfg(cfg)
     ocfg = OptimizerConfig(n_restarts=int(cfg["restarts"]),
                            budget=int(cfg["budget"]),
@@ -601,6 +598,7 @@ def cmd_mu(cfg: dict) -> tuple[int, dict]:
                            n_probes=int(cfg["probes"]))
     domain = sample_sphere(n, int(cfg["samples"]), seed=int(cfg["seed"]),
                            scheme=cfg["scheme"])
+    family = cfg.get("family") or default_family(domain)
     base = {"command": "mu", "config": _audit("mu", cfg),
             "tolerances": asdict(ncfg)}
     try:

@@ -59,6 +59,8 @@ class SampledDomain:
     def __post_init__(self):
         if self.kind not in ("sphere", "simplex_boundary", "cube_boundary"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
+        if not np.isfinite(self.samples).all():
+            raise ValueError("domain samples must be finite")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -265,7 +267,9 @@ def sample_sphere(n: int, n_samples: int, seed: int = 0,
 
             half_count = (n_samples + 1) // 2
             sob = qmc.Sobol(d=n + 1, scramble=False, seed=seed)
-            u = sob.random(half_count + 1)[1:]  # drop the all-zeros row
+            # drop the first two points: the all-zeros row, and the centre
+            # (0.5, ..., 0.5), which norm.ppf maps to the zero vector
+            u = sob.random(half_count + 2)[2:]
             from scipy.stats import norm as _norm
 
             g = _norm.ppf(np.clip(u, 1e-12, 1 - 1e-12))

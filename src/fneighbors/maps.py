@@ -20,6 +20,7 @@ __all__ = [
     "MapSpec",
     "evaluate",
     "random_map",
+    "default_family",
     "param_count",
     "continuity_modulus",
     "map_to_json",
@@ -160,6 +161,17 @@ def evaluate(spec: MapSpec, domain: SampledDomain) -> np.ndarray:
         return g[:, None] * (x @ a.T)
 
     raise ValueError(f"unknown family {spec.family!r}")
+
+
+def default_family(domain: SampledDomain) -> str:
+    """The family of a random map when none is named: circle_fourier on
+    S^1, sphere_harmonic on S^2, poly_quadratic (defined on every domain)
+    otherwise."""
+    if domain.kind == "sphere" and domain.dim == 1:
+        return "circle_fourier"
+    if domain.kind == "sphere" and domain.dim == 2:
+        return "sphere_harmonic"
+    return "poly_quadratic"
 
 
 def random_map(family: str, m_out: int, seed, scale: float = 1.0,

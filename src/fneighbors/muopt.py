@@ -22,6 +22,7 @@ from .domains import SampledDomain, cube_boundary_cover, sample_sphere
 from .geometry import separation_bound
 from .maps import (
     MapSpec,
+    default_family,
     discretization_allowance,
     evaluate,
     map_to_json,
@@ -242,10 +243,9 @@ def verify_sphere_bound(n: int, m_out: int, trials: int, n_samples: int,
     """
     if m_out <= n:
         raise ValueError("the separation bound needs m_out > n")
-    if family is None:
-        family = "circle_fourier" if n == 1 else "sphere_harmonic"
     bound = separation_bound(n)
     domain = sample_sphere(n, n_samples, seed=seed, scheme=scheme)
+    family = family or default_family(domain)
 
     def one(t: int) -> dict:
         spec = random_map(family, m_out=m_out, seed=[seed, 1000 + t],

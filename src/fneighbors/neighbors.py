@@ -9,8 +9,13 @@ linear feasibility problem: the scalable path solves that LP, while the
 oracle decides small instances by candidate-sphere enumeration so the two
 routes stay independent.
 
-Large instances use a Delaunay triangulation as a candidate generator:
-every Delaunay edge is certified by its best incident-simplex circumball.
+Large instances use a Delaunay triangulation as a candidate generator,
+in any reduced dimension of 2 or more: every Delaunay edge is certified
+by its best incident-simplex circumball, and every f-neighbor pair of
+images in general position is a Delaunay edge.  If Qhull fails, every
+pair goes to the LP.  The triangulation can be large: a closed curve in
+R^4 or R^5 is nearly neighborly, like the cyclic polytopes, so a good
+share of all pairs are edges and, in R^5, the simplices grow as N^3.
 When every sample is a vertex, no simplex is a sliver and each interior
 facet's apex clears the ball across it by a margin, Delaunay's lemma
 proves all circumballs empty from the simplices' neighbors alone;
@@ -720,26 +725,6 @@ def _top_edge_span(pts: np.ndarray, simplices: np.ndarray,
     return None
 
 
-def _gabriel_pairs(pts: np.ndarray, eps_inside: float):
-    """Vectorized Gabriel test over all pairs (fallback candidate source in
-    dimension > 3): pair (i,j) passes when no point is deeper than
-    eps_inside inside the diametral ball.  Returns columns like
-    _delaunay_edge_certs, and no failed edges."""
-    npts = len(pts)
-    rows = []
-    for i in range(npts - 1):
-        mids = 0.5 * (pts[i + 1:] + pts[i])
-        radii = 0.5 * np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
-        for off, (c, r) in enumerate(zip(mids, radii)):
-            j = i + 1 + off
-            margins = np.linalg.norm(pts - c, axis=1) - r
-            margins[[i, j]] = np.inf
-            slack = float(margins.min())
-            if slack >= -eps_inside:
-                rows.append((i, j, c, float(r), slack))
-    return _stack_rows(rows, pts.shape[1]), []
-
-
 def _lp_pairs(candidates, reduced: np.ndarray, cfg: NeighborConfig):
     """Columns of the candidate pairs that pair_is_neighbor_fast certifies;
     a coincidence verdict gets a NaN center and radius 0."""
@@ -832,10 +817,23 @@ def _clusters(images: np.ndarray, cfg: NeighborConfig) -> _Clusters:
 def _takes_delaunay(cl: _Clusters, cfg: NeighborConfig) -> bool:
     """Whether the representatives are certified from a Delaunay
     triangulation: more than cfg.exhaustive_max of them, not cospherical,
-    in reduced dimension 2 or 3."""
+    in reduced dimension 2 or more."""
     return (cl.reduced is not None and cl.sphere is None
             and len(cl.reduced) > cfg.exhaustive_max
-            and cl.reduced.shape[1] in (2, 3))
+            and cl.reduced.shape[1] >= 2)
+
+
+def _triangulation(cl: _Clusters, cfg: NeighborConfig) -> Delaunay | None:
+    """Qhull's Delaunay triangulation of the representatives when they
+    take the Delaunay path (see _takes_delaunay), else None.  It is None
+    too when Qhull fails, which leaves them to the exhaustive LP over all
+    pairs."""
+    if not _takes_delaunay(cl, cfg):
+        return None
+    try:
+        return Delaunay(cl.reduced)
+    except QhullError:
+        return None
 
 
 def neighbor_graph(images: np.ndarray, domain: SampledDomain,
@@ -846,28 +844,32 @@ def neighbor_graph(images: np.ndarray, domain: SampledDomain,
     Coinciding images form coincidence-cluster tuples (the radius-0
     branch); the clusters' lowest members stand in for them.  Pairs of
     distinct images are certified with explicit witness spheres: exactly
-    pair by pair for at most cfg.exhaustive_max representatives, otherwise
-    from Delaunay candidates, which is sound but may omit pairs in
-    degenerate cospherical configurations.  Every certified pair of
-    representatives then expands to all member pairs of its two clusters
-    (only the farthest one past cfg.cross_pair_cap).  The fully
-    cospherical case is one all-sample tuple at scale (all pairs at desk
-    scale).
+    pair by pair for at most cfg.exhaustive_max representatives or when
+    Qhull fails, otherwise from the edges of one Delaunay triangulation
+    in their reduced dimension, whatever it is, which is sound but may
+    omit pairs in degenerate cospherical configurations (an edge whose
+    circumballs all fail goes to the LP, up to cfg.lp_fallback_cap of
+    them).  Every certified pair of representatives then expands to all
+    member pairs of its two clusters (only the farthest one past
+    cfg.cross_pair_cap).  The fully cospherical case is one all-sample
+    tuple at scale (all pairs at desk scale).
     """
     images = np.asarray(images, dtype=float)
     if len(images) != len(domain):
         raise ValueError("images must align with domain samples")
     if len(images) < 2:
         return _graph(domain, *_stack_rows([], images.shape[1]))
-    return _full_graph(images, domain, cfg, _clusters(images, cfg))
+    cl = _clusters(images, cfg)
+    return _full_graph(images, domain, cfg, cl, _triangulation(cl, cfg))
 
 
 def _full_graph(images: np.ndarray, domain: SampledDomain,
                 cfg: NeighborConfig, prelude: _Clusters,
-                tri: Delaunay | None = None) -> NeighborGraph:
-    """neighbor_graph of at least two images from their prelude; the
-    Delaunay path triangulates prelude.reduced unless tri, its Delaunay
-    triangulation, is given."""
+                tri: Delaunay | None) -> NeighborGraph:
+    """neighbor_graph of at least two images from their prelude and
+    _triangulation(prelude, cfg): distinct representatives in reduced
+    dimension 2 or more are certified from tri, or pair by pair when it
+    is None."""
     npts, m = images.shape
     (diam, label, members, sizes, start, reduced, embed, sph,
      resid) = prelude
@@ -897,21 +899,11 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
 
     if reduced.shape[1] == 1:
         cand = _line_pairs(reduced[:, 0])
-    elif len(reduced) <= cfg.exhaustive_max:
+    elif tri is None:
         cand = _lp_pairs(itertools.combinations(range(len(reduced)), 2),
                          reduced, cfg)
     else:
-        certified = None
-        if _takes_delaunay(prelude, cfg):
-            try:
-                if tri is None:
-                    tri = Delaunay(reduced)
-                certified, failed = _delaunay_edge_certs(reduced, tri,
-                                                         eps_inside)
-            except QhullError:
-                pass
-        if certified is None:
-            certified, failed = _gabriel_pairs(reduced, eps_inside)
+        certified, failed = _delaunay_edge_certs(reduced, tri, eps_inside)
         rescued = _lp_pairs(failed[: cfg.lp_fallback_cap], reduced, cfg)
         cand = tuple(np.concatenate(c) for c in zip(certified, rescued))
 
@@ -948,29 +940,25 @@ def neighbor_span(images: np.ndarray, domain: SampledDomain,
     Every candidate pair of the Delaunay path is a Delaunay edge, so when
     there are no coincidence clusters and that path applies (more than
     cfg.exhaustive_max samples, images not cospherical, reduced dimension
-    2 or 3) the Delaunay edge at the largest intrinsic distance bounds D_f,
-    and D_f equals its distance as soon as one of its incident circumballs
-    certifies it.  Only that edge is certified then, with the same
-    eps_inside.  Everything else (another path, a Qhull failure, or a top
-    edge that fails its circumballs) builds the full graph, reusing the
-    prelude and the triangulation already computed.
+    2 or more) the Delaunay edge at the largest intrinsic distance bounds
+    D_f, and D_f equals its distance as soon as one of its incident
+    circumballs certifies it.  Only that edge is certified then, with the
+    same eps_inside.  Everything else (another path, a Qhull failure, or a
+    top edge that fails its circumballs) builds the full graph, reusing
+    the prelude and the triangulation already computed: Qhull runs at
+    most once.
     """
     images = np.asarray(images, dtype=float)
     if len(images) != len(domain) or len(images) < 2:
         return compute_df(neighbor_graph(images, domain, cfg), domain)
     cl = _clusters(images, cfg)
-    tri = None
-    if len(cl.sizes) == len(images) and _takes_delaunay(cl, cfg):
+    tri = _triangulation(cl, cfg)
+    if tri is not None and len(cl.sizes) == len(images):
         # no clusters: reduced row i is the image of sample i
-        try:
-            tri = Delaunay(cl.reduced)
-        except QhullError:
-            pass
-        else:
-            span = _top_edge_span(cl.reduced, tri.simplices, domain,
-                                  cfg.eps_inside_rel * cl.diam)
-            if span is not None:
-                return span
+        span = _top_edge_span(cl.reduced, tri.simplices, domain,
+                              cfg.eps_inside_rel * cl.diam)
+        if span is not None:
+            return span
     return compute_df(_full_graph(images, domain, cfg, cl, tri), domain)
 
 

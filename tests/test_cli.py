@@ -74,6 +74,28 @@ def test_verify_sphere_threads_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_sphere_three_sphere_default_family(tmp_path):
+    # S^3 into R^4: the default family is poly_quadratic, and the
+    # triangulation is 4-D
+    a, b = tmp_path / "t1.json", tmp_path / "t2.json"
+    for threads, path in (("1", a), ("2", b)):
+        assert run("verify-sphere", "--n", "3", "--m-out", "4", "--trials",
+                   "2", "--samples", "256", "--threads", threads,
+                   "--out", str(path)) == 0
+    assert a.read_bytes() == b.read_bytes()
+    doc = json.loads(a.read_text())
+    for trial in doc["result"]["trials"]:
+        assert json.loads(trial["map"])["family"] == "poly_quadratic"
+
+
+def test_mu_three_sphere_default_family(tmp_path):
+    out = tmp_path / "m.json"
+    assert run("mu", "--n", "3", "--samples", "128", "--restarts", "1",
+               "--budget", "20", "--probes", "2", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert json.loads(doc["result"]["best_map"])["family"] == "poly_quadratic"
+
+
 def test_verify_sphere_csv_and_margins(tmp_path):
     out, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
     assert run("verify-sphere", "--trials", "3", "--samples", "512",

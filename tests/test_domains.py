@@ -30,7 +30,9 @@ def test_sample_sphere_quasi_n1_roots_of_unity():
 
 def test_sample_sphere_antipode_exact():
     for n, scheme in [(1, "uniform_random"), (2, "uniform_random"),
-                      (1, "quasi_uniform"), (2, "quasi_uniform")]:
+                      (3, "uniform_random"), (1, "quasi_uniform"),
+                      (2, "quasi_uniform"), (3, "quasi_uniform"),
+                      (4, "quasi_uniform")]:
         d = sample_sphere(n, 51, seed=9, scheme=scheme)
         assert len(d) >= 51
         assert np.allclose(np.linalg.norm(d.samples, axis=1), 1.0, atol=1e-12)

@@ -10,6 +10,7 @@ from fneighbors.domains import (
 from fneighbors.maps import (
     MapSpec,
     continuity_modulus,
+    default_family,
     discretization_allowance,
     evaluate,
     identity_fourier_params,
@@ -95,6 +96,18 @@ def test_sphere_harmonic_domain_guard():
     spec2 = random_map("sphere_harmonic", 3, seed=0, d_in=3)
     img = evaluate(spec2, d2)
     assert img.shape == (len(d2), 3)
+
+
+def test_default_family_evaluates_on_every_domain():
+    domains = [sample_sphere(n, 64, scheme="quasi_uniform") for n in (1, 2, 3, 4)]
+    domains += [simplex_boundary_cover(3, 64)[0], cube_boundary_cover(2, 64)[0]]
+    got = []
+    for d in domains:
+        family = default_family(d)
+        got.append(family)
+        spec = random_map(family, 3, seed=1, d_in=d.samples.shape[1])
+        assert np.isfinite(evaluate(spec, d)).all()
+    assert got == ["circle_fourier", "sphere_harmonic"] + ["poly_quadratic"] * 4
 
 
 def test_poly_quadratic_on_cube():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from fneighbors import neighbors
 from fneighbors.domains import cube_boundary_cover, sample_sphere
@@ -194,23 +194,37 @@ def test_graph_matches_oracle_on_small_instance():
         assert check_certificate(cert, images, domain)
 
 
+def _pairwise_lp_set(images):
+    """The pairs pair_is_neighbor_fast says "yes" to, over all pairs."""
+    return {(i, j) for i, j in itertools.combinations(range(len(images)), 2)
+            if pair_is_neighbor_fast(i, j, images)[0] == "yes"}
+
+
 def test_graph_delaunay_path_matches_pairwise_lp():
-    # 30 distinct images force the triangulation path, in the plane and in
-    # space; compare against the exhaustive LP verdicts
-    for n, m in ((1, 2), (2, 3)):
+    # 30 distinct images force the triangulation path, in the plane, in
+    # space and above; compare against the exhaustive LP verdicts
+    for n, m in ((1, 2), (2, 3), (1, 4), (2, 4), (1, 5)):
         domain = sample_sphere(n, 15, seed=9, scheme="uniform_random")
         rng = np.random.default_rng(77)
         images = rng.normal(size=(len(domain), m))
         certs = neighbor_graph(images, domain)
-        got = {c.indices for c in certs}
-        expected = set()
-        for i, j in itertools.combinations(range(len(domain)), 2):
-            verdict, _ = pair_is_neighbor_fast(i, j, images)
-            if verdict == "yes":
-                expected.add((i, j))
-        assert got == expected
+        assert {c.indices for c in certs} == _pairwise_lp_set(images)
         for cert in certs:
             assert check_certificate(cert, images, domain)
+
+
+def test_graph_curves_in_r4_reach_the_antipodal_span():
+    # circle maps into R^4 are nearly neighborly: the graph certifies an
+    # antipodal pair, so D_f is 2 (the Gabriel subgraph gave 1.91-2.0)
+    domain = sample_sphere(1, 128, seed=0, scheme="quasi_uniform")
+    for t in range(4):
+        images = evaluate(random_map("circle_fourier", 4, seed=[0, 1000 + t]),
+                          domain)
+        graph = neighbor_graph(images, domain)
+        pair, df, cert = extremal_pair(graph, domain)
+        assert df == 2.0
+        assert check_certificate(cert, images, domain)
+        assert pair_is_neighbor_fast(*pair, images)[0] == "yes"
 
 
 def test_graph_identity_circle_reports_everything_at_scale():
@@ -625,8 +639,12 @@ def _circle_map(n, m_out, seed=1):
     return evaluate(random_map("circle_fourier", m_out, seed=seed), domain), domain
 
 
+def test_span_early_exit_curve_in_r4(monkeypatch):
+    _assert_early_exit(monkeypatch, *_circle_map(64, 4))
+
+
 @pytest.mark.parametrize("case", ["clusters", "cosphere", "line", "exhaustive",
-                                  "gabriel", "constant"])
+                                  "constant"])
 def test_span_fallbacks_equal_full_graph(monkeypatch, case):
     if case == "clusters":
         images, domain = _circle_map(512, 2)
@@ -639,8 +657,6 @@ def test_span_fallbacks_equal_full_graph(monkeypatch, case):
         images, domain = _circle_map(512, 1)
     elif case == "exhaustive":
         images, domain = _circle_map(DEFAULT_CONFIG.exhaustive_max - 8, 2)
-    elif case == "gabriel":
-        images, domain = _circle_map(64, 4)
     else:
         domain = sample_sphere(1, 64, seed=0, scheme="quasi_uniform")
         images = np.tile([3.0, -1.0], (len(domain), 1))
@@ -665,6 +681,25 @@ def test_span_falls_back_when_the_longest_edge_fails(monkeypatch):
     # the full graph reuses the prelude's triangulation
     assert built and top == [None] and qhull == 1
     assert span == compute_df(neighbor_graph(images, domain), domain)
+
+
+def _failing_qhull(*args):
+    raise QhullError("triangulation refused")
+
+
+def test_qhull_failure_takes_the_exhaustive_lp(monkeypatch):
+    # 30 Gaussian images in R^3 would take the Delaunay path; when Qhull
+    # fails, every pair goes to the LP, and neighbor_span does not ask
+    # Qhull a second time
+    domain = sample_sphere(2, 15, seed=9, scheme="uniform_random")
+    images = np.random.default_rng(77).normal(size=(len(domain), 3))
+    monkeypatch.setattr(neighbors, "Delaunay", _failing_qhull)
+    graph = neighbor_graph(images, domain)
+    span, built, top, qhull = _span_path(monkeypatch, images, domain)
+    assert {tuple(p) for p in graph.pairs.tolist()} == _pairwise_lp_set(images)
+    assert not graph.tuples
+    assert built and not top and qhull == 1
+    assert span == compute_df(graph, domain)
 
 
 # --- the mu prelude and top-edge check without search structures ---
