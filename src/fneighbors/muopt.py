@@ -363,10 +363,10 @@ def delta_sweep(domain: SampledDomain, spec: MapSpec, bins: int = 40,
                 neighbor_cfg: NeighborConfig = DEFAULT_CONFIG) -> DeltaHistogram:
     """Histogram of intrinsic distances over all certified neighbor pairs.
 
-    Tuple certificates contribute every internal pair, accumulated in
-    chunks so the all-samples tuple (constant or cospherical maps) stays
-    in memory bounds.  The bins span [0, 2 + 1e-9], widened to the largest
-    certified distance on domains whose diameter exceeds 2.
+    Pair rows and every internal pair of each tuple certificate count (a
+    cell tuple's edges twice, as rows and in the tuple), the tuples in
+    chunks to bound memory.  The bins span [0, 2 + 1e-9], widened to the
+    largest certified distance on domains whose diameter exceeds 2.
     """
     images = evaluate(spec, domain)
     graph = neighbor_graph(images, domain, neighbor_cfg)

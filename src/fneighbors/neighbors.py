@@ -9,24 +9,26 @@ linear feasibility problem: the scalable path solves that LP, while the
 oracle decides small instances by candidate-sphere enumeration so the two
 routes stay independent.
 
-Large instances use a Delaunay triangulation as a candidate generator,
-in any reduced dimension of 2 or more: every Delaunay edge is certified
-by its best incident-simplex circumball, and every f-neighbor pair of
-images in general position is a Delaunay edge.  If Qhull fails, every
-pair goes to the LP.  The triangulation can be large: a closed curve in
-R^4 or R^5 is nearly neighborly, like the cyclic polytopes, so a good
-share of all pairs are edges and, in R^5, the simplices grow as N^3.
+Images that are not cospherical take one candidate path in any reduced
+dimension of 2 or more, a Delaunay triangulation: every Delaunay edge is
+certified by its best incident-simplex circumball, and every f-neighbor
+pair is an edge or lies in a cospherical cell, which becomes one tuple.
+If Qhull fails, every pair goes to the LP.  The triangulation can be
+large: a closed curve in R^4 or R^5 is nearly neighborly, like the cyclic
+polytopes, so a good share of all pairs are edges and, in R^5, the
+simplices grow as N^3.
 When every sample is a vertex, no simplex is a sliver and each interior
 facet's apex clears the ball across it by a margin, Delaunay's lemma
 proves all circumballs empty from the simplices' neighbors alone;
 otherwise a KD-tree query from each kept ball's center does it.
 neighbor_span, which reads D_f only, certifies just the longest Delaunay
-edge, with direct distances from its few incident balls' centers, and
+edge when there is no cell, with direct distances from its few balls, and
 clusters coincident images by a sort unless two lie close along every
 axis: on generic images it builds no KD-tree and no hash table.
 The graph comes back as one NeighborGraph: columns over the certified
 pairs (indices, witness centers and radii, slack, intrinsic distance) plus
-a few tuple certificates, so D_f is an argmax over one distance column.
+the tuple certificates (coincidence clusters, and the cells or the one
+tuple of cospherical images), so D_f is an argmax over one distance column.
 """
 
 from __future__ import annotations
@@ -63,11 +65,13 @@ __all__ = [
 
 ORACLE_MAX_POINTS = 14
 ORACLE_MAX_DIM = 3
+LP_BOX = 1e6  # half-width of the LP's box on the scaled center (_lp_pair)
+CROSS_PAIR_CAP = 64  # member pairs past which a cluster pair keeps its farthest
 
 
 @dataclass(frozen=True)
 class NeighborConfig:
-    """Tolerances and budgets for the neighbor machinery.
+    """Tolerances for the neighbor machinery.
 
     Relative tolerances scale with the image-set diameter: eps_inside is the
     depth to which a non-member image may dip inside a witness ball before
@@ -78,10 +82,6 @@ class NeighborConfig:
     eps_inside_rel: float = 1e-6
     eps_coincide_rel: float = 1e-9
     tau_on_rel: float = 1e-6
-    lp_box: float = 1e6
-    exhaustive_max: int = 24
-    lp_fallback_cap: int = 200
-    cross_pair_cap: int = 64
 
 
 DEFAULT_CONFIG = NeighborConfig()
@@ -122,11 +122,11 @@ class NeighborGraph:
     Pair certificates are columns sorted by pair: row k certifies pairs[k]
     = (i, j), i < j, by the sphere (centers[k], radii[k]) (a NaN center is
     a radius-0 coincidence) with clearance slack[k] and intrinsic distance
-    rho[k].  tuples holds the coincidence clusters and the all-sample
-    cosphere tuple, sorted by indices, and tuple_pairs[t] = (i, j), i < j,
-    the member pair of tuples[t] at its pair_distance.  len() counts all
-    certificates; iterating yields them as NeighborCertificate rows in
-    indices order.
+    rho[k].  tuples holds the coincidence clusters, the cospherical cells
+    (whose edges are rows too) and the all-sample cosphere tuple, sorted
+    by indices, and tuple_pairs[t] = (i, j), i < j, the member pair of
+    tuples[t] at its pair_distance.  len() counts all certificates;
+    iterating yields them as NeighborCertificate rows in indices order.
     """
 
     pairs: np.ndarray
@@ -346,7 +346,9 @@ def pair_is_neighbor_fast(i: int, j: int, images: np.ndarray,
     lifted LP (see _lp_pair).  A "no" is a refutation of the LP within its
     box, which at the default box size subsumes the limiting-halfspace
     witnesses; "uncertain" only appears on solver failure or when a
-    numerically positive optimum cannot be geometrically confirmed.
+    numerically positive optimum cannot be geometrically confirmed.  The
+    verdict is for the images as given, not for their projection onto the
+    affine hull that neighbor_graph answers for.
     """
     images = np.asarray(images, dtype=float)
     npts, m = images.shape
@@ -379,7 +381,7 @@ def pair_is_neighbor_fast(i: int, j: int, images: np.ndarray,
     mask = np.ones(npts, dtype=bool)
     mask[[i, j]] = False
     so = (images[mask] - shift) / scale
-    status, sstar, c_scaled = _lp_pair(sa, sb, so, cfg.lp_box)
+    status, sstar, c_scaled = _lp_pair(sa, sb, so, LP_BOX)
     if status != "ok":
         return "uncertain", None
     if sstar <= cfg.eps_inside_rel:
@@ -449,14 +451,6 @@ def _circumcenters(pts: np.ndarray, simplices: np.ndarray):
     if ok.any():
         centers[ok] = np.linalg.solve(u[ok], rhs[ok][..., None])[..., 0]
     return centers, ok
-
-
-def _delaunay_circumcenters(pts: np.ndarray):
-    """Qhull Delaunay triangulation of pts (dimension >= 2) with the
-    circumcenter of every simplex: (simplices, centers, ok) as in
-    _circumcenters."""
-    simplices = Delaunay(pts).simplices
-    return (simplices, *_circumcenters(pts, simplices))
 
 
 # Leaf size of the KD-tree behind _clearance, which proves the kept
@@ -687,11 +681,12 @@ def _direct_clearance(pts: np.ndarray, centers: np.ndarray,
     sqrt(sum of squared differences), as cKDTree computes them, so the
     values are _clearance's bit for bit (np.vecdot rounds differently).
 
-    It costs O(balls * points), so it serves only the top edge of
-    neighbor_span: there, for the two balls around an edge of 512 circle
-    images, it took 61 us against 117 us for a tree's build and query,
-    while on the full graph's fallback (about 16k balls, 4096 grid-rounded
-    S^2 images) the tree took 0.07 s and this 2.6 s (2-vCPU VM)."""
+    It costs O(balls * points), so it serves few balls, the top edge of
+    neighbor_span and each cospherical cell's sphere: for the two balls
+    around an edge of 512 circle images it took 61 us against 117 us for
+    a tree's build and query, while on the full graph's fallback (16k
+    balls, 4096 grid-rounded S^2 images) the tree took 0.07 s and this
+    2.6 s (2-vCPU VM)."""
     diff = pts - centers[:, None, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
     dist[np.arange(len(splx))[:, None], splx] = np.inf
@@ -773,16 +768,15 @@ def _graph(domain: SampledDomain, lo: np.ndarray, hi: np.ndarray,
 
 class _Clusters(NamedTuple):
     """What neighbor_graph and neighbor_span both start from.  Samples are
-    grouped into coincidence clusters (label per sample; members lists
-    them cluster by cluster, sizes and start delimit each cluster), and
-    each cluster's lowest member stands in for it.  reduced holds the
-    representatives' images in their affine hull (None for a single
-    cluster), embed maps reduced points back, and sphere is the sphere
-    through all representatives when they are cospherical within tau_on
-    (else None), with its worst residual."""
+    grouped into coincidence clusters (members lists them cluster by
+    cluster, sizes and start delimit each cluster), and each cluster's
+    lowest member stands in for it.  reduced holds the representatives'
+    images in their affine hull (None for a single cluster), embed maps
+    reduced points back, and sphere is the sphere through all
+    representatives when they are cospherical within tau_on (else None),
+    with its worst residual."""
 
     diam: float
-    label: np.ndarray
     members: np.ndarray
     sizes: np.ndarray
     start: np.ndarray
@@ -790,6 +784,14 @@ class _Clusters(NamedTuple):
     embed: object
     sphere: Sphere | None
     resid: float
+
+
+def _on_sphere(points: np.ndarray, cfg: NeighborConfig, diam: float):
+    """fit_sphere of the points, the sphere None past tau_on."""
+    sph, resid = fit_sphere(points)
+    if sph is not None and resid > max(cfg.tau_on_rel * diam, 1e-12):
+        sph = None
+    return sph, resid
 
 
 def _clusters(images: np.ndarray, cfg: NeighborConfig) -> _Clusters:
@@ -807,33 +809,42 @@ def _clusters(images: np.ndarray, cfg: NeighborConfig) -> _Clusters:
     if len(sizes) >= 2:
         reduced, embed = _affine_reduce(images[members[start]])
         if reduced.shape[1] > 1:
-            sph, resid = fit_sphere(reduced)
-            if sph is not None and resid > max(cfg.tau_on_rel * diam, 1e-12):
-                sph = None
-    return _Clusters(diam, label, members, sizes, start, reduced, embed,
-                     sph, resid)
+            sph, resid = _on_sphere(reduced, cfg, diam)
+    return _Clusters(diam, members, sizes, start, reduced, embed, sph, resid)
 
 
-def _takes_delaunay(cl: _Clusters, cfg: NeighborConfig) -> bool:
-    """Whether the representatives are certified from a Delaunay
-    triangulation: more than cfg.exhaustive_max of them, not cospherical,
-    in reduced dimension 2 or more."""
-    return (cl.reduced is not None and cl.sphere is None
-            and len(cl.reduced) > cfg.exhaustive_max
-            and cl.reduced.shape[1] >= 2)
-
-
-def _triangulation(cl: _Clusters, cfg: NeighborConfig) -> Delaunay | None:
-    """Qhull's Delaunay triangulation of the representatives when they
-    take the Delaunay path (see _takes_delaunay), else None.  It is None
-    too when Qhull fails, which leaves them to the exhaustive LP over all
-    pairs."""
-    if not _takes_delaunay(cl, cfg):
+def _triangulation(cl: _Clusters) -> Delaunay | None:
+    """Qhull's Delaunay triangulation of the representatives (the one
+    Qhull call), or None for a single cluster, a line, cospherical images
+    or a QhullError, where callers take what needs no triangulation."""
+    if cl.reduced is None or cl.sphere is not None or cl.reduced.shape[1] < 2:
         return None
     try:
         return Delaunay(cl.reduced)
     except QhullError:
         return None
+
+
+def _cells(tri) -> list[np.ndarray]:
+    """The cospherical cells of the Delaunay triangulation tri as sorted
+    vertex sets: components of the simplices joined across facets whose
+    two sides have bitwise-equal rows of tri.equations.  Qhull merges
+    cospherical facets of the lifted paraboloid, and its triangulated
+    output (scipy passes Qt) splits each into simplices that keep its
+    hyperplane; only one split's pairs are edges.  Generic images have none."""
+    nbr, eq = tri.neighbors, tri.equations
+    # offsets first (NaN across the hull), then whole rows, both sides
+    offset = np.append(eq[:, -1], np.nan)
+    hit = offset[nbr] == offset[:-1, None]
+    if not hit.any():
+        return []
+    s, k = np.nonzero(hit)
+    t = nbr[s, k]
+    same = (eq[s] == eq[t]).all(axis=1)
+    s, t = s[same], t[same]
+    adjacency = coo_matrix((np.ones(len(s)), (s, t)), shape=(len(nbr),) * 2)
+    label = connected_components(adjacency, directed=False)[1]
+    return [np.unique(tri.simplices[label == c]) for c in np.unique(label[s])]
 
 
 def neighbor_graph(images: np.ndarray, domain: SampledDomain,
@@ -842,17 +853,21 @@ def neighbor_graph(images: np.ndarray, domain: SampledDomain,
     NeighborGraph.
 
     Coinciding images form coincidence-cluster tuples (the radius-0
-    branch); the clusters' lowest members stand in for them.  Pairs of
-    distinct images are certified with explicit witness spheres: exactly
-    pair by pair for at most cfg.exhaustive_max representatives or when
-    Qhull fails, otherwise from the edges of one Delaunay triangulation
-    in their reduced dimension, whatever it is, which is sound but may
-    omit pairs in degenerate cospherical configurations (an edge whose
-    circumballs all fail goes to the LP, up to cfg.lp_fallback_cap of
-    them).  Every certified pair of representatives then expands to all
-    member pairs of its two clusters (only the farthest one past
-    cfg.cross_pair_cap).  The fully cospherical case is one all-sample
-    tuple at scale (all pairs at desk scale).
+    branch); the clusters' lowest members stand in for them.  Distinct
+    representatives that are all cospherical form one all-sample tuple.
+    Otherwise they are certified from the edges of one Delaunay
+    triangulation in their reduced dimension (consecutive values on a
+    line), an edge whose circumballs all fail by the LP, and every pair by
+    the LP if Qhull fails.  Each cospherical cell (_cells) becomes one
+    tuple on its fitted sphere when that is within tau_on of the cell and
+    no other image lies deeper inside than eps_inside.  Every certified
+    pair of representatives expands to all member pairs of its two
+    clusters (only the farthest one past CROSS_PAIR_CAP).
+
+    The graph answers for the images projected onto their affine hull
+    (_affine_reduce drops axes below 1e-9 of the largest singular value),
+    pair_is_neighbor_fast for the images as given: on nearly flat images
+    they can differ by pairs whose LP optimum is about the dropped extent.
     """
     images = np.asarray(images, dtype=float)
     if len(images) != len(domain):
@@ -860,19 +875,18 @@ def neighbor_graph(images: np.ndarray, domain: SampledDomain,
     if len(images) < 2:
         return _graph(domain, *_stack_rows([], images.shape[1]))
     cl = _clusters(images, cfg)
-    return _full_graph(images, domain, cfg, cl, _triangulation(cl, cfg))
+    return _full_graph(images, domain, cfg, cl, _triangulation(cl))
 
 
 def _full_graph(images: np.ndarray, domain: SampledDomain,
                 cfg: NeighborConfig, prelude: _Clusters,
                 tri: Delaunay | None) -> NeighborGraph:
     """neighbor_graph of at least two images from their prelude and
-    _triangulation(prelude, cfg): distinct representatives in reduced
-    dimension 2 or more are certified from tri, or pair by pair when it
-    is None."""
+    _triangulation(prelude): distinct representatives in reduced
+    dimension 2 or more that are not cospherical are certified from tri,
+    or pair by pair when it is None."""
     npts, m = images.shape
-    (diam, label, members, sizes, start, reduced, embed, sph,
-     resid) = prelude
+    diam, members, sizes, start, reduced, embed, sph, resid = prelude
     no_pairs = _stack_rows([], m)
     eps_inside = cfg.eps_inside_rel * diam
     tuples, big = [], sizes >= 2
@@ -884,18 +898,10 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
         return _graph(domain, *no_pairs, tuples)
 
     if sph is not None:
-        center = embed(sph.center)
-        if npts > cfg.exhaustive_max:
-            tuples.append(_tuple_cert(
-                domain, np.arange(npts),
-                Sphere(center=center, radius=sph.radius), -resid))
-            return _graph(domain, *no_pairs, tuples)
-        i, j = np.triu_indices(npts, 1)
-        cross = label[i] != label[j]
-        count = int(cross.sum())
-        return _graph(domain, i[cross], j[cross], np.tile(center, (count, 1)),
-                      np.full(count, float(sph.radius)),
-                      np.full(count, -resid), tuples)
+        tuples.append(_tuple_cert(
+            domain, np.arange(npts),
+            Sphere(center=embed(sph.center), radius=sph.radius), -resid))
+        return _graph(domain, *no_pairs, tuples)
 
     if reduced.shape[1] == 1:
         cand = _line_pairs(reduced[:, 0])
@@ -904,8 +910,21 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
                          reduced, cfg)
     else:
         certified, failed = _delaunay_edge_certs(reduced, tri, eps_inside)
-        rescued = _lp_pairs(failed[: cfg.lp_fallback_cap], reduced, cfg)
+        rescued = _lp_pairs(failed, reduced, cfg)
         cand = tuple(np.concatenate(c) for c in zip(certified, rescued))
+        for cell in _cells(tri):
+            ball, worst = _on_sphere(reduced[cell], cfg, diam)
+            if ball is None:
+                continue
+            clear = float(_direct_clearance(reduced, ball.center[None],
+                                            np.array([ball.radius]), cell[None])[0])
+            if clear >= -eps_inside:
+                idx = np.concatenate([members[start[r]:start[r] + sizes[r]]
+                                      for r in cell])
+                tuples.append(_tuple_cert(
+                    domain, np.sort(idx),
+                    Sphere(center=embed(ball.center), radius=ball.radius),
+                    min(clear, -worst)))
 
     # embed the witness centers in one call, in representative-pair order
     order = np.lexsort((cand[1], cand[0]))
@@ -918,7 +937,7 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
     # expand each representative pair to the member pairs of its clusters
     nb = sizes[hi]
     count = sizes[lo] * nb
-    far = count > cfg.cross_pair_cap
+    far = count > CROSS_PAIR_CAP
     count[far] = 1
     ref = np.repeat(np.arange(len(lo)), count)
     k = np.arange(len(ref)) - np.repeat(np.cumsum(count) - count, count)
@@ -937,23 +956,21 @@ def neighbor_span(images: np.ndarray, domain: SampledDomain,
     """D_f of the sampled map: compute_df(neighbor_graph(...)) bit for bit,
     for callers that read nothing else.
 
-    Every candidate pair of the Delaunay path is a Delaunay edge, so when
-    there are no coincidence clusters and that path applies (more than
-    cfg.exhaustive_max samples, images not cospherical, reduced dimension
-    2 or more) the Delaunay edge at the largest intrinsic distance bounds
-    D_f, and D_f equals its distance as soon as one of its incident
-    circumballs certifies it.  Only that edge is certified then, with the
-    same eps_inside.  Everything else (another path, a Qhull failure, or a
-    top edge that fails its circumballs) builds the full graph, reusing
-    the prelude and the triangulation already computed: Qhull runs at
-    most once.
+    With no coincidence clusters and a triangulation with no cospherical
+    cell (_cells), every certified pair is a Delaunay edge, so the edge at
+    the largest intrinsic distance bounds D_f, and D_f equals its distance
+    as soon as one of its incident circumballs certifies it.  Only that
+    edge is certified then, with the same eps_inside.  Everything else
+    (clusters, no triangulation, a cell, or a top edge that fails its
+    circumballs) builds the full graph, reusing the prelude and the
+    triangulation already computed: Qhull runs at most once.
     """
     images = np.asarray(images, dtype=float)
     if len(images) != len(domain) or len(images) < 2:
         return compute_df(neighbor_graph(images, domain, cfg), domain)
     cl = _clusters(images, cfg)
-    tri = _triangulation(cl, cfg)
-    if tri is not None and len(cl.sizes) == len(images):
+    tri = _triangulation(cl)
+    if tri is not None and len(cl.sizes) == len(images) and not _cells(tri):
         # no clusters: reduced row i is the image of sample i
         span = _top_edge_span(cl.reduced, tri.simplices, domain,
                               cfg.eps_inside_rel * cl.diam)

@@ -14,12 +14,12 @@ Delaunay simplices of the images (the empty-sphere property): a simplex
 whose vertices touch every element has slack 0.  The images are first
 clustered, reduced and tested for a common sphere by the prelude that
 neighbor_graph uses (neighbors._clusters); when they are cospherical, the
-sphere's center is the one circumcenter and nothing is triangulated.
-Coincident images add their common point, the radius-0 witness of a
-coincident tuple.  When no simplex is rainbow, which is the rule when the
-cover has more elements than a simplex has vertices, the best
-circumcenter is only an approximate witness and the relative residual
-gate decides.
+sphere's center is the one circumcenter and nothing is triangulated, and
+if Qhull fails, the images are the only candidates.  Coincident images
+add their common point, the radius-0 witness of a coincident tuple.  When
+no simplex is rainbow, which is the rule when the cover has more elements
+than a simplex has vertices, the best circumcenter is only an approximate
+witness and the relative residual gate decides.
 
 The slack at every candidate comes from one query for its d+2 nearest
 images (d the image dimension): it is exact where every element has a
@@ -38,9 +38,10 @@ from scipy.spatial import cKDTree
 from .domains import CoverAssignment, SampledDomain, cube_max_faces
 from .neighbors import (
     DEFAULT_CONFIG,
+    _circumcenters,
     _clusters,
-    _delaunay_circumcenters,
     _line_pairs,
+    _triangulation,
     image_diameter,
 )
 
@@ -129,10 +130,10 @@ def _nearest_members(dists: np.ndarray, cover: CoverAssignment,
 def _candidate_centers(images: np.ndarray) -> np.ndarray:
     """The candidate centers for the coincidence-cluster representatives
     of neighbors._clusters (each cluster's lowest member): the
-    circumcenters of their Delaunay simplices (midpoints of consecutive
-    values when their affine hull is a line, the center of their sphere
-    when they are cospherical), followed by the cluster images
-    themselves."""
+    circumcenters of the simplices of neighbors._triangulation
+    (midpoints of consecutive values when their affine hull is a line,
+    the center of their sphere when they are cospherical, none when Qhull
+    fails), followed by the cluster images themselves."""
     cl = _clusters(images, DEFAULT_CONFIG)
     reps = images[cl.members[cl.start]]
     if cl.reduced is None:  # a single cluster
@@ -141,9 +142,11 @@ def _candidate_centers(images: np.ndarray) -> np.ndarray:
         centers = cl.sphere.center[None, :]
     elif cl.reduced.shape[1] == 1:
         centers = _line_pairs(cl.reduced[:, 0])[2]
-    else:
-        _, centers, ok = _delaunay_circumcenters(cl.reduced)
+    elif (tri := _triangulation(cl)) is not None:
+        centers, ok = _circumcenters(cl.reduced, tri.simplices)
         centers = centers[ok]
+    else:  # Qhull failed
+        centers = np.empty((0, cl.reduced.shape[1]))
     return np.vstack([cl.embed(centers), reps])
 
 

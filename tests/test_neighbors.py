@@ -15,7 +15,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from fneighbors import neighbors
-from fneighbors.domains import cube_boundary_cover, sample_sphere
+from fneighbors.domains import SampledDomain, cube_boundary_cover, sample_sphere
 from fneighbors.geometry import Sphere
 from fneighbors.maps import MapSpec, evaluate, random_map
 from fneighbors.neighbors import (
@@ -200,6 +200,106 @@ def _pairwise_lp_set(images):
             if pair_is_neighbor_fast(i, j, images)[0] == "yes"}
 
 
+def _covered_pairs(graph):
+    """The pair rows plus every member pair of every tuple."""
+    pairs = {tuple(p) for p in graph.pairs.tolist()}
+    for cert in graph.tuples:
+        pairs.update(itertools.combinations(cert.indices, 2))
+    return pairs
+
+
+def _grid(*shape):
+    """The integer grid with the given number of points per axis."""
+    return np.array(list(itertools.product(*map(range, shape))), dtype=float)
+
+
+def _identity_domain(points):
+    """A domain whose samples are the points themselves, so rho is the
+    image distance."""
+    return SampledDomain(kind="cube_boundary", dim=points.shape[1],
+                         samples=points.copy())
+
+
+def _lattice(seed):
+    """A dozen-odd points of a small integer lattice in R^2 or R^3, some
+    repeated."""
+    rng = np.random.default_rng([31, seed])
+    return rng.integers(0, 4, size=(int(rng.integers(6, 20)),
+                                    2 + seed % 2)).astype(float)
+
+
+@pytest.mark.parametrize("case", ["3x3", "5x5", "3^3", "square-far",
+                                  "lattice-0", "lattice-1", "lattice-2",
+                                  "lattice-3"])
+def test_cospherical_cells_give_the_pairwise_lp_set(case):
+    # Qhull splits each cospherical cell one way; the cell tuples cover
+    # the pairs across the other diagonals
+    if case.startswith("lattice"):
+        images = _lattice(int(case[-1]))
+    else:
+        images = {"3x3": _grid(3, 3), "5x5": _grid(5, 5), "3^3": _grid(3, 3, 3),
+                  "square-far": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                                          [1.0, 1.0], [5.0, 7.0]])}[case]
+    domain = _identity_domain(images)
+    graph = neighbor_graph(images, domain)
+    assert _covered_pairs(graph) == _pairwise_lp_set(images)
+    for cert in graph:
+        assert check_certificate(cert, images, domain)
+    assert neighbor_span(images, domain) == compute_df(graph, domain)
+
+
+def _no_lp(*args):
+    raise AssertionError("a pair went to the LP")
+
+
+def test_four_dimensional_grid_cells_cover_every_neighbor_pair(monkeypatch):
+    # the 3^4 grid: 1160 neighbor pairs, all from edges and cells, none
+    # from the LP
+    images = _grid(3, 3, 3, 3)
+    domain = _identity_domain(images)
+    monkeypatch.setattr(neighbors, "pair_is_neighbor_fast", _no_lp)
+    graph = neighbor_graph(images, domain)
+    assert len(_covered_pairs(graph)) == 1160
+    assert compute_df(graph, domain) == 2.0  # the unit cells' diagonal
+    for cert in graph.tuples:
+        assert check_certificate(cert, images, domain)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_failing_cells_leave_only_lp_no_pairs(k):
+    # grid-rounded S^2 maps have hundreds of cells; the few whose fitted
+    # sphere misses tau_on get no tuple, and every pair across them that
+    # no edge or tuple covers is an LP "no"
+    domain = sample_sphere(2, 512, seed=0, scheme="quasi_uniform")
+    images = np.round(evaluate(random_map("sphere_harmonic", 3,
+                                          seed=[k, 1000], d_in=3), domain), 1)
+    graph = neighbor_graph(images, domain)
+    covered = _covered_pairs(graph)
+    cl = neighbors._clusters(images, DEFAULT_CONFIG)
+    rep = cl.members[cl.start]
+    uncovered = [(a, b) for cell in neighbors._cells(neighbors._triangulation(cl))
+                 for a, b in itertools.combinations(cell.tolist(), 2)
+                 if tuple(sorted((rep[a], rep[b]))) not in covered]
+    assert uncovered
+    for a, b in uncovered:
+        assert pair_is_neighbor_fast(a, b, cl.reduced)[0] == "no"
+
+
+def test_nearly_flat_images_graph_answers_for_the_projection():
+    # one axis scaled by 1e-9 falls below the rank tolerance: the graph
+    # answers for the images in their (planar) affine hull, the LP for
+    # the images as given, where 5 more pairs pass within rounding
+    domain = sample_sphere(2, 20, seed=0, scheme="uniform_random")
+    images = np.random.default_rng(0).normal(size=(40, 3))
+    images[:, 2] *= 1e-9
+    reduced = neighbors._affine_reduce(images)[0]
+    assert reduced.shape[1] == 2
+    graph = neighbor_graph(images, domain)
+    got = _covered_pairs(graph)
+    assert got == _pairwise_lp_set(reduced) and len(got) == 111
+    assert len(_pairwise_lp_set(images)) == 116
+
+
 def test_graph_delaunay_path_matches_pairwise_lp():
     # 30 distinct images force the triangulation path, in the plane, in
     # space and above; compare against the exhaustive LP verdicts
@@ -239,12 +339,14 @@ def test_graph_identity_circle_reports_everything_at_scale():
 
 
 def test_graph_identity_small_circle_all_pairs():
+    # cospherical images give one tuple at every size: here one 8-tuple
     domain = sample_sphere(1, 8, seed=0, scheme="quasi_uniform")
     certs = neighbor_graph(domain.samples.copy(), domain)
-    got = {c.indices for c in certs}
-    assert got == set(itertools.combinations(range(8), 2))
+    (cert,) = certs
+    assert cert.indices == tuple(range(8))
+    assert _covered_pairs(certs) == set(itertools.combinations(range(8), 2))
+    assert check_certificate(cert, domain.samples, domain)
     assert compute_df(certs, domain) == pytest.approx(2.0, abs=1e-12)
-    _check_rows_and_extremal(certs, domain)
 
 
 def test_graph_projection_to_line_finds_antipodal_coincidences():
@@ -261,13 +363,13 @@ def test_graph_projection_to_line_finds_antipodal_coincidences():
 
 def test_graph_large_clusters_keep_their_farthest_pair():
     # a 3-level step map: three clusters of about 21 samples, so each
-    # cluster pair exceeds cross_pair_cap and keeps one farthest pair
+    # cluster pair exceeds CROSS_PAIR_CAP and keeps one farthest pair
     domain = sample_sphere(1, 64, seed=0, scheme="quasi_uniform")
     angle = np.arctan2(domain.samples[:, 1], domain.samples[:, 0]) % (2 * np.pi)
     images = np.floor(angle * 3 / (2 * np.pi))[:, None]
     graph = neighbor_graph(images, domain)
     clusters = [np.flatnonzero(images[:, 0] == v) for v in (0.0, 1.0, 2.0)]
-    assert min(len(c) for c in clusters) ** 2 > DEFAULT_CONFIG.cross_pair_cap
+    assert min(len(c) for c in clusters) ** 2 > neighbors.CROSS_PAIR_CAP
     assert [c.indices for c in graph.tuples] == sorted(
         tuple(c.tolist()) for c in clusters)
     assert len(graph.pairs) == 2  # the levels 0-1 and 1-2 are adjacent
@@ -643,7 +745,7 @@ def test_span_early_exit_curve_in_r4(monkeypatch):
     _assert_early_exit(monkeypatch, *_circle_map(64, 4))
 
 
-@pytest.mark.parametrize("case", ["clusters", "cosphere", "line", "exhaustive",
+@pytest.mark.parametrize("case", ["clusters", "cosphere", "line", "cells",
                                   "constant"])
 def test_span_fallbacks_equal_full_graph(monkeypatch, case):
     if case == "clusters":
@@ -655,8 +757,9 @@ def test_span_fallbacks_equal_full_graph(monkeypatch, case):
         images = domain.samples.copy()
     elif case == "line":
         images, domain = _circle_map(512, 1)
-    elif case == "exhaustive":
-        images, domain = _circle_map(DEFAULT_CONFIG.exhaustive_max - 8, 2)
+    elif case == "cells":
+        images = _grid(5, 5)
+        domain = _identity_domain(images)
     else:
         domain = sample_sphere(1, 64, seed=0, scheme="quasi_uniform")
         images = np.tile([3.0, -1.0], (len(domain), 1))

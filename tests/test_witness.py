@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from fneighbors.domains import (
     CoverAssignment,
@@ -276,7 +276,8 @@ def _reference_candidates(images):
     if reduced.shape[1] == 1:
         centers = neighbors._line_pairs(reduced[:, 0])[2]
     else:
-        _, centers, ok = neighbors._delaunay_circumcenters(reduced)
+        centers, ok = neighbors._circumcenters(reduced,
+                                               Delaunay(reduced).simplices)
         centers = centers[ok]
     return np.vstack([embed(centers), reps])
 
@@ -312,7 +313,6 @@ def _no_delaunay(*args):
 def test_identity_sphere_witness_makes_no_delaunay_call(monkeypatch, n):
     domain = sample_sphere(n, 2048, seed=0, scheme="quasi_uniform")
     cover = regular_triangulation_cover(domain)
-    monkeypatch.setattr(witness, "_delaunay_circumcenters", _no_delaunay)
     monkeypatch.setattr(neighbors, "Delaunay", _no_delaunay)
     report = witness_point(domain, cover, domain.samples.copy())
     assert report.status == "ok"
@@ -337,10 +337,28 @@ def test_nearly_cospherical_witness_takes_the_fitted_center(monkeypatch, n):
     monkeypatch.setattr(witness, "_candidate_centers", _reference_candidates)
     assert witness_point(domain, cover, images).residual <= 1e-15
     monkeypatch.undo()
-    monkeypatch.setattr(witness, "_delaunay_circumcenters", _no_delaunay)
     monkeypatch.setattr(neighbors, "Delaunay", _no_delaunay)
     report = witness_point(domain, cover, images)
     # the residual rises from rounding to a fraction of the fit residual,
     # far inside the acceptance gate
     assert report.status == "ok"
     assert 1e-9 < report.residual <= cl.resid
+
+
+def _failing_qhull(*args):
+    raise QhullError("triangulation refused")
+
+
+def test_qhull_failure_leaves_the_images_as_candidates(monkeypatch):
+    # the search shares neighbor_graph's triangulation; when Qhull fails,
+    # the cluster images are the only candidates and the search still
+    # reports
+    domain = sample_sphere(2, 256, seed=0, scheme="quasi_uniform")
+    cover = regular_triangulation_cover(domain)
+    images = evaluate(random_map("sphere_harmonic", 3, seed=[7, 0], d_in=3),
+                      domain)
+    monkeypatch.setattr(neighbors, "Delaunay", _failing_qhull)
+    assert np.array_equal(witness._candidate_centers(images), images)
+    report = witness_point(domain, cover, images)
+    assert any(np.array_equal(report.point, y) for y in images)
+    assert report.radius == 0.0
