@@ -591,7 +591,6 @@ def cmd_mu(cfg: dict) -> tuple[int, dict]:
     ncfg = _neighbor_cfg(cfg)
     ocfg = OptimizerConfig(n_restarts=int(cfg["restarts"]),
                            budget=int(cfg["budget"]),
-                           n_samples=int(cfg["samples"]),
                            scale=float(cfg["scale"]),
                            degree=int(cfg["degree"]),
                            seed=int(cfg["seed"]),
@@ -686,129 +685,80 @@ HANDLERS = {
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, help="PRNG stream key (default 0)")
-    p.add_argument("--config", help="JSON file whose keys mirror the flags; "
-                                    "explicit flags win")
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
+# argparse keywords of the flag --key (underscores as dashes) for each key
+# of a DEFAULTS entry; every flag defaults to None so that _resolve can
+# tell an explicit flag from the config file and the built-in default
+_FLAGS: dict[str, dict] = {
+    "domain": {"choices": ["sphere", "simplex", "cube"], "help": "domain kind"},
+    "n": {"type": int, "help": "sphere dimension / simplex n / cube dimension"},
+    "samples": {"type": int, "help": "sample count"},
+    "seed": {"type": int, "help": "PRNG stream key"},
+    "scheme": {"choices": ["quasi_uniform", "uniform_random"],
+               "help": "sphere sampling scheme"},
+    "map": {"help": "map as inline JSON or a path to a JSON file"},
+    "family": {"help": "map family for a seeded random draw (used when "
+                       "--map is absent)"},
+    "m_out": {"type": int, "help": "target dimension"},
+    "degree": {"type": int, "help": "family truncation order"},
+    "scale": {"type": float, "help": "random parameter amplitude"},
+    "trials": {"type": int, "help": "number of random maps"},
+    "restarts": {"type": int, "help": "optimizer restarts after the probes"},
+    "budget": {"type": int, "help": "evaluations per restart"},
+    "probes": {"type": int, "help": "uniform probes before restarts"},
+    "bins": {"type": int, "help": "histogram bins"},
+    "r_thick": {"type": float, "help": "fixed thickening radius (default: "
+                                       "three-point scan)"},
+    "eps_inside": {"type": float,
+                   "help": "relative emptiness tolerance override"},
+    "eps_witness": {"type": float, "help": "relative residual gate override"},
+    "dump_certs": {"action": "store_true", "default": None,
+                   "help": "embed every certificate in the report"},
+    "threads": {"type": int,
+                "help": "trials run on this many Python threads; the GIL "
+                        "serializes their Python code, so only the NumPy and "
+                        "Qhull work runs in parallel and small trials gain "
+                        "nothing; reports are byte-identical for any value"},
+    "out": {"help": "write the JSON report here instead of stdout"},
+    "csv": {"help": "write the trials or the histogram as CSV"},
+    "svg": {"help": "write an SVG plot (neighbors: circle domain, m_out=2 "
+                    "only; mu: the running-best trace)"},
+}
 
-
-def _add_domain(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--domain", choices=["sphere", "simplex", "cube"],
-                   help="domain kind (default sphere)")
-    p.add_argument("--n", type=int,
-                   help="sphere dimension / simplex n / cube dimension")
-    p.add_argument("--samples", type=int, help="sample count")
-    p.add_argument("--scheme", choices=["quasi_uniform", "uniform_random"],
-                   help="sphere sampling scheme")
-
-
-def _add_map(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--map", help="map as inline JSON or a path to a JSON file")
-    p.add_argument("--family",
-                   help="map family for a seeded random draw (used when "
-                        "--map is absent)")
-    p.add_argument("--m-out", type=int, help="target dimension")
-    p.add_argument("--degree", type=int, help="family truncation order")
-    p.add_argument("--scale", type=float, help="random parameter amplitude")
-
-
-_THREADS_HELP = ("trials run on this many Python threads (default 1); the "
-                 "GIL serializes their Python code, so only the NumPy and "
-                 "Qhull work runs in parallel and small trials gain nothing; "
-                 "reports are byte-identical for any value")
+_COMMAND_HELP = {
+    "neighbors": "certify the neighbor graph of one map and report the "
+                 "extremal span",
+    "verify-sphere": "randomized sweep of the sphere lower bound (or the "
+                     "coincidence sweep when m_out <= n)",
+    "verify-cube": "disjoint-faces sweep on the cube boundary",
+    "mu": "minimize the certified span over a map family and report the "
+          "bracket",
+    "witness": "search for a common witness sphere over the domain's "
+               "standard cover",
+    "degree": "classify the standard cover by the degree of its nerve map",
+    "delta-sweep": "histogram of intrinsic distances over all certified "
+                   "pairs",
+}
 
 
 # cached: one process may call main many times (a benchmark loop, the
-# tests), and each build makes about 100 add_argument calls
+# tests), and each build makes about 90 add_argument calls
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per DEFAULTS entry: --config plus a flag per key."""
     parser = argparse.ArgumentParser(
         prog="fneighbors",
         description="certified neighbor-pair experiments with reproducible "
                     "JSON reports")
     sub = parser.add_subparsers(dest="cmd")
-
-    p = sub.add_parser("neighbors",
-                       help="certify the neighbor graph of one map and "
-                            "report the extremal span")
-    _add_domain(p)
-    _add_map(p)
-    p.add_argument("--eps-inside", type=float,
-                   help="relative emptiness tolerance override")
-    p.add_argument("--dump-certs", action="store_true", default=None,
-                   help="embed every certificate in the report")
-    p.add_argument("--svg", help="write a two-panel SVG (circle domain, "
-                                 "m_out=2 only)")
-    _add_common(p)
-
-    p = sub.add_parser("verify-sphere",
-                       help="randomized sweep of the sphere lower bound "
-                            "(or the coincidence sweep when m_out <= n)")
-    p.add_argument("--n", type=int, help="sphere dimension (default 1)")
-    p.add_argument("--m-out", type=int, help="target dimension (default 2)")
-    p.add_argument("--trials", type=int, help="number of random maps")
-    p.add_argument("--samples", type=int, help="sample count")
-    p.add_argument("--scheme", choices=["quasi_uniform", "uniform_random"])
-    p.add_argument("--family", help="map family override")
-    p.add_argument("--degree", type=int, help="family truncation order")
-    p.add_argument("--eps-inside", type=float)
-    p.add_argument("--threads", type=int, help=_THREADS_HELP)
-    p.add_argument("--csv", help="write one CSV row per trial")
-    _add_common(p)
-
-    p = sub.add_parser("verify-cube",
-                       help="disjoint-faces sweep on the cube boundary")
-    p.add_argument("--n", type=int, help="cube dimension (default 2)")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--eps-inside", type=float)
-    p.add_argument("--eps-witness", type=float)
-    p.add_argument("--threads", type=int, help=_THREADS_HELP)
-    p.add_argument("--csv", help="write one CSV row per trial")
-    _add_common(p)
-
-    p = sub.add_parser("mu", help="minimize the certified span over a map "
-                                  "family and report the bracket")
-    p.add_argument("--n", type=int, help="sphere dimension (default 1)")
-    p.add_argument("--m-out", type=int, help="target dimension (default n+1)")
-    p.add_argument("--family")
-    p.add_argument("--samples", type=int, help="search sampling density")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--budget", type=int, help="evaluations per restart")
-    p.add_argument("--probes", type=int, help="uniform probes before restarts")
-    p.add_argument("--scheme", choices=["quasi_uniform", "uniform_random"])
-    p.add_argument("--scale", type=float)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--eps-inside", type=float)
-    p.add_argument("--svg", help="write the running-best trace as SVG")
-    _add_common(p)
-
-    p = sub.add_parser("witness", help="search for a common witness sphere "
-                                       "over the domain's standard cover")
-    _add_domain(p)
-    _add_map(p)
-    p.add_argument("--eps-witness", type=float,
-                   help="relative residual gate override")
-    _add_common(p)
-
-    p = sub.add_parser("degree", help="classify the standard cover by the "
-                                      "degree of its nerve map")
-    _add_domain(p)
-    p.add_argument("--r-thick", type=float,
-                   help="fixed thickening radius (default: three-point scan)")
-    _add_common(p)
-
-    p = sub.add_parser("delta-sweep",
-                       help="histogram of intrinsic distances over all "
-                            "certified pairs")
-    _add_domain(p)
-    _add_map(p)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--eps-inside", type=float)
-    p.add_argument("--csv", help="write the histogram as CSV")
-    _add_common(p)
-
+    for cmd, defaults in DEFAULTS.items():
+        p = sub.add_parser(cmd, help=_COMMAND_HELP[cmd])
+        for key, value in defaults.items():
+            kwargs = dict(_FLAGS[key])
+            if value is not None and not isinstance(value, bool):
+                kwargs["help"] += f" (default {value})"
+            p.add_argument("--" + key.replace("_", "-"), **kwargs)
+        p.add_argument("--config", help="JSON file whose keys mirror the "
+                                        "flags; explicit flags win")
     return parser
 
 

@@ -39,10 +39,8 @@ __all__ = [
     "angular_diameter",
 ]
 
-# Relative tolerances for rank decisions, on-sphere residuals and unit-norm
-# validation.  Callers may override per call; these are the documented defaults.
+# Relative tolerances for rank decisions and unit-norm validation.
 TAU_RANK = 1e-9
-TAU_SPHERE = 1e-9
 TAU_UNIT = 1e-9
 
 
@@ -70,13 +68,13 @@ class Sphere:
         return {"center": [float(v) for v in self.center], "radius": float(self.radius)}
 
 
-def circumsphere(points: np.ndarray, tau_rank: float = TAU_RANK) -> Sphere | None:
+def circumsphere(points: np.ndarray) -> Sphere | None:
     """Smallest sphere passing through all k given points, 2 <= k <= m+1.
 
     The center is found in the affine hull of the points: translate so the
     first point is the origin and solve the Gram system G beta = d/2 with
     G = U U^T, U the matrix of difference vectors.  Returns None when the
-    Gram system is singular at relative tolerance tau_rank (affinely
+    Gram system is singular at relative tolerance TAU_RANK (affinely
     dependent input, e.g. collinear triples).
 
     Two coincident points are allowed and give the degenerate radius-0 sphere.
@@ -93,7 +91,7 @@ def circumsphere(points: np.ndarray, tau_rank: float = TAU_RANK) -> Sphere | Non
     g = u @ u.T
     d = 0.5 * np.einsum("ij,ij->i", u, u)
     sv = np.linalg.svd(g, compute_uv=False)
-    if sv[-1] <= tau_rank * max(sv[0], 1e-300):
+    if sv[-1] <= TAU_RANK * max(sv[0], 1e-300):
         return None
     beta = np.linalg.solve(g, d)
     center = p0 + beta @ u
@@ -270,10 +268,7 @@ def _hemisphere_center(pts: np.ndarray) -> tuple[np.ndarray, bool]:
     return center @ basis, False
 
 
-def min_enclosing_ball_angular(
-    points: np.ndarray,
-    tau_unit: float = TAU_UNIT,
-) -> tuple[np.ndarray, float]:
+def min_enclosing_ball_angular(points: np.ndarray) -> tuple[np.ndarray, float]:
     """Smallest angular ball enclosing unit vectors on S^n.
 
     Returns (center, circ_a) with center a unit vector and circ_a the
@@ -300,7 +295,7 @@ def min_enclosing_ball_angular(
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("need a nonempty 2-d point array")
     norms = np.linalg.norm(pts, axis=1)
-    if np.any(np.abs(norms - 1.0) > 10 * tau_unit * np.maximum(norms, 1.0)):
+    if np.any(np.abs(norms - 1.0) > 10 * TAU_UNIT * np.maximum(norms, 1.0)):
         raise ValueError("points must be unit vectors")
     if (pts == pts[0]).all():
         return pts[0].copy(), 0.0

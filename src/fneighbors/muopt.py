@@ -68,15 +68,14 @@ def _run_trials(fn, trials: int, threads: int) -> list[dict]:
 class OptimizerConfig:
     """Restarted Nelder-Mead settings for estimate_mu.
 
-    budget is the evaluation cap per restart; n_samples the sampling
-    density during the search (the incumbent is re-certified at twice this
-    density); scale the half-width of the uniform start box in parameter
-    space; degree the truncation order passed to the map family.
+    budget is the evaluation cap per restart; scale the half-width of the
+    uniform start box in parameter space; degree the truncation order
+    passed to the map family.  The search density is that of the domain
+    passed to estimate_mu.
     """
 
     n_restarts: int = 8
     budget: int = 2000
-    n_samples: int = 512
     scale: float = 1.0
     degree: int = 3
     seed: int = 0

@@ -20,7 +20,7 @@ simplices grow as N^3.
 When every sample is a vertex, no simplex is a sliver and each interior
 facet's apex clears the ball across it by a margin, Delaunay's lemma
 proves all circumballs empty from the simplices' neighbors alone;
-otherwise a KD-tree query from each kept ball's center does it.
+otherwise one KD-tree query from every ball's center does it.
 neighbor_span, which reads D_f only, certifies just the longest Delaunay
 edge when there is no cell, with direct distances from its few balls, and
 clusters coincident images by a sort unless two lie close along every
@@ -453,8 +453,8 @@ def _circumcenters(pts: np.ndarray, simplices: np.ndarray):
     return centers, ok
 
 
-# Leaf size of the KD-tree behind _clearance, which proves the kept
-# circumballs empty on the full graph's fallback path, when Delaunay's
+# Leaf size of the KD-tree behind _clearance, which proves every live
+# circumball empty on the full graph's fallback path, when Delaunay's
 # lemma does not apply (see _local_clearance).  On 6 S^2 ->
 # R^3 maps with 4096 samples, querying the circumcenters of all live
 # simplices took 0.65-0.68 s at 32, against 0.82-0.88 s at scipy's default
@@ -482,16 +482,18 @@ def _circumballs(pts: np.ndarray, simplices: np.ndarray):
     return splx, centers, radii, margin
 
 
-def _clearance(tree: cKDTree, centers: np.ndarray, radii: np.ndarray,
+def _clearance(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray,
                splx: np.ndarray) -> np.ndarray:
     """Clearance of each ball (centers[s], radii[s]) through the vertices
-    splx[s] of a simplex of the tree's points: the distance from its
-    center to the nearest point that is not one of those vertices, minus
-    its radius.  That point is among the center's d+2 nearest (at most
-    d+1 of them are vertices), and the smallest non-vertex distance among
-    them is the same whichever of several equidistant points the tree
-    returns, so the value does not depend on the tree's leaf size."""
-    npts, d = tree.data.shape
+    splx[s] of a simplex of pts: the distance from its center to the
+    nearest point that is not one of those vertices, minus its radius,
+    from one query of a KD-tree of pts.  That point is among the center's
+    d+2 nearest (at most d+1 of them are vertices), and the smallest
+    non-vertex distance among them is the same whichever of several
+    equidistant points the tree returns, so the value does not depend on
+    the tree's leaf size."""
+    npts, d = pts.shape
+    tree = cKDTree(pts, leafsize=CLEARANCE_LEAFSIZE)
     dists, nbrs = tree.query(centers, k=min(d + 2, npts))
     is_vertex = (nbrs[:, :, None] == splx[:, None, :]).any(axis=2)
     return np.where(is_vertex, np.inf, dists).min(axis=1) - radii
@@ -620,17 +622,12 @@ def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float):
     failed the tolerance and need LP fallback.
 
     The slack of an edge in a circumball is min(clearance, u), u being
-    the smallest margin of the simplex's other vertices.  Edges first
-    pick their ball by u alone.  When Delaunay's lemma proves every ball
-    empty from the simplices' neighbors (see _local_clearance), each
-    ball's clearance is its smallest apex margin, at least
-    LOCAL_DELAUNAY_TAU times the diameter, and no point is queried.
-    Otherwise only the picked simplices get the
-    KD-tree clearance query.  When each picked ball's clearance is at
-    least its u, the slacks are those u and no other ball of the edge can
-    match them later in instance order, so the picks stand.  An edge whose
-    picked ball has less clearance than that picks again by slack, after
-    the simplices holding it are queried too."""
+    the smallest margin of the simplex's other vertices.  When Delaunay's
+    lemma proves every ball empty from the simplices' neighbors (see
+    _local_clearance), each ball's clearance is its smallest apex margin,
+    at least LOCAL_DELAUNAY_TAU times the diameter, and no point is
+    queried; otherwise one KD-tree query gives every live ball's
+    clearance (_clearance)."""
     splx, centers, radii, margin = _circumballs(pts, tri.simplices)
     nsplx = len(splx)
     key = _edge_keys(splx, len(pts))
@@ -640,36 +637,19 @@ def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float):
     lo, hi = np.divmod(key[starts], len(pts))
     del key
     # the other vertices of local pair k are its rest columns
-    u = np.concatenate([margin[:, r].min(axis=1)
-                        for r in _local_pairs(splx.shape[1])[2]])
+    rest = _local_pairs(splx.shape[1])[2]
+    u = np.concatenate([margin[:, r].min(axis=1) for r in rest])
     del margin
-    chosen = _last_max(order, starts, u)
-    owner = chosen % nsplx
     clear = _local_clearance(pts, tri, centers, radii)
     if clear is None:
-        tree = cKDTree(pts, leafsize=CLEARANCE_LEAFSIZE)
-        clear = np.full(nsplx, np.nan)
-        kept = np.unique(owner)
-        clear[kept] = _clearance(tree, centers[kept], radii[kept], splx[kept])
+        clear = _clearance(pts, centers, radii, splx)
+    # instance t lies in simplex t % nsplx: its slack is min(clear, u), in place
+    by_pair = u.reshape(len(rest), nsplx)
+    np.minimum(by_pair, clear, out=by_pair)
+    chosen = _last_max(order, starts, u)
     slack = u[chosen]
-    redo = ~(clear[owner] >= slack)
-    if redo.any():
-        # the edges whose picked ball failed pick again among all their
-        # instances, after the simplices holding them get their clearance
-        sizes = np.diff(starts, append=len(order))
-        inst = order[np.repeat(redo, sizes)]
-        holder = inst % nsplx
-        rest = np.unique(holder[np.isnan(clear[holder])])
-        if len(rest):  # never on the lemma path, which clears every ball
-            clear[rest] = _clearance(tree, centers[rest], radii[rest], splx[rest])
-        inst_slack = np.minimum(clear[holder], u[inst])
-        sizes = sizes[redo]
-        pick = _last_max(np.arange(len(inst)), np.cumsum(sizes) - sizes,
-                         inst_slack)
-        owner[redo], slack[redo] = holder[pick], inst_slack[pick]
-
     good = slack >= -eps_inside
-    t = owner[good]
+    t = chosen[good] % nsplx
     return ((lo[good], hi[good], centers[t], radii[t], slack[good]),
             list(zip(lo[~good].tolist(), hi[~good].tolist())))
 
@@ -844,7 +824,11 @@ def _cells(tri) -> list[np.ndarray]:
     s, t = s[same], t[same]
     adjacency = coo_matrix((np.ones(len(s)), (s, t)), shape=(len(nbr),) * 2)
     label = connected_components(adjacency, directed=False)[1]
-    return [np.unique(tri.simplices[label == c]) for c in np.unique(label[s])]
+    # s lists every simplex of every cell: grouped by one sort, in label
+    # order (one empty group when no facet matched whole rows)
+    s = s[np.argsort(label[s], kind="stable")]
+    groups = np.split(s, np.flatnonzero(np.diff(label[s])) + 1)
+    return [np.unique(tri.simplices[g]) for g in groups if len(g)]
 
 
 def neighbor_graph(images: np.ndarray, domain: SampledDomain,

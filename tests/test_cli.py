@@ -408,3 +408,14 @@ def test_parser_is_built_once_and_reused_across_subcommands(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert fresh.read_bytes() == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize("cmd", sorted(cli.DEFAULTS))
+def test_every_subcommand_help_exits_0(cmd, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([cmd, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: fneighbors {cmd}")
+    # one flag per DEFAULTS key, plus --config
+    args = vars(cli._build_parser().parse_args([cmd]))
+    assert set(args) == {*cli.DEFAULTS[cmd], "config", "cmd"}

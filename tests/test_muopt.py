@@ -20,8 +20,7 @@ from fneighbors.muopt import (
     verify_sphere_bound,
 )
 
-TINY = OptimizerConfig(n_restarts=2, budget=60, n_samples=128, n_probes=8,
-                       seed=0)
+TINY = OptimizerConfig(n_restarts=2, budget=60, n_probes=8, seed=0)
 
 
 def test_objective_identity_embedding_df_two():

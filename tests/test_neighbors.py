@@ -456,8 +456,8 @@ def _counting_clearance(monkeypatch):
     calls = []
     clearance = neighbors._clearance
     monkeypatch.setattr(neighbors, "_clearance",
-                        lambda tree, c, *a: calls.append(len(c))
-                        or clearance(tree, c, *a))
+                        lambda pts, c, *a: calls.append(len(c))
+                        or clearance(pts, c, *a))
     return calls
 
 
@@ -487,28 +487,6 @@ def _square_boundary_map(k):
     return evaluate(spec, domain)
 
 
-@pytest.mark.parametrize("case", ["sphere", "circle", "square"])
-def test_edge_certs_equal_all_simplex_reference(monkeypatch, case):
-    if case == "sphere":
-        domain = sample_sphere(2, 1024, seed=0, scheme="quasi_uniform")
-        maps = [evaluate(random_map("sphere_harmonic", 3, seed=[k, 1000],
-                                    d_in=3), domain) for k in range(3)]
-    elif case == "circle":
-        domain = sample_sphere(1, 512, seed=0, scheme="quasi_uniform")
-        maps = [evaluate(random_map("circle_fourier", 2, seed=[k, 1000]),
-                         domain) for k in range(6)]
-    else:
-        maps = [_square_boundary_map(k) for k in range(3)]
-    for images in maps:
-        # generic maps: Delaunay's lemma proves every ball empty, and on the
-        # KD-tree path only the kept simplices are queried
-        calls, _ = _edge_certs_and_clearance_calls(monkeypatch, images)
-        assert calls == []
-        calls, live = _edge_certs_and_clearance_calls(monkeypatch, images,
-                                                      kd=True)
-        assert len(calls) == 1 and calls[0] < live
-
-
 def _two_spheres(n, count, radius=0.5, shift=3.0):
     """count samples of S^n, the first half left on the unit sphere and
     the rest moved to a smaller sphere beside it: many Delaunay
@@ -521,37 +499,43 @@ def _two_spheres(n, count, radius=0.5, shift=3.0):
     return points
 
 
-@pytest.mark.parametrize("n, count", [(1, 128), (2, 300)])
-def test_edge_certs_fallback_queries_the_other_simplices(monkeypatch, n, count):
-    images = _two_spheres(n, count)
-    calls, live = _edge_certs_and_clearance_calls(monkeypatch, images)
-    # a kept ball's clearance fell below its vertex margins, so the other
-    # simplices holding the failed edges were queried too
-    assert len(calls) == 2 and 0 < calls[1] <= live - calls[0]
-
-
-@pytest.mark.parametrize("case", ["circle", "sphere"])
-def test_edge_certs_grid_rounded_fallback_queries_failed_edges_only(
-        monkeypatch, case):
-    # images rounded to a 0.01 grid: many circumballs are empty only up to
-    # rounding, so some picks fail; only the simplices holding the failed
-    # edges get the second clearance query
-    if case == "circle":
-        domain = sample_sphere(1, 512, seed=0, scheme="quasi_uniform")
-        specs = [random_map("circle_fourier", 2, seed=[k, 1000]) for k in range(6)]
-    else:
+def _edge_cert_maps(case):
+    """(image sets, whether Delaunay's lemma applies to them)."""
+    if case.startswith("two-spheres-"):  # "two-spheres-n-count"
+        n, count = map(int, case.split("-")[2:])
+        return [_two_spheres(n, count)], False
+    base, _, rounded = case.partition("-")
+    if base == "sphere":
         domain = sample_sphere(2, 1024, seed=0, scheme="quasi_uniform")
-        specs = [random_map("sphere_harmonic", 3, seed=[k, 1000], d_in=3)
-                 for k in range(3)]
-    second = 0
-    for spec in specs:
-        images = np.round(evaluate(spec, domain), 2)
+        maps = [evaluate(random_map("sphere_harmonic", 3, seed=[k, 1000],
+                                    d_in=3), domain) for k in range(3)]
+    elif base == "circle":
+        domain = sample_sphere(1, 512, seed=0, scheme="quasi_uniform")
+        maps = [evaluate(random_map("circle_fourier", 2, seed=[k, 1000]),
+                         domain) for k in range(6)]
+    else:
+        maps = [_square_boundary_map(k) for k in range(3)]
+    if rounded:
+        # images rounded to a 0.01 grid: many circumballs are empty only
+        # up to rounding
+        return [np.round(images, 2) for images in maps], False
+    return maps, True
+
+
+@pytest.mark.parametrize("case", [
+    "sphere", "circle", "square", "two-spheres-1-128", "two-spheres-2-300",
+    "circle-rounded", "sphere-rounded"])
+def test_edge_certs_equal_all_simplex_reference(monkeypatch, case):
+    maps, lemma = _edge_cert_maps(case)
+    for images in maps:
+        # Delaunay's lemma proves every ball empty on generic maps; otherwise
+        # one KD-tree query covers every live simplex
         calls, live = _edge_certs_and_clearance_calls(monkeypatch, images)
-        assert len(calls) <= 2
-        if len(calls) == 2:
-            second += 1
-            assert calls[1] < live - calls[0]
-    assert second >= 2
+        assert calls == ([] if lemma else [live])
+        if lemma:
+            calls, live = _edge_certs_and_clearance_calls(monkeypatch, images,
+                                                          kd=True)
+            assert calls == [live]
 
 
 # --- Delaunay's lemma against the KD-tree path ---
@@ -882,8 +866,7 @@ def test_direct_clearance_equals_kd_clearance(n, count, family, m_out, seeds):
         spec = random_map(family, m_out, seed=[k, 1000], d_in=n + 1)
         pts, (splx, centers, radii, _) = _top_edge_balls(
             evaluate(spec, domain), domain)
-        tree = cKDTree(pts, leafsize=neighbors.CLEARANCE_LEAFSIZE)
-        want = neighbors._clearance(tree, centers, radii, splx)
+        want = neighbors._clearance(pts, centers, radii, splx)
         got = neighbors._direct_clearance(pts, centers, radii, splx)
         assert _bytes(got) == _bytes(want)
 
