@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -268,8 +269,14 @@ def sample_sphere(n: int, n_samples: int, seed: int = 0,
             half_count = (n_samples + 1) // 2
             sob = qmc.Sobol(d=n + 1, scramble=False, seed=seed)
             # drop the first two points: the all-zeros row, and the centre
-            # (0.5, ..., 0.5), which norm.ppf maps to the zero vector
-            u = sob.random(half_count + 2)[2:]
+            # (0.5, ..., 0.5), which norm.ppf maps to the zero vector.
+            # scipy warns that Sobol' balance needs a power-of-2 count, but
+            # the points are a deterministic spread, not a QMC estimate,
+            # and with two dropped no count would keep the balance anyway
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "The balance properties",
+                                        UserWarning)
+                u = sob.random(half_count + 2)[2:]
             from scipy.stats import norm as _norm
 
             g = _norm.ppf(np.clip(u, 1e-12, 1 - 1e-12))

@@ -294,21 +294,18 @@ def _lp_pair(a: np.ndarray, b: np.ndarray, others: np.ndarray, box: float):
     Returns (status, s*, c) in the caller's scaled frame.
     """
     m = len(a)
-    rows, rhs = [], []
-    for y in others:
-        u = y - a
-        nu = np.linalg.norm(u)
-        if nu < 1e-14:
-            continue  # duplicate of a: on any sphere through a, never inside
-        rows.append(np.concatenate([u / nu, [-1.0]]))
-        rhs.append((y @ y - a @ a) / (2.0 * nu))
+    u = others - a
+    nu = np.sqrt(np.vecdot(u, u))
+    # a duplicate of a is on any sphere through a, never inside
+    keep = nu >= 1e-14
+    u, nu, y = u[keep], nu[keep], others[keep]
     ub = b - a
     nb = np.linalg.norm(ub)
     a_eq = np.concatenate([ub / nb, [0.0]])[None, :]
     b_eq = [(b @ b - a @ a) / (2.0 * nb)]
-    if rows:
-        a_ub = np.asarray(rows)
-        b_ub = np.asarray(rhs)
+    if len(y):
+        a_ub = np.column_stack([u / nu[:, None], np.full(len(y), -1.0)])
+        b_ub = (np.vecdot(y, y) - a @ a) / (2.0 * nu)
     else:
         a_ub = None
         b_ub = None
@@ -805,30 +802,42 @@ def _triangulation(cl: _Clusters) -> Delaunay | None:
         return None
 
 
-def _cells(tri) -> list[np.ndarray]:
-    """The cospherical cells of the Delaunay triangulation tri as sorted
-    vertex sets: components of the simplices joined across facets whose
-    two sides have bitwise-equal rows of tri.equations.  Qhull merges
-    cospherical facets of the lifted paraboloid, and its triangulated
-    output (scipy passes Qt) splits each into simplices that keep its
-    hyperplane; only one split's pairs are edges.  Generic images have none."""
+def _cell_mask(tri) -> np.ndarray:
+    """Mask over tri.simplices of the simplices in cospherical cells: those
+    joined to a neighbor across a facet whose two sides have bitwise-equal
+    rows of tri.equations.  Qhull merges cospherical facets of the lifted
+    paraboloid, and its triangulated output (scipy passes Qt) splits each
+    into simplices that keep its hyperplane; only one split's pairs are
+    edges.  Generic images have none."""
     nbr, eq = tri.neighbors, tri.equations
+    in_cell = np.zeros(len(nbr), dtype=bool)
     # offsets first (NaN across the hull), then whole rows, both sides
     offset = np.append(eq[:, -1], np.nan)
     hit = offset[nbr] == offset[:-1, None]
     if not hit.any():
-        return []
+        return in_cell
     s, k = np.nonzero(hit)
-    t = nbr[s, k]
-    same = (eq[s] == eq[t]).all(axis=1)
-    s, t = s[same], t[same]
-    adjacency = coo_matrix((np.ones(len(s)), (s, t)), shape=(len(nbr),) * 2)
-    label = connected_components(adjacency, directed=False)[1]
-    # s lists every simplex of every cell: grouped by one sort, in label
-    # order (one empty group when no facet matched whole rows)
-    s = s[np.argsort(label[s], kind="stable")]
-    groups = np.split(s, np.flatnonzero(np.diff(label[s])) + 1)
-    return [np.unique(tri.simplices[g]) for g in groups if len(g)]
+    in_cell[s[(eq[s] == eq[nbr[s, k]]).all(axis=1)]] = True
+    return in_cell
+
+
+def _cells(tri) -> list[np.ndarray]:
+    """The cospherical cells of the Delaunay triangulation tri as sorted
+    vertex sets: components of the simplices of _cell_mask joined across
+    facets with bitwise-equal rows of tri.equations."""
+    s = np.flatnonzero(_cell_mask(tri))
+    if not len(s):
+        return []
+    nbr, eq = tri.neighbors[s], tri.equations
+    link = (nbr >= 0) & (eq[nbr] == eq[s][:, None]).all(axis=2)
+    adjacency = coo_matrix((np.ones(link.sum()),
+                            (np.repeat(s, link.sum(axis=1)), nbr[link])),
+                           shape=(len(tri.neighbors),) * 2)
+    label = connected_components(adjacency, directed=False)[1][s]
+    # one group per cell, in the order of its lowest simplex
+    order = np.argsort(label, kind="stable")
+    groups = np.split(s[order], np.flatnonzero(np.diff(label[order])) + 1)
+    return [np.unique(tri.simplices[g]) for g in groups]
 
 
 def neighbor_graph(images: np.ndarray, domain: SampledDomain,
@@ -941,7 +950,7 @@ def neighbor_span(images: np.ndarray, domain: SampledDomain,
     for callers that read nothing else.
 
     With no coincidence clusters and a triangulation with no cospherical
-    cell (_cells), every certified pair is a Delaunay edge, so the edge at
+    cell (_cell_mask), every certified pair is a Delaunay edge, so the edge at
     the largest intrinsic distance bounds D_f, and D_f equals its distance
     as soon as one of its incident circumballs certifies it.  Only that
     edge is certified then, with the same eps_inside.  Everything else
@@ -954,7 +963,8 @@ def neighbor_span(images: np.ndarray, domain: SampledDomain,
         return compute_df(neighbor_graph(images, domain, cfg), domain)
     cl = _clusters(images, cfg)
     tri = _triangulation(cl)
-    if tri is not None and len(cl.sizes) == len(images) and not _cells(tri):
+    if (tri is not None and len(cl.sizes) == len(images)
+            and not _cell_mask(tri).any()):
         # no clusters: reduced row i is the image of sample i
         span = _top_edge_span(cl.reduced, tri.simplices, domain,
                               cfg.eps_inside_rel * cl.diam)

@@ -10,16 +10,20 @@ The witness slack slack(x) = max_j d(x, f(C_j)) - d(x, f(X)) is
 nonnegative everywhere and zero exactly at witness points.  On samples an
 exact witness is the center of an empty ball with an image of every
 element on its sphere, so the search scans the circumcenters of the
-Delaunay simplices of the images (the empty-sphere property): a simplex
-whose vertices touch every element has slack 0.  The images are first
-clustered, reduced and tested for a common sphere by the prelude that
-neighbor_graph uses (neighbors._clusters); when they are cospherical, the
-sphere's center is the one circumcenter and nothing is triangulated, and
-if Qhull fails, the images are the only candidates.  Coincident images
-add their common point, the radius-0 witness of a coincident tuple.  When
-no simplex is rainbow, which is the rule when the cover has more elements
-than a simplex has vertices, the best circumcenter is only an approximate
-witness and the relative residual gate decides.
+Delaunay simplices of the images (the empty-sphere property): a rainbow
+simplex, whose vertices touch every element, has slack 0, and outside a
+cospherical cell no other empty ball does.  When a rainbow simplex exists
+only the rainbow simplices and the simplices of cells are solved for
+their circumcenters, a handful of the thousands in the triangulation.
+The images are first clustered, reduced and tested for a common sphere by
+the prelude that neighbor_graph uses (neighbors._clusters); when they are
+cospherical, the sphere's center is the one circumcenter and nothing is
+triangulated, and if Qhull fails, the images are the only candidates.
+Coincident images add their common point, the radius-0 witness of a
+coincident tuple.  When no simplex is rainbow, which is the rule when the
+cover has more elements than a simplex has vertices, every circumcenter
+is a candidate, the best is only an approximate witness and the relative
+residual gate decides.
 
 The slack at every candidate comes from one query for its d+2 nearest
 images (d the image dimension): it is exact where every element has a
@@ -38,6 +42,7 @@ from scipy.spatial import cKDTree
 from .domains import CoverAssignment, SampledDomain, cube_max_faces
 from .neighbors import (
     DEFAULT_CONFIG,
+    _cell_mask,
     _circumcenters,
     _clusters,
     _line_pairs,
@@ -127,13 +132,22 @@ def _nearest_members(dists: np.ndarray, cover: CoverAssignment,
     return tuple(out)
 
 
-def _candidate_centers(images: np.ndarray) -> np.ndarray:
+def _candidate_centers(images: np.ndarray,
+                       cover: CoverAssignment) -> np.ndarray:
     """The candidate centers for the coincidence-cluster representatives
     of neighbors._clusters (each cluster's lowest member): the
     circumcenters of the simplices of neighbors._triangulation
     (midpoints of consecutive values when their affine hull is a line,
     the center of their sphere when they are cospherical, none when Qhull
-    fails), followed by the cluster images themselves."""
+    fails), followed by the cluster images themselves.
+
+    A simplex is rainbow when the clusters of its vertices touch every
+    cover element.  When some rainbow simplex is not a sliver, only the
+    rainbow simplices and those of cospherical cells (_cell_mask) give
+    circumcenters: the slack at an empty ball's center is 0 only when its
+    sphere holds an image of every element, which outside a cell makes
+    its own simplex rainbow.  Otherwise every circumcenter is a candidate.
+    The kept candidates stay in the order of the full list."""
     cl = _clusters(images, DEFAULT_CONFIG)
     reps = images[cl.members[cl.start]]
     if cl.reduced is None:  # a single cluster
@@ -143,7 +157,16 @@ def _candidate_centers(images: np.ndarray) -> np.ndarray:
     elif cl.reduced.shape[1] == 1:
         centers = _line_pairs(cl.reduced[:, 0])[2]
     elif (tri := _triangulation(cl)) is not None:
-        centers, ok = _circumcenters(cl.reduced, tri.simplices)
+        # the elements each cluster touches, gathered one vertex at a time
+        touch = np.logical_or.reduceat(cover.membership[cl.members], cl.start)
+        seen = np.zeros((len(tri.simplices), cover.element_count), dtype=bool)
+        for vertex in tri.simplices.T:
+            seen |= touch[vertex]
+        rainbow = seen.all(axis=1)
+        keep = rainbow | _cell_mask(tri)
+        centers, ok = _circumcenters(cl.reduced, tri.simplices[keep])
+        if not (ok & rainbow[keep]).any():  # no rainbow simplex, or slivers
+            centers, ok = _circumcenters(cl.reduced, tri.simplices)
         centers = centers[ok]
     else:  # Qhull failed
         centers = np.empty((0, cl.reduced.shape[1]))
@@ -197,18 +220,19 @@ def witness_point(domain: SampledDomain, cover: CoverAssignment,
                   cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG) -> WitnessReport:
     """The candidate center of least witness slack.
 
-    Candidates are the Delaunay circumcenters (the sphere's center on
-    cospherical images) and cluster images of _candidate_centers, and the
-    first minimizer of the slack wins.  One k-nearest query over all
-    images bounds the slack at every candidate, and only the candidates
-    that bound cannot rule out get per-element queries (_candidate_slack),
-    with the pick the exact slack would make.
+    Candidates are the Delaunay circumcenters (only those of rainbow
+    simplices and cospherical cells when a rainbow simplex exists; the
+    sphere's center on cospherical images) and cluster images of
+    _candidate_centers, and the first minimizer of the slack wins.  One
+    k-nearest query over all images bounds the slack at every candidate,
+    and only the candidates that bound cannot rule out get per-element
+    queries (_candidate_slack), with the pick the exact slack would make.
     A rainbow simplex (one whose vertices touch every element) gives slack
     0 up to rounding.  With none, which is the rule when the cover has
     more elements than a simplex has vertices (image dimension plus one),
-    the minimizer is only an approximate witness.  All-coincident images
-    short-circuit to the radius-0 witness.  The residual gate is relative
-    to the image diameter.
+    every circumcenter is scanned and the minimizer is only an approximate
+    witness.  All-coincident images short-circuit to the radius-0 witness.
+    The residual gate is relative to the image diameter.
     """
     images = np.asarray(images, dtype=float)
     if len(images) != len(domain):
@@ -221,7 +245,7 @@ def witness_point(domain: SampledDomain, cover: CoverAssignment,
         return WitnessReport(status="ok", point=images[0].copy(), radius=0.0,
                              residual=0.0, chosen=chosen, element_names=names)
 
-    candidates = _candidate_centers(images)
+    candidates = _candidate_centers(images, cover)
     slack, nearest = _candidate_slack(candidates, images, cover)
     best = int(np.argmin(slack))
     best_x = candidates[best]

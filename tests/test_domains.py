@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
+from scipy.stats import norm, qmc
 
 from fneighbors import domains
 from fneighbors.domains import (
@@ -39,6 +41,21 @@ def test_sample_sphere_antipode_exact():
         a = d.antipode
         assert np.array_equal(d.samples[a], -d.samples)
         assert np.array_equal(a[a], np.arange(len(d)))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_quasi_uniform_sphere_keeps_its_sobol_samples_without_a_warning(n):
+    # scipy warns on the raw draw (the count is not a power of 2); the
+    # samples are that draw's, bit for bit, and nothing is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = sample_sphere(n, 51, seed=9, scheme="quasi_uniform")
+    sob = qmc.Sobol(d=n + 1, scramble=False, seed=9)
+    with pytest.warns(UserWarning, match="balance properties"):
+        u = sob.random(26 + 2)[2:]
+    g = norm.ppf(np.clip(u, 1e-12, 1 - 1e-12))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    assert np.array_equal(d.samples, np.vstack([g, -g]))
 
 
 def test_sample_sphere_uniform_count_doubles():

@@ -30,6 +30,7 @@ from fneighbors.neighbors import (
     pair_is_neighbor_fast,
     pair_is_neighbor_oracle,
 )
+from fneighbors.witness import disjoint_faces_check
 
 
 # --- oracle on hand-checked configurations ---
@@ -153,6 +154,76 @@ def test_fast_identity_circle_pair_is_cocircular_yes():
     # witness stays close to the unit circle itself
     assert np.linalg.norm(cert.witness.center) < 1e-6
     assert cert.witness.radius == pytest.approx(1.0, abs=1e-6)
+
+
+def _loop_lp_pair(a, b, others, box):
+    """The LP with its constraint rows built one image at a time, as
+    before they were vectorized."""
+    m = len(a)
+    rows, rhs = [], []
+    for y in others:
+        u = y - a
+        nu = np.linalg.norm(u)
+        if nu < 1e-14:
+            continue
+        rows.append(np.concatenate([u / nu, [-1.0]]))
+        rhs.append((y @ y - a @ a) / (2.0 * nu))
+    ub = b - a
+    nb = np.linalg.norm(ub)
+    a_eq = np.concatenate([ub / nb, [0.0]])[None, :]
+    b_eq = [(b @ b - a @ a) / (2.0 * nb)]
+    a_ub = np.asarray(rows) if rows else None
+    b_ub = np.asarray(rhs) if rows else None
+    cost = np.zeros(m + 1)
+    cost[-1] = 1.0
+    res = neighbors.linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                            bounds=[(-box, box)] * m + [(None, None)],
+                            method="highs")
+    if not res.success:
+        return "failed", float("inf"), None
+    return "ok", float(res.fun), res.x[:m]
+
+
+def _verdicts(monkeypatch, cases, lp):
+    """pair_is_neighbor_fast on every (i, j, images) case with the given
+    LP, as (verdict, certificate JSON) rows, and the number of LP calls."""
+    calls = []
+    monkeypatch.setattr(neighbors, "_lp_pair",
+                        lambda *args: calls.append(1) or lp(*args))
+    rows = [(verdict, cert and cert.to_json()) for verdict, cert in
+            (pair_is_neighbor_fast(i, j, images) for i, j, images in cases)]
+    monkeypatch.undo()
+    return rows, len(calls)
+
+
+def test_vectorized_lp_rows_match_the_loop(monkeypatch):
+    # criterion 5's instances (rounded, with duplicated images) and one
+    # square trial's witness pair plus pairs across its images, many of
+    # which the midpoint ball fails and only the LP settles
+    cases = []
+    for trial in range(200):
+        rng = np.random.default_rng([9500, trial])
+        npts = int(rng.integers(4, 13))
+        m = int(rng.integers(2, 4))
+        images = rng.uniform(-1.0, 1.0, size=(npts, m)) * rng.uniform(0.5, 2.0)
+        if trial % 2 == 0:
+            images = np.round(images, 1)
+        if trial % 11 == 3:
+            images[int(rng.integers(npts))] = images[int(rng.integers(npts))]
+        perm = rng.permutation(npts)
+        cases.append((int(perm[0]), int(perm[1]), images))
+    domain, cover = cube_boundary_cover(2, 2048, seed=0)
+    images = evaluate(random_map("poly_quadratic", 2, seed=[0, 2000], d_in=2),
+                      domain)
+    rng = np.random.default_rng(3)
+    cases += [(*disjoint_faces_check(domain, cover, images).pair, images)] + [
+        (int(i), int(j), images)
+        for i, j in rng.choice(len(images), size=(6, 2), replace=False)]
+    got, lp_calls = _verdicts(monkeypatch, cases, neighbors._lp_pair)
+    want, _ = _verdicts(monkeypatch, cases, _loop_lp_pair)
+    assert got == want
+    assert lp_calls >= 50
+    assert {verdict for verdict, _ in got} == {"yes", "no"}
 
 
 # --- graph ---

@@ -1,6 +1,7 @@
 """Witness-point search tests: exact cases with known witnesses, the
-refinement property, the cube face extraction, and the one-query slack
-against the all-element reference."""
+refinement property, the cube face extraction, the one-query slack
+against the all-element reference, and the rainbow-simplex candidates
+against the all-candidate scan."""
 
 import itertools
 
@@ -10,6 +11,7 @@ from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from fneighbors.domains import (
     CoverAssignment,
+    SampledDomain,
     cube_boundary_cover,
     regular_triangulation_cover,
     sample_sphere,
@@ -239,7 +241,7 @@ def test_slack_equals_reference_with_fewer_images_than_the_query_asks(
     cover = regular_triangulation_cover(domain)
     images = np.c_[domain.samples, [0.0, 0.3, 0.1, 0.7]]
     assert _refined_counts(monkeypatch, domain, cover, images) == []
-    candidates = witness._candidate_centers(images)
+    candidates = witness._candidate_centers(images, cover)
     got = witness._candidate_slack(candidates, images, cover)
     for column, ref in zip(got, _all_element_slack(candidates, images, cover)):
         assert np.array_equal(column, ref)
@@ -264,25 +266,40 @@ def test_candidate_whose_bound_ties_the_least_exact_slack_is_refined():
 
 # --- candidate centers from the shared neighbor prelude ---
 
-def _reference_candidates(images):
+def _reference_candidates(images, cover, rainbow_only=False):
     """The candidate centers as computed before the shared prelude: one
     coincidence labeling, the lowest member per label, and the Delaunay
-    circumcenters (or line midpoints) of those representatives."""
+    circumcenters (or line midpoints) of those representatives, followed
+    by the representatives.  By default this is the all-candidate oracle,
+    every circumcenter whatever the cover; rainbow_only keeps the
+    simplices whose clusters touch every element (checked vertex by
+    vertex) and those of cospherical cells, as long as one rainbow simplex
+    is not a sliver."""
     spread = float(np.linalg.norm(images.max(0) - images.min(0)))
     label = neighbors._coincidence_labels(
         images, neighbors.DEFAULT_CONFIG.eps_coincide_rel * spread)
     reps = images[np.unique(label, return_index=True)[1]]
     reduced, embed = neighbors._affine_reduce(reps)
     if reduced.shape[1] == 1:
-        centers = neighbors._line_pairs(reduced[:, 0])[2]
-    else:
-        centers, ok = neighbors._circumcenters(reduced,
-                                               Delaunay(reduced).simplices)
-        centers = centers[ok]
-    return np.vstack([embed(centers), reps])
+        return np.vstack([embed(neighbors._line_pairs(reduced[:, 0])[2]), reps])
+    tri = Delaunay(reduced)
+    simplices = tri.simplices
+    centers, ok = neighbors._circumcenters(reduced, simplices)
+    if rainbow_only:
+        touch = [cover.membership[label == c].any(axis=0)
+                 for c in range(len(reps))]
+        rainbow = np.array([np.any([touch[v] for v in s], axis=0).all()
+                            for s in simplices])
+        if (rainbow & ok).any():
+            keep = rainbow | neighbors._cell_mask(tri)
+            centers, ok = centers[keep], ok[keep]
+    return np.vstack([embed(centers[ok]), reps])
 
 
 def test_candidates_and_reports_unchanged_on_generic_maps(monkeypatch):
+    # the candidates are the reference's rainbow and cell simplices (all of
+    # them where no simplex is rainbow), and the reports are the full
+    # scan's
     sphere = sample_sphere(2, 1024, seed=0, scheme="quasi_uniform")
     cases = [(sphere, regular_triangulation_cover(sphere),
               random_map("sphere_harmonic", 3, seed=[7, k], d_in=3))
@@ -296,13 +313,103 @@ def test_candidates_and_reports_unchanged_on_generic_maps(monkeypatch):
                                               seed=[1, 2000 + m], d_in=m)))
     for domain, cover, spec in cases:
         images = evaluate(spec, domain)
-        want = _reference_candidates(images)
-        assert np.array_equal(witness._candidate_centers(images), want)
+        want = _reference_candidates(images, cover, rainbow_only=True)
+        assert np.array_equal(witness._candidate_centers(images, cover), want)
         report = witness_point(domain, cover, images).to_json()
         monkeypatch.setattr(witness, "_candidate_centers",
                             _reference_candidates)
         assert report == witness_point(domain, cover, images).to_json()
         monkeypatch.undo()
+
+
+def _sphere_panel():
+    """S^2 maps [7, k] with the regular cover, as given and rounded to 1
+    and 2 decimals, where Qhull's triangulation has cospherical cells.  On
+    [7, 4] rounded to 1 decimal the first pick is the circumcenter of a
+    cell's simplex that is not rainbow."""
+    domain = sample_sphere(2, 2048, seed=0, scheme="quasi_uniform")
+    cover = regular_triangulation_cover(domain)
+    generic, rounded = [], []
+    for k in range(6):
+        images = evaluate(random_map("sphere_harmonic", 3, seed=[7, k], d_in=3),
+                          domain)
+        generic.append(images)
+        if k in (0, 4):
+            rounded += [np.round(images, 1), np.round(images, 2)]
+    return domain, cover, generic, rounded
+
+
+def _assert_full_scan_report(monkeypatch, domain, cover, images):
+    report = witness_point(domain, cover, images).to_json()
+    monkeypatch.setattr(witness, "_candidate_centers", _reference_candidates)
+    assert report == witness_point(domain, cover, images).to_json()
+    monkeypatch.undo()
+
+
+def _triangulation(images):
+    return neighbors._triangulation(
+        neighbors._clusters(images, neighbors.DEFAULT_CONFIG))
+
+
+def test_sphere_reports_equal_the_all_candidate_scan(monkeypatch):
+    domain, cover, generic, rounded = _sphere_panel()
+    for images in generic:
+        _assert_full_scan_report(monkeypatch, domain, cover, images)
+        # a handful of rainbow circumcenters out of about 13k simplices
+        simplices = len(_triangulation(images).simplices)
+        circumcenters = len(witness._candidate_centers(images, cover)) - 2048
+        assert 0 < circumcenters <= simplices // 100
+    for images in rounded:
+        assert neighbors._cell_mask(_triangulation(images)).any()
+        _assert_full_scan_report(monkeypatch, domain, cover, images)
+
+
+def test_cube_reports_equal_the_all_candidate_scan(monkeypatch):
+    # square boundaries: three elements, so triangles can be rainbow
+    for seed in (0, 1):
+        domain, cover = cube_boundary_cover(2, 2048, seed=seed)
+        for t in range(3):
+            spec = random_map("poly_quadratic", 2, seed=[seed, 2000 + t], d_in=2)
+            _assert_full_scan_report(monkeypatch, domain, cover,
+                                     evaluate(spec, domain))
+    # the 3-cube into R^2: four elements, no rainbow triangle, full scan
+    domain, cover = cube_boundary_cover(3, 1024, seed=0)
+    images = evaluate(random_map("poly_quadratic", 2, seed=[2, 2000], d_in=3),
+                      domain)
+    assert np.array_equal(witness._candidate_centers(images, cover),
+                          _reference_candidates(images, cover))
+    _assert_full_scan_report(monkeypatch, domain, cover, images)
+
+
+def test_sphere_into_plane_runs_the_full_scan(monkeypatch):
+    # four elements and triangles: no simplex can be rainbow
+    domain = sample_sphere(2, 1024, seed=0, scheme="quasi_uniform")
+    cover = regular_triangulation_cover(domain)
+    for k in range(2):
+        images = evaluate(random_map("sphere_harmonic", 2, seed=[3, k], d_in=3),
+                          domain)
+        assert np.array_equal(witness._candidate_centers(images, cover),
+                              _reference_candidates(images, cover))
+        _assert_full_scan_report(monkeypatch, domain, cover, images)
+
+
+def test_sliver_only_rainbow_simplex_falls_back_to_the_full_scan(monkeypatch):
+    # the hull triangle 0-1-2 is nearly flat (a sliver with no
+    # circumcenter) and the only one with a vertex in each element; the
+    # two triangles through 3 miss element c or a
+    images = np.array([[0.0, 0.0], [1.0, 1e-14], [2.0, 0.0], [1.0, 1.0]])
+    membership = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 0]],
+                          dtype=bool)
+    cover = CoverAssignment(membership=membership, names=("a", "b", "c"))
+    domain = SampledDomain(kind="cube_boundary", dim=2, samples=images)
+    simplices = Delaunay(images).simplices
+    assert len(simplices) == 3
+    _, ok = neighbors._circumcenters(images, simplices)
+    assert ok.sum() == 2
+    candidates = witness._candidate_centers(images, cover)
+    assert len(candidates) == 2 + 4
+    assert np.array_equal(candidates, _reference_candidates(images, cover))
+    _assert_full_scan_report(monkeypatch, domain, cover, images)
 
 
 def _no_delaunay(*args):
@@ -358,7 +465,7 @@ def test_qhull_failure_leaves_the_images_as_candidates(monkeypatch):
     images = evaluate(random_map("sphere_harmonic", 3, seed=[7, 0], d_in=3),
                       domain)
     monkeypatch.setattr(neighbors, "Delaunay", _failing_qhull)
-    assert np.array_equal(witness._candidate_centers(images), images)
+    assert np.array_equal(witness._candidate_centers(images, cover), images)
     report = witness_point(domain, cover, images)
     assert any(np.array_equal(report.point, y) for y in images)
     assert report.radius == 0.0
