@@ -714,10 +714,10 @@ _FLAGS: dict[str, dict] = {
     "dump_certs": {"action": "store_true", "default": None,
                    "help": "embed every certificate in the report"},
     "threads": {"type": int,
-                "help": "trials run on this many Python threads; the GIL "
-                        "serializes their Python code, so only the NumPy and "
-                        "Qhull work runs in parallel and small trials gain "
-                        "nothing; reports are byte-identical for any value"},
+                "help": "trials run on this many Python threads, which "
+                        "overlap in the NumPy and Qhull work, so sweeps run "
+                        "faster on 2 cores than on 1; reports are "
+                        "byte-identical for any value"},
     "out": {"help": "write the JSON report here instead of stdout"},
     "csv": {"help": "write the trials or the histogram as CSV"},
     "svg": {"help": "write an SVG plot (neighbors: circle domain, m_out=2 "

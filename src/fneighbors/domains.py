@@ -204,6 +204,14 @@ class CoverAssignment:
     def element_indices(self, j: int) -> np.ndarray:
         return np.nonzero(self.membership[:, j])[0]
 
+    def distances(self, targets: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """(len(points), k) distances from every point to the nearest
+        target of each element, targets holding one row per sample: one
+        KD-tree query per element."""
+        return np.column_stack([
+            cKDTree(targets[self.membership[:, j]]).query(points)[0]
+            for j in range(self.element_count)])
+
 
 def _sphere_uniform(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     pts = rng.standard_normal(size=(count, n + 1))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.spatial import ConvexHull, cKDTree
+from scipy.spatial import ConvexHull
 
 from .domains import FACET_TOL, CoverAssignment, SampledDomain
 
@@ -103,22 +103,12 @@ class CoverCertificate:
                 "estimates": [e.to_json() for e in self.estimates]}
 
 
-def _element_distances(domain: SampledDomain, cover: CoverAssignment) -> np.ndarray:
-    """dist(x, C_j) for every sample x and element j, through the ambient
-    chord metric the domains use."""
-    cols = []
-    for j in range(cover.element_count):
-        members = np.flatnonzero(cover.membership[:, j])
-        tree = cKDTree(domain.samples[members])
-        cols.append(tree.query(domain.samples)[0])
-    return np.column_stack(cols)
-
-
 def covering_scale(domain: SampledDomain, cover: CoverAssignment) -> float:
     """Smallest radius at which some sample is within reach of every
     element: the thickening degeneracy threshold.  Admissible r_thick must
     stay strictly below this."""
-    return float(_element_distances(domain, cover).max(axis=1).min())
+    dist = cover.distances(domain.samples, domain.samples)
+    return float(dist.max(axis=1).min())
 
 
 def build_partition(domain: SampledDomain, cover: CoverAssignment,
@@ -133,7 +123,8 @@ def build_partition(domain: SampledDomain, cover: CoverAssignment,
     """
     if r_thick <= 0.0:
         raise ValueError("r_thick must be positive")
-    g = np.maximum(0.0, r_thick - _element_distances(domain, cover))
+    dist = cover.distances(domain.samples, domain.samples)
+    g = np.maximum(0.0, r_thick - dist)
     sums = g.sum(axis=1)
     if np.any(sums <= 0.0):
         raise CoverDegenerateError("some sample has no element within r_thick")

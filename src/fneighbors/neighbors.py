@@ -12,12 +12,13 @@ routes stay independent.
 Images that are not cospherical take one candidate path in any reduced
 dimension of 2 or more, a Delaunay triangulation: every Delaunay edge is
 certified by its best incident-simplex circumball, and every f-neighbor
-pair is an edge or lies in a cospherical cell, which becomes one tuple.
-If Qhull fails, every pair goes to the LP.  The triangulation can be
+pair is an edge or lies in a cospherical cell, which becomes one tuple;
+every ball is read from Qhull's lifted hyperplanes, then checked.  If
+Qhull fails, every pair goes to the LP.  The triangulation can be
 large: a closed curve in R^4 or R^5 is nearly neighborly, like the cyclic
 polytopes, so a good share of all pairs are edges and, in R^5, the
 simplices grow as N^3.
-When every sample is a vertex, no simplex is a sliver and each interior
+When every sample is a vertex, every ball is live and each interior
 facet's apex clears the ball across it by a margin, Delaunay's lemma
 proves all circumballs empty from the simplices' neighbors alone;
 otherwise one KD-tree query from every ball's center does it.
@@ -432,24 +433,6 @@ def _line_pairs(values: np.ndarray):
             slack)
 
 
-def _circumcenters(pts: np.ndarray, simplices: np.ndarray):
-    """Circumcenter of every given simplex of pts (dimension >= 2).
-    Returns (centers, ok): ok marks the non-singular simplices, and the
-    centers of singular (sliver) simplices are NaN."""
-    d = pts.shape[1]
-    verts = pts[simplices]  # (S, d+1, d)
-    u = verts[:, 1:, :] - verts[:, :1, :]
-    rhs = 0.5 * ((verts[:, 1:, :] ** 2).sum(axis=2) - (verts[:, :1, :] ** 2).sum(axis=2))
-    centers = np.full((len(simplices), d), np.nan)
-    # batched solve over the simplices that are not slivers
-    det = np.abs(np.linalg.det(u))
-    scale = np.abs(u).max(axis=(1, 2)) ** d + 1e-300
-    ok = det > 1e-12 * scale
-    if ok.any():
-        centers[ok] = np.linalg.solve(u[ok], rhs[ok][..., None])[..., 0]
-    return centers, ok
-
-
 # Leaf size of the KD-tree behind _clearance, which proves every live
 # circumball empty on the full graph's fallback path, when Delaunay's
 # lemma does not apply (see _local_clearance).  On 6 S^2 ->
@@ -465,18 +448,42 @@ CLEARANCE_LEAFSIZE = 32
 LOCAL_DELAUNAY_TAU = 1e-11
 
 
-def _circumballs(pts: np.ndarray, simplices: np.ndarray):
-    """Circumballs of the non-sliver simplices among the given simplices
-    of pts.  Returns (splx, centers, radii, margin): splx lists those
-    simplices, and margin[s, v] is the signed distance of vertex splx[s, v]
-    from the sphere s (rounding error only).  Their clearances come from
-    _clearance."""
-    centers, ok = _circumcenters(pts, simplices)
-    splx, centers = simplices[ok], centers[ok]
-    verts = pts[splx]
-    radii = np.linalg.norm(verts[:, 0, :] - centers, axis=1)
-    margin = np.linalg.norm(verts - centers[:, None, :], axis=2) - radii[:, None]
-    return splx, centers, radii, margin
+def _lifted_balls(tri, rows):
+    """Centers and radii of the circumspheres of tri.simplices[rows] from
+    their rows (n_x, n_z, offset) of tri.equations.  Qhull lifts x to (x,
+    s |x|^2 + t), s = tri.paraboloid_scale and t = paraboloid_shift, so
+    the center is -n_x / (2 s n_z) and the squared radius |c|^2 - (n_z t
+    + offset) / (n_z s); a vertical hyperplane gives no finite ball."""
+    eq = tri.equations[rows]
+    nz, s = eq[:, -2], tri.paraboloid_scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centers = eq[:, :-2] / (-2.0 * s * nz[:, None])
+        return centers, np.sqrt(np.vecdot(centers, centers) - (
+            nz * tri.paraboloid_shift + eq[:, -1]) / (nz * s))
+
+
+def _on_ball(margin: np.ndarray, radii, tau_on: float):
+    """Whether all the signed distances in each row of margin, widened by
+    the spacing of floats at the radius, are within tau_on: a sliver's
+    ball is too large to show its vertices on it to that precision."""
+    return np.abs(margin).max(axis=-1) + np.spacing(radii) <= tau_on
+
+
+def _circumballs(pts: np.ndarray, tri, tau_on: float, rows=slice(None)):
+    """The live balls (_on_ball) among the circumballs (_lifted_balls) of
+    tri.simplices[rows], all of them by default, over the points pts Qhull
+    triangulated: (live, centers, radii, margin), live the simplices'
+    indices and margin[s, v] the signed distance of vertex v of simplex
+    live[s] from sphere s, in our own arithmetic (rounding error only).
+    Their clearances come from _clearance."""
+    centers, radii = _lifted_balls(tri, rows)
+    with np.errstate(invalid="ignore"):
+        # one row per vertex column, so that _on_ball reduces long rows
+        diff = pts[tri.simplices[rows].T] - centers
+        margin = (np.sqrt(np.einsum("vsk,vsk->vs", diff, diff)) - radii).T
+    live = _on_ball(margin, radii, tau_on)
+    return (np.arange(len(tri.simplices))[rows][live], centers[live],
+            radii[live], margin[live])
 
 
 def _clearance(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray,
@@ -509,8 +516,8 @@ def _local_clearance(pts: np.ndarray, tri, centers: np.ndarray,
     one per simplex.  The apex of the neighbor t across facet k of s is
     simplices[t].sum() - simplices[s].sum() + simplices[s, k], and its
     margin |q - c_s| - r_s is computed as the vertex margins are.  The
-    lemma applies when every point is a vertex (coplanar is empty), no
-    simplex is a sliver, and every apex margin, from both sides of every
+    lemma applies when every point is a vertex (coplanar is empty), every
+    ball is live, and every apex margin, from both sides of every
     interior facet, is at least LOCAL_DELAUNAY_TAU times the diameter.
     Each ball's clearance is then its smallest apex margin (inf with no
     interior facet).
@@ -533,22 +540,22 @@ def _local_clearance(pts: np.ndarray, tri, centers: np.ndarray,
       s = s_0, s_1, ..., s_m, the last having p as a vertex (every point
       is a vertex), each step through a facet with p on the far side.  So
       pi_s(p) > pi_s_1(p) > ... > pi_s_m(p) = 0: p lies outside ball s.
-    - Rounding.  The margins carry the error of the computed centers.
-      Against circumcenters in 80-bit extended precision, on the 150 S^2
-      -> R^3 maps [s, 1000..1014], s = 1..10, with 4096 samples, the
-      margins below 1e-7 of the diameter erred by at most 1.5e-13 of it,
-      and the larger ones by at most 1e-5 of themselves.  So a margin
-      computed at tau or more, 68 times that floor, is truly positive;
-      the smallest margin on those maps was 1.6e-10 of the diameter.
-      tau also lies five orders of magnitude below eps_inside_rel, the
-      depth to which certificates are held.
+    - Rounding.  The margins carry the error of the balls.  Against
+      circumcenters in np.longdouble, on the 15 S^2 -> R^3 maps [s,
+      1000..1004], s = 1..3, with 4096 samples, the apex margins below
+      1e-7 of the diameter erred by at most 1.4e-14 of it (2.4e-14 with
+      solved centers), and the larger ones by at most 1.5e-7 of
+      themselves.  So a margin computed at tau or more, 720 times that
+      floor, is truly positive; the smallest margin on those maps was
+      1.75e-10 of the diameter.  tau also lies five orders of magnitude
+      below eps_inside_rel, the depth to which certificates are held.
 
     The apex margins bound a ball's clearance from above only (a point
     beside a vertex may come closer than every apex).  That does not
     change the slacks: an edge's slack is min(clearance, u), u being the
     smallest margin of its simplex's other vertices, which is rounding
-    (at most 1.1e-10 of the diameter on the maps above, each time below
-    the ball's smallest apex margin).  The KD-tree path gives the same
+    (at most 1.6e-12 of the diameter on the maps above, each below 1.1e-6
+    of the ball's smallest apex margin).  The KD-tree path gives the same
     slack unless a point outside the ball lies within u > 0 of it."""
     simplices, nbr = tri.simplices, tri.neighbors
     if len(tri.coplanar) or len(centers) < len(simplices):
@@ -610,13 +617,14 @@ def _last_max(order: np.ndarray, starts: np.ndarray, values: np.ndarray):
                                      starts)]
 
 
-def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float):
+def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float,
+                         tau_on: float):
     """Certified edges from the Delaunay triangulation tri of pts (its
-    simplices, neighbors and coplanar points): each edge keeps the best
-    (largest-slack, the last of its instances on ties) incident
-    circumball.  Returns the certified edges as columns (lo, hi, centers,
-    radii, slack) in the current coordinates, plus the list of edges that
-    failed the tolerance and need LP fallback.
+    simplices, neighbors, coplanar points and lifted hyperplanes): each
+    edge keeps the best (largest-slack, the last of its instances on ties)
+    incident live circumball (_circumballs).  Returns the certified edges
+    as columns (lo, hi, centers, radii, slack) in the current coordinates,
+    plus the list of edges that failed the tolerance and need LP fallback.
 
     The slack of an edge in a circumball is min(clearance, u), u being
     the smallest margin of the simplex's other vertices.  When Delaunay's
@@ -625,7 +633,8 @@ def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float):
     at least LOCAL_DELAUNAY_TAU times the diameter, and no point is
     queried; otherwise one KD-tree query gives every live ball's
     clearance (_clearance)."""
-    splx, centers, radii, margin = _circumballs(pts, tri.simplices)
+    live, centers, radii, margin = _circumballs(pts, tri, tau_on)
+    splx = tri.simplices[live]
     nsplx = len(splx)
     key = _edge_keys(splx, len(pts))
     order = np.argsort(key, kind="stable")
@@ -670,26 +679,26 @@ def _direct_clearance(pts: np.ndarray, centers: np.ndarray,
     return dist.min(axis=1) - radii
 
 
-def _top_edge_span(pts: np.ndarray, simplices: np.ndarray,
-                   domain: SampledDomain, eps_inside: float) -> float | None:
+def _top_edge_span(pts: np.ndarray, tri, domain: SampledDomain,
+                   eps_inside: float, tau_on: float) -> float | None:
     """The largest intrinsic distance over the edges of the Delaunay
-    simplices of pts (sample i at row i) when one of that edge's incident
-    circumballs certifies it, else None.  Ties go to the last such edge in
-    (i, j) order, the rule of extremal_pair.
+    triangulation tri of pts (sample i at row i) when one of that edge's
+    live incident circumballs certifies it, else None.  Ties go to the
+    last such edge in (i, j) order, the rule of extremal_pair.
 
     The distinct edges come from one sort of the edge keys, the top
     edge's simplices from the instances of its key, and the clearances of
     their few circumballs from direct distances (_direct_clearance): no
     hash table and no KD-tree is built."""
-    keys = _edge_keys(simplices, len(pts))
+    keys = _edge_keys(tri.simplices, len(pts))
     edges = np.sort(keys)
     edges = edges[np.r_[True, edges[1:] != edges[:-1]]]
     lo, hi = np.divmod(edges, len(pts))
     rho = domain.rho_pairs(lo, hi)
     k = len(rho) - 1 - int(np.argmax(rho[::-1]))
-    incident = simplices[np.sort(np.flatnonzero(keys == edges[k])
-                                 % len(simplices))]
-    splx, centers, radii, margin = _circumballs(pts, incident)
+    incident = np.sort(np.flatnonzero(keys == edges[k]) % len(tri.simplices))
+    live, centers, radii, margin = _circumballs(pts, tri, tau_on, incident)
+    splx = tri.simplices[live]
     clear = _direct_clearance(pts, centers, radii, splx)
     slack = _edge_slack(splx, clear, margin, lo[k], hi[k])
     if len(slack) and slack.max() >= -eps_inside:
@@ -751,9 +760,10 @@ class _Clusters(NamedTuple):
     images in their affine hull (None for a single cluster), embed maps
     reduced points back, and sphere is the sphere through all
     representatives when they are cospherical within tau_on (else None),
-    with its worst residual."""
+    with its worst residual, tau_on being max(tau_on_rel * diam, 1e-12)."""
 
     diam: float
+    tau_on: float
     members: np.ndarray
     sizes: np.ndarray
     start: np.ndarray
@@ -763,18 +773,11 @@ class _Clusters(NamedTuple):
     resid: float
 
 
-def _on_sphere(points: np.ndarray, cfg: NeighborConfig, diam: float):
-    """fit_sphere of the points, the sphere None past tau_on."""
-    sph, resid = fit_sphere(points)
-    if sph is not None and resid > max(cfg.tau_on_rel * diam, 1e-12):
-        sph = None
-    return sph, resid
-
-
 def _clusters(images: np.ndarray, cfg: NeighborConfig) -> _Clusters:
     """The shared prelude: coincidence clusters, affine reduction of their
     representatives and the cosphere test (see _Clusters)."""
     diam = image_diameter(images)
+    tau_on = max(cfg.tau_on_rel * diam, 1e-12)
     # at zero diameter all samples form one cluster
     label = (_coincidence_labels(images, cfg.eps_coincide_rel * diam)
              if diam > 0.0 else np.zeros(len(images), dtype=np.intp))
@@ -786,8 +789,11 @@ def _clusters(images: np.ndarray, cfg: NeighborConfig) -> _Clusters:
     if len(sizes) >= 2:
         reduced, embed = _affine_reduce(images[members[start]])
         if reduced.shape[1] > 1:
-            sph, resid = _on_sphere(reduced, cfg, diam)
-    return _Clusters(diam, members, sizes, start, reduced, embed, sph, resid)
+            sph, resid = fit_sphere(reduced)
+            if sph is not None and resid > tau_on:
+                sph = None
+    return _Clusters(diam, tau_on, members, sizes, start, reduced, embed, sph,
+                     resid)
 
 
 def _triangulation(cl: _Clusters) -> Delaunay | None:
@@ -821,13 +827,14 @@ def _cell_mask(tri) -> np.ndarray:
     return in_cell
 
 
-def _cells(tri) -> list[np.ndarray]:
-    """The cospherical cells of the Delaunay triangulation tri as sorted
-    vertex sets: components of the simplices of _cell_mask joined across
-    facets with bitwise-equal rows of tri.equations."""
+def _cells(tri) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The cospherical cells of the Delaunay triangulation tri, components
+    of the simplices of _cell_mask joined across facets with bitwise-equal
+    rows of tri.equations, as (rows, cells): each cell's lowest simplex,
+    whose row is the cell's, and its sorted vertex set."""
     s = np.flatnonzero(_cell_mask(tri))
     if not len(s):
-        return []
+        return s, []
     nbr, eq = tri.neighbors[s], tri.equations
     link = (nbr >= 0) & (eq[nbr] == eq[s][:, None]).all(axis=2)
     adjacency = coo_matrix((np.ones(link.sum()),
@@ -837,7 +844,8 @@ def _cells(tri) -> list[np.ndarray]:
     # one group per cell, in the order of its lowest simplex
     order = np.argsort(label, kind="stable")
     groups = np.split(s[order], np.flatnonzero(np.diff(label[order])) + 1)
-    return [np.unique(tri.simplices[g]) for g in groups]
+    return (np.array([g[0] for g in groups]),
+            [np.unique(tri.simplices[g]) for g in groups])
 
 
 def neighbor_graph(images: np.ndarray, domain: SampledDomain,
@@ -852,10 +860,11 @@ def neighbor_graph(images: np.ndarray, domain: SampledDomain,
     triangulation in their reduced dimension (consecutive values on a
     line), an edge whose circumballs all fail by the LP, and every pair by
     the LP if Qhull fails.  Each cospherical cell (_cells) becomes one
-    tuple on its fitted sphere when that is within tau_on of the cell and
-    no other image lies deeper inside than eps_inside.  Every certified
-    pair of representatives expands to all member pairs of its two
-    clusters (only the farthest one past CROSS_PAIR_CAP).
+    tuple on the ball of its row of tri.equations (_lifted_balls) when
+    the cell is on it within tau_on (_on_ball) and no other image lies
+    deeper inside than eps_inside.  Every certified pair of
+    representatives expands to all member pairs of its two clusters (only
+    the farthest one past CROSS_PAIR_CAP).
 
     The graph answers for the images projected onto their affine hull
     (_affine_reduce drops axes below 1e-9 of the largest singular value),
@@ -879,7 +888,7 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
     dimension 2 or more that are not cospherical are certified from tri,
     or pair by pair when it is None."""
     npts, m = images.shape
-    diam, members, sizes, start, reduced, embed, sph, resid = prelude
+    diam, tau_on, members, sizes, start, reduced, embed, sph, resid = prelude
     no_pairs = _stack_rows([], m)
     eps_inside = cfg.eps_inside_rel * diam
     tuples, big = [], sizes >= 2
@@ -902,22 +911,24 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
         cand = _lp_pairs(itertools.combinations(range(len(reduced)), 2),
                          reduced, cfg)
     else:
-        certified, failed = _delaunay_edge_certs(reduced, tri, eps_inside)
+        certified, failed = _delaunay_edge_certs(reduced, tri, eps_inside,
+                                                 tau_on)
         rescued = _lp_pairs(failed, reduced, cfg)
         cand = tuple(np.concatenate(c) for c in zip(certified, rescued))
-        for cell in _cells(tri):
-            ball, worst = _on_sphere(reduced[cell], cfg, diam)
-            if ball is None:
+        rows, cells = _cells(tri)
+        for cell, center, radius in zip(cells, *_lifted_balls(tri, rows)):
+            margin = np.linalg.norm(reduced[cell] - center, axis=1) - radius
+            if not _on_ball(margin, radius, tau_on):
                 continue
-            clear = float(_direct_clearance(reduced, ball.center[None],
-                                            np.array([ball.radius]), cell[None])[0])
+            clear = float(_direct_clearance(reduced, center[None],
+                                            radius[None], cell[None])[0])
             if clear >= -eps_inside:
                 idx = np.concatenate([members[start[r]:start[r] + sizes[r]]
                                       for r in cell])
                 tuples.append(_tuple_cert(
                     domain, np.sort(idx),
-                    Sphere(center=embed(ball.center), radius=ball.radius),
-                    min(clear, -worst)))
+                    Sphere(center=embed(center), radius=float(radius)),
+                    min(clear, -float(np.abs(margin).max()))))
 
     # embed the witness centers in one call, in representative-pair order
     order = np.lexsort((cand[1], cand[0]))
@@ -966,8 +977,8 @@ def neighbor_span(images: np.ndarray, domain: SampledDomain,
     if (tri is not None and len(cl.sizes) == len(images)
             and not _cell_mask(tri).any()):
         # no clusters: reduced row i is the image of sample i
-        span = _top_edge_span(cl.reduced, tri.simplices, domain,
-                              cfg.eps_inside_rel * cl.diam)
+        span = _top_edge_span(cl.reduced, tri, domain,
+                              cfg.eps_inside_rel * cl.diam, cl.tau_on)
         if span is not None:
             return span
     return compute_df(_full_graph(images, domain, cfg, cl, tri), domain)

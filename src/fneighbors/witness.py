@@ -9,12 +9,12 @@ any image, so the touching samples form a certified f-neighbor tuple.
 The witness slack slack(x) = max_j d(x, f(C_j)) - d(x, f(X)) is
 nonnegative everywhere and zero exactly at witness points.  On samples an
 exact witness is the center of an empty ball with an image of every
-element on its sphere, so the search scans the circumcenters of the
-Delaunay simplices of the images (the empty-sphere property): a rainbow
+element on its sphere, so the search scans the live circumballs of the
+Delaunay simplices of the images (neighbors._circumballs): a rainbow
 simplex, whose vertices touch every element, has slack 0, and outside a
-cospherical cell no other empty ball does.  When a rainbow simplex exists
-only the rainbow simplices and the simplices of cells are solved for
-their circumcenters, a handful of the thousands in the triangulation.
+cospherical cell no other empty ball does.  When a rainbow ball is live,
+only the centers of rainbow simplices and of cells' simplices are kept,
+a handful of the thousands in the triangulation.
 The images are first clustered, reduced and tested for a common sphere by
 the prelude that neighbor_graph uses (neighbors._clusters); when they are
 cospherical, the sphere's center is the one circumcenter and nothing is
@@ -43,7 +43,7 @@ from .domains import CoverAssignment, SampledDomain, cube_max_faces
 from .neighbors import (
     DEFAULT_CONFIG,
     _cell_mask,
-    _circumcenters,
+    _circumballs,
     _clusters,
     _line_pairs,
     _triangulation,
@@ -139,15 +139,16 @@ def _candidate_centers(images: np.ndarray,
     circumcenters of the simplices of neighbors._triangulation
     (midpoints of consecutive values when their affine hull is a line,
     the center of their sphere when they are cospherical, none when Qhull
-    fails), followed by the cluster images themselves.
+    fails), followed by the cluster images themselves.  The circumcenters
+    are those of the live balls of neighbors._circumballs.
 
     A simplex is rainbow when the clusters of its vertices touch every
-    cover element.  When some rainbow simplex is not a sliver, only the
-    rainbow simplices and those of cospherical cells (_cell_mask) give
+    cover element.  When some live ball is rainbow, only the rainbow
+    simplices and those of cospherical cells (_cell_mask) give
     circumcenters: the slack at an empty ball's center is 0 only when its
     sphere holds an image of every element, which outside a cell makes
-    its own simplex rainbow.  Otherwise every circumcenter is a candidate.
-    The kept candidates stay in the order of the full list."""
+    its own simplex rainbow.  Otherwise every live circumcenter is a
+    candidate.  The kept candidates stay in the order of the full list."""
     cl = _clusters(images, DEFAULT_CONFIG)
     reps = images[cl.members[cl.start]]
     if cl.reduced is None:  # a single cluster
@@ -162,26 +163,13 @@ def _candidate_centers(images: np.ndarray,
         seen = np.zeros((len(tri.simplices), cover.element_count), dtype=bool)
         for vertex in tri.simplices.T:
             seen |= touch[vertex]
-        rainbow = seen.all(axis=1)
-        keep = rainbow | _cell_mask(tri)
-        centers, ok = _circumcenters(cl.reduced, tri.simplices[keep])
-        if not (ok & rainbow[keep]).any():  # no rainbow simplex, or slivers
-            centers, ok = _circumcenters(cl.reduced, tri.simplices)
-        centers = centers[ok]
+        live, centers = _circumballs(cl.reduced, tri, cl.tau_on)[:2]
+        rainbow = seen[live].all(axis=1)
+        if rainbow.any():
+            centers = centers[rainbow | _cell_mask(tri)[live]]
     else:  # Qhull failed
         centers = np.empty((0, cl.reduced.shape[1]))
     return np.vstack([cl.embed(centers), reps])
-
-
-def _worst_distance(points: np.ndarray, images: np.ndarray,
-                    cover: CoverAssignment) -> np.ndarray:
-    """max_j d(x, images of C_j) at every point x, one KD-tree per
-    element."""
-    worst = np.zeros(len(points))
-    for j in range(cover.element_count):
-        members = images[cover.membership[:, j]]
-        worst = np.maximum(worst, cKDTree(members).query(points)[0])
-    return worst
 
 
 def _candidate_slack(candidates: np.ndarray, images: np.ndarray,
@@ -196,7 +184,7 @@ def _candidate_slack(candidates: np.ndarray, images: np.ndarray,
     distances away, so the slack is bounded below, and exact where every
     element was seen.  A candidate whose bound is above the least exact
     slack cannot be the first minimizer and keeps its bound; the others get
-    the per-element queries of _worst_distance."""
+    the per-element queries of CoverAssignment.distances."""
     dists, nbrs = cKDTree(images).query(
         candidates, k=min(images.shape[1] + 2, len(images)))
     nearest, last = dists[:, 0], dists[:, -1]
@@ -210,8 +198,8 @@ def _candidate_slack(candidates: np.ndarray, images: np.ndarray,
     slack = worst - nearest
     refine = ~exact & (slack <= slack[exact].min(initial=np.inf))
     if refine.any():
-        slack[refine] = (_worst_distance(candidates[refine], images, cover)
-                         - nearest[refine])
+        worst = cover.distances(images, candidates[refine]).max(axis=1)
+        slack[refine] = worst - nearest[refine]
     return slack, nearest
 
 

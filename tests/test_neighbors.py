@@ -338,8 +338,8 @@ def test_four_dimensional_grid_cells_cover_every_neighbor_pair(monkeypatch):
 
 @pytest.mark.parametrize("k", [0, 2])
 def test_failing_cells_leave_only_lp_no_pairs(k):
-    # grid-rounded S^2 maps have hundreds of cells; the few whose fitted
-    # sphere misses tau_on get no tuple, and every pair across them that
+    # grid-rounded S^2 maps have hundreds of cells; the few whose sphere
+    # misses tau_on get no tuple, and every pair across them that
     # no edge or tuple covers is an LP "no"
     domain = sample_sphere(2, 512, seed=0, scheme="quasi_uniform")
     images = np.round(evaluate(random_map("sphere_harmonic", 3,
@@ -348,7 +348,8 @@ def test_failing_cells_leave_only_lp_no_pairs(k):
     covered = _covered_pairs(graph)
     cl = neighbors._clusters(images, DEFAULT_CONFIG)
     rep = cl.members[cl.start]
-    uncovered = [(a, b) for cell in neighbors._cells(neighbors._triangulation(cl))
+    cells = neighbors._cells(neighbors._triangulation(cl))[1]
+    uncovered = [(a, b) for cell in cells
                  for a, b in itertools.combinations(cell.tolist(), 2)
                  if tuple(sorted((rep[a], rep[b]))) not in covered]
     assert uncovered
@@ -490,19 +491,102 @@ def test_compute_df_empty():
 
 # --- Delaunay edge certification against the all-simplex routine ---
 
-def _all_simplex_edge_certs(pts, simplices, eps_inside):
-    """The reference: every live simplex gets its KD-tree clearance, and
+def _tau_on(pts):
+    return max(DEFAULT_CONFIG.tau_on_rel * image_diameter(pts), 1e-12)
+
+
+def _circumcenters(pts, simplices):
+    """The oracle: the circumcenter of every given simplex of pts (dimension
+    >= 2) by one batched solve.  Returns (centers, ok): ok marks the
+    simplices whose determinant exceeds 1e-12 times the largest edge
+    coordinate to the d, and the centers of the others (slivers) are NaN."""
+    d = pts.shape[1]
+    verts = pts[simplices]  # (S, d+1, d)
+    u = verts[:, 1:, :] - verts[:, :1, :]
+    rhs = 0.5 * ((verts[:, 1:, :] ** 2).sum(axis=2)
+                 - (verts[:, :1, :] ** 2).sum(axis=2))
+    centers = np.full((len(simplices), d), np.nan)
+    det = np.abs(np.linalg.det(u))
+    scale = np.abs(u).max(axis=(1, 2)) ** d + 1e-300
+    ok = det > 1e-12 * scale
+    if ok.any():
+        centers[ok] = np.linalg.solve(u[ok], rhs[ok][..., None])[..., 0]
+    return centers, ok
+
+
+def _lifted_equations(pts, simplices):
+    """Rows (2c, -1, r^2 - |c|^2) of the lifted hyperplanes of the oracle's
+    circumballs, c the center and r its distance to the first vertex: the
+    tri.equations of a triangulation Qhull did not make, at paraboloid
+    scale 1 and shift 0."""
+    centers = _circumcenters(pts, simplices)[0]
+    r2 = ((pts[simplices[:, 0]] - centers) ** 2).sum(axis=1)
+    return np.column_stack([2.0 * centers, np.full(len(centers), -1.0),
+                            r2 - (centers ** 2).sum(axis=1)])
+
+
+def _ball_case(case):
+    """Points and their Delaunay triangulation for the ball comparison."""
+    if case.startswith("s2-"):  # "s2-seed-map"
+        _, seed, t = case.split("-")
+        pts = _sphere_images(int(seed), int(t))
+    elif case == "grid":
+        pts = _grid(3, 3, 3)
+    elif case == "r4-slivers":
+        # a surface in R^4: many near-slivers, where the solve is
+        # ill-conditioned
+        domain = sample_sphere(2, 256, seed=0, scheme="quasi_uniform")
+        pts = evaluate(random_map("sphere_harmonic", 4, seed=[0, 1000],
+                                  d_in=3), domain)
+    else:  # the hull triangle 0-1-2 is flattened to 1e-14
+        pts = np.array([[0.0, 0.0], [1.0, 1e-14], [2.0, 0.0], [1.0, 1.0]])
+    return pts, Delaunay(pts)
+
+
+@pytest.mark.parametrize("case", ["s2-1-1000", "s2-2-1014", "grid",
+                                  "r4-slivers", "sliver"])
+def test_lifted_balls_match_the_solved_circumcenters(case):
+    pts, tri = _ball_case(case)
+    tau_on = _tau_on(pts)
+    solved, ok = _circumcenters(pts, tri.simplices)
+    live, centers, radii, margin = neighbors._circumballs(pts, tri, tau_on)
+    # every ball the solve finds is live, and no sliver is
+    assert np.isin(np.flatnonzero(ok), live).all()
+    assert not np.isin(np.flatnonzero(~ok & ~neighbors._cell_mask(tri)),
+                       live).any()
+    # the vertices lie on the live balls within tau_on in extended precision
+    verts = pts[tri.simplices[live]].astype(np.longdouble)
+    dist = np.sqrt(((verts - centers[:, None, :]) ** 2).sum(axis=2))
+    assert np.abs(dist - radii[:, None]).max() <= tau_on
+    # no larger vertex residual than the solve's
+    both = ok[live]
+    own = np.linalg.norm(pts[tri.simplices[live]] - solved[live][:, None, :],
+                         axis=2)
+    own = np.abs(own - own[:, :1]).max(axis=1)
+    assert np.abs(margin).max() <= 2.0 * own[both].max(initial=0.0) + 1e-15
+    # the centers agree but where the sphere is not determined to tau_on:
+    # there the solved ball, too, passes through the vertices within it
+    apart = (np.linalg.norm(centers - solved[live], axis=1)
+             > 1e-6 * image_diameter(pts)) & both
+    assert apart.mean() < 1e-3 and (own[apart] <= tau_on).all()
+    if case == "grid":
+        # the flat simplices of a unit cube carry its ball
+        assert (~ok).any() and len(live) == len(ok)
+        assert np.allclose(radii, np.sqrt(3) / 2, rtol=0, atol=1e-15)
+    if case == "sliver":
+        assert len(live) == 2 and ok.sum() == 2
+
+
+def _all_simplex_edge_certs(pts, tri, eps_inside):
+    """The reference: every live circumball gets its KD-tree clearance, and
     each edge keeps the incident circumball of largest slack, the last of
     its instances on ties."""
-    centers, ok = neighbors._circumcenters(pts, simplices)
-    live = np.flatnonzero(ok)
-    splx, centers = simplices[live], centers[live]
-    verts = pts[splx]
-    radii = np.linalg.norm(verts[:, 0, :] - centers, axis=1)
+    live, centers, radii, margin = neighbors._circumballs(pts, tri,
+                                                          _tau_on(pts))
+    splx = tri.simplices[live]
     dists, nbrs = cKDTree(pts).query(centers, k=pts.shape[1] + 2)
     is_vertex = (nbrs[:, :, None] == splx[:, None, :]).any(axis=2)
     clear = np.where(is_vertex, np.inf, dists).min(axis=1) - radii
-    margin = np.linalg.norm(verts - centers[:, None, :], axis=2) - radii[:, None]
     p, q = np.triu_indices(splx.shape[1], 1)
     a, b = splx[:, p].T.ravel(), splx[:, q].T.ravel()
     lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -542,13 +626,14 @@ def _edge_certs_and_clearance_calls(monkeypatch, images, kd=False):
         monkeypatch.setattr(neighbors, "LOCAL_DELAUNAY_TAU", np.inf)
     tri = Delaunay(images)
     eps_inside = DEFAULT_CONFIG.eps_inside_rel * image_diameter(images)
-    got = neighbors._delaunay_edge_certs(images, tri, eps_inside)
+    got = neighbors._delaunay_edge_certs(images, tri, eps_inside,
+                                         _tau_on(images))
     monkeypatch.undo()
-    expected = _all_simplex_edge_certs(images, tri.simplices, eps_inside)
+    expected = _all_simplex_edge_certs(images, tri, eps_inside)
     for column, ref in zip(got[0], expected[0]):
         assert np.array_equal(column, ref)
     assert got[1] == expected[1]
-    live = int(neighbors._circumcenters(images, tri.simplices)[1].sum())
+    live = len(neighbors._circumballs(images, tri, _tau_on(images))[0])
     return calls, live
 
 
@@ -633,8 +718,8 @@ def _orient(a, b, c):
 
 def _flipped(pts):
     """The Delaunay triangulation of 2-D pts with its first interior edge
-    whose quadrilateral is convex flipped to the other diagonal, and that
-    new edge."""
+    whose quadrilateral is convex flipped to the other diagonal (its
+    equations the oracle's, _lifted_equations), and that new edge."""
     tri = Delaunay(pts)
     simplices = tri.simplices.copy()
     for s, k in zip(*np.nonzero(tri.neighbors >= 0)):
@@ -646,7 +731,10 @@ def _flipped(pts):
             simplices[s], simplices[t] = (c, d, a), (c, d, b)
             return (SimpleNamespace(simplices=simplices,
                                     neighbors=_facet_neighbors(simplices),
-                                    coplanar=tri.coplanar),
+                                    coplanar=tri.coplanar,
+                                    equations=_lifted_equations(pts, simplices),
+                                    paraboloid_scale=1.0,
+                                    paraboloid_shift=0.0),
                     (min(c, d), max(c, d)))
     raise AssertionError("no flippable edge")
 
@@ -701,11 +789,11 @@ def test_lemma_path_equals_kd_oracle(monkeypatch, case):
     pts, tri, lemma = _lemma_case(case)
     eps_inside = DEFAULT_CONFIG.eps_inside_rel * image_diameter(pts)
     calls = _counting_clearance(monkeypatch)
-    got = neighbors._delaunay_edge_certs(pts, tri, eps_inside)
+    got = neighbors._delaunay_edge_certs(pts, tri, eps_inside, _tau_on(pts))
     assert (calls == []) == lemma
     # the oracle: every ball through the KD-tree clearance query
     monkeypatch.setattr(neighbors, "LOCAL_DELAUNAY_TAU", np.inf)
-    oracle = neighbors._delaunay_edge_certs(pts, tri, eps_inside)
+    oracle = neighbors._delaunay_edge_certs(pts, tri, eps_inside, _tau_on(pts))
     monkeypatch.undo()
     assert [_bytes(c) for c in got[0]] == [_bytes(c) for c in oracle[0]]
     assert got[1] == oracle[1]
@@ -714,7 +802,7 @@ def test_lemma_path_equals_kd_oracle(monkeypatch, case):
 def test_lemma_path_rejects_each_broken_hypothesis():
     pts = np.random.default_rng(5).uniform(size=(60, 2))
     tri = Delaunay(pts)
-    splx, centers, radii, _ = neighbors._circumballs(pts, tri.simplices)
+    _, centers, radii, _ = neighbors._circumballs(pts, tri, _tau_on(pts))
     assert neighbors._local_clearance(pts, tri, centers, radii) is not None
     left_out = SimpleNamespace(simplices=tri.simplices, neighbors=tri.neighbors,
                                coplanar=np.array([[0, 0, 0]]))
@@ -722,11 +810,12 @@ def test_lemma_path_rejects_each_broken_hypothesis():
     # a sliver has no circumball: one fewer ball than simplices
     assert neighbors._local_clearance(pts, tri, centers[1:], radii[1:]) is None
     flipped, edge = _flipped(pts)
-    splx, centers, radii, _ = neighbors._circumballs(pts, flipped.simplices)
+    _, centers, radii, _ = neighbors._circumballs(pts, flipped, _tau_on(pts))
     assert neighbors._local_clearance(pts, flipped, centers, radii) is None
     # the flipped edge's balls each hold the other apex: it fails
     eps_inside = DEFAULT_CONFIG.eps_inside_rel * image_diameter(pts)
-    assert edge in neighbors._delaunay_edge_certs(pts, flipped, eps_inside)[1]
+    assert edge in neighbors._delaunay_edge_certs(pts, flipped, eps_inside,
+                                                  _tau_on(pts))[1]
 
 
 def _no_clearance(*args):
@@ -915,7 +1004,8 @@ def _top_edge_balls(images, domain):
     top Delaunay edge of a generic map (the edge _top_edge_span checks),
     plus those of up to 300 other simplices."""
     reduced = neighbors._clusters(images, DEFAULT_CONFIG).reduced
-    simplices = Delaunay(reduced).simplices
+    tri = Delaunay(reduced)
+    simplices = tri.simplices
     keys = neighbors._edge_keys(simplices, len(reduced))
     rho = domain.rho_pairs(*np.divmod(keys, len(reduced)))
     top = keys[rho == rho.max()].max()
@@ -923,8 +1013,9 @@ def _top_edge_balls(images, domain):
     some = np.random.default_rng(0).choice(len(simplices),
                                            min(300, len(simplices)),
                                            replace=False)
-    return reduced, neighbors._circumballs(reduced,
-                                           simplices[np.r_[incident, some]])
+    live, centers, radii, margin = neighbors._circumballs(
+        reduced, tri, _tau_on(reduced), np.r_[incident, some])
+    return reduced, (simplices[live], centers, radii, margin)
 
 
 @pytest.mark.parametrize("n, count, family, m_out, seeds", [

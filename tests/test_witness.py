@@ -183,10 +183,11 @@ def _refined_counts(monkeypatch, domain, cover, images):
     reference slack; returns the number of candidates each per-element
     refinement received."""
     refined = []
-    worst = witness._worst_distance
-    monkeypatch.setattr(witness, "_worst_distance",
-                        lambda points, *a: refined.append(len(points))
-                        or worst(points, *a))
+    distances = CoverAssignment.distances
+    monkeypatch.setattr(CoverAssignment, "distances",
+                        lambda self, targets, points:
+                        refined.append(len(points))
+                        or distances(self, targets, points))
     got = witness_point(domain, cover, images)
     monkeypatch.setattr(witness, "_candidate_slack", _all_element_slack)
     expected = witness_point(domain, cover, images)
@@ -271,10 +272,10 @@ def _reference_candidates(images, cover, rainbow_only=False):
     coincidence labeling, the lowest member per label, and the Delaunay
     circumcenters (or line midpoints) of those representatives, followed
     by the representatives.  By default this is the all-candidate oracle,
-    every circumcenter whatever the cover; rainbow_only keeps the
-    simplices whose clusters touch every element (checked vertex by
-    vertex) and those of cospherical cells, as long as one rainbow simplex
-    is not a sliver."""
+    the center of every live circumball (neighbors._circumballs) whatever
+    the cover; rainbow_only keeps the simplices whose clusters touch every
+    element (checked vertex by vertex) and those of cospherical cells, as
+    long as one rainbow simplex is live."""
     spread = float(np.linalg.norm(images.max(0) - images.min(0)))
     label = neighbors._coincidence_labels(
         images, neighbors.DEFAULT_CONFIG.eps_coincide_rel * spread)
@@ -283,17 +284,16 @@ def _reference_candidates(images, cover, rainbow_only=False):
     if reduced.shape[1] == 1:
         return np.vstack([embed(neighbors._line_pairs(reduced[:, 0])[2]), reps])
     tri = Delaunay(reduced)
-    simplices = tri.simplices
-    centers, ok = neighbors._circumcenters(reduced, simplices)
+    tau_on = max(neighbors.DEFAULT_CONFIG.tau_on_rel * spread, 1e-12)
+    live, centers = neighbors._circumballs(reduced, tri, tau_on)[:2]
     if rainbow_only:
         touch = [cover.membership[label == c].any(axis=0)
                  for c in range(len(reps))]
-        rainbow = np.array([np.any([touch[v] for v in s], axis=0).all()
-                            for s in simplices])
-        if (rainbow & ok).any():
-            keep = rainbow | neighbors._cell_mask(tri)
-            centers, ok = centers[keep], ok[keep]
-    return np.vstack([embed(centers[ok]), reps])
+        rainbow = np.array([np.any([touch[v] for v in tri.simplices[s]],
+                                   axis=0).all() for s in live], dtype=bool)
+        if rainbow.any():
+            centers = centers[rainbow | neighbors._cell_mask(tri)[live]]
+    return np.vstack([embed(centers), reps])
 
 
 def test_candidates_and_reports_unchanged_on_generic_maps(monkeypatch):
@@ -402,10 +402,9 @@ def test_sliver_only_rainbow_simplex_falls_back_to_the_full_scan(monkeypatch):
                           dtype=bool)
     cover = CoverAssignment(membership=membership, names=("a", "b", "c"))
     domain = SampledDomain(kind="cube_boundary", dim=2, samples=images)
-    simplices = Delaunay(images).simplices
-    assert len(simplices) == 3
-    _, ok = neighbors._circumcenters(images, simplices)
-    assert ok.sum() == 2
+    tri = Delaunay(images)
+    assert len(tri.simplices) == 3
+    assert len(neighbors._circumballs(images, tri, 1e-6 * np.sqrt(5))[0]) == 2
     candidates = witness._candidate_centers(images, cover)
     assert len(candidates) == 2 + 4
     assert np.array_equal(candidates, _reference_candidates(images, cover))
