@@ -249,17 +249,29 @@ def _witness_texts(graph: NeighborGraph) -> tuple[list[str], np.ndarray]:
     """The witness text of each distinct ball, spelled once, then the
     coincidence text; and for each pair row the index of its text.  Balls
     are told apart by the bit patterns of center and radius, so 0.0 and
-    -0.0 keep their own spellings."""
+    -0.0 keep their own spellings.  One argsort of a multiplicative hash of
+    those bits brings equal balls together and a compare of adjacent rows
+    groups them; a hash collision can only spell a ball twice, never merge
+    two."""
     coincidence = np.isnan(graph.centers[:, 0])
     balls = np.column_stack([graph.centers, graph.radii]).astype(np.float64)
-    bits, inverse = np.unique(balls[~coincidence].view(np.int64), axis=0,
-                              return_inverse=True)
-    values, width = _spell(bits.view(np.float64).ravel()), balls.shape[1]
+    bits = balls[~coincidence].view(np.uint64)
+    key = bits[:, 0].copy()
+    for col in bits[:, 1:].T:
+        key *= np.uint64(0x9E3779B97F4A7C15)  # wraps, as a hash should
+        key ^= col
+    order = np.argsort(key)
+    bits = bits[order]
+    first = np.ones(len(bits), dtype=bool)
+    first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    inverse = np.empty(len(bits), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    values, width = _spell(bits[first].view(np.float64).ravel()), bits.shape[1]
     texts = [_BALL_WITNESS % (",\n          ".join(values[k:k + width - 1]),
                               values[k + width - 1])
              for k in range(0, len(values), width)]
     which = np.full(len(graph.pairs), len(texts))
-    which[~coincidence] = inverse.reshape(-1)
+    which[~coincidence] = inverse
     return [*texts, _COINCIDENCE_WITNESS], which
 
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 from scipy.spatial.distance import pdist
 
 __all__ = [
@@ -237,6 +236,8 @@ def _smallest_cap(pts: np.ndarray, edge: tuple = ()) -> np.ndarray:
 def _hemisphere_center(pts: np.ndarray) -> tuple[np.ndarray, bool]:
     """Center of the smallest cap around the unit rows of pts, and whether
     the cap lies in an open hemisphere (see min_enclosing_ball_angular)."""
+    from scipy.optimize import nnls
+
     npts, d = pts.shape
     e = np.vstack([pts.T, np.ones(npts)])
     f = np.zeros(d + 1)

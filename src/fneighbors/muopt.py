@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .domains import SampledDomain, cube_boundary_cover, sample_sphere
 from .geometry import separation_bound
@@ -158,6 +157,15 @@ def df_objective(domain: SampledDomain, family: str, m_out: int,
     return objective
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported where it runs.  estimate_mu, its
+    one caller, loads scipy.optimize on entry, so that no restart pays for
+    the import."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 def estimate_mu(domain: SampledDomain, family: str, m_out: int,
                 cfg: OptimizerConfig = DEFAULT_OPT_CONFIG,
                 neighbor_cfg: NeighborConfig = DEFAULT_CONFIG) -> MuEstimate:
@@ -173,6 +181,8 @@ def estimate_mu(domain: SampledDomain, family: str, m_out: int,
     neighbor_span, never a full neighbor graph unless its early exit
     falls back.
     """
+    import scipy.optimize  # noqa: F401  (loaded before the first probe)
+
     n_params = param_count(family, m_out, d_in=domain.samples.shape[1],
                            degree=cfg.degree)
     objective = df_objective(domain, family, m_out, neighbor_cfg,

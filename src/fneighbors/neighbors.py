@@ -42,9 +42,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .domains import SampledDomain
@@ -285,6 +283,14 @@ def pair_is_neighbor_oracle(i: int, j: int, images: np.ndarray,
     return False, None
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported at the first LP: loading
+    scipy.optimize costs about 0.1 s and 10 MB, and most runs solve none."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
+
+
 def _lp_pair(a: np.ndarray, b: np.ndarray, others: np.ndarray, box: float):
     """LP feasibility for the lifted empty-sphere predicate.
 
@@ -411,6 +417,8 @@ def _coincidence_labels(images: np.ndarray, eps: float) -> np.ndarray:
     links = cKDTree(images).query_pairs(eps, output_type="ndarray")
     if not len(links):  # close along the axis, but no pair within eps
         return np.arange(n)
+    from scipy.sparse.csgraph import connected_components
+
     adjacency = coo_matrix((np.ones(len(links)), (links[:, 0], links[:, 1])),
                            shape=(n, n))
     return connected_components(adjacency, directed=False)[1]
@@ -604,17 +612,16 @@ def _edge_keys(simplices: np.ndarray, npts: int) -> np.ndarray:
 
 
 def _last_max(order: np.ndarray, starts: np.ndarray, values: np.ndarray):
-    """Per group of the instances order[starts[g]:starts[g + 1]] (each in
-    instance order), the instance of the largest value, the last one on
+    """Per group of the instances order[starts[g]:starts[g + 1]] (in any
+    order), the instance of the largest value, the largest instance on
     ties, with NaN above every number: the pick of the last row per group
-    of np.lexsort((values, group))."""
+    of np.lexsort((instance, values, group))."""
     v = values[order]
     best = np.repeat(np.maximum.reduceat(v, starts),
                      np.diff(starts, append=len(v)))
     tied = np.where(np.isnan(best), np.isnan(v), v == best)
     del v, best
-    return order[np.maximum.reduceat(np.where(tied, np.arange(len(order)), -1),
-                                     starts)]
+    return np.maximum.reduceat(np.where(tied, order, -1), starts)
 
 
 def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float,
@@ -637,7 +644,7 @@ def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float,
     splx = tri.simplices[live]
     nsplx = len(splx)
     key = _edge_keys(splx, len(pts))
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     key = key[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
     lo, hi = np.divmod(key[starts], len(pts))
@@ -740,9 +747,9 @@ def _tuple_cert(domain: SampledDomain, idx: np.ndarray, witness, slack: float):
 def _graph(domain: SampledDomain, lo: np.ndarray, hi: np.ndarray,
            centers: np.ndarray, radii: np.ndarray, slack: np.ndarray,
            tuples=()) -> NeighborGraph:
-    """The graph of pair columns (lo < hi, any order) and (certificate,
-    farthest pair) tuples."""
-    order = np.lexsort((hi, lo))
+    """The graph of distinct pair columns (lo < hi, any order) and
+    (certificate, farthest pair) tuples."""
+    order = np.argsort(lo.astype(np.int64) * len(domain) + hi)
     pairs = np.column_stack([lo[order], hi[order]])
     tuples = sorted(tuples, key=lambda t: t[0].indices)
     return NeighborGraph(pairs=pairs, centers=centers[order],
@@ -835,6 +842,8 @@ def _cells(tri) -> tuple[np.ndarray, list[np.ndarray]]:
     s = np.flatnonzero(_cell_mask(tri))
     if not len(s):
         return s, []
+    from scipy.sparse.csgraph import connected_components
+
     nbr, eq = tri.neighbors[s], tri.equations
     link = (nbr >= 0) & (eq[nbr] == eq[s][:, None]).all(axis=2)
     adjacency = coo_matrix((np.ones(link.sum()),
@@ -931,7 +940,7 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
                     min(clear, -float(np.abs(margin).max()))))
 
     # embed the witness centers in one call, in representative-pair order
-    order = np.lexsort((cand[1], cand[0]))
+    order = np.argsort(cand[0].astype(np.int64) * len(reduced) + cand[1])
     lo, hi, c_red, radii, slack = (col[order] for col in cand)
     sphere = ~np.isnan(c_red[:, 0])
     centers = np.full((len(lo), m), np.nan)

@@ -9,7 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fneighbors import cli
+from fneighbors import cli, muopt, neighbors
 from fneighbors.cli import _report_pieces, main
 from fneighbors.domains import sample_sphere
 from fneighbors.geometry import Sphere
@@ -228,6 +228,55 @@ def test_console_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "D_f = 2" in proc.stdout
+
+
+# --- start-up footprint: scipy.optimize and csgraph load only where used ---
+
+_FOOTPRINT = """
+import contextlib, io, json, os, sys
+from fneighbors import cli
+
+def loaded():
+    return [m for m in ("scipy.optimize", "scipy.sparse.csgraph")
+            if m in sys.modules]
+
+steps = [("import", loaded())]
+for args in (["neighbors", "--n", "2", "--samples", "256", "--dump-certs"],
+             ["verify-sphere", "--n", "2", "--m-out", "3", "--trials", "1",
+              "--samples", "256"],
+             ["witness", "--n", "2", "--m-out", "3", "--samples", "300"],
+             ["mu", "--samples", "64", "--probes", "1", "--restarts", "0"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*args, "--out", os.devnull])
+    steps.append((args[0], code, loaded()))
+print(json.dumps(steps))
+"""
+
+
+def test_only_lp_and_mu_paths_load_scipy_optimize_and_csgraph():
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    assert steps == [["import", []], ["neighbors", 0, []],
+                     ["verify-sphere", 0, []], ["witness", 0, []],
+                     ["mu", 0, ["scipy.optimize"]]]
+
+
+def test_lp_and_nelder_mead_calls_go_through_module_attributes(monkeypatch,
+                                                               tmp_path):
+    # the span tracer wraps neighbors.linprog and muopt.minimize by attribute
+    calls = []
+    for mod, name in ((neighbors, "linprog"), (muopt, "minimize")):
+        original = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _f=original, _n=name, **k:
+                            calls.append(_n) or _f(*a, **k))
+    images = np.random.default_rng(3).normal(size=(12, 3))
+    verdict, _ = neighbors.pair_is_neighbor_fast(0, 1, images)
+    assert verdict in ("yes", "no") and calls == ["linprog"]
+    assert run("mu", "--samples", "64", "--probes", "1", "--restarts", "2",
+               "--budget", "5", "--out", str(tmp_path / "m.json")) == 0
+    assert calls == ["linprog", "minimize", "minimize"]
 
 
 # --- --dump-certs rendering: byte-identical to json.dumps of the rows ---

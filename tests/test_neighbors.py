@@ -694,6 +694,51 @@ def test_edge_certs_equal_all_simplex_reference(monkeypatch, case):
             assert calls == [live]
 
 
+def test_last_max_picks_each_groups_largest_tied_instance():
+    # instances arrive shuffled within their group, as an unstable sort of
+    # the keys leaves them; NaN is above every number
+    rng = np.random.default_rng(5)
+    group = rng.integers(0, 40, size=400)
+    values = rng.choice([0.0, 1.0, 2.0, np.nan], size=400,
+                        p=[0.4, 0.3, 0.2, 0.1])
+    shuffled = rng.permutation(400)
+    order = shuffled[np.argsort(group[shuffled], kind="stable")]
+    starts = np.flatnonzero(np.diff(group[order], prepend=-1))
+    expected = []
+    for g in np.unique(group):
+        inst = np.flatnonzero(group == g)
+        v = values[inst]
+        top = np.isnan(v) if np.isnan(v).any() else v == v.max()
+        expected.append(int(inst[top].max()))
+    assert neighbors._last_max(order, starts, values).tolist() == expected
+
+
+def test_full_graph_columns_in_lexsort_order_with_rescued_rows_and_clusters(
+        monkeypatch):
+    domain = sample_sphere(2, 128, seed=4, scheme="quasi_uniform")
+    images = evaluate(random_map("sphere_harmonic", 3, seed=4, d_in=3), domain)
+    images[1::16] = images[0::16]  # eight coincidence clusters of two
+    plain = neighbor_graph(images, domain)
+    certs = neighbors._delaunay_edge_certs
+
+    def lowest_keys_fail(pts, tri, eps_inside, tau_on):
+        # the LP rescues the lowest-keyed quarter, appended after the rest
+        (lo, hi, *cols), failed = certs(pts, tri, eps_inside, tau_on)
+        k = len(lo) // 4
+        return (tuple(c[k:] for c in (lo, hi, *cols)),
+                failed + list(zip(lo[:k].tolist(), hi[:k].tolist())))
+
+    monkeypatch.setattr(neighbors, "_delaunay_edge_certs", lowest_keys_fail)
+    graph = neighbor_graph(images, domain)
+    pairs = graph.pairs
+    assert len(graph.tuples) == 8
+    assert pairs.tolist() == plain.pairs.tolist()
+    assert (np.lexsort((pairs[:, 1], pairs[:, 0])) == np.arange(len(pairs))).all()
+    assert not np.array_equal(graph.centers, plain.centers)  # LP witnesses
+    for cert in graph:
+        assert check_certificate(cert, images, domain)
+
+
 # --- Delaunay's lemma against the KD-tree path ---
 
 def _facet_neighbors(simplices):
