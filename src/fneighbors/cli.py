@@ -20,7 +20,6 @@ import functools
 import json
 import sys
 import traceback
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -485,6 +484,9 @@ def _trace_svg(trace, lower_bound: float) -> str:
 def cmd_neighbors(cfg: dict) -> tuple[int, dict]:
     domain, _ = _build_domain(cfg)
     spec = _build_map(cfg, domain)
+    if cfg.get("svg") and not (domain.kind == "sphere" and domain.dim == 1
+                               and spec.m_out == 2):
+        raise UsageError("--svg needs the circle domain and m_out=2")
     ncfg = _neighbor_cfg(cfg)
     images = evaluate(spec, domain)
     graph = neighbor_graph(images, domain, ncfg)
@@ -493,7 +495,7 @@ def cmd_neighbors(cfg: dict) -> tuple[int, dict]:
     report = {
         "command": "neighbors",
         "config": _audit("neighbors", cfg),
-        "tolerances": asdict(ncfg),
+        "tolerances": ncfg.tolerances(),
         "map": json.loads(map_to_json(spec)),
         "n_samples": len(domain),
         "n_certificates": len(graph),
@@ -506,8 +508,6 @@ def cmd_neighbors(cfg: dict) -> tuple[int, dict]:
         report["certificates"] = graph  # rendered from its columns
 
     if cfg.get("svg"):
-        if not (domain.kind == "sphere" and domain.dim == 1 and spec.m_out == 2):
-            raise UsageError("--svg needs the circle domain and m_out=2")
         witness = getattr(extremal_cert, "witness", None)
         sphere = None if isinstance(witness, str) else witness
         Path(cfg["svg"]).write_text(
@@ -523,7 +523,7 @@ def cmd_verify_sphere(cfg: dict) -> tuple[int, dict]:
     ncfg = _neighbor_cfg(cfg)
     base = {"command": "verify-sphere",
             "config": _audit("verify-sphere", cfg),
-            "tolerances": asdict(ncfg)}
+            "tolerances": ncfg.tolerances()}
     if m_out > n:
         try:
             result = verify_sphere_bound(
@@ -572,7 +572,7 @@ def cmd_verify_cube(cfg: dict) -> tuple[int, dict]:
     wcfg = _witness_cfg(cfg)
     base = {"command": "verify-cube",
             "config": _audit("verify-cube", cfg),
-            "tolerances": {**asdict(ncfg), "eps_witness_rel": wcfg.eps_witness_rel}}
+            "tolerances": {**ncfg.tolerances(), "eps_witness_rel": wcfg.eps_witness_rel}}
     try:
         result = verify_cube_faces(int(cfg["n"]), trials=int(cfg["trials"]),
                                    n_samples=int(cfg["samples"]),
@@ -611,7 +611,7 @@ def cmd_mu(cfg: dict) -> tuple[int, dict]:
                            scheme=cfg["scheme"])
     family = cfg.get("family") or default_family(domain)
     base = {"command": "mu", "config": _audit("mu", cfg),
-            "tolerances": asdict(ncfg)}
+            "tolerances": ncfg.tolerances()}
     try:
         est = estimate_mu(domain, family, m_out, ocfg, neighbor_cfg=ncfg)
     except BoundViolationError as exc:
@@ -671,7 +671,7 @@ def cmd_delta_sweep(cfg: dict) -> tuple[int, dict]:
     ncfg = _neighbor_cfg(cfg)
     hist = delta_sweep(domain, spec, bins=int(cfg["bins"]), neighbor_cfg=ncfg)
     report = {"command": "delta-sweep", "config": _audit("delta-sweep", cfg),
-              "tolerances": asdict(ncfg),
+              "tolerances": ncfg.tolerances(),
               "map": json.loads(map_to_json(spec)),
               "result": hist.to_json()}
     print(f"{hist.n_pairs} certified pairs, intrinsic distances in "

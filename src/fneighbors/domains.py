@@ -390,10 +390,11 @@ def cube_boundary_cover(m: int, n_samples: int, seed: int = 0
     return domain, CoverAssignment(membership=membership, names=names)
 
 
-def cube_max_faces(samples: np.ndarray, tol: float = FACET_TOL) -> list[list[int]]:
+def cube_max_faces(samples: np.ndarray) -> list[list[int]]:
     """For each sample on the cube boundary, the coordinates i with
     x_i = 1 (the max-faces sigma'_i it lies on)."""
-    return [sorted(np.nonzero(row >= 1.0 - tol)[0].tolist()) for row in np.atleast_2d(samples)]
+    return [sorted(np.nonzero(row >= 1.0 - FACET_TOL)[0].tolist())
+            for row in np.atleast_2d(samples)]
 
 
 def domain_to_json(domain: SampledDomain, cover: CoverAssignment | None = None) -> str:

@@ -64,9 +64,6 @@ class PartitionOfUnity:
     values: np.ndarray
     r_thick: float
 
-    def support(self, idx: int) -> tuple[int, ...]:
-        return tuple(int(j) for j in np.flatnonzero(self.values[idx] > 0.0))
-
 
 @dataclass(frozen=True)
 class HomotopyEstimate:

@@ -79,11 +79,10 @@ class OptimizerConfig:
     degree: int = 3
     seed: int = 0
     n_probes: int = 64
-    perturb: float = 0.35
-    check_lower_bound: bool = True
 
 
 DEFAULT_OPT_CONFIG = OptimizerConfig()
+PERTURB = 0.35  # odd restarts start this many scales (1 sd) off the incumbent
 
 
 class BoundViolationError(RuntimeError):
@@ -120,19 +119,32 @@ class MuEstimate:
                 "settings": dict(self.settings)}
 
 
+def _check_bound(df: float, bound: float, spec: MapSpec, images: np.ndarray,
+                 domain: SampledDomain, label: str, **context) -> float:
+    """Returns the map's sampling allowance, or raises BoundViolationError
+    (message led by label, reproducer the context plus the map, df, bound
+    and allowance) when the certified D_f is below the bound minus it."""
+    allowance = discretization_allowance(images, domain)
+    if df < bound - allowance:
+        raise BoundViolationError(
+            f"{label}D_f={df:.6f} below {bound:.6f} - {allowance:.6f}",
+            reproducer={**context, "map": map_to_json(spec), "df": df,
+                        "bound": bound, "allowance": allowance})
+    return allowance
+
+
 def df_objective(domain: SampledDomain, family: str, m_out: int,
-                 neighbor_cfg: NeighborConfig = DEFAULT_CONFIG,
-                 check_bound: bool = True):
+                 neighbor_cfg: NeighborConfig = DEFAULT_CONFIG):
     """Returns params -> certified D_f on the given sampled domain.
 
     Each evaluation reads only D_f, so it goes through neighbor_span, which
     certifies just the longest Delaunay edge when it can and builds the
     full neighbor graph otherwise; the value is the same either way.
 
-    When check_bound is set and the map leaves the Borsuk-Ulam regime
-    (m_out > domain dimension), every evaluation is tested against the
-    separation bound minus the per-map sampling allowance; a violation
-    raises BoundViolationError with a reproducer instead of returning.
+    When the map leaves the Borsuk-Ulam regime (m_out > domain dimension),
+    every evaluation is tested against the separation bound minus the
+    per-map sampling allowance (_check_bound); a violation raises
+    BoundViolationError with a reproducer instead of returning.
     """
     bound = separation_bound(domain.dim) if m_out > domain.dim else None
 
@@ -141,17 +153,11 @@ def df_objective(domain: SampledDomain, family: str, m_out: int,
                        params=tuple(float(p) for p in params))
         images = evaluate(spec, domain)
         df = neighbor_span(images, domain, neighbor_cfg)
-        if check_bound and bound is not None:
-            allowance = discretization_allowance(images, domain)
-            if df < bound - allowance:
-                raise BoundViolationError(
-                    f"certified D_f={df:.6f} below {bound:.6f} - {allowance:.6f}",
-                    reproducer={"map": map_to_json(spec), "df": df,
-                                "bound": bound, "allowance": allowance,
-                                "kind": domain.kind, "dim": domain.dim,
-                                "n_samples": len(domain),
-                                "domain_seed": domain.seed,
-                                "scheme": domain.scheme})
+        if bound is not None:
+            _check_bound(df, bound, spec, images, domain, "certified ",
+                         kind=domain.kind, dim=domain.dim,
+                         n_samples=len(domain), domain_seed=domain.seed,
+                         scheme=domain.scheme)
         return df
 
     return objective
@@ -177,16 +183,16 @@ def estimate_mu(domain: SampledDomain, family: str, m_out: int,
     carries every improvement of the running minimum.  The incumbent is
     re-certified on a domain of twice the sampling density before being
     returned (same seed and scheme), keeping reported values conservative.
-    Both the search and the re-certification read D_f through
-    neighbor_span, never a full neighbor graph unless its early exit
-    falls back.
+    Both the search and the re-certification are df_objective evaluations,
+    so the reported value is checked against the bound too, and they read
+    D_f through neighbor_span, never a full neighbor graph unless its
+    early exit falls back.
     """
     import scipy.optimize  # noqa: F401  (loaded before the first probe)
 
     n_params = param_count(family, m_out, d_in=domain.samples.shape[1],
                            degree=cfg.degree)
-    objective = df_objective(domain, family, m_out, neighbor_cfg,
-                             check_bound=cfg.check_lower_bound)
+    objective = df_objective(domain, family, m_out, neighbor_cfg)
     lower = separation_bound(domain.dim) if m_out > domain.dim else 2.0
 
     evals = 0
@@ -215,7 +221,7 @@ def estimate_mu(domain: SampledDomain, family: str, m_out: int,
         if restart == 0:
             x0 = probes[order[0]]
         elif restart % 2 == 1 and best_params is not None:
-            x0 = best_params + cfg.perturb * cfg.scale * rng.standard_normal(n_params)
+            x0 = best_params + PERTURB * cfg.scale * rng.standard_normal(n_params)
         else:
             x0 = rng.uniform(-cfg.scale, cfg.scale, size=n_params)
         minimize(tracked, x0, method="Nelder-Mead",
@@ -227,8 +233,7 @@ def estimate_mu(domain: SampledDomain, family: str, m_out: int,
                        params=tuple(float(p) for p in best_params))
     dense = sample_sphere(domain.dim, 2 * len(domain), seed=domain.seed,
                           scheme=domain.scheme)
-    dense_images = evaluate(best_map, dense)
-    final_df = neighbor_span(dense_images, dense, neighbor_cfg)
+    final_df = df_objective(dense, family, m_out, neighbor_cfg)(best_params)
     settings = asdict(cfg)
     settings.update({"family": family, "m_out": m_out,
                      "n_samples": len(domain), "evals": evals})
@@ -262,14 +267,9 @@ def verify_sphere_bound(n: int, m_out: int, trials: int, n_samples: int,
         images = evaluate(spec, domain)
         graph = neighbor_graph(images, domain, neighbor_cfg)
         pair, df, _ = extremal_pair(graph, domain)
-        allowance = discretization_allowance(images, domain)
-        if df < bound - allowance:
-            raise BoundViolationError(
-                f"trial {t}: D_f={df:.6f} below {bound:.6f} - {allowance:.6f}",
-                reproducer={"trial": t, "map": map_to_json(spec), "df": df,
-                            "bound": bound, "allowance": allowance,
-                            "n": n, "m_out": m_out, "n_samples": n_samples,
-                            "seed": seed, "scheme": scheme})
+        allowance = _check_bound(df, bound, spec, images, domain,
+                                 f"trial {t}: ", trial=t, n=n, m_out=m_out,
+                                 n_samples=n_samples, seed=seed, scheme=scheme)
         return {"trial": t, "map": map_to_json(spec), "df": float(df),
                 "allowance": float(allowance), "margin": float(df - bound),
                 "extremal_pair": list(pair) if pair else None,

@@ -46,7 +46,7 @@ from scipy.sparse import coo_matrix
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .domains import SampledDomain
-from .geometry import Sphere, circumsphere, fit_sphere
+from .geometry import TAU_RANK, Sphere, circumsphere, fit_sphere
 
 __all__ = [
     "NeighborConfig",
@@ -64,23 +64,29 @@ __all__ = [
 
 ORACLE_MAX_POINTS = 14
 ORACLE_MAX_DIM = 3
+ORACLE_TOL_REL = 1e-9  # the oracle's coincidence and on-sphere tolerance
 LP_BOX = 1e6  # half-width of the LP's box on the scaled center (_lp_pair)
 CROSS_PAIR_CAP = 64  # member pairs past which a cluster pair keeps its farthest
+# fixed tolerances, relative to the image-set diameter: the radius-0
+# coincidence threshold and the on-sphere residual of certificate members
+EPS_COINCIDE_REL = 1e-9
+TAU_ON_REL = 1e-6
 
 
 @dataclass(frozen=True)
 class NeighborConfig:
-    """Tolerances for the neighbor machinery.
-
-    Relative tolerances scale with the image-set diameter: eps_inside is the
-    depth to which a non-member image may dip inside a witness ball before
-    the certificate is rejected, eps_coincide is the radius-0 coincidence
-    threshold, tau_on bounds the on-sphere residual of certificate members.
-    """
+    """The one settable tolerance of the neighbor machinery (--eps-inside):
+    the depth, relative to the image-set diameter, to which a non-member
+    image may dip inside a witness ball before the certificate is
+    rejected."""
 
     eps_inside_rel: float = 1e-6
-    eps_coincide_rel: float = 1e-9
-    tau_on_rel: float = 1e-6
+
+    def tolerances(self) -> dict:
+        """The tolerance set that reports embed."""
+        return {"eps_coincide_rel": EPS_COINCIDE_REL,
+                "eps_inside_rel": self.eps_inside_rel,
+                "tau_on_rel": TAU_ON_REL}
 
 
 DEFAULT_CONFIG = NeighborConfig()
@@ -160,7 +166,7 @@ def image_diameter(images: np.ndarray) -> float:
     return float(np.linalg.norm(images.max(axis=0) - images.min(axis=0)))
 
 
-def _affine_reduce(images: np.ndarray, tol_rel: float = 1e-9):
+def _affine_reduce(images: np.ndarray):
     """Project points onto their affine hull.  Returns (reduced, embed)
     where embed maps reduced centers back to ambient coordinates."""
     center = images.mean(axis=0)
@@ -169,7 +175,7 @@ def _affine_reduce(images: np.ndarray, tol_rel: float = 1e-9):
     if s.size == 0 or s[0] < 1e-300:
         rank = 0
     else:
-        rank = int(np.sum(s > tol_rel * s[0]))
+        rank = int(np.sum(s > TAU_RANK * s[0]))
     rank = max(rank, 1)
     basis = vt[:rank]
 
@@ -219,8 +225,7 @@ def _halfspace_directions(a: np.ndarray, b: np.ndarray, others: np.ndarray,
     return out
 
 
-def pair_is_neighbor_oracle(i: int, j: int, images: np.ndarray,
-                            tol_rel: float = 1e-9):
+def pair_is_neighbor_oracle(i: int, j: int, images: np.ndarray):
     """Small-scale exact decision by candidate enumeration.
 
     Returns (bool, witness) with witness a Sphere, "coincidence",
@@ -238,7 +243,7 @@ def pair_is_neighbor_oracle(i: int, j: int, images: np.ndarray,
     if i == j:
         raise ValueError("need two distinct sample indices")
     diam = image_diameter(images)
-    tol = tol_rel * max(diam, 1.0)
+    tol = ORACLE_TOL_REL * max(diam, 1.0)
 
     if np.linalg.norm(images[i] - images[j]) <= tol:
         return True, "coincidence"
@@ -357,7 +362,7 @@ def pair_is_neighbor_fast(i: int, j: int, images: np.ndarray,
     images = np.asarray(images, dtype=float)
     npts, m = images.shape
     diam = image_diameter(images)
-    eps_coincide = cfg.eps_coincide_rel * diam
+    eps_coincide = EPS_COINCIDE_REL * diam
     eps_inside = cfg.eps_inside_rel * diam
 
     a, b = images[i], images[j]
@@ -767,7 +772,7 @@ class _Clusters(NamedTuple):
     images in their affine hull (None for a single cluster), embed maps
     reduced points back, and sphere is the sphere through all
     representatives when they are cospherical within tau_on (else None),
-    with its worst residual, tau_on being max(tau_on_rel * diam, 1e-12)."""
+    with its worst residual, tau_on being max(TAU_ON_REL * diam, 1e-12)."""
 
     diam: float
     tau_on: float
@@ -780,13 +785,13 @@ class _Clusters(NamedTuple):
     resid: float
 
 
-def _clusters(images: np.ndarray, cfg: NeighborConfig) -> _Clusters:
+def _clusters(images: np.ndarray) -> _Clusters:
     """The shared prelude: coincidence clusters, affine reduction of their
     representatives and the cosphere test (see _Clusters)."""
     diam = image_diameter(images)
-    tau_on = max(cfg.tau_on_rel * diam, 1e-12)
+    tau_on = max(TAU_ON_REL * diam, 1e-12)
     # at zero diameter all samples form one cluster
-    label = (_coincidence_labels(images, cfg.eps_coincide_rel * diam)
+    label = (_coincidence_labels(images, EPS_COINCIDE_REL * diam)
              if diam > 0.0 else np.zeros(len(images), dtype=np.intp))
     members = np.argsort(label, kind="stable")  # cluster by cluster
     sizes = np.bincount(label)
@@ -835,26 +840,21 @@ def _cell_mask(tri) -> np.ndarray:
 
 
 def _cells(tri) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The cospherical cells of the Delaunay triangulation tri, components
-    of the simplices of _cell_mask joined across facets with bitwise-equal
-    rows of tri.equations, as (rows, cells): each cell's lowest simplex,
-    whose row is the cell's, and its sorted vertex set."""
+    """The cospherical cells of the Delaunay triangulation tri, the
+    simplices of _cell_mask grouped by their bitwise-equal rows of
+    tri.equations (a merged Qhull facet keeps one hyperplane), as (rows,
+    cells) in the order of each cell's lowest simplex: that simplex, whose
+    row is the cell's, and the cell's sorted vertex set."""
     s = np.flatnonzero(_cell_mask(tri))
     if not len(s):
         return s, []
-    from scipy.sparse.csgraph import connected_components
-
-    nbr, eq = tri.neighbors[s], tri.equations
-    link = (nbr >= 0) & (eq[nbr] == eq[s][:, None]).all(axis=2)
-    adjacency = coo_matrix((np.ones(link.sum()),
-                            (np.repeat(s, link.sum(axis=1)), nbr[link])),
-                           shape=(len(tri.neighbors),) * 2)
-    label = connected_components(adjacency, directed=False)[1][s]
-    # one group per cell, in the order of its lowest simplex
+    _, first, label = np.unique(tri.equations[s], axis=0, return_index=True,
+                                return_inverse=True)
+    # label each simplex by the position in s of its cell's lowest simplex
+    label = first[label.reshape(-1)]
     order = np.argsort(label, kind="stable")
     groups = np.split(s[order], np.flatnonzero(np.diff(label[order])) + 1)
-    return (np.array([g[0] for g in groups]),
-            [np.unique(tri.simplices[g]) for g in groups])
+    return s[np.sort(first)], [np.unique(tri.simplices[g]) for g in groups]
 
 
 def neighbor_graph(images: np.ndarray, domain: SampledDomain,
@@ -885,7 +885,7 @@ def neighbor_graph(images: np.ndarray, domain: SampledDomain,
         raise ValueError("images must align with domain samples")
     if len(images) < 2:
         return _graph(domain, *_stack_rows([], images.shape[1]))
-    cl = _clusters(images, cfg)
+    cl = _clusters(images)
     return _full_graph(images, domain, cfg, cl, _triangulation(cl))
 
 
@@ -939,9 +939,8 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
                     Sphere(center=embed(center), radius=float(radius)),
                     min(clear, -float(np.abs(margin).max()))))
 
-    # embed the witness centers in one call, in representative-pair order
-    order = np.argsort(cand[0].astype(np.int64) * len(reduced) + cand[1])
-    lo, hi, c_red, radii, slack = (col[order] for col in cand)
+    # embed the witness centers in one call; _graph sets the row order
+    lo, hi, c_red, radii, slack = cand
     sphere = ~np.isnan(c_red[:, 0])
     centers = np.full((len(lo), m), np.nan)
     if sphere.any():
@@ -981,7 +980,7 @@ def neighbor_span(images: np.ndarray, domain: SampledDomain,
     images = np.asarray(images, dtype=float)
     if len(images) != len(domain) or len(images) < 2:
         return compute_df(neighbor_graph(images, domain, cfg), domain)
-    cl = _clusters(images, cfg)
+    cl = _clusters(images)
     tri = _triangulation(cl)
     if (tri is not None and len(cl.sizes) == len(images)
             and not _cell_mask(tri).any()):
@@ -1033,10 +1032,10 @@ def check_certificate(cert: NeighborCertificate, images: np.ndarray,
         return False
     if cert.witness == "coincidence":
         spread = image_diameter(images[idx])
-        return spread <= max(cfg.eps_coincide_rel * diam, cert.slack + 1e-12)
+        return spread <= max(EPS_COINCIDE_REL * diam, cert.slack + 1e-12)
     sphere: Sphere = cert.witness
     margins = sphere.margins(images)
-    if np.abs(margins[idx]).max() > max(cfg.tau_on_rel * diam, 1e-12):
+    if np.abs(margins[idx]).max() > max(TAU_ON_REL * diam, 1e-12):
         return False
     mask = np.ones(len(images), dtype=bool)
     mask[idx] = False

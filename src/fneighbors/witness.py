@@ -41,7 +41,6 @@ from scipy.spatial import cKDTree
 
 from .domains import CoverAssignment, SampledDomain, cube_max_faces
 from .neighbors import (
-    DEFAULT_CONFIG,
     _cell_mask,
     _circumballs,
     _clusters,
@@ -149,7 +148,7 @@ def _candidate_centers(images: np.ndarray,
     sphere holds an image of every element, which outside a cell makes
     its own simplex rainbow.  Otherwise every live circumcenter is a
     candidate.  The kept candidates stay in the order of the full list."""
-    cl = _clusters(images, DEFAULT_CONFIG)
+    cl = _clusters(images)
     reps = images[cl.members[cl.start]]
     if cl.reduced is None:  # a single cluster
         return reps

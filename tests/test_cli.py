@@ -468,3 +468,36 @@ def test_every_subcommand_help_exits_0(cmd, capsys):
     # one flag per DEFAULTS key, plus --config
     args = vars(cli._build_parser().parse_args([cmd]))
     assert set(args) == {*cli.DEFAULTS[cmd], "config", "cmd"}
+
+
+# --- every report embeds the full tolerance set at its defaults ---
+
+NEIGHBOR_TOLERANCES = {"eps_coincide_rel": 1e-9, "eps_inside_rel": 1e-6,
+                       "tau_on_rel": 1e-6}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["neighbors", "--samples", "64"], {}),
+    (["verify-sphere", "--trials", "1", "--samples", "128"], {}),
+    (["verify-cube", "--trials", "1", "--samples", "256"],
+     {"eps_witness_rel": 1e-3}),
+    (["mu", "--samples", "64", "--probes", "1", "--restarts", "0"], {}),
+    (["delta-sweep", "--samples", "64", "--bins", "4"], {}),
+])
+def test_reports_carry_every_tolerance_at_its_default(tmp_path, argv, extra):
+    out = tmp_path / "r.json"
+    assert run(*argv, "--out", str(out)) == 0
+    assert json.loads(out.read_text())["tolerances"] == {
+        **NEIGHBOR_TOLERANCES, **extra}
+
+
+def test_neighbors_rejects_svg_before_building_the_graph(tmp_path,
+                                                          monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "neighbor_graph",
+                        lambda *a, **k: built.append(1))
+    assert run("neighbors", "--domain", "cube", "--n", "2",
+               "--svg", str(tmp_path / "x.svg")) == 2
+    assert run("neighbors", "--m-out", "3",
+               "--svg", str(tmp_path / "x.svg")) == 2
+    assert built == [] and not (tmp_path / "x.svg").exists()

@@ -1,11 +1,13 @@
 """Optimization and verification-sweep tests, kept at small budgets; the
 acceptance suite runs the full-scale configurations."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from fneighbors import muopt
 from fneighbors.domains import cube_boundary_cover, sample_sphere
 from fneighbors.geometry import separation_bound
 from fneighbors.maps import MapSpec, identity_fourier_params
@@ -116,3 +118,60 @@ def test_bound_violation_carries_reproducer():
     err = BoundViolationError("boom", reproducer={"df": 1.0, "bound": 1.7})
     assert err.reproducer["bound"] == 1.7
     assert "boom" in str(err)
+
+
+# --- the one lower-bound check, forced to fail by a bound above every D_f ---
+
+SEARCH_KEYS = {"map", "df", "bound", "allowance", "kind", "dim", "n_samples",
+               "domain_seed", "scheme"}
+
+
+def test_estimate_mu_raises_on_its_first_probe(monkeypatch):
+    evals = []
+    span = muopt.neighbor_span
+    monkeypatch.setattr(muopt, "neighbor_span",
+                        lambda *a, **k: evals.append(1) or span(*a, **k))
+    monkeypatch.setattr(muopt, "separation_bound", lambda n: 3.0)
+    domain = sample_sphere(1, 128, seed=0, scheme="quasi_uniform")
+    with pytest.raises(BoundViolationError) as info:
+        estimate_mu(domain, "circle_fourier", 2, TINY)
+    assert len(evals) == 1
+    assert str(info.value).startswith("certified D_f=")
+    rep = info.value.reproducer
+    assert set(rep) == SEARCH_KEYS
+    assert rep["bound"] == 3.0 and rep["n_samples"] == 128
+    assert rep["df"] < rep["bound"] - rep["allowance"]
+
+
+def test_estimate_mu_checks_its_dense_result(monkeypatch):
+    # the bound rises only once the search is over, when estimate_mu
+    # samples the dense domain: the re-certified best_df must be checked
+    sample = muopt.sample_sphere
+
+    def dense_then_raise_bound(*args, **kwargs):
+        monkeypatch.setattr(muopt, "separation_bound", lambda n: 3.0)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(muopt, "sample_sphere", dense_then_raise_bound)
+    domain = sample_sphere(1, 128, seed=0, scheme="quasi_uniform")
+    with pytest.raises(BoundViolationError) as info:
+        estimate_mu(domain, "circle_fourier", 2, TINY)
+    rep = info.value.reproducer
+    assert set(rep) == SEARCH_KEYS
+    assert rep["n_samples"] == 256 and rep["domain_seed"] == 0
+    dense = sample_sphere(1, 256, seed=0, scheme="quasi_uniform")
+    with pytest.raises(BoundViolationError):
+        df_objective(dense, "circle_fourier", 2)(
+            np.array(json.loads(rep["map"])["params"]))
+
+
+def test_verify_sphere_bound_violation_reproducer(monkeypatch):
+    monkeypatch.setattr(muopt, "separation_bound", lambda n: 3.0)
+    with pytest.raises(BoundViolationError) as info:
+        verify_sphere_bound(1, 2, trials=2, n_samples=256, seed=4)
+    assert str(info.value).startswith("trial 0: D_f=")
+    rep = info.value.reproducer
+    assert set(rep) == {"trial", "map", "df", "bound", "allowance", "n",
+                        "m_out", "n_samples", "seed", "scheme"}
+    assert (rep["trial"], rep["n"], rep["m_out"], rep["seed"]) == (0, 1, 2, 4)
+    assert rep["bound"] == 3.0

@@ -346,7 +346,7 @@ def test_failing_cells_leave_only_lp_no_pairs(k):
                                           seed=[k, 1000], d_in=3), domain), 1)
     graph = neighbor_graph(images, domain)
     covered = _covered_pairs(graph)
-    cl = neighbors._clusters(images, DEFAULT_CONFIG)
+    cl = neighbors._clusters(images)
     rep = cl.members[cl.start]
     cells = neighbors._cells(neighbors._triangulation(cl))[1]
     uncovered = [(a, b) for cell in cells
@@ -492,7 +492,7 @@ def test_compute_df_empty():
 # --- Delaunay edge certification against the all-simplex routine ---
 
 def _tau_on(pts):
-    return max(DEFAULT_CONFIG.tau_on_rel * image_diameter(pts), 1e-12)
+    return max(neighbors.TAU_ON_REL * image_diameter(pts), 1e-12)
 
 
 def _circumcenters(pts, simplices):
@@ -790,7 +790,7 @@ def _sphere_images(seed, t, samples=4096, grid=None):
                                  d_in=3), domain)
     if grid is not None:
         images = np.round(images, grid)
-    return neighbors._clusters(images, DEFAULT_CONFIG).reduced
+    return neighbors._clusters(images).reduced
 
 
 def _lemma_case(case):
@@ -1037,7 +1037,7 @@ def test_gap_labels_equal_kd_labels_on_grid_rounded_maps():
     for k, digits in itertools.product(range(3), (1, 2, 3)):
         spec = random_map("sphere_harmonic", 3, seed=[k, 1000], d_in=3)
         images = np.round(evaluate(spec, domain), digits)
-        eps = DEFAULT_CONFIG.eps_coincide_rel * image_diameter(images)
+        eps = neighbors.EPS_COINCIDE_REL * image_diameter(images)
         got = neighbors._coincidence_labels(images, eps)
         assert np.array_equal(got, _kd_labels(images, eps))
         clustered += got[-1] < len(domain) - 1
@@ -1048,7 +1048,7 @@ def _top_edge_balls(images, domain):
     """The reduced images and the circumballs of the simplices around the
     top Delaunay edge of a generic map (the edge _top_edge_span checks),
     plus those of up to 300 other simplices."""
-    reduced = neighbors._clusters(images, DEFAULT_CONFIG).reduced
+    reduced = neighbors._clusters(images).reduced
     tri = Delaunay(reduced)
     simplices = tri.simplices
     keys = neighbors._edge_keys(simplices, len(reduced))

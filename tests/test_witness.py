@@ -278,13 +278,13 @@ def _reference_candidates(images, cover, rainbow_only=False):
     long as one rainbow simplex is live."""
     spread = float(np.linalg.norm(images.max(0) - images.min(0)))
     label = neighbors._coincidence_labels(
-        images, neighbors.DEFAULT_CONFIG.eps_coincide_rel * spread)
+        images, neighbors.EPS_COINCIDE_REL * spread)
     reps = images[np.unique(label, return_index=True)[1]]
     reduced, embed = neighbors._affine_reduce(reps)
     if reduced.shape[1] == 1:
         return np.vstack([embed(neighbors._line_pairs(reduced[:, 0])[2]), reps])
     tri = Delaunay(reduced)
-    tau_on = max(neighbors.DEFAULT_CONFIG.tau_on_rel * spread, 1e-12)
+    tau_on = max(neighbors.TAU_ON_REL * spread, 1e-12)
     live, centers = neighbors._circumballs(reduced, tri, tau_on)[:2]
     if rainbow_only:
         touch = [cover.membership[label == c].any(axis=0)
@@ -348,7 +348,7 @@ def _assert_full_scan_report(monkeypatch, domain, cover, images):
 
 def _triangulation(images):
     return neighbors._triangulation(
-        neighbors._clusters(images, neighbors.DEFAULT_CONFIG))
+        neighbors._clusters(images))
 
 
 def test_sphere_reports_equal_the_all_candidate_scan(monkeypatch):
@@ -437,9 +437,9 @@ def test_nearly_cospherical_witness_takes_the_fitted_center(monkeypatch, n):
     cover = regular_triangulation_cover(domain)
     wobble = np.random.default_rng(0).standard_normal(len(domain))
     images = domain.samples * (1.0 + 1e-8 * wobble)[:, None]
-    cl = neighbors._clusters(images, neighbors.DEFAULT_CONFIG)
+    cl = neighbors._clusters(images)
     assert cl.sphere is not None
-    assert 1e-9 < cl.resid <= neighbors.DEFAULT_CONFIG.tau_on_rel * cl.diam
+    assert 1e-9 < cl.resid <= neighbors.TAU_ON_REL * cl.diam
     monkeypatch.setattr(witness, "_candidate_centers", _reference_candidates)
     assert witness_point(domain, cover, images).residual <= 1e-15
     monkeypatch.undo()
