@@ -607,6 +607,10 @@ def cmd_mu(cfg: dict) -> tuple[int, dict]:
                            degree=int(cfg["degree"]),
                            seed=int(cfg["seed"]),
                            n_probes=int(cfg["probes"]))
+    if ocfg.n_probes < 1:
+        raise UsageError("--probes must be at least 1")
+    if ocfg.n_restarts < 0 or ocfg.budget < 0:
+        raise UsageError("--restarts and --budget must not be negative")
     domain = sample_sphere(n, int(cfg["samples"]), seed=int(cfg["seed"]),
                            scheme=cfg["scheme"])
     family = cfg.get("family") or default_family(domain)

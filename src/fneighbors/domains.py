@@ -74,7 +74,7 @@ class SampledDomain:
     def rho_pairs(self, idx_a, idx_b) -> np.ndarray:
         """Intrinsic distances between broadcast index arrays; a dot product
         per pair, so every batch agrees bit for bit with the scalar rho."""
-        d = self.samples[idx_a] - self.samples[idx_b]
+        d = self.samples.take(idx_a, axis=0) - self.samples.take(idx_b, axis=0)
         return np.sqrt(np.vecdot(d, d))
 
     def rho_blocks(self, rows: np.ndarray, cols: np.ndarray):

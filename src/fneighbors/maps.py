@@ -190,7 +190,7 @@ def continuity_modulus(images: np.ndarray, domain: SampledDomain) -> float:
     """Finite-difference modulus max |f(x)-f(y)| / rho(x,y) over
     nearest-neighbor sample pairs; 0 for constant maps."""
     nn_dist, nn_idx = domain.nearest_neighbors
-    img_dist = np.linalg.norm(images - images[nn_idx], axis=1)
+    img_dist = np.linalg.norm(images - images.take(nn_idx, axis=0), axis=1)
     good = nn_dist > 1e-15
     if not good.any():
         return 0.0

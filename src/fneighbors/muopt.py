@@ -163,13 +163,90 @@ def df_objective(domain: SampledDomain, family: str, m_out: int,
     return objective
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported where it runs.  estimate_mu, its
-    one caller, loads scipy.optimize on entry, so that no restart pays for
-    the import."""
-    from scipy.optimize import minimize as scipy_minimize
+# Nelder-Mead stops once every vertex lies within XATOL of the best in each
+# coordinate and within FATOL of its value.
+XATOL = 1e-4
+FATOL = 1e-4
 
-    return scipy_minimize(*args, **kwargs)
+
+class _BudgetSpent(Exception):
+    """The evaluation budget of one minimize call ran out."""
+
+
+def minimize(fun, x0: np.ndarray, budget: int) -> tuple[np.ndarray, float]:
+    """Nelder-Mead simplex search (Nelder and Mead 1965) for a minimum of
+    fun from x0, in at most budget evaluations: the best vertex and its
+    value.
+
+    It evaluates exactly the points, in the same order, that
+    scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options=
+    {"maxfev": budget, "xatol": XATOL, "fatol": FATOL, "adaptive": False})
+    evaluates in scipy 1.13-1.17: the same initial simplex (each
+    coordinate times 1.05, or 0.00025 where it is zero), coefficients,
+    argsort orderings (twice after the first simplex, as scipy does: a
+    second unstable sort may reorder ties) and stop test, each point
+    passed as a copy.  Owning these lines keeps scipy.optimize out of
+    `mu` runs and its reports independent of scipy's private code.
+    estimate_mu calls it through the module attribute."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    n = len(x0)
+    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+    k = np.arange(n)
+    sim[k + 1, k] = np.where(sim[0] != 0, (1 + nonzdelt) * sim[0], zdelt)
+    fsim = np.full(n + 1, np.inf)
+    fcalls = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal fcalls
+        if fcalls >= budget:
+            raise _BudgetSpent
+        fcalls += 1
+        return fun(np.copy(x))
+
+    try:
+        for j in range(n + 1):
+            fsim[j] = f(sim[j])
+    except _BudgetSpent:
+        pass
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    while fcalls < budget:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= XATOL
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:  # inside contraction
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], float(fsim[0])
 
 
 def estimate_mu(domain: SampledDomain, family: str, m_out: int,
@@ -186,10 +263,12 @@ def estimate_mu(domain: SampledDomain, family: str, m_out: int,
     Both the search and the re-certification are df_objective evaluations,
     so the reported value is checked against the bound too, and they read
     D_f through neighbor_span, never a full neighbor graph unless its
-    early exit falls back.
+    early exit falls back.  The restarts run muopt's own Nelder-Mead
+    (minimize), which evaluates the points scipy's would, so no part of
+    scipy.optimize is loaded.
     """
-    import scipy.optimize  # noqa: F401  (loaded before the first probe)
-
+    if cfg.n_probes < 1:
+        raise ValueError("estimate_mu needs at least one probe")
     n_params = param_count(family, m_out, d_in=domain.samples.shape[1],
                            degree=cfg.degree)
     objective = df_objective(domain, family, m_out, neighbor_cfg)
@@ -224,11 +303,8 @@ def estimate_mu(domain: SampledDomain, family: str, m_out: int,
             x0 = best_params + PERTURB * cfg.scale * rng.standard_normal(n_params)
         else:
             x0 = rng.uniform(-cfg.scale, cfg.scale, size=n_params)
-        minimize(tracked, x0, method="Nelder-Mead",
-                 options={"maxfev": cfg.budget, "xatol": 1e-4,
-                          "fatol": 1e-4, "adaptive": False})
+        minimize(tracked, x0, cfg.budget)
 
-    assert best_params is not None
     best_map = MapSpec(family=family, m_out=m_out,
                        params=tuple(float(p) for p in best_params))
     dense = sample_sphere(domain.dim, 2 * len(domain), seed=domain.seed,

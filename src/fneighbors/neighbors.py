@@ -492,11 +492,12 @@ def _circumballs(pts: np.ndarray, tri, tau_on: float, rows=slice(None)):
     centers, radii = _lifted_balls(tri, rows)
     with np.errstate(invalid="ignore"):
         # one row per vertex column, so that _on_ball reduces long rows
-        diff = pts[tri.simplices[rows].T] - centers
+        diff = pts.take(tri.simplices[rows].T, axis=0) - centers
         margin = (np.sqrt(np.einsum("vsk,vsk->vs", diff, diff)) - radii).T
     live = _on_ball(margin, radii, tau_on)
-    return (np.arange(len(tri.simplices))[rows][live], centers[live],
-            radii[live], margin[live])
+    return (np.arange(len(tri.simplices))[rows][live],
+            centers.compress(live, axis=0), radii[live],
+            margin.compress(live, axis=0))
 
 
 def _clearance(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray,
@@ -579,7 +580,8 @@ def _local_clearance(pts: np.ndarray, tri, centers: np.ndarray,
     for k in range(simplices.shape[1]):
         s = np.flatnonzero(nbr[:, k] >= 0)
         apex = sums[nbr[s, k]] - sums[s] + simplices[s, k]
-        margin = np.linalg.norm(pts[apex] - centers[s], axis=1) - radii[s]
+        margin = (np.linalg.norm(pts.take(apex, axis=0)
+                                 - centers.take(s, axis=0), axis=1) - radii[s])
         clear[s] = np.minimum(clear[s], margin)
     if not clear.min() >= LOCAL_DELAUNAY_TAU * image_diameter(pts):
         return None
@@ -646,7 +648,7 @@ def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float,
     queried; otherwise one KD-tree query gives every live ball's
     clearance (_clearance)."""
     live, centers, radii, margin = _circumballs(pts, tri, tau_on)
-    splx = tri.simplices[live]
+    splx = tri.simplices.take(live, axis=0)
     nsplx = len(splx)
     key = _edge_keys(splx, len(pts))
     order = np.argsort(key)
@@ -668,7 +670,8 @@ def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float,
     slack = u[chosen]
     good = slack >= -eps_inside
     t = chosen[good] % nsplx
-    return ((lo[good], hi[good], centers[t], radii[t], slack[good]),
+    return ((lo[good], hi[good], centers.take(t, axis=0), radii[t],
+             slack[good]),
             list(zip(lo[~good].tolist(), hi[~good].tolist())))
 
 
@@ -757,7 +760,7 @@ def _graph(domain: SampledDomain, lo: np.ndarray, hi: np.ndarray,
     order = np.argsort(lo.astype(np.int64) * len(domain) + hi)
     pairs = np.column_stack([lo[order], hi[order]])
     tuples = sorted(tuples, key=lambda t: t[0].indices)
-    return NeighborGraph(pairs=pairs, centers=centers[order],
+    return NeighborGraph(pairs=pairs, centers=centers.take(order, axis=0),
                          radii=radii[order], slack=slack[order],
                          rho=domain.rho_pairs(pairs[:, 0], pairs[:, 1]),
                          tuples=tuple(c for c, _ in tuples),
@@ -799,7 +802,7 @@ def _clusters(images: np.ndarray) -> _Clusters:
     reduced = embed = sph = None
     resid = math.inf
     if len(sizes) >= 2:
-        reduced, embed = _affine_reduce(images[members[start]])
+        reduced, embed = _affine_reduce(images.take(members[start], axis=0))
         if reduced.shape[1] > 1:
             sph, resid = fit_sphere(reduced)
             if sph is not None and resid > tau_on:
@@ -960,7 +963,7 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
         ca, cb = (members[start[c]:start[c] + sizes[c]] for c in (lo[t], hi[t]))
         _, (gi[row], gj[row]) = domain.farthest_pair(ca, cb)
     return _graph(domain, np.minimum(gi, gj), np.maximum(gi, gj),
-                  centers[ref], radii[ref], slack[ref], tuples)
+                  centers.take(ref, axis=0), radii[ref], slack[ref], tuples)
 
 
 def neighbor_span(images: np.ndarray, domain: SampledDomain,

@@ -67,6 +67,30 @@ def test_higher_is_better_metrics_flip_the_direction():
     assert _verdict(RATE, rates, [r * 0.7 for r in rates]) == (0, False, False)
 
 
+def _unresolved(metric, ref, change):
+    pairs = _pairs(metric["name"], ref, change)
+    return bench_pairs.summarize(pairs, [metric])[metric["name"]]["unresolved"]
+
+
+def test_unresolved_when_the_ref_spread_exceeds_the_bound():
+    # ref median 3.45, q3 - q1 = 0.45: a bound of 0.1 allows 0.345
+    tight = {**RUN_S, "bound": 0.1}
+    assert _unresolved(tight, REF, REF)
+    assert _unresolved(tight, REF, [r - 0.5 for r in REF])
+    # unless every change run beats every ref run
+    assert not _unresolved(tight, REF, [r - 1.0 for r in REF])
+    rates = [100.0 + 10 * k for k in range(10)]  # median 145, q3 - q1 = 45
+    assert _unresolved({**RATE, "bound": 0.1}, rates, rates)
+    assert not _unresolved({**RATE, "bound": 0.1}, rates,
+                           [r + 100.0 for r in rates])
+
+
+def test_a_ref_spread_within_the_bound_is_resolved():
+    # 0.45 is within 0.25 * 3.45; the verdict does not look at the change
+    assert not _unresolved(RUN_S, REF, REF)
+    assert not _unresolved(RUN_S, REF, [r + 5.0 for r in REF])
+
+
 @pytest.mark.parametrize("digests, correct, expected",
                          [(None, True, (True, True)),
                           (["d"] * 9 + ["e"], True, (False, True)),

@@ -221,6 +221,17 @@ def test_usage_errors_exit_2(tmp_path):
     assert run("verify-sphere", "--n", "2", "--m-out", "1") == 2
 
 
+@pytest.mark.parametrize("flags", [("--probes", "0"),
+                                   ("--probes", "0", "--restarts", "0"),
+                                   ("--probes", "-2"), ("--restarts", "-1"),
+                                   ("--budget", "-1")])
+def test_mu_rejects_bad_search_sizes(flags, tmp_path, capsys):
+    out = tmp_path / "m.json"
+    assert run("mu", "--samples", "64", *flags, "--out", str(out)) == 2
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "fneighbors", "neighbors", "--samples", "64",
@@ -245,7 +256,8 @@ for args in (["neighbors", "--n", "2", "--samples", "256", "--dump-certs"],
              ["verify-sphere", "--n", "2", "--m-out", "3", "--trials", "1",
               "--samples", "256"],
              ["witness", "--n", "2", "--m-out", "3", "--samples", "300"],
-             ["mu", "--samples", "64", "--probes", "1", "--restarts", "0"]):
+             ["mu", "--samples", "64", "--probes", "1", "--restarts", "1",
+              "--budget", "20"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([*args, "--out", os.devnull])
     steps.append((args[0], code, loaded()))
@@ -253,14 +265,14 @@ print(json.dumps(steps))
 """
 
 
-def test_only_lp_and_mu_paths_load_scipy_optimize_and_csgraph():
+def test_only_lp_paths_load_scipy_optimize_and_csgraph():
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)
     assert steps == [["import", []], ["neighbors", 0, []],
                      ["verify-sphere", 0, []], ["witness", 0, []],
-                     ["mu", 0, ["scipy.optimize"]]]
+                     ["mu", 0, []]]
 
 
 def test_lp_and_nelder_mead_calls_go_through_module_attributes(monkeypatch,

@@ -175,3 +175,73 @@ def test_verify_sphere_bound_violation_reproducer(monkeypatch):
                         "m_out", "n_samples", "seed", "scheme"}
     assert (rep["trial"], rep["n"], rep["m_out"], rep["seed"]) == (0, 1, 2, 4)
     assert rep["bound"] == 3.0
+
+
+def test_estimate_mu_rejects_zero_probes():
+    domain = sample_sphere(1, 64, seed=0, scheme="quasi_uniform")
+    with pytest.raises(ValueError, match="probe"):
+        estimate_mu(domain, "circle_fourier", 2,
+                    OptimizerConfig(n_restarts=1, budget=5, n_probes=0))
+
+
+# --- muopt.minimize against scipy's Nelder-Mead, the oracle it replaces ---
+
+def _circle_objective():
+    domain = sample_sphere(1, 128, seed=0, scheme="quasi_uniform")
+    x0 = np.random.default_rng(5).uniform(-1.0, 1.0, size=14)
+    x0[[0, 3]] = 0.0
+    return df_objective(domain, "circle_fourier", 2), x0
+
+
+def _quadratic():
+    # stops on xatol and fatol long before 400 evaluations, steep enough
+    # that the simplex meets xatol before fatol
+    return (lambda x: float(1e6 * ((x - [0.3, -0.2, 0.1]) ** 2).sum()),
+            np.array([0.5, 0.0, -0.4]))
+
+
+def _steps():
+    # piecewise constant: expansions and contractions tie with reflections
+    return (lambda x: float(np.floor(4.0 * np.abs(x - [0.3, 0.1, 0.0, 0.2])
+                                     .sum())),
+            np.array([3.3, 5.0, 0.0, -1.0]))
+
+
+def _rosenbrock():
+    def rosen(x):
+        return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                      + (1.0 - x[:-1]) ** 2).sum())
+    return rosen, np.array([-1.2, 1.0, 0.0, 0.5, 0.8])
+
+
+def _points(minimizer, fun, x0):
+    """The points minimizer evaluates, each scribbled over once read: only
+    a copy of the point keeps the simplex intact."""
+    seen = []
+
+    def scribbling(x):
+        seen.append(x.copy())
+        value = fun(x)
+        x[:] = np.nan
+        return value
+
+    minimizer(scribbling, x0)
+    return seen
+
+
+@pytest.mark.parametrize("budget", [0, 5, 15, 16, 53, 400])
+@pytest.mark.parametrize("problem", [_circle_objective, _quadratic, _steps,
+                                     _rosenbrock])
+def test_minimize_evaluates_the_points_scipy_does(problem, budget):
+    from scipy.optimize import minimize as scipy_minimize
+
+    fun, x0 = problem()
+    ours = _points(lambda f, x: muopt.minimize(f, x, budget), fun, x0)
+    theirs = _points(lambda f, x: scipy_minimize(
+        f, x, method="Nelder-Mead",
+        options={"maxfev": budget, "xatol": muopt.XATOL,
+                 "fatol": muopt.FATOL, "adaptive": False}), fun, x0)
+    assert len(ours) == len(theirs) <= budget
+    assert [p.tobytes() for p in ours] == [p.tobytes() for p in theirs]
+    if problem is _quadratic and budget == 400:
+        assert len(ours) < budget  # stopped by the tolerances

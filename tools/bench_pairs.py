@@ -22,14 +22,17 @@ ref commit, the working tree's commit and whether its tracked files
 differed from it, with a hash of that diff, run length and machine), every
 pair's end-to-end metrics, digest and correctness per side, and per metric
 each side's median and quartiles, the number of pairs the working tree
-won (ties count for neither side) and two verdicts:
+won (ties count for neither side) and three verdicts:
 
 - gain: the working tree won at least nine tenths of the pairs, and its
   median beats the ref's by more than the ref's interquartile spread
   (q3 - q1);
 - within_bound: the working tree's median is worse than the ref's by at
   most BENCHMARK.json's bound for the metric, taken relative to the ref's
-  median.
+  median;
+- unresolved: the ref's own interquartile spread is wider than that
+  bound, so the series cannot tell a change within the bound from one
+  beyond it, unless every working-tree run beats every ref run.
 
 Each series also gives each side's failed share (failed items over
 attempted items, summed over its runs) and a failed_share_not_worse
@@ -133,7 +136,7 @@ def spread(values: list[float]) -> dict:
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric (BENCHMARK.json entries: name, better, bound),
-    each side's spread, the pairs the change won and the two verdicts;
+    each side's spread, the pairs the change won and the three verdicts;
     plus whether every pair had equal digests and correct runs, and each
     side's failed share with whether the change's is no larger."""
     out = {}
@@ -145,12 +148,15 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         wins = sum(sign * (r - c) > 0 for r, c in zip(ref, new))
         ref_s, new_s = spread(ref), spread(new)
         drop = sign * (ref_s["median"] - new_s["median"])
+        ref_iqr = ref_s["q3"] - ref_s["q1"]
+        allowed = metric["bound"] * abs(ref_s["median"])
+        beats_all = (max(new) < min(ref) if direction == "lower"
+                     else min(new) > max(ref))
         out[name] = {"ref": ref_s, "change": new_s, "better": direction,
                      "change_wins": wins, "pairs": len(pairs),
-                     "gain": wins >= 0.9 * len(pairs)
-                     and drop > ref_s["q3"] - ref_s["q1"],
-                     "within_bound":
-                     -drop <= metric["bound"] * abs(ref_s["median"])}
+                     "gain": wins >= 0.9 * len(pairs) and drop > ref_iqr,
+                     "within_bound": -drop <= allowed,
+                     "unresolved": ref_iqr > allowed and not beats_all}
     out["digests_equal"] = all(p["ref"]["digest"] == p["change"]["digest"]
                                for p in pairs)
     out["all_correct"] = all(p[side]["correct"] for p in pairs
