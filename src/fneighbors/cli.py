@@ -146,6 +146,19 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return cfg
 
 
+# the least value of each count a subcommand may read: every domain has a
+# dimension and a sample, and a sweep may have no trials
+_LEAST = {"n": 1, "samples": 1, "trials": 0}
+
+
+def _check_counts(cfg: dict) -> None:
+    """Raises UsageError for a dimension or sample count below 1 or a
+    negative trial count, before any subcommand builds its domain."""
+    for key, least in _LEAST.items():
+        if key in cfg and int(cfg[key]) < least:
+            raise UsageError(f"--{key} must be at least {least}")
+
+
 def _audit(command: str, cfg: dict) -> dict:
     kept = {k: v for k, v in cfg.items() if k not in _EXECUTION_KEYS}
     return {"command": command, **kept}
@@ -518,6 +531,14 @@ def cmd_neighbors(cfg: dict) -> tuple[int, dict]:
     return EXIT_OK, report
 
 
+def _trials_line(rows: list[dict], key: str, label: str) -> str:
+    """'<count> trials, <label> <largest row[key]>', without the largest
+    when there are no trials."""
+    if not rows:
+        return "0 trials"
+    return f"{len(rows)} trials, {label} {max(r[key] for r in rows):.3e}"
+
+
 def cmd_verify_sphere(cfg: dict) -> tuple[int, dict]:
     n, m_out = int(cfg["n"]), int(cfg["m_out"])
     ncfg = _neighbor_cfg(cfg)
@@ -556,9 +577,8 @@ def cmd_verify_sphere(cfg: dict) -> tuple[int, dict]:
                                 degree=int(cfg["degree"]),
                                 threads=int(cfg["threads"]))
     report = {**base, "result": result, "all_ok": result["all_ok"]}
-    worst = max(r["image_gap"] for r in result["trials"])
     print(f"coincidence sweep (m_out={m_out} <= n=1): "
-          f"{len(result['trials'])} trials, max image gap {worst:.3e}; "
+          f"{_trials_line(result['trials'], 'image_gap', 'max image gap')}; "
           f"all within allowance: {result['all_ok']}")
     if cfg.get("csv"):
         _write_csv(cfg["csv"],
@@ -586,9 +606,8 @@ def cmd_verify_cube(cfg: dict) -> tuple[int, dict]:
         print("FAIL: witness search did not converge")
         return EXIT_VIOLATION, report
     report = {**base, "result": result, "all_ok": result["all_ok"]}
-    worst = max(r["residual"] for r in result["trials"])
     print(f"disjoint-faces sweep on the {int(cfg['n'])}-cube boundary: "
-          f"{len(result['trials'])} trials, max residual {worst:.3e}; "
+          f"{_trials_line(result['trials'], 'residual', 'max residual')}; "
           f"all certified: {result['all_ok']}")
     if cfg.get("csv"):
         _write_csv(cfg["csv"],
@@ -786,6 +805,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         cfg = _resolve(args, DEFAULTS[args.cmd])
+        _check_counts(cfg)
         code, report = HANDLERS[args.cmd](cfg)
         _write_report(report, cfg.get("out"))
         return code

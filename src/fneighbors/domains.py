@@ -155,6 +155,14 @@ class SampledDomain:
             col.flags.writeable = False
         return cols
 
+    @cached_property
+    def bases(self) -> dict:
+        """Map bases over the samples by name (maps.evaluate fills it):
+        functions of the samples alone, so each is computed on first use
+        and shared read-only by every later reader, trial threads
+        included."""
+        return {}
+
     def mesh_size(self) -> float:
         """Max nearest-neighbor intrinsic distance over the sample set."""
         return float(self.nearest_neighbors[0].max())

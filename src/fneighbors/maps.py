@@ -66,6 +66,30 @@ def _quad_basis(x: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _fourier_basis(x: np.ndarray, k_deg: int) -> np.ndarray:
+    """[1, cos(t), sin(t), ..., cos(K t), sin(K t)] per row of circle
+    samples x, t the angle of the row."""
+    theta = np.arctan2(x[:, 1], x[:, 0])
+    harmonics = [np.ones(len(x))]
+    for k in range(1, k_deg + 1):
+        harmonics.append(np.cos(k * theta))
+        harmonics.append(np.sin(k * theta))
+    return np.column_stack(harmonics)  # (n, 2K+1)
+
+
+def _basis(domain: SampledDomain, key: tuple, build) -> np.ndarray:
+    """The basis named key over the domain's samples, from build() on
+    first use, then from domain.bases: evaluate is one matmul per map.
+    It is read-only, as every map of the domain multiplies the same
+    array; two threads that miss at once store equal arrays."""
+    basis = domain.bases.get(key)
+    if basis is None:
+        basis = build()
+        basis.flags.writeable = False
+        domain.bases[key] = basis
+    return basis
+
+
 def _quad_basis_size(d: int) -> int:
     return 1 + d + d * (d + 1) // 2
 
@@ -129,12 +153,8 @@ def evaluate(spec: MapSpec, domain: SampledDomain) -> np.ndarray:
         if len(p) % m != 0 or (len(p) // m) % 2 == 0:
             raise ValueError("circle_fourier expects m_out*(2K+1) parameters")
         k_deg = (len(p) // m - 1) // 2
-        theta = np.arctan2(x[:, 1], x[:, 0])
-        harmonics = [np.ones(n)]
-        for k in range(1, k_deg + 1):
-            harmonics.append(np.cos(k * theta))
-            harmonics.append(np.sin(k * theta))
-        basis = np.column_stack(harmonics)  # (n, 2K+1)
+        basis = _basis(domain, ("circle_fourier", k_deg),
+                       lambda: _fourier_basis(x, k_deg))
         coeff = p.reshape(m, 2 * k_deg + 1)
         return basis @ coeff.T
 
@@ -146,7 +166,7 @@ def evaluate(spec: MapSpec, domain: SampledDomain) -> np.ndarray:
         size = _quad_basis_size(d)
         if len(p) != m * size:
             raise ValueError("quadratic family expects m_out*basis parameters")
-        basis = _quad_basis(x)
+        basis = _basis(domain, ("quadratic",), lambda: _quad_basis(x))
         coeff = p.reshape(m, size)
         return basis @ coeff.T
 

@@ -120,10 +120,17 @@ class MuEstimate:
 
 
 def _check_bound(df: float, bound: float, spec: MapSpec, images: np.ndarray,
-                 domain: SampledDomain, label: str, **context) -> float:
+                 domain: SampledDomain, label: str, report: bool = True,
+                 **context) -> float | None:
     """Returns the map's sampling allowance, or raises BoundViolationError
     (message led by label, reproducer the context plus the map, df, bound
-    and allowance) when the certified D_f is below the bound minus it."""
+    and allowance) when the certified D_f is below the bound minus it.
+
+    The allowance is never negative, so D_f at or above the bound cannot
+    fail the check: unless the caller reports the allowance (report), it
+    is then not computed and None is returned."""
+    if not report and df >= bound:
+        return None
     allowance = discretization_allowance(images, domain)
     if df < bound - allowance:
         raise BoundViolationError(
@@ -143,8 +150,9 @@ def df_objective(domain: SampledDomain, family: str, m_out: int,
 
     When the map leaves the Borsuk-Ulam regime (m_out > domain dimension),
     every evaluation is tested against the separation bound minus the
-    per-map sampling allowance (_check_bound); a violation raises
-    BoundViolationError with a reproducer instead of returning.
+    per-map sampling allowance (_check_bound), which is computed only when
+    D_f is below the bound itself; a violation raises BoundViolationError
+    with a reproducer instead of returning.
     """
     bound = separation_bound(domain.dim) if m_out > domain.dim else None
 
@@ -155,7 +163,7 @@ def df_objective(domain: SampledDomain, family: str, m_out: int,
         df = neighbor_span(images, domain, neighbor_cfg)
         if bound is not None:
             _check_bound(df, bound, spec, images, domain, "certified ",
-                         kind=domain.kind, dim=domain.dim,
+                         report=False, kind=domain.kind, dim=domain.dim,
                          n_samples=len(domain), domain_seed=domain.seed,
                          scheme=domain.scheme)
         return df

@@ -159,11 +159,21 @@ class NeighborGraph:
                                    pair_distance=float(self.rho[k]))
 
 
+def _extent(images: np.ndarray) -> np.ndarray:
+    """The bounding box's side lengths, max minus min of each column.  The
+    extremes are read at argmax and argmin, which reduce over the rows of
+    a narrow array several times faster than max and min do."""
+    d = images.shape[1]
+    cols = np.arange(d)
+    return (images.take(images.argmax(axis=0) * d + cols)
+            - images.take(images.argmin(axis=0) * d + cols))
+
+
 def image_diameter(images: np.ndarray) -> float:
     """Bounding-box diagonal: a cheap deterministic diameter proxy used
     only for scaling tolerances."""
-    images = np.atleast_2d(images)
-    return float(np.linalg.norm(images.max(axis=0) - images.min(axis=0)))
+    ext = _extent(np.atleast_2d(images))
+    return math.sqrt(ext @ ext)
 
 
 def _affine_reduce(images: np.ndarray):
@@ -402,7 +412,8 @@ def pair_is_neighbor_fast(i: int, j: int, images: np.ndarray,
     return "no", None
 
 
-def _coincidence_labels(images: np.ndarray, eps: float) -> np.ndarray:
+def _coincidence_labels(images: np.ndarray, eps: float,
+                        axis: int | None = None) -> np.ndarray:
     """Cluster label per sample: samples whose images coincide within eps
     (transitively) share one.  Labels count up in the order of each
     cluster's lowest member, as connected_components visits the nodes in
@@ -411,13 +422,16 @@ def _coincidence_labels(images: np.ndarray, eps: float) -> np.ndarray:
     Two images within eps are within eps along every axis, so when the
     images sorted along their widest bounding-box axis are all more than
     2 eps apart, every sample is its own cluster and no tree is built (the
-    factor 2 keeps the rounding of squared distances from mattering).
-    Otherwise a KD-tree lists the pairs within eps."""
+    factor 2 keeps the rounding of squared distances from mattering); axis
+    names that widest axis when the caller already knows it.  Otherwise a
+    KD-tree lists the pairs within eps."""
     n = len(images)
     if n < 2:
         return np.arange(n)
-    axis = int(np.argmax(images.max(axis=0) - images.min(axis=0)))
-    if (np.diff(np.sort(images[:, axis])) > 2.0 * eps).all():
+    if axis is None:
+        axis = int(_extent(images).argmax())
+    x = np.sort(images[:, axis])
+    if (x[1:] - x[:-1] > 2.0 * eps).all():
         return np.arange(n)
     links = cKDTree(images).query_pairs(eps, output_type="ndarray")
     if not len(links):  # close along the axis, but no pair within eps
@@ -482,6 +496,15 @@ def _on_ball(margin: np.ndarray, radii, tau_on: float):
     return np.abs(margin).max(axis=-1) + np.spacing(radii) <= tau_on
 
 
+def _vertex_margins(pts: np.ndarray, splx: np.ndarray, centers: np.ndarray,
+                    radii: np.ndarray) -> np.ndarray:
+    """margin[s, v], the signed distance of vertex v of simplex splx[s]
+    from the ball (centers[s], radii[s]), computed one row per vertex
+    column so that _on_ball reduces long rows."""
+    diff = pts.take(splx.T, axis=0) - centers
+    return (np.sqrt(np.einsum("vsk,vsk->vs", diff, diff)) - radii).T
+
+
 def _circumballs(pts: np.ndarray, tri, tau_on: float, rows=slice(None)):
     """The live balls (_on_ball) among the circumballs (_lifted_balls) of
     tri.simplices[rows], all of them by default, over the points pts Qhull
@@ -491,9 +514,7 @@ def _circumballs(pts: np.ndarray, tri, tau_on: float, rows=slice(None)):
     Their clearances come from _clearance."""
     centers, radii = _lifted_balls(tri, rows)
     with np.errstate(invalid="ignore"):
-        # one row per vertex column, so that _on_ball reduces long rows
-        diff = pts.take(tri.simplices[rows].T, axis=0) - centers
-        margin = (np.sqrt(np.einsum("vsk,vsk->vs", diff, diff)) - radii).T
+        margin = _vertex_margins(pts, tri.simplices[rows], centers, radii)
     live = _on_ball(margin, radii, tau_on)
     return (np.arange(len(tri.simplices))[rows][live],
             centers.compress(live, axis=0), radii[live],
@@ -588,15 +609,6 @@ def _local_clearance(pts: np.ndarray, tri, centers: np.ndarray,
     return clear
 
 
-def _edge_slack(splx: np.ndarray, clear: np.ndarray, margin: np.ndarray,
-                a: int, b: int) -> np.ndarray:
-    """Slack of the edge (a, b) in the circumball of each simplex splx[s]
-    that holds it: the clearance, lowered by the margins of the simplex's
-    other vertices."""
-    other = (splx != a) & (splx != b)
-    return np.minimum(clear, np.where(other, margin, np.inf).min(axis=1))
-
-
 @functools.cache
 def _local_pairs(nverts: int):
     """The local pairs (p[k], q[k]), p < q, of a simplex with nverts
@@ -687,9 +699,11 @@ def _direct_clearance(pts: np.ndarray, centers: np.ndarray,
     around an edge of 512 circle images it took 61 us against 117 us for
     a tree's build and query, while on the full graph's fallback (16k
     balls, 4096 grid-rounded S^2 images) the tree took 0.07 s and this
-    2.6 s (2-vCPU VM)."""
-    diff = pts - centers[:, None, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    2.6 s (2-vCPU VM).  The points are laid out one coordinate per row,
+    so that each operation runs along all of them: the squares still add
+    up axis by axis, in cKDTree's order."""
+    diff = np.ascontiguousarray(pts.T) - centers[:, :, None]
+    dist = np.sqrt((diff * diff).sum(axis=1))
     dist[np.arange(len(splx))[:, None], splx] = np.inf
     return dist.min(axis=1) - radii
 
@@ -701,23 +715,42 @@ def _top_edge_span(pts: np.ndarray, tri, domain: SampledDomain,
     live incident circumballs certifies it, else None.  Ties go to the
     last such edge in (i, j) order, the rule of extremal_pair.
 
-    The distinct edges come from one sort of the edge keys, the top
-    edge's simplices from the instances of its key, and the clearances of
-    their few circumballs from direct distances (_direct_clearance): no
-    hash table and no KD-tree is built."""
-    keys = _edge_keys(tri.simplices, len(pts))
-    edges = np.sort(keys)
-    edges = edges[np.r_[True, edges[1:] != edges[:-1]]]
-    lo, hi = np.divmod(edges, len(pts))
-    rho = domain.rho_pairs(lo, hi)
-    k = len(rho) - 1 - int(np.argmax(rho[::-1]))
-    incident = np.sort(np.flatnonzero(keys == edges[k]) % len(tri.simplices))
-    live, centers, radii, margin = _circumballs(pts, tri, tau_on, incident)
-    splx = tri.simplices[live]
-    clear = _direct_clearance(pts, centers, radii, splx)
-    slack = _edge_slack(splx, clear, margin, lo[k], hi[k])
-    if len(slack) and slack.max() >= -eps_inside:
-        return float(rho[k])
+    rho is taken over the edge instances, an edge per local pair of every
+    simplex, with no sort and no unique: every instance of an edge has
+    its rho, so the top edge is the largest (i, j) among the instances at
+    the largest rho, and its instances name its simplices.  The live
+    balls among their circumballs, read as _circumballs reads them,
+    certify it with direct distances to every point (_direct_clearance):
+    the edge's slack in a ball is the clearance, lowered by the margins of
+    the simplex's other vertices.  No hash table and no KD-tree is built.
+    Timed right after the Qhull call on mu-circle's 512-sample maps, it
+    took two thirds of the time of the sorted-edge version."""
+    simplices = tri.simplices
+    p, q, _ = _local_pairs(simplices.shape[1])
+    # instance s * len(p) + k is local pair k of simplex s
+    a = simplices.take(p, axis=1).ravel()
+    b = simplices.take(q, axis=1).ravel()
+    rho = domain.rho_pairs(a, b)
+    top = rho.max()
+    at = np.flatnonzero(rho == top)
+    ends = [(min(i, j), max(i, j))
+            for i, j in zip(a.take(at).tolist(), b.take(at).tolist())]
+    lo, hi = max(ends)
+    incident = np.array([t // len(p) for t, e in zip(at.tolist(), ends)
+                         if e == (lo, hi)])
+    # the incident balls, read as _circumballs reads them, then decided
+    # in Python; a ball that is not live may get a NaN clearance, unread
+    centers, radii = _lifted_balls(tri, incident)
+    splx = simplices.take(incident, axis=0)
+    with np.errstate(invalid="ignore"):
+        margin = _vertex_margins(pts, splx, centers, radii)
+        live = _on_ball(margin, radii, tau_on)
+        clear = _direct_clearance(pts, centers, radii, splx)
+    for ok, c, m, s in zip(live.tolist(), clear.tolist(), margin.tolist(),
+                           splx.tolist()):
+        others = [x for x, v in zip(m, s) if v != lo and v != hi]
+        if ok and min(c, *others) >= -eps_inside:
+            return float(top)
     return None
 
 
@@ -790,25 +823,129 @@ class _Clusters(NamedTuple):
 
 def _clusters(images: np.ndarray) -> _Clusters:
     """The shared prelude: coincidence clusters, affine reduction of their
-    representatives and the cosphere test (see _Clusters)."""
-    diam = image_diameter(images)
+    representatives and the cosphere test (see _Clusters).  One extents
+    pass gives the diameter and the coincidence test's axis; when every
+    sample is its own cluster the images are the representatives, as
+    they are, and fit_sphere runs only if _not_cospherical cannot rule a
+    sphere out."""
+    n = len(images)
+    ext = _extent(images)
+    diam = math.sqrt(ext @ ext)  # image_diameter
     tau_on = max(TAU_ON_REL * diam, 1e-12)
     # at zero diameter all samples form one cluster
-    label = (_coincidence_labels(images, EPS_COINCIDE_REL * diam)
-             if diam > 0.0 else np.zeros(len(images), dtype=np.intp))
-    members = np.argsort(label, kind="stable")  # cluster by cluster
-    sizes = np.bincount(label)
-    start = np.cumsum(sizes) - sizes
+    label = (_coincidence_labels(images, EPS_COINCIDE_REL * diam,
+                                 int(ext.argmax()))
+             if diam > 0.0 else np.zeros(n, dtype=np.intp))
+    if label[-1] == n - 1:  # n clusters: label is 0, 1, ..., n - 1
+        members = start = label
+        sizes = np.ones(n, dtype=np.intp)
+        reps = images
+    else:
+        members = np.argsort(label, kind="stable")  # cluster by cluster
+        sizes = np.bincount(label)
+        start = np.cumsum(sizes) - sizes
+        reps = images.take(members[start], axis=0)
     reduced = embed = sph = None
     resid = math.inf
     if len(sizes) >= 2:
-        reduced, embed = _affine_reduce(images.take(members[start], axis=0))
-        if reduced.shape[1] > 1:
+        reduced, embed = _affine_reduce(reps)
+        if reduced.shape[1] > 1 and not _not_cospherical(reduced, tau_on):
             sph, resid = fit_sphere(reduced)
             if sph is not None and resid > tau_on:
                 sph = None
     return _Clusters(diam, tau_on, members, sizes, start, reduced, embed, sph,
                      resid)
+
+
+# unit roundoff of float64
+_U = 2.0 ** -53
+
+
+def _not_cospherical(pts: np.ndarray, tau: float) -> bool:
+    """True only when no sphere holds every row of pts (n points spanning
+    R^d, d >= 2) within tau, so that fit_sphere's sphere would fail the
+    same test; False when this cannot tell, and fit_sphere decides.
+
+    Take q_0, the row at the least first coordinate, and q_1..q_d, the
+    rows at the largest coordinate on each axis; V, the matrix of rows
+    v_j = q_j - q_0; X, the computed inverse of V; and the sphere (c0, r0)
+    with c0 = q_0 + X (|v_j|^2 / 2), r0 = |q_0 - c0|, through the q_j up
+    to rounding.
+
+    Suppose a sphere (c, r) had | |p - c| - r | <= t for every row p.
+    Write e_j = |q_j - c| - r (|e_j| <= t) and g_j = |q_j - c0| - r0
+    (|g_j| <= G).  Expanding |q_j - a|^2 - |q_0 - a|^2 for both spheres
+    and subtracting gives
+        v_j . (c - c0) = r0 (g_j - g_0) + (g_j^2 - g_0^2) / 2
+                         - r (e_j - e_0) - (e_j^2 - e_0^2) / 2,
+    at most 2 r t + t^2 / 2 + 2 r0 G + G^2 / 2 in size.  So with
+    N >= |V^-1| (the largest absolute row sum), delta = |c - c0| <=
+    sqrt(d) N (that bound), and r <= r0 + G + t + delta (both spheres
+    measured from q_0).  With k = 2 sqrt(d) N t < 1 that solves to
+        delta <= Delta = (k (r0 + G + 1.25 t) + sqrt(d) N G (2 r0 + G / 2))
+                         / (1 - k),
+    and then every row has | |p - c0| - r0 | <= t + delta + |r - r0|
+    <= 2 t + G + 2 Delta.  A row farther from the sphere (c0, r0) than
+    that rules out every sphere within t of all rows.
+
+    Rounding (u the unit roundoff; Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 3).  N: with E the computed X V - I,
+    omega = |E| + 2 (d + 1) u (|X| |V| + 1) bounds the exact |X V - I|
+    (d u |X| |V| for the product, and (d + 1) u (|X| |V| + 1) for the
+    subtraction and the norm's sums), and N = |X| / (1 - omega) bounds
+    |V^-1| when omega < 1, as V^-1 = (X V)^-1 X.  Distances: a computed
+    |p - c0| is a difference, d squares, a sum and a square root (or
+    math.dist, closer still), so it and each gap from r0 are off by at
+    most (d + 4) u R, R the largest computed distance plus r0.
+    eta = 4 (d + 4) u R covers that, its second-order terms and the few
+    operations of the bound, which matter only where a gap, at most R,
+    can exceed it.  G is the largest
+    computed |g_j| plus eta, the test compares the largest computed gap
+    with 2 t + G + 2 Delta + eta, and t is tau + eta, since fit_sphere's
+    own residual is rounded to within eta of its true value.  The norms,
+    N, Delta and the bound carry a few u of relative rounding each, also
+    within eta where a gap can exceed the bound.
+
+    On generic curves some row misses (c0, r0) by a good share of r0
+    while the bound is a small multiple of tau (on 200 `mu` evaluations
+    of circle maps, gaps of 0.125-0.998 r0 against bounds of 3e-5 r0 in the
+    median), so the test answers for fit_sphere at a fraction of its
+    least-squares solve; on cospherical rows the bound holds and
+    fit_sphere runs."""
+    d = pts.shape[1]
+    idx = [int(pts.argmin(axis=0)[0]), *pts.argmax(axis=0).tolist()]
+    q0, *qs = pts.take(idx, axis=0).tolist()
+    # the d x d algebra in Python floats: a few dozen products
+    v = [[a - b for a, b in zip(qj, q0)] for qj in qs]
+    try:
+        x = np.linalg.inv(v).tolist()
+    except np.linalg.LinAlgError:  # two of the q_j are one row
+        return False
+    xv_minus_i = [[sum(xi[m] * v[m][j] for m in range(d)) - (i == j)
+                   for j in range(d)] for i, xi in enumerate(x)]
+    norm_x, norm_v, norm_e = (max(sum(map(abs, row)) for row in m)
+                              for m in (x, v, xv_minus_i))
+    omega = norm_e + 2 * (d + 1) * _U * (norm_x * norm_v + 1.0)
+    if not omega < 1.0:
+        return False
+    half = [0.5 * sum(a * a for a in vj) for vj in v]
+    c0 = [q0[i] + sum(a * h for a, h in zip(xi, half))
+          for i, xi in enumerate(x)]
+    diff = pts - c0
+    dist2 = np.vecdot(diff, diff)
+    dq = [math.dist(qj, c0) for qj in (q0, *qs)]
+    r0 = dq[0]
+    far, near = math.sqrt(dist2.max()), math.sqrt(dist2.min())
+    eta = 4 * (d + 4) * _U * (far + r0)
+    t = tau + eta
+    g = max(abs(z - r0) for z in dq) + eta
+    root_d_n = math.sqrt(d) * norm_x / (1.0 - omega)
+    k = 2.0 * root_d_n * t
+    if not k < 1.0:
+        return False
+    delta = (k * (r0 + g + 1.25 * t) + root_d_n * g * (2.0 * r0 + 0.5 * g)) \
+        / (1.0 - k)
+    return max(far - r0, r0 - near) > 2.0 * t + g + 2.0 * delta + eta
 
 
 def _triangulation(cl: _Clusters) -> Delaunay | None:
@@ -832,12 +969,13 @@ def _cell_mask(tri) -> np.ndarray:
     edges.  Generic images have none."""
     nbr, eq = tri.neighbors, tri.equations
     in_cell = np.zeros(len(nbr), dtype=bool)
-    # offsets first (NaN across the hull), then whole rows, both sides
-    offset = np.append(eq[:, -1], np.nan)
-    hit = offset[nbr] == offset[:-1, None]
+    # offsets first (NaN across the hull), then whole rows, both sides;
+    # hit[k, s] looks across facet k of simplex s
+    offset = np.concatenate((eq[:, -1], [np.nan]))
+    hit = offset.take(nbr.T) == offset[:-1]
     if not hit.any():
         return in_cell
-    s, k = np.nonzero(hit)
+    k, s = np.nonzero(hit)
     in_cell[s[(eq[s] == eq[nbr[s, k]]).all(axis=1)]] = True
     return in_cell
 

@@ -159,3 +159,54 @@ def test_snapshot_copies_the_working_tree_and_leaves_the_index(tmp_path,
                           "edited.txt": "committed\n", "gone.txt": "committed\n"}
     assert (repo / ".git" / "index").read_bytes() == index
     assert _git(repo, "status", "--porcelain") == status
+
+
+def test_first_seed_sets_the_seeds_and_pairs_alternate(monkeypatch):
+    args = bench_pairs.parse_args(["--ref", "HEAD", "--workload", "w",
+                                   "--out", "x.json", "--first-seed", "11",
+                                   "--pairs", "3"])
+    assert (args.first_seed, args.pairs) == (11, 3)
+    assert bench_pairs.parse_args(["--ref", "HEAD", "--workload", "w",
+                                   "--out", "x.json"]).first_seed == 1
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(["--ref", "HEAD", "--workload", "w",
+                                "--out", "x.json", "--first-seed", "-1"])
+    runs = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        runs.append((checkout, seed))
+        return {"metrics": {"run_s": 1.0}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    seeds = range(args.first_seed, args.first_seed + args.pairs)
+    pairs = bench_pairs.run_pairs({"ref": "R", "change": "C"}, "w", seeds, 15)
+    assert [p["seed"] for p in pairs] == [11, 12, 13]
+    assert [p["first"] for p in pairs] == ["ref", "change", "ref"]
+    assert runs == [("R", 11), ("C", 11), ("C", 12), ("R", 12), ("R", 13),
+                    ("C", 13)]
+
+
+def test_verdict_lines_name_each_metric_once():
+    metrics = [RUN_S, RATE, {"name": "setup_s", "better": "lower",
+                             "bound": 0.1}, {**RUN_S, "name": "peak"}]
+    rates = [100.0 + k for k in range(10)]
+    pairs = [{"seed": k + 1,
+              "ref": {"metrics": {"run_s": r, "items_per_s": q, "setup_s": r,
+                                  "peak": 1.0},
+                      "digest": "d", "correct": True, "failed": 0,
+                      "attempted": 10},
+              "change": {"metrics": {"run_s": r - 1.0, "items_per_s": q * 0.9,
+                                     "setup_s": r, "peak": 2.0},
+                         "digest": "d", "correct": True, "failed": 0,
+                         "attempted": 10}}
+             for k, (r, q) in enumerate(zip(REF, rates))]
+    lines = bench_pairs.verdict_lines("w", bench_pairs.summarize(pairs, metrics),
+                                      metrics)
+    assert lines == [
+        "w run_s: 3.45 (3.225-3.675) -> 2.45 (2.225-2.675), 10/10 won, gain",
+        "w items_per_s: 104.5 (102.2-106.8) -> 94.05 (92.02-96.07), 0/10 won, "
+        "within_bound",
+        "w setup_s: 3.45 (3.225-3.675) -> 3.45 (3.225-3.675), 0/10 won, "
+        "unresolved",
+        "w peak: 1 (1-1) -> 2 (2-2), 0/10 won, beyond_bound",
+        "w: digests equal True, all correct True, failed share 0 -> 0"]

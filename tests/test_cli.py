@@ -232,6 +232,44 @@ def test_mu_rejects_bad_search_sizes(flags, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [("--samples", "0"), ("--samples", "-5"),
+                                   ("--n", "0")])
+@pytest.mark.parametrize("command", list(cli.DEFAULTS))
+def test_counts_below_one_are_usage_errors(command, flags, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(command, *flags, "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"{flags[0]} must be at least 1" in err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("verify-sphere", ()), ("verify-sphere", ("--m-out", "1")),
+    ("verify-cube", ())])
+def test_trial_counts(command, flags, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    base = [command, *flags, "--samples", "64", "--out", str(out)]
+    assert run(*base, "--trials", "-1") == 2
+    assert not out.exists()
+    assert "--trials must be at least 0" in capsys.readouterr().err
+    # no trials: an empty, consistent sweep with no largest value
+    assert run(*base, "--trials", "0") == 0
+    doc = json.loads(out.read_text())
+    assert doc["result"]["trials"] == [] and doc["all_ok"] is True
+    printed = capsys.readouterr().out
+    assert " 0 trials" in printed and "max" not in printed
+
+
+def test_verify_sphere_s2_threads_byte_identical(tmp_path):
+    # S^2 maps share the domain's cached quadratic basis across trial threads
+    a, b = tmp_path / "t1.json", tmp_path / "t2.json"
+    for threads, path in (("1", a), ("2", b)):
+        assert run("verify-sphere", "--n", "2", "--m-out", "3", "--trials",
+                   "4", "--samples", "512", "--threads", threads,
+                   "--out", str(path)) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "fneighbors", "neighbors", "--samples", "64",

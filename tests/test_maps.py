@@ -153,3 +153,49 @@ def test_map_json_roundtrip():
     text = map_to_json(spec)
     assert map_from_json(text) == spec
     assert map_to_json(map_from_json(text)) == text
+
+
+# --- map bases cached on the domain ---
+
+@pytest.mark.parametrize("family, domain, m_out", [
+    ("circle_fourier", sample_sphere(1, 128, seed=2), 2),
+    ("sphere_harmonic", sample_sphere(2, 128, seed=2), 3),
+    ("poly_quadratic", cube_boundary_cover(3, 200, seed=2)[0], 2)])
+def test_cached_basis_is_read_only_and_equals_a_fresh_one(family, domain,
+                                                          m_out):
+    spec = random_map(family, m_out, seed=4, d_in=domain.samples.shape[1])
+    first = evaluate(spec, domain)
+    (key, basis), = domain.bases.items()
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0] = 1.0
+    x = domain.samples
+    if family == "circle_fourier":
+        theta = np.arctan2(x[:, 1], x[:, 0])
+        fresh = np.column_stack([np.ones(len(x))] + [
+            f(k * theta) for k in (1, 2, 3) for f in (np.cos, np.sin)])
+    else:
+        d = x.shape[1]
+        fresh = np.column_stack([np.ones(len(x))] + [x[:, i] for i in range(d)]
+                                + [x[:, i] * x[:, j] for i in range(d)
+                                   for j in range(i, d)])
+    assert basis.tobytes() == fresh.tobytes()
+    coeff = np.asarray(spec.params).reshape(m_out, -1)
+    assert first.tobytes() == (fresh @ coeff.T).tobytes()
+    # a second map reads the same basis, and a second degree gets its own
+    assert evaluate(random_map(family, m_out, seed=5,
+                               d_in=x.shape[1]), domain).shape == (len(x), m_out)
+    assert domain.bases[key] is basis
+    if family == "circle_fourier":
+        evaluate(random_map(family, m_out, seed=5, degree=1), domain)
+        assert len(domain.bases) == 2
+
+
+def test_threads_share_the_cached_basis():
+    from concurrent.futures import ThreadPoolExecutor
+    domain = sample_sphere(2, 512, seed=3)
+    specs = [random_map("sphere_harmonic", 3, seed=k, d_in=3) for k in range(8)]
+    want = [evaluate(s, sample_sphere(2, 512, seed=3)).tobytes() for s in specs]
+    with ThreadPoolExecutor(max_workers=4) as ex:
+        got = list(ex.map(lambda s: evaluate(s, domain).tobytes(), specs))
+    assert got == want and len(domain.bases) == 1

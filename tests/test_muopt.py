@@ -7,10 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from fneighbors import muopt
+from fneighbors import muopt, neighbors
 from fneighbors.domains import cube_boundary_cover, sample_sphere
 from fneighbors.geometry import separation_bound
-from fneighbors.maps import MapSpec, identity_fourier_params
+from fneighbors.maps import (
+    MapSpec,
+    discretization_allowance,
+    evaluate,
+    identity_fourier_params,
+    map_to_json,
+)
+from fneighbors.neighbors import compute_df, neighbor_graph
 from fneighbors.muopt import (
     BoundViolationError,
     DeltaHistogram,
@@ -182,6 +189,59 @@ def test_estimate_mu_rejects_zero_probes():
     with pytest.raises(ValueError, match="probe"):
         estimate_mu(domain, "circle_fourier", 2,
                     OptimizerConfig(n_restarts=1, budget=5, n_probes=0))
+
+
+# --- the path of one mu evaluation ---
+
+def _spy(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *a, **k: calls.append(name) or real(*a, **k))
+
+
+def test_mu_evaluation_path(monkeypatch):
+    # mu-circle settings (512 samples, degree-3 circle maps into R^2):
+    # one Qhull call per evaluation, the dense re-certification included,
+    # no full graph, and no least-squares sphere fit on generic curves
+    calls, evals = [], []
+    for name in ("Delaunay", "_full_graph", "fit_sphere"):
+        _spy(monkeypatch, neighbors, name, calls)
+    _spy(monkeypatch, muopt, "neighbor_span", evals)
+    _spy(monkeypatch, muopt, "discretization_allowance", calls)
+    domain = sample_sphere(1, 512, seed=1, scheme="quasi_uniform")
+    est = estimate_mu(domain, "circle_fourier", 2,
+                      OptimizerConfig(n_restarts=2, budget=12, n_probes=4,
+                                      seed=1))
+    assert len(evals) == est.settings["evals"] + 1 == 29
+    assert calls == ["Delaunay"] * len(evals)
+    # the identity circle is cospherical: fit_sphere accepts it, the full
+    # graph is its one all-sample tuple, and neither Qhull nor the
+    # allowance runs at D_f = 2, above sqrt(3)
+    calls.clear()
+    df = df_objective(domain, "circle_fourier", 2)(
+        np.array(identity_fourier_params(2, 3)))
+    assert df == pytest.approx(2.0, abs=1e-12)
+    assert calls == ["fit_sphere", "_full_graph"]
+
+
+def test_forced_violation_reproducer_is_the_maps(monkeypatch):
+    monkeypatch.setattr(muopt, "separation_bound", lambda n: 3.0)
+    domain = sample_sphere(1, 512, seed=1, scheme="quasi_uniform")
+    with pytest.raises(BoundViolationError) as info:
+        estimate_mu(domain, "circle_fourier", 2,
+                    OptimizerConfig(n_restarts=1, budget=5, n_probes=4,
+                                    seed=1))
+    params = np.random.default_rng([1, 0]).uniform(-1.0, 1.0, size=(4, 14))[0]
+    spec = MapSpec("circle_fourier", 2, tuple(params.tolist()))
+    images = evaluate(spec, domain)
+    df = compute_df(neighbor_graph(images, domain), domain)
+    allowance = discretization_allowance(images, domain)
+    assert info.value.reproducer == {
+        "kind": "sphere", "dim": 1, "n_samples": 512, "domain_seed": 1,
+        "scheme": "quasi_uniform", "map": map_to_json(spec), "df": df,
+        "bound": 3.0, "allowance": allowance}
+    assert str(info.value) == (f"certified D_f={df:.6f} below 3.000000 - "
+                               f"{allowance:.6f}")
 
 
 # --- muopt.minimize against scipy's Nelder-Mead, the oracle it replaces ---

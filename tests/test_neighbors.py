@@ -1088,6 +1088,140 @@ def test_generic_mu_evaluation_builds_no_kdtree(monkeypatch):
         monkeypatch.undo()
 
 
+# --- the top edge from edge instances, against the sort/unique oracle ---
+
+def _top_edge_span_oracle(pts, tri, domain, eps_inside, tau_on):
+    """The top-edge check with distinct edges from one sort of the edge
+    keys: rho per distinct edge, the last maximum in (i, j) order, then
+    the live balls of its simplices with KD-tree order distances."""
+    keys = neighbors._edge_keys(tri.simplices, len(pts))
+    edges = np.unique(keys)
+    lo, hi = np.divmod(edges, len(pts))
+    rho = domain.rho_pairs(lo, hi)
+    k = len(rho) - 1 - int(np.argmax(rho[::-1]))
+    incident = np.sort(np.flatnonzero(keys == edges[k]) % len(tri.simplices))
+    live, centers, radii, margin = neighbors._circumballs(pts, tri, tau_on,
+                                                         incident)
+    splx = tri.simplices[live]
+    clear = neighbors._direct_clearance(pts, centers, radii, splx)
+    other = (splx != lo[k]) & (splx != hi[k])
+    slack = np.minimum(clear, np.where(other, margin, np.inf).min(axis=1))
+    if len(slack) and slack.max() >= -eps_inside:
+        return float(rho[k])
+    return None
+
+
+def _top_edge_both(monkeypatch, images, domain):
+    """(span, oracle span) of the images' top edge, after checking that
+    both read the balls of the same simplices."""
+    cl = neighbors._clusters(images)
+    tri = Delaunay(cl.reduced)
+    args = (cl.reduced, tri, domain, DEFAULT_CONFIG.eps_inside_rel * cl.diam,
+            cl.tau_on)
+    rows, balls = [], neighbors._lifted_balls
+    monkeypatch.setattr(neighbors, "_lifted_balls",
+                        lambda t, r: rows.append(list(r)) or balls(t, r))
+    got, want = neighbors._top_edge_span(*args), _top_edge_span_oracle(*args)
+    monkeypatch.undo()
+    assert rows[0] == rows[1]
+    return got, want
+
+
+@pytest.mark.parametrize("n, count, family, m_out, seeds", [
+    (1, 512, "circle_fourier", 2, range(12)),
+    (1, 256, "circle_fourier", 3, range(4)),
+    (2, 1024, "sphere_harmonic", 3, range(4))])
+def test_top_edge_from_instances_equals_the_sorted_edges(monkeypatch, n, count,
+                                                         family, m_out, seeds):
+    # on the quasi-uniform circle rho depends only on the index gap, so
+    # edges tie on rho everywhere and the tie rule decides the top edge
+    domain = sample_sphere(n, count, seed=1, scheme="quasi_uniform")
+    for k in seeds:
+        spec = random_map(family, m_out, seed=[k, 1000], d_in=n + 1)
+        got, want = _top_edge_both(monkeypatch, evaluate(spec, domain),
+                                   domain)
+        assert want is not None and got == want
+
+
+def test_top_edge_ties_take_the_last_edge(monkeypatch):
+    # rho depends only on the index gap up to rounding: a regular 12-gon,
+    # its vertices moved off the circle, often has several Delaunay edges
+    # at the very same top rho
+    domain = sample_sphere(1, 12, seed=0, scheme="quasi_uniform")
+    rng = np.random.default_rng(3)
+    tied = 0
+    for _ in range(60):
+        images = domain.samples * rng.uniform(0.8, 1.2, size=(12, 1))
+        got, want = _top_edge_both(monkeypatch, images, domain)
+        assert got == want
+        keys = np.unique(neighbors._edge_keys(Delaunay(images).simplices, 12))
+        rho = domain.rho_pairs(*np.divmod(keys, 12))
+        tied += (rho == rho.max()).sum() > 1
+    assert tied >= 5
+
+
+def test_top_edge_whose_balls_all_fail_gives_none(monkeypatch):
+    # the input of test_span_falls_back_when_the_longest_edge_fails
+    domain = sample_sphere(1, 64, seed=0, scheme="quasi_uniform")
+    i, j = np.triu_indices(len(domain), 1)
+    rho = domain.rho_pairs(i, j)
+    k = len(rho) - 1 - int(np.argmax(rho[::-1]))
+    images = np.random.default_rng(0).uniform([0, 0.25], [1, 1],
+                                              size=(len(domain), 2))
+    images[i[k]], images[j[k]] = (0.0, 0.0), (1.0, 0.0)
+    images[(j[k] + 1) % len(domain)] = (0.5, 1e-14)
+    assert _top_edge_both(monkeypatch, images, domain) == (None, None)
+
+
+# --- the cosphere rejection before fit_sphere ---
+
+def _near_sphere(rng, d, arc, radius, count=256):
+    """count points on an arc (d = 2) or a cap (d = 3) of angular width
+    arc of a sphere of the given radius about a random center, each moved
+    radially by less than 0.999 tau_on of the noiseless points."""
+    if d == 2:
+        t = rng.uniform(0.0, arc, count)
+        unit = np.c_[np.cos(t), np.sin(t)]
+    else:
+        z = rng.uniform(np.cos(min(arc, np.pi)), 1.0, count)
+        phi = rng.uniform(0.0, 2 * np.pi, count)
+        unit = np.c_[np.sqrt(1 - z * z) * np.cos(phi),
+                     np.sqrt(1 - z * z) * np.sin(phi), z]
+        unit = unit @ np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    center = rng.normal(size=d) * radius
+    tau = _tau_on(center + radius * unit)
+    noise = rng.uniform(-1.0, 1.0, count) * 0.999 * tau * (1 - 1e-6)
+    return center + (radius + noise)[:, None] * unit
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cosphere_rejection_never_fires_near_a_sphere(d):
+    rng = np.random.default_rng(d)
+    for arc, radius in itertools.product((2 * np.pi, np.pi, 0.3, 0.01),
+                                         (1e-3, 1.0, 1e3)):
+        for _ in range(10):
+            pts = _near_sphere(rng, d, arc, radius)
+            assert not neighbors._not_cospherical(pts, _tau_on(pts))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cosphere_rejection_fires_on_generic_clouds(d):
+    rng = np.random.default_rng(10 + d)
+    fired = 0
+    for _ in range(100):
+        pts = rng.normal(size=(512, d))
+        fired += neighbors._not_cospherical(pts, _tau_on(pts))
+    assert fired >= 95
+
+
+def test_identity_maps_still_give_the_all_sample_tuple():
+    for n in (1, 2):
+        domain = sample_sphere(n, 512, seed=0, scheme="quasi_uniform")
+        graph = neighbor_graph(domain.samples.copy(), domain)
+        assert [c.indices for c in graph.tuples] == [tuple(range(len(domain)))]
+        assert not len(graph.pairs)
+
+
 def test_image_diameter():
     assert image_diameter(np.array([[0.0, 0.0], [3.0, 4.0]])) == pytest.approx(5.0)
     assert image_diameter(np.array([[1.0, 1.0]])) == 0.0

@@ -11,8 +11,10 @@ of the working tree's files written from a throwaway index
 (GIT_INDEX_FILE, `git add -A`, `git write-tree`), so that modified and
 new files are included, ignored ones are not, and the real index is left
 untouched.  Pair p (p = 1, 2, ...) runs `python3 perfbench/run.py
---workload W --seed p --seconds S --trace 0` once on each side, and
-alternates which side runs first (the ref on odd pairs).  S is
+--workload W --seed F+p-1 --seconds S --trace 0` once on each side, and
+alternates which side runs first (the ref on odd pairs).  F is
+--first-seed (default 1): a later F gives a series on seeds not used
+while a change was written, as a claim must also hold there.  S is
 BENCHMARK.json's run_seconds, the same on both sides.  Each side runs the
 perfbench of its own copy, so both use the benchmark as it is in that
 tree.
@@ -37,6 +39,11 @@ won (ties count for neither side) and three verdicts:
 Each series also gives each side's failed share (failed items over
 attempted items, summed over its runs) and a failed_share_not_worse
 verdict: the working tree's share is at most the ref's.
+
+After each workload one line per metric is printed: the medians and
+quartiles, the pairs won and the verdict (gain, unresolved, within_bound
+or beyond_bound, in that order of precedence), then one line with the
+digests, correctness and failed shares.
 
 Series already in the file are kept as they are, so the record holds
 every run made.  Nothing under perfbench/
@@ -66,10 +73,14 @@ def parse_args(argv):
     p.add_argument("--workload", required=True, action="append",
                    help="perfbench workload (repeat for several)")
     p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--first-seed", type=int, default=1,
+                   help="workload seed of the first pair (default 1)")
     p.add_argument("--out", required=True, help="JSON file to write or extend")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
+    if args.first_seed < 0:
+        p.error("--first-seed must be >= 0")
     return args
 
 
@@ -171,6 +182,45 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def run_pairs(dirs: dict, workload: str, seeds, seconds: int) -> list[dict]:
+    """One pair per seed, the ref first on odd pairs (the 1st, 3rd, ...)."""
+    pairs = []
+    for p, seed in enumerate(seeds):
+        order = ["ref", "change"] if p % 2 == 0 else ["change", "ref"]
+        row = {"seed": seed, "first": order[0]}
+        for side in order:
+            start = time.perf_counter()
+            row[side] = run_bench(dirs[side], workload, seed, seconds)
+            row[side]["wall_s"] = time.perf_counter() - start
+        pairs.append(row)
+        print(f"{workload} seed {seed}: run_s "
+              f"{row['ref']['metrics']['run_s']:.3f} -> "
+              f"{row['change']['metrics']['run_s']:.3f}", flush=True)
+    return pairs
+
+
+def verdict_lines(workload: str, summary: dict, metrics: list[dict]
+                  ) -> list[str]:
+    """The printed verdict table of one series: a line per metric, then
+    the digests, correctness and failed shares."""
+    lines = []
+    for metric in metrics:
+        row = summary[metric["name"]]
+        verdict = next((v for v in ("gain", "unresolved", "within_bound")
+                        if row[v]), "beyond_bound")
+        ref, new = row["ref"], row["change"]
+        lines.append(
+            f"{workload} {metric['name']}: {ref['median']:.4g} "
+            f"({ref['q1']:.4g}-{ref['q3']:.4g}) -> {new['median']:.4g} "
+            f"({new['q1']:.4g}-{new['q3']:.4g}), "
+            f"{row['change_wins']}/{row['pairs']} won, {verdict}")
+    share = summary["failed_share"]
+    lines.append(f"{workload}: digests equal {summary['digests_equal']}, "
+                 f"all correct {summary['all_correct']}, failed share "
+                 f"{share['ref']:.3g} -> {share['change']:.3g}")
+    return lines
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -182,6 +232,7 @@ def main(argv=None) -> int:
         raise SystemExit(f"error: {out_path} is not a record of this tool")
     labels = {"ref": args.ref, "ref_commit": git("rev-parse", args.ref),
               "change": working_tree(), "seconds": seconds,
+              "first_seed": args.first_seed,
               "machine": {"python": platform.python_version(),
                           "machine": platform.machine(),
                           "cpus_usable": len(os.sched_getaffinity(0))}}
@@ -191,23 +242,15 @@ def main(argv=None) -> int:
             path.mkdir()
         extract(args.ref, dirs["ref"])
         snapshot(dirs["change"])
+        seeds = range(args.first_seed, args.first_seed + args.pairs)
         for workload in args.workload:
-            pairs = []
-            for seed in range(1, args.pairs + 1):
-                order = ["ref", "change"] if seed % 2 else ["change", "ref"]
-                row = {"seed": seed, "first": order[0]}
-                for side in order:
-                    start = time.perf_counter()
-                    row[side] = run_bench(dirs[side], workload, seed, seconds)
-                    row[side]["wall_s"] = time.perf_counter() - start
-                pairs.append(row)
-                print(f"{workload} seed {seed}: run_s "
-                      f"{row['ref']['metrics']['run_s']:.3f} -> "
-                      f"{row['change']['metrics']['run_s']:.3f}", flush=True)
+            pairs = run_pairs(dirs, workload, seeds, seconds)
             summary = summarize(pairs, spec["end_to_end"])
             doc["workloads"].setdefault(workload, []).append(
                 {**labels, "pairs": pairs, "summary": summary})
             out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            print("\n".join(verdict_lines(workload, summary,
+                                          spec["end_to_end"])), flush=True)
     return 0
 
 
