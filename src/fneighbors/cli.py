@@ -34,6 +34,7 @@ from .domains import (
 )
 from .homotopy import certify_cover
 from .maps import (
+    FAMILIES,
     MapSpec,
     default_family,
     evaluate,
@@ -146,17 +147,41 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return cfg
 
 
-# the least value of each count a subcommand may read: every domain has a
-# dimension and a sample, and a sweep may have no trials
-_LEAST = {"n": 1, "samples": 1, "trials": 0}
+# the least value of each number a subcommand may read, which also gives
+# its type: every domain has a dimension and a sample, a sweep may have no
+# trials, a map has a target, and no amplitude or tolerance is negative;
+# the values in _ABOVE must exceed theirs
+_LEAST = {"n": 1, "samples": 1, "trials": 0, "seed": 0, "m_out": 1,
+          "degree": 0, "restarts": 0, "budget": 0, "probes": 1, "bins": 1,
+          "threads": 1, "scale": 0.0, "r_thick": 0.0, "eps_inside": 0.0,
+          "eps_witness": 0.0}
+_ABOVE = frozenset({"r_thick"})
 
 
-def _check_counts(cfg: dict) -> None:
-    """Raises UsageError for a dimension or sample count below 1 or a
-    negative trial count, before any subcommand builds its domain."""
+def _check_numbers(cfg: dict) -> None:
+    """Raises UsageError for a number that is not one or lies below its
+    _LEAST (at it, for _ABOVE), before any subcommand reads it."""
     for key, least in _LEAST.items():
-        if key in cfg and int(cfg[key]) < least:
-            raise UsageError(f"--{key} must be at least {least}")
+        if cfg.get(key) is None:
+            continue
+        flag = "--" + key.replace("_", "-")
+        try:
+            value = type(least)(cfg[key])
+        except (TypeError, ValueError, OverflowError):
+            kind = "an integer" if isinstance(least, int) else "a number"
+            raise UsageError(f"{flag} must be {kind}, not {cfg[key]!r}")
+        if key in _ABOVE:
+            if not value > least:
+                raise UsageError(f"{flag} must be above {least}")
+        elif not value >= least:
+            raise UsageError(f"{flag} must be at least {least}")
+
+
+def _check_family(family: str | None) -> None:
+    """Raises UsageError for a family name that maps does not define."""
+    if family and family not in FAMILIES:
+        raise UsageError(f"unknown family {family!r} (expected one of "
+                         f"{', '.join(FAMILIES)})")
 
 
 def _audit(command: str, cfg: dict) -> dict:
@@ -172,13 +197,16 @@ def _build_domain(cfg: dict) -> tuple[SampledDomain, CoverAssignment | None]:
     n = int(cfg["n"])
     n_samples = int(cfg["samples"])
     seed = int(cfg["seed"])
-    if kind == "sphere":
-        return sample_sphere(n, n_samples, seed=seed,
-                             scheme=cfg.get("scheme") or "quasi_uniform"), None
-    if kind == "simplex":
-        return simplex_boundary_cover(n, n_samples, seed=seed)
-    if kind == "cube":
-        return cube_boundary_cover(n, n_samples, seed=seed)
+    try:
+        if kind == "sphere":
+            return sample_sphere(n, n_samples, seed=seed,
+                                 scheme=cfg.get("scheme") or "quasi_uniform"), None
+        if kind == "simplex":
+            return simplex_boundary_cover(n, n_samples, seed=seed)
+        if kind == "cube":
+            return cube_boundary_cover(n, n_samples, seed=seed)
+    except ValueError as exc:
+        raise UsageError(f"{kind} domain: {exc}")
     raise UsageError(f"unknown domain {kind!r} (expected sphere, simplex or cube)")
 
 
@@ -560,8 +588,9 @@ def cmd_verify_sphere(cfg: dict) -> tuple[int, dict]:
         report = {**base, "result": result, "all_ok": result["all_ok"]}
         print(f"separation bound {result['bound']:.6f} (n={n}, m_out={m_out}); "
               f"{len(result['trials'])} trials at N={result['n_samples']}")
-        print(f"min margin over bound = {result['min_margin']:.6f}; "
-              f"all consistent: {result['all_ok']}")
+        margin = ("0 trials" if result["min_margin"] is None else
+                  f"min margin over bound = {result['min_margin']:.6f}")
+        print(f"{margin}; all consistent: {result['all_ok']}")
         if cfg.get("csv"):
             _write_csv(cfg["csv"],
                        ["trial", "df", "allowance", "margin", "n_certificates"],
@@ -588,6 +617,9 @@ def cmd_verify_sphere(cfg: dict) -> tuple[int, dict]:
 
 
 def cmd_verify_cube(cfg: dict) -> tuple[int, dict]:
+    if int(cfg["n"]) < 2:
+        raise UsageError("--n must be at least 2: the cube boundary sweep "
+                         "needs two opposite faces and a third to join them")
     ncfg = _neighbor_cfg(cfg)
     wcfg = _witness_cfg(cfg)
     base = {"command": "verify-cube",
@@ -626,10 +658,6 @@ def cmd_mu(cfg: dict) -> tuple[int, dict]:
                            degree=int(cfg["degree"]),
                            seed=int(cfg["seed"]),
                            n_probes=int(cfg["probes"]))
-    if ocfg.n_probes < 1:
-        raise UsageError("--probes must be at least 1")
-    if ocfg.n_restarts < 0 or ocfg.budget < 0:
-        raise UsageError("--restarts and --budget must not be negative")
     domain = sample_sphere(n, int(cfg["samples"]), seed=int(cfg["seed"]),
                            scheme=cfg["scheme"])
     family = cfg.get("family") or default_family(domain)
@@ -805,7 +833,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         cfg = _resolve(args, DEFAULTS[args.cmd])
-        _check_counts(cfg)
+        _check_numbers(cfg)
+        _check_family(cfg.get("family"))
         code, report = HANDLERS[args.cmd](cfg)
         _write_report(report, cfg.get("out"))
         return code

@@ -10,7 +10,6 @@ membership matrices; boundary samples keep every label they tie for.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -28,8 +27,6 @@ __all__ = [
     "regular_triangulation_cover",
     "simplex_boundary_cover",
     "cube_boundary_cover",
-    "domain_to_json",
-    "domain_from_json",
 ]
 
 # label tolerance for "lies on this facet" decisions on unit-scale polytopes
@@ -403,38 +400,3 @@ def cube_max_faces(samples: np.ndarray) -> list[list[int]]:
     x_i = 1 (the max-faces sigma'_i it lies on)."""
     return [sorted(np.nonzero(row >= 1.0 - FACET_TOL)[0].tolist())
             for row in np.atleast_2d(samples)]
-
-
-def domain_to_json(domain: SampledDomain, cover: CoverAssignment | None = None) -> str:
-    doc = {
-        "kind": domain.kind,
-        "n_or_m": domain.dim,
-        "seed": domain.seed,
-        "samples": [[float(v) for v in row] for row in domain.samples],
-        "labels": cover.labels() if cover is not None else [],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def domain_from_json(text: str) -> tuple[SampledDomain, CoverAssignment | None]:
-    doc = json.loads(text)
-    samples = np.asarray(doc["samples"], dtype=float)
-    antipode = None
-    if doc["kind"] == "sphere":
-        # rebuild the involution by exact negated-coordinate lookup
-        lookup = {(-row).tobytes(): i for i, row in enumerate(samples)}
-        idx = [lookup.get(row.tobytes(), -1) for row in samples]
-        if all(i >= 0 for i in idx):
-            antipode = np.asarray(idx)
-    domain = SampledDomain(kind=doc["kind"], dim=int(doc["n_or_m"]),
-                           samples=samples, seed=int(doc.get("seed", 0)),
-                           antipode=antipode)
-    cover = None
-    labels = doc.get("labels") or []
-    if labels:
-        k = max(max(row) for row in labels) + 1
-        memb = np.zeros((len(samples), k), dtype=bool)
-        for i, row in enumerate(labels):
-            memb[i, row] = True
-        cover = CoverAssignment(membership=memb)
-    return domain, cover

@@ -105,7 +105,8 @@ def fit_sphere(points: np.ndarray) -> tuple[Sphere | None, float]:
     Linearizes |y - c|^2 = r^2 into 2<y, c> + (r^2 - |c|^2) = |y|^2 and
     solves in the least-squares sense.  Returns (sphere, worst absolute
     on-sphere residual); (None, inf) when the fitted squared radius is not
-    positive (e.g. all points coincident).
+    positive (e.g. all points coincident).  neighbors._clusters solves the
+    same fit in closed form, and the tests compare the two.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, m = pts.shape

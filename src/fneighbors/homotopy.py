@@ -216,11 +216,18 @@ def _loop_order(domain: SampledDomain) -> np.ndarray:
 
 
 def _surface_mesh(domain: SampledDomain) -> np.ndarray:
-    """Outward-oriented triangles over the sample sphere S^2."""
-    hull = ConvexHull(domain.samples)
+    """Outward-oriented triangles over the samples of S^2 or of the 3-cube
+    boundary: the convex hull of the samples, those of the cube projected
+    centrally onto the unit sphere about its center first (the hull of the
+    raw cube samples has only the 8 corners as vertices)."""
+    pts = domain.samples
+    if domain.kind == "cube_boundary":
+        pts = pts - 0.5
+        pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    hull = ConvexHull(pts)
     tri = hull.simplices.copy()
-    a, b, c = (domain.samples[tri[:, k]] for k in range(3))
-    centroid = domain.samples.mean(axis=0)
+    a, b, c = (pts[tri[:, k]] for k in range(3))
+    centroid = pts.mean(axis=0)
     normals = np.cross(b - a, c - a)
     inward = np.einsum("ij,ij->i", normals, (a + b + c) / 3.0 - centroid) < 0.0
     tri[inward] = tri[inward][:, [0, 2, 1]]

@@ -338,6 +338,7 @@ def verify_sphere_bound(n: int, m_out: int, trials: int, n_samples: int,
     Each trial draws a fresh map, certifies the neighbor graph, and
     compares D_f against the bound minus that map's sampling allowance; a
     violating trial raises BoundViolationError rather than being recorded.
+    min_margin is the least D_f - bound over the trials (None for none).
     """
     if m_out <= n:
         raise ValueError("the separation bound needs m_out > n")
@@ -360,9 +361,10 @@ def verify_sphere_bound(n: int, m_out: int, trials: int, n_samples: int,
                 "n_certificates": len(graph)}
 
     rows = _run_trials(one, trials, threads)
+    margins = [r["margin"] for r in rows]
     return {"n": n, "m_out": m_out, "bound": float(bound),
             "n_samples": len(domain), "trials": rows,
-            "min_margin": float(min(r["margin"] for r in rows)) if rows else 0.0,
+            "min_margin": min(margins) if margins else None,
             "all_ok": True}
 
 

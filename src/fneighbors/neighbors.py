@@ -46,7 +46,7 @@ from scipy.sparse import coo_matrix
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .domains import SampledDomain
-from .geometry import TAU_RANK, Sphere, circumsphere, fit_sphere
+from .geometry import TAU_RANK, Sphere, circumsphere
 
 __all__ = [
     "NeighborConfig",
@@ -177,8 +177,10 @@ def image_diameter(images: np.ndarray) -> float:
 
 
 def _affine_reduce(images: np.ndarray):
-    """Project points onto their affine hull.  Returns (reduced, embed)
-    where embed maps reduced centers back to ambient coordinates."""
+    """Project points onto their affine hull.  Returns (reduced, embed, s):
+    reduced = U S has centered, orthogonal columns whose norms are s, the
+    kept singular values, and embed maps reduced centers back to ambient
+    coordinates."""
     center = images.mean(axis=0)
     shifted = images - center
     _, s, vt = np.linalg.svd(shifted, full_matrices=False)
@@ -192,7 +194,7 @@ def _affine_reduce(images: np.ndarray):
     def embed(point: np.ndarray) -> np.ndarray:
         return center + point @ basis
 
-    return shifted @ basis.T, embed
+    return shifted @ basis.T, embed, s[:rank]
 
 
 def _halfspace_directions(a: np.ndarray, b: np.ndarray, others: np.ndarray,
@@ -258,7 +260,7 @@ def pair_is_neighbor_oracle(i: int, j: int, images: np.ndarray):
     if np.linalg.norm(images[i] - images[j]) <= tol:
         return True, "coincidence"
 
-    reduced, embed = _affine_reduce(images)
+    reduced, embed, _ = _affine_reduce(images)
     dim = reduced.shape[1]
     a, b = reduced[i], reduced[j]
     mask = np.ones(npts, dtype=bool)
@@ -806,9 +808,10 @@ class _Clusters(NamedTuple):
     cluster, sizes and start delimit each cluster), and each cluster's
     lowest member stands in for it.  reduced holds the representatives'
     images in their affine hull (None for a single cluster), embed maps
-    reduced points back, and sphere is the sphere through all
-    representatives when they are cospherical within tau_on (else None),
-    with its worst residual, tau_on being max(TAU_ON_REL * diam, 1e-12)."""
+    reduced points back, and sphere is the least-squares sphere of
+    _clusters through all representatives when its worst residual resid
+    is within tau_on (else None; resid is inf when no sphere was fitted),
+    tau_on being max(TAU_ON_REL * diam, 1e-12)."""
 
     diam: float
     tau_on: float
@@ -826,8 +829,14 @@ def _clusters(images: np.ndarray) -> _Clusters:
     representatives and the cosphere test (see _Clusters).  One extents
     pass gives the diameter and the coincidence test's axis; when every
     sample is its own cluster the images are the representatives, as
-    they are, and fit_sphere runs only if _not_cospherical cannot rule a
-    sphere out."""
+    they are.
+
+    The cosphere test fits geometry.fit_sphere's sphere in closed form
+    (Kasa 1976): the least-squares solution of 2 <p, c> + k = b, with
+    b = |p|^2 and k = r^2 - |c|^2, over the reduced representatives p.
+    Their columns are centered and orthogonal with norms s, so the normal
+    equations decouple: c_i = <reduced[:, i], b - mean b> / (2 s_i^2),
+    k = mean b, and r^2 = mean b + |c|^2."""
     n = len(images)
     ext = _extent(images)
     diam = math.sqrt(ext @ ext)  # image_diameter
@@ -848,104 +857,19 @@ def _clusters(images: np.ndarray) -> _Clusters:
     reduced = embed = sph = None
     resid = math.inf
     if len(sizes) >= 2:
-        reduced, embed = _affine_reduce(reps)
-        if reduced.shape[1] > 1 and not _not_cospherical(reduced, tau_on):
-            sph, resid = fit_sphere(reduced)
-            if sph is not None and resid > tau_on:
-                sph = None
+        reduced, embed, s = _affine_reduce(reps)
+        if reduced.shape[1] > 1:
+            b = np.vecdot(reduced, reduced)
+            mean_b = b.mean()
+            center = (b - mean_b) @ reduced / (2.0 * s * s)
+            radius = math.sqrt(mean_b + center @ center)
+            diff = reduced - center
+            resid = float(np.abs(np.sqrt(np.vecdot(diff, diff))
+                                 - radius).max())
+            if resid <= tau_on:
+                sph = Sphere(center=center, radius=radius)
     return _Clusters(diam, tau_on, members, sizes, start, reduced, embed, sph,
                      resid)
-
-
-# unit roundoff of float64
-_U = 2.0 ** -53
-
-
-def _not_cospherical(pts: np.ndarray, tau: float) -> bool:
-    """True only when no sphere holds every row of pts (n points spanning
-    R^d, d >= 2) within tau, so that fit_sphere's sphere would fail the
-    same test; False when this cannot tell, and fit_sphere decides.
-
-    Take q_0, the row at the least first coordinate, and q_1..q_d, the
-    rows at the largest coordinate on each axis; V, the matrix of rows
-    v_j = q_j - q_0; X, the computed inverse of V; and the sphere (c0, r0)
-    with c0 = q_0 + X (|v_j|^2 / 2), r0 = |q_0 - c0|, through the q_j up
-    to rounding.
-
-    Suppose a sphere (c, r) had | |p - c| - r | <= t for every row p.
-    Write e_j = |q_j - c| - r (|e_j| <= t) and g_j = |q_j - c0| - r0
-    (|g_j| <= G).  Expanding |q_j - a|^2 - |q_0 - a|^2 for both spheres
-    and subtracting gives
-        v_j . (c - c0) = r0 (g_j - g_0) + (g_j^2 - g_0^2) / 2
-                         - r (e_j - e_0) - (e_j^2 - e_0^2) / 2,
-    at most 2 r t + t^2 / 2 + 2 r0 G + G^2 / 2 in size.  So with
-    N >= |V^-1| (the largest absolute row sum), delta = |c - c0| <=
-    sqrt(d) N (that bound), and r <= r0 + G + t + delta (both spheres
-    measured from q_0).  With k = 2 sqrt(d) N t < 1 that solves to
-        delta <= Delta = (k (r0 + G + 1.25 t) + sqrt(d) N G (2 r0 + G / 2))
-                         / (1 - k),
-    and then every row has | |p - c0| - r0 | <= t + delta + |r - r0|
-    <= 2 t + G + 2 Delta.  A row farther from the sphere (c0, r0) than
-    that rules out every sphere within t of all rows.
-
-    Rounding (u the unit roundoff; Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, ch. 3).  N: with E the computed X V - I,
-    omega = |E| + 2 (d + 1) u (|X| |V| + 1) bounds the exact |X V - I|
-    (d u |X| |V| for the product, and (d + 1) u (|X| |V| + 1) for the
-    subtraction and the norm's sums), and N = |X| / (1 - omega) bounds
-    |V^-1| when omega < 1, as V^-1 = (X V)^-1 X.  Distances: a computed
-    |p - c0| is a difference, d squares, a sum and a square root (or
-    math.dist, closer still), so it and each gap from r0 are off by at
-    most (d + 4) u R, R the largest computed distance plus r0.
-    eta = 4 (d + 4) u R covers that, its second-order terms and the few
-    operations of the bound, which matter only where a gap, at most R,
-    can exceed it.  G is the largest
-    computed |g_j| plus eta, the test compares the largest computed gap
-    with 2 t + G + 2 Delta + eta, and t is tau + eta, since fit_sphere's
-    own residual is rounded to within eta of its true value.  The norms,
-    N, Delta and the bound carry a few u of relative rounding each, also
-    within eta where a gap can exceed the bound.
-
-    On generic curves some row misses (c0, r0) by a good share of r0
-    while the bound is a small multiple of tau (on 200 `mu` evaluations
-    of circle maps, gaps of 0.125-0.998 r0 against bounds of 3e-5 r0 in the
-    median), so the test answers for fit_sphere at a fraction of its
-    least-squares solve; on cospherical rows the bound holds and
-    fit_sphere runs."""
-    d = pts.shape[1]
-    idx = [int(pts.argmin(axis=0)[0]), *pts.argmax(axis=0).tolist()]
-    q0, *qs = pts.take(idx, axis=0).tolist()
-    # the d x d algebra in Python floats: a few dozen products
-    v = [[a - b for a, b in zip(qj, q0)] for qj in qs]
-    try:
-        x = np.linalg.inv(v).tolist()
-    except np.linalg.LinAlgError:  # two of the q_j are one row
-        return False
-    xv_minus_i = [[sum(xi[m] * v[m][j] for m in range(d)) - (i == j)
-                   for j in range(d)] for i, xi in enumerate(x)]
-    norm_x, norm_v, norm_e = (max(sum(map(abs, row)) for row in m)
-                              for m in (x, v, xv_minus_i))
-    omega = norm_e + 2 * (d + 1) * _U * (norm_x * norm_v + 1.0)
-    if not omega < 1.0:
-        return False
-    half = [0.5 * sum(a * a for a in vj) for vj in v]
-    c0 = [q0[i] + sum(a * h for a, h in zip(xi, half))
-          for i, xi in enumerate(x)]
-    diff = pts - c0
-    dist2 = np.vecdot(diff, diff)
-    dq = [math.dist(qj, c0) for qj in (q0, *qs)]
-    r0 = dq[0]
-    far, near = math.sqrt(dist2.max()), math.sqrt(dist2.min())
-    eta = 4 * (d + 4) * _U * (far + r0)
-    t = tau + eta
-    g = max(abs(z - r0) for z in dq) + eta
-    root_d_n = math.sqrt(d) * norm_x / (1.0 - omega)
-    k = 2.0 * root_d_n * t
-    if not k < 1.0:
-        return False
-    delta = (k * (r0 + g + 1.25 * t) + root_d_n * g * (2.0 * r0 + 0.5 * g)) \
-        / (1.0 - k)
-    return max(far - r0, r0 - near) > 2.0 * t + g + 2.0 * delta + eta
 
 
 def _triangulation(cl: _Clusters) -> Delaunay | None:

@@ -243,6 +243,66 @@ def test_counts_below_one_are_usage_errors(command, flags, tmp_path, capsys):
     assert "Traceback" not in err and f"{flags[0]} must be at least 1" in err
 
 
+@pytest.mark.parametrize("args", [
+    ("mu", "--m-out", "0"), ("verify-sphere", "--m-out", "0"),
+    ("mu", "--family", "nope"), ("verify-sphere", "--family", "nope"),
+    ("mu", "--degree", "-2"), ("neighbors", "--degree", "-1"),
+    ("neighbors", "--domain", "cube", "--n", "1"),
+    ("neighbors", "--domain", "simplex", "--n", "1"),
+    ("witness", "--domain", "cube", "--n", "1"), ("verify-cube", "--n", "1"),
+    ("degree", "--r-thick", "0"), ("degree", "--r-thick", "-1"),
+    ("delta-sweep", "--bins", "-3"), ("delta-sweep", "--bins", "0"),
+    ("mu", "--scale", "-1"), ("mu", "--seed", "-1"),
+    ("verify-sphere", "--threads", "0")])
+def test_bad_values_are_usage_errors(args, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(*args, "--samples", "64", "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"samples": "abc"}, "--samples must be an integer, not 'abc'"),
+    ({"eps_inside": "tiny"}, "--eps-inside must be a number, not 'tiny'"),
+    ({"m_out": "x"}, "--m-out must be an integer, not 'x'")])
+def test_non_numeric_config_values_are_usage_errors(doc, message, tmp_path,
+                                                    capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(doc))
+    assert run("neighbors", "--config", str(config)) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ("neighbors", "--eps-inside"),
+    ("verify-sphere", "--trials", "1", "--eps-inside"),
+    ("mu", "--probes", "2", "--restarts", "0", "--eps-inside"),
+    ("witness", "--n", "2", "--eps-witness"),
+    ("verify-cube", "--trials", "1", "--eps-witness")])
+def test_negative_tolerances_are_usage_errors(args, tmp_path, capsys):
+    # a negative tolerance certifies nothing, which read as D_f = 0, as a
+    # counterexample to the bound, or as a failed witness
+    *command, flag = args
+    out = tmp_path / "r.json"
+    base = [*command, "--samples", "64", "--out", str(out)]
+    assert run(*base, flag, "-1") == 2
+    assert not out.exists()
+    assert f"{flag} must be at least 0.0" in capsys.readouterr().err
+    assert run(*base, flag, "0") in (0, 1)
+    assert out.exists()
+
+
+def test_verify_sphere_without_trials_reports_no_margin(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run("verify-sphere", "--trials", "0", "--samples", "64",
+               "--out", str(out)) == 0
+    assert json.loads(out.read_text())["result"]["min_margin"] is None
+    printed = capsys.readouterr().out
+    assert "0 trials; all consistent: True" in printed
+    assert "margin" not in printed
+
+
 @pytest.mark.parametrize("command, flags", [
     ("verify-sphere", ()), ("verify-sphere", ("--m-out", "1")),
     ("verify-cube", ())])

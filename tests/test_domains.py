@@ -13,8 +13,6 @@ from fneighbors.domains import (
     SampledDomain,
     cube_boundary_cover,
     cube_max_faces,
-    domain_from_json,
-    domain_to_json,
     regular_triangulation_cover,
     sample_sphere,
     simplex_boundary_cover,
@@ -266,17 +264,3 @@ def test_cover_validation():
         CoverAssignment(membership=np.array([[True, False], [False, False]]))
     with pytest.raises(ValueError):
         CoverAssignment(membership=np.array([[True, False], [True, False]]))
-
-
-def test_domain_json_roundtrip():
-    d = sample_sphere(1, 32, seed=2, scheme="quasi_uniform")
-    cover = regular_triangulation_cover(d)
-    text = domain_to_json(d, cover)
-    d2, cover2 = domain_from_json(text)
-    assert d2.kind == "sphere" and d2.dim == 1
-    assert np.array_equal(d2.samples, d.samples)
-    assert np.array_equal(d2.antipode, d.antipode)
-    assert cover2 is not None
-    assert np.array_equal(cover2.membership, cover.membership)
-    # serialization is deterministic
-    assert domain_to_json(d2, cover2) == text

@@ -9,6 +9,7 @@ import pytest
 
 from fneighbors.domains import (
     CoverAssignment,
+    cube_boundary_cover,
     regular_triangulation_cover,
     sample_sphere,
 )
@@ -157,6 +158,19 @@ def test_certify_sphere_triangulation_cover():
     cert = certify_cover(domain, cover)
     assert cert.verdict == "non_null_homotopic"
     assert abs(cert.degree) == 1
+    assert cert.confidence >= 0.9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_certify_cube_boundary_cover(seed):
+    # the min-face cover of the 3-cube boundary, meshed through its central
+    # projection onto the sphere: the raw samples' hull has only the 8
+    # corners as vertices, and every radius then failed on a wide triangle
+    domain, cover = cube_boundary_cover(3, 2048, seed=seed)
+    cert = certify_cover(domain, cover)
+    assert cert.verdict == "non_null_homotopic"
+    assert cert.degree == 1
+    assert [e.degree for e in cert.estimates] == [1, 1, 1]
     assert cert.confidence >= 0.9
 
 

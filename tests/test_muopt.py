@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fneighbors import muopt, neighbors
+from fneighbors import geometry, muopt, neighbors
 from fneighbors.domains import cube_boundary_cover, sample_sphere
 from fneighbors.geometry import separation_bound
 from fneighbors.maps import (
@@ -202,10 +202,11 @@ def _spy(monkeypatch, module, name, calls):
 def test_mu_evaluation_path(monkeypatch):
     # mu-circle settings (512 samples, degree-3 circle maps into R^2):
     # one Qhull call per evaluation, the dense re-certification included,
-    # no full graph, and no least-squares sphere fit on generic curves
+    # no full graph, and no least-squares solve for the cosphere test
     calls, evals = [], []
-    for name in ("Delaunay", "_full_graph", "fit_sphere"):
+    for name in ("Delaunay", "_full_graph"):
         _spy(monkeypatch, neighbors, name, calls)
+    _spy(monkeypatch, geometry, "fit_sphere", calls)
     _spy(monkeypatch, muopt, "neighbor_span", evals)
     _spy(monkeypatch, muopt, "discretization_allowance", calls)
     domain = sample_sphere(1, 512, seed=1, scheme="quasi_uniform")
@@ -214,14 +215,14 @@ def test_mu_evaluation_path(monkeypatch):
                                       seed=1))
     assert len(evals) == est.settings["evals"] + 1 == 29
     assert calls == ["Delaunay"] * len(evals)
-    # the identity circle is cospherical: fit_sphere accepts it, the full
-    # graph is its one all-sample tuple, and neither Qhull nor the
-    # allowance runs at D_f = 2, above sqrt(3)
+    # the identity circle is cospherical: the closed-form sphere of
+    # _clusters accepts it, the full graph is its one all-sample tuple,
+    # and neither Qhull nor the allowance runs at D_f = 2, above sqrt(3)
     calls.clear()
     df = df_objective(domain, "circle_fourier", 2)(
         np.array(identity_fourier_params(2, 3)))
     assert df == pytest.approx(2.0, abs=1e-12)
-    assert calls == ["fit_sphere", "_full_graph"]
+    assert calls == ["_full_graph"]
 
 
 def test_forced_violation_reproducer_is_the_maps(monkeypatch):

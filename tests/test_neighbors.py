@@ -16,7 +16,7 @@ from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from fneighbors import neighbors
 from fneighbors.domains import SampledDomain, cube_boundary_cover, sample_sphere
-from fneighbors.geometry import Sphere
+from fneighbors.geometry import Sphere, fit_sphere
 from fneighbors.maps import MapSpec, evaluate, random_map
 from fneighbors.neighbors import (
     DEFAULT_CONFIG,
@@ -1173,12 +1173,12 @@ def test_top_edge_whose_balls_all_fail_gives_none(monkeypatch):
     assert _top_edge_both(monkeypatch, images, domain) == (None, None)
 
 
-# --- the cosphere rejection before fit_sphere ---
+# --- the closed-form cosphere test against fit_sphere ---
 
-def _near_sphere(rng, d, arc, radius, count=256):
+def _near_sphere(rng, d, arc, radius, noise, count=256):
     """count points on an arc (d = 2) or a cap (d = 3) of angular width
     arc of a sphere of the given radius about a random center, each moved
-    radially by less than 0.999 tau_on of the noiseless points."""
+    radially by less than noise times tau_on of the noiseless points."""
     if d == 2:
         t = rng.uniform(0.0, arc, count)
         unit = np.c_[np.cos(t), np.sin(t)]
@@ -1190,18 +1190,48 @@ def _near_sphere(rng, d, arc, radius, count=256):
         unit = unit @ np.linalg.qr(rng.normal(size=(3, 3)))[0]
     center = rng.normal(size=d) * radius
     tau = _tau_on(center + radius * unit)
-    noise = rng.uniform(-1.0, 1.0, count) * 0.999 * tau * (1 - 1e-6)
-    return center + (radius + noise)[:, None] * unit
+    shift = rng.uniform(-1.0, 1.0, count) * noise * tau * (1 - 1e-6)
+    return center + (radius + shift)[:, None] * unit
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cosphere_test_decides_as_fit_sphere(d):
+    # near-spheres on both sides of tau_on: the closed-form sphere of
+    # _clusters is accepted exactly when fit_sphere's lstsq sphere of the
+    # same reduced points is, and the two worst residuals agree to within
+    # 0.01 tau_on
+    rng = np.random.default_rng(d)
+    accepted = 0
+    for arc, radius, noise in itertools.product(
+            (2 * np.pi, np.pi, 0.3, 0.01, 1e-3, 1e-4), (1e-3, 1.0, 1e3),
+            (0.5, 0.999, 1.5, 3.0)):
+        for _ in range(10):
+            pts = _near_sphere(rng, d, arc, radius, noise)
+            cl = neighbors._clusters(pts)
+            assert len(cl.sizes) == len(pts) and cl.reduced.shape[1] == d
+            resid = fit_sphere(cl.reduced)[1]
+            assert abs(cl.resid - resid) <= 0.01 * cl.tau_on
+            assert (cl.sphere is not None) == (resid <= cl.tau_on)
+            accepted += cl.sphere is not None
+    assert 0 < accepted < 720
+    # and Gaussian clouds are no sphere
+    for _ in range(20):
+        assert neighbors._clusters(rng.normal(size=(512, d))).sphere is None
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_cosphere_rejection_never_fires_near_a_sphere(d):
+    # the closed-form test rejects no point set within tau_on / 2 of a
+    # sphere, and within 0.999 tau_on only those fit_sphere rejects too
     rng = np.random.default_rng(d)
     for arc, radius in itertools.product((2 * np.pi, np.pi, 0.3, 0.01),
                                          (1e-3, 1.0, 1e3)):
         for _ in range(10):
-            pts = _near_sphere(rng, d, arc, radius)
-            assert not neighbors._not_cospherical(pts, _tau_on(pts))
+            cl = neighbors._clusters(_near_sphere(rng, d, arc, radius, 0.5))
+            assert cl.sphere is not None
+            cl = neighbors._clusters(_near_sphere(rng, d, arc, radius, 0.999))
+            if cl.sphere is None:
+                assert fit_sphere(cl.reduced)[1] > cl.tau_on
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -1209,8 +1239,7 @@ def test_cosphere_rejection_fires_on_generic_clouds(d):
     rng = np.random.default_rng(10 + d)
     fired = 0
     for _ in range(100):
-        pts = rng.normal(size=(512, d))
-        fired += neighbors._not_cospherical(pts, _tau_on(pts))
+        fired += neighbors._clusters(rng.normal(size=(512, d))).sphere is None
     assert fired >= 95
 
 

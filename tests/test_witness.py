@@ -280,7 +280,7 @@ def _reference_candidates(images, cover, rainbow_only=False):
     label = neighbors._coincidence_labels(
         images, neighbors.EPS_COINCIDE_REL * spread)
     reps = images[np.unique(label, return_index=True)[1]]
-    reduced, embed = neighbors._affine_reduce(reps)
+    reduced, embed, _ = neighbors._affine_reduce(reps)
     if reduced.shape[1] == 1:
         return np.vstack([embed(neighbors._line_pairs(reduced[:, 0])[2]), reps])
     tri = Delaunay(reduced)
