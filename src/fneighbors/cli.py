@@ -36,6 +36,7 @@ from .homotopy import certify_cover
 from .maps import (
     FAMILIES,
     MapSpec,
+    check_fit,
     default_family,
     evaluate,
     map_from_json,
@@ -213,8 +214,27 @@ def _build_domain(cfg: dict) -> tuple[SampledDomain, CoverAssignment | None]:
 def _domain_cover(cfg: dict) -> tuple[SampledDomain, CoverAssignment]:
     domain, cover = _build_domain(cfg)
     if cover is None:
-        cover = regular_triangulation_cover(domain)
+        try:
+            cover = regular_triangulation_cover(domain)
+        except ValueError as exc:
+            raise UsageError(f"{cfg['domain']} domain: {exc}")
     return domain, cover
+
+
+def _fit(spec: MapSpec, kind: str, dim: int, d_in: int) -> MapSpec:
+    """spec, or UsageError when maps.check_fit refuses it on the domain."""
+    try:
+        check_fit(spec, kind, dim, d_in)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    return spec
+
+
+def _sphere_map(family: str, n: int, m_out: int, degree: int) -> MapSpec:
+    """The zero map of the family from S^n into R^m_out, or UsageError."""
+    spec = random_map(family, m_out, seed=0, scale=0.0, d_in=n + 1,
+                      degree=degree)
+    return _fit(spec, "sphere", n, n + 1)
 
 
 def _build_map(cfg: dict, domain: SampledDomain) -> MapSpec:
@@ -226,18 +246,16 @@ def _build_map(cfg: dict, domain: SampledDomain) -> MapSpec:
             except OSError as exc:
                 raise UsageError(f"cannot read map file: {exc}")
         try:
-            return map_from_json(text)
+            spec = map_from_json(text)
         except (ValueError, KeyError, json.JSONDecodeError) as exc:
             raise UsageError(f"bad map JSON: {exc}")
-    family = cfg.get("family") or default_family(domain)
-    try:
-        return random_map(family, m_out=int(cfg["m_out"]),
-                          seed=[int(cfg["seed"]), 11],
+    else:
+        spec = random_map(cfg.get("family") or default_family(domain),
+                          m_out=int(cfg["m_out"]), seed=[int(cfg["seed"]), 11],
                           scale=float(cfg["scale"]),
                           d_in=domain.samples.shape[1],
                           degree=int(cfg["degree"]))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return _fit(spec, domain.kind, domain.dim, domain.samples.shape[1])
 
 
 def _neighbor_cfg(cfg: dict) -> NeighborConfig:
@@ -574,6 +592,8 @@ def cmd_verify_sphere(cfg: dict) -> tuple[int, dict]:
             "config": _audit("verify-sphere", cfg),
             "tolerances": ncfg.tolerances()}
     if m_out > n:
+        if cfg.get("family"):
+            _sphere_map(cfg["family"], n, m_out, int(cfg["degree"]))
         try:
             result = verify_sphere_bound(
                 n, m_out, trials=int(cfg["trials"]),
@@ -661,6 +681,8 @@ def cmd_mu(cfg: dict) -> tuple[int, dict]:
     domain = sample_sphere(n, int(cfg["samples"]), seed=int(cfg["seed"]),
                            scheme=cfg["scheme"])
     family = cfg.get("family") or default_family(domain)
+    if not _sphere_map(family, n, m_out, int(cfg["degree"])).params:
+        raise UsageError(f"mu searches over parameters, and {family} has none")
     base = {"command": "mu", "config": _audit("mu", cfg),
             "tolerances": ncfg.tolerances()}
     try:

@@ -100,27 +100,27 @@ class CoverCertificate:
                 "estimates": [e.to_json() for e in self.estimates]}
 
 
-def covering_scale(domain: SampledDomain, cover: CoverAssignment) -> float:
+def covering_scale(dist: np.ndarray) -> float:
     """Smallest radius at which some sample is within reach of every
-    element: the thickening degeneracy threshold.  Admissible r_thick must
-    stay strictly below this."""
-    dist = cover.distances(domain.samples, domain.samples)
+    element, from the sample-to-element distances
+    cover.distances(domain.samples, domain.samples): the thickening
+    degeneracy threshold.  Admissible r_thick must stay strictly below
+    this."""
     return float(dist.max(axis=1).min())
 
 
-def build_partition(domain: SampledDomain, cover: CoverAssignment,
-                    r_thick: float) -> PartitionOfUnity:
+def build_partition(dist: np.ndarray, r_thick: float) -> PartitionOfUnity:
     """Hat-function partition subordinate to the r_thick-thickened cover.
 
     g_i(x) = max(0, r_thick - dist(x, samples of C_i)), normalized per
-    sample.  Raises CoverDegenerateError when some sample has no positive
-    hat (r_thick too small for the labeling) or positive hats for every
-    element (thickened sets share a point, so the simplex-boundary map
-    cannot exist).
+    sample, with dist the sample-to-element distances
+    cover.distances(domain.samples, domain.samples).  Raises
+    CoverDegenerateError when some sample has no positive hat (r_thick too
+    small for the labeling) or positive hats for every element (thickened
+    sets share a point, so the simplex-boundary map cannot exist).
     """
     if r_thick <= 0.0:
         raise ValueError("r_thick must be positive")
-    dist = cover.distances(domain.samples, domain.samples)
     g = np.maximum(0.0, r_thick - dist)
     sums = g.sum(axis=1)
     if np.any(sums <= 0.0):
@@ -242,7 +242,9 @@ def certify_cover(domain: SampledDomain, cover: CoverAssignment,
     target sphere's homotopy classes are integers.  Runs the partition and
     degree pipeline at three thickening radii (0.5, 0.6, 0.75 of the
     degeneracy threshold; or just the given r_thick) and demands agreement:
-    the homotopy class must not depend on the partition chosen.
+    the homotopy class must not depend on the partition chosen.  The
+    threshold and every partition read one sample-to-element distance
+    matrix.
     """
     k = cover.element_count
     if domain.kind == "sphere":
@@ -258,10 +260,11 @@ def certify_cover(domain: SampledDomain, cover: CoverAssignment,
                                        "= domain dim + 2 with dim 1 or 2",
                                 r_thick_values=())
 
+    dist = cover.distances(domain.samples, domain.samples)
     if r_thick is not None:
         r_values = (float(r_thick),)
     else:
-        scale = covering_scale(domain, cover)
+        scale = covering_scale(dist)
         r_values = tuple(f * scale for f in (0.5, 0.6, 0.75))
 
     estimates: list[HomotopyEstimate] = []
@@ -275,7 +278,7 @@ def certify_cover(domain: SampledDomain, cover: CoverAssignment,
         mesh = _surface_mesh(domain)
     for r in r_values:
         try:
-            pou = build_partition(domain, cover, r)
+            pou = build_partition(dist, r)
             values = project_to_sphere(h_map(pou))
             if x_dim == 1:
                 est = degree_estimate(values[order], 1)

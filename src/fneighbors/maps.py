@@ -22,6 +22,7 @@ __all__ = [
     "random_map",
     "default_family",
     "param_count",
+    "check_fit",
     "continuity_modulus",
     "map_to_json",
     "map_from_json",
@@ -121,66 +122,63 @@ def param_count(family: str, m_out: int, d_in: int, degree: int = 3) -> int:
     raise ValueError(f"unknown family {family!r}")
 
 
+def check_fit(spec: MapSpec, kind: str, dim: int, d_in: int) -> None:
+    """Raises ValueError unless the map is defined on a domain of this kind
+    and dimension (SampledDomain.kind, .dim) with samples in R^d_in, with
+    param_count's number of parameters.  evaluate and the command line
+    both read this one rule."""
+    family, m, count = spec.family, spec.m_out, len(spec.params)
+    if family == "circle_fourier" and (kind, dim) != ("sphere", 1):
+        raise ValueError("circle_fourier is defined on sphere(1) domains")
+    if family == "sphere_harmonic" and (kind, dim) != ("sphere", 2):
+        raise ValueError("sphere_harmonic is defined on sphere(2) domains")
+    if family == "identity_embed" and m < d_in:
+        raise ValueError(f"identity_embed needs m_out >= {d_in}, the "
+                         "ambient dimension")
+    # circle_fourier reads its degree K from the count, m_out*(2K+1)
+    want = param_count(family, m, d_in, degree=count // (2 * m))
+    if count != want:
+        raise ValueError(f"{family} expects {want} parameters here, not {count}")
+
+
 def evaluate(spec: MapSpec, domain: SampledDomain) -> np.ndarray:
-    """Images of every domain sample under the map, as an (N, m_out) array."""
+    """Images of every domain sample under the map, as an (N, m_out) array;
+    check_fit's ValueError when the map does not fit the domain."""
     x = domain.samples
     n, d = x.shape
     m = spec.m_out
     p = np.asarray(spec.params, dtype=float)
+    check_fit(spec, domain.kind, domain.dim, d)
 
     if spec.family == "constant":
-        if len(p) != m:
-            raise ValueError("constant expects m_out parameters")
         return np.tile(p, (n, 1))
 
     if spec.family == "affine":
-        if len(p) != m * d + m:
-            raise ValueError("affine expects m_out*d + m_out parameters")
         a = p[: m * d].reshape(m, d)
         b = p[m * d:]
         return x @ a.T + b
 
     if spec.family == "identity_embed":
-        if m < d:
-            raise ValueError("identity_embed needs m_out >= ambient dimension")
         out = np.zeros((n, m))
         out[:, :d] = x
         return out
 
     if spec.family == "circle_fourier":
-        if domain.kind != "sphere" or domain.dim != 1:
-            raise ValueError("circle_fourier is defined on sphere(1) domains")
-        if len(p) % m != 0 or (len(p) // m) % 2 == 0:
-            raise ValueError("circle_fourier expects m_out*(2K+1) parameters")
         k_deg = (len(p) // m - 1) // 2
         basis = _basis(domain, ("circle_fourier", k_deg),
                        lambda: _fourier_basis(x, k_deg))
-        coeff = p.reshape(m, 2 * k_deg + 1)
-        return basis @ coeff.T
+        return basis @ p.reshape(m, -1).T
 
     if spec.family in ("sphere_harmonic", "poly_quadratic"):
-        if spec.family == "sphere_harmonic" and not (
-            domain.kind == "sphere" and domain.dim == 2
-        ):
-            raise ValueError("sphere_harmonic is defined on sphere(2) domains")
-        size = _quad_basis_size(d)
-        if len(p) != m * size:
-            raise ValueError("quadratic family expects m_out*basis parameters")
         basis = _basis(domain, ("quadratic",), lambda: _quad_basis(x))
-        coeff = p.reshape(m, size)
-        return basis @ coeff.T
+        return basis @ p.reshape(m, -1).T
 
-    if spec.family == "radial_warp":
-        if len(p) != 1 + d + m * d:
-            raise ValueError("radial_warp expects 1 + d + m_out*d parameters")
-        # positive radial factor exp(c0 + <c, x>); the exponent is clipped so
-        # optimizer excursions cannot overflow
-        t = p[0] + x @ p[1: 1 + d]
-        g = np.exp(np.clip(t, -8.0, 8.0))
-        a = p[1 + d:].reshape(m, d)
-        return g[:, None] * (x @ a.T)
-
-    raise ValueError(f"unknown family {spec.family!r}")
+    # radial_warp: positive radial factor exp(c0 + <c, x>); the exponent is
+    # clipped so optimizer excursions cannot overflow
+    t = p[0] + x @ p[1: 1 + d]
+    g = np.exp(np.clip(t, -8.0, 8.0))
+    a = p[1 + d:].reshape(m, d)
+    return g[:, None] * (x @ a.T)
 
 
 def default_family(domain: SampledDomain) -> str:

@@ -20,16 +20,12 @@ the prelude that neighbor_graph uses (neighbors._clusters); when they are
 cospherical, the sphere's center is the one circumcenter and nothing is
 triangulated, and if Qhull fails, the images are the only candidates.
 Coincident images add their common point, the radius-0 witness of a
-coincident tuple.  When no simplex is rainbow, which is the rule when the
+coincident tuple (with a live rainbow ball, only clusters that touch
+every element).  When no simplex is rainbow, which is the rule when the
 cover has more elements than a simplex has vertices, every circumcenter
 is a candidate, the best is only an approximate witness and the relative
-residual gate decides.
-
-The slack at every candidate comes from one query for its d+2 nearest
-images (d the image dimension): it is exact where every element has a
-member among them and bounded below elsewhere.  Only candidates whose
-bound does not exceed the least exact slack get per-element KD-tree
-queries, so the search picks the same candidate as the full evaluation.
+residual gate decides.  The slack at every candidate comes from one
+per-element distance pass (CoverAssignment.distances).
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .domains import CoverAssignment, SampledDomain, cube_max_faces
 from .neighbors import (
@@ -146,8 +141,11 @@ def _candidate_centers(images: np.ndarray,
     simplices and those of cospherical cells (_cell_mask) give
     circumcenters: the slack at an empty ball's center is 0 only when its
     sphere holds an image of every element, which outside a cell makes
-    its own simplex rainbow.  Otherwise every live circumcenter is a
-    candidate.  The kept candidates stay in the order of the full list."""
+    its own simplex rainbow.  By the same rule only the clusters that
+    touch every element give images: an image's slack is 0 only when its
+    cluster does.  Otherwise every live circumcenter and every cluster
+    image is a candidate.  The kept candidates stay in the order of the
+    full list."""
     cl = _clusters(images)
     reps = images[cl.members[cl.start]]
     if cl.reduced is None:  # a single cluster
@@ -166,6 +164,7 @@ def _candidate_centers(images: np.ndarray,
         rainbow = seen[live].all(axis=1)
         if rainbow.any():
             centers = centers[rainbow | _cell_mask(tri)[live]]
+            reps = reps[touch.all(axis=1)]
     else:  # Qhull failed
         centers = np.empty((0, cl.reduced.shape[1]))
     return np.vstack([cl.embed(centers), reps])
@@ -173,33 +172,12 @@ def _candidate_centers(images: np.ndarray,
 
 def _candidate_slack(candidates: np.ndarray, images: np.ndarray,
                      cover: CoverAssignment) -> tuple[np.ndarray, np.ndarray]:
-    """(slack, nearest): the nearest-image distance at every candidate and
-    a slack array whose first minimizer is that of the exact slack.
-
-    One query for the d+2 nearest images (d the image dimension) gives the
-    nearest distance and, for each element with a member among them, its
-    exact distance: its nearest member is then among them or tied with
-    one.  An element with no member there is at least the last of those
-    distances away, so the slack is bounded below, and exact where every
-    element was seen.  A candidate whose bound is above the least exact
-    slack cannot be the first minimizer and keeps its bound; the others get
-    the per-element queries of CoverAssignment.distances."""
-    dists, nbrs = cKDTree(images).query(
-        candidates, k=min(images.shape[1] + 2, len(images)))
-    nearest, last = dists[:, 0], dists[:, -1]
-    worst = np.zeros(len(candidates))
-    exact = np.ones(len(candidates), dtype=bool)
-    # one element at a time, to keep the temporaries at one per neighbor
-    for j in range(cover.element_count):
-        seen = np.where(cover.membership[:, j][nbrs], dists, np.inf).min(axis=1)
-        exact &= np.isfinite(seen)
-        worst = np.maximum(worst, np.minimum(seen, last))
-    slack = worst - nearest
-    refine = ~exact & (slack <= slack[exact].min(initial=np.inf))
-    if refine.any():
-        worst = cover.distances(images, candidates[refine]).max(axis=1)
-        slack[refine] = worst - nearest[refine]
-    return slack, nearest
+    """(slack, nearest) at every candidate from one CoverAssignment.distances
+    pass: every image lies in some element, and a KD-tree query computes a
+    pair distance the same in any tree, so the least is the nearest."""
+    dist = cover.distances(images, candidates)
+    nearest = dist.min(axis=1)
+    return dist.max(axis=1) - nearest, nearest
 
 
 def witness_point(domain: SampledDomain, cover: CoverAssignment,
@@ -210,16 +188,14 @@ def witness_point(domain: SampledDomain, cover: CoverAssignment,
     Candidates are the Delaunay circumcenters (only those of rainbow
     simplices and cospherical cells when a rainbow simplex exists; the
     sphere's center on cospherical images) and cluster images of
-    _candidate_centers, and the first minimizer of the slack wins.  One
-    k-nearest query over all images bounds the slack at every candidate,
-    and only the candidates that bound cannot rule out get per-element
-    queries (_candidate_slack), with the pick the exact slack would make.
-    A rainbow simplex (one whose vertices touch every element) gives slack
-    0 up to rounding.  With none, which is the rule when the cover has
-    more elements than a simplex has vertices (image dimension plus one),
-    every circumcenter is scanned and the minimizer is only an approximate
-    witness.  All-coincident images short-circuit to the radius-0 witness.
-    The residual gate is relative to the image diameter.
+    _candidate_centers, and the first minimizer of the slack
+    (_candidate_slack) wins.  A rainbow simplex (one whose vertices touch
+    every element) gives slack 0 up to rounding.  With none, which is the
+    rule when the cover has more elements than a simplex has vertices
+    (image dimension plus one), every circumcenter is scanned and the
+    minimizer is only an approximate witness.  All-coincident images
+    short-circuit to the radius-0 witness.  The residual gate is relative
+    to the image diameter.
     """
     images = np.asarray(images, dtype=float)
     if len(images) != len(domain):

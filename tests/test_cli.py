@@ -262,6 +262,39 @@ def test_bad_values_are_usage_errors(args, tmp_path, capsys):
     assert "Traceback" not in err and err.startswith("error: ")
 
 
+AFFINE_ONE_PARAM = json.dumps({"family": "affine", "m_out": 2, "params": [1]})
+
+
+@pytest.mark.parametrize("args", [
+    ("neighbors", "--n", "2", "--family", "circle_fourier"),
+    ("mu", "--n", "2", "--family", "circle_fourier"),
+    ("verify-sphere", "--n", "2", "--m-out", "3", "--family", "circle_fourier"),
+    ("witness", "--family", "sphere_harmonic"),
+    ("neighbors", "--family", "identity_embed", "--m-out", "1"),
+    ("neighbors", "--map", AFFINE_ONE_PARAM),
+    ("witness", "--map", AFFINE_ONE_PARAM),
+    ("mu", "--family", "identity_embed")])
+def test_maps_that_do_not_fit_the_domain_are_usage_errors(args, tmp_path,
+                                                          capsys):
+    # maps.check_fit's rule, read before any work starts
+    out = tmp_path / "r.json"
+    assert run(*args, "--samples", "64", "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [("witness", "--samples", "1"),
+                                  ("degree", "--samples", "2")])
+def test_covers_with_an_empty_element_are_usage_errors(args, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(*args, "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and "cover has an empty element" in err
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"samples": "abc"}, "--samples must be an integer, not 'abc'"),
     ({"eps_inside": "tiny"}, "--eps-inside must be a number, not 'tiny'"),

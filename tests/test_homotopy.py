@@ -34,8 +34,9 @@ def _circle_cover(n_samples: int, seed: int = 0):
 
 def test_partition_rows_and_subordination():
     domain, cover = _circle_cover(64)
-    r = 0.5 * covering_scale(domain, cover)
-    pou = build_partition(domain, cover, r)
+    dist = cover.distances(domain.samples, domain.samples)
+    r = 0.5 * covering_scale(dist)
+    pou = build_partition(dist, r)
     assert pou.values.shape == (len(domain), 3)
     assert np.all(pou.values >= 0.0)
     assert np.allclose(pou.values.sum(axis=1), 1.0, atol=1e-9)
@@ -49,8 +50,9 @@ def test_partition_rows_and_subordination():
 
 def test_partition_indicator_deep_inside():
     domain, cover = _circle_cover(64)
-    r = 0.4 * covering_scale(domain, cover)
-    pou = build_partition(domain, cover, r)
+    dist = cover.distances(domain.samples, domain.samples)
+    r = 0.4 * covering_scale(dist)
+    pou = build_partition(dist, r)
     single = np.flatnonzero(cover.membership.sum(axis=1) == 1)
     hits = [i for i in single
             if sorted(pou.values[i]) == [0.0, 0.0, 1.0]]
@@ -59,8 +61,9 @@ def test_partition_indicator_deep_inside():
 
 def test_partition_equal_split_on_overlap():
     domain, cover = _circle_cover(12)
-    r = 0.3 * covering_scale(domain, cover)
-    pou = build_partition(domain, cover, r)
+    dist = cover.distances(domain.samples, domain.samples)
+    r = 0.3 * covering_scale(dist)
+    pou = build_partition(dist, r)
     double = np.flatnonzero(cover.membership.sum(axis=1) == 2)
     assert len(double) > 0
     found = any(sorted(pou.values[i]) == [0.0, 0.5, 0.5] for i in double)
@@ -70,12 +73,13 @@ def test_partition_equal_split_on_overlap():
 def test_partition_degenerate_when_too_thick():
     domain, cover = _circle_cover(32)
     with pytest.raises(CoverDegenerateError):
-        build_partition(domain, cover, 3.0)
+        build_partition(cover.distances(domain.samples, domain.samples), 3.0)
 
 
 def test_h_map_boundary_and_interior_hit():
     domain, cover = _circle_cover(64)
-    pou = build_partition(domain, cover, 0.5 * covering_scale(domain, cover))
+    dist = cover.distances(domain.samples, domain.samples)
+    pou = build_partition(dist, 0.5 * covering_scale(dist))
     values = h_map(pou)
     assert np.all(values.min(axis=1) <= 1e-9)
     bad = PartitionOfUnity(values=np.array([[0.2, 0.3, 0.5]]), r_thick=1.0)
@@ -85,7 +89,8 @@ def test_h_map_boundary_and_interior_hit():
 
 def test_h_loop_visits_all_three_edges():
     domain, cover = _circle_cover(2048)
-    pou = build_partition(domain, cover, 0.6 * covering_scale(domain, cover))
+    dist = cover.distances(domain.samples, domain.samples)
+    pou = build_partition(dist, 0.6 * covering_scale(dist))
     values = h_map(pou)
     for a, b in ((0, 1), (0, 2), (1, 2)):
         c = 3 - a - b
@@ -135,7 +140,8 @@ def test_solid_angle_degree_identity_sphere():
 
 def test_project_to_sphere_unit_norm():
     domain, cover = _circle_cover(128)
-    pou = build_partition(domain, cover, 0.5 * covering_scale(domain, cover))
+    dist = cover.distances(domain.samples, domain.samples)
+    pou = build_partition(dist, 0.5 * covering_scale(dist))
     y = project_to_sphere(h_map(pou))
     assert y.shape == (len(domain), 2)
     assert np.allclose(np.linalg.norm(y, axis=1), 1.0, atol=1e-12)
@@ -196,3 +202,24 @@ def test_certify_dimension_mismatch():
     cert = certify_cover(domain, cover)
     assert cert.verdict == "inconclusive"
     assert "dimension" in cert.reason
+
+
+@pytest.mark.parametrize("kind, n", [("sphere", 1), ("cube", 2),
+                                     ("sphere", 2), ("cube", 3)])
+def test_certify_cover_computes_the_distances_once(monkeypatch, kind, n):
+    # the covering scale and the partitions at all three default radii
+    # read one sample-to-element distance matrix
+    if kind == "sphere":
+        domain = sample_sphere(n, 512, seed=0, scheme="quasi_uniform")
+        cover = regular_triangulation_cover(domain)
+    else:
+        domain, cover = cube_boundary_cover(n, 512, seed=0)
+    calls = []
+    distances = CoverAssignment.distances
+    monkeypatch.setattr(CoverAssignment, "distances",
+                        lambda self, targets, points:
+                        calls.append(len(points))
+                        or distances(self, targets, points))
+    cert = certify_cover(domain, cover)
+    assert calls == [len(domain)]
+    assert cert.verdict == "non_null_homotopic"

@@ -1,5 +1,5 @@
 """Witness-point search tests: exact cases with known witnesses, the
-refinement property, the cube face extraction, the one-query slack
+refinement property, the cube face extraction, the one-pass slack
 against the all-element reference, and the rainbow-simplex candidates
 against the all-candidate scan."""
 
@@ -165,7 +165,7 @@ def test_disjoint_faces_rejects_wrong_domain():
         disjoint_faces_check(domain, cover, domain.samples.copy())
 
 
-# --- the one-query slack against the all-element reference ---
+# --- the one-pass slack against the all-element reference ---
 
 def _all_element_slack(candidates, images, cover):
     """The reference: one KD-tree and one full query per cover element,
@@ -178,81 +178,60 @@ def _all_element_slack(candidates, images, cover):
     return worst - nearest, nearest
 
 
-def _refined_counts(monkeypatch, domain, cover, images):
-    """witness_point checked field by field against the search with the
-    reference slack; returns the number of candidates each per-element
-    refinement received."""
-    refined = []
-    distances = CoverAssignment.distances
-    monkeypatch.setattr(CoverAssignment, "distances",
-                        lambda self, targets, points:
-                        refined.append(len(points))
-                        or distances(self, targets, points))
-    got = witness_point(domain, cover, images)
-    monkeypatch.setattr(witness, "_candidate_slack", _all_element_slack)
-    expected = witness_point(domain, cover, images)
-    monkeypatch.undo()
-    assert got.status == expected.status
-    assert np.array_equal(got.point, expected.point)
-    assert got.radius == expected.radius
-    assert got.residual == expected.residual
-    assert got.chosen == expected.chosen
-    return refined
-
-
-def test_slack_equals_reference_sphere_into_r3(monkeypatch):
-    # four elements and tetrahedra: the d+2 nearest images always show a
-    # zero-slack candidate, so no candidate needs the per-element queries
-    domain = sample_sphere(2, 2048, seed=0, scheme="quasi_uniform")
-    cover = regular_triangulation_cover(domain)
-    for k in range(6):
-        images = evaluate(random_map("sphere_harmonic", 3, seed=[7, k], d_in=3),
-                          domain)
-        assert _refined_counts(monkeypatch, domain, cover, images) == []
-
-
-def test_slack_equals_reference_sphere_into_r2(monkeypatch):
-    # four elements and triangles: no exact witness, so the bound cannot
-    # settle the search and some candidates are refined
-    domain = sample_sphere(2, 1024, seed=0, scheme="quasi_uniform")
-    cover = regular_triangulation_cover(domain)
-    for k in range(5):
-        images = evaluate(random_map("sphere_harmonic", 2, seed=[3, k], d_in=3),
-                          domain)
-        refined = _refined_counts(monkeypatch, domain, cover, images)
-        assert len(refined) == 1 and refined[0] > 0
-
-
-def test_slack_equals_reference_cube_boundaries(monkeypatch):
-    # square boundary: corner samples carry two labels
-    domain, cover = cube_boundary_cover(2, 2048, seed=1)
-    for t in range(6):
-        spec = random_map("poly_quadratic", 2, seed=[1, 2000 + t], d_in=2)
-        _refined_counts(monkeypatch, domain, cover, evaluate(spec, domain))
-    domain, cover = cube_boundary_cover(3, 1024, seed=0)
-    spec = random_map("poly_quadratic", 2, seed=[2, 2000], d_in=3)
-    _refined_counts(monkeypatch, domain, cover, evaluate(spec, domain))
-
-
-def test_slack_equals_reference_with_fewer_images_than_the_query_asks(
-        monkeypatch):
-    # 4 images in R^3: the query asks for d+2 = 5 neighbors, clamped to 4,
-    # so every element is seen and every slack is exact
-    domain = sample_sphere(1, 4, seed=0, scheme="quasi_uniform")
-    cover = regular_triangulation_cover(domain)
-    images = np.c_[domain.samples, [0.0, 0.3, 0.1, 0.7]]
-    assert _refined_counts(monkeypatch, domain, cover, images) == []
-    candidates = witness._candidate_centers(images, cover)
+def _assert_slack_equals_reference(images, cover):
+    """_candidate_slack equals the reference bit for bit, slack and
+    nearest distance, at every candidate of the all-candidate scan (a
+    superset of witness_point's candidates)."""
+    candidates = _reference_candidates(images, cover)
     got = witness._candidate_slack(candidates, images, cover)
     for column, ref in zip(got, _all_element_slack(candidates, images, cover)):
         assert np.array_equal(column, ref)
 
 
+def test_slack_equals_reference_sphere_into_r3():
+    # four elements and tetrahedra: rainbow simplices exist
+    domain = sample_sphere(2, 2048, seed=0, scheme="quasi_uniform")
+    cover = regular_triangulation_cover(domain)
+    for k in range(6):
+        images = evaluate(random_map("sphere_harmonic", 3, seed=[7, k], d_in=3),
+                          domain)
+        _assert_slack_equals_reference(images, cover)
+
+
+def test_slack_equals_reference_sphere_into_r2():
+    # four elements and triangles: no exact witness
+    domain = sample_sphere(2, 1024, seed=0, scheme="quasi_uniform")
+    cover = regular_triangulation_cover(domain)
+    for k in range(5):
+        images = evaluate(random_map("sphere_harmonic", 2, seed=[3, k], d_in=3),
+                          domain)
+        _assert_slack_equals_reference(images, cover)
+
+
+def test_slack_equals_reference_cube_boundaries():
+    # square boundary: corner samples carry two labels
+    domain, cover = cube_boundary_cover(2, 2048, seed=1)
+    for t in range(6):
+        spec = random_map("poly_quadratic", 2, seed=[1, 2000 + t], d_in=2)
+        _assert_slack_equals_reference(evaluate(spec, domain), cover)
+    domain, cover = cube_boundary_cover(3, 1024, seed=0)
+    spec = random_map("poly_quadratic", 2, seed=[2, 2000], d_in=3)
+    _assert_slack_equals_reference(evaluate(spec, domain), cover)
+
+
+def test_slack_equals_reference_with_fewer_images_than_the_query_asks():
+    # 4 images in R^3, one or two per element
+    domain = sample_sphere(1, 4, seed=0, scheme="quasi_uniform")
+    cover = regular_triangulation_cover(domain)
+    images = np.c_[domain.samples, [0.0, 0.3, 0.1, 0.7]]
+    _assert_slack_equals_reference(images, cover)
+
+
 def test_candidate_whose_bound_ties_the_least_exact_slack_is_refined():
-    # the first candidate's 4 nearest images (unit circle) hold elements 0
-    # and 1 only, so its bound is 0, tied with the exact slack 0 of the
-    # second candidate (an image in all three elements); only refining it
-    # shows its slack is 4 and keeps the first minimizer right
+    # the first candidate's 4 nearest images (the unit circle) are all in
+    # elements a and b; element c's only image is 5 away, so its slack is
+    # 4, and the second candidate, an image in all three elements, has
+    # slack 0
     images = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
                        [5.0, 0.0]])
     membership = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0],
@@ -274,8 +253,9 @@ def _reference_candidates(images, cover, rainbow_only=False):
     by the representatives.  By default this is the all-candidate oracle,
     the center of every live circumball (neighbors._circumballs) whatever
     the cover; rainbow_only keeps the simplices whose clusters touch every
-    element (checked vertex by vertex) and those of cospherical cells, as
-    long as one rainbow simplex is live."""
+    element (checked vertex by vertex) and those of cospherical cells, and
+    the representatives of the clusters that touch every element, as long
+    as one rainbow simplex is live."""
     spread = float(np.linalg.norm(images.max(0) - images.min(0)))
     label = neighbors._coincidence_labels(
         images, neighbors.EPS_COINCIDE_REL * spread)
@@ -293,6 +273,7 @@ def _reference_candidates(images, cover, rainbow_only=False):
                                    axis=0).all() for s in live], dtype=bool)
         if rainbow.any():
             centers = centers[rainbow | neighbors._cell_mask(tri)[live]]
+            reps = reps[np.all(touch, axis=1)]
     return np.vstack([embed(centers), reps])
 
 
@@ -357,7 +338,9 @@ def test_sphere_reports_equal_the_all_candidate_scan(monkeypatch):
         _assert_full_scan_report(monkeypatch, domain, cover, images)
         # a handful of rainbow circumcenters out of about 13k simplices
         simplices = len(_triangulation(images).simplices)
-        circumcenters = len(witness._candidate_centers(images, cover)) - 2048
+        candidates = witness._candidate_centers(images, cover)
+        is_image = [(images == c).all(axis=1).any() for c in candidates]
+        circumcenters = len(candidates) - sum(is_image)
         assert 0 < circumcenters <= simplices // 100
     for images in rounded:
         assert neighbors._cell_mask(_triangulation(images)).any()
@@ -408,6 +391,28 @@ def test_sliver_only_rainbow_simplex_falls_back_to_the_full_scan(monkeypatch):
     candidates = witness._candidate_centers(images, cover)
     assert len(candidates) == 2 + 4
     assert np.array_equal(candidates, _reference_candidates(images, cover))
+    _assert_full_scan_report(monkeypatch, domain, cover, images)
+
+
+def test_coincident_cluster_touching_every_element_stays_a_candidate(
+        monkeypatch):
+    # the triangle 0-1-2 is rainbow and live, so images are kept only for
+    # clusters that touch every element: the coincident pair at (3, 3),
+    # one image in a and one in b and c, is a radius-0 witness and stays;
+    # the lone image at (-1, 2), in a only, goes
+    images = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [3.0, 3.0],
+                       [3.0, 3.0], [-1.0, 2.0]])
+    membership = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0],
+                           [0, 1, 1], [1, 0, 0]], dtype=bool)
+    cover = CoverAssignment(membership=membership, names=("a", "b", "c"))
+    domain = SampledDomain(kind="cube_boundary", dim=2, samples=images)
+    candidates = witness._candidate_centers(images, cover)
+    is_image = np.array([(images == c).all(axis=1).any() for c in candidates])
+    assert candidates[is_image].tolist() == [[3.0, 3.0]]
+    assert np.array_equal(candidates, _reference_candidates(
+        images, cover, rainbow_only=True))
+    slack, nearest = witness._candidate_slack(candidates, images, cover)
+    assert slack[-1] == 0.0 and nearest[-1] == 0.0
     _assert_full_scan_report(monkeypatch, domain, cover, images)
 
 
