@@ -275,16 +275,19 @@ def _witness_cfg(cfg: dict) -> WitnessConfig:
 
 # Pair rows per piece of a dumped certificate list: bounds the report text
 # held in memory at once, whatever the size of the graph.
-CHUNK_ROWS = 4096
+CHUNK_ROWS = 1024
 
 # One dumped pair certificate as json.dumps(cert.to_json(), sort_keys=True,
-# indent=2) writes it as an item of the report's certificates list; the
-# last field is its witness text.
-_PAIR_ROW = ('    {\n      "indices": [\n        %d,\n        %d\n      ],\n'
-             '      "pair_distance": %s,\n      "slack": %s,\n%s')
-_BALL_WITNESS = ('      "witness": {\n        "center": [\n          %s\n'
-                 '        ],\n        "radius": %s\n      }\n    }')
-_COINCIDENCE_WITNESS = '      "witness": "coincidence"\n    }'
+# indent=2) writes it as an item of the report's certificates list: a ball
+# row, whose last field is its ball's text (_BALL), or a coincidence row,
+# whose last field is empty.  Only the text that differs between balls is
+# held per ball.
+_PAIR_HEAD = ('    {\n      "indices": [\n        %d,\n        %d\n      ],\n'
+              '      "pair_distance": %s,\n      "slack": %s,\n')
+_BALL_ROW = (_PAIR_HEAD + '      "witness": {\n        "center": [\n'
+             '          %s\n      }\n    }')
+_BALL = '%s\n        ],\n        "radius": %s'
+_COINCIDENCE_ROW = _PAIR_HEAD + '      "witness": "coincidence"\n    }%s'
 
 
 def _spell(values: np.ndarray) -> list[str]:
@@ -304,33 +307,40 @@ def _floats(values: np.ndarray) -> list[str]:
 
 
 def _witness_texts(graph: NeighborGraph) -> tuple[list[str], np.ndarray]:
-    """The witness text of each distinct ball, spelled once, then the
-    coincidence text; and for each pair row the index of its text.  Balls
-    are told apart by the bit patterns of center and radius, so 0.0 and
-    -0.0 keep their own spellings.  One argsort of a multiplicative hash of
-    those bits brings equal balls together and a compare of adjacent rows
-    groups them; a hash collision can only spell a ball twice, never merge
-    two."""
+    """The text (_BALL) of each distinct ball, spelled once, then an empty
+    text for coincidence rows; and for each pair row the index of its
+    text.  Balls are told apart by the bit patterns of center and radius,
+    so 0.0 and -0.0 keep their own spellings.  One argsort of a
+    multiplicative hash of those bits brings equal balls together and a
+    compare of adjacent rows groups them; a hash collision can only spell a
+    ball twice, never merge two.  The distinct balls are spelled
+    CHUNK_ROWS at a time, so that only one slice of their floats is held as
+    strings beside the texts."""
     coincidence = np.isnan(graph.centers[:, 0])
-    balls = np.column_stack([graph.centers, graph.radii]).astype(np.float64)
-    bits = balls[~coincidence].view(np.uint64)
+    bits = np.column_stack([graph.centers[~coincidence],
+                            graph.radii[~coincidence]]).astype(
+                                np.float64, copy=False).view(np.uint64)
     key = bits[:, 0].copy()
     for col in bits[:, 1:].T:
         key *= np.uint64(0x9E3779B97F4A7C15)  # wraps, as a hash should
         key ^= col
     order = np.argsort(key)
+    del key
     bits = bits[order]
     first = np.ones(len(bits), dtype=bool)
     first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    inverse = np.empty(len(bits), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    values, width = _spell(bits[first].view(np.float64).ravel()), bits.shape[1]
-    texts = [_BALL_WITNESS % (",\n          ".join(values[k:k + width - 1]),
-                              values[k + width - 1])
-             for k in range(0, len(values), width)]
-    which = np.full(len(graph.pairs), len(texts))
-    which[~coincidence] = inverse
-    return [*texts, _COINCIDENCE_WITNESS], which
+    which = np.full(len(graph.pairs), np.count_nonzero(first))
+    which[np.flatnonzero(~coincidence)[order]] = np.cumsum(first) - 1
+    balls, width = bits[first].view(np.float64), bits.shape[1]
+    del bits, order, first
+    texts = []
+    for start in range(0, len(balls), CHUNK_ROWS):
+        values = _spell(balls[start:start + CHUNK_ROWS].ravel())
+        texts += [_BALL % (",\n          ".join(values[k:k + width - 1]),
+                           values[k + width - 1])
+                  for k in range(0, len(values), width)]
+    texts.append("")
+    return texts, which
 
 
 def _tuple_positions(graph: NeighborGraph) -> list[int]:
@@ -355,7 +365,7 @@ def _certificate_pieces(graph: NeighborGraph):
         yield "[]"
         return
     witness, which = _witness_texts(graph)
-    slack = _floats(graph.slack)
+    coincidence = len(witness) - 1
     tuples = [(at, "    " + json.dumps(cert.to_json(), sort_keys=True,
                                        indent=2).replace("\n", "\n    "))
               for at, cert in zip(_tuple_positions(graph), graph.tuples)]
@@ -363,8 +373,10 @@ def _certificate_pieces(graph: NeighborGraph):
     for start in range(0, max(n, 1), CHUNK_ROWS):  # one piece if tuples only
         stop = min(start + CHUNK_ROWS, n)
         i, j = graph.pairs[start:stop].T.tolist()
-        rows = [_PAIR_ROW % (a, b, rho, s, witness[w]) for a, b, rho, s, w
-                in zip(i, j, _spell(graph.rho[start:stop]), slack[start:stop],
+        rows = [(_COINCIDENCE_ROW if w == coincidence else _BALL_ROW)
+                % (a, b, rho, s, witness[w]) for a, b, rho, s, w
+                in zip(i, j, _spell(graph.rho[start:stop]),
+                       _floats(graph.slack[start:stop]),
                        which[start:stop].tolist())]
         items, done = [], start
         # a tuple placed at stop follows this piece's last row
@@ -620,6 +632,10 @@ def cmd_verify_sphere(cfg: dict) -> tuple[int, dict]:
     if n != 1:
         raise UsageError("the coincidence sweep (m_out <= n) is implemented "
                          "for n=1 only")
+    if (cfg.get("family") or "circle_fourier") != "circle_fourier" \
+            or cfg["scheme"] != "quasi_uniform":
+        raise UsageError("the coincidence sweep (m_out <= n) draws "
+                         "circle_fourier maps on quasi_uniform samples only")
     result = verify_borsuk_ulam(trials=int(cfg["trials"]),
                                 n_samples=int(cfg["samples"]),
                                 seed=int(cfg["seed"]), m_out=m_out,

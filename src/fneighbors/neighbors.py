@@ -501,10 +501,18 @@ def _on_ball(margin: np.ndarray, radii, tau_on: float):
 def _vertex_margins(pts: np.ndarray, splx: np.ndarray, centers: np.ndarray,
                     radii: np.ndarray) -> np.ndarray:
     """margin[s, v], the signed distance of vertex v of simplex splx[s]
-    from the ball (centers[s], radii[s]), computed one row per vertex
-    column so that _on_ball reduces long rows."""
-    diff = pts.take(splx.T, axis=0) - centers
-    return (np.sqrt(np.einsum("vsk,vsk->vs", diff, diff)) - radii).T
+    from the ball (centers[s], radii[s]), computed one vertex column at a
+    time into one output whose columns are contiguous (a transposed
+    array), so that no (vertex, simplex, axis) temporary is built and
+    _on_ball reduces long rows."""
+    margin = np.empty(splx.shape[::-1])
+    for v, row in enumerate(margin):
+        diff = pts.take(splx[:, v], axis=0)
+        diff -= centers
+        np.einsum("sk,sk->s", diff, diff, out=row)
+    np.sqrt(margin, out=margin)
+    margin -= radii
+    return margin.T
 
 
 def _circumballs(pts: np.ndarray, tri, tau_on: float, rows=slice(None)):
@@ -518,9 +526,11 @@ def _circumballs(pts: np.ndarray, tri, tau_on: float, rows=slice(None)):
     with np.errstate(invalid="ignore"):
         margin = _vertex_margins(pts, tri.simplices[rows], centers, radii)
     live = _on_ball(margin, radii, tau_on)
-    return (np.arange(len(tri.simplices))[rows][live],
-            centers.compress(live, axis=0), radii[live],
-            margin.compress(live, axis=0))
+    # each copy replaces its source, so one column set is doubled at a time
+    margin = margin.T.compress(live, axis=1).T
+    centers = centers.compress(live, axis=0)
+    return (np.arange(len(tri.simplices))[rows][live], centers, radii[live],
+            margin)
 
 
 def _clearance(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray,
@@ -622,27 +632,43 @@ def _local_pairs(nverts: int):
     return p, q, rest.reshape(len(p), nverts - 2)
 
 
+def _index_type(bound: int):
+    """The narrower of int32 and int64 that holds every integer below
+    bound, for index arrays (half the memory of np.intp)."""
+    return np.int32 if bound <= 2**31 else np.int64
+
+
 def _edge_keys(simplices: np.ndarray, npts: int) -> np.ndarray:
     """The key lo * npts + hi (lo < hi) of every edge of every given
     simplex, local pair (p, q) by local pair and simplex by simplex within
     one: instance t is an edge of simplices[t % len(simplices)], at its
-    local pair t // len(simplices) of _local_pairs."""
+    local pair t // len(simplices) of _local_pairs, written one local pair
+    at a time into one output of _index_type(npts * npts)."""
     p, q, _ = _local_pairs(simplices.shape[1])
-    a, b = simplices[:, p].T.ravel(), simplices[:, q].T.ravel()
-    return np.minimum(a, b).astype(np.int64) * npts + np.maximum(a, b)
+    key = np.empty((len(p), len(simplices)), dtype=_index_type(npts * npts))
+    for row, i, j in zip(key, p, q):
+        a, b = simplices[:, i], simplices[:, j]
+        np.minimum(a, b, out=row)
+        row *= npts
+        row += np.maximum(a, b)
+    return key.ravel()
 
 
 def _last_max(order: np.ndarray, starts: np.ndarray, values: np.ndarray):
-    """Per group of the instances order[starts[g]:starts[g + 1]] (in any
-    order), the instance of the largest value, the largest instance on
-    ties, with NaN above every number: the pick of the last row per group
-    of np.lexsort((instance, values, group))."""
-    v = values[order]
-    best = np.repeat(np.maximum.reduceat(v, starts),
-                     np.diff(starts, append=len(v)))
-    tied = np.where(np.isnan(best), np.isnan(v), v == best)
-    del v, best
-    return np.maximum.reduceat(np.where(tied, order, -1), starts)
+    """Per group of the positions starts[g]:starts[g + 1], values[p]
+    being the value of instance order[p] (instances in any order within a
+    group), the position of the largest value, the one of the largest
+    instance on ties, with NaN above every number: the pick of the last
+    row per group of np.lexsort((instance, values, group)).  A NaN value
+    makes its group's largest NaN, so the tied values are those equal to
+    the group's largest and the NaNs."""
+    counts = np.diff(starts, append=len(values))
+    tied = values == np.repeat(np.maximum.reduceat(values, starts), counts)
+    tied |= np.isnan(values)
+    pick = np.maximum.reduceat(np.where(tied, order, -1), starts)
+    del tied
+    # order is a permutation: each group holds its pick once
+    return np.flatnonzero(order == np.repeat(pick, counts))
 
 
 def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float,
@@ -663,27 +689,41 @@ def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float,
     clearance (_clearance)."""
     live, centers, radii, margin = _circumballs(pts, tri, tau_on)
     splx = tri.simplices.take(live, axis=0)
+    del live
     nsplx = len(splx)
-    key = _edge_keys(splx, len(pts))
-    order = np.argsort(key)
-    key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
-    lo, hi = np.divmod(key[starts], len(pts))
-    del key
-    # the other vertices of local pair k are its rest columns
+    # instance t = k * nsplx + s is local pair k of simplex s; u[t], the
+    # smallest margin of its other vertices (its rest columns), is written
+    # in place and then lowered to the slack min(clear, u)
     rest = _local_pairs(splx.shape[1])[2]
-    u = np.concatenate([margin[:, r].min(axis=1) for r in rest])
+    u = np.empty((len(rest), nsplx))
+    for k, r in enumerate(rest):
+        u[k] = margin[:, r[0]]
+        for c in r[1:]:
+            np.minimum(u[k], margin[:, c], out=u[k])
     del margin
     clear = _local_clearance(pts, tri, centers, radii)
     if clear is None:
         clear = _clearance(pts, centers, radii, splx)
-    # instance t lies in simplex t % nsplx: its slack is min(clear, u), in place
-    by_pair = u.reshape(len(rest), nsplx)
-    np.minimum(by_pair, clear, out=by_pair)
+    np.minimum(u, clear, out=u)
+    del clear
+    u = u.ravel()
+    key = _edge_keys(splx, len(pts))
+    del splx
+    order = np.argsort(key).astype(_index_type(len(key)))
+    key.sort()
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    lo, hi = np.divmod(key.take(starts).astype(np.intp), len(pts))
+    del key
+    u = u[order]  # the slack at each position; take would copy order to intp
     chosen = _last_max(order, starts, u)
-    slack = u[chosen]
+    slack, t = u[chosen], order[chosen] % nsplx
+    del u, order, chosen
     good = slack >= -eps_inside
-    t = chosen[good] % nsplx
+    t = t[good]
     return ((lo[good], hi[good], centers.take(t, axis=0), radii[t],
              slack[good]),
             list(zip(lo[~good].tolist(), hi[~good].tolist())))
@@ -794,10 +834,10 @@ def _graph(domain: SampledDomain, lo: np.ndarray, hi: np.ndarray,
     (certificate, farthest pair) tuples."""
     order = np.argsort(lo.astype(np.int64) * len(domain) + hi)
     pairs = np.column_stack([lo[order], hi[order]])
+    rho = domain.rho_pairs(pairs[:, 0], pairs[:, 1])
     tuples = sorted(tuples, key=lambda t: t[0].indices)
     return NeighborGraph(pairs=pairs, centers=centers.take(order, axis=0),
-                         radii=radii[order], slack=slack[order],
-                         rho=domain.rho_pairs(pairs[:, 0], pairs[:, 1]),
+                         radii=radii[order], slack=slack[order], rho=rho,
                          tuples=tuple(c for c, _ in tuples),
                          tuple_pairs=tuple(p for _, p in tuples))
 
@@ -985,10 +1025,9 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
         cand = _lp_pairs(itertools.combinations(range(len(reduced)), 2),
                          reduced, cfg)
     else:
-        certified, failed = _delaunay_edge_certs(reduced, tri, eps_inside,
-                                                 tau_on)
-        rescued = _lp_pairs(failed, reduced, cfg)
-        cand = tuple(np.concatenate(c) for c in zip(certified, rescued))
+        cand, failed = _delaunay_edge_certs(reduced, tri, eps_inside, tau_on)
+        cand = tuple(map(np.concatenate, zip(cand, _lp_pairs(failed, reduced,
+                                                              cfg))))
         rows, cells = _cells(tri)
         for cell, center, radius in zip(cells, *_lifted_balls(tri, rows)):
             margin = np.linalg.norm(reduced[cell] - center, axis=1) - radius
@@ -1004,14 +1043,30 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
                     Sphere(center=embed(center), radius=float(radius)),
                     min(clear, -float(np.abs(margin).max()))))
 
-    # embed the witness centers in one call; _graph sets the row order
-    lo, hi, c_red, radii, slack = cand
-    sphere = ~np.isnan(c_red[:, 0])
+    # embed the witness centers in one call, expand each representative
+    # pair to the member pairs of its clusters, and let each new column
+    # replace its source; _graph sets the row order
+    lo, hi, centers, radii, slack = cand
+    del cand
+    sphere = ~np.isnan(centers[:, 0])
+    embedded = embed(centers[sphere])
     centers = np.full((len(lo), m), np.nan)
-    if sphere.any():
-        centers[sphere] = embed(c_red[sphere])
+    centers[sphere] = embedded
+    del sphere, embedded
+    lo, hi, ref = _member_pairs(domain, members, sizes, start, lo, hi)
+    centers = centers.take(ref, axis=0)
+    radii, slack = radii[ref], slack[ref]
+    del ref
+    return _graph(domain, lo, hi, centers, radii, slack, tuples)
 
-    # expand each representative pair to the member pairs of its clusters
+
+def _member_pairs(domain: SampledDomain, members: np.ndarray,
+                  sizes: np.ndarray, start: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray):
+    """The member pairs (gi < gj) of the representative pairs (lo, hi),
+    cluster by cluster as _Clusters lists them, and ref, the
+    representative pair of each: all member pairs of two clusters, or only
+    their farthest pair past CROSS_PAIR_CAP."""
     nb = sizes[hi]
     count = sizes[lo] * nb
     far = count > CROSS_PAIR_CAP
@@ -1024,8 +1079,7 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
         row = int(np.searchsorted(ref, t))
         ca, cb = (members[start[c]:start[c] + sizes[c]] for c in (lo[t], hi[t]))
         _, (gi[row], gj[row]) = domain.farthest_pair(ca, cb)
-    return _graph(domain, np.minimum(gi, gj), np.maximum(gi, gj),
-                  centers.take(ref, axis=0), radii[ref], slack[ref], tuples)
+    return np.minimum(gi, gj), np.maximum(gi, gj), ref
 
 
 def neighbor_span(images: np.ndarray, domain: SampledDomain,

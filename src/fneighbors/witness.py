@@ -160,11 +160,15 @@ def _candidate_centers(images: np.ndarray,
         seen = np.zeros((len(tri.simplices), cover.element_count), dtype=bool)
         for vertex in tri.simplices.T:
             seen |= touch[vertex]
-        live, centers = _circumballs(cl.reduced, tri, cl.tau_on)[:2]
-        rainbow = seen[live].all(axis=1)
-        if rainbow.any():
-            centers = centers[rainbow | _cell_mask(tri)[live]]
+        # balls are computed per simplex: those of the rainbow and cell
+        # simplices first, every simplex's only when no rainbow ball is live
+        rainbow = seen.all(axis=1)
+        rows = np.flatnonzero(rainbow | _cell_mask(tri))
+        live, centers = _circumballs(cl.reduced, tri, cl.tau_on, rows)[:2]
+        if rainbow[live].any():
             reps = reps[touch.all(axis=1)]
+        else:
+            centers = _circumballs(cl.reduced, tri, cl.tau_on)[1]
     else:  # Qhull failed
         centers = np.empty((0, cl.reduced.shape[1]))
     return np.vstack([cl.embed(centers), reps])

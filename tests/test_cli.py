@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import dataclasses
 
@@ -282,6 +283,30 @@ def test_maps_that_do_not_fit_the_domain_are_usage_errors(args, tmp_path,
     assert not out.exists()
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("option", [("--family", "sphere_harmonic"),
+                                    ("--family", "identity_embed"),
+                                    ("--scheme", "uniform_random")])
+def test_coincidence_sweep_rejects_settings_it_does_not_use(option, tmp_path,
+                                                            capsys):
+    # verify_borsuk_ulam always draws circle_fourier maps on quasi_uniform
+    # samples, so another family or scheme would be recorded but not run
+    out = tmp_path / "r.json"
+    assert run("verify-sphere", "--n", "1", "--m-out", "1", "--samples", "64",
+               "--trials", "2", *option, "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error: ")
+    assert "circle_fourier maps on quasi_uniform samples" in err
+
+
+def test_coincidence_sweep_takes_its_own_family_and_scheme(tmp_path):
+    out = tmp_path / "r.json"
+    assert run("verify-sphere", "--n", "1", "--m-out", "1", "--samples", "64",
+               "--trials", "2", "--family", "circle_fourier", "--scheme",
+               "quasi_uniform", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["config"]["family"] == "circle_fourier"
 
 
 @pytest.mark.parametrize("args", [("witness", "--samples", "1"),
@@ -581,6 +606,57 @@ def test_dump_certs_to_stdout_matches_out_file(tmp_path, capsys, monkeypatch):
     assert run(*args) == 0
     assert capsys.readouterr().out == summary + out.read_text()
     assert len(json.loads(out.read_text())["certificates"]) > 3 * cli.CHUNK_ROWS
+
+
+# --- the working memory of the S^2 certificate path ---
+
+def _traced_peak(f, *args):
+    """f(*args) and the peak of the memory tracemalloc traces during the
+    call, above what was traced when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _s2_dump_input():
+    domain = sample_sphere(2, 2048, seed=1, scheme="quasi_uniform")
+    images = evaluate(random_map("sphere_harmonic", 3, seed=[1, 1], d_in=3),
+                      domain)
+    return domain, images
+
+
+def test_edge_pass_working_memory_per_edge_instance():
+    # a few instance-length arrays at once, 8 bytes per float and 4 per
+    # index: measured 33-34 bytes per instance on S^2 maps [1, 0..3] and
+    # [1, 1000] at 2048 samples; the margin is less than one more float
+    # array per instance
+    _, images = _s2_dump_input()
+    cl = neighbors._clusters(images)
+    tri = neighbors._triangulation(cl)
+    eps = neighbors.DEFAULT_CONFIG.eps_inside_rel * cl.diam
+    instances = 6 * len(neighbors._circumballs(cl.reduced, tri, cl.tau_on)[0])
+    _, peak = _traced_peak(neighbors._delaunay_edge_certs, cl.reduced, tri,
+                           eps, cl.tau_on)
+    assert peak <= 40 * instances
+
+
+def test_dump_writer_working_memory_per_pair_row():
+    # measured 180-193 bytes per pair row on the maps above; the budget
+    # adds a fifth.  Spelling every distinct ball's floats at once and
+    # keeping each ball's whole witness text took 496-552 on these maps
+    domain, images = _s2_dump_input()
+    graph = neighbor_graph(images, domain)
+
+    def render():
+        for _ in _report_pieces({"certificates": graph}):
+            pass
+
+    _, peak = _traced_peak(render)
+    assert peak <= 230 * len(graph.pairs)
 
 
 def test_parser_is_built_once_and_reused_across_subcommands(tmp_path):

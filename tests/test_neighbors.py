@@ -710,7 +710,8 @@ def test_last_max_picks_each_groups_largest_tied_instance():
         v = values[inst]
         top = np.isnan(v) if np.isnan(v).any() else v == v.max()
         expected.append(int(inst[top].max()))
-    assert neighbors._last_max(order, starts, values).tolist() == expected
+    picks = neighbors._last_max(order, starts, values[order])
+    assert order[picks].tolist() == expected
 
 
 def test_full_graph_columns_in_lexsort_order_with_rescued_rows_and_clusters(

@@ -416,6 +416,34 @@ def test_coincident_cluster_touching_every_element_stays_a_candidate(
     _assert_full_scan_report(monkeypatch, domain, cover, images)
 
 
+@pytest.mark.parametrize("m_out, base, maps, every_ball", [(3, 7, 4, False),
+                                                           (2, 3, 3, True)])
+def test_rainbow_and_cell_balls_are_computed_before_every_ball(
+        monkeypatch, m_out, base, maps, every_ball):
+    # S^2 -> R^3 maps [7, 0..3] have a live rainbow simplex, so only the
+    # balls of the rainbow and cell simplices are computed; S^2 -> R^2 maps
+    # [3, 0..2] have none, and every simplex's balls follow.  The
+    # candidates equal the all-simplex reference bit for bit either way
+    sphere = sample_sphere(2, 2048, seed=0, scheme="quasi_uniform")
+    cover = regular_triangulation_cover(sphere)
+    real, passes = witness._circumballs, []
+
+    def spy(pts, tri, tau_on, rows=slice(None)):
+        passes.append("all" if isinstance(rows, slice) else "rows")
+        return real(pts, tri, tau_on, rows)
+
+    for k in range(maps):
+        images = evaluate(random_map("sphere_harmonic", m_out,
+                                     seed=[base, k], d_in=3), sphere)
+        want = _reference_candidates(images, cover, rainbow_only=True)
+        passes.clear()
+        monkeypatch.setattr(witness, "_circumballs", spy)
+        got = witness._candidate_centers(images, cover)
+        monkeypatch.undo()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert passes == (["rows", "all"] if every_ball else ["rows"])
+
+
 def _no_delaunay(*args):
     raise AssertionError("the witness search triangulated")
 
