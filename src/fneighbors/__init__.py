@@ -43,7 +43,6 @@ from .maps import (
 )
 from .neighbors import (
     NeighborCertificate,
-    NeighborConfig,
     NeighborGraph,
     check_certificate,
     compute_df,
@@ -55,7 +54,6 @@ from .neighbors import (
 )
 from .witness import (
     DisjointFacesResult,
-    WitnessConfig,
     WitnessNotFoundError,
     WitnessReport,
     disjoint_faces_check,

@@ -18,6 +18,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -53,18 +54,13 @@ from .muopt import (
     verify_sphere_bound,
 )
 from .neighbors import (
-    DEFAULT_CONFIG,
-    NeighborConfig,
+    EPS_INSIDE_REL,
     NeighborGraph,
     extremal_pair,
     neighbor_graph,
+    tolerances,
 )
-from .witness import (
-    DEFAULT_WITNESS_CONFIG,
-    WitnessConfig,
-    WitnessNotFoundError,
-    witness_point,
-)
+from .witness import EPS_WITNESS_REL, WitnessNotFoundError, witness_point
 
 __all__ = ["main"]
 
@@ -151,7 +147,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 # the least value of each number a subcommand may read, which also gives
 # its type: every domain has a dimension and a sample, a sweep may have no
 # trials, a map has a target, and no amplitude or tolerance is negative;
-# the values in _ABOVE must exceed theirs
+# the values in _ABOVE must exceed theirs.  Every float must be finite, and
+# so must twice the amplitude, the width of numpy's uniform draw
 _LEAST = {"n": 1, "samples": 1, "trials": 0, "seed": 0, "m_out": 1,
           "degree": 0, "restarts": 0, "budget": 0, "probes": 1, "bins": 1,
           "threads": 1, "scale": 0.0, "r_thick": 0.0, "eps_inside": 0.0,
@@ -160,8 +157,9 @@ _ABOVE = frozenset({"r_thick"})
 
 
 def _check_numbers(cfg: dict) -> None:
-    """Raises UsageError for a number that is not one or lies below its
-    _LEAST (at it, for _ABOVE), before any subcommand reads it."""
+    """Raises UsageError for a number that is not one, is not finite or
+    lies below its _LEAST (at it, for _ABOVE), before any subcommand reads
+    it."""
     for key, least in _LEAST.items():
         if cfg.get(key) is None:
             continue
@@ -171,6 +169,10 @@ def _check_numbers(cfg: dict) -> None:
         except (TypeError, ValueError, OverflowError):
             kind = "an integer" if isinstance(least, int) else "a number"
             raise UsageError(f"{flag} must be {kind}, not {cfg[key]!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"{flag} must be finite, not {cfg[key]!r}")
+        if key == "scale" and not math.isfinite(2.0 * value):
+            raise UsageError(f"{flag} must be at most half the largest float")
         if key in _ABOVE:
             if not value > least:
                 raise UsageError(f"{flag} must be above {least}")
@@ -258,16 +260,11 @@ def _build_map(cfg: dict, domain: SampledDomain) -> MapSpec:
     return _fit(spec, domain.kind, domain.dim, domain.samples.shape[1])
 
 
-def _neighbor_cfg(cfg: dict) -> NeighborConfig:
-    if cfg.get("eps_inside") is None:
-        return DEFAULT_CONFIG
-    return NeighborConfig(eps_inside_rel=float(cfg["eps_inside"]))
-
-
-def _witness_cfg(cfg: dict) -> WitnessConfig:
-    if cfg.get("eps_witness") is None:
-        return DEFAULT_WITNESS_CONFIG
-    return WitnessConfig(eps_witness_rel=float(cfg["eps_witness"]))
+def _tolerance(cfg: dict, key: str, default: float) -> float:
+    """The value of a tolerance flag, or its default when it is unset (the
+    report's config keeps null for it)."""
+    value = cfg.get(key)
+    return default if value is None else float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +555,15 @@ def cmd_neighbors(cfg: dict) -> tuple[int, dict]:
     if cfg.get("svg") and not (domain.kind == "sphere" and domain.dim == 1
                                and spec.m_out == 2):
         raise UsageError("--svg needs the circle domain and m_out=2")
-    ncfg = _neighbor_cfg(cfg)
+    eps_inside = _tolerance(cfg, "eps_inside", EPS_INSIDE_REL)
     images = evaluate(spec, domain)
-    graph = neighbor_graph(images, domain, ncfg)
+    graph = neighbor_graph(images, domain, eps_inside_rel=eps_inside)
     pair, df, extremal_cert = extremal_pair(graph, domain)
 
     report = {
         "command": "neighbors",
         "config": _audit("neighbors", cfg),
-        "tolerances": ncfg.tolerances(),
+        "tolerances": tolerances(eps_inside),
         "map": json.loads(map_to_json(spec)),
         "n_samples": len(domain),
         "n_certificates": len(graph),
@@ -599,10 +596,10 @@ def _trials_line(rows: list[dict], key: str, label: str) -> str:
 
 def cmd_verify_sphere(cfg: dict) -> tuple[int, dict]:
     n, m_out = int(cfg["n"]), int(cfg["m_out"])
-    ncfg = _neighbor_cfg(cfg)
+    eps_inside = _tolerance(cfg, "eps_inside", EPS_INSIDE_REL)
     base = {"command": "verify-sphere",
             "config": _audit("verify-sphere", cfg),
-            "tolerances": ncfg.tolerances()}
+            "tolerances": tolerances(eps_inside)}
     if m_out > n:
         if cfg.get("family"):
             _sphere_map(cfg["family"], n, m_out, int(cfg["degree"]))
@@ -611,7 +608,7 @@ def cmd_verify_sphere(cfg: dict) -> tuple[int, dict]:
                 n, m_out, trials=int(cfg["trials"]),
                 n_samples=int(cfg["samples"]), seed=int(cfg["seed"]),
                 family=cfg.get("family"), scheme=cfg["scheme"],
-                neighbor_cfg=ncfg, threads=int(cfg["threads"]))
+                eps_inside_rel=eps_inside, threads=int(cfg["threads"]))
         except BoundViolationError as exc:
             report = {**base, "result": None, "all_ok": False,
                       "violation": str(exc), "reproducer": exc.reproducer}
@@ -656,16 +653,18 @@ def cmd_verify_cube(cfg: dict) -> tuple[int, dict]:
     if int(cfg["n"]) < 2:
         raise UsageError("--n must be at least 2: the cube boundary sweep "
                          "needs two opposite faces and a third to join them")
-    ncfg = _neighbor_cfg(cfg)
-    wcfg = _witness_cfg(cfg)
+    eps_inside = _tolerance(cfg, "eps_inside", EPS_INSIDE_REL)
+    eps_witness = _tolerance(cfg, "eps_witness", EPS_WITNESS_REL)
     base = {"command": "verify-cube",
             "config": _audit("verify-cube", cfg),
-            "tolerances": {**ncfg.tolerances(), "eps_witness_rel": wcfg.eps_witness_rel}}
+            "tolerances": {**tolerances(eps_inside),
+                           "eps_witness_rel": eps_witness}}
     try:
         result = verify_cube_faces(int(cfg["n"]), trials=int(cfg["trials"]),
                                    n_samples=int(cfg["samples"]),
-                                   seed=int(cfg["seed"]), witness_cfg=wcfg,
-                                   neighbor_cfg=ncfg,
+                                   seed=int(cfg["seed"]),
+                                   eps_witness_rel=eps_witness,
+                                   eps_inside_rel=eps_inside,
                                    threads=int(cfg["threads"]))
     except WitnessNotFoundError as exc:
         report = {**base, "result": None, "all_ok": False,
@@ -687,7 +686,7 @@ def cmd_verify_cube(cfg: dict) -> tuple[int, dict]:
 def cmd_mu(cfg: dict) -> tuple[int, dict]:
     n = int(cfg["n"])
     m_out = int(cfg["m_out"]) if cfg.get("m_out") is not None else n + 1
-    ncfg = _neighbor_cfg(cfg)
+    eps_inside = _tolerance(cfg, "eps_inside", EPS_INSIDE_REL)
     ocfg = OptimizerConfig(n_restarts=int(cfg["restarts"]),
                            budget=int(cfg["budget"]),
                            scale=float(cfg["scale"]),
@@ -700,9 +699,10 @@ def cmd_mu(cfg: dict) -> tuple[int, dict]:
     if not _sphere_map(family, n, m_out, int(cfg["degree"])).params:
         raise UsageError(f"mu searches over parameters, and {family} has none")
     base = {"command": "mu", "config": _audit("mu", cfg),
-            "tolerances": ncfg.tolerances()}
+            "tolerances": tolerances(eps_inside)}
     try:
-        est = estimate_mu(domain, family, m_out, ocfg, neighbor_cfg=ncfg)
+        est = estimate_mu(domain, family, m_out, ocfg,
+                          eps_inside_rel=eps_inside)
     except BoundViolationError as exc:
         report = {**base, "result": None,
                   "violation": str(exc), "reproducer": exc.reproducer}
@@ -721,13 +721,13 @@ def cmd_mu(cfg: dict) -> tuple[int, dict]:
 def cmd_witness(cfg: dict) -> tuple[int, dict]:
     domain, cover = _domain_cover(cfg)
     spec = _build_map(cfg, domain)
-    wcfg = _witness_cfg(cfg)
+    eps_witness = _tolerance(cfg, "eps_witness", EPS_WITNESS_REL)
     images = evaluate(spec, domain)
     base = {"command": "witness", "config": _audit("witness", cfg),
-            "tolerances": {"eps_witness_rel": wcfg.eps_witness_rel},
+            "tolerances": {"eps_witness_rel": eps_witness},
             "map": json.loads(map_to_json(spec)),
             "elements": list(cover.names)}
-    rep = witness_point(domain, cover, images, wcfg)
+    rep = witness_point(domain, cover, images, eps_witness_rel=eps_witness)
     ok = rep.status == "ok"
     report = {**base, "result": rep.to_json(), "ok": ok}
     point = np.array2string(np.asarray(rep.point), precision=6,
@@ -757,10 +757,11 @@ def cmd_degree(cfg: dict) -> tuple[int, dict]:
 def cmd_delta_sweep(cfg: dict) -> tuple[int, dict]:
     domain, _ = _build_domain(cfg)
     spec = _build_map(cfg, domain)
-    ncfg = _neighbor_cfg(cfg)
-    hist = delta_sweep(domain, spec, bins=int(cfg["bins"]), neighbor_cfg=ncfg)
+    eps_inside = _tolerance(cfg, "eps_inside", EPS_INSIDE_REL)
+    hist = delta_sweep(domain, spec, bins=int(cfg["bins"]),
+                       eps_inside_rel=eps_inside)
     report = {"command": "delta-sweep", "config": _audit("delta-sweep", cfg),
-              "tolerances": ncfg.tolerances(),
+              "tolerances": tolerances(eps_inside),
               "map": json.loads(map_to_json(spec)),
               "result": hist.to_json()}
     print(f"{hist.n_pairs} certified pairs, intrinsic distances in "

@@ -227,9 +227,14 @@ def map_to_json(spec: MapSpec) -> str:
 
 
 def map_from_json(text: str) -> MapSpec:
+    """The MapSpec of map_to_json's text; ValueError for a parameter that
+    is not a finite number."""
     doc = json.loads(text)
+    params = tuple(doc["params"])
+    if not np.isfinite(np.asarray(params, dtype=float)).all():
+        raise ValueError("map parameters must be finite")
     return MapSpec(family=doc["family"], m_out=int(doc["m_out"]),
-                   params=tuple(doc["params"]))
+                   params=params)
 
 
 def identity_fourier_params(m_out: int = 2, degree: int = 1) -> tuple[float, ...]:

@@ -29,15 +29,14 @@ from .maps import (
     random_map,
 )
 from .neighbors import (
-    DEFAULT_CONFIG,
-    NeighborConfig,
+    EPS_INSIDE_REL,
     compute_df,
     extremal_pair,
     neighbor_graph,
     neighbor_span,
     pair_is_neighbor_fast,
 )
-from .witness import DEFAULT_WITNESS_CONFIG, WitnessConfig, disjoint_faces_check
+from .witness import EPS_WITNESS_REL, disjoint_faces_check
 
 __all__ = [
     "OptimizerConfig",
@@ -140,8 +139,8 @@ def _check_bound(df: float, bound: float, spec: MapSpec, images: np.ndarray,
     return allowance
 
 
-def df_objective(domain: SampledDomain, family: str, m_out: int,
-                 neighbor_cfg: NeighborConfig = DEFAULT_CONFIG):
+def df_objective(domain: SampledDomain, family: str, m_out: int, *,
+                 eps_inside_rel: float = EPS_INSIDE_REL):
     """Returns params -> certified D_f on the given sampled domain.
 
     Each evaluation reads only D_f, so it goes through neighbor_span, which
@@ -160,7 +159,7 @@ def df_objective(domain: SampledDomain, family: str, m_out: int,
         spec = MapSpec(family=family, m_out=m_out,
                        params=tuple(float(p) for p in params))
         images = evaluate(spec, domain)
-        df = neighbor_span(images, domain, neighbor_cfg)
+        df = neighbor_span(images, domain, eps_inside_rel=eps_inside_rel)
         if bound is not None:
             _check_bound(df, bound, spec, images, domain, "certified ",
                          report=False, kind=domain.kind, dim=domain.dim,
@@ -258,8 +257,8 @@ def minimize(fun, x0: np.ndarray, budget: int) -> tuple[np.ndarray, float]:
 
 
 def estimate_mu(domain: SampledDomain, family: str, m_out: int,
-                cfg: OptimizerConfig = DEFAULT_OPT_CONFIG,
-                neighbor_cfg: NeighborConfig = DEFAULT_CONFIG) -> MuEstimate:
+                cfg: OptimizerConfig = DEFAULT_OPT_CONFIG, *,
+                eps_inside_rel: float = EPS_INSIDE_REL) -> MuEstimate:
     """Bracket inf D_f over the family by restarted Nelder-Mead.
 
     Start points: the best of cfg.n_probes uniform probes, then fresh
@@ -279,7 +278,8 @@ def estimate_mu(domain: SampledDomain, family: str, m_out: int,
         raise ValueError("estimate_mu needs at least one probe")
     n_params = param_count(family, m_out, d_in=domain.samples.shape[1],
                            degree=cfg.degree)
-    objective = df_objective(domain, family, m_out, neighbor_cfg)
+    objective = df_objective(domain, family, m_out,
+                             eps_inside_rel=eps_inside_rel)
     lower = separation_bound(domain.dim) if m_out > domain.dim else 2.0
 
     evals = 0
@@ -317,7 +317,8 @@ def estimate_mu(domain: SampledDomain, family: str, m_out: int,
                        params=tuple(float(p) for p in best_params))
     dense = sample_sphere(domain.dim, 2 * len(domain), seed=domain.seed,
                           scheme=domain.scheme)
-    final_df = df_objective(dense, family, m_out, neighbor_cfg)(best_params)
+    final_df = df_objective(dense, family, m_out,
+                            eps_inside_rel=eps_inside_rel)(best_params)
     settings = asdict(cfg)
     settings.update({"family": family, "m_out": m_out,
                      "n_samples": len(domain), "evals": evals})
@@ -329,7 +330,7 @@ def estimate_mu(domain: SampledDomain, family: str, m_out: int,
 def verify_sphere_bound(n: int, m_out: int, trials: int, n_samples: int,
                         seed: int = 0, family: str | None = None,
                         scheme: str = "quasi_uniform",
-                        neighbor_cfg: NeighborConfig = DEFAULT_CONFIG,
+                        eps_inside_rel: float = EPS_INSIDE_REL,
                         threads: int = 1) -> dict:
     """Randomized check of D_f >= sqrt((n+2)/n) on the n-sphere.
 
@@ -350,7 +351,7 @@ def verify_sphere_bound(n: int, m_out: int, trials: int, n_samples: int,
         spec = random_map(family, m_out=m_out, seed=[seed, 1000 + t],
                           d_in=n + 1)
         images = evaluate(spec, domain)
-        graph = neighbor_graph(images, domain, neighbor_cfg)
+        graph = neighbor_graph(images, domain, eps_inside_rel=eps_inside_rel)
         pair, df, _ = extremal_pair(graph, domain)
         allowance = _check_bound(df, bound, spec, images, domain,
                                  f"trial {t}: ", trial=t, n=n, m_out=m_out,
@@ -403,8 +404,8 @@ def verify_borsuk_ulam(trials: int, n_samples: int = 2048, seed: int = 0,
 
 
 def verify_cube_faces(m: int, trials: int, n_samples: int, seed: int = 0,
-                      witness_cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG,
-                      neighbor_cfg: NeighborConfig = DEFAULT_CONFIG,
+                      eps_witness_rel: float = EPS_WITNESS_REL,
+                      eps_inside_rel: float = EPS_INSIDE_REL,
                       threads: int = 1) -> dict:
     """Disjoint-faces sweep on the boundary of [0,1]^m.
 
@@ -421,9 +422,11 @@ def verify_cube_faces(m: int, trials: int, n_samples: int, seed: int = 0,
         spec = random_map("poly_quadratic", m_out=m, seed=[seed, 2000 + t],
                           d_in=m)
         images = evaluate(spec, domain)
-        result = disjoint_faces_check(domain, cover, images, witness_cfg)
+        result = disjoint_faces_check(domain, cover, images,
+                                      eps_witness_rel=eps_witness_rel)
         i, j = result.pair
-        lp_verdict, _ = pair_is_neighbor_fast(i, j, images, neighbor_cfg)
+        lp_verdict, _ = pair_is_neighbor_fast(i, j, images,
+                                              eps_inside_rel=eps_inside_rel)
         return {"trial": t, "map": map_to_json(spec),
                 "pair": [int(i), int(j)], "faces": list(result.faces),
                 "residual": float(result.report.residual),
@@ -455,7 +458,7 @@ class DeltaHistogram:
 
 
 def delta_sweep(domain: SampledDomain, spec: MapSpec, bins: int = 40,
-                neighbor_cfg: NeighborConfig = DEFAULT_CONFIG) -> DeltaHistogram:
+                eps_inside_rel: float = EPS_INSIDE_REL) -> DeltaHistogram:
     """Histogram of intrinsic distances over all certified neighbor pairs.
 
     Pair rows and every internal pair of each tuple certificate count (a
@@ -464,7 +467,7 @@ def delta_sweep(domain: SampledDomain, spec: MapSpec, bins: int = 40,
     largest certified distance on domains whose diameter exceeds 2.
     """
     images = evaluate(spec, domain)
-    graph = neighbor_graph(images, domain, neighbor_cfg)
+    graph = neighbor_graph(images, domain, eps_inside_rel=eps_inside_rel)
     edges = np.linspace(0.0, max(2.0 + 1e-9, compute_df(graph, domain)),
                         bins + 1)
     counts = np.zeros(bins, dtype=np.int64)

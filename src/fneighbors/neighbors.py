@@ -49,7 +49,6 @@ from .domains import SampledDomain
 from .geometry import TAU_RANK, Sphere, circumsphere
 
 __all__ = [
-    "NeighborConfig",
     "NeighborCertificate",
     "NeighborGraph",
     "pair_is_neighbor_oracle",
@@ -67,29 +66,20 @@ ORACLE_MAX_DIM = 3
 ORACLE_TOL_REL = 1e-9  # the oracle's coincidence and on-sphere tolerance
 LP_BOX = 1e6  # half-width of the LP's box on the scaled center (_lp_pair)
 CROSS_PAIR_CAP = 64  # member pairs past which a cluster pair keeps its farthest
-# fixed tolerances, relative to the image-set diameter: the radius-0
-# coincidence threshold and the on-sphere residual of certificate members
+# tolerances, relative to the image-set diameter: the radius-0 coincidence
+# threshold, the on-sphere residual of certificate members, and the default
+# of the one settable tolerance (--eps-inside, the eps_inside_rel keyword):
+# the depth to which a non-member image may dip inside a witness ball
 EPS_COINCIDE_REL = 1e-9
 TAU_ON_REL = 1e-6
+EPS_INSIDE_REL = 1e-6
 
 
-@dataclass(frozen=True)
-class NeighborConfig:
-    """The one settable tolerance of the neighbor machinery (--eps-inside):
-    the depth, relative to the image-set diameter, to which a non-member
-    image may dip inside a witness ball before the certificate is
-    rejected."""
-
-    eps_inside_rel: float = 1e-6
-
-    def tolerances(self) -> dict:
-        """The tolerance set that reports embed."""
-        return {"eps_coincide_rel": EPS_COINCIDE_REL,
-                "eps_inside_rel": self.eps_inside_rel,
-                "tau_on_rel": TAU_ON_REL}
-
-
-DEFAULT_CONFIG = NeighborConfig()
+def tolerances(eps_inside_rel: float) -> dict:
+    """The tolerance set that reports embed."""
+    return {"eps_coincide_rel": EPS_COINCIDE_REL,
+            "eps_inside_rel": eps_inside_rel,
+            "tau_on_rel": TAU_ON_REL}
 
 
 @dataclass(frozen=True)
@@ -357,8 +347,8 @@ def _build_certificate(i, j, images, center, eps_inside, domain=None):
                                slack=slack, pair_distance=rho)
 
 
-def pair_is_neighbor_fast(i: int, j: int, images: np.ndarray,
-                          cfg: NeighborConfig = DEFAULT_CONFIG,
+def pair_is_neighbor_fast(i: int, j: int, images: np.ndarray, *,
+                          eps_inside_rel: float = EPS_INSIDE_REL,
                           domain: SampledDomain | None = None):
     """Scalable verdict for one pair: "yes"/"no"/"uncertain" plus a
     certificate for yes verdicts.
@@ -375,7 +365,7 @@ def pair_is_neighbor_fast(i: int, j: int, images: np.ndarray,
     npts, m = images.shape
     diam = image_diameter(images)
     eps_coincide = EPS_COINCIDE_REL * diam
-    eps_inside = cfg.eps_inside_rel * diam
+    eps_inside = eps_inside_rel * diam
 
     a, b = images[i], images[j]
     gap = float(np.linalg.norm(a - b))
@@ -405,7 +395,7 @@ def pair_is_neighbor_fast(i: int, j: int, images: np.ndarray,
     status, sstar, c_scaled = _lp_pair(sa, sb, so, LP_BOX)
     if status != "ok":
         return "uncertain", None
-    if sstar <= cfg.eps_inside_rel:
+    if sstar <= eps_inside_rel:
         center = c_scaled * scale + shift
         cert = _build_certificate(i, j, images, center, eps_inside, domain)
         if cert is not None:
@@ -796,12 +786,13 @@ def _top_edge_span(pts: np.ndarray, tri, domain: SampledDomain,
     return None
 
 
-def _lp_pairs(candidates, reduced: np.ndarray, cfg: NeighborConfig):
+def _lp_pairs(candidates, reduced: np.ndarray, eps_inside_rel: float):
     """Columns of the candidate pairs that pair_is_neighbor_fast certifies;
     a coincidence verdict gets a NaN center and radius 0."""
     rows = []
     for i, j in candidates:
-        verdict, cert = pair_is_neighbor_fast(i, j, reduced, cfg)
+        verdict, cert = pair_is_neighbor_fast(
+            i, j, reduced, eps_inside_rel=eps_inside_rel)
         if verdict == "yes":
             w = cert.witness
             c, r = ((w.center, w.radius) if isinstance(w, Sphere)
@@ -869,7 +860,8 @@ def _clusters(images: np.ndarray) -> _Clusters:
     representatives and the cosphere test (see _Clusters).  One extents
     pass gives the diameter and the coincidence test's axis; when every
     sample is its own cluster the images are the representatives, as
-    they are.
+    they are.  Non-finite images give a non-finite diameter, which raises
+    ValueError: no coincidence threshold can be scaled from it.
 
     The cosphere test fits geometry.fit_sphere's sphere in closed form
     (Kasa 1976): the least-squares solution of 2 <p, c> + k = b, with
@@ -880,6 +872,8 @@ def _clusters(images: np.ndarray) -> _Clusters:
     n = len(images)
     ext = _extent(images)
     diam = math.sqrt(ext @ ext)  # image_diameter
+    if not math.isfinite(diam):
+        raise ValueError("images must be finite")
     tau_on = max(TAU_ON_REL * diam, 1e-12)
     # at zero diameter all samples form one cluster
     label = (_coincidence_labels(images, EPS_COINCIDE_REL * diam,
@@ -962,8 +956,8 @@ def _cells(tri) -> tuple[np.ndarray, list[np.ndarray]]:
     return s[np.sort(first)], [np.unique(tri.simplices[g]) for g in groups]
 
 
-def neighbor_graph(images: np.ndarray, domain: SampledDomain,
-                   cfg: NeighborConfig = DEFAULT_CONFIG) -> NeighborGraph:
+def neighbor_graph(images: np.ndarray, domain: SampledDomain, *,
+                   eps_inside_rel: float = EPS_INSIDE_REL) -> NeighborGraph:
     """All certified f-neighbor tuples of the sampled map, as one
     NeighborGraph.
 
@@ -991,12 +985,12 @@ def neighbor_graph(images: np.ndarray, domain: SampledDomain,
     if len(images) < 2:
         return _graph(domain, *_stack_rows([], images.shape[1]))
     cl = _clusters(images)
-    return _full_graph(images, domain, cfg, cl, _triangulation(cl))
+    return _full_graph(images, domain, cl, _triangulation(cl), eps_inside_rel)
 
 
 def _full_graph(images: np.ndarray, domain: SampledDomain,
-                cfg: NeighborConfig, prelude: _Clusters,
-                tri: Delaunay | None) -> NeighborGraph:
+                prelude: _Clusters, tri: Delaunay | None,
+                eps_inside_rel: float) -> NeighborGraph:
     """neighbor_graph of at least two images from their prelude and
     _triangulation(prelude): distinct representatives in reduced
     dimension 2 or more that are not cospherical are certified from tri,
@@ -1004,7 +998,7 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
     npts, m = images.shape
     diam, tau_on, members, sizes, start, reduced, embed, sph, resid = prelude
     no_pairs = _stack_rows([], m)
-    eps_inside = cfg.eps_inside_rel * diam
+    eps_inside = eps_inside_rel * diam
     tuples, big = [], sizes >= 2
     for s, z in zip(start[big], sizes[big]):
         cl = members[s:s + z]
@@ -1023,11 +1017,11 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
         cand = _line_pairs(reduced[:, 0])
     elif tri is None:
         cand = _lp_pairs(itertools.combinations(range(len(reduced)), 2),
-                         reduced, cfg)
+                         reduced, eps_inside_rel)
     else:
         cand, failed = _delaunay_edge_certs(reduced, tri, eps_inside, tau_on)
         cand = tuple(map(np.concatenate, zip(cand, _lp_pairs(failed, reduced,
-                                                              cfg))))
+                                                              eps_inside_rel))))
         rows, cells = _cells(tri)
         for cell, center, radius in zip(cells, *_lifted_balls(tri, rows)):
             margin = np.linalg.norm(reduced[cell] - center, axis=1) - radius
@@ -1082,8 +1076,8 @@ def _member_pairs(domain: SampledDomain, members: np.ndarray,
     return np.minimum(gi, gj), np.maximum(gi, gj), ref
 
 
-def neighbor_span(images: np.ndarray, domain: SampledDomain,
-                  cfg: NeighborConfig = DEFAULT_CONFIG) -> float:
+def neighbor_span(images: np.ndarray, domain: SampledDomain, *,
+                  eps_inside_rel: float = EPS_INSIDE_REL) -> float:
     """D_f of the sampled map: compute_df(neighbor_graph(...)) bit for bit,
     for callers that read nothing else.
 
@@ -1098,17 +1092,19 @@ def neighbor_span(images: np.ndarray, domain: SampledDomain,
     """
     images = np.asarray(images, dtype=float)
     if len(images) != len(domain) or len(images) < 2:
-        return compute_df(neighbor_graph(images, domain, cfg), domain)
+        return compute_df(neighbor_graph(images, domain,
+                                         eps_inside_rel=eps_inside_rel), domain)
     cl = _clusters(images)
     tri = _triangulation(cl)
     if (tri is not None and len(cl.sizes) == len(images)
             and not _cell_mask(tri).any()):
         # no clusters: reduced row i is the image of sample i
         span = _top_edge_span(cl.reduced, tri, domain,
-                              cfg.eps_inside_rel * cl.diam, cl.tau_on)
+                              eps_inside_rel * cl.diam, cl.tau_on)
         if span is not None:
             return span
-    return compute_df(_full_graph(images, domain, cfg, cl, tri), domain)
+    return compute_df(_full_graph(images, domain, cl, tri, eps_inside_rel),
+                      domain)
 
 
 def compute_df(graph: NeighborGraph, domain: SampledDomain) -> float:
@@ -1138,8 +1134,8 @@ def extremal_pair(graph: NeighborGraph, domain: SampledDomain
 
 
 def check_certificate(cert: NeighborCertificate, images: np.ndarray,
-                      domain: SampledDomain,
-                      cfg: NeighborConfig = DEFAULT_CONFIG) -> bool:
+                      domain: SampledDomain, *,
+                      eps_inside_rel: float = EPS_INSIDE_REL) -> bool:
     """Re-validate a certificate against the full image set: members on the
     witness sphere within tau_on, no non-member deeper inside than
     eps_inside, pair_distance consistent with the domain."""
@@ -1158,6 +1154,6 @@ def check_certificate(cert: NeighborCertificate, images: np.ndarray,
         return False
     mask = np.ones(len(images), dtype=bool)
     mask[idx] = False
-    if mask.any() and margins[mask].min() < -cfg.eps_inside_rel * diam - 1e-12:
+    if mask.any() and margins[mask].min() < -eps_inside_rel * diam - 1e-12:
         return False
     return True

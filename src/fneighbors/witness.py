@@ -45,7 +45,6 @@ from .neighbors import (
 )
 
 __all__ = [
-    "WitnessConfig",
     "WitnessReport",
     "WitnessNotFoundError",
     "witness_slack",
@@ -55,15 +54,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WitnessConfig:
-    """Acceptance tolerance for witness_point, relative to the image
-    diameter."""
-
-    eps_witness_rel: float = 1e-3
-
-
-DEFAULT_WITNESS_CONFIG = WitnessConfig()
+# the default residual gate of witness_point (--eps-witness, the
+# eps_witness_rel keyword), relative to the image diameter
+EPS_WITNESS_REL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -185,8 +178,8 @@ def _candidate_slack(candidates: np.ndarray, images: np.ndarray,
 
 
 def witness_point(domain: SampledDomain, cover: CoverAssignment,
-                  images: np.ndarray,
-                  cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG) -> WitnessReport:
+                  images: np.ndarray, *,
+                  eps_witness_rel: float = EPS_WITNESS_REL) -> WitnessReport:
     """The candidate center of least witness slack.
 
     Candidates are the Delaunay circumcenters (only those of rainbow
@@ -198,20 +191,13 @@ def witness_point(domain: SampledDomain, cover: CoverAssignment,
     rule when the cover has more elements than a simplex has vertices
     (image dimension plus one), every circumcenter is scanned and the
     minimizer is only an approximate witness.  All-coincident images
-    short-circuit to the radius-0 witness.  The residual gate is relative
-    to the image diameter.
+    form one cluster, whose image is the one candidate: the radius-0
+    witness.  The residual gate is relative to the image diameter.
     """
     images = np.asarray(images, dtype=float)
     if len(images) != len(domain):
         raise ValueError("images must align with domain samples")
     names = tuple(cover.names)
-    spread = image_diameter(images)
-    if spread <= 1e-12 * (1.0 + float(np.abs(images).max(initial=0.0))):
-        chosen = tuple(int(np.flatnonzero(cover.membership[:, j])[0])
-                       for j in range(cover.element_count))
-        return WitnessReport(status="ok", point=images[0].copy(), radius=0.0,
-                             residual=0.0, chosen=chosen, element_names=names)
-
     candidates = _candidate_centers(images, cover)
     slack, nearest = _candidate_slack(candidates, images, cover)
     best = int(np.argmin(slack))
@@ -221,7 +207,8 @@ def witness_point(domain: SampledDomain, cover: CoverAssignment,
     dists = np.linalg.norm(images - best_x, axis=1)
     chosen = _nearest_members(dists, cover, radius)
     residual = float(slack[best])
-    status = "ok" if residual <= cfg.eps_witness_rel * spread else "no-witness-found"
+    gate = eps_witness_rel * image_diameter(images)
+    status = "ok" if residual <= gate else "no-witness-found"
     return WitnessReport(status=status, point=best_x.copy(), radius=radius,
                          residual=residual, chosen=chosen, element_names=names)
 
@@ -245,8 +232,8 @@ class DisjointFacesResult:
 
 
 def disjoint_faces_check(domain: SampledDomain, cover: CoverAssignment,
-                         images: np.ndarray,
-                         cfg: WitnessConfig = DEFAULT_WITNESS_CONFIG) -> DisjointFacesResult:
+                         images: np.ndarray, *,
+                         eps_witness_rel: float = EPS_WITNESS_REL) -> DisjointFacesResult:
     """Extract a neighbor pair on opposite cube faces from the witness tuple.
 
     Expects the cube-boundary cover (m min-face elements plus the max-face
@@ -259,7 +246,8 @@ def disjoint_faces_check(domain: SampledDomain, cover: CoverAssignment,
         raise ValueError("expects a cube_boundary domain")
     if cover.names[-1] != "max-union":
         raise ValueError("expects the cube-boundary cover (max-union last)")
-    report = witness_point(domain, cover, images, cfg)
+    report = witness_point(domain, cover, images,
+                           eps_witness_rel=eps_witness_rel)
     if report.status != "ok":
         raise WitnessNotFoundError(report)
     p_last = report.chosen[-1]

@@ -41,7 +41,6 @@ from fneighbors.muopt import (
     verify_sphere_bound,
 )
 from fneighbors.neighbors import (
-    DEFAULT_CONFIG,
     compute_df,
     neighbor_graph,
     pair_is_neighbor_fast,
@@ -77,7 +76,7 @@ def test_criterion_01_circle_lower_bound():
         spec = random_map("circle_fourier", m_out=2, seed=[9100, t],
                           degree=(t % 4) + 1)  # truncation orders 1..4
         images = evaluate(spec, domain)
-        df = compute_df(neighbor_graph(images, domain, DEFAULT_CONFIG), domain)
+        df = compute_df(neighbor_graph(images, domain), domain)
         worst = min(worst, df)
     elapsed = time.perf_counter() - t0
     ok = worst >= SQRT3 - 0.05 and elapsed <= 60.0

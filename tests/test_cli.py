@@ -254,7 +254,14 @@ def test_counts_below_one_are_usage_errors(command, flags, tmp_path, capsys):
     ("degree", "--r-thick", "0"), ("degree", "--r-thick", "-1"),
     ("delta-sweep", "--bins", "-3"), ("delta-sweep", "--bins", "0"),
     ("mu", "--scale", "-1"), ("mu", "--seed", "-1"),
-    ("verify-sphere", "--threads", "0")])
+    ("verify-sphere", "--threads", "0"),
+    # numpy's uniform draw on [-scale, scale) needs a finite 2 * scale
+    ("neighbors", "--scale", "inf"), ("mu", "--scale", "inf"),
+    ("witness", "--scale", "inf"), ("delta-sweep", "--scale", "1e308"),
+    ("degree", "--r-thick", "inf"),
+    # a NaN image would put every sample in one coincidence cluster
+    ("neighbors", "--map",
+     '{"family": "constant", "m_out": 2, "params": [NaN, 1]}')])
 def test_bad_values_are_usage_errors(args, tmp_path, capsys):
     out = tmp_path / "r.json"
     assert run(*args, "--samples", "64", "--out", str(out)) == 2
@@ -347,8 +354,43 @@ def test_negative_tolerances_are_usage_errors(args, tmp_path, capsys):
     assert run(*base, flag, "-1") == 2
     assert not out.exists()
     assert f"{flag} must be at least 0.0" in capsys.readouterr().err
+    # an infinite tolerance accepts every ball or every residual
+    assert run(*base, flag, "inf") == 2
+    assert not out.exists()
+    assert f"{flag} must be finite" in capsys.readouterr().err
     assert run(*base, flag, "0") in (0, 1)
     assert out.exists()
+
+
+@pytest.mark.parametrize("argv, entry, flags", [
+    (["neighbors", "--samples", "64"], "neighbor_graph",
+     {"eps_inside": 0.25}),
+    (["verify-sphere", "--trials", "1", "--samples", "64"],
+     "verify_sphere_bound", {"eps_inside": 0.25}),
+    (["verify-cube", "--trials", "1", "--samples", "256"],
+     "verify_cube_faces", {"eps_inside": 0.25, "eps_witness": 0.125}),
+    (["mu", "--samples", "64", "--probes", "1", "--restarts", "0"],
+     "estimate_mu", {"eps_inside": 0.25}),
+    (["witness", "--samples", "64"], "witness_point", {"eps_witness": 0.125}),
+    (["delta-sweep", "--samples", "64", "--bins", "4"], "delta_sweep",
+     {"eps_inside": 0.25}),
+])
+def test_each_tolerance_flag_reaches_the_library(argv, entry, flags, tmp_path,
+                                                 monkeypatch):
+    # on generic inputs most tolerance values print the same results, so
+    # the value the library entry point receives is checked directly
+    received = {}
+    original = getattr(cli, entry)
+
+    def record(*args, **kwargs):
+        received.update(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, entry, record)
+    values = [v for key, value in flags.items()
+              for v in ("--" + key.replace("_", "-"), str(value))]
+    assert run(*argv, *values, "--out", str(tmp_path / "r.json")) in (0, 1)
+    assert {key: received[key + "_rel"] for key in flags} == flags
 
 
 def test_verify_sphere_without_trials_reports_no_margin(tmp_path, capsys):
@@ -637,7 +679,7 @@ def test_edge_pass_working_memory_per_edge_instance():
     _, images = _s2_dump_input()
     cl = neighbors._clusters(images)
     tri = neighbors._triangulation(cl)
-    eps = neighbors.DEFAULT_CONFIG.eps_inside_rel * cl.diam
+    eps = neighbors.EPS_INSIDE_REL * cl.diam
     instances = 6 * len(neighbors._circumballs(cl.reduced, tri, cl.tau_on)[0])
     _, peak = _traced_peak(neighbors._delaunay_edge_certs, cl.reduced, tri,
                            eps, cl.tau_on)

@@ -15,11 +15,16 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from fneighbors import neighbors
-from fneighbors.domains import SampledDomain, cube_boundary_cover, sample_sphere
+from fneighbors.domains import (
+    SampledDomain,
+    cube_boundary_cover,
+    regular_triangulation_cover,
+    sample_sphere,
+)
 from fneighbors.geometry import Sphere, fit_sphere
 from fneighbors.maps import MapSpec, evaluate, random_map
 from fneighbors.neighbors import (
-    DEFAULT_CONFIG,
+    EPS_INSIDE_REL,
     NeighborGraph,
     check_certificate,
     compute_df,
@@ -30,7 +35,7 @@ from fneighbors.neighbors import (
     pair_is_neighbor_fast,
     pair_is_neighbor_oracle,
 )
-from fneighbors.witness import disjoint_faces_check
+from fneighbors.witness import disjoint_faces_check, witness_point
 
 
 # --- oracle on hand-checked configurations ---
@@ -421,6 +426,22 @@ def test_graph_identity_small_circle_all_pairs():
     assert compute_df(certs, domain) == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_images_are_refused(bad):
+    # a NaN diameter fails `diam > 0`, which would put every sample in one
+    # coincidence cluster: one tuple, D_f = 2, and a certificate that
+    # check_certificate rejects
+    domain = sample_sphere(1, 64, seed=0, scheme="quasi_uniform")
+    cover = regular_triangulation_cover(domain)
+    images = domain.samples.copy()
+    images[5] = [bad, 0.5]
+    for call in (lambda: neighbor_graph(images, domain),
+                 lambda: neighbor_span(images, domain),
+                 lambda: witness_point(domain, cover, images)):
+        with pytest.raises(ValueError, match="images must be finite"):
+            call()
+
+
 def test_graph_projection_to_line_finds_antipodal_coincidences():
     # x-coordinate projection of the symmetric circle sends reflected
     # sample pairs to the same value; the poles' reflections are antipodal
@@ -625,7 +646,7 @@ def _edge_certs_and_clearance_calls(monkeypatch, images, kd=False):
     if kd:
         monkeypatch.setattr(neighbors, "LOCAL_DELAUNAY_TAU", np.inf)
     tri = Delaunay(images)
-    eps_inside = DEFAULT_CONFIG.eps_inside_rel * image_diameter(images)
+    eps_inside = EPS_INSIDE_REL * image_diameter(images)
     got = neighbors._delaunay_edge_certs(images, tri, eps_inside,
                                          _tau_on(images))
     monkeypatch.undo()
@@ -833,7 +854,7 @@ def _bytes(column):
     "grid-rounded", "circle", "flipped", "sliver", "coplanar"])
 def test_lemma_path_equals_kd_oracle(monkeypatch, case):
     pts, tri, lemma = _lemma_case(case)
-    eps_inside = DEFAULT_CONFIG.eps_inside_rel * image_diameter(pts)
+    eps_inside = EPS_INSIDE_REL * image_diameter(pts)
     calls = _counting_clearance(monkeypatch)
     got = neighbors._delaunay_edge_certs(pts, tri, eps_inside, _tau_on(pts))
     assert (calls == []) == lemma
@@ -859,7 +880,7 @@ def test_lemma_path_rejects_each_broken_hypothesis():
     _, centers, radii, _ = neighbors._circumballs(pts, flipped, _tau_on(pts))
     assert neighbors._local_clearance(pts, flipped, centers, radii) is None
     # the flipped edge's balls each hold the other apex: it fails
-    eps_inside = DEFAULT_CONFIG.eps_inside_rel * image_diameter(pts)
+    eps_inside = EPS_INSIDE_REL * image_diameter(pts)
     assert edge in neighbors._delaunay_edge_certs(pts, flipped, eps_inside,
                                                   _tau_on(pts))[1]
 
@@ -1117,7 +1138,7 @@ def _top_edge_both(monkeypatch, images, domain):
     both read the balls of the same simplices."""
     cl = neighbors._clusters(images)
     tri = Delaunay(cl.reduced)
-    args = (cl.reduced, tri, domain, DEFAULT_CONFIG.eps_inside_rel * cl.diam,
+    args = (cl.reduced, tri, domain, EPS_INSIDE_REL * cl.diam,
             cl.tau_on)
     rows, balls = [], neighbors._lifted_balls
     monkeypatch.setattr(neighbors, "_lifted_balls",

@@ -21,7 +21,6 @@ from fneighbors import neighbors, witness
 from fneighbors.neighbors import pair_is_neighbor_fast
 from fneighbors.witness import (
     DisjointFacesResult,
-    WitnessConfig,
     WitnessNotFoundError,
     disjoint_faces_check,
     witness_point,
@@ -52,6 +51,27 @@ def test_constant_map_coincidence_witness():
     assert report.point == pytest.approx([2.5, -1.0])
     assert report.radius == 0.0
     assert report.residual == 0.0
+
+
+def _sphere_and_cover(n: int, samples: int):
+    domain = sample_sphere(n, samples, seed=0)
+    return domain, regular_triangulation_cover(domain)
+
+
+@pytest.mark.parametrize("value", [(0.0, 0.0, 0.0), (3.5, -1.25, 1e6)])
+def test_constant_maps_give_the_radius_0_witness_of_one_cluster(value):
+    # all images coincide, so _clusters makes one cluster and its image is
+    # the one candidate, at radius 0; each element's contact is its first
+    # member, since every member is at distance 0
+    cases = [(_sphere_and_cover(2, 256), [8, 0, 3, 2]),
+             (_sphere_and_cover(1, 64), [0, 2, 1]),
+             (cube_boundary_cover(2, 128, seed=0), [0, 0, 1])]
+    for (domain, cover), chosen in cases:
+        images = evaluate(MapSpec("constant", 3, value), domain)
+        report = witness_point(domain, cover, images).to_json()
+        assert report == {"status": "ok", "point": list(value), "radius": 0.0,
+                          "residual": 0.0, "chosen": chosen,
+                          "element_names": list(cover.names)}
 
 
 def test_witness_slack_identity_circle():
@@ -152,9 +172,8 @@ def test_disjoint_faces_propagates_search_failure():
     domain, cover = cube_boundary_cover(3, 1024, seed=0)
     spec = random_map("poly_quadratic", m_out=2, seed=[2, 2000], d_in=3)
     images = evaluate(spec, domain)
-    strict = WitnessConfig(eps_witness_rel=1e-6)
     with pytest.raises(WitnessNotFoundError) as info:
-        disjoint_faces_check(domain, cover, images, strict)
+        disjoint_faces_check(domain, cover, images, eps_witness_rel=1e-6)
     assert info.value.report.status == "no-witness-found"
 
 

@@ -66,7 +66,7 @@ def _neighbors(samples: int, seed: int) -> None:
     _stage("neighbors", "prelude")
     tri = nb._triangulation(prelude)
     _stage("neighbors", "Qhull")
-    graph = nb._full_graph(images, domain, nb.DEFAULT_CONFIG, prelude, tri)
+    graph = nb._full_graph(images, domain, prelude, tri, nb.EPS_INSIDE_REL)
     del tri
     pair, df, cert = nb.extremal_pair(graph, domain)
     _stage("neighbors", "graph")
