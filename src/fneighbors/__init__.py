@@ -42,6 +42,7 @@ from .maps import (
     random_map,
 )
 from .neighbors import (
+    ImageScaleError,
     NeighborCertificate,
     NeighborGraph,
     check_certificate,

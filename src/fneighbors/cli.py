@@ -8,8 +8,8 @@ renders with sorted keys, so identical (command, config, seed) invocations
 produce byte-identical output for any --threads value.
 
 Exit codes: 0 clean pass, 1 property violation (the report is still
-written and carries a reproducer), 2 usage or config error, 3 internal
-failure.
+written and carries a reproducer), 2 usage or config error (also images
+that are not finite or too large), 3 internal failure.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .muopt import (
 )
 from .neighbors import (
     EPS_INSIDE_REL,
+    ImageScaleError,
     NeighborGraph,
     extremal_pair,
     neighbor_graph,
@@ -303,33 +304,13 @@ def _floats(values: np.ndarray) -> list[str]:
     return list(map(text.__getitem__, inverse.tolist()))
 
 
-def _witness_texts(graph: NeighborGraph) -> tuple[list[str], np.ndarray]:
-    """The text (_BALL) of each distinct ball, spelled once, then an empty
-    text for coincidence rows; and for each pair row the index of its
-    text.  Balls are told apart by the bit patterns of center and radius,
-    so 0.0 and -0.0 keep their own spellings.  One argsort of a
-    multiplicative hash of those bits brings equal balls together and a
-    compare of adjacent rows groups them; a hash collision can only spell a
-    ball twice, never merge two.  The distinct balls are spelled
-    CHUNK_ROWS at a time, so that only one slice of their floats is held as
-    strings beside the texts."""
-    coincidence = np.isnan(graph.centers[:, 0])
-    bits = np.column_stack([graph.centers[~coincidence],
-                            graph.radii[~coincidence]]).astype(
-                                np.float64, copy=False).view(np.uint64)
-    key = bits[:, 0].copy()
-    for col in bits[:, 1:].T:
-        key *= np.uint64(0x9E3779B97F4A7C15)  # wraps, as a hash should
-        key ^= col
-    order = np.argsort(key)
-    del key
-    bits = bits[order]
-    first = np.ones(len(bits), dtype=bool)
-    first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    which = np.full(len(graph.pairs), np.count_nonzero(first))
-    which[np.flatnonzero(~coincidence)[order]] = np.cumsum(first) - 1
-    balls, width = bits[first].view(np.float64), bits.shape[1]
-    del bits, order, first
+def _witness_texts(graph: NeighborGraph) -> list[str]:
+    """The text (_BALL) of each ball of the graph's table, in order, then
+    an empty text, the one that ball -1 (a coincidence row) picks.  The
+    balls are spelled CHUNK_ROWS at a time, so that only one slice of
+    their floats is held as strings beside the texts."""
+    balls = np.column_stack([graph.centers, graph.radii])
+    width = balls.shape[1]
     texts = []
     for start in range(0, len(balls), CHUNK_ROWS):
         values = _spell(balls[start:start + CHUNK_ROWS].ravel())
@@ -337,7 +318,7 @@ def _witness_texts(graph: NeighborGraph) -> tuple[list[str], np.ndarray]:
                            values[k + width - 1])
                   for k in range(0, len(values), width)]
     texts.append("")
-    return texts, which
+    return texts
 
 
 def _tuple_positions(graph: NeighborGraph) -> list[int]:
@@ -361,8 +342,8 @@ def _certificate_pieces(graph: NeighborGraph):
     if len(graph) == 0:
         yield "[]"
         return
-    witness, which = _witness_texts(graph)
-    coincidence = len(witness) - 1
+    witness = _witness_texts(graph)
+    slack = _floats(graph.slack)
     tuples = [(at, "    " + json.dumps(cert.to_json(), sort_keys=True,
                                        indent=2).replace("\n", "\n    "))
               for at, cert in zip(_tuple_positions(graph), graph.tuples)]
@@ -370,11 +351,10 @@ def _certificate_pieces(graph: NeighborGraph):
     for start in range(0, max(n, 1), CHUNK_ROWS):  # one piece if tuples only
         stop = min(start + CHUNK_ROWS, n)
         i, j = graph.pairs[start:stop].T.tolist()
-        rows = [(_COINCIDENCE_ROW if w == coincidence else _BALL_ROW)
+        rows = [(_BALL_ROW if w >= 0 else _COINCIDENCE_ROW)
                 % (a, b, rho, s, witness[w]) for a, b, rho, s, w
-                in zip(i, j, _spell(graph.rho[start:stop]),
-                       _floats(graph.slack[start:stop]),
-                       which[start:stop].tolist())]
+                in zip(i, j, _spell(graph.rho[start:stop]), slack[start:stop],
+                       graph.ball[start:stop].tolist())]
         items, done = [], start
         # a tuple placed at stop follows this piece's last row
         while t < len(tuples) and tuples[t][0] <= stop:
@@ -877,7 +857,7 @@ def main(argv=None) -> int:
         code, report = HANDLERS[args.cmd](cfg)
         _write_report(report, cfg.get("out"))
         return code
-    except UsageError as exc:
+    except (UsageError, ImageScaleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:

@@ -27,9 +27,10 @@ edge when there is no cell, with direct distances from its few balls, and
 clusters coincident images by a sort unless two lie close along every
 axis: on generic images it builds no KD-tree and no hash table.
 The graph comes back as one NeighborGraph: columns over the certified
-pairs (indices, witness centers and radii, slack, intrinsic distance) plus
-the tuple certificates (coincidence clusters, and the cells or the one
-tuple of cospherical images), so D_f is an argmax over one distance column.
+pairs (indices, witness ball, slack, intrinsic distance) over one table
+of witness balls, plus the tuple certificates (coincidence clusters, and
+the cells or the one tuple of cospherical images), so D_f is an argmax
+over one distance column.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .domains import SampledDomain
 from .geometry import TAU_RANK, Sphere, circumsphere
 
 __all__ = [
+    "ImageScaleError",
     "NeighborCertificate",
     "NeighborGraph",
     "pair_is_neighbor_oracle",
@@ -80,6 +82,11 @@ def tolerances(eps_inside_rel: float) -> dict:
     return {"eps_coincide_rel": EPS_COINCIDE_REL,
             "eps_inside_rel": eps_inside_rel,
             "tau_on_rel": TAU_ON_REL}
+
+
+class ImageScaleError(ValueError):
+    """Images from which no tolerance can be scaled: some image is not
+    finite, or the square of their bounding-box diagonal overflows."""
 
 
 @dataclass(frozen=True)
@@ -115,20 +122,25 @@ class NeighborGraph:
     """All certified f-neighbor tuples of one sampled map.
 
     Pair certificates are columns sorted by pair: row k certifies pairs[k]
-    = (i, j), i < j, by the sphere (centers[k], radii[k]) (a NaN center is
-    a radius-0 coincidence) with clearance slack[k] and intrinsic distance
-    rho[k].  tuples holds the coincidence clusters, the cospherical cells
-    (whose edges are rows too) and the all-sample cosphere tuple, sorted
-    by indices, and tuple_pairs[t] = (i, j), i < j, the member pair of
-    tuples[t] at its pair_distance.  len() counts all certificates;
-    iterating yields them as NeighborCertificate rows in indices order.
+    = (i, j), i < j, by the witness ball ball[k] (-1 for a radius-0
+    coincidence) with clearance slack[k] and intrinsic distance rho[k].
+    The balls form one table, ball b being the sphere (centers[b],
+    radii[b]) in image coordinates, held once for all the rows it
+    certifies (the simplices of a cospherical cell each bring their own
+    copy of its sphere), and every ball is some row's.  tuples holds the
+    coincidence clusters, the cospherical cells (whose edges are rows too)
+    and the all-sample cosphere tuple, sorted by indices, and
+    tuple_pairs[t] = (i, j), i < j, the member pair of tuples[t] at its
+    pair_distance.  len() counts all certificates; iterating yields them
+    as NeighborCertificate rows in indices order.
     """
 
     pairs: np.ndarray
-    centers: np.ndarray
-    radii: np.ndarray
+    ball: np.ndarray
     slack: np.ndarray
     rho: np.ndarray
+    centers: np.ndarray
+    radii: np.ndarray
     tuples: tuple[NeighborCertificate, ...] = ()
     tuple_pairs: tuple[tuple[int, int], ...] = ()
 
@@ -140,9 +152,9 @@ class NeighborGraph:
                            key=lambda c: c.indices)
 
     def row(self, k: int) -> NeighborCertificate:
-        center = self.centers[k]
-        witness = ("coincidence" if np.isnan(center[0])
-                   else Sphere(center=center, radius=float(self.radii[k])))
+        b = int(self.ball[k])
+        witness = ("coincidence" if b < 0 else
+                   Sphere(center=self.centers[b], radius=float(self.radii[b])))
         i, j = self.pairs[k]
         return NeighborCertificate(indices=(int(i), int(j)), witness=witness,
                                    slack=float(self.slack[k]),
@@ -438,8 +450,9 @@ def _coincidence_labels(images: np.ndarray, eps: float,
 def _line_pairs(values: np.ndarray):
     """Neighbor pairs for 1-d images: consecutive distinct values (the
     unique sphere through two reals is the pair {lo, hi}, its inside the
-    open interval).  Returns columns (lo, hi, centers, radii, slack); the
-    nearest other value to a pair is the next one out on either side."""
+    open interval).  Returns candidate columns (lo, hi, ball, slack,
+    centers, radii), pair k on ball k; the nearest other value to a pair
+    is the next one out on either side."""
     order = np.argsort(values, kind="stable")
     v = values[order]
     centers = 0.5 * (v[:-1] + v[1:])
@@ -448,8 +461,8 @@ def _line_pairs(values: np.ndarray):
     slack = (np.minimum(np.abs(outer[:-3] - centers), np.abs(outer[3:] - centers))
              - radii) if len(v) > 2 else np.zeros(len(centers))
     i, j = order[:-1], order[1:]
-    return (np.minimum(i, j), np.maximum(i, j), centers[:, None], radii,
-            slack)
+    return (np.minimum(i, j), np.maximum(i, j), np.arange(len(radii)), slack,
+            centers[:, None], radii)
 
 
 # Leaf size of the KD-tree behind _clearance, which proves every live
@@ -667,8 +680,10 @@ def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float,
     simplices, neighbors, coplanar points and lifted hyperplanes): each
     edge keeps the best (largest-slack, the last of its instances on ties)
     incident live circumball (_circumballs).  Returns the certified edges
-    as columns (lo, hi, centers, radii, slack) in the current coordinates,
-    plus the list of edges that failed the tolerance and need LP fallback.
+    as candidate columns (lo, hi, ball, slack, centers, radii), the table
+    (centers, radii) holding every live ball in the current coordinates
+    and ball the row of each edge's pick, plus the list of edges that
+    failed the tolerance and need LP fallback.
 
     The slack of an edge in a circumball is min(clearance, u), u being
     the smallest margin of the simplex's other vertices.  When Delaunay's
@@ -713,9 +728,7 @@ def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float,
     slack, t = u[chosen], order[chosen] % nsplx
     del u, order, chosen
     good = slack >= -eps_inside
-    t = t[good]
-    return ((lo[good], hi[good], centers.take(t, axis=0), radii[t],
-             slack[good]),
+    return ((lo[good], hi[good], t[good], slack[good], centers, radii),
             list(zip(lo[~good].tolist(), hi[~good].tolist())))
 
 
@@ -751,10 +764,10 @@ def _top_edge_span(pts: np.ndarray, tri, domain: SampledDomain,
     simplex, with no sort and no unique: every instance of an edge has
     its rho, so the top edge is the largest (i, j) among the instances at
     the largest rho, and its instances name its simplices.  The live
-    balls among their circumballs, read as _circumballs reads them,
-    certify it with direct distances to every point (_direct_clearance):
-    the edge's slack in a ball is the clearance, lowered by the margins of
-    the simplex's other vertices.  No hash table and no KD-tree is built.
+    balls among their circumballs (_circumballs) certify it with direct
+    distances to every point (_direct_clearance): the edge's slack in a
+    ball is the clearance, lowered by the margins of the simplex's other
+    vertices.  No hash table and no KD-tree is built.
     Timed right after the Qhull call on mu-circle's 512-sample maps, it
     took two thirds of the time of the sorted-edge version."""
     simplices = tri.simplices
@@ -770,43 +783,41 @@ def _top_edge_span(pts: np.ndarray, tri, domain: SampledDomain,
     lo, hi = max(ends)
     incident = np.array([t // len(p) for t, e in zip(at.tolist(), ends)
                          if e == (lo, hi)])
-    # the incident balls, read as _circumballs reads them, then decided
-    # in Python; a ball that is not live may get a NaN clearance, unread
-    centers, radii = _lifted_balls(tri, incident)
-    splx = simplices.take(incident, axis=0)
-    with np.errstate(invalid="ignore"):
-        margin = _vertex_margins(pts, splx, centers, radii)
-        live = _on_ball(margin, radii, tau_on)
-        clear = _direct_clearance(pts, centers, radii, splx)
-    for ok, c, m, s in zip(live.tolist(), clear.tolist(), margin.tolist(),
-                           splx.tolist()):
+    live, centers, radii, margin = _circumballs(pts, tri, tau_on, incident)
+    splx = simplices.take(live, axis=0)
+    clear = _direct_clearance(pts, centers, radii, splx)
+    for c, m, s in zip(clear.tolist(), margin.tolist(), splx.tolist()):
         others = [x for x, v in zip(m, s) if v != lo and v != hi]
-        if ok and min(c, *others) >= -eps_inside:
+        if min(c, *others) >= -eps_inside:
             return float(top)
     return None
 
 
 def _lp_pairs(candidates, reduced: np.ndarray, eps_inside_rel: float):
-    """Columns of the candidate pairs that pair_is_neighbor_fast certifies;
-    a coincidence verdict gets a NaN center and radius 0."""
-    rows = []
+    """Candidate columns of the candidate pairs that pair_is_neighbor_fast
+    certifies: a sphere verdict brings its own ball, a coincidence verdict
+    gets ball -1."""
+    rows, balls = [], []
     for i, j in candidates:
         verdict, cert = pair_is_neighbor_fast(
             i, j, reduced, eps_inside_rel=eps_inside_rel)
         if verdict == "yes":
             w = cert.witness
-            c, r = ((w.center, w.radius) if isinstance(w, Sphere)
-                    else (np.full(reduced.shape[1], np.nan), 0.0))
-            rows.append((i, j, c, r, cert.slack))
-    return _stack_rows(rows, reduced.shape[1])
+            sphere = isinstance(w, Sphere)
+            rows.append((i, j, len(balls) if sphere else -1, cert.slack))
+            if sphere:
+                balls.append((w.center, w.radius))
+    return _stack_rows(rows, balls, reduced.shape[1])
 
 
-def _stack_rows(rows, dim: int):
-    """(i, j, center, radius, slack) rows as candidate columns."""
-    lo, hi, centers, radii, slack = zip(*rows) if rows else ((),) * 5
+def _stack_rows(rows, balls, dim: int):
+    """(i, j, ball, slack) rows and (center, radius) balls as candidate
+    columns (lo, hi, ball, slack, centers, radii)."""
+    lo, hi, ball, slack = zip(*rows) if rows else ((),) * 4
+    centers, radii = zip(*balls) if balls else ((), ())
     return (np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp),
-            np.reshape(centers, (-1, dim)), np.asarray(radii, dtype=float),
-            np.asarray(slack, dtype=float))
+            np.asarray(ball, dtype=np.intp), np.asarray(slack, dtype=float),
+            np.reshape(centers, (-1, dim)), np.asarray(radii, dtype=float))
 
 
 def _tuple_cert(domain: SampledDomain, idx: np.ndarray, witness, slack: float):
@@ -819,16 +830,20 @@ def _tuple_cert(domain: SampledDomain, idx: np.ndarray, witness, slack: float):
 
 
 def _graph(domain: SampledDomain, lo: np.ndarray, hi: np.ndarray,
-           centers: np.ndarray, radii: np.ndarray, slack: np.ndarray,
-           tuples=()) -> NeighborGraph:
-    """The graph of distinct pair columns (lo < hi, any order) and
-    (certificate, farthest pair) tuples."""
+           ball: np.ndarray, slack: np.ndarray, centers: np.ndarray,
+           radii: np.ndarray, tuples=()) -> NeighborGraph:
+    """The graph of distinct pair columns (lo < hi, any order) on the ball
+    table (centers, radii) in image coordinates, of which it keeps the
+    balls that some row uses, and (certificate, farthest pair) tuples."""
     order = np.argsort(lo.astype(np.int64) * len(domain) + hi)
     pairs = np.column_stack([lo[order], hi[order]])
     rho = domain.rho_pairs(pairs[:, 0], pairs[:, 1])
+    # a leading -1 makes -1 the first kept value, whatever the rows hold
+    keep, ball = np.unique(np.r_[-1, ball[order]], return_inverse=True)
+    keep = keep[1:]
     tuples = sorted(tuples, key=lambda t: t[0].indices)
-    return NeighborGraph(pairs=pairs, centers=centers.take(order, axis=0),
-                         radii=radii[order], slack=slack[order], rho=rho,
+    return NeighborGraph(pairs=pairs, ball=ball[1:] - 1, slack=slack[order],
+                         rho=rho, centers=centers[keep], radii=radii[keep],
                          tuples=tuple(c for c, _ in tuples),
                          tuple_pairs=tuple(p for _, p in tuples))
 
@@ -860,8 +875,9 @@ def _clusters(images: np.ndarray) -> _Clusters:
     representatives and the cosphere test (see _Clusters).  One extents
     pass gives the diameter and the coincidence test's axis; when every
     sample is its own cluster the images are the representatives, as
-    they are.  Non-finite images give a non-finite diameter, which raises
-    ValueError: no coincidence threshold can be scaled from it.
+    they are.  Non-finite images, or finite ones whose squared diameter
+    overflows, give a non-finite diameter, which raises ImageScaleError:
+    no coincidence threshold can be scaled from it.
 
     The cosphere test fits geometry.fit_sphere's sphere in closed form
     (Kasa 1976): the least-squares solution of 2 <p, c> + k = b, with
@@ -871,9 +887,13 @@ def _clusters(images: np.ndarray) -> _Clusters:
     k = mean b, and r^2 = mean b + |c|^2."""
     n = len(images)
     ext = _extent(images)
-    diam = math.sqrt(ext @ ext)  # image_diameter
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        diam = math.sqrt(ext @ ext)  # image_diameter
     if not math.isfinite(diam):
-        raise ValueError("images must be finite")
+        raise ImageScaleError(
+            "images must be finite" if not np.isfinite(images).all() else
+            "every image is finite, but the square of their diameter "
+            "overflows a float: scale the map down")
     tau_on = max(TAU_ON_REL * diam, 1e-12)
     # at zero diameter all samples form one cluster
     label = (_coincidence_labels(images, EPS_COINCIDE_REL * diam,
@@ -983,7 +1003,7 @@ def neighbor_graph(images: np.ndarray, domain: SampledDomain, *,
     if len(images) != len(domain):
         raise ValueError("images must align with domain samples")
     if len(images) < 2:
-        return _graph(domain, *_stack_rows([], images.shape[1]))
+        return _graph(domain, *_stack_rows([], [], images.shape[1]))
     cl = _clusters(images)
     return _full_graph(images, domain, cl, _triangulation(cl), eps_inside_rel)
 
@@ -997,7 +1017,7 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
     or pair by pair when it is None."""
     npts, m = images.shape
     diam, tau_on, members, sizes, start, reduced, embed, sph, resid = prelude
-    no_pairs = _stack_rows([], m)
+    no_pairs = _stack_rows([], [], m)
     eps_inside = eps_inside_rel * diam
     tuples, big = [], sizes >= 2
     for s, z in zip(start[big], sizes[big]):
@@ -1020,8 +1040,9 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
                          reduced, eps_inside_rel)
     else:
         cand, failed = _delaunay_edge_certs(reduced, tri, eps_inside, tau_on)
-        cand = tuple(map(np.concatenate, zip(cand, _lp_pairs(failed, reduced,
-                                                              eps_inside_rel))))
+        rescued = _lp_pairs(failed, reduced, eps_inside_rel)
+        rescued[2][rescued[2] >= 0] += len(cand[5])  # after the edges' balls
+        cand = tuple(map(np.concatenate, zip(cand, rescued)))
         rows, cells = _cells(tri)
         for cell, center, radius in zip(cells, *_lifted_balls(tri, rows)):
             margin = np.linalg.norm(reduced[cell] - center, axis=1) - radius
@@ -1037,21 +1058,16 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
                     Sphere(center=embed(center), radius=float(radius)),
                     min(clear, -float(np.abs(margin).max()))))
 
-    # embed the witness centers in one call, expand each representative
-    # pair to the member pairs of its clusters, and let each new column
-    # replace its source; _graph sets the row order
-    lo, hi, centers, radii, slack = cand
+    # embed the ball table in one call, expand each representative pair to
+    # the member pairs of its clusters, and let each new column replace
+    # its source; _graph sets the row order
+    lo, hi, ball, slack, centers, radii = cand
     del cand
-    sphere = ~np.isnan(centers[:, 0])
-    embedded = embed(centers[sphere])
-    centers = np.full((len(lo), m), np.nan)
-    centers[sphere] = embedded
-    del sphere, embedded
+    centers = embed(centers)
     lo, hi, ref = _member_pairs(domain, members, sizes, start, lo, hi)
-    centers = centers.take(ref, axis=0)
-    radii, slack = radii[ref], slack[ref]
+    ball, slack = ball.take(ref), slack[ref]
     del ref
-    return _graph(domain, lo, hi, centers, radii, slack, tuples)
+    return _graph(domain, lo, hi, ball, slack, centers, radii, tuples)
 
 
 def _member_pairs(domain: SampledDomain, members: np.ndarray,

@@ -146,7 +146,7 @@ def _candidate_centers(images: np.ndarray,
     if cl.sphere is not None:
         centers = cl.sphere.center[None, :]
     elif cl.reduced.shape[1] == 1:
-        centers = _line_pairs(cl.reduced[:, 0])[2]
+        centers = _line_pairs(cl.reduced[:, 0])[4]
     elif (tri := _triangulation(cl)) is not None:
         # the elements each cluster touches, gathered one vertex at a time
         touch = np.logical_or.reduceat(cover.membership[cl.members], cl.start)

@@ -261,7 +261,10 @@ def test_counts_below_one_are_usage_errors(command, flags, tmp_path, capsys):
     ("degree", "--r-thick", "inf"),
     # a NaN image would put every sample in one coincidence cluster
     ("neighbors", "--map",
-     '{"family": "constant", "m_out": 2, "params": [NaN, 1]}')])
+     '{"family": "constant", "m_out": 2, "params": [NaN, 1]}'),
+    # finite images whose squared diameter overflows
+    ("neighbors", "--scale", "1e160"), ("mu", "--scale", "1e160"),
+    ("witness", "--scale", "1e160"), ("delta-sweep", "--scale", "1e160")])
 def test_bad_values_are_usage_errors(args, tmp_path, capsys):
     out = tmp_path / "r.json"
     assert run(*args, "--samples", "64", "--out", str(out)) == 2
@@ -517,15 +520,15 @@ def test_dump_renders_line_graph():
 
 
 def test_dump_renders_coincidence_rows_and_tuples():
-    # rounded images coincide in clusters (coincidence tuples); NaN centers
-    # on every fifth pair row make radius-0 coincidence rows
+    # rounded images coincide in clusters (coincidence tuples); ball -1
+    # on every fifth pair row makes radius-0 coincidence rows
     domain = sample_sphere(1, 512, seed=0, scheme="quasi_uniform")
     spec = random_map("circle_fourier", 2, seed=[0, 5], d_in=2)
     graph = neighbor_graph(np.round(evaluate(spec, domain), 2), domain)
     assert graph.tuples
-    centers = graph.centers.copy()
-    centers[::5] = np.nan
-    graph = dataclasses.replace(graph, centers=centers)
+    ball = graph.ball.copy()
+    ball[::5] = -1
+    graph = dataclasses.replace(graph, ball=ball)
     assert sum(c.witness == "coincidence" for c in graph) > len(graph.tuples)
     _assert_renders_like_json(graph)
 
@@ -539,8 +542,9 @@ def test_dump_renders_all_sample_cosphere_tuple():
 
 def test_dump_renders_empty_graph():
     empty = NeighborGraph(pairs=np.zeros((0, 2), dtype=int),
-                          centers=np.zeros((0, 3)), radii=np.zeros(0),
-                          slack=np.zeros(0), rho=np.zeros(0))
+                          ball=np.zeros(0, dtype=int), slack=np.zeros(0),
+                          rho=np.zeros(0), centers=np.zeros((0, 3)),
+                          radii=np.zeros(0))
     _assert_renders_like_json(empty)
 
 
@@ -551,10 +555,10 @@ def test_dump_renders_non_finite_floats_and_tuple_ties():
     # rho and slack columns repeat values
     pairs = np.array([[0, 1], [0, 2], [1, 3], [2, 3], [3, 4]])
     graph = NeighborGraph(
-        pairs=pairs, centers=np.array([[0.5, -0.0], [np.nan, np.nan],
-                                       [1e-300, 2.5e17], [0.1, 0.2],
-                                       [-0.0, 0.0]]),
-        radii=np.array([0.5, 0.0, 1.0, 1 / 3, 0.5]),
+        pairs=pairs, ball=np.array([0, -1, 1, 2, 3]),
+        centers=np.array([[0.5, -0.0], [1e-300, 2.5e17], [0.1, 0.2],
+                          [-0.0, 0.0]]),
+        radii=np.array([0.5, 1.0, 1 / 3, 0.5]),
         slack=np.array([np.inf, np.nan, -np.inf, -1e-12, -np.inf]),
         rho=np.array([0.25, 2.0, 1.0, 0.1 + 0.2, 0.25]),
         tuples=(NeighborCertificate((0, 1, 2), "coincidence", 0.0, 2.0),
@@ -579,10 +583,11 @@ def _ladder_graph(n_pairs, tuples=()):
     """Pairs (k, k + 2), k = 1..n_pairs, whose balls repeat every third
     row, so that rows share spellings."""
     rng = np.random.default_rng(n_pairs)
-    balls = rng.normal(size=(3, 4))[np.arange(n_pairs) % 3]
+    balls = rng.normal(size=(3, 4))
     return NeighborGraph(
         pairs=np.column_stack([np.arange(1, n_pairs + 1),
                                np.arange(3, n_pairs + 3)]),
+        ball=np.arange(n_pairs) % 3,
         centers=balls[:, :3], radii=np.abs(balls[:, 3]),
         slack=np.round(rng.uniform(size=n_pairs), 1),
         rho=rng.uniform(size=n_pairs), tuples=tuples,
@@ -628,9 +633,9 @@ def test_dump_pieces_tuples_only(monkeypatch):
 def test_dump_balls_apart_only_by_the_sign_of_zero_keep_both_spellings():
     pairs = np.array([[0, 1], [0, 2], [1, 2], [2, 3]])
     graph = NeighborGraph(
-        pairs=pairs, centers=np.array([[0.0, 1.5], [-0.0, 1.5], [0.0, 1.5],
-                                       [0.25, -0.0]]),
-        radii=np.array([2.0, 2.0, 2.0, -0.0]), slack=np.zeros(4),
+        pairs=pairs, ball=np.array([0, 1, 0, 2]),
+        centers=np.array([[0.0, 1.5], [-0.0, 1.5], [0.25, -0.0]]),
+        radii=np.array([2.0, 2.0, -0.0]), slack=np.zeros(4),
         rho=np.array([0.5, 0.5, 0.0, -0.0]))
     _assert_renders_like_json(graph)
     rows = _row_pieces({"certificates": graph})[0]

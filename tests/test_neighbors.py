@@ -5,6 +5,7 @@ and the Delaunay graph are cross-validated against it (and against each
 other) on seeded random instances, alongside hand-checked fixed cases.
 """
 
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -442,6 +443,18 @@ def test_non_finite_images_are_refused(bad):
             call()
 
 
+def test_finite_images_whose_squared_diameter_overflows_are_refused():
+    # every image is finite, but no tolerance can be scaled from them
+    domain = sample_sphere(1, 64, seed=0, scheme="quasi_uniform")
+    cover = regular_triangulation_cover(domain)
+    images = 1e160 * domain.samples
+    for call in (lambda: neighbor_graph(images, domain),
+                 lambda: neighbor_span(images, domain),
+                 lambda: witness_point(domain, cover, images)):
+        with pytest.raises(neighbors.ImageScaleError, match="overflows"):
+            call()
+
+
 def test_graph_projection_to_line_finds_antipodal_coincidences():
     # x-coordinate projection of the symmetric circle sends reflected
     # sample pairs to the same value; the poles' reflections are antipodal
@@ -504,8 +517,9 @@ def test_graph_fourier_map_certificates_verify():
 def test_compute_df_empty():
     domain = sample_sphere(1, 4, seed=0, scheme="quasi_uniform")
     empty = NeighborGraph(pairs=np.zeros((0, 2), dtype=int),
-                          centers=np.zeros((0, 2)), radii=np.zeros(0),
-                          slack=np.zeros(0), rho=np.zeros(0))
+                          ball=np.zeros(0, dtype=int), slack=np.zeros(0),
+                          rho=np.zeros(0), centers=np.zeros((0, 2)),
+                          radii=np.zeros(0))
     assert compute_df(empty, domain) == 0.0
     assert extremal_pair(empty, domain) == (None, 0.0, None)
 
@@ -651,7 +665,9 @@ def _edge_certs_and_clearance_calls(monkeypatch, images, kd=False):
                                          _tau_on(images))
     monkeypatch.undo()
     expected = _all_simplex_edge_certs(images, tri, eps_inside)
-    for column, ref in zip(got[0], expected[0]):
+    lo, hi, ball, slack, centers, radii = got[0]
+    for column, ref in zip((lo, hi, centers[ball], radii[ball], slack),
+                           expected[0]):
         assert np.array_equal(column, ref)
     assert got[1] == expected[1]
     live = len(neighbors._circumballs(images, tri, _tau_on(images))[0])
@@ -735,23 +751,44 @@ def test_last_max_picks_each_groups_largest_tied_instance():
     assert order[picks].tolist() == expected
 
 
-def test_full_graph_columns_in_lexsort_order_with_rescued_rows_and_clusters(
-        monkeypatch):
+def _rescued_graph(monkeypatch, coincide=lambda i, j: False):
+    """An S^2 map with eight coincidence clusters of two, its graph, and
+    its graph with the lowest-keyed quarter of the Delaunay edges failed,
+    which the LP rescues, appended after the rest; the LP's sphere
+    verdicts on the representative pairs (i, j) where coincide(i, j)
+    holds are turned into coincidence verdicts.  Returns (images, domain,
+    graph, rescued graph, rescued representative pairs)."""
     domain = sample_sphere(2, 128, seed=4, scheme="quasi_uniform")
     images = evaluate(random_map("sphere_harmonic", 3, seed=4, d_in=3), domain)
     images[1::16] = images[0::16]  # eight coincidence clusters of two
     plain = neighbor_graph(images, domain)
-    certs = neighbors._delaunay_edge_certs
+    certs, fast, rescued = (neighbors._delaunay_edge_certs,
+                            neighbors.pair_is_neighbor_fast, [])
 
     def lowest_keys_fail(pts, tri, eps_inside, tau_on):
-        # the LP rescues the lowest-keyed quarter, appended after the rest
-        (lo, hi, *cols), failed = certs(pts, tri, eps_inside, tau_on)
+        (lo, hi, ball, slack, *table), failed = certs(pts, tri, eps_inside,
+                                                      tau_on)
         k = len(lo) // 4
-        return (tuple(c[k:] for c in (lo, hi, *cols)),
-                failed + list(zip(lo[:k].tolist(), hi[:k].tolist())))
+        rescued.extend(zip(lo[:k].tolist(), hi[:k].tolist()))
+        return ((*(c[k:] for c in (lo, hi, ball, slack)), *table),
+                failed + rescued)
+
+    def verdict(i, j, reduced, **kw):
+        answer, cert = fast(i, j, reduced, **kw)
+        if answer == "yes" and coincide(i, j):
+            cert = dataclasses.replace(cert, witness="coincidence")
+        return answer, cert
 
     monkeypatch.setattr(neighbors, "_delaunay_edge_certs", lowest_keys_fail)
+    monkeypatch.setattr(neighbors, "pair_is_neighbor_fast", verdict)
     graph = neighbor_graph(images, domain)
+    monkeypatch.undo()
+    return images, domain, plain, graph, rescued
+
+
+def test_full_graph_columns_in_lexsort_order_with_rescued_rows_and_clusters(
+        monkeypatch):
+    images, domain, plain, graph, _ = _rescued_graph(monkeypatch)
     pairs = graph.pairs
     assert len(graph.tuples) == 8
     assert pairs.tolist() == plain.pairs.tolist()
@@ -759,6 +796,54 @@ def test_full_graph_columns_in_lexsort_order_with_rescued_rows_and_clusters(
     assert not np.array_equal(graph.centers, plain.centers)  # LP witnesses
     for cert in graph:
         assert check_certificate(cert, images, domain)
+
+
+def _assert_ball_table(graph, dim):
+    """Every row's ball is -1 or a row of the table, and every table row
+    is some row's ball."""
+    ball = graph.ball
+    assert graph.centers.shape == (len(graph.radii), dim)
+    assert ((ball >= -1) & (ball < len(graph.radii))).all()
+    assert np.array_equal(np.unique(ball[ball >= 0]),
+                          np.arange(len(graph.radii)))
+
+
+def test_ball_table_is_indexed_by_rows_and_rescued_rows_own_their_balls(
+        monkeypatch):
+    sphere = sample_sphere(2, 512, seed=1, scheme="quasi_uniform")
+    circle = sample_sphere(1, 512, seed=0, scheme="quasi_uniform")
+    rounded = np.round(evaluate(random_map("circle_fourier", 2, seed=[0, 5],
+                                           d_in=2), circle), 2)
+    for images, domain, cells in [
+            (evaluate(random_map("sphere_harmonic", 3, seed=[1, 1000],
+                                 d_in=3), sphere), sphere, False),
+            (rounded, circle, True)]:
+        graph = neighbor_graph(images, domain)
+        _assert_ball_table(graph, images.shape[1])
+        # rows share balls; coinciding images form tuples, not rows
+        assert len(graph.radii) < len(graph.pairs) and (graph.ball >= 0).all()
+        kinds = {c.witness == "coincidence" for c in graph.tuples}
+        assert kinds == ({True, False} if cells else set())
+    # the LP answers coincidence on every third rescued pair by key sum
+    images, domain, _, graph, rescued = _rescued_graph(
+        monkeypatch, lambda i, j: (i + j) % 3 == 0)
+    _assert_ball_table(graph, 3)
+    assert (graph.ball == -1).any()
+    # each sample's representative, the lowest member of its cluster
+    sample = np.arange(128)
+    reps = np.flatnonzero(sample % 16 != 1)
+    rep = np.searchsorted(reps, sample - (sample % 16 == 1))
+    owner, others = {}, set()  # rescued ball -> its pair; other rows' balls
+    for (i, j), b in zip(graph.pairs.tolist(), graph.ball.tolist()):
+        key = (int(rep[i]), int(rep[j]))
+        coincide = key in rescued and sum(key) % 3 == 0
+        assert (b == -1) == coincide
+        if key not in rescued:
+            others.add(b)
+        elif not coincide:
+            assert owner.setdefault(b, key) == key
+    assert len(owner) == sum(sum(key) % 3 != 0 for key in rescued)
+    assert not set(owner) & others
 
 
 # --- Delaunay's lemma against the KD-tree path ---
@@ -898,7 +983,7 @@ def test_generic_sphere_graph_makes_no_clearance_query(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(neighbors, "LOCAL_DELAUNAY_TAU", np.inf)
     oracle = neighbor_graph(images, domain)
-    for name in ("pairs", "centers", "radii", "slack", "rho"):
+    for name in ("pairs", "ball", "slack", "rho", "centers", "radii"):
         assert _bytes(getattr(graph, name)) == _bytes(getattr(oracle, name))
 
 

@@ -281,7 +281,7 @@ def _reference_candidates(images, cover, rainbow_only=False):
     reps = images[np.unique(label, return_index=True)[1]]
     reduced, embed, _ = neighbors._affine_reduce(reps)
     if reduced.shape[1] == 1:
-        return np.vstack([embed(neighbors._line_pairs(reduced[:, 0])[2]), reps])
+        return np.vstack([embed(neighbors._line_pairs(reduced[:, 0])[4]), reps])
     tri = Delaunay(reduced)
     tau_on = max(neighbors.TAU_ON_REL * spread, 1e-12)
     live, centers = neighbors._circumballs(reduced, tri, tau_on)[:2]
