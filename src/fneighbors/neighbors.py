@@ -21,7 +21,7 @@ simplices grow as N^3.
 When every sample is a vertex, every ball is live and each interior
 facet's apex clears the ball across it by a margin, Delaunay's lemma
 proves all circumballs empty from the simplices' neighbors alone;
-otherwise one KD-tree query from every ball's center does it.
+otherwise one _clearance query over every ball's center does it.
 neighbor_span, which reads D_f only, certifies just the longest Delaunay
 edge when there is no cell, with direct distances from its few balls, and
 clusters coincident images by a sort unless two lie close along every
@@ -346,12 +346,16 @@ def _lp_pair(a: np.ndarray, b: np.ndarray, others: np.ndarray, box: float):
 
 
 def _build_certificate(i, j, images, center, eps_inside, domain=None):
+    """The certificate of the pair (i, j) on the sphere about center at
+    their mean distance, or None when another image lies deeper inside
+    than eps_inside or the slack is not finite (an overflowing ball)."""
     a, b = images[i], images[j]
-    r = 0.5 * (np.linalg.norm(a - center) + np.linalg.norm(b - center))
-    margins = np.linalg.norm(images - center, axis=1) - r
-    margins[[i, j]] = np.inf
-    slack = float(margins.min()) if len(images) > 2 else 0.0
-    if slack < -eps_inside:
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = 0.5 * (np.linalg.norm(a - center) + np.linalg.norm(b - center))
+        slack = (float(_clearance(images, center[None], np.array([r]),
+                                  np.array([[i, j]]))[0])
+                 if len(images) > 2 else 0.0)
+    if not -eps_inside <= slack < math.inf:
         return None
     rho = domain.rho(i, j) if domain is not None else 0.0
     sphere = Sphere(center=np.asarray(center, dtype=float), radius=float(r))
@@ -389,9 +393,9 @@ def pair_is_neighbor_fast(i: int, j: int, images: np.ndarray, *,
         return "yes", cert
 
     mid = 0.5 * (a + b)
-    margins = np.linalg.norm(images - mid, axis=1) - 0.5 * gap
-    margins[[i, j]] = np.inf
-    if npts == 2 or margins.min() >= -eps_inside:
+    # the Gabriel ball; with two images its clearance is inf
+    if _clearance(images, mid[None], np.array([0.5 * gap]),
+                  np.array([[i, j]]))[0] >= -eps_inside:
         cert = _build_certificate(i, j, images, mid, eps_inside, domain)
         if cert is not None:
             return "yes", cert
@@ -474,6 +478,12 @@ def _line_pairs(values: np.ndarray):
 # on it (see _clearance).
 CLEARANCE_LEAFSIZE = 32
 
+# Balls times points up to which _clearance measures every distance
+# instead of querying a KD-tree, the measured crossover (2-vCPU VM): at
+# 512 points, 32 balls took 103 us direct against 131 us by tree; at
+# 4096, 8 balls 283 against 1,101 us and 16 balls 2,008 against 1,042 us.
+CLEARANCE_DIRECT_MAX = 2**15
+
 # Smallest margin, relative to the point set's diameter, by which the apex
 # across every interior facet must clear a circumball for Delaunay's lemma
 # to prove all of them empty (see _local_clearance).
@@ -494,11 +504,11 @@ def _lifted_balls(tri, rows):
             nz * tri.paraboloid_shift + eq[:, -1]) / (nz * s))
 
 
-def _on_ball(margin: np.ndarray, radii, tau_on: float):
-    """Whether all the signed distances in each row of margin, widened by
-    the spacing of floats at the radius, are within tau_on: a sliver's
+def _on_ball(spread: np.ndarray, radii, tau_on: float):
+    """Whether each ball's largest absolute member margin, spread, widened
+    by the spacing of floats at the radius, is within tau_on: a sliver's
     ball is too large to show its vertices on it to that precision."""
-    return np.abs(margin).max(axis=-1) + np.spacing(radii) <= tau_on
+    return spread + np.spacing(radii) <= tau_on
 
 
 def _vertex_margins(pts: np.ndarray, splx: np.ndarray, centers: np.ndarray,
@@ -528,7 +538,7 @@ def _circumballs(pts: np.ndarray, tri, tau_on: float, rows=slice(None)):
     centers, radii = _lifted_balls(tri, rows)
     with np.errstate(invalid="ignore"):
         margin = _vertex_margins(pts, tri.simplices[rows], centers, radii)
-    live = _on_ball(margin, radii, tau_on)
+    live = _on_ball(np.abs(margin).max(axis=1), radii, tau_on)
     # each copy replaces its source, so one column set is doubled at a time
     margin = margin.T.compress(live, axis=1).T
     centers = centers.compress(live, axis=0)
@@ -537,20 +547,28 @@ def _circumballs(pts: np.ndarray, tri, tau_on: float, rows=slice(None)):
 
 
 def _clearance(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray,
-               splx: np.ndarray) -> np.ndarray:
-    """Clearance of each ball (centers[s], radii[s]) through the vertices
-    splx[s] of a simplex of pts: the distance from its center to the
-    nearest point that is not one of those vertices, minus its radius,
-    from one query of a KD-tree of pts.  That point is among the center's
-    d+2 nearest (at most d+1 of them are vertices), and the smallest
-    non-vertex distance among them is the same whichever of several
-    equidistant points the tree returns, so the value does not depend on
-    the tree's leaf size."""
-    npts, d = pts.shape
+               members: np.ndarray) -> np.ndarray:
+    """Clearance of each ball (centers[b], radii[b]): the distance from its
+    center to the nearest point of pts not in members[b] (any (B, k) index
+    array; a ragged set is padded with one of its members), minus its
+    radius.  Up to CLEARANCE_DIRECT_MAX balls times points every distance
+    is summed axis by axis, cKDTree's order (np.vecdot rounds otherwise);
+    past it one KD-tree query takes each center's k + 1 nearest, which hold
+    the nearest non-member whichever equidistant points the tree returns.
+    So the branches agree bit for bit, at any leaf size."""
+    npts = len(pts)
+    if len(centers) * npts <= CLEARANCE_DIRECT_MAX:
+        # one coordinate per row: each operation runs along all the points
+        diff = np.ascontiguousarray(pts.T) - centers[:, :, None]
+        dist = np.sqrt((diff * diff).sum(axis=1))
+        dist[np.arange(len(members))[:, None], members] = np.inf
+        return dist.min(axis=1) - radii
     tree = cKDTree(pts, leafsize=CLEARANCE_LEAFSIZE)
-    dists, nbrs = tree.query(centers, k=min(d + 2, npts))
-    is_vertex = (nbrs[:, :, None] == splx[:, None, :]).any(axis=2)
-    return np.where(is_vertex, np.inf, dists).min(axis=1) - radii
+    dists, nbrs = tree.query(centers, k=min(members.shape[1] + 1, npts))
+    # one member column at a time: no (ball, neighbor, member) temporary
+    for col in members.T:
+        dists[nbrs == col[:, None]] = np.inf
+    return dists.min(axis=1) - radii
 
 
 def _local_clearance(pts: np.ndarray, tri, centers: np.ndarray,
@@ -690,8 +708,8 @@ def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float,
     lemma proves every ball empty from the simplices' neighbors (see
     _local_clearance), each ball's clearance is its smallest apex margin,
     at least LOCAL_DELAUNAY_TAU times the diameter, and no point is
-    queried; otherwise one KD-tree query gives every live ball's
-    clearance (_clearance)."""
+    queried; otherwise one _clearance query gives every live ball's
+    clearance."""
     live, centers, radii, margin = _circumballs(pts, tri, tau_on)
     splx = tri.simplices.take(live, axis=0)
     del live
@@ -732,27 +750,6 @@ def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float,
             list(zip(lo[~good].tolist(), hi[~good].tolist())))
 
 
-def _direct_clearance(pts: np.ndarray, centers: np.ndarray,
-                      radii: np.ndarray, splx: np.ndarray) -> np.ndarray:
-    """_clearance without a tree, for a few balls: each ball's distance
-    to every point, its vertices masked.  The distances are spelled
-    sqrt(sum of squared differences), as cKDTree computes them, so the
-    values are _clearance's bit for bit (np.vecdot rounds differently).
-
-    It costs O(balls * points), so it serves few balls, the top edge of
-    neighbor_span and each cospherical cell's sphere: for the two balls
-    around an edge of 512 circle images it took 61 us against 117 us for
-    a tree's build and query, while on the full graph's fallback (16k
-    balls, 4096 grid-rounded S^2 images) the tree took 0.07 s and this
-    2.6 s (2-vCPU VM).  The points are laid out one coordinate per row,
-    so that each operation runs along all of them: the squares still add
-    up axis by axis, in cKDTree's order."""
-    diff = np.ascontiguousarray(pts.T) - centers[:, :, None]
-    dist = np.sqrt((diff * diff).sum(axis=1))
-    dist[np.arange(len(splx))[:, None], splx] = np.inf
-    return dist.min(axis=1) - radii
-
-
 def _top_edge_span(pts: np.ndarray, tri, domain: SampledDomain,
                    eps_inside: float, tau_on: float) -> float | None:
     """The largest intrinsic distance over the edges of the Delaunay
@@ -760,36 +757,30 @@ def _top_edge_span(pts: np.ndarray, tri, domain: SampledDomain,
     live incident circumballs certifies it, else None.  Ties go to the
     last such edge in (i, j) order, the rule of extremal_pair.
 
-    rho is taken over the edge instances, an edge per local pair of every
-    simplex, with no sort and no unique: every instance of an edge has
-    its rho, so the top edge is the largest (i, j) among the instances at
-    the largest rho, and its instances name its simplices.  The live
-    balls among their circumballs (_circumballs) certify it with direct
-    distances to every point (_direct_clearance): the edge's slack in a
-    ball is the clearance, lowered by the margins of the simplex's other
-    vertices.  No hash table and no KD-tree is built.
+    rho is taken over the edge instances (_edge_keys), with no sort and
+    no unique: every instance of an edge has its rho, so the top edge is
+    the largest key at the largest rho, and its instances name its
+    simplices.  The live balls among their circumballs (_circumballs)
+    certify it by _clearance, direct distances for so few balls: the
+    edge's slack in a ball is the clearance, lowered by the margins of
+    the simplex's other vertices.  No hash table and no KD-tree is built.
     Timed right after the Qhull call on mu-circle's 512-sample maps, it
     took two thirds of the time of the sorted-edge version."""
     simplices = tri.simplices
-    p, q, _ = _local_pairs(simplices.shape[1])
-    # instance s * len(p) + k is local pair k of simplex s
-    a = simplices.take(p, axis=1).ravel()
-    b = simplices.take(q, axis=1).ravel()
-    rho = domain.rho_pairs(a, b)
-    top = rho.max()
-    at = np.flatnonzero(rho == top)
-    ends = [(min(i, j), max(i, j))
-            for i, j in zip(a.take(at).tolist(), b.take(at).tolist())]
-    lo, hi = max(ends)
-    incident = np.array([t // len(p) for t, e in zip(at.tolist(), ends)
-                         if e == (lo, hi)])
+    key = _edge_keys(simplices, len(pts))
+    rho = domain.rho_pairs(*np.divmod(key, len(pts)))
+    top_rho = rho.max()
+    at = np.flatnonzero(rho == top_rho)  # the top edge's instances among them
+    top = key[at].max()
+    lo, hi = divmod(int(top), len(pts))
+    incident = np.sort(at[key[at] == top] % len(simplices))
     live, centers, radii, margin = _circumballs(pts, tri, tau_on, incident)
     splx = simplices.take(live, axis=0)
-    clear = _direct_clearance(pts, centers, radii, splx)
+    clear = _clearance(pts, centers, radii, splx)
     for c, m, s in zip(clear.tolist(), margin.tolist(), splx.tolist()):
         others = [x for x, v in zip(m, s) if v != lo and v != hi]
-        if min(c, *others) >= -eps_inside:
-            return float(top)
+        if min(c, *others) >= -eps_inside:  # a NaN clearance fails
+            return float(top_rho)
     return None
 
 
@@ -833,17 +824,14 @@ def _graph(domain: SampledDomain, lo: np.ndarray, hi: np.ndarray,
            ball: np.ndarray, slack: np.ndarray, centers: np.ndarray,
            radii: np.ndarray, tuples=()) -> NeighborGraph:
     """The graph of distinct pair columns (lo < hi, any order) on the ball
-    table (centers, radii) in image coordinates, of which it keeps the
-    balls that some row uses, and (certificate, farthest pair) tuples."""
+    table (centers, radii) in image coordinates, every ball of which some
+    row uses, and (certificate, farthest pair) tuples."""
     order = np.argsort(lo.astype(np.int64) * len(domain) + hi)
     pairs = np.column_stack([lo[order], hi[order]])
     rho = domain.rho_pairs(pairs[:, 0], pairs[:, 1])
-    # a leading -1 makes -1 the first kept value, whatever the rows hold
-    keep, ball = np.unique(np.r_[-1, ball[order]], return_inverse=True)
-    keep = keep[1:]
     tuples = sorted(tuples, key=lambda t: t[0].indices)
-    return NeighborGraph(pairs=pairs, ball=ball[1:] - 1, slack=slack[order],
-                         rho=rho, centers=centers[keep], radii=radii[keep],
+    return NeighborGraph(pairs=pairs, ball=ball[order], slack=slack[order],
+                         rho=rho, centers=centers, radii=radii,
                          tuples=tuple(c for c, _ in tuples),
                          tuple_pairs=tuple(p for _, p in tuples))
 
@@ -913,13 +901,15 @@ def _clusters(images: np.ndarray) -> _Clusters:
     if len(sizes) >= 2:
         reduced, embed, s = _affine_reduce(reps)
         if reduced.shape[1] > 1:
-            b = np.vecdot(reduced, reduced)
-            mean_b = b.mean()
-            center = (b - mean_b) @ reduced / (2.0 * s * s)
-            radius = math.sqrt(mean_b + center @ center)
-            diff = reduced - center
-            resid = float(np.abs(np.sqrt(np.vecdot(diff, diff))
-                                 - radius).max())
+            # images near the overflow limit give a NaN resid: no sphere
+            with np.errstate(over="ignore", invalid="ignore"):
+                b = np.vecdot(reduced, reduced)
+                mean_b = b.mean()
+                center = (b - mean_b) @ reduced / (2.0 * s * s)
+                radius = math.sqrt(mean_b + center @ center)
+                diff = reduced - center
+                resid = float(np.abs(np.sqrt(np.vecdot(diff, diff))
+                                     - radius).max())
             if resid <= tau_on:
                 sph = Sphere(center=center, radius=radius)
     return _Clusters(diam, tau_on, members, sizes, start, reduced, embed, sph,
@@ -1040,23 +1030,33 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
                          reduced, eps_inside_rel)
     else:
         cand, failed = _delaunay_edge_certs(reduced, tri, eps_inside, tau_on)
+        keep, ball = np.unique(cand[2], return_inverse=True)  # balls in use
+        cand = (*cand[:2], ball, cand[3], cand[4][keep], cand[5][keep])
         rescued = _lp_pairs(failed, reduced, eps_inside_rel)
         rescued[2][rescued[2] >= 0] += len(cand[5])  # after the edges' balls
         cand = tuple(map(np.concatenate, zip(cand, rescued)))
         rows, cells = _cells(tri)
-        for cell, center, radius in zip(cells, *_lifted_balls(tri, rows)):
-            margin = np.linalg.norm(reduced[cell] - center, axis=1) - radius
-            if not _on_ball(margin, radius, tau_on):
-                continue
-            clear = float(_direct_clearance(reduced, center[None],
-                                            radius[None], cell[None])[0])
-            if clear >= -eps_inside:
-                idx = np.concatenate([members[start[r]:start[r] + sizes[r]]
-                                      for r in cell])
-                tuples.append(_tuple_cert(
-                    domain, np.sort(idx),
-                    Sphere(center=embed(center), radius=float(radius)),
-                    min(clear, -float(np.abs(margin).max()))))
+        if cells:  # one on-ball test and one clearance query for them all
+            counts = np.array([len(c) for c in cells])
+            first = np.cumsum(counts) - counts
+            flat = np.concatenate(cells)
+            mid, rad = _lifted_balls(tri, rows)
+            spread = np.maximum.reduceat(np.abs(np.linalg.norm(
+                reduced[flat] - mid.repeat(counts, axis=0), axis=1)
+                - rad.repeat(counts)), first)
+            on = np.flatnonzero(_on_ball(spread, rad, tau_on))
+            # each vertex set padded with its own last vertex
+            pad = np.minimum(np.arange(counts.max()), counts[on, None] - 1)
+            clear = _clearance(reduced, mid[on], rad[on],
+                               flat[first[on, None] + pad])
+            for c, k in zip(clear.tolist(), on.tolist()):
+                if c >= -eps_inside:
+                    idx = np.concatenate([members[start[r]:start[r] + sizes[r]]
+                                          for r in cells[k]])
+                    tuples.append(_tuple_cert(
+                        domain, np.sort(idx),
+                        Sphere(center=embed(mid[k]), radius=float(rad[k])),
+                        min(c, -float(spread[k]))))
 
     # embed the ball table in one call, expand each representative pair to
     # the member pairs of its clusters, and let each new column replace
@@ -1159,17 +1159,15 @@ def check_certificate(cert: NeighborCertificate, images: np.ndarray,
     diam = image_diameter(images)
     idx = np.asarray(cert.indices)
     rho = float(domain.max_pairwise_rho(idx)) if len(idx) > 2 else domain.rho(*idx)
-    if abs(rho - cert.pair_distance) > 1e-9 * max(rho, 1.0):
+    # each test is written so that a NaN fails it
+    if not abs(rho - cert.pair_distance) <= 1e-9 * max(rho, 1.0):
         return False
     if cert.witness == "coincidence":
         spread = image_diameter(images[idx])
         return spread <= max(EPS_COINCIDE_REL * diam, cert.slack + 1e-12)
     sphere: Sphere = cert.witness
     margins = sphere.margins(images)
-    if np.abs(margins[idx]).max() > max(TAU_ON_REL * diam, 1e-12):
+    if not np.abs(margins[idx]).max() <= max(TAU_ON_REL * diam, 1e-12):
         return False
-    mask = np.ones(len(images), dtype=bool)
-    mask[idx] = False
-    if mask.any() and margins[mask].min() < -eps_inside_rel * diam - 1e-12:
-        return False
-    return True
+    others = np.delete(margins, idx)
+    return bool(others.min(initial=np.inf) >= -eps_inside_rel * diam - 1e-12)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import dataclasses
 
@@ -271,6 +272,23 @@ def test_bad_values_are_usage_errors(args, tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith("error: ")
+
+
+def test_images_near_the_overflow_limit_give_only_finite_certificates(
+        tmp_path):
+    # at 1e150 the LP centers of some failed edges overflow: their balls
+    # certify nothing, and no overflow is reported as a RuntimeWarning
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("neighbors", "--samples", "64", "--scale", "1e150",
+                   "--dump-certs", "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["df"] == 2.0
+    for cert in report["certificates"]:
+        w = cert["witness"]
+        numbers = [cert["slack"], w["radius"], *w["center"]]
+        assert np.isfinite(numbers).all()
 
 
 AFFINE_ONE_PARAM = json.dumps({"family": "affine", "m_out": 2, "params": [1]})

@@ -514,6 +514,22 @@ def test_graph_fourier_map_certificates_verify():
     assert compute_df(certs, domain) > 0.0
 
 
+@pytest.mark.parametrize("field", ["center", "radius", "pair_distance"])
+def test_check_certificate_rejects_nan(field):
+    # every comparison with NaN is false: each test must fail on it
+    domain = sample_sphere(1, 128, seed=2, scheme="quasi_uniform")
+    images = evaluate(random_map("circle_fourier", 2, seed=[0, 5]), domain)
+    cert = next(iter(neighbor_graph(images, domain)))
+    assert check_certificate(cert, images, domain)
+    w = cert.witness
+    bad = dataclasses.replace(cert, witness=Sphere(
+        center=np.full_like(w.center, np.nan) if field == "center"
+        else w.center, radius=np.nan if field == "radius" else w.radius),
+        pair_distance=np.nan if field == "pair_distance"
+        else cert.pair_distance)
+    assert check_certificate(bad, images, domain) is False
+
+
 def test_compute_df_empty():
     domain = sample_sphere(1, 4, seed=0, scheme="quasi_uniform")
     empty = NeighborGraph(pairs=np.zeros((0, 2), dtype=int),
@@ -1170,19 +1186,93 @@ def _top_edge_balls(images, domain):
     return reduced, (simplices[live], centers, radii, margin)
 
 
+def _clearance_on(monkeypatch, branch, *args):
+    """neighbors._clearance(*args) forced onto one branch: "direct" or
+    "tree"."""
+    monkeypatch.setattr(neighbors, "CLEARANCE_DIRECT_MAX",
+                        np.inf if branch == "direct" else -1)
+    got = neighbors._clearance(*args)
+    monkeypatch.undo()
+    return got
+
+
 @pytest.mark.parametrize("n, count, family, m_out, seeds", [
     (1, 512, "circle_fourier", 2, range(6)),
     (2, 512, "sphere_harmonic", 3, range(3)),
     (2, 4096, "sphere_harmonic", 3, range(2))])
-def test_direct_clearance_equals_kd_clearance(n, count, family, m_out, seeds):
+def test_direct_clearance_equals_kd_clearance(monkeypatch, n, count, family,
+                                              m_out, seeds):
     domain = sample_sphere(n, count, seed=1, scheme="quasi_uniform")
     for k in seeds:
         spec = random_map(family, m_out, seed=[k, 1000], d_in=n + 1)
         pts, (splx, centers, radii, _) = _top_edge_balls(
             evaluate(spec, domain), domain)
-        want = neighbors._clearance(pts, centers, radii, splx)
-        got = neighbors._direct_clearance(pts, centers, radii, splx)
+        want = _clearance_on(monkeypatch, "tree", pts, centers, radii, splx)
+        got = _clearance_on(monkeypatch, "direct", pts, centers, radii, splx)
         assert _bytes(got) == _bytes(want)
+
+
+def _scanned_clearance(pts, centers, radii, members):
+    """_clearance's reference: one ball at a time, the distance to every
+    point with the members masked."""
+    out = np.empty(len(centers))
+    for b, (center, radius, own) in enumerate(zip(centers, radii, members)):
+        dist = np.sqrt(np.sum((pts - center) ** 2, axis=1))
+        dist[own] = np.inf
+        out[b] = dist.min() - radius
+    return out
+
+
+def _clearance_calls(monkeypatch, run):
+    """The arguments of every _clearance call that run() makes."""
+    calls, clearance = [], neighbors._clearance
+    monkeypatch.setattr(neighbors, "_clearance",
+                        lambda *a: calls.append(a) or clearance(*a))
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _cell_run(seed):
+    """The graph of a grid-rounded S^2 map: the edge pass's fallback and
+    the cells, whose vertex sets are ragged."""
+    domain = sample_sphere(2, 512, seed=seed, scheme="quasi_uniform")
+    images = np.round(evaluate(random_map("sphere_harmonic", 3,
+                                          seed=[seed, 1000], d_in=3),
+                               domain), 1)
+    return lambda: neighbor_graph(images, domain)
+
+
+def _lp_run(seed):
+    """pair_is_neighbor_fast on every pair of random points: Gabriel
+    balls, and past them the LP's."""
+    images = np.random.default_rng(seed).normal(size=(20, 3))
+    return lambda: [neighbors.pair_is_neighbor_fast(i, j, images)
+                    for i, j in itertools.combinations(range(20), 2)]
+
+
+def _top_edge_run(seed):
+    domain = sample_sphere(1, 512, seed=1, scheme="quasi_uniform")
+    images = evaluate(random_map("circle_fourier", 2, seed=[seed, 1000]),
+                      domain)
+    return lambda: neighbor_span(images, domain)
+
+
+@pytest.mark.parametrize("run", [_cell_run, _lp_run, _top_edge_run])
+def test_clearance_equals_a_scan_on_both_branches(monkeypatch, run):
+    calls = [c for seed in range(3)
+             for c in _clearance_calls(monkeypatch, run(seed))]
+    assert calls
+    for args in calls:
+        want = _bytes(_scanned_clearance(*args))
+        for branch in ("direct", "tree"):
+            assert _bytes(_clearance_on(monkeypatch, branch, *args)) == want
+    if run is _cell_run:  # some vertex set is padded
+        assert any(len(set(own)) < len(own)
+                   for args in calls for own in args[3].tolist())
+    if run is _lp_run:  # some center is the LP's, not a pair midpoint
+        assert any((2.0 * centers != pts[members].sum(axis=1)).any()
+                   for pts, centers, _, members in calls)
 
 
 def test_generic_mu_evaluation_builds_no_kdtree(monkeypatch):
@@ -1200,7 +1290,8 @@ def test_generic_mu_evaluation_builds_no_kdtree(monkeypatch):
 def _top_edge_span_oracle(pts, tri, domain, eps_inside, tau_on):
     """The top-edge check with distinct edges from one sort of the edge
     keys: rho per distinct edge, the last maximum in (i, j) order, then
-    the live balls of its simplices with KD-tree order distances."""
+    the live balls of its simplices with distances scanned ball by
+    ball."""
     keys = neighbors._edge_keys(tri.simplices, len(pts))
     edges = np.unique(keys)
     lo, hi = np.divmod(edges, len(pts))
@@ -1210,7 +1301,7 @@ def _top_edge_span_oracle(pts, tri, domain, eps_inside, tau_on):
     live, centers, radii, margin = neighbors._circumballs(pts, tri, tau_on,
                                                          incident)
     splx = tri.simplices[live]
-    clear = neighbors._direct_clearance(pts, centers, radii, splx)
+    clear = _scanned_clearance(pts, centers, radii, splx)
     other = (splx != lo[k]) & (splx != hi[k])
     slack = np.minimum(clear, np.where(other, margin, np.inf).min(axis=1))
     if len(slack) and slack.max() >= -eps_inside:
