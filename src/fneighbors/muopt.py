@@ -176,84 +176,84 @@ XATOL = 1e-4
 FATOL = 1e-4
 
 
-class _BudgetSpent(Exception):
-    """The evaluation budget of one minimize call ran out."""
-
-
-def minimize(fun, x0: np.ndarray, budget: int) -> tuple[np.ndarray, float]:
-    """Nelder-Mead simplex search (Nelder and Mead 1965) for a minimum of
-    fun from x0, in at most budget evaluations: the best vertex and its
-    value.
-
-    It evaluates exactly the points, in the same order, that
-    scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options=
-    {"maxfev": budget, "xatol": XATOL, "fatol": FATOL, "adaptive": False})
-    evaluates in scipy 1.13-1.17: the same initial simplex (each
-    coordinate times 1.05, or 0.00025 where it is zero), coefficients,
-    argsort orderings (twice after the first simplex, as scipy does: a
-    second unstable sort may reorder ties) and stop test, each point
-    passed as a copy.  Owning these lines keeps scipy.optimize out of
-    `mu` runs and its reports independent of scipy's private code.
-    estimate_mu calls it through the module attribute."""
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    nonzdelt, zdelt = 0.05, 0.00025
+def _nelder_mead(x0: np.ndarray):
+    """Nelder-Mead simplex search (Nelder and Mead 1965) from x0, ask-tell:
+    yields (kind, points), kind "initial" (n + 1 points), "reflection",
+    "expansion", "outside_contraction", "inside_contraction" (one point) or
+    "shrink" (n points), and is sent the values of a prefix of the points.
+    Returns the best vertex and its value once the stop test holds or a
+    batch comes back short.  Unevaluated initial vertices then keep inf,
+    and a short shrink moves its evaluated rows and the next one, as the
+    sequential loop moved row j before evaluating it."""
+    rho, chi, psi, sigma, nonzdelt, zdelt = 1, 2, 0.5, 0.5, 0.05, 0.00025
     n = len(x0)
     sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
     k = np.arange(n)
     sim[k + 1, k] = np.where(sim[0] != 0, (1 + nonzdelt) * sim[0], zdelt)
     fsim = np.full(n + 1, np.inf)
-    fcalls = 0
-
-    def f(x: np.ndarray) -> float:
-        nonlocal fcalls
-        if fcalls >= budget:
-            raise _BudgetSpent
-        fcalls += 1
-        return fun(np.copy(x))
-
-    try:
-        for j in range(n + 1):
-            fsim[j] = f(sim[j])
-    except _BudgetSpent:
-        pass
+    vals = yield "initial", sim
+    fsim[:len(vals)] = vals
+    cut = len(vals) <= n
     for _ in range(2):
         ind = np.argsort(fsim)
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    while fcalls < budget:
-        try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= XATOL
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = (1 + rho) * xbar - rho * sim[-1]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                    fxc = f(xc)
-                    shrink = not fxc <= fxr
-                else:  # inside contraction
-                    xc = (1 - psi) * xbar + psi * sim[-1]
-                    fxc = f(xc)
-                    shrink = not fxc < fsim[-1]
-                if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-        except _BudgetSpent:
-            pass
+    while not cut and not (np.max(np.abs(sim[1:] - sim[0])) <= XATOL
+                           and np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL):
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        vals = yield "reflection", [xr]
+        if not vals:
+            break  # spent between iterations: nothing to re-sort
+        fxr = vals[0]
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            vals = yield "expansion", [xe]
+            cut = not vals
+            if vals:
+                sim[-1], fsim[-1] = (xe, vals[0]) if vals[0] < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            outside = fxr < fsim[-1]
+            xc = ((1 + psi * rho) * xbar - psi * rho * sim[-1] if outside
+                  else (1 - psi) * xbar + psi * sim[-1])
+            vals = yield ("outside_contraction" if outside
+                          else "inside_contraction"), [xc]
+            cut = not vals
+            if vals and (vals[0] <= fxr if outside else vals[0] < fsim[-1]):
+                sim[-1], fsim[-1] = xc, vals[0]
+            elif vals:
+                shrunk = sim[0] + sigma * (sim[1:] - sim[0])
+                vals = yield "shrink", shrunk
+                cut = len(vals) < n
+                sim[1:len(vals) + 2] = shrunk[:len(vals) + 1]
+                fsim[1:len(vals) + 1] = vals
         ind = np.argsort(fsim)
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
     return sim[0], float(fsim[0])
+
+
+def minimize(fun, x0: np.ndarray, budget: int) -> tuple[np.ndarray, float]:
+    """Nelder-Mead for a minimum of fun from x0 in at most budget
+    evaluations: the best vertex and its value.  It passes _nelder_mead's
+    batches to fun point by point, in order and as copies, up to the
+    budget left, and sends the values back.  So it evaluates the points
+    scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options=
+    {"maxfev": budget, "xatol": XATOL, "fatol": FATOL, "adaptive": False})
+    evaluates in scipy 1.13-1.17, in its order, and returns its x and fun.
+    The initial simplex (each coordinate times 1.05, or 0.00025 where it
+    is zero), coefficients, argsorts (twice after the first simplex: a
+    second unstable sort may reorder ties) and stop test are scipy's.
+    Owning them keeps `mu` runs off scipy.optimize and its private code;
+    estimate_mu calls this through the module attribute."""
+    search, vals = _nelder_mead(x0), None
+    try:
+        while True:
+            _, points = search.send(vals)
+            vals = [fun(np.copy(x)) for x in points[:budget]]
+            budget -= len(vals)
+    except StopIteration as done:
+        return done.value
 
 
 def estimate_mu(domain: SampledDomain, family: str, m_out: int,

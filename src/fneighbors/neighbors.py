@@ -345,16 +345,20 @@ def _lp_pair(a: np.ndarray, b: np.ndarray, others: np.ndarray, box: float):
     return "ok", float(res.fun), res.x[:m]
 
 
-def _build_certificate(i, j, images, center, eps_inside, domain=None):
+def _build_certificate(i, j, images, center, eps_inside, domain=None,
+                       nearest=None):
     """The certificate of the pair (i, j) on the sphere about center at
     their mean distance, or None when another image lies deeper inside
-    than eps_inside or the slack is not finite (an overflowing ball)."""
+    than eps_inside or the slack is not finite (an overflowing ball).
+    nearest, when the caller has it, is the distance from center to the
+    nearest image other than i and j: the clearance at radius 0."""
     a, b = images[i], images[j]
     with np.errstate(over="ignore", invalid="ignore"):
         r = 0.5 * (np.linalg.norm(a - center) + np.linalg.norm(b - center))
-        slack = (float(_clearance(images, center[None], np.array([r]),
-                                  np.array([[i, j]]))[0])
-                 if len(images) > 2 else 0.0)
+        if nearest is None and len(images) > 2:
+            nearest = _clearance(images, center[None], np.zeros(1),
+                                 np.array([[i, j]]))[0]
+        slack = float(nearest - r) if len(images) > 2 else 0.0
     if not -eps_inside <= slack < math.inf:
         return None
     rho = domain.rho(i, j) if domain is not None else 0.0
@@ -370,12 +374,16 @@ def pair_is_neighbor_fast(i: int, j: int, images: np.ndarray, *,
     certificate for yes verdicts.
 
     Pipeline: coincidence test, then the Gabriel midpoint ball, then the
-    lifted LP (see _lp_pair).  A "no" is a refutation of the LP within its
-    box, which at the default box size subsumes the limiting-halfspace
-    witnesses; "uncertain" only appears on solver failure or when a
-    numerically positive optimum cannot be geometrically confirmed.  The
-    verdict is for the images as given, not for their projection onto the
-    affine hull that neighbor_graph answers for.
+    lifted LP (see _lp_pair).  "no" means the LP optimum s* exceeds
+    eps_inside_rel.  s* is the least, over centers in the LP's box, of a
+    center's largest distance past the bisector of a member and another
+    image, not an image's depth inside the sphere, which certificates are
+    judged by.  So a "no" is no refutation in the certificates' units: a
+    ball about the LP's own center can still pass _build_certificate.
+    "uncertain" appears on solver failure or when an optimum within
+    eps_inside_rel yields no certificate.  The verdict is for the images
+    as given, not for their projection onto the affine hull that
+    neighbor_graph answers for.
     """
     images = np.asarray(images, dtype=float)
     npts, m = images.shape
@@ -393,10 +401,12 @@ def pair_is_neighbor_fast(i: int, j: int, images: np.ndarray, *,
         return "yes", cert
 
     mid = 0.5 * (a + b)
-    # the Gabriel ball; with two images its clearance is inf
-    if _clearance(images, mid[None], np.array([0.5 * gap]),
-                  np.array([[i, j]]))[0] >= -eps_inside:
-        cert = _build_certificate(i, j, images, mid, eps_inside, domain)
+    # the Gabriel ball, measured once at radius 0 and shared with its
+    # certificate; with two images its clearance is inf
+    nearest = _clearance(images, mid[None], np.zeros(1), np.array([[i, j]]))[0]
+    if nearest - 0.5 * gap >= -eps_inside:
+        cert = _build_certificate(i, j, images, mid, eps_inside, domain,
+                                  nearest)
         if cert is not None:
             return "yes", cert
 

@@ -245,6 +245,48 @@ def test_forced_violation_reproducer_is_the_maps(monkeypatch):
                                f"{allowance:.6f}")
 
 
+def _logged_steps(monkeypatch):
+    """Patch muopt._nelder_mead to log (kind, point) for each point that
+    minimize evaluates, and return the log."""
+    log, search = [], muopt._nelder_mead
+
+    def logged(x0):
+        steps, vals = search(x0), None
+        try:
+            while True:
+                kind, points = steps.send(vals)
+                vals = yield kind, points
+                log.extend((kind, np.copy(x)) for x in points[:len(vals)])
+        except StopIteration as done:
+            return done.value
+
+    monkeypatch.setattr(muopt, "_nelder_mead", logged)
+    return log
+
+
+def test_violation_inside_a_shrink_raises_at_its_point(monkeypatch):
+    # the K-th evaluation is the third point of the first shrink: a
+    # violation there surfaces at once, with that point's map
+    domain = sample_sphere(1, 128, seed=0, scheme="quasi_uniform")
+    cfg = OptimizerConfig(n_restarts=1, budget=40, n_probes=4, seed=0)
+    log = _logged_steps(monkeypatch)
+    estimate_mu(domain, "circle_fourier", 2, cfg)
+    kinds = [kind for kind, _ in log]
+    first = kinds.index("shrink")
+    assert kinds[first:first + 3] == ["shrink"] * 3
+    k = cfg.n_probes + first + 3
+    evals = []
+    span = muopt.neighbor_span
+    monkeypatch.setattr(muopt, "neighbor_span", lambda *a, **kw: (
+        evals.append(1) or (0.0 if len(evals) == k else span(*a, **kw))))
+    with pytest.raises(BoundViolationError) as info:
+        estimate_mu(domain, "circle_fourier", 2, cfg)
+    assert len(evals) == k
+    rep = info.value.reproducer
+    assert rep["df"] == 0.0 and rep["bound"] == separation_bound(1)
+    assert json.loads(rep["map"])["params"] == log[first + 2][1].tolist()
+
+
 # --- muopt.minimize against scipy's Nelder-Mead, the oracle it replaces ---
 
 def _circle_objective():
@@ -306,3 +348,35 @@ def test_minimize_evaluates_the_points_scipy_does(problem, budget):
     assert [p.tobytes() for p in ours] == [p.tobytes() for p in theirs]
     if problem is _quadratic and budget == 400:
         assert len(ours) < budget  # stopped by the tolerances
+
+
+@pytest.mark.parametrize("problem, budget, last, cut", [
+    (_steps, 3, "initial", "initial"),
+    (_steps, 14, "inside_contraction", "shrink"),
+    (_steps, 17, "shrink", "shrink"),
+    (_steps, 35, "outside_contraction", "reflection"),
+    (_circle_objective, 7, "initial", "initial"),
+    (_circle_objective, 17, "inside_contraction", "shrink"),
+    (_circle_objective, 20, "shrink", "shrink"),
+])
+def test_cut_budgets_return_what_scipy_returns(monkeypatch, problem, budget,
+                                               last, cut):
+    # budget ends after a point of kind last and before one of kind cut:
+    # the points, the vertex and the value are still scipy's
+    from scipy.optimize import minimize as scipy_minimize
+
+    fun, x0 = problem()
+    log = _logged_steps(monkeypatch)
+    muopt.minimize(fun, x0, budget + 1)
+    assert [kind for kind, _ in log[budget - 1:]] == [last, cut]
+    monkeypatch.undo()
+    ours, theirs = [], []
+    x, value = muopt.minimize(lambda p: ours.append(p.copy()) or fun(p),
+                              x0, budget)
+    res = scipy_minimize(lambda p: theirs.append(p.copy()) or fun(p), x0,
+                         method="Nelder-Mead",
+                         options={"maxfev": budget, "xatol": muopt.XATOL,
+                                  "fatol": muopt.FATOL, "adaptive": False})
+    assert len(ours) == len(theirs) == budget
+    assert [p.tobytes() for p in ours] == [p.tobytes() for p in theirs]
+    assert x.tobytes() == res.x.tobytes() and value == res.fun

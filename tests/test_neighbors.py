@@ -162,6 +162,24 @@ def test_fast_identity_circle_pair_is_cocircular_yes():
     assert cert.witness.radius == pytest.approx(1.0, abs=1e-6)
 
 
+def test_gabriel_yes_measures_its_ball_once(monkeypatch):
+    # the Gabriel pre-check and its certificate share one _clearance call;
+    # a pair that reaches the LP pays one more for the LP's center
+    images = np.random.default_rng(0).normal(size=(40, 3))
+    calls = _counting_clearance(monkeypatch)
+    gabriel = 0
+    for j in range(1, len(images)):
+        calls.clear()
+        verdict, cert = pair_is_neighbor_fast(0, j, images)
+        mid = 0.5 * (images[0] + images[j])
+        if verdict == "yes" and np.array_equal(cert.witness.center, mid):
+            gabriel += 1
+            assert calls == [1]
+        else:
+            assert calls == ([1, 1] if verdict == "yes" else [1])
+    assert gabriel == 5
+
+
 def _loop_lp_pair(a, b, others, box):
     """The LP with its constraint rows built one image at a time, as
     before they were vectorized."""
