@@ -238,14 +238,14 @@ def minimize(fun, x0: np.ndarray, budget: int) -> tuple[np.ndarray, float]:
     evaluations: the best vertex and its value.  It passes _nelder_mead's
     batches to fun point by point, in order and as copies, up to the
     budget left, and sends the values back.  So it evaluates the points
-    scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options=
+    scipy's minimize(fun, x0, method="Nelder-Mead", options=
     {"maxfev": budget, "xatol": XATOL, "fatol": FATOL, "adaptive": False})
     evaluates in scipy 1.13-1.17, in its order, and returns its x and fun.
     The initial simplex (each coordinate times 1.05, or 0.00025 where it
     is zero), coefficients, argsorts (twice after the first simplex: a
     second unstable sort may reorder ties) and stop test are scipy's.
-    Owning them keeps `mu` runs off scipy.optimize and its private code;
-    estimate_mu calls this through the module attribute."""
+    Owning them keeps `mu` runs off scipy's optimize package and its
+    private code; estimate_mu calls this through the module attribute."""
     search, vals = _nelder_mead(x0), None
     try:
         while True:
@@ -271,8 +271,8 @@ def estimate_mu(domain: SampledDomain, family: str, m_out: int,
     so the reported value is checked against the bound too, and they read
     D_f through neighbor_span, never a full neighbor graph unless its
     early exit falls back.  The restarts run muopt's own Nelder-Mead
-    (minimize), which evaluates the points scipy's would, so no part of
-    scipy.optimize is loaded.
+    (minimize), which evaluates the points scipy's would, so scipy's
+    optimize package is not loaded.
     """
     if cfg.n_probes < 1:
         raise ValueError("estimate_mu needs at least one probe")

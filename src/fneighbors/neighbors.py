@@ -67,6 +67,7 @@ ORACLE_MAX_POINTS = 14
 ORACLE_MAX_DIM = 3
 ORACLE_TOL_REL = 1e-9  # the oracle's coincidence and on-sphere tolerance
 LP_BOX = 1e6  # half-width of the LP's box on the scaled center (_lp_pair)
+LP_TOL = 1e-9  # linprog's relative feasibility and multiplier tolerance
 CROSS_PAIR_CAP = 64  # member pairs past which a cluster pair keeps its farthest
 # tolerances, relative to the image-set diameter: the radius-0 coincidence
 # threshold, the on-sphere residual of certificate members, and the default
@@ -302,22 +303,63 @@ def pair_is_neighbor_oracle(i: int, j: int, images: np.ndarray):
     return False, None
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported at the first LP: loading
-    scipy.optimize costs about 0.1 s and 10 MB, and most runs solve none."""
-    from scipy.optimize import linprog as highs
+def linprog(g: np.ndarray, h: np.ndarray, basis) -> np.ndarray | None:
+    """The vertex x minimizing x[-1] subject to g x <= h, or None.
 
-    return highs(*args, **kwargs)
+    The simplex method on the dual, min h.y subject to g^T y = -e_d and
+    y >= 0, started from basis: d rows of g whose multipliers are >= 0.
+    A basis B has the vertex x = g_B^-1 h_B and the multipliers y =
+    -g_B^-T e_d.  A row is violated when g x - h exceeds LP_TOL (1 + |h|
+    + |g| |x|), and the excess is by how much.  Each pivot enters a
+    violated row r and leaves, among the basis rows whose multipliers
+    reach 0 first as y_r grows, the lowest-index one.  r is the row of
+    largest excess, or the lowest-index violated row after a degenerate
+    pivot (one that moves no multiplier): every pivot of a cycle of bases
+    would be degenerate and so follow Bland's rule, which cannot cycle in
+    exact arithmetic.  A basis row may leave only if its entry of g_r
+    g_B^-1 exceeds LP_TOL times the entry's magnitude bound |g_r|
+    |g_B^-1|, so no pivot is on rounding noise.  x comes back when no row
+    is violated and no multiplier is below -LP_TOL; None when a multiplier
+    is, when no row can leave (g x <= h is infeasible) or after 50 pivots
+    per row."""
+    basis, bland = list(basis), False
+    mag = np.abs(g)
+    for _ in range(50 * len(g)):
+        inv = np.linalg.inv(g[basis])
+        x = inv @ h[basis]
+        y = -inv[-1]  # the multipliers: g_B^T y = -e_d
+        excess = g @ x - h - LP_TOL * (1.0 + np.abs(h) + mag @ np.abs(x))
+        violated = np.flatnonzero(excess > 0.0)
+        if not len(violated):
+            return x if (y >= -LP_TOL).all() else None
+        r = int(violated[0] if bland else np.argmax(excess))
+        w = g[r] @ inv  # entering y_r by t moves y_B by -t w
+        pos = np.flatnonzero(w > LP_TOL * (mag[r] @ np.abs(inv)))
+        if not len(pos):  # the primal is infeasible
+            return None
+        ratio = np.maximum(y[pos], 0.0) / w[pos]
+        step = ratio.min()
+        basis[min(pos[ratio == step], key=basis.__getitem__)] = r
+        bland = step == 0.0
+    return None
 
 
 def _lp_pair(a: np.ndarray, b: np.ndarray, others: np.ndarray, box: float):
     """LP feasibility for the lifted empty-sphere predicate.
 
     Minimizes the largest normalized violation s of the bisector-halfspace
-    constraints 2<c, y-a> <= |y|^2 - |a|^2 inside a box of half-width `box`
-    (scaled units).  s* <= 0 certifies a center c whose sphere through a and
-    b has no constraint point strictly inside; s* > 0 refutes existence.
-    Returns (status, s*, c) in the caller's scaled frame.
+    constraints 2<c, y-a> <= |y|^2 - |a|^2 over centers c on the bisector
+    of a and b inside a box of half-width `box` (scaled units).  The
+    bisector is c = c0 + Q t, with Q an orthonormal basis of the
+    complement of the unit normal e, so linprog solves for (t, s) over
+    one row [n Q, -1] per other image (n its unit direction from a) and
+    the box rows +-[Q_i, 0].  Its start is the first image row and, for
+    every coordinate but the one where |e| is largest, the box row whose
+    sign makes its multiplier >= 0.  s* <= 0 certifies a center c whose
+    sphere through a and b has no constraint point strictly inside.
+    Returns (status, s*, c) in the caller's scaled frame; with no other
+    image than duplicates of a, or when linprog returns None, the status
+    is "failed".
     """
     m = len(a)
     u = others - a
@@ -325,24 +367,26 @@ def _lp_pair(a: np.ndarray, b: np.ndarray, others: np.ndarray, box: float):
     # a duplicate of a is on any sphere through a, never inside
     keep = nu >= 1e-14
     u, nu, y = u[keep], nu[keep], others[keep]
+    if not len(y):
+        return "failed", math.inf, None
     ub = b - a
     nb = np.linalg.norm(ub)
-    a_eq = np.concatenate([ub / nb, [0.0]])[None, :]
-    b_eq = [(b @ b - a @ a) / (2.0 * nb)]
-    if len(y):
-        a_ub = np.column_stack([u / nu[:, None], np.full(len(y), -1.0)])
-        b_ub = (np.vecdot(y, y) - a @ a) / (2.0 * nu)
-    else:
-        a_ub = None
-        b_ub = None
-    bounds = [(-box, box)] * m + [(None, None)]
-    cost = np.zeros(m + 1)
-    cost[-1] = 1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    if not res.success:
+    e = ub / nb
+    c0 = (b @ b - a @ a) / (2.0 * nb) * e
+    q = np.linalg.qr(e[:, None], mode="complete")[0][:, 1:]
+    n = u / nu[:, None]
+    nq = n @ q
+    zero = np.zeros((m, 1))
+    g = np.block([[nq, np.full((len(y), 1), -1.0)], [q, zero], [-q, zero]])
+    h = np.concatenate([(np.vecdot(y, y) - a @ a) / (2.0 * nu) - n @ c0,
+                        box - c0, box + c0])
+    free = np.delete(np.arange(m), np.argmax(np.abs(e)))
+    z = np.linalg.solve(q[free].T, -nq[0])
+    start = [0, *(len(y) + i + m * (zi < 0) for i, zi in zip(free, z))]
+    x = linprog(g, h, start)
+    if x is None:
         return "failed", math.inf, None
-    return "ok", float(res.fun), res.x[:m]
+    return "ok", float(x[-1]), c0 + q @ x[:-1]
 
 
 def _build_certificate(i, j, images, center, eps_inside, domain=None,
@@ -374,15 +418,17 @@ def pair_is_neighbor_fast(i: int, j: int, images: np.ndarray, *,
     certificate for yes verdicts.
 
     Pipeline: coincidence test, then the Gabriel midpoint ball, then the
-    lifted LP (see _lp_pair).  "no" means the LP optimum s* exceeds
-    eps_inside_rel.  s* is the least, over centers in the LP's box, of a
+    lifted LP (see _lp_pair), solved exactly at a vertex by linprog's
+    dual simplex.  "no" means the LP optimum s* exceeds eps_inside_rel.
+    s* is the least, over centers on the bisector in the LP's box, of a
     center's largest distance past the bisector of a member and another
     image, not an image's depth inside the sphere, which certificates are
     judged by.  So a "no" is no refutation in the certificates' units: a
     ball about the LP's own center can still pass _build_certificate.
-    "uncertain" appears on solver failure or when an optimum within
-    eps_inside_rel yields no certificate.  The verdict is for the images
-    as given, not for their projection onto the affine hull that
+    "uncertain" appears when the LP fails (linprog returns None, or every
+    other image duplicates images[i]) or when an optimum
+    within eps_inside_rel yields no certificate.  The verdict is for the
+    images as given, not for their projection onto the affine hull that
     neighbor_graph answers for.
     """
     images = np.asarray(images, dtype=float)

@@ -460,7 +460,7 @@ def test_console_entry_point():
     assert "D_f = 2" in proc.stdout
 
 
-# --- start-up footprint: scipy.optimize and csgraph load only where used ---
+# --- start-up footprint: no run loads scipy.optimize, csgraph only where used
 
 _FOOTPRINT = """
 import contextlib, io, json, os, sys
@@ -474,7 +474,12 @@ steps = [("import", loaded())]
 for args in (["neighbors", "--n", "2", "--samples", "256", "--dump-certs"],
              ["verify-sphere", "--n", "2", "--m-out", "3", "--trials", "1",
               "--samples", "256"],
+             ["verify-cube", "--n", "2", "--trials", "2", "--samples", "512"],
+             ["verify-cube", "--n", "3", "--trials", "1", "--samples", "512"],
              ["witness", "--n", "2", "--m-out", "3", "--samples", "300"],
+             ["degree", "--domain", "cube", "--n", "2", "--samples", "256"],
+             ["degree", "--domain", "sphere", "--n", "2", "--samples", "256"],
+             ["delta-sweep", "--n", "1", "--samples", "128"],
              ["mu", "--samples", "64", "--probes", "1", "--restarts", "1",
               "--budget", "20"]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -484,14 +489,18 @@ print(json.dumps(steps))
 """
 
 
-def test_only_lp_paths_load_scipy_optimize_and_csgraph():
+def test_no_cli_run_loads_scipy_optimize_or_csgraph():
+    # verify-cube's LP cross-check runs linprog's own dual simplex, so
+    # only min_enclosing_ball_angular's nnls still needs scipy.optimize
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)
     assert steps == [["import", []], ["neighbors", 0, []],
-                     ["verify-sphere", 0, []], ["witness", 0, []],
-                     ["mu", 0, []]]
+                     ["verify-sphere", 0, []], ["verify-cube", 0, []],
+                     ["verify-cube", 0, []], ["witness", 0, []],
+                     ["degree", 0, []], ["degree", 0, []],
+                     ["delta-sweep", 0, []], ["mu", 0, []]]
 
 
 def test_lp_and_nelder_mead_calls_go_through_module_attributes(monkeypatch,

@@ -115,23 +115,33 @@ def test_oracle_scale_guard():
 
 # --- fast path against the oracle ---
 
-def test_fast_matches_oracle_on_random_instances():
-    trues = falses = 0
+def _oracle_cases():
+    """Up to 300 seeded small instances in dimension 1 to 3, every other
+    one rounded to force degeneracies, as (i, j, images) cases; rounded
+    instances whose pair coincides are skipped."""
+    cases = []
     for trial in range(300):
         rng = np.random.default_rng([81, trial])
         npts = int(rng.integers(3, 11))
         m = int(rng.integers(1, 4))
         images = rng.uniform(-1.0, 1.0, size=(npts, m))
         if trial % 2 == 0:
-            images = np.round(images, 1)  # force degeneracies
+            images = np.round(images, 1)
         perm = rng.permutation(npts)
         i, j = int(perm[0]), int(perm[1])
         if np.linalg.norm(images[i] - images[j]) == 0.0 and trial % 2 == 0:
             continue
+        cases.append((i, j, images))
+    return cases
+
+
+def test_fast_matches_oracle_on_random_instances():
+    trues = falses = 0
+    for i, j, images in _oracle_cases():
         expected, _ = pair_is_neighbor_oracle(i, j, images)
         verdict, cert = pair_is_neighbor_fast(i, j, images)
         assert verdict in ("yes", "no")
-        assert (verdict == "yes") == expected, (trial, images, i, j)
+        assert (verdict == "yes") == expected, (images, i, j)
         if expected:
             trues += 1
         else:
@@ -180,52 +190,11 @@ def test_gabriel_yes_measures_its_ball_once(monkeypatch):
     assert gabriel == 5
 
 
-def _loop_lp_pair(a, b, others, box):
-    """The LP with its constraint rows built one image at a time, as
-    before they were vectorized."""
-    m = len(a)
-    rows, rhs = [], []
-    for y in others:
-        u = y - a
-        nu = np.linalg.norm(u)
-        if nu < 1e-14:
-            continue
-        rows.append(np.concatenate([u / nu, [-1.0]]))
-        rhs.append((y @ y - a @ a) / (2.0 * nu))
-    ub = b - a
-    nb = np.linalg.norm(ub)
-    a_eq = np.concatenate([ub / nb, [0.0]])[None, :]
-    b_eq = [(b @ b - a @ a) / (2.0 * nb)]
-    a_ub = np.asarray(rows) if rows else None
-    b_ub = np.asarray(rhs) if rows else None
-    cost = np.zeros(m + 1)
-    cost[-1] = 1.0
-    res = neighbors.linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                            bounds=[(-box, box)] * m + [(None, None)],
-                            method="highs")
-    if not res.success:
-        return "failed", float("inf"), None
-    return "ok", float(res.fun), res.x[:m]
-
-
-def _verdicts(monkeypatch, cases, lp):
-    """pair_is_neighbor_fast on every (i, j, images) case with the given
-    LP, as (verdict, certificate JSON) rows, and the number of LP calls."""
-    calls = []
-    monkeypatch.setattr(neighbors, "_lp_pair",
-                        lambda *args: calls.append(1) or lp(*args))
-    rows = [(verdict, cert and cert.to_json()) for verdict, cert in
-            (pair_is_neighbor_fast(i, j, images) for i, j, images in cases)]
-    monkeypatch.undo()
-    return rows, len(calls)
-
-
-def test_vectorized_lp_rows_match_the_loop(monkeypatch):
-    # criterion 5's instances (rounded, with duplicated images) and one
-    # square trial's witness pair plus pairs across its images, many of
-    # which the midpoint ball fails and only the LP settles
+def _criterion5_cases(count):
+    """The first count of criterion 5's instances (rounded, with
+    duplicated images) as (i, j, images) cases."""
     cases = []
-    for trial in range(200):
+    for trial in range(count):
         rng = np.random.default_rng([9500, trial])
         npts = int(rng.integers(4, 13))
         m = int(rng.integers(2, 4))
@@ -236,18 +205,177 @@ def test_vectorized_lp_rows_match_the_loop(monkeypatch):
             images[int(rng.integers(npts))] = images[int(rng.integers(npts))]
         perm = rng.permutation(npts)
         cases.append((int(perm[0]), int(perm[1]), images))
-    domain, cover = cube_boundary_cover(2, 2048, seed=0)
-    images = evaluate(random_map("poly_quadratic", 2, seed=[0, 2000], d_in=2),
-                      domain)
-    rng = np.random.default_rng(3)
-    cases += [(*disjoint_faces_check(domain, cover, images).pair, images)] + [
-        (int(i), int(j), images)
-        for i, j in rng.choice(len(images), size=(6, 2), replace=False)]
-    got, lp_calls = _verdicts(monkeypatch, cases, neighbors._lp_pair)
-    want, _ = _verdicts(monkeypatch, cases, _loop_lp_pair)
-    assert got == want
-    assert lp_calls >= 50
+    return cases
+
+
+def _cube_cases(trials):
+    """verify-cube's witness pair of each trial, n = 2 at 2048 samples and
+    n = 3 at 1024, plus 5 random pairs across each trial's images, many
+    of which the midpoint ball fails and only the LP settles."""
+    cases = []
+    for n, samples in ((2, 2048), (3, 1024)):
+        domain, cover = cube_boundary_cover(n, samples, seed=0)
+        for t in range(trials):
+            images = evaluate(random_map("poly_quadratic", n,
+                                         seed=[0, 2000 + t], d_in=n), domain)
+            rng = np.random.default_rng(t)
+            cases += [(*disjoint_faces_check(domain, cover, images).pair,
+                       images)] + [
+                (int(i), int(j), images)
+                for i, j in rng.choice(len(images), size=(5, 2),
+                                       replace=False)]
+    return cases
+
+
+def _loop_lp_pair(a, b, others, box):
+    """The LP with its rows and start basis built one image and one
+    coordinate at a time, as before they were vectorized."""
+    m = len(a)
+    nb = np.linalg.norm(b - a)
+    e = (b - a) / nb
+    c0 = (b @ b - a @ a) / (2.0 * nb) * e
+    q = np.linalg.qr(e[:, None], mode="complete")[0][:, 1:]
+    rows, rhs = [], []
+    for y in others:
+        u = y - a
+        nu = np.linalg.norm(u)
+        if nu < 1e-14:
+            continue
+        rows.append(np.concatenate([u / nu @ q, [-1.0]]))
+        rhs.append((y @ y - a @ a) / (2.0 * nu) - u / nu @ c0)
+    if not rows:
+        return "failed", float("inf"), None
+    k = len(rows)
+    for sign in (1.0, -1.0):
+        for i in range(m):
+            rows.append(np.concatenate([sign * q[i], [0.0]]))
+            rhs.append(box - sign * c0[i])
+    drop = int(np.argmax(np.abs(e)))
+    free = [i for i in range(m) if i != drop]
+    z = np.linalg.solve(q[free].T, -rows[0][:-1])
+    start = [0] + [k + i + (m if zi < 0 else 0) for i, zi in zip(free, z)]
+    x = neighbors.linprog(np.array(rows), np.array(rhs), start)
+    if x is None:
+        return "failed", float("inf"), None
+    return "ok", float(x[-1]), c0 + q @ x[:-1]
+
+
+def _highs_lp_pair(a, b, others, box):
+    """The same LP in its first form, c unreduced with the bisector as an
+    equality row, solved by HiGHS."""
+    from scipy.optimize import linprog
+
+    m = len(a)
+    u = others - a
+    nu = np.linalg.norm(u, axis=1)
+    keep = nu >= 1e-14
+    u, nu, y = u[keep], nu[keep], others[keep]
+    if not len(y):
+        return "failed", float("inf"), None
+    ub = b - a
+    nb = np.linalg.norm(ub)
+    cost = np.zeros(m + 1)
+    cost[-1] = 1.0
+    res = linprog(cost,
+                  A_ub=np.column_stack([u / nu[:, None], -np.ones(len(y))]),
+                  b_ub=(np.vecdot(y, y) - a @ a) / (2.0 * nu),
+                  A_eq=np.append(ub / nb, 0.0)[None, :],
+                  b_eq=[(b @ b - a @ a) / (2.0 * nb)],
+                  bounds=[(-box, box)] * m + [(None, None)], method="highs")
+    if not res.success:
+        return "failed", float("inf"), None
+    return "ok", float(res.fun), res.x[:m]
+
+
+def _verdicts(monkeypatch, cases, lp):
+    """pair_is_neighbor_fast on every (i, j, images) case with the given
+    LP, as (verdict, certificate JSON) rows, and the LP's results."""
+    results = []
+    monkeypatch.setattr(neighbors, "_lp_pair",
+                        lambda *args: results.append(lp(*args))
+                        or results[-1])
+    rows = [(verdict, cert and cert.to_json()) for verdict, cert in
+            (pair_is_neighbor_fast(i, j, images) for i, j, images in cases)]
+    monkeypatch.undo()
+    return rows, results
+
+
+def _cert_numbers(cert):
+    """A certificate JSON's numbers: slack, pair distance, then the
+    witness center and radius when the witness is a sphere."""
+    w = cert["witness"]
+    return [cert["slack"], cert["pair_distance"],
+            *([] if isinstance(w, str) else [*w["center"], w["radius"]])]
+
+
+def test_vectorized_lp_rows_match_the_loop(monkeypatch):
+    # criterion 5's first 200 instances and the cube trials' pairs.  The
+    # loop's row products are vector-matrix where the vectorized ones are
+    # one matrix product, which may round differently in the last bit, so
+    # the optima and certificates agree to rounding amplified by the
+    # basis' condition, not bit for bit
+    cases = _criterion5_cases(200) + _cube_cases(1)
+    got, ours = _verdicts(monkeypatch, cases, neighbors._lp_pair)
+    want, loop = _verdicts(monkeypatch, cases, _loop_lp_pair)
+    assert [(v, c and c["indices"]) for v, c in got] == [
+        (v, c and c["indices"]) for v, c in want]
+    for (_, c1), (_, c2) in zip(got, want):
+        if c1 is not None:
+            np.testing.assert_allclose(_cert_numbers(c1), _cert_numbers(c2),
+                                       rtol=1e-9, atol=1e-12)
+    assert [s for s, _, _ in ours] == [s for s, _, _ in loop]
+    np.testing.assert_allclose([x[1] for x in ours], [x[1] for x in loop],
+                               rtol=1e-9, atol=1e-12)
+    assert len(ours) >= 50
     assert {verdict for verdict, _ in got} == {"yes", "no"}
+
+
+def test_lp_matches_highs(monkeypatch):
+    # HiGHS as the oracle: the same verdicts and optima within its 1e-7
+    # feasibility tolerance, on criterion 5's instances, the oracle cases
+    # and the cube trials' pairs
+    cases = _criterion5_cases(500) + _oracle_cases() + _cube_cases(3)
+    got, ours = _verdicts(monkeypatch, cases, neighbors._lp_pair)
+    want, highs = _verdicts(monkeypatch, cases, _highs_lp_pair)
+    assert [v for v, _ in got] == [v for v, _ in want]
+    assert len(ours) == len(highs) >= 400
+    assert all(s == "ok" for s, _, _ in ours + highs)
+    assert max(abs(x[1] - y[1]) for x, y in zip(ours, highs)) <= 1e-7
+
+
+def test_linprog_ends_optimal_on_degenerate_images(monkeypatch):
+    # over every pair of images with duplicates, of the cocircular 16-gon
+    # and of the nearly flat images, each LP ends at a vertex that holds
+    # every row, within the pivot cap
+    t = np.arange(16) * (2.0 * np.pi / 16)
+    flat = np.random.default_rng(0).normal(size=(40, 3))
+    flat[:, 2] *= 1e-9
+    solves = []
+    linprog = neighbors.linprog
+
+    def solve(g, h, basis):
+        x = linprog(g, h, basis)
+        solves.append(x is not None and bool(np.all(g @ x <= h + 1e-6)))
+        return x
+
+    monkeypatch.setattr(neighbors, "linprog", solve)
+    for images in (_lattice(0), _lattice(1),
+                   np.column_stack([np.cos(t), np.sin(t)]), flat):
+        for i, j in itertools.combinations(range(len(images)), 2):
+            assert pair_is_neighbor_fast(i, j, images)[0] != "uncertain"
+    assert len(solves) >= 500 and all(solves)
+    # no row but duplicates of a: the LP is unbounded below and fails
+    a, b = np.zeros(2), np.ones(2)
+    assert neighbors._lp_pair(a, b, np.zeros((2, 2)), neighbors.LP_BOX) == (
+        "failed", float("inf"), None)
+
+
+def test_linprog_refuses_a_vertex_with_a_negative_multiplier():
+    # min s over 0 <= s <= 5: from the row s <= 5, whose multiplier is -1,
+    # no row is violated at s = 5, yet that vertex is no optimum
+    g, h = np.array([[-1.0], [1.0]]), np.array([0.0, 5.0])
+    assert np.array_equal(neighbors.linprog(g, h, [0]), [0.0])
+    assert neighbors.linprog(g, h, [1]) is None
 
 
 # --- graph ---
@@ -384,7 +512,9 @@ def test_failing_cells_leave_only_lp_no_pairs(k):
 def test_nearly_flat_images_graph_answers_for_the_projection():
     # one axis scaled by 1e-9 falls below the rank tolerance: the graph
     # answers for the images in their (planar) affine hull, the LP for
-    # the images as given, where 5 more pairs pass within rounding
+    # the images as given, where 6 more pairs pass within rounding: each
+    # has a center about 5e6 off the plane, and a certificate the checker
+    # accepts for the images as given
     domain = sample_sphere(2, 20, seed=0, scheme="uniform_random")
     images = np.random.default_rng(0).normal(size=(40, 3))
     images[:, 2] *= 1e-9
@@ -393,7 +523,11 @@ def test_nearly_flat_images_graph_answers_for_the_projection():
     graph = neighbor_graph(images, domain)
     got = _covered_pairs(graph)
     assert got == _pairwise_lp_set(reduced) and len(got) == 111
-    assert len(_pairwise_lp_set(images)) == 116
+    lp_yes = _pairwise_lp_set(images)
+    assert len(lp_yes) == 117 and got < lp_yes
+    for i, j in lp_yes - got:
+        cert = pair_is_neighbor_fast(i, j, images, domain=domain)[1]
+        assert check_certificate(cert, images, domain)
 
 
 def test_graph_delaunay_path_matches_pairwise_lp():
