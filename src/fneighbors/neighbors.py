@@ -5,19 +5,20 @@ both of their images with no other image strictly inside (points exactly on
 the sphere are allowed); coinciding images are the radius-0 branch of the
 same notion.  The predicate is equivalent to "the closed Voronoi cells of
 the two images intersect", which after the paraboloid lifting becomes a
-linear feasibility problem: the scalable path solves that LP, while the
-oracle decides small instances by candidate-sphere enumeration so the two
-routes stay independent.
+linear feasibility problem: pair_is_neighbor_fast solves that LP for one
+pair, while the oracle decides small instances by candidate-sphere
+enumeration so the two routes stay independent.
 
 Images that are not cospherical take one candidate path in any reduced
 dimension of 2 or more, a Delaunay triangulation: every Delaunay edge is
 certified by its best incident-simplex circumball, and every f-neighbor
 pair is an edge or lies in a cospherical cell, which becomes one tuple;
-every ball is read from Qhull's lifted hyperplanes, then checked.  If
-Qhull fails, every pair goes to the LP.  The triangulation can be
-large: a closed curve in R^4 or R^5 is nearly neighborly, like the cyclic
-polytopes, so a good share of all pairs are edges and, in R^5, the
-simplices grow as N^3.
+every ball is read from Qhull's lifted hyperplanes, then checked.  It
+all runs on the images scaled by a power of two to a diameter in [1/2,
+1), so neither Qhull nor a tolerance sees the map's scale.  The
+triangulation can be large: a closed curve in R^4 or R^5 is nearly
+neighborly, like the cyclic polytopes, so a good share of all pairs are
+edges and, in R^5, the simplices grow as N^3.
 When every sample is a vertex, every ball is live and each interior
 facet's apex clears the ball across it by a margin, Delaunay's lemma
 proves all circumballs empty from the simplices' neighbors alone;
@@ -44,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.spatial import Delaunay, QhullError, cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
 from .domains import SampledDomain
 from .geometry import TAU_RANK, Sphere, circumsphere
@@ -124,7 +125,8 @@ class NeighborGraph:
 
     Pair certificates are columns sorted by pair: row k certifies pairs[k]
     = (i, j), i < j, by the witness ball ball[k] (-1 for a radius-0
-    coincidence) with clearance slack[k] and intrinsic distance rho[k].
+    coincidence verdict of the LP rescue, _lp_pairs) with clearance
+    slack[k] and intrinsic distance rho[k].
     The balls form one table, ball b being the sphere (centers[b],
     radii[b]) in image coordinates, held once for all the rows it
     certifies (the simplices of a cospherical cell each bring their own
@@ -898,13 +900,21 @@ class _Clusters(NamedTuple):
     cluster, sizes and start delimit each cluster), and each cluster's
     lowest member stands in for it.  reduced holds the representatives'
     images in their affine hull (None for a single cluster), embed maps
-    reduced points back, and sphere is the least-squares sphere of
-    _clusters through all representatives when its worst residual resid
-    is within tau_on (else None; resid is inf when no sphere was fitted),
-    tau_on being max(TAU_ON_REL * diam, 1e-12)."""
+    reduced points back to image coordinates, and sphere is the
+    least-squares sphere of _clusters through all representatives when its
+    worst residual resid is within tau_on (else None; resid is inf when no
+    sphere was fitted), tau_on being TAU_ON_REL * diam.
+
+    Lengths are in the unit frame: reduced, diam, tau_on, sphere and
+    resid are image lengths times 2^-exponent, math.frexp's exponent of
+    the image diameter, so diam lies in [1/2, 1) (0 for coinciding
+    images).  A power of two scales floats exactly, so Qhull and the ball
+    arithmetic see the same numbers at any scale of the map; ldexp(x,
+    exponent) takes a length back, as embed takes a point."""
 
     diam: float
     tau_on: float
+    exponent: int
     members: np.ndarray
     sizes: np.ndarray
     start: np.ndarray
@@ -916,12 +926,13 @@ class _Clusters(NamedTuple):
 
 def _clusters(images: np.ndarray) -> _Clusters:
     """The shared prelude: coincidence clusters, affine reduction of their
-    representatives and the cosphere test (see _Clusters).  One extents
-    pass gives the diameter and the coincidence test's axis; when every
-    sample is its own cluster the images are the representatives, as
-    they are.  Non-finite images, or finite ones whose squared diameter
-    overflows, give a non-finite diameter, which raises ImageScaleError:
-    no coincidence threshold can be scaled from it.
+    representatives into the unit frame and the cosphere test (see
+    _Clusters).  One extents pass gives the diameter and the coincidence
+    test's axis; when every sample is its own cluster the images are the
+    representatives, as they are.  Non-finite images, or finite ones
+    whose squared diameter overflows, give a non-finite diameter, which
+    raises ImageScaleError: no coincidence threshold can be scaled from
+    it.
 
     The cosphere test fits geometry.fit_sphere's sphere in closed form
     (Kasa 1976): the least-squares solution of 2 <p, c> + k = b, with
@@ -938,7 +949,6 @@ def _clusters(images: np.ndarray) -> _Clusters:
             "images must be finite" if not np.isfinite(images).all() else
             "every image is finite, but the square of their diameter "
             "overflows a float: scale the map down")
-    tau_on = max(TAU_ON_REL * diam, 1e-12)
     # at zero diameter all samples form one cluster
     label = (_coincidence_labels(images, EPS_COINCIDE_REL * diam,
                                  int(ext.argmax()))
@@ -952,36 +962,41 @@ def _clusters(images: np.ndarray) -> _Clusters:
         sizes = np.bincount(label)
         start = np.cumsum(sizes) - sizes
         reps = images.take(members[start], axis=0)
+    exponent = math.frexp(diam)[1]
+    unit = math.ldexp(1.0, -exponent)
+    diam *= unit
+    tau_on = TAU_ON_REL * diam
     reduced = embed = sph = None
     resid = math.inf
     if len(sizes) >= 2:
-        reduced, embed, s = _affine_reduce(reps)
+        reduced, to_image, s = _affine_reduce(reps)
+        reduced *= unit
+        s *= unit
+
+        def embed(point: np.ndarray) -> np.ndarray:
+            return to_image(np.ldexp(point, exponent))
+
         if reduced.shape[1] > 1:
-            # images near the overflow limit give a NaN resid: no sphere
-            with np.errstate(over="ignore", invalid="ignore"):
-                b = np.vecdot(reduced, reduced)
-                mean_b = b.mean()
-                center = (b - mean_b) @ reduced / (2.0 * s * s)
-                radius = math.sqrt(mean_b + center @ center)
-                diff = reduced - center
-                resid = float(np.abs(np.sqrt(np.vecdot(diff, diff))
-                                     - radius).max())
+            b = np.vecdot(reduced, reduced)
+            mean_b = b.mean()
+            center = (b - mean_b) @ reduced / (2.0 * s * s)
+            radius = math.sqrt(mean_b + center @ center)
+            diff = reduced - center
+            resid = float(np.abs(np.sqrt(np.vecdot(diff, diff))
+                                 - radius).max())
             if resid <= tau_on:
                 sph = Sphere(center=center, radius=radius)
-    return _Clusters(diam, tau_on, members, sizes, start, reduced, embed, sph,
-                     resid)
+    return _Clusters(diam, tau_on, exponent, members, sizes, start, reduced,
+                     embed, sph, resid)
 
 
 def _triangulation(cl: _Clusters) -> Delaunay | None:
-    """Qhull's Delaunay triangulation of the representatives (the one
-    Qhull call), or None for a single cluster, a line, cospherical images
-    or a QhullError, where callers take what needs no triangulation."""
+    """Qhull's Delaunay triangulation of the representatives in the unit
+    frame (the one Qhull call), or None for a single cluster, a line or
+    cospherical images, where callers take what needs no triangulation."""
     if cl.reduced is None or cl.sphere is not None or cl.reduced.shape[1] < 2:
         return None
-    try:
-        return Delaunay(cl.reduced)
-    except QhullError:
-        return None
+    return Delaunay(cl.reduced)
 
 
 def _cell_mask(tri) -> np.ndarray:
@@ -1032,11 +1047,13 @@ def neighbor_graph(images: np.ndarray, domain: SampledDomain, *,
     representatives that are all cospherical form one all-sample tuple.
     Otherwise they are certified from the edges of one Delaunay
     triangulation in their reduced dimension (consecutive values on a
-    line), an edge whose circumballs all fail by the LP, and every pair by
-    the LP if Qhull fails.  Each cospherical cell (_cells) becomes one
-    tuple on the ball of its row of tri.equations (_lifted_balls) when
-    the cell is on it within tau_on (_on_ball) and no other image lies
-    deeper inside than eps_inside.  Every certified pair of
+    line), each by its best incident circumball, and an edge whose
+    circumballs all fail by the LP (_lp_pairs).  All of it runs in the
+    unit frame of _Clusters, so the graph does not depend on the map's
+    scale.  Each cospherical cell (_cells) becomes one tuple on the ball
+    of its row of tri.equations (_lifted_balls) when the cell is on it
+    within tau_on (_on_ball) and no other image lies deeper inside than
+    eps_inside.  Every certified pair of
     representatives expands to all member pairs of its two clusters (only
     the farthest one past CROSS_PAIR_CAP).
 
@@ -1059,10 +1076,11 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
                 eps_inside_rel: float) -> NeighborGraph:
     """neighbor_graph of at least two images from their prelude and
     _triangulation(prelude): distinct representatives in reduced
-    dimension 2 or more that are not cospherical are certified from tri,
-    or pair by pair when it is None."""
+    dimension 2 or more that are not cospherical are certified from tri.
+    Radii and slacks leave the unit frame by ldexp, centers by embed."""
     npts, m = images.shape
-    diam, tau_on, members, sizes, start, reduced, embed, sph, resid = prelude
+    (diam, tau_on, exponent, members, sizes, start, reduced, embed, sph,
+     resid) = prelude
     no_pairs = _stack_rows([], [], m)
     eps_inside = eps_inside_rel * diam
     tuples, big = [], sizes >= 2
@@ -1076,14 +1094,13 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
     if sph is not None:
         tuples.append(_tuple_cert(
             domain, np.arange(npts),
-            Sphere(center=embed(sph.center), radius=sph.radius), -resid))
+            Sphere(center=embed(sph.center),
+                   radius=math.ldexp(sph.radius, exponent)),
+            -math.ldexp(resid, exponent)))
         return _graph(domain, *no_pairs, tuples)
 
     if reduced.shape[1] == 1:
         cand = _line_pairs(reduced[:, 0])
-    elif tri is None:
-        cand = _lp_pairs(itertools.combinations(range(len(reduced)), 2),
-                         reduced, eps_inside_rel)
     else:
         cand, failed = _delaunay_edge_certs(reduced, tri, eps_inside, tau_on)
         keep, ball = np.unique(cand[2], return_inverse=True)  # balls in use
@@ -1111,17 +1128,18 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
                                           for r in cells[k]])
                     tuples.append(_tuple_cert(
                         domain, np.sort(idx),
-                        Sphere(center=embed(mid[k]), radius=float(rad[k])),
-                        min(c, -float(spread[k]))))
+                        Sphere(center=embed(mid[k]),
+                               radius=math.ldexp(float(rad[k]), exponent)),
+                        math.ldexp(min(c, -float(spread[k])), exponent)))
 
-    # embed the ball table in one call, expand each representative pair to
-    # the member pairs of its clusters, and let each new column replace
-    # its source; _graph sets the row order
+    # take the ball table to image coordinates, expand each representative
+    # pair to the member pairs of its clusters, and let each new column
+    # replace its source; _graph sets the row order
     lo, hi, ball, slack, centers, radii = cand
     del cand
-    centers = embed(centers)
+    centers, radii = embed(centers), np.ldexp(radii, exponent)
     lo, hi, ref = _member_pairs(domain, members, sizes, start, lo, hi)
-    ball, slack = ball.take(ref), slack[ref]
+    ball, slack = ball.take(ref), np.ldexp(slack[ref], exponent)
     del ref
     return _graph(domain, lo, hi, ball, slack, centers, radii, tuples)
 
@@ -1210,7 +1228,9 @@ def check_certificate(cert: NeighborCertificate, images: np.ndarray,
                       eps_inside_rel: float = EPS_INSIDE_REL) -> bool:
     """Re-validate a certificate against the full image set: members on the
     witness sphere within tau_on, no non-member deeper inside than
-    eps_inside, pair_distance consistent with the domain."""
+    eps_inside, pair_distance consistent with the domain.  Every
+    tolerance, the allowance for rounding (1e-12) too, is relative to the
+    image diameter, so the verdict does not depend on the map's scale."""
     images = np.asarray(images, dtype=float)
     diam = image_diameter(images)
     idx = np.asarray(cert.indices)
@@ -1220,10 +1240,10 @@ def check_certificate(cert: NeighborCertificate, images: np.ndarray,
         return False
     if cert.witness == "coincidence":
         spread = image_diameter(images[idx])
-        return spread <= max(EPS_COINCIDE_REL * diam, cert.slack + 1e-12)
+        return spread <= max(EPS_COINCIDE_REL * diam, cert.slack + 1e-12 * diam)
     sphere: Sphere = cert.witness
     margins = sphere.margins(images)
-    if not np.abs(margins[idx]).max() <= max(TAU_ON_REL * diam, 1e-12):
+    if not np.abs(margins[idx]).max() <= TAU_ON_REL * diam:
         return False
     others = np.delete(margins, idx)
-    return bool(others.min(initial=np.inf) >= -eps_inside_rel * diam - 1e-12)
+    return bool(others.min(initial=np.inf) >= -(eps_inside_rel + 1e-12) * diam)

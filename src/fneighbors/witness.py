@@ -18,7 +18,7 @@ a handful of the thousands in the triangulation.
 The images are first clustered, reduced and tested for a common sphere by
 the prelude that neighbor_graph uses (neighbors._clusters); when they are
 cospherical, the sphere's center is the one circumcenter and nothing is
-triangulated, and if Qhull fails, the images are the only candidates.
+triangulated.
 Coincident images add their common point, the radius-0 witness of a
 coincident tuple (with a live rainbow ball, only clusters that touch
 every element).  When no simplex is rainbow, which is the rule when the
@@ -125,9 +125,9 @@ def _candidate_centers(images: np.ndarray,
     of neighbors._clusters (each cluster's lowest member): the
     circumcenters of the simplices of neighbors._triangulation
     (midpoints of consecutive values when their affine hull is a line,
-    the center of their sphere when they are cospherical, none when Qhull
-    fails), followed by the cluster images themselves.  The circumcenters
-    are those of the live balls of neighbors._circumballs.
+    the center of their sphere when they are cospherical), followed by the
+    cluster images themselves.  The circumcenters are those of the live
+    balls of neighbors._circumballs.
 
     A simplex is rainbow when the clusters of its vertices touch every
     cover element.  When some live ball is rainbow, only the rainbow
@@ -147,7 +147,8 @@ def _candidate_centers(images: np.ndarray,
         centers = cl.sphere.center[None, :]
     elif cl.reduced.shape[1] == 1:
         centers = _line_pairs(cl.reduced[:, 0])[4]
-    elif (tri := _triangulation(cl)) is not None:
+    else:
+        tri = _triangulation(cl)
         # the elements each cluster touches, gathered one vertex at a time
         touch = np.logical_or.reduceat(cover.membership[cl.members], cl.start)
         seen = np.zeros((len(tri.simplices), cover.element_count), dtype=bool)
@@ -162,8 +163,6 @@ def _candidate_centers(images: np.ndarray,
             reps = reps[touch.all(axis=1)]
         else:
             centers = _circumballs(cl.reduced, tri, cl.tau_on)[1]
-    else:  # Qhull failed
-        centers = np.empty((0, cl.reduced.shape[1]))
     return np.vstack([cl.embed(centers), reps])
 
 

@@ -274,21 +274,63 @@ def test_bad_values_are_usage_errors(args, tmp_path, capsys):
     assert "Traceback" not in err and err.startswith("error: ")
 
 
-def test_images_near_the_overflow_limit_give_only_finite_certificates(
-        tmp_path):
-    # at 1e150 the LP centers of some failed edges overflow: their balls
-    # certify nothing, and no overflow is reported as a RuntimeWarning
-    out = tmp_path / "r.json"
+def _certificate_indices(tmp_path, scale):
+    """The report and certificate indices of neighbors --samples 64 at
+    --scale scale, with no RuntimeWarning raised."""
+    out = tmp_path / f"r-{scale}.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert run("neighbors", "--samples", "64", "--scale", "1e150",
+        assert run("neighbors", "--samples", "64", "--scale", scale,
                    "--dump-certs", "--out", str(out)) == 0
     report = json.loads(out.read_text())
+    return report, [c["indices"] for c in report["certificates"]]
+
+
+def test_images_near_the_overflow_limit_give_only_finite_certificates(
+        tmp_path):
+    # Qhull refused these images (every pair then went to the LP, and 3
+    # LP centers overflowed); in the unit frame they give scale 1's
+    # Delaunay certificates, scaled
+    report, indices = _certificate_indices(tmp_path, "1e150")
     assert report["df"] == 2.0
+    assert indices == _certificate_indices(tmp_path, "1")[1]
+    assert len(indices) == report["n_certificates"] == 164
     for cert in report["certificates"]:
         w = cert["witness"]
         numbers = [cert["slack"], w["radius"], *w["center"]]
         assert np.isfinite(numbers).all()
+
+
+@pytest.mark.parametrize("scale", ["1e-150", "1e-13", "1e80"])
+def test_neighbors_lists_scale_1_certificates_at_any_scale(tmp_path, scale):
+    # below a diameter of 1e-6 a floor on tau_on made the images
+    # cospherical (one all-sample tuple), and past about 1e80 Qhull
+    # refused them
+    assert (_certificate_indices(tmp_path, scale)[1]
+            == _certificate_indices(tmp_path, "1")[1])
+
+
+def test_sphere_map_into_r3_near_the_overflow_limit_runs():
+    # Qhull crashed the process (SIGSEGV) on these reduced images; in a
+    # separate process, so that a crash fails this test only
+    proc = subprocess.run(
+        [sys.executable, "-m", "fneighbors", "neighbors", "--n", "2",
+         "--m-out", "3", "--samples", "256", "--scale", "1e150"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "D_f = 2" in proc.stdout
+
+
+@pytest.mark.parametrize("scale", ["1", "1e100"])
+def test_witness_contacts_do_not_depend_on_the_scale(tmp_path, scale):
+    # at 1e100 Qhull refused the images, which left only the images as
+    # candidates and ended in no-witness-found
+    out = tmp_path / "w.json"
+    assert run("witness", "--domain", "sphere", "--n", "2", "--samples",
+               "512", "--scale", scale, "--out", str(out)) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["status"] == "ok"
+    assert result["chosen"] == [406, 209, 313, 204]
 
 
 AFFINE_ONE_PARAM = json.dumps({"family": "affine", "m_out": 2, "params": [1]})

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import Delaunay, QhullError, cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
 from fneighbors import neighbors
 from fneighbors.domains import (
@@ -666,6 +666,23 @@ def test_graph_fourier_map_certificates_verify():
     assert compute_df(certs, domain) > 0.0
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-13])
+def test_check_certificate_rejects_an_image_half_a_radius_inside(scale):
+    # an absolute 1e-12 floor on the inside test let this ball pass at
+    # 1e-13, where its radius is below 1e-13 too
+    images, domain = _circle_map(64, 2, seed=[0, 1000])
+    cert = neighbor_graph(images, domain).row(0)
+    w = cert.witness
+    k = next(k for k in range(len(domain)) if k not in cert.indices)
+    moved = images.copy()
+    moved[k] = w.center + (0.5 * w.radius, 0.0)
+    cert = dataclasses.replace(
+        cert, witness=Sphere(center=w.center * scale, radius=w.radius * scale),
+        slack=cert.slack * scale)
+    assert check_certificate(cert, images * scale, domain)
+    assert not check_certificate(cert, moved * scale, domain)
+
+
 @pytest.mark.parametrize("field", ["center", "radius", "pair_distance"])
 def test_check_certificate_rejects_nan(field):
     # every comparison with NaN is false: each test must fail on it
@@ -1250,23 +1267,113 @@ def test_span_falls_back_when_the_longest_edge_fails(monkeypatch):
     assert span == compute_df(neighbor_graph(images, domain), domain)
 
 
-def _failing_qhull(*args):
-    raise QhullError("triangulation refused")
+# --- the unit frame: the graph path does not see the map's scale ---
+
+def _scale_free_case(case):
+    """An S^1 -> R^2 map, the same rounded to 2 decimals (coincidence
+    clusters and cospherical cells) or an S^2 -> R^3 map, with the
+    standard cover."""
+    if case == "sphere":
+        domain = sample_sphere(2, 1024, seed=1, scheme="quasi_uniform")
+        spec = random_map("sphere_harmonic", 3, seed=[1, 1000], d_in=3)
+    else:
+        domain = sample_sphere(1, 512, seed=0, scheme="quasi_uniform")
+        spec = random_map("circle_fourier", 2, seed=[0, 5], d_in=2)
+    images = evaluate(spec, domain)
+    if case == "rounded":
+        images = np.round(images, 2)
+    return images, domain, regular_triangulation_cover(domain)
 
 
-def test_qhull_failure_takes_the_exhaustive_lp(monkeypatch):
-    # 30 Gaussian images in R^3 would take the Delaunay path; when Qhull
-    # fails, every pair goes to the LP, and neighbor_span does not ask
-    # Qhull a second time
-    domain = sample_sphere(2, 15, seed=9, scheme="uniform_random")
-    images = np.random.default_rng(77).normal(size=(len(domain), 3))
-    monkeypatch.setattr(neighbors, "Delaunay", _failing_qhull)
+def _tuple_numbers(graph):
+    return [(c.slack, c.witness.radius, *c.witness.center)
+            for c in graph.tuples if c.witness != "coincidence"]
+
+
+@pytest.mark.parametrize("case", ["circle", "sphere", "rounded"])
+def test_graph_path_is_scale_free(case):
+    # Qhull refused the reduced images past about 1e80 (every pair then
+    # went to the LP), and below a diameter of 1e-6 a floor on tau_on
+    # made them cospherical; in the unit frame neither happens.  Scaling
+    # by a power of two is exact, and the graph scales with it bit for
+    # bit; any other scale rounds the images, which can move the cells of
+    # a rounded map, so that map takes powers of two only
+    images, domain, cover = _scale_free_case(case)
+    base = neighbor_graph(images, domain)
+    pair, df, _ = extremal_pair(base, domain)
+    report = witness_point(domain, cover, images)
+    assert report.status == "ok"
+    assert neighbor_span(images, domain) == df
+    if case == "rounded":
+        assert _tuple_numbers(base) and len(base.tuples) > 1
+        scales = (2.0**-60, 2.0**60)
+    else:
+        scales = (2.0**-60, 1e-13, 1e100, 1e150, 2.0**60)
+    for scale in scales:
+        scaled = images * scale
+        graph = neighbor_graph(scaled, domain)
+        assert graph.pairs.tolist() == base.pairs.tolist()
+        assert ([c.indices for c in graph.tuples]
+                == [c.indices for c in base.tuples])
+        assert extremal_pair(graph, domain)[:2] == (pair, df)
+        assert neighbor_span(scaled, domain) == df
+        # several candidates are exact witnesses, and rounding picks one:
+        # a scale that is no power of two may pick another
+        found = witness_point(domain, cover, scaled)
+        assert found.status == "ok"
+        assert found.residual <= 1e-15 * image_diameter(scaled)
+        if scale in (2.0**-60, 2.0**60):
+            assert found.chosen == report.chosen
+            assert np.array_equal(graph.ball, base.ball)
+            for name in ("centers", "radii", "slack"):
+                assert (_bytes(getattr(graph, name))
+                        == _bytes(getattr(base, name) * scale))
+            assert _tuple_numbers(graph) == [
+                tuple(v * scale for v in t) for t in _tuple_numbers(base)]
+
+
+def test_a_jittered_lattice_sends_a_failed_edge_to_the_lp():
+    # a real input that reaches the LP rescue at the default tolerance:
+    # on the 8^3 lattice jittered by 1e-10, the diagonal (4, 0, 0)-(6, 2, 0)
+    # of the face z = 0 is a Delaunay edge whose one live ball is a
+    # sliver's, of radius 3e9, with a lattice point 9.5e-7 inside (eps
+    # 7.6e-7); the LP says "no", so the graph has no row for it
+    axes = np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij")
+    images = np.stack([a.ravel() for a in axes], axis=1)
+    images += 1e-10 * np.random.default_rng(1).uniform(-1, 1, images.shape)
+    domain = _identity_domain(images)
+    cl = neighbors._clusters(images)
+    tri = neighbors._triangulation(cl)
+    (lo, hi, *_), failed = neighbors._delaunay_edge_certs(
+        cl.reduced, tri, EPS_INSIDE_REL * cl.diam, cl.tau_on)
+    assert failed == [(256, 400)]
+    assert pair_is_neighbor_fast(256, 400, images)[0] == "no"
     graph = neighbor_graph(images, domain)
-    span, built, top, qhull = _span_path(monkeypatch, images, domain)
-    assert {tuple(p) for p in graph.pairs.tolist()} == _pairwise_lp_set(images)
-    assert not graph.tuples
-    assert built and not top and qhull == 1
-    assert span == compute_df(graph, domain)
+    assert ({tuple(p) for p in graph.pairs.tolist()}
+            == set(zip(lo.tolist(), hi.tolist())))
+
+
+def test_zero_eps_inside_sends_failed_edges_to_the_lp():
+    # a real input that reaches the LP rescue: at eps_inside_rel = 0 an
+    # edge fails when its best ball's slack is below 0 by rounding, and
+    # the LP certifies each such edge with a ball of its own
+    images, domain = _circle_map(64, 2, seed=[0, 1000])
+    cl = neighbors._clusters(images)
+    tri = neighbors._triangulation(cl)
+    failed = neighbors._delaunay_edge_certs(cl.reduced, tri, 0.0,
+                                            cl.tau_on)[1]
+    assert len(failed) == 34  # of 164 edges; none at the default tolerance
+    assert not neighbors._delaunay_edge_certs(
+        cl.reduced, tri, EPS_INSIDE_REL * cl.diam, cl.tau_on)[1]
+    graph = neighbor_graph(images, domain, eps_inside_rel=0.0)
+    assert graph.pairs.tolist() == neighbor_graph(images, domain).pairs.tolist()
+    row = {pair: k for k, pair in enumerate(map(tuple, graph.pairs.tolist()))}
+    balls = [graph.ball[row[pair]] for pair in failed]
+    assert len(set(balls)) == len(failed) and min(balls) >= 0
+    for pair in failed:  # no clusters: representative i is sample i
+        cert = graph.row(row[pair])
+        assert cert.slack >= 0.0
+        assert check_certificate(cert, images, domain, eps_inside_rel=0.0)
 
 
 # --- the mu prelude and top-edge check without search structures ---

@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.spatial import Delaunay, QhullError, cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
 from fneighbors.domains import (
     CoverAssignment,
@@ -501,22 +501,3 @@ def test_nearly_cospherical_witness_takes_the_fitted_center(monkeypatch, n):
     # far inside the acceptance gate
     assert report.status == "ok"
     assert 1e-9 < report.residual <= cl.resid
-
-
-def _failing_qhull(*args):
-    raise QhullError("triangulation refused")
-
-
-def test_qhull_failure_leaves_the_images_as_candidates(monkeypatch):
-    # the search shares neighbor_graph's triangulation; when Qhull fails,
-    # the cluster images are the only candidates and the search still
-    # reports
-    domain = sample_sphere(2, 256, seed=0, scheme="quasi_uniform")
-    cover = regular_triangulation_cover(domain)
-    images = evaluate(random_map("sphere_harmonic", 3, seed=[7, 0], d_in=3),
-                      domain)
-    monkeypatch.setattr(neighbors, "Delaunay", _failing_qhull)
-    assert np.array_equal(witness._candidate_centers(images, cover), images)
-    report = witness_point(domain, cover, images)
-    assert any(np.array_equal(report.point, y) for y in images)
-    assert report.radius == 0.0
