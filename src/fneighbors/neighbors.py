@@ -11,7 +11,8 @@ enumeration so the two routes stay independent.
 
 Images that are not cospherical take one candidate path in any reduced
 dimension of 2 or more, a Delaunay triangulation: every Delaunay edge is
-certified by its best incident-simplex circumball, and every f-neighbor
+certified by the last of its incident-simplex circumballs that certifies
+it (a pick that rounding cannot move), and every f-neighbor
 pair is an edge or lies in a cospherical cell, which becomes one tuple;
 every ball is read from Qhull's lifted hyperplanes, then checked.  It
 all runs on the images scaled by a power of two to a diameter in [1/2,
@@ -40,6 +41,7 @@ import functools
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -88,7 +90,8 @@ def tolerances(eps_inside_rel: float) -> dict:
 
 class ImageScaleError(ValueError):
     """Images from which no tolerance can be scaled: some image is not
-    finite, or the square of their bounding-box diagonal overflows."""
+    finite, the square of their bounding-box diagonal overflows, or the
+    diagonal is below the smallest normal float."""
 
 
 @dataclass(frozen=True)
@@ -176,9 +179,14 @@ def _extent(images: np.ndarray) -> np.ndarray:
 
 def image_diameter(images: np.ndarray) -> float:
     """Bounding-box diagonal: a cheap deterministic diameter proxy used
-    only for scaling tolerances."""
+    only for scaling tolerances.  The extents are scaled by the power of
+    two of the largest before they are squared, exactly, so the diagonal
+    underflows or overflows only where it is itself no normal float."""
     ext = _extent(np.atleast_2d(images))
-    return math.sqrt(ext @ ext)
+    exponent = math.frexp(ext.max())[1]
+    ext = np.ldexp(ext, -exponent)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(ext @ ext), exponent))
 
 
 def _affine_reduce(images: np.ndarray):
@@ -478,8 +486,7 @@ def pair_is_neighbor_fast(i: int, j: int, images: np.ndarray, *,
     return "no", None
 
 
-def _coincidence_labels(images: np.ndarray, eps: float,
-                        axis: int | None = None) -> np.ndarray:
+def _coincidence_labels(images: np.ndarray, eps: float) -> np.ndarray:
     """Cluster label per sample: samples whose images coincide within eps
     (transitively) share one.  Labels count up in the order of each
     cluster's lowest member, as connected_components visits the nodes in
@@ -488,18 +495,20 @@ def _coincidence_labels(images: np.ndarray, eps: float,
     Two images within eps are within eps along every axis, so when the
     images sorted along their widest bounding-box axis are all more than
     2 eps apart, every sample is its own cluster and no tree is built (the
-    factor 2 keeps the rounding of squared distances from mattering); axis
-    names that widest axis when the caller already knows it.  Otherwise a
-    KD-tree lists the pairs within eps."""
+    factor 2 keeps the rounding of squared distances from mattering).
+    Otherwise a KD-tree lists the pairs within eps, on the images scaled
+    by the power of two that takes eps into [1/2, 1): exactly, and so
+    that squared distances near eps do not underflow."""
     n = len(images)
     if n < 2:
         return np.arange(n)
-    if axis is None:
-        axis = int(_extent(images).argmax())
+    axis = int(_extent(images).argmax())
     x = np.sort(images[:, axis])
     if (x[1:] - x[:-1] > 2.0 * eps).all():
         return np.arange(n)
-    links = cKDTree(images).query_pairs(eps, output_type="ndarray")
+    k = -math.frexp(eps)[1]
+    links = cKDTree(np.ldexp(images, k)).query_pairs(math.ldexp(eps, k),
+                                                     output_type="ndarray")
     if not len(links):  # close along the axis, but no pair within eps
         return np.arange(n)
     from scipy.sparse.csgraph import connected_components
@@ -677,12 +686,16 @@ def _local_clearance(pts: np.ndarray, tri, centers: np.ndarray,
       below eps_inside_rel, the depth to which certificates are held.
 
     The apex margins bound a ball's clearance from above only (a point
-    beside a vertex may come closer than every apex).  That does not
-    change the slacks: an edge's slack is min(clearance, u), u being the
-    smallest margin of its simplex's other vertices, which is rounding
-    (at most 1.6e-12 of the diameter on the maps above, each below 1.1e-6
-    of the ball's smallest apex margin).  The KD-tree path gives the same
-    slack unless a point outside the ball lies within u > 0 of it."""
+    beside a vertex may come closer than every apex).  That changes
+    neither the picks nor the slacks.  The picks: a ball certifies an
+    edge only if its clearance passes, and both clearances do, since the
+    KD-tree one is that of a ball proven empty, below 0 by rounding at
+    most, far less than eps_inside.  The slacks: an edge's slack is
+    min(clearance, u), u being the smallest margin of its simplex's other
+    vertices, which is rounding (at most 1.6e-12 of the diameter on the
+    maps above, each below 1.1e-6 of the ball's smallest apex margin).
+    The KD-tree path gives the same slack unless a point outside the ball
+    lies within u > 0 of it."""
     simplices, nbr = tri.simplices, tri.neighbors
     if len(tri.coplanar) or len(centers) < len(simplices):
         return None
@@ -733,61 +746,41 @@ def _edge_keys(simplices: np.ndarray, npts: int) -> np.ndarray:
     return key.ravel()
 
 
-def _last_max(order: np.ndarray, starts: np.ndarray, values: np.ndarray):
-    """Per group of the positions starts[g]:starts[g + 1], values[p]
-    being the value of instance order[p] (instances in any order within a
-    group), the position of the largest value, the one of the largest
-    instance on ties, with NaN above every number: the pick of the last
-    row per group of np.lexsort((instance, values, group)).  A NaN value
-    makes its group's largest NaN, so the tied values are those equal to
-    the group's largest and the NaNs."""
-    counts = np.diff(starts, append=len(values))
-    tied = values == np.repeat(np.maximum.reduceat(values, starts), counts)
-    tied |= np.isnan(values)
-    pick = np.maximum.reduceat(np.where(tied, order, -1), starts)
-    del tied
-    # order is a permutation: each group holds its pick once
-    return np.flatnonzero(order == np.repeat(pick, counts))
-
-
 def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float,
                          tau_on: float):
     """Certified edges from the Delaunay triangulation tri of pts (its
     simplices, neighbors, coplanar points and lifted hyperplanes): each
-    edge keeps the best (largest-slack, the last of its instances on ties)
-    incident live circumball (_circumballs).  Returns the certified edges
-    as candidate columns (lo, hi, ball, slack, centers, radii), the table
-    (centers, radii) holding every live ball in the current coordinates
-    and ball the row of each edge's pick, plus the list of edges that
-    failed the tolerance and need LP fallback.
+    edge keeps the last of its instances whose live circumball
+    (_circumballs) certifies it.  Returns the certified edges as candidate
+    columns (lo, hi, ball, slack, centers, radii), the table (centers,
+    radii) holding every live ball in the current coordinates and ball
+    the row of each edge's pick, plus the list of edges that no ball
+    certifies, which need LP fallback.
 
-    The slack of an edge in a circumball is min(clearance, u), u being
-    the smallest margin of the simplex's other vertices.  When Delaunay's
-    lemma proves every ball empty from the simplices' neighbors (see
-    _local_clearance), each ball's clearance is its smallest apex margin,
-    at least LOCAL_DELAUNAY_TAU times the diameter, and no point is
-    queried; otherwise one _clearance query gives every live ball's
-    clearance."""
+    An edge's ball certifies it when the ball's clearance and the margins
+    of the simplex's other vertices are all at least -eps_inside, and its
+    slack there is the least of them.  The pick is a function of these
+    pass/fail outcomes and of the triangulation, not of the slacks, which
+    on generic maps differ only by rounding (the margins), so rounding the
+    images differently moves no pick.  When Delaunay's lemma proves every
+    ball empty from the simplices' neighbors (see _local_clearance), each
+    ball's clearance is its smallest apex margin, at least
+    LOCAL_DELAUNAY_TAU times the diameter, and no point is queried;
+    otherwise one _clearance query gives every live ball's clearance."""
     live, centers, radii, margin = _circumballs(pts, tri, tau_on)
     splx = tri.simplices.take(live, axis=0)
     del live
     nsplx = len(splx)
-    # instance t = k * nsplx + s is local pair k of simplex s; u[t], the
-    # smallest margin of its other vertices (its rest columns), is written
-    # in place and then lowered to the slack min(clear, u)
-    rest = _local_pairs(splx.shape[1])[2]
-    u = np.empty((len(rest), nsplx))
-    for k, r in enumerate(rest):
-        u[k] = margin[:, r[0]]
-        for c in r[1:]:
-            np.minimum(u[k], margin[:, c], out=u[k])
-    del margin
     clear = _local_clearance(pts, tri, centers, radii)
     if clear is None:
         clear = _clearance(pts, centers, radii, splx)
-    np.minimum(u, clear, out=u)
-    del clear
-    u = u.ravel()
+    # instance t = k * nsplx + s is local pair k of simplex s; ok[k, s]:
+    # its ball's clearance and its other vertices' (its rest columns')
+    # margins all pass, where a NaN fails
+    rest = _local_pairs(splx.shape[1])[2]
+    passed = (margin >= -eps_inside) & (clear >= -eps_inside)[:, None]
+    ok = np.array([passed[:, r].all(axis=1) for r in rest])
+    del passed
     key = _edge_keys(splx, len(pts))
     del splx
     order = np.argsort(key).astype(_index_type(len(key)))
@@ -799,12 +792,12 @@ def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float,
     del first
     lo, hi = np.divmod(key.take(starts).astype(np.intp), len(pts))
     del key
-    u = u[order]  # the slack at each position; take would copy order to intp
-    chosen = _last_max(order, starts, u)
-    slack, t = u[chosen], order[chosen] % nsplx
-    del u, order, chosen
-    good = slack >= -eps_inside
-    return ((lo[good], hi[good], t[good], slack[good], centers, radii),
+    pick = np.maximum.reduceat(np.where(ok.ravel()[order], order, -1), starts)
+    del ok, order
+    good = pick >= 0
+    k, t = np.divmod(pick[good], nsplx)
+    slack = np.minimum(clear[t], margin[t[:, None], rest[k]].min(axis=1))
+    return ((lo[good], hi[good], t, slack, centers, radii),
             list(zip(lo[~good].tolist(), hi[~good].tolist())))
 
 
@@ -927,12 +920,11 @@ class _Clusters(NamedTuple):
 def _clusters(images: np.ndarray) -> _Clusters:
     """The shared prelude: coincidence clusters, affine reduction of their
     representatives into the unit frame and the cosphere test (see
-    _Clusters).  One extents pass gives the diameter and the coincidence
-    test's axis; when every sample is its own cluster the images are the
-    representatives, as they are.  Non-finite images, or finite ones
-    whose squared diameter overflows, give a non-finite diameter, which
-    raises ImageScaleError: no coincidence threshold can be scaled from
-    it.
+    _Clusters); when every sample is its own cluster the images are the
+    representatives, as they are.  Non-finite images, finite ones whose
+    squared diameter overflows, and a diameter below the smallest normal
+    float raise ImageScaleError: no coincidence threshold can be scaled
+    from them.
 
     The cosphere test fits geometry.fit_sphere's sphere in closed form
     (Kasa 1976): the least-squares solution of 2 <p, c> + k = b, with
@@ -941,17 +933,18 @@ def _clusters(images: np.ndarray) -> _Clusters:
     equations decouple: c_i = <reduced[:, i], b - mean b> / (2 s_i^2),
     k = mean b, and r^2 = mean b + |c|^2."""
     n = len(images)
-    ext = _extent(images)
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        diam = math.sqrt(ext @ ext)  # image_diameter
-    if not math.isfinite(diam):
+    diam = image_diameter(images)
+    if not diam * diam < math.inf:  # a NaN fails
         raise ImageScaleError(
             "images must be finite" if not np.isfinite(images).all() else
             "every image is finite, but the square of their diameter "
             "overflows a float: scale the map down")
+    if 0.0 < diam < sys.float_info.min:
+        raise ImageScaleError(
+            "the diameter of the images is below the smallest normal "
+            "float: scale the map up")
     # at zero diameter all samples form one cluster
-    label = (_coincidence_labels(images, EPS_COINCIDE_REL * diam,
-                                 int(ext.argmax()))
+    label = (_coincidence_labels(images, EPS_COINCIDE_REL * diam)
              if diam > 0.0 else np.zeros(n, dtype=np.intp))
     if label[-1] == n - 1:  # n clusters: label is 0, 1, ..., n - 1
         members = start = label
@@ -1047,10 +1040,10 @@ def neighbor_graph(images: np.ndarray, domain: SampledDomain, *,
     representatives that are all cospherical form one all-sample tuple.
     Otherwise they are certified from the edges of one Delaunay
     triangulation in their reduced dimension (consecutive values on a
-    line), each by its best incident circumball, and an edge whose
-    circumballs all fail by the LP (_lp_pairs).  All of it runs in the
-    unit frame of _Clusters, so the graph does not depend on the map's
-    scale.  Each cospherical cell (_cells) becomes one tuple on the ball
+    line), each by the last incident circumball that certifies it, and an
+    edge whose circumballs all fail by the LP (_lp_pairs).  All of it runs
+    in the unit frame of _Clusters, so the graph does not depend on the
+    map's scale.  Each cospherical cell (_cells) becomes one tuple on the ball
     of its row of tri.equations (_lifted_balls) when the cell is on it
     within tau_on (_on_ball) and no other image lies deeper inside than
     eps_inside.  Every certified pair of
@@ -1230,7 +1223,10 @@ def check_certificate(cert: NeighborCertificate, images: np.ndarray,
     witness sphere within tau_on, no non-member deeper inside than
     eps_inside, pair_distance consistent with the domain.  Every
     tolerance, the allowance for rounding (1e-12) too, is relative to the
-    image diameter, so the verdict does not depend on the map's scale."""
+    image diameter, so the verdict does not depend on the map's scale.
+    The margins are measured in the unit frame of _Clusters: images,
+    center and radius times 2^-k, k = math.frexp(diam)[1], which is exact
+    and keeps their squares from underflowing."""
     images = np.asarray(images, dtype=float)
     diam = image_diameter(images)
     idx = np.asarray(cert.indices)
@@ -1241,8 +1237,11 @@ def check_certificate(cert: NeighborCertificate, images: np.ndarray,
     if cert.witness == "coincidence":
         spread = image_diameter(images[idx])
         return spread <= max(EPS_COINCIDE_REL * diam, cert.slack + 1e-12 * diam)
-    sphere: Sphere = cert.witness
-    margins = sphere.margins(images)
+    k = -math.frexp(diam)[1]
+    sphere = Sphere(center=np.ldexp(cert.witness.center, k),
+                    radius=np.ldexp(cert.witness.radius, k))
+    margins = sphere.margins(np.ldexp(images, k))
+    diam = math.ldexp(diam, k)
     if not np.abs(margins[idx]).max() <= TAU_ON_REL * diam:
         return False
     others = np.delete(margins, idx)

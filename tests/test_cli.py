@@ -15,7 +15,7 @@ from fneighbors import cli, muopt, neighbors
 from fneighbors.cli import _report_pieces, main
 from fneighbors.domains import sample_sphere
 from fneighbors.geometry import Sphere
-from fneighbors.maps import evaluate, map_to_json, random_map
+from fneighbors.maps import evaluate, map_from_json, map_to_json, random_map
 from fneighbors.neighbors import NeighborCertificate, NeighborGraph, neighbor_graph
 
 IDENTITY_MAP = json.dumps({"family": "circle_fourier", "m_out": 2,
@@ -265,7 +265,9 @@ def test_counts_below_one_are_usage_errors(command, flags, tmp_path, capsys):
      '{"family": "constant", "m_out": 2, "params": [NaN, 1]}'),
     # finite images whose squared diameter overflows
     ("neighbors", "--scale", "1e160"), ("mu", "--scale", "1e160"),
-    ("witness", "--scale", "1e160"), ("delta-sweep", "--scale", "1e160")])
+    ("witness", "--scale", "1e160"), ("delta-sweep", "--scale", "1e160"),
+    # images whose diameter is no normal float
+    ("neighbors", "--scale", "1e-310"), ("witness", "--scale", "1e-310")])
 def test_bad_values_are_usage_errors(args, tmp_path, capsys):
     out = tmp_path / "r.json"
     assert run(*args, "--samples", "64", "--out", str(out)) == 2
@@ -301,13 +303,25 @@ def test_images_near_the_overflow_limit_give_only_finite_certificates(
         assert np.isfinite(numbers).all()
 
 
-@pytest.mark.parametrize("scale", ["1e-150", "1e-13", "1e80"])
+@pytest.mark.parametrize("scale", ["1e-300", "1e-165", "1e-160", "1e-150",
+                                   "1e-13", "1e80"])
 def test_neighbors_lists_scale_1_certificates_at_any_scale(tmp_path, scale):
     # below a diameter of 1e-6 a floor on tau_on made the images
-    # cospherical (one all-sample tuple), and past about 1e80 Qhull
-    # refused them
-    assert (_certificate_indices(tmp_path, scale)[1]
-            == _certificate_indices(tmp_path, "1")[1])
+    # cospherical (one all-sample tuple), below about 2e-162 the squared
+    # diameter underflowed to 0 (one coincidence tuple), and past about
+    # 1e80 Qhull refused them; below about 1e-154 check_certificate's
+    # squared margins underflowed, and it failed most certificates
+    report, indices = _certificate_indices(tmp_path, scale)
+    assert indices == _certificate_indices(tmp_path, "1")[1]
+    domain = sample_sphere(1, 64, seed=0, scheme="quasi_uniform")
+    images = evaluate(map_from_json(json.dumps(report["map"])), domain)
+    for doc in report["certificates"]:
+        w = doc["witness"]
+        cert = NeighborCertificate(
+            indices=tuple(doc["indices"]), slack=doc["slack"],
+            witness=Sphere(center=np.array(w["center"]), radius=w["radius"]),
+            pair_distance=doc["pair_distance"])
+        assert neighbors.check_certificate(cert, images, domain)
 
 
 def test_sphere_map_into_r3_near_the_overflow_limit_runs():

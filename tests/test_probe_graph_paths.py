@@ -20,5 +20,10 @@ def test_probe_is_deterministic_and_finds_no_qhull_error():
     # fails some edge on most inputs
     assert fields["qhull_error"] == "0"
     assert int(fields["with_failed_at_eps0"]) > len(rows) // 2
+    # an input counts toward scale_dependent_picks only when its edge set
+    # is the same at every scale
+    inputs = len(rows) // len(probe.SCALES)
+    assert (int(fields["scale_dependent_picks"])
+            <= inputs - int(fields["scale_dependent"]))
     paths = {row.split("path=")[1].split()[0] for row in rows}
     assert paths == {"delaunay", "cosphere"}

@@ -19,8 +19,11 @@ One line per input and scale gives the path taken (single, line, cosphere,
 delaunay, or qhull-error), the Delaunay edges, whether Delaunay's lemma
 proved the balls empty (else the KD-tree query ran), the edges that no
 incident ball certifies at the default eps_inside (which go to the LP)
-and at eps_inside 0, and a hash of the certified edge set, which should
-not depend on the scale.  The last lines give the totals.  The output is
+and at eps_inside 0, a hash of the certified edge set, which should not
+depend on the scale, and a hash of the certified edges each with the
+sorted vertices of the simplex whose ball it picked.  The last line
+gives the totals; scale_dependent_picks counts the inputs whose edge
+set is the same at every scale but whose picks are not.  The output is
 a function of the panel only: no timings, so two runs print the same
 bytes.
 """
@@ -106,7 +109,8 @@ def panel(max_samples: int = MAX_SAMPLES):
 def probe(images: np.ndarray) -> dict:
     """The graph path's branches on one input."""
     row = {"path": "delaunay", "edges": 0, "lemma": "-", "failed": 0,
-           "failed_at_eps0": 0, "qhull_error": 0, "edges_hash": "-"}
+           "failed_at_eps0": 0, "qhull_error": 0, "edges_hash": "-",
+           "picks_hash": "-"}
     cl = neighbors._clusters(images)
     if cl.reduced is None:
         return {**row, "path": "single"}
@@ -118,31 +122,41 @@ def probe(images: np.ndarray) -> dict:
         tri = neighbors._triangulation(cl)
     except QhullError:
         return {**row, "path": "qhull-error", "qhull_error": 1}
-    _, centers, radii, _ = neighbors._circumballs(cl.reduced, tri, cl.tau_on)
+    live, centers, radii, _ = neighbors._circumballs(cl.reduced, tri,
+                                                     cl.tau_on)
     lemma = neighbors._local_clearance(cl.reduced, tri, centers, radii)
     eps_inside = neighbors.EPS_INSIDE_REL * cl.diam
-    (lo, hi, *_), failed = neighbors._delaunay_edge_certs(
+    (lo, hi, ball, *_), failed = neighbors._delaunay_edge_certs(
         cl.reduced, tri, eps_inside, cl.tau_on)
     at_zero = neighbors._delaunay_edge_certs(cl.reduced, tri, 0.0,
                                              cl.tau_on)[1]
     edges = sorted([*zip(lo.tolist(), hi.tolist()), *failed])
-    digest = hashlib.sha256(np.asarray(edges, dtype=np.int64).tobytes())
+    picks = np.column_stack([lo, hi, np.sort(tri.simplices[live[ball]],
+                                             axis=1)])
     return {**row, "edges": len(edges),
             "lemma": "ok" if lemma is not None else "kd",
             "failed": len(failed), "failed_at_eps0": len(at_zero),
-            "edges_hash": digest.hexdigest()[:12]}
+            "edges_hash": _digest(edges), "picks_hash": _digest(picks)}
+
+
+def _digest(rows) -> str:
+    """A short hash of integer rows."""
+    data = np.asarray(rows, dtype=np.int64).tobytes()
+    return hashlib.sha256(data).hexdigest()[:12]
 
 
 def lines(max_samples: int = MAX_SAMPLES):
     """The report, line by line."""
     totals = dict.fromkeys(("runs", "qhull_error", "lemma_kd",
                             "with_failed", "failed", "with_failed_at_eps0",
-                            "failed_at_eps0", "scale_dependent"), 0)
+                            "failed_at_eps0", "scale_dependent",
+                            "scale_dependent_picks"), 0)
     for name, images in panel(max_samples):
-        hashes = set()
+        hashes, pick_hashes = set(), set()
         for scale in SCALES:
             row = probe(images * scale)
             hashes.add(row["edges_hash"])
+            pick_hashes.add(row["picks_hash"])
             totals["runs"] += 1
             totals["qhull_error"] += row["qhull_error"]
             totals["lemma_kd"] += row["lemma"] == "kd"
@@ -153,6 +167,8 @@ def lines(max_samples: int = MAX_SAMPLES):
             yield f"{name} scale={scale:g}: " + " ".join(
                 f"{k}={v}" for k, v in row.items())
         totals["scale_dependent"] += len(hashes) > 1
+        totals["scale_dependent_picks"] += (len(hashes) == 1
+                                            and len(pick_hashes) > 1)
     yield "totals: " + " ".join(f"{k}={v}" for k, v in totals.items())
 
 
