@@ -275,17 +275,20 @@ def _tolerance(cfg: dict, key: str, default: float) -> float:
 # held in memory at once, whatever the size of the graph.
 CHUNK_ROWS = 1024
 
-# One dumped pair certificate as json.dumps(cert.to_json(), sort_keys=True,
-# indent=2) writes it as an item of the report's certificates list: a ball
-# row, whose last field is its ball's text (_BALL), or a coincidence row,
-# whose last field is empty.  Only the text that differs between balls is
-# held per ball.
-_PAIR_HEAD = ('    {\n      "indices": [\n        %d,\n        %d\n      ],\n'
-              '      "pair_distance": %s,\n      "slack": %s,\n')
-_BALL_ROW = (_PAIR_HEAD + '      "witness": {\n        "center": [\n'
+# One dumped certificate as json.dumps(cert.to_json(), sort_keys=True,
+# indent=2) writes it as an item of the report's certificates list, from
+# the text of its indices: a ball certificate, whose last field is its
+# ball's text (_BALL), or a coincidence certificate, whose last field is
+# empty.  Only the text that differs between balls is held per ball.  A
+# pair row takes its two indices as %d, so that one %-format renders it.
+_HEAD = ('    {\n      "indices": [\n        %s\n      ],\n'
+         '      "pair_distance": %s,\n      "slack": %s,\n')
+_BALL_ROW = (_HEAD + '      "witness": {\n        "center": [\n'
              '          %s\n      }\n    }')
 _BALL = '%s\n        ],\n        "radius": %s'
-_COINCIDENCE_ROW = _PAIR_HEAD + '      "witness": "coincidence"\n    }%s'
+_COINCIDENCE_ROW = _HEAD + '      "witness": "coincidence"\n    }%s'
+_BALL_PAIR, _COINCIDENCE_PAIR = (row.replace("%s", "%d,\n        %d", 1)
+                                 for row in (_BALL_ROW, _COINCIDENCE_ROW))
 
 
 def _spell(values: np.ndarray) -> list[str]:
@@ -321,37 +324,35 @@ def _witness_texts(graph: NeighborGraph) -> list[str]:
     return texts
 
 
-def _tuple_positions(graph: NeighborGraph) -> list[int]:
-    """The number of pair rows before each tuple, merged as
-    NeighborGraph.__iter__ merges them: the rows whose pair sorts at or
-    before the tuple's first two indices (on equal keys the pair row comes
-    first; every tuple has at least two members)."""
-    heads = np.array([c.indices[:2] for c in graph.tuples],
-                     dtype=np.int64).reshape(-1, 2)
-    base = 1 + int(max(graph.pairs.max(initial=0), heads.max(initial=0)))
-    keys = graph.pairs[:, 0].astype(np.int64) * base + graph.pairs[:, 1]
-    return np.searchsorted(keys, heads[:, 0] * base + heads[:, 1],
-                           side="right").tolist()
+def _tuple_texts(graph: NeighborGraph, witness: list[str]) -> list[str]:
+    """The text of each tuple of the graph, with the ball texts witness
+    (_witness_texts)."""
+    members = list(map(str, graph.tuple_members.tolist()))
+    start = graph.tuple_start.tolist()
+    return [(_BALL_ROW if w >= 0 else _COINCIDENCE_ROW)
+            % (",\n        ".join(members[a:b]), rho, s, witness[w])
+            for a, b, rho, s, w in zip(
+                start, [*start[1:], len(members)], _spell(graph.tuple_rho),
+                _spell(graph.tuple_slack), graph.tuple_ball.tolist())]
 
 
 def _certificate_pieces(graph: NeighborGraph):
     """The report's certificates list, byte for byte as json.dumps writes
     [c.to_json() for c in graph] at the report's nesting, rendered from the
     graph's columns in pieces of at most CHUNK_ROWS pair rows, with the
-    tuples merged in."""
+    tuples merged in where graph.tuple_positions() places them."""
     if len(graph) == 0:
         yield "[]"
         return
     witness = _witness_texts(graph)
     slack = _floats(graph.slack)
-    tuples = [(at, "    " + json.dumps(cert.to_json(), sort_keys=True,
-                                       indent=2).replace("\n", "\n    "))
-              for at, cert in zip(_tuple_positions(graph), graph.tuples)]
+    tuples = list(zip(graph.tuple_positions().tolist(),
+                      _tuple_texts(graph, witness)))
     n, t = len(graph.pairs), 0
     for start in range(0, max(n, 1), CHUNK_ROWS):  # one piece if tuples only
         stop = min(start + CHUNK_ROWS, n)
         i, j = graph.pairs[start:stop].T.tolist()
-        rows = [(_BALL_ROW if w >= 0 else _COINCIDENCE_ROW)
+        rows = [(_BALL_PAIR if w >= 0 else _COINCIDENCE_PAIR)
                 % (a, b, rho, s, witness[w]) for a, b, rho, s, w
                 in zip(i, j, _spell(graph.rho[start:stop]), slack[start:stop],
                        graph.ball[start:stop].tolist())]

@@ -475,8 +475,7 @@ def delta_sweep(domain: SampledDomain, spec: MapSpec, bins: int = 40,
 
     def distances():
         yield graph.rho
-        for cert in graph.tuples:
-            idx = np.asarray(cert.indices)
+        for idx in np.split(graph.tuple_members, graph.tuple_start)[1:]:
             for start, d in domain.rho_blocks(idx, idx):
                 # keep only pairs (global_row < col) to count each pair once
                 yield d[np.arange(start, start + len(d))[:, None] < np.arange(len(idx))]

@@ -29,20 +29,19 @@ edge when there is no cell, with direct distances from its few balls, and
 clusters coincident images by a sort unless two lie close along every
 axis: on generic images it builds no KD-tree and no hash table.
 The graph comes back as one NeighborGraph: columns over the certified
-pairs (indices, witness ball, slack, intrinsic distance) over one table
-of witness balls, plus the tuple certificates (coincidence clusters, and
-the cells or the one tuple of cospherical images), so D_f is an argmax
-over one distance column.
+pairs (indices, witness ball, slack, intrinsic distance) and over the
+tuples (coincidence clusters, and the cells or the one tuple of
+cospherical images) on one table of witness balls, so D_f is an argmax
+over the distance columns.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -122,23 +121,29 @@ class NeighborCertificate:
                 "slack": float(self.slack), "pair_distance": float(self.pair_distance)}
 
 
+_ints = functools.partial(np.zeros, 0, dtype=np.intp)  # no indices
+
+
 @dataclass(frozen=True, eq=False)
 class NeighborGraph:
-    """All certified f-neighbor tuples of one sampled map.
+    """All certified f-neighbor tuples of one sampled map, as columns over
+    one table of witness balls.
 
-    Pair certificates are columns sorted by pair: row k certifies pairs[k]
+    Pair certificates are rows sorted by pair: row k certifies pairs[k]
     = (i, j), i < j, by the witness ball ball[k] (-1 for a radius-0
     coincidence verdict of the LP rescue, _lp_pairs) with clearance
-    slack[k] and intrinsic distance rho[k].
-    The balls form one table, ball b being the sphere (centers[b],
-    radii[b]) in image coordinates, held once for all the rows it
-    certifies (the simplices of a cospherical cell each bring their own
-    copy of its sphere), and every ball is some row's.  tuples holds the
-    coincidence clusters, the cospherical cells (whose edges are rows too)
-    and the all-sample cosphere tuple, sorted by indices, and
-    tuple_pairs[t] = (i, j), i < j, the member pair of tuples[t] at its
-    pair_distance.  len() counts all certificates; iterating yields them
-    as NeighborCertificate rows in indices order.
+    slack[k] and intrinsic distance rho[k].  Tuple certificates (the
+    coincidence clusters, the cospherical cells, whose edges are rows
+    too, and the all-sample cosphere tuple) are sorted by indices: tuple
+    t has the ascending members tuple_members[tuple_start[t]:] up to the
+    next tuple's start, ball tuple_ball[t] (-1 for a coincidence
+    cluster), slack tuple_slack[t], and tuple_pairs[t] = (i, j), i < j,
+    its member pair at its largest intrinsic distance tuple_rho[t].
+    Ball b is the sphere (centers[b], radii[b]) in image coordinates, held
+    once for all the rows and tuples it certifies, and every ball is some
+    row's or tuple's.  len() counts all certificates and row(k) views
+    certificate k: pair row k, or tuple k - len(pairs) past them;
+    iterating yields them in indices order (order()).
     """
 
     pairs: np.ndarray
@@ -147,24 +152,54 @@ class NeighborGraph:
     rho: np.ndarray
     centers: np.ndarray
     radii: np.ndarray
-    tuples: tuple[NeighborCertificate, ...] = ()
-    tuple_pairs: tuple[tuple[int, int], ...] = ()
+    tuple_members: np.ndarray = field(default_factory=_ints)
+    tuple_start: np.ndarray = field(default_factory=_ints)
+    tuple_ball: np.ndarray = field(default_factory=_ints)
+    tuple_slack: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    tuple_rho: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    tuple_pairs: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 2), dtype=np.intp))
 
     def __len__(self) -> int:
-        return len(self.pairs) + len(self.tuples)
+        return len(self.pairs) + len(self.tuple_start)
 
     def __iter__(self):
-        return heapq.merge(map(self.row, range(len(self.pairs))), self.tuples,
-                           key=lambda c: c.indices)
+        return map(self.row, self.order().tolist())
+
+    def tuple_positions(self) -> np.ndarray:
+        """The merge of pair rows and tuples in indices order: the number
+        of pair rows before each tuple, those whose pair sorts at or
+        before the tuple's first two members (on equal keys the pair row
+        comes first; every tuple has at least two members)."""
+        heads = self.tuple_members[self.tuple_start[:, None] + [0, 1]]
+        base = 1 + int(max(self.pairs.max(initial=0), heads.max(initial=0)))
+        keys = self.pairs[:, 0].astype(np.int64) * base + self.pairs[:, 1]
+        return np.searchsorted(keys, heads[:, 0].astype(np.int64) * base
+                               + heads[:, 1], side="right")
+
+    def order(self) -> np.ndarray:
+        """The certificates, numbered as row() numbers them, in indices
+        order."""
+        n = len(self.pairs)
+        return np.insert(np.arange(n), self.tuple_positions(),
+                         np.arange(n, len(self)))
 
     def row(self, k: int) -> NeighborCertificate:
-        b = int(self.ball[k])
+        t = k - len(self.pairs)
+        if t < 0:
+            indices, b, slack, rho = (self.pairs[k], self.ball[k],
+                                      self.slack[k], self.rho[k])
+        else:
+            stop = (self.tuple_start[t + 1] if t + 1 < len(self.tuple_start)
+                    else len(self.tuple_members))
+            indices, b, slack, rho = (
+                self.tuple_members[self.tuple_start[t]:stop],
+                self.tuple_ball[t], self.tuple_slack[t], self.tuple_rho[t])
         witness = ("coincidence" if b < 0 else
                    Sphere(center=self.centers[b], radius=float(self.radii[b])))
-        i, j = self.pairs[k]
-        return NeighborCertificate(indices=(int(i), int(j)), witness=witness,
-                                   slack=float(self.slack[k]),
-                                   pair_distance=float(self.rho[k]))
+        return NeighborCertificate(indices=tuple(indices.tolist()),
+                                   witness=witness, slack=float(slack),
+                                   pair_distance=float(rho))
 
 
 def _extent(images: np.ndarray) -> np.ndarray:
@@ -862,29 +897,45 @@ def _stack_rows(rows, balls, dim: int):
             np.reshape(centers, (-1, dim)), np.asarray(radii, dtype=float))
 
 
-def _tuple_cert(domain: SampledDomain, idx: np.ndarray, witness, slack: float):
-    """A tuple certificate over the sample indices idx, with the member pair
-    at its pair_distance: one farthest-pair scan serves both."""
-    d, (i, j) = domain.farthest_pair(idx, idx)
-    cert = NeighborCertificate(indices=tuple(idx.tolist()), witness=witness,
-                               slack=slack, pair_distance=d)
-    return cert, (min(i, j), max(i, j))
-
-
 def _graph(domain: SampledDomain, lo: np.ndarray, hi: np.ndarray,
            ball: np.ndarray, slack: np.ndarray, centers: np.ndarray,
-           radii: np.ndarray, tuples=()) -> NeighborGraph:
-    """The graph of distinct pair columns (lo < hi, any order) on the ball
-    table (centers, radii) in image coordinates, every ball of which some
-    row uses, and (certificate, farthest pair) tuples."""
+           radii: np.ndarray, tuples=(), cell_radii=()) -> NeighborGraph:
+    """The graph of distinct pair columns (lo < hi, any order) and of
+    tuples (ascending members, ball, slack) on the ball table (centers,
+    radii) in image coordinates, every ball of which some row or tuple
+    uses.  The balls whose radius is in cell_radii, the spheres of the
+    cospherical cells and the copies of them that the cells' simplices
+    bring, enter the table once: the first of each set of bitwise-equal
+    ones stands for them all, so every certificate keeps its bytes."""
     order = np.argsort(lo.astype(np.int64) * len(domain) + hi)
     pairs = np.column_stack([lo[order], hi[order]])
     rho = domain.rho_pairs(pairs[:, 0], pairs[:, 1])
-    tuples = sorted(tuples, key=lambda t: t[0].indices)
-    return NeighborGraph(pairs=pairs, ball=ball[order], slack=slack[order],
+    ball = ball[order]
+    tuples = sorted(tuples, key=lambda t: t[0].tolist())
+    members = [t[0] for t in tuples]
+    tuple_ball = np.array([t[1] for t in tuples], dtype=np.intp)
+    if len(cell_radii):
+        pool = np.flatnonzero(np.isin(radii, cell_radii))
+        _, first, inverse = np.unique(
+            np.column_stack([centers[pool], radii[pool]]).view(np.int64),
+            axis=0, return_index=True, return_inverse=True)
+        to = np.arange(len(radii))
+        to[pool] = pool[first[inverse.reshape(-1)]]
+        keep = to == np.arange(len(radii))
+        new = np.append((np.cumsum(keep) - 1)[to], -1)  # ball -1 stays -1
+        ball, tuple_ball = new[ball], new[tuple_ball]
+        centers, radii = centers[keep], radii[keep]
+    sizes = np.array([len(m) for m in members], dtype=np.intp)
+    far = [domain.farthest_pair(m, m) for m in members]
+    return NeighborGraph(pairs=pairs, ball=ball, slack=slack[order],
                          rho=rho, centers=centers, radii=radii,
-                         tuples=tuple(c for c, _ in tuples),
-                         tuple_pairs=tuple(p for _, p in tuples))
+                         tuple_members=np.concatenate([_ints(), *members]),
+                         tuple_start=np.cumsum(sizes) - sizes,
+                         tuple_ball=tuple_ball,
+                         tuple_slack=np.array([t[2] for t in tuples]),
+                         tuple_rho=np.array([d for d, _ in far]),
+                         tuple_pairs=np.array([sorted(p) for _, p in far],
+                                              dtype=np.intp).reshape(-1, 2))
 
 
 class _Clusters(NamedTuple):
@@ -1070,28 +1121,26 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
     """neighbor_graph of at least two images from their prelude and
     _triangulation(prelude): distinct representatives in reduced
     dimension 2 or more that are not cospherical are certified from tri.
-    Radii and slacks leave the unit frame by ldexp, centers by embed."""
+    Radii and slacks leave the unit frame by ldexp, centers by embed, a
+    tuple's center on its own (a batch embed may round rows otherwise)."""
     npts, m = images.shape
     (diam, tau_on, exponent, members, sizes, start, reduced, embed, sph,
      resid) = prelude
     no_pairs = _stack_rows([], [], m)
     eps_inside = eps_inside_rel * diam
-    tuples, big = [], sizes >= 2
+    tuples, big = [], sizes >= 2  # (members, ball, slack)
     for s, z in zip(start[big], sizes[big]):
         cl = members[s:s + z]
-        tuples.append(_tuple_cert(domain, cl, "coincidence",
-                                  image_diameter(images[cl])))
+        tuples.append((cl, -1, image_diameter(images[cl])))
     if reduced is None:
         return _graph(domain, *no_pairs, tuples)
 
     if sph is not None:
-        tuples.append(_tuple_cert(
-            domain, np.arange(npts),
-            Sphere(center=embed(sph.center),
-                   radius=math.ldexp(sph.radius, exponent)),
-            -math.ldexp(resid, exponent)))
-        return _graph(domain, *no_pairs, tuples)
+        tuples.append((np.arange(npts), 0, -math.ldexp(resid, exponent)))
+        return _graph(domain, *no_pairs[:4], embed(sph.center)[None],
+                      np.array([math.ldexp(sph.radius, exponent)]), tuples)
 
+    spheres, cell_radii = [], ()  # certified cells' balls, all cells' radii
     if reduced.shape[1] == 1:
         cand = _line_pairs(reduced[:, 0])
     else:
@@ -1115,26 +1164,30 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
             pad = np.minimum(np.arange(counts.max()), counts[on, None] - 1)
             clear = _clearance(reduced, mid[on], rad[on],
                                flat[first[on, None] + pad])
+            cell_radii = np.ldexp(rad, exponent)
             for c, k in zip(clear.tolist(), on.tolist()):
                 if c >= -eps_inside:
                     idx = np.concatenate([members[start[r]:start[r] + sizes[r]]
                                           for r in cells[k]])
-                    tuples.append(_tuple_cert(
-                        domain, np.sort(idx),
-                        Sphere(center=embed(mid[k]),
-                               radius=math.ldexp(float(rad[k]), exponent)),
-                        math.ldexp(min(c, -float(spread[k])), exponent)))
+                    tuples.append((np.sort(idx), len(cand[5]) + len(spheres),
+                                   math.ldexp(min(c, -float(spread[k])),
+                                              exponent)))
+                    spheres.append((embed(mid[k]), cell_radii[k]))
 
-    # take the ball table to image coordinates, expand each representative
-    # pair to the member pairs of its clusters, and let each new column
-    # replace its source; _graph sets the row order
+    # take the ball table to image coordinates, the cells' balls after it,
+    # expand each representative pair to the member pairs of its clusters,
+    # and let each new column replace its source; _graph sets the row order
     lo, hi, ball, slack, centers, radii = cand
     del cand
     centers, radii = embed(centers), np.ldexp(radii, exponent)
+    if spheres:
+        c, r = zip(*spheres)
+        centers, radii = np.vstack([centers, c]), np.append(radii, r)
     lo, hi, ref = _member_pairs(domain, members, sizes, start, lo, hi)
     ball, slack = ball.take(ref), np.ldexp(slack[ref], exponent)
     del ref
-    return _graph(domain, lo, hi, ball, slack, centers, radii, tuples)
+    return _graph(domain, lo, hi, ball, slack, centers, radii, tuples,
+                  cell_radii)
 
 
 def _member_pairs(domain: SampledDomain, members: np.ndarray,
@@ -1201,19 +1254,18 @@ def extremal_pair(graph: NeighborGraph, domain: SampledDomain
                              NeighborCertificate | None]:
     """The certified member pair at maximum intrinsic distance, that
     distance, and the certificate it belongs to; (None, 0.0, None) for an
-    empty graph.  Pair rows are one argmax over graph.rho; tuples bring
-    their farthest pair from graph.tuple_pairs.  Ties go to the last
-    maximal certificate in sorted indices order."""
-    best = (0.0, (), None, None)  # distance, sort key, pair, certificate
-    if len(graph.pairs):
-        k = len(graph.rho) - 1 - int(np.argmax(graph.rho[::-1]))
-        cert = graph.row(k)
-        best = (float(graph.rho[k]), cert.indices, cert.indices, cert)
-    for cert, pair in zip(graph.tuples, graph.tuple_pairs, strict=True):
-        best = max(best, (cert.pair_distance, cert.indices, pair, cert),
-                   key=lambda b: b[:2])
-    d, _, pair, cert = best
-    return pair, d, cert
+    empty graph.  A pair row brings its pair, a tuple its farthest pair
+    (graph.tuple_pairs).  Ties go to the last maximal certificate in
+    indices order."""
+    if not len(graph):
+        return None, 0.0, None
+    order = graph.order()
+    rho = np.concatenate([graph.rho, graph.tuple_rho]).take(order)
+    last = len(rho) - 1 - int(np.argmax(rho[::-1]))
+    k = int(order[last])
+    t = k - len(graph.pairs)
+    i, j = graph.pairs[k] if t < 0 else graph.tuple_pairs[t]
+    return (int(i), int(j)), float(rho[last]), graph.row(k)
 
 
 def check_certificate(cert: NeighborCertificate, images: np.ndarray,

@@ -577,6 +577,18 @@ def test_lp_and_nelder_mead_calls_go_through_module_attributes(monkeypatch,
 
 # --- --dump-certs rendering: byte-identical to json.dumps of the rows ---
 
+def _tuples(members, ball, slack, rho, pairs=None):
+    """NeighborGraph's tuple columns for the ascending member lists
+    members, in indices order; each tuple's pair is its first two members
+    unless pairs gives them."""
+    sizes = [len(m) for m in members]
+    return {"tuple_members": np.concatenate(members),
+            "tuple_start": np.cumsum([0, *sizes[:-1]]),
+            "tuple_ball": np.array(ball), "tuple_slack": np.array(slack),
+            "tuple_rho": np.array(rho),
+            "tuple_pairs": np.array(pairs or [m[:2] for m in members])}
+
+
 def _assert_renders_like_json(graph):
     report = {"command": "neighbors", "certificates": graph, "df": 2.0,
               "tolerances": {"eps_inside_rel": 1e-6}}
@@ -590,7 +602,7 @@ def test_dump_renders_delaunay_sphere_graph():
     domain = sample_sphere(2, 512, seed=1, scheme="quasi_uniform")
     spec = random_map("sphere_harmonic", 3, seed=[1, 1000], d_in=3)
     graph = neighbor_graph(evaluate(spec, domain), domain)
-    assert len(graph.pairs) > 1000 and not graph.tuples
+    assert len(graph.pairs) > 1000 and not len(graph.tuple_start)
     _assert_renders_like_json(graph)
 
 
@@ -603,23 +615,32 @@ def test_dump_renders_line_graph():
 
 
 def test_dump_renders_coincidence_rows_and_tuples():
-    # rounded images coincide in clusters (coincidence tuples); ball -1
-    # on every fifth pair row makes radius-0 coincidence rows
-    domain = sample_sphere(1, 512, seed=0, scheme="quasi_uniform")
-    spec = random_map("circle_fourier", 2, seed=[0, 5], d_in=2)
-    graph = neighbor_graph(np.round(evaluate(spec, domain), 2), domain)
-    assert graph.tuples
-    ball = graph.ball.copy()
-    ball[::5] = -1
-    graph = dataclasses.replace(graph, ball=ball)
-    assert sum(c.witness == "coincidence" for c in graph) > len(graph.tuples)
-    _assert_renders_like_json(graph)
+    # rounded images coincide in clusters (coincidence tuples) and lie on
+    # cospherical cells (sphere tuples); ball -1 on every fifth pair row
+    # makes radius-0 coincidence rows.  Counted: rows, tuples, sphere tuples
+    for n, domain_seed, seed, decimals, counts in [
+            (1, 0, [0, 5], 2, (1502, 18, 10)),
+            (2, 1, [1, 1000], 1, (8766, 1056, 891))]:
+        domain = sample_sphere(n, 512 * n, seed=domain_seed,
+                               scheme="quasi_uniform")
+        family = "sphere_harmonic" if n == 2 else "circle_fourier"
+        spec = random_map(family, n + 1, seed=seed, d_in=n + 1)
+        graph = neighbor_graph(np.round(evaluate(spec, domain), decimals),
+                               domain)
+        tuples = len(graph.tuple_start)
+        assert (len(graph.pairs), tuples,
+                int((graph.tuple_ball >= 0).sum())) == counts
+        ball = graph.ball.copy()
+        ball[::5] = -1
+        graph = dataclasses.replace(graph, ball=ball)
+        assert sum(c.witness == "coincidence" for c in graph) > tuples
+        _assert_renders_like_json(graph)
 
 
 def test_dump_renders_all_sample_cosphere_tuple():
     domain = sample_sphere(1, 64, seed=0, scheme="quasi_uniform")
     graph = neighbor_graph(domain.samples.copy(), domain)
-    assert len(graph.pairs) == 0 and len(graph.tuples) == 1
+    assert len(graph.pairs) == 0 and len(graph.tuple_start) == 1
     _assert_renders_like_json(graph)
 
 
@@ -640,14 +661,12 @@ def test_dump_renders_non_finite_floats_and_tuple_ties():
     graph = NeighborGraph(
         pairs=pairs, ball=np.array([0, -1, 1, 2, 3]),
         centers=np.array([[0.5, -0.0], [1e-300, 2.5e17], [0.1, 0.2],
-                          [-0.0, 0.0]]),
-        radii=np.array([0.5, 1.0, 1 / 3, 0.5]),
+                          [-0.0, 0.0], [3.0, 4.0]]),
+        radii=np.array([0.5, 1.0, 1 / 3, 0.5, 5.0]),
         slack=np.array([np.inf, np.nan, -np.inf, -1e-12, -np.inf]),
         rho=np.array([0.25, 2.0, 1.0, 0.1 + 0.2, 0.25]),
-        tuples=(NeighborCertificate((0, 1, 2), "coincidence", 0.0, 2.0),
-                NeighborCertificate((1, 3), Sphere(np.array([3.0, 4.0]), 5.0),
-                                    float("nan"), 1.5)),
-        tuple_pairs=((0, 2), (1, 3)))
+        **_tuples([(0, 1, 2), (1, 3)], ball=[-1, 4], slack=[0.0, np.nan],
+                  rho=[2.0, 1.5], pairs=[(0, 2), (1, 3)]))
     assert [c.indices for c in graph] == [(0, 1), (0, 1, 2), (0, 2), (1, 3),
                                           (1, 3), (2, 3), (3, 4)]
     _assert_renders_like_json(graph)
@@ -662,9 +681,9 @@ def _row_pieces(report):
     return [json.loads("[" + p[2:] + "]") for p in pieces[1:-2]]
 
 
-def _ladder_graph(n_pairs, tuples=()):
+def _ladder_graph(n_pairs, **tuples):
     """Pairs (k, k + 2), k = 1..n_pairs, whose balls repeat every third
-    row, so that rows share spellings."""
+    row, so that rows share spellings, and the tuple columns tuples."""
     rng = np.random.default_rng(n_pairs)
     balls = rng.normal(size=(3, 4))
     return NeighborGraph(
@@ -673,18 +692,17 @@ def _ladder_graph(n_pairs, tuples=()):
         ball=np.arange(n_pairs) % 3,
         centers=balls[:, :3], radii=np.abs(balls[:, 3]),
         slack=np.round(rng.uniform(size=n_pairs), 1),
-        rho=rng.uniform(size=n_pairs), tuples=tuples,
-        tuple_pairs=tuple(c.indices[:2] for c in tuples))
+        rho=rng.uniform(size=n_pairs), **tuples)
 
 
 def test_dump_pieces_exact_multiple_with_tuples_on_the_boundaries(monkeypatch):
     monkeypatch.setattr(cli, "CHUNK_ROWS", 4)
     # 12 pairs (1, 3) .. (12, 14); the tuples sort before row 0, exactly at
     # rows 4 and 8 (the piece boundaries), and after the last row
-    tuples = tuple(NeighborCertificate(ix, "coincidence", 0.0, 1.0)
-                   for ix in [(0, 1, 2), (4, 7, 8), (8, 11, 12), (13, 14, 15)])
-    graph = _ladder_graph(12, tuples)
-    assert cli._tuple_positions(graph) == [0, 4, 8, 12]
+    graph = _ladder_graph(12, **_tuples(
+        [(0, 1, 2), (4, 7, 8), (8, 11, 12), (13, 14, 15)], ball=[-1] * 4,
+        slack=[0.0] * 4, rho=[1.0] * 4))
+    assert graph.tuple_positions().tolist() == [0, 4, 8, 12]
     _assert_renders_like_json(graph)
     pieces = _row_pieces({"certificates": graph})
     assert [sum(len(c["indices"]) == 2 for c in p) for p in pieces] == [4, 4, 4]
@@ -704,11 +722,11 @@ def test_dump_pieces_hold_at_most_chunk_rows(monkeypatch, n_pairs):
 
 def test_dump_pieces_tuples_only(monkeypatch):
     monkeypatch.setattr(cli, "CHUNK_ROWS", 1)
-    tuples = (NeighborCertificate((0, 1, 2), "coincidence", 0.0, 1.0),
-              NeighborCertificate((3, 4), Sphere(np.array([1.0, -0.0]), 2.0),
-                                  0.5, 1.5),
-              NeighborCertificate((5, 6, 7), "coincidence", 0.25, 0.5))
-    graph = _ladder_graph(0, tuples)
+    graph = dataclasses.replace(
+        _ladder_graph(0), centers=np.array([[1.0, -0.0]]),
+        radii=np.array([2.0]),
+        **_tuples([(0, 1, 2), (3, 4), (5, 6, 7)], ball=[-1, 0, -1],
+                  slack=[0.0, 0.5, 0.25], rho=[1.0, 1.5, 0.5]))
     _assert_renders_like_json(graph)
     assert [len(p) for p in _row_pieces({"certificates": graph})] == [3]
 

@@ -389,7 +389,7 @@ def _check_rows_and_extremal(graph, domain):
     keys = [c.indices for c in rows]
     assert keys == sorted(keys)
     assert sorted(keys) == sorted([tuple(p) for p in graph.pairs.tolist()]
-                                  + [c.indices for c in graph.tuples])
+                                  + [c.indices for c in _tuple_certs(graph)])
     best, best_pair, best_cert = 0.0, None, None
     for cert in rows:
         for i, j in itertools.combinations(cert.indices, 2):
@@ -423,10 +423,15 @@ def _pairwise_lp_set(images):
             if pair_is_neighbor_fast(i, j, images)[0] == "yes"}
 
 
+def _tuple_certs(graph):
+    """The graph's tuple certificates, in indices order."""
+    return [graph.row(k) for k in range(len(graph.pairs), len(graph))]
+
+
 def _covered_pairs(graph):
     """The pair rows plus every member pair of every tuple."""
     pairs = {tuple(p) for p in graph.pairs.tolist()}
-    for cert in graph.tuples:
+    for cert in _tuple_certs(graph):
         pairs.update(itertools.combinations(cert.indices, 2))
     return pairs
 
@@ -484,7 +489,7 @@ def test_four_dimensional_grid_cells_cover_every_neighbor_pair(monkeypatch):
     graph = neighbor_graph(images, domain)
     assert len(_covered_pairs(graph)) == 1160
     assert compute_df(graph, domain) == 2.0  # the unit cells' diagonal
-    for cert in graph.tuples:
+    for cert in _tuple_certs(graph):
         assert check_certificate(cert, images, domain)
 
 
@@ -640,7 +645,7 @@ def test_graph_large_clusters_keep_their_farthest_pair():
     graph = neighbor_graph(images, domain)
     clusters = [np.flatnonzero(images[:, 0] == v) for v in (0.0, 1.0, 2.0)]
     assert min(len(c) for c in clusters) ** 2 > neighbors.CROSS_PAIR_CAP
-    assert [c.indices for c in graph.tuples] == sorted(
+    assert [c.indices for c in _tuple_certs(graph)] == sorted(
         tuple(c.tolist()) for c in clusters)
     assert len(graph.pairs) == 2  # the levels 0-1 and 1-2 are adjacent
     for cert in graph:
@@ -994,7 +999,7 @@ def test_full_graph_columns_in_lexsort_order_with_rescued_rows_and_clusters(
         monkeypatch):
     images, domain, plain, graph, _ = _rescued_graph(monkeypatch)
     pairs = graph.pairs
-    assert len(graph.tuples) == 8
+    assert len(graph.tuple_start) == 8
     assert pairs.tolist() == plain.pairs.tolist()
     assert (np.lexsort((pairs[:, 1], pairs[:, 0])) == np.arange(len(pairs))).all()
     assert not np.array_equal(graph.centers, plain.centers)  # LP witnesses
@@ -1003,13 +1008,55 @@ def test_full_graph_columns_in_lexsort_order_with_rescued_rows_and_clusters(
 
 
 def _assert_ball_table(graph, dim):
-    """Every row's ball is -1 or a row of the table, and every table row
-    is some row's ball."""
-    ball = graph.ball
+    """Every row's and tuple's ball is -1 or a row of the table, and every
+    table row is some row's or tuple's ball."""
+    ball = np.concatenate([graph.ball, graph.tuple_ball])
     assert graph.centers.shape == (len(graph.radii), dim)
     assert ((ball >= -1) & (ball < len(graph.radii))).all()
     assert np.array_equal(np.unique(ball[ball >= 0]),
                           np.arange(len(graph.radii)))
+
+
+def test_each_sphere_enters_the_ball_table_once(monkeypatch):
+    # grid-rounded images lie on cospherical cells, whose simplices each
+    # bring a bitwise copy of the cell's sphere: the table holds each
+    # sphere once, every row and tuple keeps the bits of its ball, and a
+    # cell's edge rows whose ball was bitwise the cell's sphere name it
+    built = []
+    graph_of = neighbors._graph
+    monkeypatch.setattr(neighbors, "_graph",
+                        lambda *args: built.append(args) or graph_of(*args))
+    for n, domain_seed, seed, decimals in [(1, 0, [0, 5], 2),
+                                           (2, 1, [1, 1000], 1)]:
+        domain = sample_sphere(n, 512 * n, seed=domain_seed,
+                               scheme="quasi_uniform")
+        family = "sphere_harmonic" if n == 2 else "circle_fourier"
+        images = np.round(evaluate(random_map(family, n + 1, seed=seed,
+                                              d_in=n + 1), domain), decimals)
+        graph = neighbor_graph(images, domain)
+        _assert_ball_table(graph, n + 1)
+        bits = np.column_stack([graph.centers, graph.radii]).view(np.int64)
+        assert len(np.unique(bits, axis=0)) == len(bits)
+        # the columns as built, before the table was shared
+        _, lo, hi, ball, _, centers, radii, tuples, _ = built.pop()
+        old = np.column_stack([centers, radii]).view(np.int64)
+        assert len(old) > len(bits)
+        ball = ball[np.lexsort((hi, lo))]  # in the graph's row order
+        assert ((graph.ball < 0) == (ball < 0)).all()
+        assert (bits[graph.ball[ball >= 0]] == old[ball[ball >= 0]]).all()
+        at = {tuple(c.indices): t for t, c in enumerate(_tuple_certs(graph))}
+        shared = 0
+        for members, b, _ in tuples:
+            t = at[tuple(members.tolist())]
+            if b < 0:
+                assert graph.tuple_ball[t] == -1
+                continue
+            assert (bits[graph.tuple_ball[t]] == old[b]).all()
+            same = (np.isin(graph.pairs, members).all(axis=1)
+                    & (old[ball] == old[b]).all(axis=1) & (ball >= 0))
+            assert (graph.ball[same] == graph.tuple_ball[t]).all()
+            shared += same.sum()
+        assert shared > (graph.tuple_ball >= 0).sum()
 
 
 def test_ball_table_is_indexed_by_rows_and_rescued_rows_own_their_balls(
@@ -1026,7 +1073,7 @@ def test_ball_table_is_indexed_by_rows_and_rescued_rows_own_their_balls(
         _assert_ball_table(graph, images.shape[1])
         # rows share balls; coinciding images form tuples, not rows
         assert len(graph.radii) < len(graph.pairs) and (graph.ball >= 0).all()
-        kinds = {c.witness == "coincidence" for c in graph.tuples}
+        kinds = {c.witness == "coincidence" for c in _tuple_certs(graph)}
         assert kinds == ({True, False} if cells else set())
     # the LP answers coincidence on every third rescued pair by key sum
     images, domain, _, graph, rescued = _rescued_graph(
@@ -1306,7 +1353,7 @@ def _scale_free_case(case):
 
 def _tuple_numbers(graph):
     return [(c.slack, c.witness.radius, *c.witness.center)
-            for c in graph.tuples if c.witness != "coincidence"]
+            for c in _tuple_certs(graph) if c.witness != "coincidence"]
 
 
 @pytest.mark.parametrize("case", ["circle", "sphere", "rounded"])
@@ -1324,7 +1371,7 @@ def test_graph_path_is_scale_free(case):
     assert report.status == "ok"
     assert neighbor_span(images, domain) == df
     if case == "rounded":
-        assert _tuple_numbers(base) and len(base.tuples) > 1
+        assert _tuple_numbers(base) and len(base.tuple_start) > 1
         scales = (2.0**-60, 2.0**60)
     else:
         scales = (2.0**-60, 1e-13, 1e100, 1e150, 2.0**60)
@@ -1332,8 +1379,8 @@ def test_graph_path_is_scale_free(case):
         scaled = images * scale
         graph = neighbor_graph(scaled, domain)
         assert graph.pairs.tolist() == base.pairs.tolist()
-        assert ([c.indices for c in graph.tuples]
-                == [c.indices for c in base.tuples])
+        assert ([c.indices for c in _tuple_certs(graph)]
+                == [c.indices for c in _tuple_certs(base)])
         assert extremal_pair(graph, domain)[:2] == (pair, df)
         assert neighbor_span(scaled, domain) == df
         # several candidates are exact witnesses, and rounding picks one:
@@ -1728,7 +1775,8 @@ def test_identity_maps_still_give_the_all_sample_tuple():
     for n in (1, 2):
         domain = sample_sphere(n, 512, seed=0, scheme="quasi_uniform")
         graph = neighbor_graph(domain.samples.copy(), domain)
-        assert [c.indices for c in graph.tuples] == [tuple(range(len(domain)))]
+        assert graph.tuple_members.tolist() == list(range(len(domain)))
+        assert graph.tuple_start.tolist() == [0]
         assert not len(graph.pairs)
 
 
