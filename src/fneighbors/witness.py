@@ -9,23 +9,19 @@ any image, so the touching samples form a certified f-neighbor tuple.
 The witness slack slack(x) = max_j d(x, f(C_j)) - d(x, f(X)) is
 nonnegative everywhere and zero exactly at witness points.  On samples an
 exact witness is the center of an empty ball with an image of every
-element on its sphere, so the search scans the live circumballs of the
-Delaunay simplices of the images (neighbors._circumballs): a rainbow
-simplex, whose vertices touch every element, has slack 0, and outside a
-cospherical cell no other empty ball does.  When a rainbow ball is live,
-only the centers of rainbow simplices and of cells' simplices are kept,
-a handful of the thousands in the triangulation.
-The images are first clustered, reduced and tested for a common sphere by
-the prelude that neighbor_graph uses (neighbors._clusters); when they are
-cospherical, the sphere's center is the one circumcenter and nothing is
-triangulated.
-Coincident images add their common point, the radius-0 witness of a
-coincident tuple (with a live rainbow ball, only clusters that touch
-every element).  When no simplex is rainbow, which is the rule when the
-cover has more elements than a simplex has vertices, every circumcenter
-is a candidate, the best is only an approximate witness and the relative
-residual gate decides.  The slack at every candidate comes from one
-per-element distance pass (CoverAssignment.distances).
+element on its sphere.  After the prelude that neighbor_graph uses
+(neighbors._clusters: coincidence clusters, affine reduction, cosphere
+test) the search builds one in three cases: the one cluster's image when
+all images coincide (the radius-0 witness), the center of the images'
+sphere when they are cospherical (nothing is triangulated), and else the
+circumcenter of the first live rainbow simplex of their Delaunay
+triangulation (neighbors._triangulation), one whose vertices' clusters
+touch every element.  The contacts are members that the construction
+puts on the sphere, so no distance, and no rounding, picks them.  In no
+case, which is the rule when the cover has more elements than a simplex
+has vertices, every live circumcenter and cluster image is scanned with
+one per-element distance pass (CoverAssignment.distances): the best is
+only an approximate witness and the relative residual gate decides.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ import numpy as np
 
 from .domains import CoverAssignment, SampledDomain, cube_max_faces
 from .neighbors import (
-    _cell_mask,
     _circumballs,
     _clusters,
     _line_pairs,
@@ -63,10 +58,13 @@ EPS_WITNESS_REL = 1e-3
 class WitnessReport:
     """Outcome of the witness search.
 
-    chosen holds one sample index per cover element: the member whose image
-    is closest to the sphere of radius `radius` around `point` (ties go to
-    the lowest index).  status is "ok" when the residual passes the
-    relative acceptance gate, else "no-witness-found".
+    chosen holds one sample index per cover element.  For an exact
+    witness it is the element's lowest-index member among the samples
+    that the construction puts on the sphere (see witness_point); after
+    the scan it is the member whose image is closest to the sphere of
+    radius `radius` around `point` (ties go to the lowest index).  status
+    is "ok" when the residual passes the relative acceptance gate, else
+    "no-witness-found".
     """
 
     status: str
@@ -99,8 +97,9 @@ class WitnessNotFoundError(RuntimeError):
 def witness_slack(x: np.ndarray, images: np.ndarray,
                   cover: CoverAssignment) -> float:
     """max_j d(x, images of C_j) - d(x, all images); zero exactly at
-    witness points.  The direct form, for one point; witness_point
-    evaluates the slack at all its candidates with _candidate_slack."""
+    witness points.  The direct form, for one point: witness_point's
+    residual at an exact witness; its scan evaluates the slack at all
+    candidates at once with _candidate_slack."""
     x = np.asarray(x, dtype=float)
     d = np.linalg.norm(images - x, axis=1)
     worst = max(float(d[cover.membership[:, j]].min())
@@ -119,33 +118,21 @@ def _nearest_members(dists: np.ndarray, cover: CoverAssignment,
     return tuple(out)
 
 
-def _candidate_centers(images: np.ndarray,
-                       cover: CoverAssignment) -> np.ndarray:
-    """The candidate centers for the coincidence-cluster representatives
-    of neighbors._clusters (each cluster's lowest member): the
-    circumcenters of the simplices of neighbors._triangulation
-    (midpoints of consecutive values when their affine hull is a line,
-    the center of their sphere when they are cospherical), followed by the
-    cluster images themselves.  The circumcenters are those of the live
-    balls of neighbors._circumballs.
-
-    A simplex is rainbow when the clusters of its vertices touch every
-    cover element.  When some live ball is rainbow, only the rainbow
-    simplices and those of cospherical cells (_cell_mask) give
-    circumcenters: the slack at an empty ball's center is 0 only when its
-    sphere holds an image of every element, which outside a cell makes
-    its own simplex rainbow.  By the same rule only the clusters that
-    touch every element give images: an image's slack is 0 only when its
-    cluster does.  Otherwise every live circumcenter and every cluster
-    image is a candidate.  The kept candidates stay in the order of the
-    full list."""
+def _exact_or_candidates(images: np.ndarray, cover: CoverAssignment):
+    """(point, on) for an exact witness, on marking the samples that its
+    construction puts on the sphere: every sample for a single cluster or
+    cospherical images, else the members of the vertices' clusters of the
+    first live rainbow simplex, in simplex order.  Otherwise (a line, or
+    no live rainbow ball) (candidates, None): every live circumcenter, or
+    the midpoints of consecutive values on a line, then the clusters'
+    images."""
     cl = _clusters(images)
-    reps = images[cl.members[cl.start]]
     if cl.reduced is None:  # a single cluster
-        return reps
+        return images[cl.members[0]], np.ones(len(images), dtype=bool)
     if cl.sphere is not None:
-        centers = cl.sphere.center[None, :]
-    elif cl.reduced.shape[1] == 1:
+        return cl.embed(cl.sphere.center), np.ones(len(images), dtype=bool)
+    reps = images[cl.members[cl.start]]
+    if cl.reduced.shape[1] == 1:
         centers = _line_pairs(cl.reduced[:, 0])[4]
     else:
         tri = _triangulation(cl)
@@ -154,16 +141,16 @@ def _candidate_centers(images: np.ndarray,
         seen = np.zeros((len(tri.simplices), cover.element_count), dtype=bool)
         for vertex in tri.simplices.T:
             seen |= touch[vertex]
-        # balls are computed per simplex: those of the rainbow and cell
-        # simplices first, every simplex's only when no rainbow ball is live
-        rainbow = seen.all(axis=1)
-        rows = np.flatnonzero(rainbow | _cell_mask(tri))
-        live, centers = _circumballs(cl.reduced, tri, cl.tau_on, rows)[:2]
-        if rainbow[live].any():
-            reps = reps[touch.all(axis=1)]
-        else:
-            centers = _circumballs(cl.reduced, tri, cl.tau_on)[1]
-    return np.vstack([cl.embed(centers), reps])
+        # the rainbow simplices' balls first, every simplex's for the scan
+        rainbow = np.flatnonzero(seen.all(axis=1))
+        live, centers = _circumballs(cl.reduced, tri, cl.tau_on, rainbow)[:2]
+        if len(live):
+            cluster = np.repeat(np.arange(len(cl.sizes)), cl.sizes)
+            on = np.zeros(len(images), dtype=bool)
+            on[cl.members[np.isin(cluster, tri.simplices[live[0]])]] = True
+            return cl.embed(centers[0]), on
+        centers = _circumballs(cl.reduced, tri, cl.tau_on)[1]
+    return np.vstack([cl.embed(centers), reps]), None
 
 
 def _candidate_slack(candidates: np.ndarray, images: np.ndarray,
@@ -179,37 +166,36 @@ def _candidate_slack(candidates: np.ndarray, images: np.ndarray,
 def witness_point(domain: SampledDomain, cover: CoverAssignment,
                   images: np.ndarray, *,
                   eps_witness_rel: float = EPS_WITNESS_REL) -> WitnessReport:
-    """The candidate center of least witness slack.
+    """The exact witness of _exact_or_candidates, else the scanned
+    candidate of least slack (_candidate_slack, the first minimizer).
 
-    Candidates are the Delaunay circumcenters (only those of rainbow
-    simplices and cospherical cells when a rainbow simplex exists; the
-    sphere's center on cospherical images) and cluster images of
-    _candidate_centers, and the first minimizer of the slack
-    (_candidate_slack) wins.  A rainbow simplex (one whose vertices touch
-    every element) gives slack 0 up to rounding.  With none, which is the
-    rule when the cover has more elements than a simplex has vertices
-    (image dimension plus one), every circumcenter is scanned and the
-    minimizer is only an approximate witness.  All-coincident images
-    form one cluster, whose image is the one candidate: the radius-0
-    witness.  The residual gate is relative to the image diameter.
+    At an exact witness chosen[j] is the lowest-index member of element j
+    that the construction puts on the sphere, radius the nearest-image
+    distance and residual the witness_slack.  After the scan chosen holds
+    each element's member nearest the sphere (_nearest_members).  The
+    residual gate is relative to the image diameter.
     """
     images = np.asarray(images, dtype=float)
     if len(images) != len(domain):
         raise ValueError("images must align with domain samples")
-    names = tuple(cover.names)
-    candidates = _candidate_centers(images, cover)
-    slack, nearest = _candidate_slack(candidates, images, cover)
-    best = int(np.argmin(slack))
-    best_x = candidates[best]
-
-    radius = float(nearest[best])
-    dists = np.linalg.norm(images - best_x, axis=1)
-    chosen = _nearest_members(dists, cover, radius)
-    residual = float(slack[best])
+    point, on = _exact_or_candidates(images, cover)
+    if on is None:
+        slack, nearest = _candidate_slack(point, images, cover)
+        best = int(np.argmin(slack))
+        point = point[best]
+        radius, residual = float(nearest[best]), float(slack[best])
+        dists = np.linalg.norm(images - point, axis=1)
+        chosen = _nearest_members(dists, cover, radius)
+    else:
+        radius = float(np.linalg.norm(images - point, axis=1).min())
+        residual = witness_slack(point, images, cover)
+        chosen = tuple(int(np.flatnonzero(on & member)[0])
+                       for member in cover.membership.T)
     gate = eps_witness_rel * image_diameter(images)
     status = "ok" if residual <= gate else "no-witness-found"
-    return WitnessReport(status=status, point=best_x.copy(), radius=radius,
-                         residual=residual, chosen=chosen, element_names=names)
+    return WitnessReport(status=status, point=point.copy(), radius=radius,
+                         residual=residual, chosen=chosen,
+                         element_names=tuple(cover.names))
 
 
 @dataclass(frozen=True)
@@ -238,8 +224,10 @@ def disjoint_faces_check(domain: SampledDomain, cover: CoverAssignment,
     Expects the cube-boundary cover (m min-face elements plus the max-face
     union).  The point chosen from the union element lies on some max face
     {x_axis = 1}; the lowest such axis selects the min-face partner, giving
-    a pair on the two disjoint faces of that axis.  Raises
-    WitnessNotFoundError when the witness search does not converge.
+    a pair on the two disjoint faces of that axis.  With a live rainbow
+    simplex both come from its vertices' clusters (see witness_point), so
+    the pair is read off the triangulation.  Raises WitnessNotFoundError
+    when the witness search does not converge.
     """
     if domain.kind != "cube_boundary":
         raise ValueError("expects a cube_boundary domain")

@@ -1,7 +1,8 @@
 """Witness-point search tests: exact cases with known witnesses, the
 refinement property, the cube face extraction, the one-pass slack
-against the all-element reference, and the rainbow-simplex candidates
-against the all-candidate scan."""
+against the all-element reference, exact witnesses read off the first
+live rainbow simplex (and their picks under rescaling), and the scan
+against the all-candidate oracle."""
 
 import itertools
 
@@ -16,6 +17,7 @@ from fneighbors.domains import (
     regular_triangulation_cover,
     sample_sphere,
 )
+from fneighbors.geometry import Sphere
 from fneighbors.maps import MapSpec, evaluate, random_map
 from fneighbors import neighbors, witness
 from fneighbors.neighbors import pair_is_neighbor_fast
@@ -263,43 +265,96 @@ def test_candidate_whose_bound_ties_the_least_exact_slack_is_refined():
     assert np.array_equal(nearest, ref_nearest)
 
 
-# --- candidate centers from the shared neighbor prelude ---
+# --- exact witnesses by construction, and the scan ---
 
-def _reference_candidates(images, cover, rainbow_only=False):
-    """The candidate centers as computed before the shared prelude: one
-    coincidence labeling, the lowest member per label, and the Delaunay
-    circumcenters (or line midpoints) of those representatives, followed
-    by the representatives.  By default this is the all-candidate oracle,
-    the center of every live circumball (neighbors._circumballs) whatever
-    the cover; rainbow_only keeps the simplices whose clusters touch every
-    element (checked vertex by vertex) and those of cospherical cells, and
-    the representatives of the clusters that touch every element, as long
-    as one rainbow simplex is live."""
+def _reference_prelude(images):
+    """The prelude as computed before the shared one: one coincidence
+    labeling (labels count up in the order of each cluster's lowest
+    member), the lowest member per label as its representative, their
+    affine reduction and the on-sphere tolerance: (label, reps, reduced,
+    embed, tau_on)."""
     spread = float(np.linalg.norm(images.max(0) - images.min(0)))
     label = neighbors._coincidence_labels(
         images, neighbors.EPS_COINCIDE_REL * spread)
     reps = images[np.unique(label, return_index=True)[1]]
     reduced, embed, _ = neighbors._affine_reduce(reps)
+    return label, reps, reduced, embed, max(neighbors.TAU_ON_REL * spread,
+                                            1e-12)
+
+
+def _reference_candidates(images, cover):
+    """The all-candidate oracle of the scan: the center of every live
+    circumball (neighbors._circumballs) of the representatives' Delaunay
+    triangulation (or line midpoints), whatever the cover, followed by the
+    representatives."""
+    _, reps, reduced, embed, tau_on = _reference_prelude(images)
     if reduced.shape[1] == 1:
         return np.vstack([embed(neighbors._line_pairs(reduced[:, 0])[4]), reps])
     tri = Delaunay(reduced)
-    tau_on = max(neighbors.TAU_ON_REL * spread, 1e-12)
-    live, centers = neighbors._circumballs(reduced, tri, tau_on)[:2]
-    if rainbow_only:
-        touch = [cover.membership[label == c].any(axis=0)
-                 for c in range(len(reps))]
-        rainbow = np.array([np.any([touch[v] for v in tri.simplices[s]],
-                                   axis=0).all() for s in live], dtype=bool)
-        if rainbow.any():
-            centers = centers[rainbow | neighbors._cell_mask(tri)[live]]
-            reps = reps[np.all(touch, axis=1)]
+    centers = neighbors._circumballs(reduced, tri, tau_on)[1]
     return np.vstack([embed(centers), reps])
 
 
-def test_candidates_and_reports_unchanged_on_generic_maps(monkeypatch):
-    # the candidates are the reference's rainbow and cell simplices (all of
-    # them where no simplex is rainbow), and the reports are the full
-    # scan's
+def _reference_first_rainbow(images, cover):
+    """The first live circumball, in simplex order, whose simplex's
+    vertices' clusters touch every element (checked vertex by vertex):
+    (its center, the samples of those clusters), or None."""
+    label, _, reduced, embed, tau_on = _reference_prelude(images)
+    tri = Delaunay(reduced)
+    live, centers = neighbors._circumballs(reduced, tri, tau_on)[:2]
+    for s, center in zip(live, centers):
+        on = np.isin(label, tri.simplices[s])
+        if cover.membership[on].any(axis=0).all():
+            return embed(center), on
+    return None
+
+
+def _assert_first_rainbow_pick(domain, cover, images):
+    """The report is the reference's first live rainbow simplex: its
+    circumcenter, and per element the lowest-index member among the
+    samples of its vertices' clusters, which check_certificate accepts."""
+    center, on = _reference_first_rainbow(images, cover)
+    report = witness_point(domain, cover, images)
+    assert report.status == "ok"
+    assert np.allclose(report.point, center, rtol=0.0,
+                       atol=1e-12 * neighbors.image_diameter(images))
+    assert report.chosen == tuple(int(np.flatnonzero(on & member)[0])
+                                  for member in cover.membership.T)
+    assert _contacts_certified(domain, images, report)
+
+
+def _contacts_certified(domain, images, report):
+    """check_certificate on the report's contact tuple and ball."""
+    idx = tuple(sorted(set(report.chosen)))
+    rho = (domain.max_pairwise_rho(np.array(idx)) if len(idx) > 2
+           else domain.rho(*idx))
+    cert = neighbors.NeighborCertificate(
+        idx, Sphere(center=report.point, radius=report.radius), 0.0, rho)
+    return neighbors.check_certificate(cert, images, domain)
+
+
+def _scan(images, cover):
+    return _reference_candidates(images, cover), None
+
+
+def _assert_full_scan_report(monkeypatch, domain, cover, images):
+    """The report equals the argmin over the all-candidate oracle."""
+    report = witness_point(domain, cover, images).to_json()
+    monkeypatch.setattr(witness, "_exact_or_candidates", _scan)
+    assert report == witness_point(domain, cover, images).to_json()
+    monkeypatch.undo()
+
+
+def _assert_scan_candidates(images, cover):
+    candidates, on = witness._exact_or_candidates(images, cover)
+    assert on is None
+    assert np.array_equal(candidates, _reference_candidates(images, cover))
+
+
+def test_generic_maps_pick_the_first_live_rainbow_simplex():
+    # S^2 -> R^3 with four elements, S^1 -> R^2 and the square boundary
+    # with three: tetrahedra and triangles can be rainbow, and each map has
+    # a live rainbow ball
     sphere = sample_sphere(2, 1024, seed=0, scheme="quasi_uniform")
     cases = [(sphere, regular_triangulation_cover(sphere),
               random_map("sphere_harmonic", 3, seed=[7, k], d_in=3))
@@ -307,26 +362,24 @@ def test_candidates_and_reports_unchanged_on_generic_maps(monkeypatch):
     circle = sample_sphere(1, 1024, seed=0, scheme="quasi_uniform")
     cases.append((circle, regular_triangulation_cover(circle),
                   random_map("circle_fourier", 2, seed=[9600, 0])))
+    # the 3-cube into R^2 has four elements, but samples on an edge carry
+    # two, so a triangle can still be rainbow
     for m in (2, 3):
         cube, cover = cube_boundary_cover(m, 1024, seed=1)
         cases.append((cube, cover, random_map("poly_quadratic", 2,
                                               seed=[1, 2000 + m], d_in=m)))
+    for seed in (0, 1):
+        cube, cover = cube_boundary_cover(2, 2048, seed=seed)
+        cases += [(cube, cover, random_map("poly_quadratic", 2,
+                                           seed=[seed, 2000 + t], d_in=2))
+                  for t in range(3)]
     for domain, cover, spec in cases:
-        images = evaluate(spec, domain)
-        want = _reference_candidates(images, cover, rainbow_only=True)
-        assert np.array_equal(witness._candidate_centers(images, cover), want)
-        report = witness_point(domain, cover, images).to_json()
-        monkeypatch.setattr(witness, "_candidate_centers",
-                            _reference_candidates)
-        assert report == witness_point(domain, cover, images).to_json()
-        monkeypatch.undo()
+        _assert_first_rainbow_pick(domain, cover, evaluate(spec, domain))
 
 
 def _sphere_panel():
     """S^2 maps [7, k] with the regular cover, as given and rounded to 1
-    and 2 decimals, where Qhull's triangulation has cospherical cells.  On
-    [7, 4] rounded to 1 decimal the first pick is the circumcenter of a
-    cell's simplex that is not rainbow."""
+    and 2 decimals, where Qhull's triangulation has cospherical cells."""
     domain = sample_sphere(2, 2048, seed=0, scheme="quasi_uniform")
     cover = regular_triangulation_cover(domain)
     generic, rounded = [], []
@@ -339,47 +392,27 @@ def _sphere_panel():
     return domain, cover, generic, rounded
 
 
-def _assert_full_scan_report(monkeypatch, domain, cover, images):
-    report = witness_point(domain, cover, images).to_json()
-    monkeypatch.setattr(witness, "_candidate_centers", _reference_candidates)
-    assert report == witness_point(domain, cover, images).to_json()
-    monkeypatch.undo()
-
-
 def _triangulation(images):
     return neighbors._triangulation(
         neighbors._clusters(images))
 
 
-def test_sphere_reports_equal_the_all_candidate_scan(monkeypatch):
+def test_sphere_maps_pick_the_first_live_rainbow_simplex():
+    # cells change nothing: a rainbow simplex of a cell is picked like any
+    # other, and a cell that is not rainbow is left to the scan
     domain, cover, generic, rounded = _sphere_panel()
-    for images in generic:
-        _assert_full_scan_report(monkeypatch, domain, cover, images)
-        # a handful of rainbow circumcenters out of about 13k simplices
-        simplices = len(_triangulation(images).simplices)
-        candidates = witness._candidate_centers(images, cover)
-        is_image = [(images == c).all(axis=1).any() for c in candidates]
-        circumcenters = len(candidates) - sum(is_image)
-        assert 0 < circumcenters <= simplices // 100
     for images in rounded:
         assert neighbors._cell_mask(_triangulation(images)).any()
-        _assert_full_scan_report(monkeypatch, domain, cover, images)
+    for images in generic + rounded:
+        _assert_first_rainbow_pick(domain, cover, images)
 
 
 def test_cube_reports_equal_the_all_candidate_scan(monkeypatch):
-    # square boundaries: three elements, so triangles can be rainbow
-    for seed in (0, 1):
-        domain, cover = cube_boundary_cover(2, 2048, seed=seed)
-        for t in range(3):
-            spec = random_map("poly_quadratic", 2, seed=[seed, 2000 + t], d_in=2)
-            _assert_full_scan_report(monkeypatch, domain, cover,
-                                     evaluate(spec, domain))
     # the 3-cube into R^2: four elements, no rainbow triangle, full scan
     domain, cover = cube_boundary_cover(3, 1024, seed=0)
     images = evaluate(random_map("poly_quadratic", 2, seed=[2, 2000], d_in=3),
                       domain)
-    assert np.array_equal(witness._candidate_centers(images, cover),
-                          _reference_candidates(images, cover))
+    _assert_scan_candidates(images, cover)
     _assert_full_scan_report(monkeypatch, domain, cover, images)
 
 
@@ -387,11 +420,10 @@ def test_sphere_into_plane_runs_the_full_scan(monkeypatch):
     # four elements and triangles: no simplex can be rainbow
     domain = sample_sphere(2, 1024, seed=0, scheme="quasi_uniform")
     cover = regular_triangulation_cover(domain)
-    for k in range(2):
+    for k in range(3):
         images = evaluate(random_map("sphere_harmonic", 2, seed=[3, k], d_in=3),
                           domain)
-        assert np.array_equal(witness._candidate_centers(images, cover),
-                              _reference_candidates(images, cover))
+        _assert_scan_candidates(images, cover)
         _assert_full_scan_report(monkeypatch, domain, cover, images)
 
 
@@ -407,60 +439,107 @@ def test_sliver_only_rainbow_simplex_falls_back_to_the_full_scan(monkeypatch):
     tri = Delaunay(images)
     assert len(tri.simplices) == 3
     assert len(neighbors._circumballs(images, tri, 1e-6 * np.sqrt(5))[0]) == 2
-    candidates = witness._candidate_centers(images, cover)
-    assert len(candidates) == 2 + 4
-    assert np.array_equal(candidates, _reference_candidates(images, cover))
+    _assert_scan_candidates(images, cover)
+    assert len(witness._exact_or_candidates(images, cover)[0]) == 2 + 4
     _assert_full_scan_report(monkeypatch, domain, cover, images)
 
 
 def test_coincident_cluster_touching_every_element_stays_a_candidate(
         monkeypatch):
-    # the triangle 0-1-2 is rainbow and live, so images are kept only for
-    # clusters that touch every element: the coincident pair at (3, 3),
-    # one image in a and one in b and c, is a radius-0 witness and stays;
-    # the lone image at (-1, 2), in a only, goes
-    images = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [3.0, 3.0],
-                       [3.0, 3.0], [-1.0, 2.0]])
-    membership = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0],
-                           [0, 1, 1], [1, 0, 0]], dtype=bool)
+    # images on a line, where the scan runs (in the plane, a live triangle
+    # on a cluster that touches every element would itself be rainbow):
+    # the coincident pair at (3, 0), one image in a and one in b and c, is
+    # a radius-0 witness among the cluster images the scan keeps
+    images = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [3.0, 0.0],
+                       [-1.0, 0.0]])
+    membership = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 1],
+                           [1, 0, 0]], dtype=bool)
     cover = CoverAssignment(membership=membership, names=("a", "b", "c"))
     domain = SampledDomain(kind="cube_boundary", dim=2, samples=images)
-    candidates = witness._candidate_centers(images, cover)
-    is_image = np.array([(images == c).all(axis=1).any() for c in candidates])
-    assert candidates[is_image].tolist() == [[3.0, 3.0]]
-    assert np.array_equal(candidates, _reference_candidates(
-        images, cover, rainbow_only=True))
+    _assert_scan_candidates(images, cover)
+    candidates = witness._exact_or_candidates(images, cover)[0]
     slack, nearest = witness._candidate_slack(candidates, images, cover)
-    assert slack[-1] == 0.0 and nearest[-1] == 0.0
+    at_pair = (candidates == [3.0, 0.0]).all(axis=1)
+    assert at_pair.sum() == 1
+    assert slack[at_pair] == 0.0 and nearest[at_pair] == 0.0
     _assert_full_scan_report(monkeypatch, domain, cover, images)
 
 
 @pytest.mark.parametrize("m_out, base, maps, every_ball", [(3, 7, 4, False),
                                                            (2, 3, 3, True)])
-def test_rainbow_and_cell_balls_are_computed_before_every_ball(
+def test_rainbow_balls_are_computed_before_every_ball(
         monkeypatch, m_out, base, maps, every_ball):
     # S^2 -> R^3 maps [7, 0..3] have a live rainbow simplex, so only the
-    # balls of the rainbow and cell simplices are computed; S^2 -> R^2 maps
-    # [3, 0..2] have none, and every simplex's balls follow.  The
-    # candidates equal the all-simplex reference bit for bit either way
+    # balls of the rainbow simplices are computed, a handful of the ~13k;
+    # S^2 -> R^2 maps [3, 0..2] have none, and every simplex's balls
+    # follow, equal to the all-simplex reference bit for bit
     sphere = sample_sphere(2, 2048, seed=0, scheme="quasi_uniform")
     cover = regular_triangulation_cover(sphere)
-    real, passes = witness._circumballs, []
+    real, rows_seen = witness._circumballs, []
 
     def spy(pts, tri, tau_on, rows=slice(None)):
-        passes.append("all" if isinstance(rows, slice) else "rows")
+        rows_seen.append(len(tri.simplices[rows]))
         return real(pts, tri, tau_on, rows)
 
     for k in range(maps):
         images = evaluate(random_map("sphere_harmonic", m_out,
                                      seed=[base, k], d_in=3), sphere)
-        want = _reference_candidates(images, cover, rainbow_only=True)
-        passes.clear()
+        rows_seen.clear()
         monkeypatch.setattr(witness, "_circumballs", spy)
-        got = witness._candidate_centers(images, cover)
+        got, on = witness._exact_or_candidates(images, cover)
         monkeypatch.undo()
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert passes == (["rows", "all"] if every_ball else ["rows"])
+        simplices = len(_triangulation(images).simplices)
+        if every_ball:
+            assert rows_seen == [0, simplices] and on is None
+            want = _reference_candidates(images, cover)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        else:
+            assert len(rows_seen) == 1 and on is not None
+            assert 0 < rows_seen[0] <= simplices // 100
+
+
+SCALES = (1.0 + 2.0**-50, 1.0 - 2.0**-51, 1e100)
+
+
+def _scale_panel(group):
+    """(domain, cover, images) of one group of exact-witness inputs."""
+    if group == "sphere":
+        domain = sample_sphere(2, 2048, seed=0, scheme="quasi_uniform")
+        cover = regular_triangulation_cover(domain)
+        return [(domain, cover, evaluate(random_map(
+            "sphere_harmonic", 3, seed=[7, k], d_in=3), domain))
+            for k in range(8)]
+    if group == "square":
+        cases = []
+        for seed in range(3):
+            domain, cover = cube_boundary_cover(2, 2048, seed=seed)
+            cases += [(domain, cover, evaluate(random_map(
+                "poly_quadratic", 2, seed=[seed, 2000 + t], d_in=2), domain))
+                for t in range(3)]
+        return cases
+    if group == "identity":
+        spheres = [sample_sphere(n, count, seed=0, scheme="quasi_uniform")
+                   for n, count in ((1, 512), (2, 2048))]
+        return [(d, regular_triangulation_cover(d), d.samples.copy())
+                for d in spheres]
+    domain = sample_sphere(2, 1024, seed=1, scheme="quasi_uniform")
+    return [(domain, regular_triangulation_cover(domain), evaluate(
+        random_map("sphere_harmonic", 3, seed=[1, 1000], d_in=3), domain))]
+
+
+@pytest.mark.parametrize("group", ["sphere", "square", "identity", "found"])
+def test_exact_witness_picks_do_not_move_with_the_scale(group):
+    # the pick is read off the triangulation and the cover, so a scale that
+    # rounds every image moves no contact; the argmin over the candidates'
+    # slacks moved it on most of these inputs
+    for domain, cover, images in _scale_panel(group):
+        report = witness_point(domain, cover, images)
+        assert report.status == "ok"
+        assert _contacts_certified(domain, images, report)
+        for scale in SCALES:
+            scaled = witness_point(domain, cover, images * scale)
+            assert scaled.chosen == report.chosen
+            assert _contacts_certified(domain, images * scale, scaled)
 
 
 def _no_delaunay(*args):
@@ -484,7 +563,9 @@ def test_identity_sphere_witness_makes_no_delaunay_call(monkeypatch, n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_nearly_cospherical_witness_takes_the_fitted_center(monkeypatch, n):
     # images within tau_on of a sphere, but not on it: the fitted center
-    # stands in for the Delaunay circumcenters, whose residual is rounding
+    # stands in for the Delaunay circumcenters, whose residual is rounding,
+    # and every sample is on its sphere, so each element's contact is its
+    # lowest-index member
     domain = sample_sphere(n, 2048, seed=0, scheme="quasi_uniform")
     cover = regular_triangulation_cover(domain)
     wobble = np.random.default_rng(0).standard_normal(len(domain))
@@ -492,7 +573,7 @@ def test_nearly_cospherical_witness_takes_the_fitted_center(monkeypatch, n):
     cl = neighbors._clusters(images)
     assert cl.sphere is not None
     assert 1e-9 < cl.resid <= neighbors.TAU_ON_REL * cl.diam
-    monkeypatch.setattr(witness, "_candidate_centers", _reference_candidates)
+    monkeypatch.setattr(witness, "_exact_or_candidates", _scan)
     assert witness_point(domain, cover, images).residual <= 1e-15
     monkeypatch.undo()
     monkeypatch.setattr(neighbors, "Delaunay", _no_delaunay)
@@ -501,3 +582,5 @@ def test_nearly_cospherical_witness_takes_the_fitted_center(monkeypatch, n):
     # far inside the acceptance gate
     assert report.status == "ok"
     assert 1e-9 < report.residual <= cl.resid
+    assert report.chosen == tuple(int(np.flatnonzero(member)[0])
+                                  for member in cover.membership.T)
