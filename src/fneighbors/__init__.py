@@ -46,6 +46,7 @@ from .neighbors import (
     NeighborCertificate,
     NeighborGraph,
     check_certificate,
+    check_graph,
     compute_df,
     extremal_pair,
     neighbor_graph,

@@ -32,7 +32,9 @@ The graph comes back as one NeighborGraph: columns over the certified
 pairs (indices, witness ball, slack, intrinsic distance) and over the
 tuples (coincidence clusters, and the cells or the one tuple of
 cospherical images) on one table of witness balls, so D_f is an argmax
-over the distance columns.
+over the distance columns.  check_graph re-validates every certificate
+of a graph without calling any of this construction, and
+check_certificate is its one-row case.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ __all__ = [
     "compute_df",
     "extremal_pair",
     "check_certificate",
+    "check_graph",
     "image_diameter",
 ]
 
@@ -1268,33 +1271,111 @@ def extremal_pair(graph: NeighborGraph, domain: SampledDomain
     return (int(i), int(j)), float(rho[last]), graph.row(k)
 
 
+def check_graph(graph: NeighborGraph, images: np.ndarray,
+                domain: SampledDomain, *,
+                eps_inside_rel: float = EPS_INSIDE_REL) -> np.ndarray:
+    """Re-validate every certificate of graph against the full image set:
+    one bool per certificate, numbered as graph.row numbers them.
+
+    A certificate passes when its pair_distance is the domain's (rho of a
+    pair row, max_pairwise_rho of a tuple) and either its ball is -1 and
+    its members' bounding-box diagonal is within max(eps_coincide, slack
+    + 1e-12 diam), or its ball is finite, its members lie on it within
+    tau_on and no other image lies deeper inside than eps_inside + 1e-12
+    diam.  Every tolerance, the allowance for rounding too, is relative to
+    the image diameter, and lengths are measured in the unit frame of
+    _Clusters (times 2^-k, k = math.frexp(diam)[1], which is exact), so
+    the verdicts do not depend on the map's scale.  The members are
+    measured in one pass over their flat list.  Emptiness takes one
+    cKDTree query per finite ball of the table, for the nearest images one
+    more than the widest certificate on it has members; each certificate
+    drops its own members from its ball's answers.  No helper of the
+    construction is called, so this is a check, not a replay, and each
+    test is written so that a NaN fails it; every certificate fails on
+    images that are not all finite."""
+    images = np.asarray(images, dtype=float)
+    if not (len(graph) and np.isfinite(images).all()):
+        # no certificate, or images about which nothing can be measured
+        return np.zeros(len(graph), dtype=bool)
+    diam = image_diameter(images)
+    k = -math.frexp(diam)[1]
+    pts, diam = np.ldexp(images, k), math.ldexp(diam, k)
+    # certificate c has the members flat[start[c]:start[c] + width[c]] and
+    # the ball ball[c]; ball -1 reads the appended NaN ball, never queried
+    npairs = len(graph.pairs)
+    flat = np.concatenate([graph.pairs.ravel(), graph.tuple_members])
+    width = np.concatenate([np.full(npairs, 2), np.diff(
+        np.append(graph.tuple_start, len(graph.tuple_members)))])
+    start = np.cumsum(width) - width
+    ball = np.concatenate([graph.ball, graph.tuple_ball])
+    centers = np.vstack([np.ldexp(graph.centers, k),
+                         np.full((1, pts.shape[1]), np.nan)])
+    radii = np.append(np.ldexp(graph.radii, k), np.nan)
+
+    rho = np.append(domain.rho_pairs(*graph.pairs.T), [
+        domain.max_pairwise_rho(flat[s:s + w])
+        for s, w in zip(start[npairs:].tolist(), width[npairs:].tolist())])
+    ok = (np.abs(rho - np.append(graph.rho, graph.tuple_rho))
+          <= 1e-9 * np.maximum(rho, 1.0))
+
+    x = pts.take(flat, axis=0)
+    ext = np.maximum.reduceat(x, start) - np.minimum.reduceat(x, start)
+    slack = np.ldexp(np.append(graph.slack, graph.tuple_slack), k)
+    coincide = (np.sqrt(np.vecdot(ext, ext))
+                <= np.maximum(EPS_COINCIDE_REL * diam, slack + 1e-12 * diam))
+
+    on_ball = np.repeat(ball, width)
+    with np.errstate(invalid="ignore"):  # inf - inf on a non-finite ball
+        margin = np.abs(np.linalg.norm(x - centers[on_ball], axis=1)
+                        - radii[on_ball])
+    on = np.maximum.reduceat(margin, start) <= TAU_ON_REL * diam
+
+    # one query per finite ball, for the images nearest its center, one
+    # more than the widest certificate on it has members
+    finite = np.isfinite(centers).all(axis=1) & np.isfinite(radii)
+    c = np.flatnonzero(finite[ball])
+    need = np.zeros(len(radii), dtype=np.intp)
+    np.maximum.at(need, ball[c], np.minimum(width[c] + 1, len(pts)))
+    first = np.cumsum(need) - need  # ball b's answers: need[b] from first[b]
+    dist, nbr = np.empty(need.sum()), np.empty(need.sum(), dtype=np.intp)
+    tree = cKDTree(pts)
+    for q in np.unique(need[need > 0]).tolist():
+        b = np.flatnonzero(need == q)
+        cols = first[b, None] + np.arange(q)
+        dist[cols], nbr[cols] = tree.query(centers[b], k=q)
+    # each certificate drops its own members from its ball's answers
+    q = need[ball[c]]
+    seg = np.cumsum(q) - q
+    answer = np.arange(q.sum()) + np.repeat(first[ball[c]] - seg, q)
+    own = np.isin(np.repeat(c, q) * len(pts) + nbr[answer],
+                  np.repeat(np.arange(len(ball)), width) * len(pts) + flat)
+    nearest = np.minimum.reduceat(np.where(own, np.inf, dist[answer]), seg)
+    clear = np.zeros(len(ball), dtype=bool)
+    clear[c] = nearest - radii[ball[c]] >= -(eps_inside_rel + 1e-12) * diam
+    return ok & np.where(ball < 0, coincide, on & clear)
+
+
 def check_certificate(cert: NeighborCertificate, images: np.ndarray,
                       domain: SampledDomain, *,
                       eps_inside_rel: float = EPS_INSIDE_REL) -> bool:
-    """Re-validate a certificate against the full image set: members on the
-    witness sphere within tau_on, no non-member deeper inside than
-    eps_inside, pair_distance consistent with the domain.  Every
-    tolerance, the allowance for rounding (1e-12) too, is relative to the
-    image diameter, so the verdict does not depend on the map's scale.
-    The margins are measured in the unit frame of _Clusters: images,
-    center and radius times 2^-k, k = math.frexp(diam)[1], which is exact
-    and keeps their squares from underflowing."""
-    images = np.asarray(images, dtype=float)
-    diam = image_diameter(images)
-    idx = np.asarray(cert.indices)
-    rho = float(domain.max_pairwise_rho(idx)) if len(idx) > 2 else domain.rho(*idx)
-    # each test is written so that a NaN fails it
-    if not abs(rho - cert.pair_distance) <= 1e-9 * max(rho, 1.0):
-        return False
-    if cert.witness == "coincidence":
-        spread = image_diameter(images[idx])
-        return spread <= max(EPS_COINCIDE_REL * diam, cert.slack + 1e-12 * diam)
-    k = -math.frexp(diam)[1]
-    sphere = Sphere(center=np.ldexp(cert.witness.center, k),
-                    radius=np.ldexp(cert.witness.radius, k))
-    margins = sphere.margins(np.ldexp(images, k))
-    diam = math.ldexp(diam, k)
-    if not np.abs(margins[idx]).max() <= TAU_ON_REL * diam:
-        return False
-    others = np.delete(margins, idx)
-    return bool(others.min(initial=np.inf) >= -(eps_inside_rel + 1e-12) * diam)
+    """check_graph's verdict on cert alone: one pair row when it has two
+    indices, else one tuple."""
+    w = cert.witness
+    sphere = isinstance(w, Sphere)
+    cols = (np.array([0 if sphere else -1]),
+            np.array([cert.slack], dtype=float),
+            np.array([cert.pair_distance], dtype=float))
+    table = {"centers": np.reshape(w.center if sphere else [],
+                                   (-1, np.shape(images)[1])).astype(float),
+             "radii": np.array([w.radius] if sphere else [], dtype=float)}
+    idx = np.array(cert.indices, dtype=np.intp)
+    if len(idx) == 2:
+        graph = NeighborGraph(idx[None], *cols, **table)
+    else:
+        graph = NeighborGraph(
+            np.zeros((0, 2), dtype=np.intp), _ints(), np.zeros(0),
+            np.zeros(0), **table, tuple_members=idx,
+            tuple_start=np.zeros(1, dtype=np.intp), tuple_ball=cols[0],
+            tuple_slack=cols[1], tuple_rho=cols[2])
+    return bool(check_graph(graph, images, domain,
+                            eps_inside_rel=eps_inside_rel)[0])

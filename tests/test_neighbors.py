@@ -6,7 +6,10 @@ other) on seeded random instances, alongside hand-checked fixed cases.
 """
 
 import dataclasses
+import importlib.util
 import itertools
+import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +31,7 @@ from fneighbors.neighbors import (
     EPS_INSIDE_REL,
     NeighborGraph,
     check_certificate,
+    check_graph,
     compute_df,
     extremal_pair,
     image_diameter,
@@ -413,8 +417,7 @@ def test_graph_matches_oracle_on_small_instance():
         if pair_is_neighbor_oracle(i, j, images)[0]:
             expected.add((i, j))
     assert got == expected
-    for cert in certs:
-        assert check_certificate(cert, images, domain)
+    assert check_graph(certs, images, domain).all()
 
 
 def _pairwise_lp_set(images):
@@ -471,8 +474,7 @@ def test_cospherical_cells_give_the_pairwise_lp_set(case):
     domain = _identity_domain(images)
     graph = neighbor_graph(images, domain)
     assert _covered_pairs(graph) == _pairwise_lp_set(images)
-    for cert in graph:
-        assert check_certificate(cert, images, domain)
+    assert check_graph(graph, images, domain).all()
     assert neighbor_span(images, domain) == compute_df(graph, domain)
 
 
@@ -489,8 +491,7 @@ def test_four_dimensional_grid_cells_cover_every_neighbor_pair(monkeypatch):
     graph = neighbor_graph(images, domain)
     assert len(_covered_pairs(graph)) == 1160
     assert compute_df(graph, domain) == 2.0  # the unit cells' diagonal
-    for cert in _tuple_certs(graph):
-        assert check_certificate(cert, images, domain)
+    assert check_graph(graph, images, domain).all()
 
 
 @pytest.mark.parametrize("k", [0, 2])
@@ -544,8 +545,7 @@ def test_graph_delaunay_path_matches_pairwise_lp():
         images = rng.normal(size=(len(domain), m))
         certs = neighbor_graph(images, domain)
         assert {c.indices for c in certs} == _pairwise_lp_set(images)
-        for cert in certs:
-            assert check_certificate(cert, images, domain)
+        assert check_graph(certs, images, domain).all()
 
 
 def test_graph_curves_in_r4_reach_the_antipodal_span():
@@ -648,8 +648,8 @@ def test_graph_large_clusters_keep_their_farthest_pair():
     assert [c.indices for c in _tuple_certs(graph)] == sorted(
         tuple(c.tolist()) for c in clusters)
     assert len(graph.pairs) == 2  # the levels 0-1 and 1-2 are adjacent
+    assert check_graph(graph, images, domain).all()
     for cert in graph:
-        assert check_certificate(cert, images, domain)
         if cert.witness == "coincidence":
             continue
         i, j = cert.indices
@@ -678,8 +678,7 @@ def test_graph_fourier_map_certificates_verify():
     images = evaluate(spec, domain)
     certs = neighbor_graph(images, domain)
     assert len(certs) >= 128  # at least the image-adjacency structure
-    for cert in certs:
-        assert check_certificate(cert, images, domain)
+    assert check_graph(certs, images, domain).all()
     assert compute_df(certs, domain) > 0.0
 
 
@@ -714,6 +713,163 @@ def test_check_certificate_rejects_nan(field):
         pair_distance=np.nan if field == "pair_distance"
         else cert.pair_distance)
     assert check_certificate(bad, images, domain) is False
+
+
+def _dump_panel():
+    """tools/dump_panel.py as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "dump_panel.py"
+    spec = importlib.util.spec_from_file_location("dump_panel", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _per_row_rule(cert, images, domain, eps_inside_rel=EPS_INSIDE_REL):
+    """The acceptance rule measured one certificate at a time, over every
+    image: the reference for check_graph."""
+    diam = image_diameter(images)
+    idx = np.asarray(cert.indices)
+    rho = (float(domain.max_pairwise_rho(idx)) if len(idx) > 2
+           else domain.rho(*idx))
+    if not abs(rho - cert.pair_distance) <= 1e-9 * max(rho, 1.0):
+        return False
+    if cert.witness == "coincidence":
+        return image_diameter(images[idx]) <= max(
+            neighbors.EPS_COINCIDE_REL * diam, cert.slack + 1e-12 * diam)
+    k = -math.frexp(diam)[1]
+    margins = Sphere(center=np.ldexp(cert.witness.center, k),
+                     radius=np.ldexp(cert.witness.radius, k)).margins(
+                         np.ldexp(images, k))
+    diam = math.ldexp(diam, k)
+    if not np.abs(margins[idx]).max() <= neighbors.TAU_ON_REL * diam:
+        return False
+    return bool(np.delete(margins, idx).min(initial=np.inf)
+                >= -(eps_inside_rel + 1e-12) * diam)
+
+
+def _jittered_lattice():
+    """The 8^3 lattice jittered by 1e-10, whose graph has an LP row."""
+    axes = np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij")
+    images = np.stack([a.ravel() for a in axes], axis=1)
+    images += 1e-10 * np.random.default_rng(1).uniform(-1, 1, images.shape)
+    return images, _identity_domain(images)
+
+
+def _check_inputs(case):
+    """(images, domain, eps_inside_rel) of each input of a check case."""
+    if case == "panel":
+        for _, domain, images in _dump_panel().panel(64):
+            yield images, domain, EPS_INSIDE_REL
+    elif case == "lattice":
+        yield *_jittered_lattice(), EPS_INSIDE_REL
+    elif case == "eps-inside-0":
+        yield *_circle_map(64, 2, seed=[0, 1000]), 0.0
+    elif case == "flat":  # a planar S^2 map placed in R^3
+        domain = sample_sphere(2, 256, seed=1, scheme="quasi_uniform")
+        images = evaluate(random_map("sphere_harmonic", 2, seed=[1, 1000],
+                                     d_in=3), domain)
+        yield images @ [[1.0, 0.5, 2.0], [0.0, 1.0, -1.0]], domain, \
+            EPS_INSIDE_REL
+    else:
+        images, domain = _circle_map(64, 2, seed=[0, 1000])
+        yield images * float(case.split("x")[1]), domain, EPS_INSIDE_REL
+
+
+_CHECK_CASES = ["panel", "lattice", "eps-inside-0", "flat", "x1e-300",
+                "x1e-150", "x1e80", "x1e150"]
+
+
+@pytest.mark.parametrize("case", _CHECK_CASES)
+def test_check_graph_agrees_with_check_certificate_row_by_row(case):
+    # the panel holds cells, clusters, the constant map, the all-sample
+    # tuple and S^1 -> R^5; the lattice and eps-inside 0 have LP rows
+    for images, domain, eps in _check_inputs(case):
+        graph = neighbor_graph(images, domain, eps_inside_rel=eps)
+        verdict = check_graph(graph, images, domain, eps_inside_rel=eps)
+        assert verdict.dtype == bool and len(verdict) == len(graph)
+        rows = [graph.row(k) for k in range(len(graph))]
+        assert verdict.tolist() == [
+            check_certificate(c, images, domain, eps_inside_rel=eps)
+            for c in rows]
+        assert verdict.tolist() == [
+            _per_row_rule(c, images, domain, eps) for c in rows]
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(case, marks=pytest.mark.xfail(
+        strict=True, reason="34 rows sit on Delaunay sliver balls of radius "
+        "3e10-6e10, whose embedded centers put members 1.3-2.5e-6 of the "
+        "diameter off the sphere")) if case == "lattice" else case
+    for case in _CHECK_CASES])
+def test_check_graph_passes_every_certificate(case):
+    for images, domain, eps in _check_inputs(case):
+        graph = neighbor_graph(images, domain, eps_inside_rel=eps)
+        assert check_graph(graph, images, domain, eps_inside_rel=eps).all()
+
+
+def _rounded_s2_graph():
+    """An S^2 -> R^3 map at 512 samples rounded to 1 decimal: coincidence
+    clusters, cospherical cells and edge rows, every one passing."""
+    domain = sample_sphere(2, 512, seed=0, scheme="quasi_uniform")
+    images = np.round(evaluate(random_map("sphere_harmonic", 3,
+                                          seed=[0, 1000], d_in=3), domain), 1)
+    graph = neighbor_graph(images, domain)
+    assert check_graph(graph, images, domain).all()
+    return images, domain, graph
+
+
+def test_check_graph_fails_exactly_the_corrupted_rows():
+    # each corruption keeps the pair distances right, so that only the
+    # test it aims at can fail it, and none may raise
+    images, domain, graph = _rounded_s2_graph()
+    # a cell's ball, which its tuple and some edge rows share
+    b = int(np.intersect1d(graph.tuple_ball, graph.ball)[0])
+    on_b = np.flatnonzero(np.append(graph.ball, graph.tuple_ball) == b)
+    moved, nan, shrunk = graph.centers.copy(), graph.centers.copy(), \
+        graph.radii.copy()
+    moved[b, 0] += 0.5 * graph.radii[b]
+    nan[b, 0] = np.nan
+    shrunk[b] *= 0.5
+    # a pair row on another ball swaps an index for the farthest image
+    r = int(np.flatnonzero(graph.ball != b)[0])
+    pairs, rho = graph.pairs.copy(), graph.rho.copy()
+    pairs[r, 1] = np.argmax(np.linalg.norm(
+        images - graph.centers[graph.ball[r]], axis=1))
+    rho[r] = domain.rho(*pairs[r])
+    # a coincidence cluster takes in the image farthest from it
+    t = int(np.flatnonzero(graph.tuple_ball < 0)[0])
+    at = graph.tuple_start[t]
+    members = np.insert(graph.tuple_members, at, np.argmax(np.linalg.norm(
+        images - images[graph.tuple_members[at]], axis=1)))
+    starts = graph.tuple_start + (np.arange(len(graph.tuple_start)) > t)
+    tuple_rho = graph.tuple_rho.copy()
+    tuple_rho[t] = domain.max_pairwise_rho(np.split(members, starts[1:])[t])
+    for corrupt, expected in (
+            ({"centers": moved}, on_b), ({"radii": shrunk}, on_b),
+            ({"centers": nan}, on_b), ({"pairs": pairs, "rho": rho}, [r]),
+            ({"tuple_members": members, "tuple_start": starts,
+              "tuple_rho": tuple_rho}, [len(graph.pairs) + t])):
+        bad = dataclasses.replace(graph, **corrupt)
+        assert np.flatnonzero(~check_graph(bad, images, domain)).tolist() \
+            == list(expected), list(corrupt)
+
+
+def test_check_graph_calls_no_helper_of_the_construction(monkeypatch):
+    inputs = [_rounded_s2_graph(), (*_circle_map(64, 2), None),
+              (*_circle_map(64, 2, seed=[0, 1000]), None)]
+    identity = sample_sphere(1, 64, seed=0, scheme="quasi_uniform")
+    inputs.append((identity.samples.copy(), identity, None))
+    graphs = [(images, domain, graph or neighbor_graph(images, domain))
+              for images, domain, graph in inputs]
+
+    def built(*args, **kwargs):
+        raise AssertionError("check_graph called the construction")
+
+    for name in ("_clearance", "_circumballs", "_lifted_balls",
+                 "_vertex_margins", "_local_clearance", "_triangulation"):
+        monkeypatch.setattr(neighbors, name, built)
+    for images, domain, graph in graphs:
+        assert check_graph(graph, images, domain).all()
 
 
 def test_compute_df_empty():
@@ -1003,8 +1159,7 @@ def test_full_graph_columns_in_lexsort_order_with_rescued_rows_and_clusters(
     assert pairs.tolist() == plain.pairs.tolist()
     assert (np.lexsort((pairs[:, 1], pairs[:, 0])) == np.arange(len(pairs))).all()
     assert not np.array_equal(graph.centers, plain.centers)  # LP witnesses
-    for cert in graph:
-        assert check_certificate(cert, images, domain)
+    assert check_graph(graph, images, domain).all()
 
 
 def _assert_ball_table(graph, dim):
@@ -1404,10 +1559,7 @@ def test_a_jittered_lattice_sends_a_failed_edge_to_the_lp():
     # of the face z = 0 is a Delaunay edge whose one live ball is a
     # sliver's, of radius 3e9, with a lattice point 9.5e-7 inside (eps
     # 7.6e-7); the LP says "no", so the graph has no row for it
-    axes = np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij")
-    images = np.stack([a.ravel() for a in axes], axis=1)
-    images += 1e-10 * np.random.default_rng(1).uniform(-1, 1, images.shape)
-    domain = _identity_domain(images)
+    images, domain = _jittered_lattice()
     cl = neighbors._clusters(images)
     tri = neighbors._triangulation(cl)
     (lo, hi, *_), failed = neighbors._delaunay_edge_certs(

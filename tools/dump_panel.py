@@ -10,7 +10,9 @@ pair and certificate, the number of certificates and the certificate
 list, rendered by the CLI's own writer (cli._report_pieces).
 OUTDIR/SHA256SUMS holds one `sha256sum` line per report.  Nothing in
 them depends on time, so `diff -r` between the outputs of two checkouts
-shows every byte that a change moved.
+shows every byte that a change moved.  A graph with a certificate that
+fails `neighbors.check_graph` is refused: the script names its input and
+exits 1.
 
 The panel:
 
@@ -36,7 +38,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from fneighbors import cli  # noqa: E402
 from fneighbors.domains import sample_sphere  # noqa: E402
 from fneighbors.maps import evaluate, random_map  # noqa: E402
-from fneighbors.neighbors import extremal_pair, neighbor_graph  # noqa: E402
+from fneighbors.neighbors import (  # noqa: E402
+    check_graph,
+    extremal_pair,
+    neighbor_graph,
+)
 
 
 def panel(max_samples: int | None = None):
@@ -66,11 +72,16 @@ def panel(max_samples: int | None = None):
 
 
 def write_panel(outdir: Path, max_samples: int | None = None) -> None:
-    """Write every input's report and SHA256SUMS to outdir."""
+    """Write every input's report and SHA256SUMS to outdir; exit 1,
+    naming the input, at a graph that fails check_graph."""
     outdir.mkdir(parents=True, exist_ok=True)
     sums = []
     for name, dom, images in panel(max_samples):
         graph = neighbor_graph(images, dom)
+        failed = np.count_nonzero(~check_graph(graph, images, dom))
+        if failed:
+            raise SystemExit(f"{name}: {failed} of {len(graph)} certificates "
+                             "fail check_graph")
         pair, df, cert = extremal_pair(graph, dom)
         report = {"df": df, "extremal_pair": pair and list(pair),
                   "extremal_certificate": cert and cert.to_json(),
