@@ -307,63 +307,105 @@ def _floats(values: np.ndarray) -> list[str]:
     return list(map(text.__getitem__, inverse.tolist()))
 
 
-def _witness_texts(graph: NeighborGraph) -> list[str]:
-    """The text (_BALL) of each ball of the graph's table, in order, then
-    an empty text, the one that ball -1 (a coincidence row) picks.  The
-    balls are spelled CHUNK_ROWS at a time, so that only one slice of
-    their floats is held as strings beside the texts."""
+def _ball_texts(graph: NeighborGraph) -> tuple[list[str], np.ndarray]:
+    """The text (_BALL) of each ball of the graph's table, spelled once, in
+    table order and CHUNK_ROWS balls at a time, each chunk of balls
+    formatted into one string: (chunks, at), ball b's text being
+    chunks[at[0, b]][at[1, b]:at[2, b]].  The extra last column of at, the
+    one ball -1 (a coincidence row) picks, names an empty text.  A few
+    large strings and three integer columns stand for the table, not one
+    small string per ball: small strings live in the interpreter's own
+    arenas, and the few small objects that outlive a report pin those
+    arenas in memory."""
     balls = np.column_stack([graph.centers, graph.radii])
     width = balls.shape[1]
-    texts = []
+    one = _BALL % (",\n          ".join(["%s"] * (width - 1)), "%s")
+    fixed = len(one % (("",) * width))  # a ball's text less its numbers
+    chunks, at = [], np.zeros((3, len(balls) + 1), dtype=np.intp)
     for start in range(0, len(balls), CHUNK_ROWS):
         values = _spell(balls[start:start + CHUNK_ROWS].ravel())
-        texts += [_BALL % (",\n          ".join(values[k:k + width - 1]),
-                           values[k + width - 1])
-                  for k in range(0, len(values), width)]
-    texts.append("")
-    return texts
+        stop = start + len(values) // width
+        size = np.fromiter(map(len, values), np.intp, len(values))
+        at[0, start:stop] = len(chunks)
+        at[2, start:stop] = np.cumsum(size.reshape(-1, width).sum(axis=1)
+                                      + fixed)
+        at[1, start + 1:stop] = at[2, start:stop - 1]
+        chunks.append((one * (stop - start)) % tuple(values))
+    at[0, -1] = len(chunks)
+    chunks.append("")
+    return chunks, at
 
 
-def _tuple_texts(graph: NeighborGraph, witness: list[str]) -> list[str]:
-    """The text of each tuple of the graph, with the ball texts witness
-    (_witness_texts)."""
-    members = list(map(str, graph.tuple_members.tolist()))
-    start = graph.tuple_start.tolist()
+def _take(balls: tuple[list[str], np.ndarray], ball: np.ndarray
+          ) -> tuple[list[str], list[int]]:
+    """The texts of the distinct balls of the column ball, each sliced
+    once from its chunk of balls (_ball_texts), and the place of each
+    entry's text among them."""
+    chunks, at = balls
+    distinct, inverse = np.unique(ball, return_inverse=True)
+    return ([chunks[c][a:b] for c, a, b in zip(*at[:, distinct].tolist())],
+            inverse.tolist())
+
+
+def _tuple_texts(graph: NeighborGraph, first: int, last: int,
+                 texts: list[str], which: list[int]) -> list[str]:
+    """The text of each tuple first..last-1 of the graph, tuple first + k
+    taking the ball text texts[which[k]] (_take)."""
+    bounds = np.append(graph.tuple_start,
+                       len(graph.tuple_members))[first:last + 1]
+    members = list(map(str, graph.tuple_members[bounds[0]:bounds[-1]].tolist()))
+    cuts = (bounds - bounds[0]).tolist()
     return [(_BALL_ROW if w >= 0 else _COINCIDENCE_ROW)
-            % (",\n        ".join(members[a:b]), rho, s, witness[w])
-            for a, b, rho, s, w in zip(
-                start, [*start[1:], len(members)], _spell(graph.tuple_rho),
-                _spell(graph.tuple_slack), graph.tuple_ball.tolist())]
+            % (",\n        ".join(members[a:b]), rho, s, texts[k])
+            for a, b, rho, s, w, k in zip(
+                cuts, cuts[1:], _spell(graph.tuple_rho[first:last]),
+                _spell(graph.tuple_slack[first:last]),
+                graph.tuple_ball[first:last].tolist(), which)]
+
+
+def _piece(graph: NeighborGraph, balls: tuple[list[str], np.ndarray],
+           start: int, stop: int, first: int, placed: np.ndarray) -> str:
+    """Pair rows start..stop-1 and tuples first.. of the graph, as one run
+    of list items: tuple first + k follows the rows before placed[k].
+    Each piece spells its own floats and slices its own balls' texts
+    (_take), and nothing it makes outlives it but its text."""
+    last = first + len(placed)
+    ball = graph.ball[start:stop]
+    texts, which = _take(balls, np.append(ball, graph.tuple_ball[first:last]))
+    i, j = graph.pairs[start:stop].T.tolist()
+    rows = [(_BALL_PAIR if w >= 0 else _COINCIDENCE_PAIR)
+            % (a, b, rho, s, texts[k]) for a, b, rho, s, w, k
+            in zip(i, j, _spell(graph.rho[start:stop]),
+                   _floats(graph.slack[start:stop]), ball.tolist(), which)]
+    items, done = [], start
+    for at, text in zip(placed.tolist(), _tuple_texts(
+            graph, first, last, texts, which[stop - start:])):
+        items += [*rows[done - start:at - start], text]
+        done = at
+    items += rows[done - start:]
+    return ",\n".join(items)
 
 
 def _certificate_pieces(graph: NeighborGraph):
     """The report's certificates list, byte for byte as json.dumps writes
     [c.to_json() for c in graph] at the report's nesting, rendered from the
-    graph's columns in pieces of at most CHUNK_ROWS pair rows, with the
-    tuples merged in where graph.tuple_positions() places them."""
+    graph's columns in pieces (_piece) of at most CHUNK_ROWS pair rows,
+    with the tuples merged in where graph.tuple_positions() places them.
+    Between pieces nothing is held per row, tuple or ball: the ball texts
+    are _ball_texts' few strings."""
     if len(graph) == 0:
         yield "[]"
         return
-    witness = _witness_texts(graph)
-    slack = _floats(graph.slack)
-    tuples = list(zip(graph.tuple_positions().tolist(),
-                      _tuple_texts(graph, witness)))
+    balls = _ball_texts(graph)
+    positions = graph.tuple_positions()
     n, t = len(graph.pairs), 0
     for start in range(0, max(n, 1), CHUNK_ROWS):  # one piece if tuples only
         stop = min(start + CHUNK_ROWS, n)
-        i, j = graph.pairs[start:stop].T.tolist()
-        rows = [(_BALL_PAIR if w >= 0 else _COINCIDENCE_PAIR)
-                % (a, b, rho, s, witness[w]) for a, b, rho, s, w
-                in zip(i, j, _spell(graph.rho[start:stop]), slack[start:stop],
-                       graph.ball[start:stop].tolist())]
-        items, done = [], start
         # a tuple placed at stop follows this piece's last row
-        while t < len(tuples) and tuples[t][0] <= stop:
-            at, text = tuples[t]
-            items += [*rows[done - start:at - start], text]
-            done, t = at, t + 1
-        items += rows[done - start:]
-        yield ("[\n" if start == 0 else ",\n") + ",\n".join(items)
+        last = int(np.searchsorted(positions, stop, side="right"))
+        yield (("[\n" if start == 0 else ",\n")
+               + _piece(graph, balls, start, stop, t, positions[t:last]))
+        t = last
     yield "\n  ]"
 
 

@@ -1288,11 +1288,12 @@ def check_graph(graph: NeighborGraph, images: np.ndarray,
     the verdicts do not depend on the map's scale.  The members are
     measured in one pass over their flat list.  Emptiness takes one
     cKDTree query per finite ball of the table, for the nearest images one
-    more than the widest certificate on it has members; each certificate
-    drops its own members from its ball's answers.  No helper of the
-    construction is called, so this is a check, not a replay, and each
-    test is written so that a NaN fails it; every certificate fails on
-    images that are not all finite."""
+    more than the widest certificate on it has members; when the table has
+    one finite ball, its distance to every image gives the same answers.
+    Each certificate drops its own members from its ball's answers.  No
+    helper of the construction is called, so this is a check, not a
+    replay, and each test is written so that a NaN fails it; every
+    certificate fails on images that are not all finite."""
     images = np.asarray(images, dtype=float)
     if not (len(graph) and np.isfinite(images).all()):
         # no certificate, or images about which nothing can be measured
@@ -1338,11 +1339,25 @@ def check_graph(graph: NeighborGraph, images: np.ndarray,
     np.maximum.at(need, ball[c], np.minimum(width[c] + 1, len(pts)))
     first = np.cumsum(need) - need  # ball b's answers: need[b] from first[b]
     dist, nbr = np.empty(need.sum()), np.empty(need.sum(), dtype=np.intp)
-    tree = cKDTree(pts)
-    for q in np.unique(need[need > 0]).tolist():
-        b = np.flatnonzero(need == q)
-        cols = first[b, None] + np.arange(q)
-        dist[cols], nbr[cols] = tree.query(centers[b], k=q)
+    used = np.flatnonzero(need).tolist()
+    if len(used) == 1:
+        # one ball (every check_certificate call on a ball): the distance
+        # from its center to every image, its squares summed axis by axis,
+        # which is cKDTree's order in up to 7 dimensions, so that there
+        # the answers are the tree's bit for bit
+        squares = np.square(pts - centers[used[0]])
+        every = squares[:, 0].copy()
+        for column in squares.T[1:]:
+            every += column
+        np.sqrt(every, out=every)
+        nbr[:] = np.argpartition(every, len(nbr) - 1)[:len(nbr)]
+        dist[:] = every[nbr]
+    elif used:
+        tree = cKDTree(pts)
+        for q in np.unique(need[need > 0]).tolist():
+            b = np.flatnonzero(need == q)
+            cols = first[b, None] + np.arange(q)
+            dist[cols], nbr[cols] = tree.query(centers[b], k=q)
     # each certificate drops its own members from its ball's answers
     q = need[ball[c]]
     seg = np.cumsum(q) - q

@@ -172,10 +172,17 @@ def test_first_seed_sets_the_seeds_and_pairs_alternate(monkeypatch):
         bench_pairs.parse_args(["--ref", "HEAD", "--workload", "w",
                                 "--out", "x.json", "--first-seed", "-1"])
     runs = []
+    # perfbench's reference loop before and after each run: the smallest
+    # reading is 1.0, so a pair is loaded where a side reads above 1.2
+    machine = {("R", 11): [1.0, 1.2], ("C", 11): [1.1, 1.0],
+               ("C", 12): [1.3, 1.0], ("R", 12): [1.0, 1.0],
+               ("R", 13): [1.0, 1.0], ("C", 13): [1.0, 1.25]}
 
     def fake_run(checkout, workload, seed, seconds):
         runs.append((checkout, seed))
-        return {"metrics": {"run_s": 1.0}}
+        return {"metrics": {"run_s": 1.0}, "digest": "d", "correct": True,
+                "failed": 0, "attempted": 1,
+                "machine_ref_s": machine[checkout, seed]}
 
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     seeds = range(args.first_seed, args.first_seed + args.pairs)
@@ -184,6 +191,10 @@ def test_first_seed_sets_the_seeds_and_pairs_alternate(monkeypatch):
     assert [p["first"] for p in pairs] == ["ref", "change", "ref"]
     assert runs == [("R", 11), ("C", 11), ("C", 12), ("R", 12), ("R", 13),
                     ("C", 13)]
+    summary = bench_pairs.summarize(pairs, [RUN_S])
+    assert summary["loaded_pairs"] == 2
+    # the count changes no verdict
+    assert summary["run_s"]["within_bound"] and not summary["run_s"]["gain"]
 
 
 def test_verdict_lines_name_each_metric_once():
@@ -209,4 +220,5 @@ def test_verdict_lines_name_each_metric_once():
         "w setup_s: 3.45 (3.225-3.675) -> 3.45 (3.225-3.675), 0/10 won, "
         "unresolved",
         "w peak: 1 (1-1) -> 2 (2-2), 0/10 won, beyond_bound",
-        "w: digests equal True, all correct True, failed share 0 -> 0"]
+        "w: digests equal True, all correct True, failed share 0 -> 0, "
+        "loaded pairs 0"]

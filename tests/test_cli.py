@@ -793,9 +793,11 @@ def test_edge_pass_working_memory_per_edge_instance():
 
 
 def test_dump_writer_working_memory_per_pair_row():
-    # measured 180-193 bytes per pair row on the maps above; the budget
-    # adds a fifth.  Spelling every distinct ball's floats at once and
-    # keeping each ball's whole witness text took 496-552 on these maps
+    # measured 166-177 bytes per pair row on S^2 maps [1, 0..3] and
+    # [1, 1000] at 2048 samples (177 on this map, [1, 1]); the budget adds
+    # a third.  One string per ball and the whole slack column spelled at
+    # once took 208-220, and spelling every distinct ball's floats at once
+    # and keeping each ball's whole witness text 496-552
     domain, images = _s2_dump_input()
     graph = neighbor_graph(images, domain)
 
@@ -805,6 +807,22 @@ def test_dump_writer_working_memory_per_pair_row():
 
     _, peak = _traced_peak(render)
     assert peak <= 230 * len(graph.pairs)
+
+
+def test_dump_writer_holds_no_block_per_ball_between_pieces():
+    # the interpreter's allocated blocks after each piece, above those
+    # before the list is rendered: the ball table is a few chunk strings
+    # and integer columns, so this does not grow with the table.  Measured
+    # 53-88 here; one string per ball held 8,031, 13,487 and 23,651 blocks
+    # on these maps (4,273, 9,168 and 18,214 balls)
+    for samples in (1024, 2048, 4096):
+        domain = sample_sphere(2, samples, seed=1, scheme="quasi_uniform")
+        spec = random_map("sphere_harmonic", 3, seed=[1, 1000], d_in=3)
+        graph = neighbor_graph(evaluate(spec, domain), domain)
+        base = sys.getallocatedblocks()
+        held = max(sys.getallocatedblocks() - base
+                   for _ in cli._certificate_pieces(graph))
+        assert held <= 4 * cli.CHUNK_ROWS
 
 
 def test_parser_is_built_once_and_reused_across_subcommands(tmp_path):

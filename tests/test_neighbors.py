@@ -782,17 +782,22 @@ _CHECK_CASES = ["panel", "lattice", "eps-inside-0", "flat", "x1e-300",
 @pytest.mark.parametrize("case", _CHECK_CASES)
 def test_check_graph_agrees_with_check_certificate_row_by_row(case):
     # the panel holds cells, clusters, the constant map, the all-sample
-    # tuple and S^1 -> R^5; the lattice and eps-inside 0 have LP rows
+    # tuple and S^1 -> R^5; the lattice and eps-inside 0 have LP rows.
+    # check_certificate's one-ball graph measures its distances directly,
+    # and a graph of many balls queries a tree: the two must agree, also
+    # at a negative depth, where a ball must clear the other images by a
+    # margin and rows fail on emptiness alone
     for images, domain, eps in _check_inputs(case):
         graph = neighbor_graph(images, domain, eps_inside_rel=eps)
-        verdict = check_graph(graph, images, domain, eps_inside_rel=eps)
-        assert verdict.dtype == bool and len(verdict) == len(graph)
         rows = [graph.row(k) for k in range(len(graph))]
-        assert verdict.tolist() == [
-            check_certificate(c, images, domain, eps_inside_rel=eps)
-            for c in rows]
-        assert verdict.tolist() == [
-            _per_row_rule(c, images, domain, eps) for c in rows]
+        for depth in (eps, -1e-3):
+            verdict = check_graph(graph, images, domain, eps_inside_rel=depth)
+            assert verdict.dtype == bool and len(verdict) == len(graph)
+            assert verdict.tolist() == [
+                check_certificate(c, images, domain, eps_inside_rel=depth)
+                for c in rows]
+            assert verdict.tolist() == [
+                _per_row_rule(c, images, domain, depth) for c in rows]
 
 
 @pytest.mark.parametrize("case", [

@@ -38,12 +38,17 @@ won (ties count for neither side) and three verdicts:
 
 Each series also gives each side's failed share (failed items over
 attempted items, summed over its runs) and a failed_share_not_worse
-verdict: the working tree's share is at most the ref's.
+verdict: the working tree's share is at most the ref's.  It counts the
+loaded pairs too: those where either side's largest machine_ref_s
+reading (perfbench times a fixed reference loop before and after each
+run) is more than 1.2 times the smallest reading of the series, so that
+the machine was busier during that pair.  The count only shows load; no
+pair is dropped or run again for it, and no verdict reads it.
 
 After each workload one line per metric is printed: the medians and
 quartiles, the pairs won and the verdict (gain, unresolved, within_bound
 or beyond_bound, in that order of precedence), then one line with the
-digests, correctness and failed shares.
+digests, correctness, failed shares and loaded pairs.
 
 Series already in the file are kept as they are, so the record holds
 every run made.  Nothing under perfbench/
@@ -148,8 +153,9 @@ def spread(values: list[float]) -> dict:
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric (BENCHMARK.json entries: name, better, bound),
     each side's spread, the pairs the change won and the three verdicts;
-    plus whether every pair had equal digests and correct runs, and each
-    side's failed share with whether the change's is no larger."""
+    plus whether every pair had equal digests and correct runs, each
+    side's failed share with whether the change's is no larger, and the
+    number of loaded pairs (see the module docstring)."""
     out = {}
     for metric in metrics:
         name, direction = metric["name"], metric["better"]
@@ -179,6 +185,12 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
                        if attempted else 0.0)
     out["failed_share"] = share
     out["failed_share_not_worse"] = share["change"] <= share["ref"]
+    readings = [[r for side in ("ref", "change")
+                 for r in p[side].get("machine_ref_s") or ()] for p in pairs]
+    smallest = min((r for pair in readings for r in pair),
+                   default=float("inf"))
+    out["loaded_pairs"] = sum(max(pair, default=0.0) > 1.2 * smallest
+                              for pair in readings)
     return out
 
 
@@ -217,7 +229,8 @@ def verdict_lines(workload: str, summary: dict, metrics: list[dict]
     share = summary["failed_share"]
     lines.append(f"{workload}: digests equal {summary['digests_equal']}, "
                  f"all correct {summary['all_correct']}, failed share "
-                 f"{share['ref']:.3g} -> {share['change']:.3g}")
+                 f"{share['ref']:.3g} -> {share['change']:.3g}, loaded pairs "
+                 f"{summary['loaded_pairs']}")
     return lines
 
 

@@ -1,5 +1,5 @@
-"""Resident memory after each stage of one S^2 certificate dump and of one
-S^2 sweep trial.
+"""Resident memory after each stage of one S^2 certificate dump, of one
+S^2 sweep trial and of a row of S^2 certificate dumps.
 
 Usage, from the root of a checkout:
 
@@ -16,10 +16,15 @@ Each run goes in a fresh process, so that its peak starts from nothing:
   extremal_pair) and writer (the report with its certificate list,
   written to /dev/null);
 - verify-sphere: import, domain (the samples) and one trial of
-  `verify-sphere --n 2 --m-out 3 --samples N --seed S --trials 1`.
+  `verify-sphere --n 2 --m-out 3 --samples N --seed S --trials 1`;
+- certs-s2: import, then the six `neighbors --dump-certs` calls of the
+  certs-s2 benchmark workload, one after another in this process (maps
+  [S, 1000] to [S, 1005], reports to /dev/null), one stage per call, so
+  that what each call leaves resident shows as the next call's start.
 
 After each stage one line gives VmHWM (the peak resident set so far) and
-VmRSS (the resident set now) in MiB, as /proc/self/status reports them;
+VmRSS (the resident set now) in MiB, as /proc/self/status reports them,
+and the interpreter's allocated memory blocks (sys.getallocatedblocks());
 perfbench's peak_rss_mb reads the same peak (ru_maxrss).  Only
 /proc/self/status is read, so the tool runs on Linux only.
 """
@@ -27,12 +32,14 @@ perfbench's peak_rss_mb reads the same peak (ru_maxrss).  Only
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-RUNS = ("neighbors", "verify-sphere")
+RUNS = ("neighbors", "verify-sphere", "certs-s2")
+CERT_MAPS = 6  # the certs-s2 workload's maps per run
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -49,7 +56,8 @@ def _memory() -> tuple[float, float]:
 
 def _stage(run: str, name: str) -> None:
     hwm, rss = _memory()
-    print(f"{run:<14} {name:<8} {hwm:8.1f} {rss:8.1f}", flush=True)
+    print(f"{run:<14} {name:<8} {hwm:8.1f} {rss:8.1f} "
+          f"{sys.getallocatedblocks():8d}", flush=True)
 
 
 def _neighbors(samples: int, seed: int) -> None:
@@ -88,6 +96,19 @@ def _verify_sphere(samples: int, seed: int) -> None:
     _stage("verify-sphere", "trial")
 
 
+def _certs_s2(samples: int, seed: int) -> None:
+    import fneighbors.cli as cli
+    _stage("certs-s2", "import")
+    from fneighbors.maps import map_to_json, random_map
+    for t in range(CERT_MAPS):
+        spec = random_map("sphere_harmonic", 3, seed=[seed, 1000 + t], d_in=3)
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            cli.main(["neighbors", "--domain", "sphere", "--n", "2", "--seed",
+                      str(seed), "--samples", str(samples), "--dump-certs",
+                      "--map", map_to_json(spec), "--out", os.devnull])
+        _stage("certs-s2", f"map {1000 + t}")
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--samples", type=int, default=4096)
@@ -100,9 +121,11 @@ def main(argv=None) -> int:
         _neighbors(args.samples, args.seed)
     elif args.run == "verify-sphere":
         _verify_sphere(args.samples, args.seed)
+    elif args.run == "certs-s2":
+        _certs_s2(args.samples, args.seed)
     else:
-        print(f"{'run':<14} {'stage':<8} {'VmHWM':>8} {'VmRSS':>8}  (MiB)",
-              flush=True)
+        print(f"{'run':<14} {'stage':<8} {'VmHWM':>8} {'VmRSS':>8} "
+              f"{'blocks':>8}  (MiB, MiB, count)", flush=True)
         # one BLAS thread unless set, as perfbench runs
         env = {**{k: "1" for k in BLAS_VARS}, **os.environ,
                "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
