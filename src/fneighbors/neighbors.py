@@ -657,10 +657,12 @@ def _clearance(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray,
     center to the nearest point of pts not in members[b] (any (B, k) index
     array; a ragged set is padded with one of its members), minus its
     radius.  Up to CLEARANCE_DIRECT_MAX balls times points every distance
-    is summed axis by axis, cKDTree's order (np.vecdot rounds otherwise);
-    past it one KD-tree query takes each center's k + 1 nearest, which hold
-    the nearest non-member whichever equidistant points the tree returns.
-    So the branches agree bit for bit, at any leaf size."""
+    is summed axis by axis (np.vecdot rounds otherwise); past it one
+    KD-tree query takes each center's k + 1 nearest, which hold the
+    nearest non-member whichever equidistant points the tree returns.  In
+    up to 7 dimensions the sum is cKDTree's, so the branches agree bit for
+    bit, at any leaf size; from 8 on cKDTree sums in four interleaved
+    accumulators, and they may differ in the last bits."""
     npts = len(pts)
     if len(centers) * npts <= CLEARANCE_DIRECT_MAX:
         # one coordinate per row: each operation runs along all the points
@@ -784,41 +786,43 @@ def _edge_keys(simplices: np.ndarray, npts: int) -> np.ndarray:
     return key.ravel()
 
 
+def _certifies(clear: np.ndarray, margin: np.ndarray,
+               eps_inside: float) -> np.ndarray:
+    """ok[k, s]: whether ball s certifies local pair k (_local_pairs) of
+    its simplex, its clearance clear[s] and the margins margin[s] of the
+    simplex's other vertices all at least -eps_inside (a NaN fails)."""
+    passed = (margin >= -eps_inside) & (clear >= -eps_inside)[:, None]
+    return passed.T[_local_pairs(margin.shape[1])[2]].all(axis=1)
+
+
 def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float,
                          tau_on: float):
     """Certified edges from the Delaunay triangulation tri of pts (its
     simplices, neighbors, coplanar points and lifted hyperplanes): each
     edge keeps the last of its instances whose live circumball
-    (_circumballs) certifies it.  Returns the certified edges as candidate
-    columns (lo, hi, ball, slack, centers, radii), the table (centers,
-    radii) holding every live ball in the current coordinates and ball
-    the row of each edge's pick, plus the list of edges that no ball
-    certifies, which need LP fallback.
+    (_circumballs) certifies it (_certifies), its slack there the least
+    of the ball's clearance and the margins of the simplex's other
+    vertices.  Returns the certified edges as columns (lo, hi, simplex,
+    slack), simplex the row of tri.simplices whose ball each edge picked,
+    plus the list of edges that no ball certifies, which need LP fallback.
 
-    An edge's ball certifies it when the ball's clearance and the margins
-    of the simplex's other vertices are all at least -eps_inside, and its
-    slack there is the least of them.  The pick is a function of these
-    pass/fail outcomes and of the triangulation, not of the slacks, which
-    on generic maps differ only by rounding (the margins), so rounding the
-    images differently moves no pick.  When Delaunay's lemma proves every
-    ball empty from the simplices' neighbors (see _local_clearance), each
-    ball's clearance is its smallest apex margin, at least
-    LOCAL_DELAUNAY_TAU times the diameter, and no point is queried;
-    otherwise one _clearance query gives every live ball's clearance."""
+    The pick is a function of the pass/fail outcomes and of the
+    triangulation, not of the slacks, which on generic maps differ only
+    by rounding (the margins), so rounding the images differently moves
+    no pick.  When Delaunay's lemma proves every ball empty from the
+    simplices' neighbors (see _local_clearance), each ball's clearance is
+    its smallest apex margin, at least LOCAL_DELAUNAY_TAU times the
+    diameter, and no point is queried; otherwise one _clearance query
+    gives every live ball's clearance."""
     live, centers, radii, margin = _circumballs(pts, tri, tau_on)
     splx = tri.simplices.take(live, axis=0)
-    del live
     nsplx = len(splx)
     clear = _local_clearance(pts, tri, centers, radii)
     if clear is None:
         clear = _clearance(pts, centers, radii, splx)
-    # instance t = k * nsplx + s is local pair k of simplex s; ok[k, s]:
-    # its ball's clearance and its other vertices' (its rest columns')
-    # margins all pass, where a NaN fails
-    rest = _local_pairs(splx.shape[1])[2]
-    passed = (margin >= -eps_inside) & (clear >= -eps_inside)[:, None]
-    ok = np.array([passed[:, r].all(axis=1) for r in rest])
-    del passed
+    del centers, radii
+    # instance t = k * nsplx + s is local pair k of simplex s
+    ok = _certifies(clear, margin, eps_inside)
     key = _edge_keys(splx, len(pts))
     del splx
     order = np.argsort(key).astype(_index_type(len(key)))
@@ -834,8 +838,9 @@ def _delaunay_edge_certs(pts: np.ndarray, tri, eps_inside: float,
     del ok, order
     good = pick >= 0
     k, t = np.divmod(pick[good], nsplx)
+    rest = _local_pairs(margin.shape[1])[2]
     slack = np.minimum(clear[t], margin[t[:, None], rest[k]].min(axis=1))
-    return ((lo[good], hi[good], t, slack, centers, radii),
+    return ((lo[good], hi[good], live[t], slack),
             list(zip(lo[~good].tolist(), hi[~good].tolist())))
 
 
@@ -850,9 +855,9 @@ def _top_edge_span(pts: np.ndarray, tri, domain: SampledDomain,
     no unique: every instance of an edge has its rho, so the top edge is
     the largest key at the largest rho, and its instances name its
     simplices.  The live balls among their circumballs (_circumballs)
-    certify it by _clearance, direct distances for so few balls: the
-    edge's slack in a ball is the clearance, lowered by the margins of
-    the simplex's other vertices.  No hash table and no KD-tree is built.
+    certify it by the edge pass's rule (_certifies), on clearances by
+    _clearance, direct distances for so few balls.  No hash table and no
+    KD-tree is built.
     Timed right after the Qhull call on mu-circle's 512-sample maps, it
     took two thirds of the time of the sorted-edge version."""
     simplices = tri.simplices
@@ -861,15 +866,13 @@ def _top_edge_span(pts: np.ndarray, tri, domain: SampledDomain,
     top_rho = rho.max()
     at = np.flatnonzero(rho == top_rho)  # the top edge's instances among them
     top = key[at].max()
-    lo, hi = divmod(int(top), len(pts))
     incident = np.sort(at[key[at] == top] % len(simplices))
     live, centers, radii, margin = _circumballs(pts, tri, tau_on, incident)
     splx = simplices.take(live, axis=0)
-    clear = _clearance(pts, centers, radii, splx)
-    for c, m, s in zip(clear.tolist(), margin.tolist(), splx.tolist()):
-        others = [x for x, v in zip(m, s) if v != lo and v != hi]
-        if min(c, *others) >= -eps_inside:  # a NaN clearance fails
-            return float(top_rho)
+    ok = _certifies(_clearance(pts, centers, radii, splx), margin, eps_inside)
+    # ok and _edge_keys list the same instances in the same order
+    if (ok.ravel() & (_edge_keys(splx, len(pts)) == top)).any():
+        return float(top_rho)
     return None
 
 
@@ -902,14 +905,11 @@ def _stack_rows(rows, balls, dim: int):
 
 def _graph(domain: SampledDomain, lo: np.ndarray, hi: np.ndarray,
            ball: np.ndarray, slack: np.ndarray, centers: np.ndarray,
-           radii: np.ndarray, tuples=(), cell_radii=()) -> NeighborGraph:
+           radii: np.ndarray, tuples=()) -> NeighborGraph:
     """The graph of distinct pair columns (lo < hi, any order) and of
     tuples (ascending members, ball, slack) on the ball table (centers,
     radii) in image coordinates, every ball of which some row or tuple
-    uses.  The balls whose radius is in cell_radii, the spheres of the
-    cospherical cells and the copies of them that the cells' simplices
-    bring, enter the table once: the first of each set of bitwise-equal
-    ones stands for them all, so every certificate keeps its bytes."""
+    uses."""
     order = np.argsort(lo.astype(np.int64) * len(domain) + hi)
     pairs = np.column_stack([lo[order], hi[order]])
     rho = domain.rho_pairs(pairs[:, 0], pairs[:, 1])
@@ -917,17 +917,6 @@ def _graph(domain: SampledDomain, lo: np.ndarray, hi: np.ndarray,
     tuples = sorted(tuples, key=lambda t: t[0].tolist())
     members = [t[0] for t in tuples]
     tuple_ball = np.array([t[1] for t in tuples], dtype=np.intp)
-    if len(cell_radii):
-        pool = np.flatnonzero(np.isin(radii, cell_radii))
-        _, first, inverse = np.unique(
-            np.column_stack([centers[pool], radii[pool]]).view(np.int64),
-            axis=0, return_index=True, return_inverse=True)
-        to = np.arange(len(radii))
-        to[pool] = pool[first[inverse.reshape(-1)]]
-        keep = to == np.arange(len(radii))
-        new = np.append((np.cumsum(keep) - 1)[to], -1)  # ball -1 stays -1
-        ball, tuple_ball = new[ball], new[tuple_ball]
-        centers, radii = centers[keep], radii[keep]
     sizes = np.array([len(m) for m in members], dtype=np.intp)
     far = [domain.farthest_pair(m, m) for m in members]
     return NeighborGraph(pairs=pairs, ball=ball, slack=slack[order],
@@ -1066,22 +1055,28 @@ def _cell_mask(tri) -> np.ndarray:
     return in_cell
 
 
-def _cells(tri) -> tuple[np.ndarray, list[np.ndarray]]:
+def _cells(tri) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """The cospherical cells of the Delaunay triangulation tri, the
     simplices of _cell_mask grouped by their bitwise-equal rows of
     tri.equations (a merged Qhull facet keeps one hyperplane), as (rows,
-    cells) in the order of each cell's lowest simplex: that simplex, whose
-    row is the cell's, and the cell's sorted vertex set."""
+    cells, rep) in the order of each cell's lowest simplex: that simplex,
+    whose row is the cell's, the cell's sorted vertex set, and rep[s],
+    the lowest simplex of simplex s's cell, or s outside cells.  A cell's
+    simplices have bitwise-equal balls (_lifted_balls is elementwise), so
+    rep names each simplex's ball."""
+    rep = np.arange(len(tri.simplices))
     s = np.flatnonzero(_cell_mask(tri))
     if not len(s):
-        return s, []
+        return s, [], rep
     _, first, label = np.unique(tri.equations[s], axis=0, return_index=True,
                                 return_inverse=True)
     # label each simplex by the position in s of its cell's lowest simplex
     label = first[label.reshape(-1)]
+    rep[s] = s[label]
     order = np.argsort(label, kind="stable")
     groups = np.split(s[order], np.flatnonzero(np.diff(label[order])) + 1)
-    return s[np.sort(first)], [np.unique(tri.simplices[g]) for g in groups]
+    return (s[np.sort(first)], [np.unique(tri.simplices[g]) for g in groups],
+            rep)
 
 
 def neighbor_graph(images: np.ndarray, domain: SampledDomain, *,
@@ -1124,8 +1119,7 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
     """neighbor_graph of at least two images from their prelude and
     _triangulation(prelude): distinct representatives in reduced
     dimension 2 or more that are not cospherical are certified from tri.
-    Radii and slacks leave the unit frame by ldexp, centers by embed, a
-    tuple's center on its own (a batch embed may round rows otherwise)."""
+    Radii and slacks leave the unit frame by ldexp, centers by embed."""
     npts, m = images.shape
     (diam, tau_on, exponent, members, sizes, start, reduced, embed, sph,
      resid) = prelude
@@ -1143,17 +1137,13 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
         return _graph(domain, *no_pairs[:4], embed(sph.center)[None],
                       np.array([math.ldexp(sph.radius, exponent)]), tuples)
 
-    spheres, cell_radii = [], ()  # certified cells' balls, all cells' radii
     if reduced.shape[1] == 1:
         cand = _line_pairs(reduced[:, 0])
     else:
-        cand, failed = _delaunay_edge_certs(reduced, tri, eps_inside, tau_on)
-        keep, ball = np.unique(cand[2], return_inverse=True)  # balls in use
-        cand = (*cand[:2], ball, cand[3], cand[4][keep], cand[5][keep])
-        rescued = _lp_pairs(failed, reduced, eps_inside_rel)
-        rescued[2][rescued[2] >= 0] += len(cand[5])  # after the edges' balls
-        cand = tuple(map(np.concatenate, zip(cand, rescued)))
-        rows, cells = _cells(tri)
+        (lo, hi, simplex, slack), failed = _delaunay_edge_certs(
+            reduced, tri, eps_inside, tau_on)
+        rows, cells, rep = _cells(tri)
+        certified = []  # (cell, slack) of each certified cell
         if cells:  # one on-ball test and one clearance query for them all
             counts = np.array([len(c) for c in cells])
             first = np.cumsum(counts) - counts
@@ -1167,30 +1157,34 @@ def _full_graph(images: np.ndarray, domain: SampledDomain,
             pad = np.minimum(np.arange(counts.max()), counts[on, None] - 1)
             clear = _clearance(reduced, mid[on], rad[on],
                                flat[first[on, None] + pad])
-            cell_radii = np.ldexp(rad, exponent)
-            for c, k in zip(clear.tolist(), on.tolist()):
-                if c >= -eps_inside:
-                    idx = np.concatenate([members[start[r]:start[r] + sizes[r]]
-                                          for r in cells[k]])
-                    tuples.append((np.sort(idx), len(cand[5]) + len(spheres),
-                                   math.ldexp(min(c, -float(spread[k])),
-                                              exponent)))
-                    spheres.append((embed(mid[k]), cell_radii[k]))
+            certified = [(k, min(c, -float(spread[k])))
+                         for c, k in zip(clear.tolist(), on.tolist())
+                         if c >= -eps_inside]
+        # the table: each ball that an edge or a cell names by its simplex
+        # (rep), once, in simplex order, then the LP's balls
+        used, ball = np.unique(
+            np.append(rep[simplex], rows[[k for k, _ in certified]]),
+            return_inverse=True)
+        for (k, c), b in zip(certified, ball[len(lo):].tolist()):
+            idx = np.concatenate([members[start[r]:start[r] + sizes[r]]
+                                  for r in cells[k]])
+            tuples.append((np.sort(idx), b, math.ldexp(c, exponent)))
+        rescued = _lp_pairs(failed, reduced, eps_inside_rel)
+        rescued[2][rescued[2] >= 0] += len(used)
+        cand = tuple(map(np.concatenate, zip(
+            (lo, hi, ball[:len(lo)], slack, *_lifted_balls(tri, used)),
+            rescued)))
 
-    # take the ball table to image coordinates, the cells' balls after it,
-    # expand each representative pair to the member pairs of its clusters,
-    # and let each new column replace its source; _graph sets the row order
+    # take the ball table to image coordinates, expand each
+    # representative pair to the member pairs of its clusters, and let
+    # each new column replace its source; _graph sets the row order
     lo, hi, ball, slack, centers, radii = cand
     del cand
     centers, radii = embed(centers), np.ldexp(radii, exponent)
-    if spheres:
-        c, r = zip(*spheres)
-        centers, radii = np.vstack([centers, c]), np.append(radii, r)
     lo, hi, ref = _member_pairs(domain, members, sizes, start, lo, hi)
     ball, slack = ball.take(ref), np.ldexp(slack[ref], exponent)
     del ref
-    return _graph(domain, lo, hi, ball, slack, centers, radii, tuples,
-                  cell_radii)
+    return _graph(domain, lo, hi, ball, slack, centers, radii, tuples)
 
 
 def _member_pairs(domain: SampledDomain, members: np.ndarray,
@@ -1344,7 +1338,8 @@ def check_graph(graph: NeighborGraph, images: np.ndarray,
         # one ball (every check_certificate call on a ball): the distance
         # from its center to every image, its squares summed axis by axis,
         # which is cKDTree's order in up to 7 dimensions, so that there
-        # the answers are the tree's bit for bit
+        # the answers are the tree's bit for bit; from 8 on the tree sums
+        # in four interleaved accumulators and may differ in the last bits
         squares = np.square(pts - centers[used[0]])
         every = squares[:, 0].copy()
         for column in squares.T[1:]:

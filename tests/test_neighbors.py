@@ -978,7 +978,7 @@ def test_lifted_balls_match_the_solved_circumcenters(case):
 def _all_simplex_edge_certs(pts, tri, eps_inside):
     """The reference: every live circumball gets its KD-tree clearance, and
     each edge keeps the last of its instances whose slack is at least
-    -eps_inside."""
+    -eps_inside, named by its simplex (a row of tri.simplices)."""
     live, centers, radii, margin = neighbors._circumballs(pts, tri,
                                                           _tau_on(pts))
     splx = tri.simplices[live]
@@ -999,7 +999,7 @@ def _all_simplex_edge_certs(pts, tri, eps_inside):
     chosen = order[np.r_[key[order][1:] != key[order][:-1], True]]
     good = slacks[chosen] >= -eps_inside
     t, f = chosen[good], chosen[~good]
-    return ((lo[t], hi[t], centers[owner[t]], radii[owner[t]], slacks[t]),
+    return ((lo[t], hi[t], live[owner[t]], slacks[t]),
             list(zip(lo[f].tolist(), hi[f].tolist())))
 
 
@@ -1028,9 +1028,8 @@ def _edge_certs_and_clearance_calls(monkeypatch, images, kd=False):
                                          _tau_on(images))
     monkeypatch.undo()
     expected = _all_simplex_edge_certs(images, tri, eps_inside)
-    lo, hi, ball, slack, centers, radii = got[0]
-    for column, ref in zip((lo, hi, centers[ball], radii[ball], slack),
-                           expected[0]):
+    assert len(got[0]) == len(expected[0])
+    for column, ref in zip(got[0], expected[0]):
         assert np.array_equal(column, ref)
     assert got[1] == expected[1]
     live = len(neighbors._circumballs(images, tri, _tau_on(images))[0])
@@ -1099,10 +1098,9 @@ def _picks(images):
     Delaunay triangulation, mapped to the sorted vertices of the simplex
     whose ball it picked."""
     tri, tau_on = Delaunay(images), _tau_on(images)
-    (lo, hi, ball, *_), _ = neighbors._delaunay_edge_certs(
+    (lo, hi, simplex, _), _ = neighbors._delaunay_edge_certs(
         images, tri, EPS_INSIDE_REL * image_diameter(images), tau_on)
-    live = neighbors._circumballs(images, tri, tau_on)[0]
-    simplices = np.sort(tri.simplices[live[ball]], axis=1)
+    simplices = np.sort(tri.simplices[simplex], axis=1)
     return dict(zip(zip(lo.tolist(), hi.tolist()),
                     map(tuple, simplices.tolist())))
 
@@ -1136,12 +1134,11 @@ def _rescued_graph(monkeypatch, coincide=lambda i, j: False):
                             neighbors.pair_is_neighbor_fast, [])
 
     def lowest_keys_fail(pts, tri, eps_inside, tau_on):
-        (lo, hi, ball, slack, *table), failed = certs(pts, tri, eps_inside,
-                                                      tau_on)
+        columns, failed = certs(pts, tri, eps_inside, tau_on)
+        lo, hi, _, _ = columns
         k = len(lo) // 4
         rescued.extend(zip(lo[:k].tolist(), hi[:k].tolist()))
-        return ((*(c[k:] for c in (lo, hi, ball, slack)), *table),
-                failed + rescued)
+        return tuple(c[k:] for c in columns), failed + rescued
 
     def verdict(i, j, reduced, **kw):
         answer, cert = fast(i, j, reduced, **kw)
@@ -1177,46 +1174,59 @@ def _assert_ball_table(graph, dim):
                           np.arange(len(graph.radii)))
 
 
-def test_each_sphere_enters_the_ball_table_once(monkeypatch):
-    # grid-rounded images lie on cospherical cells, whose simplices each
-    # bring a bitwise copy of the cell's sphere: the table holds each
-    # sphere once, every row and tuple keeps the bits of its ball, and a
-    # cell's edge rows whose ball was bitwise the cell's sphere name it
-    built = []
-    graph_of = neighbors._graph
-    monkeypatch.setattr(neighbors, "_graph",
-                        lambda *args: built.append(args) or graph_of(*args))
-    for n, domain_seed, seed, decimals in [(1, 0, [0, 5], 2),
-                                           (2, 1, [1, 1000], 1)]:
-        domain = sample_sphere(n, 512 * n, seed=domain_seed,
+def test_each_sphere_enters_the_ball_table_once():
+    # grid-rounded images lie on cospherical cells, whose simplices all
+    # have the cell's sphere: the table holds each sphere once, also in
+    # R^5, where embedding a center alone rounds it otherwise than in a
+    # batch, and a cell's tuple names the ball of the edge rows that
+    # picked one of its simplices
+    for n, m_out, samples, domain_seed, seed, decimals in [
+            (1, 5, 128, 1, [1, 1000], 0), (1, 2, 512, 0, [0, 5], 2),
+            (2, 3, 1024, 1, [1, 1000], 1)]:
+        domain = sample_sphere(n, samples, seed=domain_seed,
                                scheme="quasi_uniform")
         family = "sphere_harmonic" if n == 2 else "circle_fourier"
-        images = np.round(evaluate(random_map(family, n + 1, seed=seed,
+        images = np.round(evaluate(random_map(family, m_out, seed=seed,
                                               d_in=n + 1), domain), decimals)
         graph = neighbor_graph(images, domain)
-        _assert_ball_table(graph, n + 1)
+        _assert_ball_table(graph, m_out)
         bits = np.column_stack([graph.centers, graph.radii]).view(np.int64)
         assert len(np.unique(bits, axis=0)) == len(bits)
-        # the columns as built, before the table was shared
-        _, lo, hi, ball, _, centers, radii, tuples, _ = built.pop()
-        old = np.column_stack([centers, radii]).view(np.int64)
-        assert len(old) > len(bits)
-        ball = ball[np.lexsort((hi, lo))]  # in the graph's row order
-        assert ((graph.ball < 0) == (ball < 0)).all()
-        assert (bits[graph.ball[ball >= 0]] == old[ball[ball >= 0]]).all()
-        at = {tuple(c.indices): t for t, c in enumerate(_tuple_certs(graph))}
-        shared = 0
-        for members, b, _ in tuples:
-            t = at[tuple(members.tolist())]
-            if b < 0:
-                assert graph.tuple_ball[t] == -1
-                continue
-            assert (bits[graph.tuple_ball[t]] == old[b]).all()
-            same = (np.isin(graph.pairs, members).all(axis=1)
-                    & (old[ball] == old[b]).all(axis=1) & (ball >= 0))
-            assert (graph.ball[same] == graph.tuple_ball[t]).all()
-            shared += same.sum()
-        assert shared > (graph.tuple_ball >= 0).sum()
+        _assert_cells_share_their_balls(graph, images, domain)
+
+
+def _assert_cells_share_their_balls(graph, images, domain):
+    """A cell's simplices have bitwise-equal balls, its lowest one's, and
+    each certified cell's tuple names the ball of the edge rows that
+    picked a simplex of the cell."""
+    cl = neighbors._clusters(images)
+    tri = neighbors._triangulation(cl)
+    rows, cells, rep = neighbors._cells(tri)
+    in_cell = np.flatnonzero(rep != np.arange(len(rep)))
+    assert len(in_cell) > len(cells) > 0
+    assert np.isin(rep[in_cell], rows).all() and (rep[rows] == rows).all()
+    lifted = [np.column_stack(neighbors._lifted_balls(tri, s)).view(np.int64)
+              for s in (in_cell, rep[in_cell])]
+    assert np.array_equal(*lifted)
+    (lo, hi, simplex, _), _ = neighbors._delaunay_edge_certs(
+        cl.reduced, tri, EPS_INSIDE_REL * cl.diam, cl.tau_on)
+    gi, gj, ref = neighbors._member_pairs(domain, cl.members, cl.sizes,
+                                          cl.start, lo, hi)
+    row = {pair: k for k, pair in enumerate(map(tuple, graph.pairs.tolist()))}
+    picked = np.array([row[p] for p in zip(gi.tolist(), gj.tolist())])
+    at = {tuple(c.indices): t for t, c in enumerate(_tuple_certs(graph))}
+    shared = 0
+    for r, cell in zip(rows.tolist(), cells):
+        members = np.sort(np.concatenate(
+            [cl.members[cl.start[c]:cl.start[c] + cl.sizes[c]] for c in cell]))
+        t = at.get(tuple(members.tolist()))
+        if t is None:  # a cell that is not certified
+            continue
+        assert graph.tuple_ball[t] >= 0
+        same = picked[rep[simplex[ref]] == r]
+        assert (graph.ball[same] == graph.tuple_ball[t]).all()
+        shared += len(same)
+    assert shared > (graph.tuple_ball >= 0).sum()
 
 
 def test_ball_table_is_indexed_by_rows_and_rescued_rows_own_their_balls(
@@ -1683,19 +1693,35 @@ def _clearance_on(monkeypatch, branch, *args):
     return got
 
 
+def _random_balls(count, dim, seed):
+    """count random points in R^dim and 64 random balls, each with dim + 1
+    members drawn from its 2 dim nearest points: no triangulation."""
+    rng = np.random.default_rng([seed, dim])
+    pts, centers = rng.normal(size=(count, dim)), rng.normal(size=(64, dim))
+    near = cKDTree(pts).query(centers, k=2 * dim)[1]
+    members = rng.permuted(near, axis=1)[:, :dim + 1]
+    return pts, centers, rng.uniform(0.0, 0.1, size=64), members
+
+
 @pytest.mark.parametrize("n, count, family, m_out, seeds", [
     (1, 512, "circle_fourier", 2, range(6)),
     (2, 512, "sphere_harmonic", 3, range(3)),
-    (2, 4096, "sphere_harmonic", 3, range(2))])
+    (2, 4096, "sphere_harmonic", 3, range(2)),
+    # the direct sum is cKDTree's in up to 7 dimensions only
+    *[(None, 2000, "random", dim, range(3)) for dim in range(2, 8)]])
 def test_direct_clearance_equals_kd_clearance(monkeypatch, n, count, family,
                                               m_out, seeds):
-    domain = sample_sphere(n, count, seed=1, scheme="quasi_uniform")
     for k in seeds:
-        spec = random_map(family, m_out, seed=[k, 1000], d_in=n + 1)
-        pts, (splx, centers, radii, _) = _top_edge_balls(
-            evaluate(spec, domain), domain)
-        want = _clearance_on(monkeypatch, "tree", pts, centers, radii, splx)
-        got = _clearance_on(monkeypatch, "direct", pts, centers, radii, splx)
+        if family == "random":
+            args = _random_balls(count, m_out, k)
+        else:
+            domain = sample_sphere(n, count, seed=1, scheme="quasi_uniform")
+            spec = random_map(family, m_out, seed=[k, 1000], d_in=n + 1)
+            pts, (splx, centers, radii, _) = _top_edge_balls(
+                evaluate(spec, domain), domain)
+            args = pts, centers, radii, splx
+        want = _clearance_on(monkeypatch, "tree", *args)
+        got = _clearance_on(monkeypatch, "direct", *args)
         assert _bytes(got) == _bytes(want)
 
 

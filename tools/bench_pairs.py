@@ -39,11 +39,13 @@ won (ties count for neither side) and three verdicts:
 Each series also gives each side's failed share (failed items over
 attempted items, summed over its runs) and a failed_share_not_worse
 verdict: the working tree's share is at most the ref's.  It counts the
-loaded pairs too: those where either side's largest machine_ref_s
+loaded pairs too: those where either side's smaller machine_ref_s
 reading (perfbench times a fixed reference loop before and after each
 run) is more than 1.2 times the smallest reading of the series, so that
-the machine was busier during that pair.  The count only shows load; no
-pair is dropped or run again for it, and no verdict reads it.
+the machine was busier during that side's whole run; one high reading
+beside a quiet one is a lone spike and counts for nothing.  The count
+only shows load; no pair is dropped or run again for it, and no verdict
+reads it.
 
 After each workload one line per metric is printed: the medians and
 quartiles, the pairs won and the verdict (gain, unresolved, within_bound
@@ -185,12 +187,12 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
                        if attempted else 0.0)
     out["failed_share"] = share
     out["failed_share_not_worse"] = share["change"] <= share["ref"]
-    readings = [[r for side in ("ref", "change")
-                 for r in p[side].get("machine_ref_s") or ()] for p in pairs]
-    smallest = min((r for pair in readings for r in pair),
-                   default=float("inf"))
+    # each side's smaller reading: one lone spike does not load a side
+    quiet = [[min(p[side]["machine_ref_s"]) for side in ("ref", "change")
+              if p[side].get("machine_ref_s")] for p in pairs]
+    smallest = min((r for pair in quiet for r in pair), default=float("inf"))
     out["loaded_pairs"] = sum(max(pair, default=0.0) > 1.2 * smallest
-                              for pair in readings)
+                              for pair in quiet)
     return out
 
 

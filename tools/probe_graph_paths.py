@@ -122,17 +122,15 @@ def probe(images: np.ndarray) -> dict:
         tri = neighbors._triangulation(cl)
     except QhullError:
         return {**row, "path": "qhull-error", "qhull_error": 1}
-    live, centers, radii, _ = neighbors._circumballs(cl.reduced, tri,
-                                                     cl.tau_on)
+    _, centers, radii, _ = neighbors._circumballs(cl.reduced, tri, cl.tau_on)
     lemma = neighbors._local_clearance(cl.reduced, tri, centers, radii)
     eps_inside = neighbors.EPS_INSIDE_REL * cl.diam
-    (lo, hi, ball, *_), failed = neighbors._delaunay_edge_certs(
+    (lo, hi, simplex, _), failed = neighbors._delaunay_edge_certs(
         cl.reduced, tri, eps_inside, cl.tau_on)
     at_zero = neighbors._delaunay_edge_certs(cl.reduced, tri, 0.0,
                                              cl.tau_on)[1]
     edges = sorted([*zip(lo.tolist(), hi.tolist()), *failed])
-    picks = np.column_stack([lo, hi, np.sort(tri.simplices[live[ball]],
-                                             axis=1)])
+    picks = np.column_stack([lo, hi, np.sort(tri.simplices[simplex], axis=1)])
     return {**row, "edges": len(edges),
             "lemma": "ok" if lemma is not None else "kd",
             "failed": len(failed), "failed_at_eps0": len(at_zero),
