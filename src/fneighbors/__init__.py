@@ -41,18 +41,20 @@ from .maps import (
     map_to_json,
     random_map,
 )
-from .neighbors import (
-    ImageScaleError,
+from .check import (
     NeighborCertificate,
     NeighborGraph,
     check_certificate,
     check_graph,
+    pair_is_neighbor_oracle,
+)
+from .neighbors import (
+    ImageScaleError,
     compute_df,
     extremal_pair,
     neighbor_graph,
     neighbor_span,
     pair_is_neighbor_fast,
-    pair_is_neighbor_oracle,
 )
 from .witness import (
     DisjointFacesResult,

@@ -2,7 +2,7 @@
 
 Settings resolve in three layers: built-in defaults, then a JSON config
 file (--config) whose keys mirror the flag names, then explicit flags;
-later layers win.  Each report embeds the resolved result-affecting
+later layers win, and a null in the file is unset.  Each report embeds the resolved result-affecting
 settings and the effective tolerance set, carries no timestamps, and
 renders with sorted keys, so identical (command, config, seed) invocations
 produce byte-identical output for any --threads value.
@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .check import EPS_INSIDE_REL, NeighborGraph, tolerances
 from .domains import (
     CoverAssignment,
     SampledDomain,
@@ -53,14 +54,7 @@ from .muopt import (
     verify_cube_faces,
     verify_sphere_bound,
 )
-from .neighbors import (
-    EPS_INSIDE_REL,
-    ImageScaleError,
-    NeighborGraph,
-    extremal_pair,
-    neighbor_graph,
-    tolerances,
-)
+from .neighbors import ImageScaleError, extremal_pair, neighbor_graph
 from .witness import EPS_WITNESS_REL, WitnessNotFoundError, witness_point
 
 __all__ = ["main"]
@@ -137,7 +131,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
                 continue
             if norm not in defaults:
                 raise UsageError(f"unknown config key {key!r}")
-            cfg[norm] = value
+            if value is not None:  # null is unset, as an absent flag is
+                cfg[norm] = value
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
@@ -181,6 +176,16 @@ def _check_numbers(cfg: dict) -> None:
             raise UsageError(f"{flag} must be at least {least}")
 
 
+def _check_choices(cfg: dict) -> None:
+    """Raises UsageError for a value outside its flag's choices, which
+    argparse checks for flags but not for a config file."""
+    for key, value in cfg.items():
+        choices = _FLAGS[key].get("choices")
+        if choices and value not in choices:
+            raise UsageError(f"--{key.replace('_', '-')} must be one of "
+                             f"{', '.join(choices)}, not {value!r}")
+
+
 def _check_family(family: str | None) -> None:
     """Raises UsageError for a family name that maps does not define."""
     if family and family not in FAMILIES:
@@ -204,14 +209,12 @@ def _build_domain(cfg: dict) -> tuple[SampledDomain, CoverAssignment | None]:
     try:
         if kind == "sphere":
             return sample_sphere(n, n_samples, seed=seed,
-                                 scheme=cfg.get("scheme") or "quasi_uniform"), None
+                                 scheme=cfg["scheme"]), None
         if kind == "simplex":
             return simplex_boundary_cover(n, n_samples, seed=seed)
-        if kind == "cube":
-            return cube_boundary_cover(n, n_samples, seed=seed)
+        return cube_boundary_cover(n, n_samples, seed=seed)
     except ValueError as exc:
         raise UsageError(f"{kind} domain: {exc}")
-    raise UsageError(f"unknown domain {kind!r} (expected sphere, simplex or cube)")
 
 
 def _domain_cover(cfg: dict) -> tuple[SampledDomain, CoverAssignment]:
@@ -896,6 +899,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args, DEFAULTS[args.cmd])
         _check_numbers(cfg)
+        _check_choices(cfg)
         _check_family(cfg.get("family"))
         code, report = HANDLERS[args.cmd](cfg)
         _write_report(report, cfg.get("out"))

@@ -1,6 +1,6 @@
-"""Sphere geometry primitives: circumspheres, chord/angle conversions,
-regular-simplex edge lengths, the separation lower bound, and smallest
-enclosing angular balls.
+"""Sphere geometry primitives: circumspheres, the affine reduction of a
+point set, chord/angle conversions, regular-simplex edge lengths, the
+separation lower bound, and smallest enclosing angular balls.
 
 The smallest enclosing cap is exact: by minimax duality its center is the
 direction of the least-distance point of {u : <p_i, u> >= 1}, which one
@@ -41,6 +41,27 @@ __all__ = [
 # Relative tolerances for rank decisions and unit-norm validation.
 TAU_RANK = 1e-9
 TAU_UNIT = 1e-9
+
+
+def _affine_reduce(images: np.ndarray):
+    """Project points onto their affine hull.  Returns (reduced, embed, s):
+    reduced = U S has centered, orthogonal columns whose norms are s, the
+    kept singular values, and embed maps reduced centers back to ambient
+    coordinates."""
+    center = images.mean(axis=0)
+    shifted = images - center
+    _, s, vt = np.linalg.svd(shifted, full_matrices=False)
+    if s.size == 0 or s[0] < 1e-300:
+        rank = 0
+    else:
+        rank = int(np.sum(s > TAU_RANK * s[0]))
+    rank = max(rank, 1)
+    basis = vt[:rank]
+
+    def embed(point: np.ndarray) -> np.ndarray:
+        return center + point @ basis
+
+    return shifted @ basis.T, embed, s[:rank]
 
 
 class NotInHemisphereError(ValueError):

@@ -227,14 +227,21 @@ def map_to_json(spec: MapSpec) -> str:
 
 
 def map_from_json(text: str) -> MapSpec:
-    """The MapSpec of map_to_json's text; ValueError for a parameter that
-    is not a finite number."""
+    """The MapSpec of map_to_json's text; ValueError for params that are
+    not a list of finite real numbers and for an m_out that is not an
+    integer."""
     doc = json.loads(text)
-    params = tuple(doc["params"])
-    if not np.isfinite(np.asarray(params, dtype=float)).all():
-        raise ValueError("map parameters must be finite")
-    return MapSpec(family=doc["family"], m_out=int(doc["m_out"]),
-                   params=params)
+    params, m_out = doc["params"], doc["m_out"]
+    # by type(): JSON's true is no number, though bool is an int subclass
+    if not (isinstance(params, list)
+            and all(type(p) in (int, float) for p in params)
+            and np.isfinite(np.asarray(params, dtype=float)).all()):
+        raise ValueError(f"map parameters must be a list of finite numbers, "
+                         f"not {params!r}")
+    if not (type(m_out) is int or type(m_out) is float and m_out.is_integer()):
+        raise ValueError(f"m_out must be an integer, not {m_out!r}")
+    return MapSpec(family=doc["family"], m_out=int(m_out),
+                   params=tuple(params))
 
 
 def identity_fourier_params(m_out: int = 2, degree: int = 1) -> tuple[float, ...]:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .check import EPS_INSIDE_REL
 from .domains import SampledDomain, cube_boundary_cover, sample_sphere
 from .geometry import separation_bound
 from .maps import (
@@ -29,7 +30,6 @@ from .maps import (
     random_map,
 )
 from .neighbors import (
-    EPS_INSIDE_REL,
     compute_df,
     extremal_pair,
     neighbor_graph,

@@ -30,14 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .check import image_diameter
 from .domains import CoverAssignment, SampledDomain, cube_max_faces
-from .neighbors import (
-    _circumballs,
-    _clusters,
-    _line_pairs,
-    _triangulation,
-    image_diameter,
-)
+from .neighbors import _circumballs, _clusters, _line_pairs, _triangulation
 
 __all__ = [
     "WitnessReport",

@@ -416,6 +416,48 @@ def test_non_numeric_config_values_are_usage_errors(doc, message, tmp_path,
     assert message in capsys.readouterr().err
 
 
+_AFFINE = {"family": "affine", "m_out": 2, "params": [1, 0, 0, 0, 1, 0]}
+
+
+@pytest.mark.parametrize("argv, config", [
+    # --map JSON whose params are no list of numbers or m_out no integer
+    (("neighbors", "--map", json.dumps({**_AFFINE, "params": 5})), None),
+    (("neighbors", "--map", json.dumps({**_AFFINE, "params": [[1]]})), None),
+    (("neighbors", "--map", json.dumps({**_AFFINE, "m_out": None})), None),
+    # config values outside their flag's choices
+    *[((command,), {"scheme": "bogus"})
+      for command in ("neighbors", "mu", "verify-sphere", "delta-sweep")],
+    (("neighbors",), {"domain": "torus"})])
+def test_usage_errors_exit_2_with_one_error_line(argv, config, tmp_path,
+                                                 capsys):
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        argv = (*argv, "--config", str(path))
+    out = tmp_path / "r.json"
+    assert run(*argv, "--samples", "16", "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("neighbors",), {"samples": None, "scheme": None}),
+    (("mu", "--probes", "1", "--restarts", "0"),
+     {"samples": None, "scheme": None}),
+    (("verify-sphere", "--samples", "64"), {"trials": None, "scheme": None}),
+    (("verify-sphere", "--trials", "1"), {"samples": None})])
+def test_config_null_keeps_the_default(argv, config, tmp_path):
+    # a null in the config file is unset, as an absent flag is
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(*argv, "--out", str(a)) == 0
+    assert run(*argv, "--config", str(path), "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 @pytest.mark.parametrize("args", [
     ("neighbors", "--eps-inside"),
     ("verify-sphere", "--trials", "1", "--eps-inside"),

@@ -5,6 +5,7 @@ and the Delaunay graph are cross-validated against it (and against each
 other) on seeded random instances, alongside hand-checked fixed cases.
 """
 
+import ast
 import dataclasses
 import importlib.util
 import itertools
@@ -18,7 +19,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, cKDTree
 
-from fneighbors import neighbors
+from fneighbors import check, neighbors
 from fneighbors.domains import (
     SampledDomain,
     cube_boundary_cover,
@@ -859,22 +860,41 @@ def test_check_graph_fails_exactly_the_corrupted_rows():
             == list(expected), list(corrupt)
 
 
-def test_check_graph_calls_no_helper_of_the_construction(monkeypatch):
-    inputs = [_rounded_s2_graph(), (*_circle_map(64, 2), None),
-              (*_circle_map(64, 2, seed=[0, 1000]), None)]
-    identity = sample_sphere(1, 64, seed=0, scheme="quasi_uniform")
-    inputs.append((identity.samples.copy(), identity, None))
-    graphs = [(images, domain, graph or neighbor_graph(images, domain))
-              for images, domain, graph in inputs]
+def _package_imports(source: str) -> set[str]:
+    """The fneighbors modules that source imports, relative or absolute
+    ("" for the package itself)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(["fneighbors"] * bool(node.level)
+                              + [node.module] * bool(node.module))
+            modules = ([f"{module}.{a.name}" for a in node.names]
+                       if module == "fneighbors" else [module])
+        else:
+            continue
+        found.update((m.split(".") + [""])[1] for m in modules
+                     if m.split(".")[0] == "fneighbors")
+    return found
 
-    def built(*args, **kwargs):
-        raise AssertionError("check_graph called the construction")
 
-    for name in ("_clearance", "_circumballs", "_lifted_balls",
-                 "_vertex_margins", "_local_clearance", "_triangulation"):
-        monkeypatch.setattr(neighbors, name, built)
-    for images, domain, graph in graphs:
-        assert check_graph(graph, images, domain).all()
+def test_check_imports_nothing_from_the_construction():
+    # what a certificate is and when it is accepted sits behind one module
+    # boundary: check may import the package's domains and geometry only
+    assert _package_imports(Path(check.__file__).read_text()) == {
+        "domains", "geometry"}
+    for source, module in (("from .neighbors import _clearance", "neighbors"),
+                           ("from . import neighbors", "neighbors"),
+                           ("from fneighbors.witness import x", "witness"),
+                           ("from fneighbors import muopt", "muopt"),
+                           ("import fneighbors.neighbors as nb", "neighbors"),
+                           ("import fneighbors", "")):
+        assert _package_imports(source) == {module}, source
+    # neighbors re-exports the rule, it does not copy it
+    for name in ("check_certificate", "check_graph", "NeighborGraph",
+                 "NeighborCertificate"):
+        assert getattr(neighbors, name) is getattr(check, name), name
 
 
 def test_compute_df_empty():

@@ -11,7 +11,7 @@ list, rendered by the CLI's own writer (cli._report_pieces).
 OUTDIR/SHA256SUMS holds one `sha256sum` line per report.  Nothing in
 them depends on time, so `diff -r` between the outputs of two checkouts
 shows every byte that a change moved.  A graph with a certificate that
-fails `neighbors.check_graph` is refused: the script names its input and
+fails `check.check_graph` is refused: the script names its input and
 exits 1.
 
 The panel:
@@ -36,13 +36,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from fneighbors import cli  # noqa: E402
+from fneighbors.check import check_graph  # noqa: E402
 from fneighbors.domains import sample_sphere  # noqa: E402
 from fneighbors.maps import evaluate, random_map  # noqa: E402
-from fneighbors.neighbors import (  # noqa: E402
-    check_graph,
-    extremal_pair,
-    neighbor_graph,
-)
+from fneighbors.neighbors import extremal_pair, neighbor_graph  # noqa: E402
 
 
 def panel(max_samples: int | None = None):

@@ -42,6 +42,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from scipy.spatial import QhullError  # noqa: E402
 
 from fneighbors import neighbors  # noqa: E402
+from fneighbors.check import (  # noqa: E402
+    EPS_INSIDE_REL,
+    TAU_ON_REL,
+    image_diameter,
+)
 from fneighbors.domains import sample_sphere  # noqa: E402
 from fneighbors.maps import evaluate, random_map  # noqa: E402
 
@@ -83,7 +88,7 @@ def panel(max_samples: int = MAX_SAMPLES):
     for arc in (2.0 * math.pi, math.pi, 0.3):
         t = np.linspace(0.0, arc, samples, endpoint=arc < 2.0 * math.pi)
         circle = np.column_stack([np.cos(t), np.sin(t)])
-        tau_on = neighbors.TAU_ON_REL * neighbors.image_diameter(circle)
+        tau_on = TAU_ON_REL * image_diameter(circle)
         for moved in (0.9, 0.999, 3.0):
             sign = rng.choice([-1.0, 1.0], size=samples)
             yield (f"arc angle={arc:.4g} N={samples} moved={moved}tau_on",
@@ -91,7 +96,7 @@ def panel(max_samples: int = MAX_SAMPLES):
     sphere = sample_sphere(2, min(2048, max_samples), seed=0,
                            scheme="quasi_uniform").samples
     for moved in (0.5, 0.999, 3.0):
-        tau_on = neighbors.TAU_ON_REL * neighbors.image_diameter(sphere)
+        tau_on = TAU_ON_REL * image_diameter(sphere)
         noise = moved * tau_on * rng.uniform(-1.0, 1.0, size=len(sphere))
         yield (f"near-sphere N={len(sphere)} moved={moved}tau_on",
                sphere * (1.0 + noise)[:, None])
@@ -124,7 +129,7 @@ def probe(images: np.ndarray) -> dict:
         return {**row, "path": "qhull-error", "qhull_error": 1}
     _, centers, radii, _ = neighbors._circumballs(cl.reduced, tri, cl.tau_on)
     lemma = neighbors._local_clearance(cl.reduced, tri, centers, radii)
-    eps_inside = neighbors.EPS_INSIDE_REL * cl.diam
+    eps_inside = EPS_INSIDE_REL * cl.diam
     (lo, hi, simplex, _), failed = neighbors._delaunay_edge_certs(
         cl.reduced, tri, eps_inside, cl.tau_on)
     at_zero = neighbors._delaunay_edge_certs(cl.reduced, tri, 0.0,
