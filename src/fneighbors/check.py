@@ -101,8 +101,9 @@ class NeighborGraph:
     Ball b is the sphere (centers[b], radii[b]) in image coordinates, held
     once for all the rows and tuples it certifies, and every ball is some
     row's or tuple's.  len() counts all certificates and row(k) views
-    certificate k: pair row k, or tuple k - len(pairs) past them;
-    iterating yields them in indices order (order()).
+    certificate k: pair row k, or tuple k - len(pairs) past them.
+    order() is the one merge of pair rows and tuples in indices order, in
+    which iteration and the dump writer yield them.
     """
 
     pairs: np.ndarray
@@ -125,23 +126,19 @@ class NeighborGraph:
     def __iter__(self):
         return map(self.row, self.order().tolist())
 
-    def tuple_positions(self) -> np.ndarray:
-        """The merge of pair rows and tuples in indices order: the number
-        of pair rows before each tuple, those whose pair sorts at or
-        before the tuple's first two members (on equal keys the pair row
-        comes first; every tuple has at least two members)."""
+    def order(self) -> np.ndarray:
+        """The certificates, numbered as row() numbers them, in indices
+        order: the one merge of pair rows and tuples.  Each tuple follows
+        the pair rows whose pair sorts at or before its first two members
+        (on equal keys the pair row comes first; every tuple has at least
+        two members)."""
         heads = self.tuple_members[self.tuple_start[:, None] + [0, 1]]
         base = 1 + int(max(self.pairs.max(initial=0), heads.max(initial=0)))
         keys = self.pairs[:, 0].astype(np.int64) * base + self.pairs[:, 1]
-        return np.searchsorted(keys, heads[:, 0].astype(np.int64) * base
-                               + heads[:, 1], side="right")
-
-    def order(self) -> np.ndarray:
-        """The certificates, numbered as row() numbers them, in indices
-        order."""
         n = len(self.pairs)
-        return np.insert(np.arange(n), self.tuple_positions(),
-                         np.arange(n, len(self)))
+        return np.insert(np.arange(n), np.searchsorted(
+            keys, heads[:, 0].astype(np.int64) * base + heads[:, 1],
+            side="right"), np.arange(n, len(self)))
 
     def row(self, k: int) -> NeighborCertificate:
         t = k - len(self.pairs)

@@ -279,19 +279,18 @@ def _tolerance(cfg: dict, key: str, default: float) -> float:
 CHUNK_ROWS = 1024
 
 # One dumped certificate as json.dumps(cert.to_json(), sort_keys=True,
-# indent=2) writes it as an item of the report's certificates list, from
-# the text of its indices: a ball certificate, whose last field is its
-# ball's text (_BALL), or a coincidence certificate, whose last field is
-# empty.  Only the text that differs between balls is held per ball.  A
-# pair row takes its two indices as %d, so that one %-format renders it.
-_HEAD = ('    {\n      "indices": [\n        %s\n      ],\n'
+# indent=2) writes it as an item of the report's certificates list: a ball
+# certificate, whose last field is its ball's text (_BALL), or a
+# coincidence certificate, whose last field is empty.  Its indices are its
+# first index and the text of the others: a pair row's second index,
+# which %s spells as %d does, or the rest of a tuple's members.  So one
+# %-format renders each certificate, pair row or tuple.
+_HEAD = ('    {\n      "indices": [\n        %d,\n        %s\n      ],\n'
          '      "pair_distance": %s,\n      "slack": %s,\n')
 _BALL_ROW = (_HEAD + '      "witness": {\n        "center": [\n'
              '          %s\n      }\n    }')
 _BALL = '%s\n        ],\n        "radius": %s'
 _COINCIDENCE_ROW = _HEAD + '      "witness": "coincidence"\n    }%s'
-_BALL_PAIR, _COINCIDENCE_PAIR = (row.replace("%s", "%d,\n        %d", 1)
-                                 for row in (_BALL_ROW, _COINCIDENCE_ROW))
 
 
 def _spell(values: np.ndarray) -> list[str]:
@@ -301,114 +300,109 @@ def _spell(values: np.ndarray) -> list[str]:
     return list(map(spell, values.tolist()))
 
 
-def _floats(values: np.ndarray) -> list[str]:
-    """_spell, with each distinct bit pattern spelled once (0.0 and -0.0
-    apart), for columns that repeat many values."""
-    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
-                              return_inverse=True)
-    text = _spell(bits.view(np.float64))
-    return list(map(text.__getitem__, inverse.tolist()))
-
-
-def _ball_texts(graph: NeighborGraph) -> tuple[list[str], np.ndarray]:
-    """The text (_BALL) of each ball of the graph's table, spelled once, in
-    table order and CHUNK_ROWS balls at a time, each chunk of balls
-    formatted into one string: (chunks, at), ball b's text being
-    chunks[at[0, b]][at[1, b]:at[2, b]].  The extra last column of at, the
-    one ball -1 (a coincidence row) picks, names an empty text.  A few
-    large strings and three integer columns stand for the table, not one
-    small string per ball: small strings live in the interpreter's own
-    arenas, and the few small objects that outlive a report pin those
-    arenas in memory."""
-    balls = np.column_stack([graph.centers, graph.radii])
-    width = balls.shape[1]
-    one = _BALL % (",\n          ".join(["%s"] * (width - 1)), "%s")
-    fixed = len(one % (("",) * width))  # a ball's text less its numbers
-    chunks, at = [], np.zeros((3, len(balls) + 1), dtype=np.intp)
-    for start in range(0, len(balls), CHUNK_ROWS):
-        values = _spell(balls[start:start + CHUNK_ROWS].ravel())
-        stop = start + len(values) // width
-        size = np.fromiter(map(len, values), np.intp, len(values))
+def _text_table(one: str, values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The text of each row of the float matrix values, its floats spelled
+    once into the %-format one, in row order and CHUNK_ROWS rows at a time,
+    each chunk of rows formatted into one string: (chunks, at), row r's
+    text being chunks[at[0, r]][at[1, r]:at[2, r]].  The extra last column
+    of at, the one row -1 picks, names an empty text.  A few large strings
+    and three integer columns stand for the table, not one small string per
+    row: small strings live in the interpreter's own arenas, and the few
+    small objects that outlive a report pin those arenas in memory."""
+    width = values.shape[1]
+    fixed = len(one % (("",) * width))  # a row's text less its numbers
+    chunks, at = [], np.zeros((3, len(values) + 1), dtype=np.intp)
+    for start in range(0, len(values), CHUNK_ROWS):
+        texts = _spell(values[start:start + CHUNK_ROWS].ravel())
+        stop = start + len(texts) // width
+        size = np.fromiter(map(len, texts), np.intp, len(texts))
         at[0, start:stop] = len(chunks)
         at[2, start:stop] = np.cumsum(size.reshape(-1, width).sum(axis=1)
                                       + fixed)
         at[1, start + 1:stop] = at[2, start:stop - 1]
-        chunks.append((one * (stop - start)) % tuple(values))
+        chunks.append((one * (stop - start)) % tuple(texts))
     at[0, -1] = len(chunks)
     chunks.append("")
     return chunks, at
 
 
-def _take(balls: tuple[list[str], np.ndarray], ball: np.ndarray
+def _take(table: tuple[list[str], np.ndarray], picks: np.ndarray
           ) -> tuple[list[str], list[int]]:
-    """The texts of the distinct balls of the column ball, each sliced
-    once from its chunk of balls (_ball_texts), and the place of each
-    entry's text among them."""
-    chunks, at = balls
-    distinct, inverse = np.unique(ball, return_inverse=True)
+    """The texts of the distinct rows of the table (_text_table) that the
+    column picks names, each sliced once from its chunk, and the place of
+    each pick's text among them."""
+    chunks, at = table
+    distinct, inverse = np.unique(picks, return_inverse=True)
     return ([chunks[c][a:b] for c, a, b in zip(*at[:, distinct].tolist())],
             inverse.tolist())
 
 
-def _tuple_texts(graph: NeighborGraph, first: int, last: int,
-                 texts: list[str], which: list[int]) -> list[str]:
-    """The text of each tuple first..last-1 of the graph, tuple first + k
-    taking the ball text texts[which[k]] (_take)."""
-    bounds = np.append(graph.tuple_start,
-                       len(graph.tuple_members))[first:last + 1]
-    members = list(map(str, graph.tuple_members[bounds[0]:bounds[-1]].tolist()))
-    cuts = (bounds - bounds[0]).tolist()
-    return [(_BALL_ROW if w >= 0 else _COINCIDENCE_ROW)
-            % (",\n        ".join(members[a:b]), rho, s, texts[k])
-            for a, b, rho, s, w, k in zip(
-                cuts, cuts[1:], _spell(graph.tuple_rho[first:last]),
-                _spell(graph.tuple_slack[first:last]),
-                graph.tuple_ball[first:last].tolist(), which)]
+def _merged(ids: np.ndarray, rows: np.ndarray, tuples: np.ndarray
+            ) -> np.ndarray:
+    """The entries of the certificates ids, numbered as NeighborGraph.row
+    numbers them: rows[k] for pair row k, tuples[k - len(rows)] for a
+    tuple."""
+    tuple_ = ids >= len(rows)
+    out = np.empty(len(ids), dtype=np.result_type(rows, tuples))
+    out[~tuple_] = rows[ids[~tuple_]]
+    out[tuple_] = tuples[ids[tuple_] - len(rows)]
+    return out
 
 
-def _piece(graph: NeighborGraph, balls: tuple[list[str], np.ndarray],
-           start: int, stop: int, first: int, placed: np.ndarray) -> str:
-    """Pair rows start..stop-1 and tuples first.. of the graph, as one run
-    of list items: tuple first + k follows the rows before placed[k].
-    Each piece spells its own floats and slices its own balls' texts
-    (_take), and nothing it makes outlives it but its text."""
-    last = first + len(placed)
-    ball = graph.ball[start:stop]
-    texts, which = _take(balls, np.append(ball, graph.tuple_ball[first:last]))
-    i, j = graph.pairs[start:stop].T.tolist()
-    rows = [(_BALL_PAIR if w >= 0 else _COINCIDENCE_PAIR)
-            % (a, b, rho, s, texts[k]) for a, b, rho, s, w, k
-            in zip(i, j, _spell(graph.rho[start:stop]),
-                   _floats(graph.slack[start:stop]), ball.tolist(), which)]
-    items, done = [], start
-    for at, text in zip(placed.tolist(), _tuple_texts(
-            graph, first, last, texts, which[stop - start:])):
-        items += [*rows[done - start:at - start], text]
-        done = at
-    items += rows[done - start:]
-    return ",\n".join(items)
+def _render(graph: NeighborGraph, ids: np.ndarray,
+            balls: tuple[list[str], np.ndarray], bits: np.ndarray,
+            slacks: tuple[list[str], np.ndarray]) -> str:
+    """The certificates ids of the graph, numbered as graph.row() numbers
+    them, as one run of list items, one %-format each.  A certificate
+    takes its ball's text from the table balls and its slack's from the
+    table slacks of the distinct slack bit patterns bits (_text_table),
+    each text sliced once (_take).  Nothing it makes outlives it but its
+    text."""
+    n = len(graph.pairs)
+    members, starts = graph.tuple_members, graph.tuple_start
+    ball = _merged(ids, graph.ball, graph.tuple_ball)
+    ball_texts, which_ball = _take(balls, ball)
+    slack_texts, which_slack = _take(slacks, np.searchsorted(
+        bits, _merged(ids, graph.slack, graph.tuple_slack).view(np.int64)))
+    # the indices after the first: a pair row's second, a tuple's others
+    t = ids[ids >= n] - n
+    bounds = np.append(starts, len(members))
+    rest = np.empty(len(ids), dtype=object)
+    rest[ids < n] = graph.pairs[ids[ids < n], 1]
+    rest[ids >= n] = [",\n        ".join(map(str, members[a + 1:b].tolist()))
+                      for a, b in zip(bounds[t].tolist(),
+                                      bounds[t + 1].tolist())]
+    return ",\n".join(
+        (_BALL_ROW if w >= 0 else _COINCIDENCE_ROW)
+        % (i, j, rho, slack_texts[s], ball_texts[b])
+        for i, j, rho, s, w, b in zip(
+            _merged(ids, graph.pairs[:, 0], members[starts]).tolist(),
+            rest.tolist(), _spell(_merged(ids, graph.rho, graph.tuple_rho)),
+            which_slack, ball.tolist(), which_ball))
 
 
 def _certificate_pieces(graph: NeighborGraph):
     """The report's certificates list, byte for byte as json.dumps writes
-    [c.to_json() for c in graph] at the report's nesting, rendered from the
-    graph's columns in pieces (_piece) of at most CHUNK_ROWS pair rows,
-    with the tuples merged in where graph.tuple_positions() places them.
-    Between pieces nothing is held per row, tuple or ball: the ball texts
-    are _ball_texts' few strings."""
+    [c.to_json() for c in graph] at the report's nesting, in graph.order()
+    and in pieces (_render): each piece ends before pair row
+    k * CHUNK_ROWS, a tuple riding with the rows before it.  The balls and
+    the distinct slack bit patterns (0.0 and -0.0 apart) are spelled once
+    per report, into text tables (_text_table), so between pieces nothing
+    is held per row, tuple or ball but numpy columns and a few strings."""
     if len(graph) == 0:
         yield "[]"
         return
-    balls = _ball_texts(graph)
-    positions = graph.tuple_positions()
-    n, t = len(graph.pairs), 0
-    for start in range(0, max(n, 1), CHUNK_ROWS):  # one piece if tuples only
-        stop = min(start + CHUNK_ROWS, n)
-        # a tuple placed at stop follows this piece's last row
-        last = int(np.searchsorted(positions, stop, side="right"))
-        yield (("[\n" if start == 0 else ",\n")
-               + _piece(graph, balls, start, stop, t, positions[t:last]))
-        t = last
+    balls = _text_table(
+        _BALL % (",\n          ".join(["%s"] * graph.centers.shape[1]), "%s"),
+        np.column_stack([graph.centers, graph.radii]))
+    bits = np.unique(np.concatenate([graph.slack, graph.tuple_slack])
+                     .view(np.int64))
+    slacks = _text_table("%s", bits.view(np.float64)[:, None])
+    order = graph.order()
+    cuts = np.flatnonzero(order < len(graph.pairs))[CHUNK_ROWS::CHUNK_ROWS]
+    for k, ids in enumerate(np.split(order, cuts)):
+        yield (",\n" if k else "[\n") + _render(graph, ids, balls, bits,
+                                                 slacks)
     yield "\n  ]"
 
 

@@ -10,6 +10,7 @@ parameter count so that specs serialize as plain JSON.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,15 +228,20 @@ def map_to_json(spec: MapSpec) -> str:
 
 
 def map_from_json(text: str) -> MapSpec:
-    """The MapSpec of map_to_json's text; ValueError for params that are
-    not a list of finite real numbers and for an m_out that is not an
-    integer."""
+    """The MapSpec of map_to_json's text; ValueError for text that is no
+    JSON object, for params that are not a list of finite real numbers and
+    for an m_out that is not an integer."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a map must be a JSON object, not a "
+                         f"{type(doc).__name__}")
     params, m_out = doc["params"], doc["m_out"]
-    # by type(): JSON's true is no number, though bool is an int subclass
+    # by type(): JSON's true is no number, though bool is an int subclass.
+    # An int compares with a float exactly, where converting one too large
+    # for a float would overflow
     if not (isinstance(params, list)
-            and all(type(p) in (int, float) for p in params)
-            and np.isfinite(np.asarray(params, dtype=float)).all()):
+            and all(type(p) in (int, float) and abs(p) <= sys.float_info.max
+                    for p in params)):
         raise ValueError(f"map parameters must be a list of finite numbers, "
                          f"not {params!r}")
     if not (type(m_out) is int or type(m_out) is float and m_out.is_integer()):

@@ -427,9 +427,17 @@ _AFFINE = {"family": "affine", "m_out": 2, "params": [1, 0, 0, 0, 1, 0]}
     # config values outside their flag's choices
     *[((command,), {"scheme": "bogus"})
       for command in ("neighbors", "mu", "verify-sphere", "delta-sweep")],
-    (("neighbors",), {"domain": "torus"})])
+    (("neighbors",), {"domain": "torus"}),
+    # a --map file holding a JSON array, and a parameter too large for a
+    # float
+    (("neighbors", "--map", "array.json"), None),
+    (("neighbors", "--map", json.dumps({**_AFFINE,
+                                        "params": [10**400, 0, 0, 0, 1, 0]})),
+     None)])
 def test_usage_errors_exit_2_with_one_error_line(argv, config, tmp_path,
-                                                 capsys):
+                                                 capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "array.json").write_text("[1, 2]")
     if config is not None:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
@@ -744,13 +752,36 @@ def test_dump_pieces_exact_multiple_with_tuples_on_the_boundaries(monkeypatch):
     graph = _ladder_graph(12, **_tuples(
         [(0, 1, 2), (4, 7, 8), (8, 11, 12), (13, 14, 15)], ball=[-1] * 4,
         slack=[0.0] * 4, rho=[1.0] * 4))
-    assert graph.tuple_positions().tolist() == [0, 4, 8, 12]
+    assert np.flatnonzero(graph.order() >= 12).tolist() == [0, 5, 10, 15]
     _assert_renders_like_json(graph)
     pieces = _row_pieces({"certificates": graph})
     assert [sum(len(c["indices"]) == 2 for c in p) for p in pieces] == [4, 4, 4]
     # a tuple on a boundary ends the piece before it
     assert [len(p) for p in pieces] == [6, 5, 5]
     assert [c for p in pieces for c in p] == [c.to_json() for c in graph]
+
+
+def test_dump_pieces_with_many_tuples_inside_and_on_the_boundaries(
+        monkeypatch):
+    # S^2 at 512 samples rounded to 1 decimal: coincidence clusters (some
+    # of two samples, so a tuple is not told from a pair row by its size)
+    # and cospherical cells, six of them right before a pair row k * 64
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 64)
+    domain = sample_sphere(2, 512, seed=1, scheme="quasi_uniform")
+    spec = random_map("sphere_harmonic", 3, seed=[1, 1000], d_in=3)
+    graph = neighbor_graph(np.round(evaluate(spec, domain), 1), domain)
+    n, order = len(graph.pairs), graph.order()
+    rows_before = np.cumsum(order < n)[order >= n]  # of each tuple
+    assert (n, len(order) - n) == (3833, 344)
+    assert np.count_nonzero(rows_before % 64 == 0) == 6
+    _assert_renders_like_json(graph)
+    # piece k opens with pair row k * 64, k >= 1: each piece ends before
+    # such a row, holding at most 64 pair rows, and a tuple placed right
+    # before it rides with the rows before it
+    opens = np.cumsum([len(p) for p in _row_pieces({"certificates": graph})])
+    assert order[opens[:-1]].tolist() == list(range(64, n, 64))
+    assert max(np.count_nonzero(p < n)
+               for p in np.split(order, opens[:-1])) == 64
 
 
 @pytest.mark.parametrize("n_pairs", [1, 3, 4, 5, 9])
@@ -835,11 +866,12 @@ def test_edge_pass_working_memory_per_edge_instance():
 
 
 def test_dump_writer_working_memory_per_pair_row():
-    # measured 166-177 bytes per pair row on S^2 maps [1, 0..3] and
-    # [1, 1000] at 2048 samples (177 on this map, [1, 1]); the budget adds
-    # a third.  One string per ball and the whole slack column spelled at
-    # once took 208-220, and spelling every distinct ball's floats at once
-    # and keeping each ball's whole witness text 496-552
+    # measured 185-195 bytes per pair row on S^2 maps [1, 0..3] and
+    # [1, 1000] at 2048 samples (195 on this map, [1, 1]), and 166-177
+    # with two renderers, slack spelled per piece; the budget is 230.
+    # One string per ball and the whole slack column spelled at once took
+    # 208-220, and spelling every distinct ball's floats at once and
+    # keeping each ball's whole witness text 496-552
     domain, images = _s2_dump_input()
     graph = neighbor_graph(images, domain)
 
@@ -855,7 +887,7 @@ def test_dump_writer_holds_no_block_per_ball_between_pieces():
     # the interpreter's allocated blocks after each piece, above those
     # before the list is rendered: the ball table is a few chunk strings
     # and integer columns, so this does not grow with the table.  Measured
-    # 53-88 here; one string per ball held 8,031, 13,487 and 23,651 blocks
+    # 89-128 here; one string per ball held 8,031, 13,487 and 23,651 blocks
     # on these maps (4,273, 9,168 and 18,214 balls)
     for samples in (1024, 2048, 4096):
         domain = sample_sphere(2, samples, seed=1, scheme="quasi_uniform")

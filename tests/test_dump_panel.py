@@ -35,3 +35,18 @@ def test_dump_panel_refuses_a_graph_that_fails_its_check(tmp_path,
     with pytest.raises(SystemExit, match=f"^{name}: 1 of "):
         dump_panel.write_panel(tmp_path, max_samples=64)
     assert not list(tmp_path.iterdir())
+
+
+def test_dump_panel_refuses_a_report_its_writer_renders_unlike_json(
+        tmp_path, monkeypatch):
+    write = dump_panel.cli._report_pieces
+
+    def drop_a_byte(report):
+        text = "".join(write(report))
+        return [text[:len(text) // 2], text[len(text) // 2 + 1:]]
+
+    monkeypatch.setattr(dump_panel.cli, "_report_pieces", drop_a_byte)
+    name = next(dump_panel.panel(64))[0]
+    with pytest.raises(SystemExit, match=f"^{name}: the writer's text "):
+        dump_panel.write_panel(tmp_path, max_samples=64)
+    assert not list(tmp_path.iterdir())

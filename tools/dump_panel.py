@@ -11,8 +11,9 @@ list, rendered by the CLI's own writer (cli._report_pieces).
 OUTDIR/SHA256SUMS holds one `sha256sum` line per report.  Nothing in
 them depends on time, so `diff -r` between the outputs of two checkouts
 shows every byte that a change moved.  A graph with a certificate that
-fails `check.check_graph` is refused: the script names its input and
-exits 1.
+fails `check.check_graph` is refused, and so is a report whose text
+differs from `json.dumps` over the certificates' `to_json()`: the
+script names its input and exits 1.
 
 The panel:
 
@@ -28,6 +29,7 @@ The panel:
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -70,7 +72,8 @@ def panel(max_samples: int | None = None):
 
 def write_panel(outdir: Path, max_samples: int | None = None) -> None:
     """Write every input's report and SHA256SUMS to outdir; exit 1,
-    naming the input, at a graph that fails check_graph."""
+    naming the input, at a graph that fails check_graph or a report that
+    the CLI's writer renders unlike json.dumps."""
     outdir.mkdir(parents=True, exist_ok=True)
     sums = []
     for name, dom, images in panel(max_samples):
@@ -83,7 +86,13 @@ def write_panel(outdir: Path, max_samples: int | None = None) -> None:
         report = {"df": df, "extremal_pair": pair and list(pair),
                   "extremal_certificate": cert and cert.to_json(),
                   "n_certificates": len(graph), "certificates": graph}
-        text = "".join(cli._report_pieces(report)).encode()
+        text = "".join(cli._report_pieces(report))
+        rows = [c.to_json() for c in graph]
+        if text != json.dumps({**report, "certificates": rows},
+                              sort_keys=True, indent=2) + "\n":
+            raise SystemExit(f"{name}: the writer's text differs from "
+                             "json.dumps of the certificates")
+        text = text.encode()
         (outdir / f"{name}.json").write_bytes(text)
         sums.append(f"{hashlib.sha256(text).hexdigest()}  {name}.json\n")
     (outdir / "SHA256SUMS").write_text("".join(sums))
